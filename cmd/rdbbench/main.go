@@ -26,8 +26,6 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment to run (competition|hostvar|estimate|jscan|background|fastfirst|sorted|indexonly|goals|hybrid|union|ablations|interfere|histogram|samplers|all)")
 	rows := flag.Int("rows", 0, "table size for retrieval experiments (0 = experiment default)")
-	parallel := flag.Int("parallel", 0, "run the parallel-throughput benchmark with this many goroutines and write BENCH_parallel.json")
-	queries := flag.Int("queries", 0, "total queries for -parallel (0 = default)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	benchout := flag.String("benchout", "", "run the vectorized-pipeline microbenchmarks and write JSON results to this file (e.g. BENCH_pipeline.json)")
@@ -62,78 +60,17 @@ func main() {
 
 	if *benchout != "" {
 		rep, err := bench.RunPipeline()
-		if err != nil {
-			fail(err)
-		}
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		out = append(out, '\n')
-		if err := os.WriteFile(*benchout, out, 0o644); err != nil {
-			fail(err)
-		}
-		os.Stdout.Write(out)
+		writeJSON(*benchout, rep, err)
 		return
 	}
-
 	if *cache {
 		res, err := bench.RunCacheBench(*rows)
-		if err != nil {
-			fail(err)
-		}
-		out, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		out = append(out, '\n')
-		if err := os.WriteFile("BENCH_cache.json", out, 0o644); err != nil {
-			fail(err)
-		}
-		os.Stdout.Write(out)
+		writeJSON("BENCH_cache.json", res, err)
 		return
 	}
-
 	if *join {
 		res, err := bench.RunJoinBench(*rows)
-		if err != nil {
-			fail(err)
-		}
-		out, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		out = append(out, '\n')
-		if err := os.WriteFile("BENCH_join.json", out, 0o644); err != nil {
-			fail(err)
-		}
-		os.Stdout.Write(out)
-		return
-	}
-
-	if *parallel > 0 {
-		res, err := bench.RunParallel(*parallel, *queries, *rows)
-		if err != nil {
-			fail(err)
-		}
-		out, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		out = append(out, '\n')
-		if err := os.WriteFile("BENCH_parallel.json", out, 0o644); err != nil {
-			fail(err)
-		}
-		metrics, err := json.MarshalIndent(res.Metrics, "", "  ")
-		if err != nil {
-			fail(err)
-		}
-		metrics = append(metrics, '\n')
-		if err := os.WriteFile("BENCH_metrics.json", metrics, 0o644); err != nil {
-			fail(err)
-		}
-		os.Stdout.Write(out)
-		os.Stdout.Write(metrics)
+		writeJSON("BENCH_join.json", res, err)
 		return
 	}
 
@@ -173,6 +110,23 @@ func main() {
 		fail(err)
 	}
 	r.Fprint(os.Stdout)
+}
+
+// writeJSON writes a benchmark report (or fails on its error) as
+// indented JSON to path and echoes it to stdout.
+func writeJSON(path string, report any, err error) {
+	if err != nil {
+		fail(err)
+	}
+	out, err := json.MarshalIndent(report, "", "  ")
+	if err != nil {
+		fail(err)
+	}
+	out = append(out, '\n')
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		fail(err)
+	}
+	os.Stdout.Write(out)
 }
 
 func fail(err error) {

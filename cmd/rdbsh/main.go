@@ -336,7 +336,7 @@ func printStats(st core.RetrievalStats) {
 		}
 		fmt.Println(" ", line)
 	}
-	for _, tr := range st.Trace {
+	for _, tr := range st.Trace() {
 		fmt.Println("  *", tr)
 	}
 }

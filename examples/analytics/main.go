@@ -81,7 +81,7 @@ func main() {
 		st := res.Stats()
 		fmt.Printf("%-34s count=%-6s strategy=%-42s I/O=%d\n",
 			tc.label, rows[0][0], st.Strategy, db.Pool().Stats().IOCost())
-		for _, tr := range st.Trace {
+		for _, tr := range st.Trace() {
 			fmt.Println("    *", tr)
 		}
 	}

@@ -56,7 +56,7 @@ func main() {
 		st := res.Stats()
 		fmt.Printf("tactic=%s strategy=%s rows=%d I/O=%d\n",
 			st.Tactic, st.Strategy, count, db.Pool().Stats().IOCost())
-		for _, tr := range st.Trace {
+		for _, tr := range st.Trace() {
 			fmt.Println("  *", tr)
 		}
 	}

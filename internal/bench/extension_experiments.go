@@ -53,7 +53,7 @@ func UnionScan(rows int) (*Report, error) {
 			return nil, err
 		}
 		q.Binds = bb
-		_, tsIO, err := l.runFixed(q, core.FixedStrategy{Kind: core.StrategyTscan}, 0)
+		_, tsIO, err := l.runPlan(q, pinned("tscan", nil), 0)
 		if err != nil {
 			return nil, err
 		}

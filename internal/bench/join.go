@@ -207,16 +207,13 @@ func runJoinLeg(nCust, nOrd, nItem, frames int, fb *feedback.Registry, static bo
 	db.Pool().EvictAll()
 	db.Pool().ResetStats()
 	start := time.Now()
-	var rows core.Rows
+	var pinned *core.JoinPlan // nil = dynamic
 	if static {
-		p, perr := opt.PlanJoin(ec, jq)
-		if perr != nil {
-			return "", 0, 0, 0, 0, perr
+		if pinned, err = opt.PlanJoin(ec, jq); err != nil {
+			return "", 0, 0, 0, 0, err
 		}
-		rows = opt.RunJoinPlan(ec, jq, p)
-	} else {
-		rows = opt.RunJoin(ec, jq)
 	}
+	rows := opt.RunJoin(ec, jq, pinned)
 	for {
 		_, ok, nerr := rows.Next()
 		if nerr != nil {
@@ -313,12 +310,7 @@ func runHashJoinLeg(nCust, nOrd, frames int, plan *core.JoinPlan) (desc string, 
 	db.Pool().EvictAll()
 	db.Pool().ResetStats()
 	start := time.Now()
-	var rows core.Rows
-	if plan != nil {
-		rows = opt.RunJoinPlan(ec, jq, plan)
-	} else {
-		rows = opt.RunJoin(ec, jq)
-	}
+	rows := opt.RunJoin(ec, jq, plan)
 	for {
 		_, ok, nerr := rows.Next()
 		if nerr != nil {
@@ -524,7 +516,7 @@ func RunJoinBench(rows int) (*JoinResult, error) {
 	out := &JoinResult{
 		Customers: nCust, Orders: nOrd, Items: nItem,
 		PoolFrames:  frames,
-		ReoptFactor: core.DefaultConfig().JoinReoptFactor,
+		ReoptFactor: core.JoinReoptFactor,
 	}
 
 	scenarios := []struct {

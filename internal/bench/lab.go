@@ -90,10 +90,19 @@ func (l *lab) runFrozen(stmt *engine.FrozenStmt, binds engine.Binds, limit int) 
 	return rows, io, err
 }
 
-// runFixed executes a fixed strategy cold through core directly.
-func (l *lab) runFixed(q *core.Query, s core.FixedStrategy, limit int) (rows int, io storage.IOStats, err error) {
+// pinned names a static plan: tscan, or tactic over one index.
+func pinned(tactic string, ix *catalog.Index) *core.Plan {
+	if ix == nil {
+		return &core.Plan{Tactic: tactic}
+	}
+	return &core.Plan{Tactic: tactic, Indexes: []string{ix.Name}}
+}
+
+// runPlan executes a pinned plan cold through core directly, on a
+// private default-configured optimizer.
+func (l *lab) runPlan(q *core.Query, p *core.Plan, limit int) (rows int, io storage.IOStats, err error) {
 	io, err = l.coldRun(func() error {
-		rr := core.RunFixed(q, s, core.DefaultConfig())
+		rr := core.NewOptimizer(core.Config{}).RunPlan(nil, q, p)
 		defer rr.Close()
 		for {
 			_, ok, err := rr.Next()

@@ -160,13 +160,6 @@ type finalFetchFixture struct {
 }
 
 func newFinalFetchFixture() (*finalFetchFixture, error) {
-	return newHeapFixtureN(pipeRows)
-}
-
-// newHeapFixtureN is newFinalFetchFixture at an arbitrary row count;
-// the adaptive-width benchmarks use a few-page variant of the same
-// table to show small scans staying sequential.
-func newHeapFixtureN(n int) (*finalFetchFixture, error) {
 	pool := storage.NewBufferPool(storage.NewDisk(4096), 0)
 	cat := catalog.New(pool)
 	tab, err := cat.CreateTable("PIPE", []catalog.Column{
@@ -181,7 +174,7 @@ func newHeapFixtureN(n int) (*finalFetchFixture, error) {
 		return nil, err
 	}
 	f := &finalFetchFixture{pool: pool, tab: tab}
-	for i := 0; i < n; i++ {
+	for i := 0; i < pipeRows; i++ {
 		v := int64(i)
 		r, err := tab.Insert(expr.Row{
 			expr.Int(v), expr.Int(v * 3), expr.Int(v % 97), expr.Int(v % 7), expr.Int(-v), expr.Int(v * v),
@@ -303,16 +296,10 @@ type PipelineResult struct {
 }
 
 // PipelineReport pairs the raw measurements with the batched-over-
-// per-entry speedup of each pipeline stage, the partitioned-scan
-// speedup series across worker counts (see parallelscan.go), and the
-// adaptive width policy's showing against the best static width on the
-// same fixtures (see adaptivescan.go).
+// per-entry speedup of each pipeline stage.
 type PipelineReport struct {
-	Results           []PipelineResult     `json:"results"`
-	Speedup           map[string]float64   `json:"speedup"`
-	ParallelScans     []ParallelScanSeries `json:"parallel_scans"`
-	AdaptiveScans     []AdaptiveScanResult `json:"adaptive_scans"`
-	AdaptiveSmallScan *AdaptiveSmallScan   `json:"adaptive_small_scan"`
+	Results []PipelineResult   `json:"results"`
+	Speedup map[string]float64 `json:"speedup"`
 }
 
 // RunPipeline measures every pipeline leg through testing.Benchmark
@@ -345,17 +332,6 @@ func RunPipeline() (*PipelineReport, error) {
 			rep.Speedup[stage] = ns[0] / ns[1]
 		}
 	}
-	scans, err := ParallelScanBenchmarks()
-	if err != nil {
-		return nil, err
-	}
-	rep.ParallelScans = scans
-	adaptive, small, err := AdaptiveScanBenchmarks(scans)
-	if err != nil {
-		return nil, err
-	}
-	rep.AdaptiveScans = adaptive
-	rep.AdaptiveSmallScan = small
 	return rep, nil
 }
 

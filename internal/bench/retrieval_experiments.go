@@ -81,11 +81,11 @@ func HostVariable(rows int) (*Report, error) {
 			Restriction: mustRestriction(l, "AGE", expr.GE, a1),
 			Binds:       nil,
 		}
-		_, fsIO, err := l.runFixed(q, core.FixedStrategy{Kind: core.StrategyFscan, Index: ageIx}, 0)
+		_, fsIO, err := l.runPlan(q, pinned("fscan", ageIx), 0)
 		if err != nil {
 			return nil, err
 		}
-		_, tsIO, err := l.runFixed(q, core.FixedStrategy{Kind: core.StrategyTscan}, 0)
+		_, tsIO, err := l.runPlan(q, pinned("tscan", nil), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -253,15 +253,19 @@ func JscanStudy(rows int) (*Report, error) {
 		expr.NewCmp(expr.LT, expr.Col(dCol, "D"), expr.Lit(expr.Int(900))),
 	)
 	q := &core.Query{Table: l.tab, Restriction: restriction}
-	for _, fx := range []core.FixedStrategy{
-		{Kind: core.StrategyFscan, Index: l.tab.Indexes[0]},
-		{Kind: core.StrategyTscan},
+	ix0 := l.tab.Indexes[0]
+	for _, fx := range []struct {
+		strategy string
+		plan     *core.Plan
+	}{
+		{"Fscan(" + ix0.Name + ")", pinned("fscan", ix0)},
+		{"Tscan", pinned("tscan", nil)},
 	} {
-		nRows, io, err := l.runFixed(q, fx, 0)
+		nRows, io, err := l.runPlan(q, fx.plan, 0)
 		if err != nil {
 			return nil, err
 		}
-		r.AddRow("fixed "+fx.String(), n(io.IOCost()), n(int64(nRows)), "-", fx.String())
+		r.AddRow("fixed "+fx.strategy, n(io.IOCost()), n(int64(nRows)), "-", fx.strategy)
 	}
 	r.Notef("B is A plus tiny noise: its scan cannot shrink A's RID list, so the dynamic")
 	r.Notef("competition abandons or skips it; C's huge range is skipped by the scan-cost pre-check.")

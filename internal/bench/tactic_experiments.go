@@ -41,11 +41,11 @@ func TacticBackground(rows int) (*Report, error) {
 			return nil, err
 		}
 		q := &core.Query{Table: l.tab, Restriction: mustRestriction(l, "AGE", expr.LT, hi)}
-		_, fsIO, err := l.runFixed(q, core.FixedStrategy{Kind: core.StrategyFscan, Index: ageIx}, 0)
+		_, fsIO, err := l.runPlan(q, pinned("fscan", ageIx), 0)
 		if err != nil {
 			return nil, err
 		}
-		_, tsIO, err := l.runFixed(q, core.FixedStrategy{Kind: core.StrategyTscan}, 0)
+		_, tsIO, err := l.runPlan(q, pinned("tscan", nil), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -88,7 +88,7 @@ func TacticFastFirst(rows int) (*Report, error) {
 			return nil, err
 		}
 		q := &core.Query{Table: l.tab, Restriction: mustRestriction(l, "AGE", expr.LT, hi)}
-		_, fsIO, err := l.runFixed(q, core.FixedStrategy{Kind: core.StrategyFscan, Index: ageIx}, limit)
+		_, fsIO, err := l.runPlan(q, pinned("fscan", ageIx), limit)
 		if err != nil {
 			return nil, err
 		}
@@ -162,11 +162,11 @@ func TacticSorted(rows int) (*Report, error) {
 			expr.NewCmp(expr.LT, expr.Col(cCol, "C"), expr.Lit(expr.Int(cHi))),
 		)
 		q := &core.Query{Table: l.tab, Restriction: restriction, OrderBy: []int{aCol}}
-		_, fsIO, err := l.runFixed(q, core.FixedStrategy{Kind: core.StrategyFscan, Index: aIx}, 0)
+		_, fsIO, err := l.runPlan(q, pinned("fscan", aIx), 0)
 		if err != nil {
 			return nil, err
 		}
-		_, tsIO, err := l.runFixed(q, core.FixedStrategy{Kind: core.StrategyTscan}, 0)
+		_, tsIO, err := l.runPlan(q, pinned("tscan", nil), 0)
 		if err != nil {
 			return nil, err
 		}
@@ -231,11 +231,11 @@ func TacticIndexOnly(rows int) (*Report, error) {
 			return nil, err
 		}
 		q := stmt.CoreQuery()
-		_, ssIO, err := l.runFixed(q, core.FixedStrategy{Kind: core.StrategySscan, Index: abIx}, 0)
+		_, ssIO, err := l.runPlan(q, pinned("sscan", abIx), 0)
 		if err != nil {
 			return nil, err
 		}
-		_, tsIO, err := l.runFixed(q, core.FixedStrategy{Kind: core.StrategyTscan}, 0)
+		_, tsIO, err := l.runPlan(q, pinned("tscan", nil), 0)
 		if err != nil {
 			return nil, err
 		}

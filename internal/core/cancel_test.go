@@ -69,7 +69,7 @@ func checkCancelled(t *testing.T, f *fixture, rows Rows, o *Optimizer, wantDeadl
 	t.Helper()
 	st := rows.Stats()
 	if !hasEvent(st, EvQueryCancelled, "") {
-		t.Fatalf("no query-cancelled event; trace: %v", st.Trace)
+		t.Fatalf("no query-cancelled event; trace: %v", st.Trace())
 	}
 	if err := rows.Close(); err != nil {
 		t.Fatalf("Close after cancellation: %v", err)
@@ -109,7 +109,7 @@ func TestCancelDuringJscanRIDCollection(t *testing.T) {
 	}
 	st := rows.Stats()
 	if !hasEvent(st, EvScanAbandoned, "") {
-		t.Fatalf("no scan-abandoned for the live Jscan; trace: %v", st.Trace)
+		t.Fatalf("no scan-abandoned for the live Jscan; trace: %v", st.Trace())
 	}
 	checkCancelled(t, f, rows, o, false, false)
 }
@@ -241,7 +241,7 @@ func TestCancelSweepNoPinsLeaked(t *testing.T) {
 				}
 			case errors.Is(err, context.Canceled):
 				if !hasEvent(st, EvQueryCancelled, "") {
-					t.Fatalf("%s/%v: no query-cancelled event; trace: %v", name, kind, st.Trace)
+					t.Fatalf("%s/%v: no query-cancelled event; trace: %v", name, kind, st.Trace())
 				}
 				if snap.QueriesCancelled != 1 {
 					t.Fatalf("%s/%v: cancellation counted %d times", name, kind, snap.QueriesCancelled)
@@ -253,9 +253,9 @@ func TestCancelSweepNoPinsLeaked(t *testing.T) {
 	}
 }
 
-// TestCancelledRunFixed covers the frozen-plan path: RunFixedExec
-// unwinds under a budget like the dynamic retrieval does.
-func TestCancelledRunFixed(t *testing.T) {
+// TestCancelledRunPlan covers the pinned-plan path: RunPlan unwinds
+// under a budget like the dynamic retrieval does.
+func TestCancelledRunPlan(t *testing.T) {
 	f := newFixture(t, 10000, "AGE")
 	age := f.col(t, "AGE")
 	q := &Query{
@@ -264,13 +264,13 @@ func TestCancelledRunFixed(t *testing.T) {
 	}
 	f.pool.EvictAll()
 	ec := NewExecCtx(context.Background(), 10)
-	rows := RunFixedExec(ec, q, FixedStrategy{Kind: StrategyTscan}, DefaultConfig())
+	rows := NewOptimizer(Config{}).RunPlan(ec, q, &Plan{Tactic: "tscan"})
 	if _, err := drainToErr(rows); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
 	st := rows.Stats()
 	if !hasEvent(st, EvQueryCancelled, "") {
-		t.Fatalf("no query-cancelled event; trace: %v", st.Trace)
+		t.Fatalf("no query-cancelled event; trace: %v", st.Trace())
 	}
 	rows.Close()
 	if n := f.pool.PinnedPages(); n != 0 {

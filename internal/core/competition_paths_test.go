@@ -71,10 +71,10 @@ func TestIndexOnlyJscanWinsAndSscanIsAbandoned(t *testing.T) {
 	sameMultiset(t, got, f.naive(t, q), "index-only jscan wins")
 	st := rows.Stats()
 	if st.Tactic != "index-only" {
-		t.Fatalf("tactic = %s (trace %v)", st.Tactic, st.Trace)
+		t.Fatalf("tactic = %s (trace %v)", st.Tactic, st.Trace())
 	}
 	if !hasEvent(st, EvRaceResolved, "") {
-		t.Fatalf("expected a race-resolved event; trace: %v", st.Trace)
+		t.Fatalf("expected a race-resolved event; trace: %v", st.Trace())
 	}
 	abandoned := false
 	for _, ev := range st.Events {
@@ -83,7 +83,7 @@ func TestIndexOnlyJscanWinsAndSscanIsAbandoned(t *testing.T) {
 		}
 	}
 	if !abandoned {
-		t.Fatalf("expected the Sscan to be abandoned for the final stage; trace: %v", st.Trace)
+		t.Fatalf("expected the Sscan to be abandoned for the final stage; trace: %v", st.Trace())
 	}
 	if !strings.Contains(st.Strategy, "Fin") {
 		t.Fatalf("strategy %q should include the final stage", st.Strategy)
@@ -110,7 +110,7 @@ func TestJscanMidScanAbandonment(t *testing.T) {
 	sameMultiset(t, got, f.naive(t, q), "mid-scan abandonment")
 	st := rows.Stats()
 	if !hasEvent(st, EvScanAbandoned, "IX_A") {
-		t.Fatalf("expected mid-scan abandonment of IX_A; trace: %v", st.Trace)
+		t.Fatalf("expected mid-scan abandonment of IX_A; trace: %v", st.Trace())
 	}
 	if !strings.Contains(st.Strategy, "Tscan") {
 		t.Fatalf("strategy %q should have switched to Tscan", st.Strategy)
@@ -152,24 +152,8 @@ func TestUnionFastFirstEarlyCloseKillsBackground(t *testing.T) {
 	}
 }
 
-// TestRunFixedThroughCorePackage exercises RunFixed within the core
-// package (frozen strategies are otherwise only tested from planner).
-func TestRunFixedThroughCorePackage(t *testing.T) {
-	f := wideFixture(t, 2000, "A")
-	aCol, _ := f.tab.ColumnIndex("A")
-	q := &Query{
-		Table:       f.tab,
-		Restriction: expr.NewCmp(expr.LT, expr.Col(aCol, "A"), expr.Lit(expr.Int(500))),
-	}
-	for _, s := range []FixedStrategy{
-		{Kind: StrategyTscan},
-		{Kind: StrategyFscan, Index: f.tab.Indexes[0]},
-	} {
-		rows := RunFixed(q, s, DefaultConfig())
-		got := drain(t, rows)
-		sameMultiset(t, got, f.naive(t, q), "fixed "+s.String())
-	}
-	// Goal strings render.
+// TestGoalStringsRender keeps every Goal printable.
+func TestGoalStringsRender(t *testing.T) {
 	for _, g := range []Goal{GoalDefault, GoalFastFirst, GoalTotalTime} {
 		if g.String() == "" {
 			t.Fatal("empty goal string")

@@ -189,9 +189,6 @@ type Config struct {
 	// terminates the foreground in favor of the background (Section 7).
 	// 0 means the default; a negative value means unbounded.
 	FgBufferCap int
-	// StepEntries is how many index entries one Jscan/Sscan step
-	// processes; Tscan and Fscan steps are one page / a few fetches.
-	StepEntries int
 	// RaceFactor: two adjacent Jscan indexes whose estimates are
 	// within this factor are scanned simultaneously to resolve their
 	// true order (Section 6's limited reordering). 0 means the
@@ -206,9 +203,6 @@ type Config struct {
 	DisableCompetition bool
 	// ShortRange is the initial-stage shortcut threshold.
 	ShortRange int
-	// PreviousOrder carries the index order the previous run of the
-	// same query found optimal.
-	PreviousOrder []string
 	// Trace, when set, receives every retrieval's TraceEvents as they
 	// are emitted. The sink must be safe for concurrent use (see
 	// TraceSink) and adds no simulated I/O.
@@ -220,13 +214,6 @@ type Config struct {
 	// Nil (the default) keeps estimation purely structural — the
 	// paper's behavior, and the setting every experiment runs under.
 	Feedback *feedback.Registry
-	// JoinReoptFactor is the mid-flight re-optimization trigger for
-	// multi-table retrievals: when a join stage's actual cardinality
-	// diverges from its estimate by more than this factor (either
-	// direction), the executor re-plans the remaining stages. 0 means
-	// the default (4); a negative value disables re-optimization, so a
-	// chosen join plan runs statically to completion.
-	JoinReoptFactor float64
 	// DisableJoinSortAvoidance turns off sort-order-aware join
 	// planning: ORDER BY joins always pay the final materialized sort,
 	// and no order-preserving alternative plan competes. For ablation
@@ -254,17 +241,15 @@ type Config struct {
 	// stages. Off by default — the paper's experiments and the static
 	// knob behave exactly as before.
 	AdaptiveParallelism bool
-	// ParallelStartupCost is the per-worker startup/merge overhead, in
-	// simulated page accesses, the adaptive policy charges against a
-	// candidate width (fan-out to k workers must save more than
-	// (k-1)·cost off the critical path to win). 0 = default
-	// (defaultParallelStartupCost); negative = free workers.
-	ParallelStartupCost float64
 }
 
 // maxParallelism caps the worker fan-out per scan; a backstop against
 // absurd knob values, far above any useful width.
 const maxParallelism = 64
+
+// stepEntries is how many index entries one Jscan/Sscan/Fscan step
+// processes; Tscan steps are one page, fetching steps a few fetches.
+const stepEntries = 128
 
 // effectiveWorkers resolves the Parallelism knob to a concrete worker
 // count (>= 1).
@@ -285,13 +270,11 @@ func (c Config) effectiveWorkers() int {
 // DefaultConfig returns the paper's settings.
 func DefaultConfig() Config {
 	return Config{
-		Criterion:       competition.DefaultSwitchCriterion(),
-		RID:             rid.DefaultConfig(),
-		FgBufferCap:     1024,
-		StepEntries:     128,
-		RaceFactor:      2,
-		ShortRange:      20,
-		JoinReoptFactor: 4,
+		Criterion:   competition.DefaultSwitchCriterion(),
+		RID:         rid.DefaultConfig(),
+		FgBufferCap: 1024,
+		RaceFactor:  2,
+		ShortRange:  20,
 	}
 }
 
@@ -318,17 +301,11 @@ func (c Config) WithDefaults() Config {
 	if c.FgBufferCap == 0 {
 		c.FgBufferCap = d.FgBufferCap
 	}
-	if c.StepEntries <= 0 {
-		c.StepEntries = d.StepEntries
-	}
 	if c.RaceFactor == 0 {
 		c.RaceFactor = d.RaceFactor
 	}
 	if c.ShortRange == 0 {
 		c.ShortRange = d.ShortRange
-	}
-	if c.JoinReoptFactor == 0 {
-		c.JoinReoptFactor = d.JoinReoptFactor
 	}
 	return c
 }
@@ -354,13 +331,11 @@ type RetrievalStats struct {
 	// FinalListLen is the length of the background's final RID list
 	// (-1 when the background did not complete).
 	FinalListLen int
-	// Events records the competition decisions in order, typed.
+	// Events records the competition decisions in order, typed; Trace
+	// renders them.
 	Events []TraceEvent
-	// Trace holds the human-readable renderings of Events, in the same
-	// order.
-	Trace []string
-	// WinningOrder is the index order that won, for reuse as
-	// PreviousOrder on the next run.
+	// WinningOrder is the index order that won, reused to pre-arrange
+	// the next run's initial stage.
 	WinningOrder []string
 	// Estimates summarizes the initial stage's per-index appraisals,
 	// in the order the stage settled on. Consumers: the feedback
@@ -375,6 +350,15 @@ type RetrievalStats struct {
 	// surviving stage order satisfied the requested order, so the final
 	// materialized sort was skipped.
 	SortAvoided bool
+}
+
+// Trace renders Events as human-readable lines, in order.
+func (st RetrievalStats) Trace() []string {
+	out := make([]string, len(st.Events))
+	for i, ev := range st.Events {
+		out[i] = ev.String()
+	}
+	return out
 }
 
 // JoinStageStats is the est-vs-actual record of one executed join
@@ -445,12 +429,15 @@ func (e *emptyRows) Close() error                  { return nil }
 func (e *emptyRows) Stats() RetrievalStats         { return e.stats }
 
 // project narrows a row to the query's projection.
-func (q *Query) project(row expr.Row) expr.Row {
-	if q.Projection == nil {
+func (q *Query) project(row expr.Row) expr.Row { return projectRow(row, q.Projection) }
+
+// projectRow narrows a row to the given column positions (nil = all).
+func projectRow(row expr.Row, projection []int) expr.Row {
+	if projection == nil {
 		return row
 	}
-	out := make(expr.Row, len(q.Projection))
-	for i, c := range q.Projection {
+	out := make(expr.Row, len(projection))
+	for i, c := range projection {
 		out[i] = row[c]
 	}
 	return out

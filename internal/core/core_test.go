@@ -295,10 +295,10 @@ func TestBackgroundOnlyIntersectsIndexes(t *testing.T) {
 	sameMultiset(t, got, f.naive(t, q), "background-only")
 	st := rows.Stats()
 	if st.Tactic != "background-only" {
-		t.Fatalf("tactic = %s (trace: %v)", st.Tactic, st.Trace)
+		t.Fatalf("tactic = %s (trace: %v)", st.Tactic, st.Trace())
 	}
 	if st.FinalListLen < 0 {
-		t.Fatalf("expected a final RID list; trace: %v", st.Trace)
+		t.Fatalf("expected a final RID list; trace: %v", st.Trace())
 	}
 }
 
@@ -316,7 +316,7 @@ func TestJscanRecommendsTscanOnHugeRanges(t *testing.T) {
 	sameMultiset(t, got, f.naive(t, q), "tscan-recommend")
 	st := rows.Stats()
 	if !strings.Contains(st.Strategy, "Tscan") {
-		t.Fatalf("expected Tscan in strategy %q; trace: %v", st.Strategy, st.Trace)
+		t.Fatalf("expected Tscan in strategy %q; trace: %v", st.Strategy, st.Trace())
 	}
 }
 
@@ -383,7 +383,7 @@ func TestFastFirstOverflowSwitchesToFinal(t *testing.T) {
 	sameMultiset(t, got, f.naive(t, q), "fast-first overflow")
 	st := rows.Stats()
 	if !hasEvent(st, EvBorrowOverflow, "") {
-		t.Fatalf("expected a borrow-overflow event in trace: %v", st.Trace)
+		t.Fatalf("expected a borrow-overflow event in trace: %v", st.Trace())
 	}
 }
 
@@ -414,7 +414,7 @@ func TestSortedTacticOrderAndFilter(t *testing.T) {
 	}
 	st := rows.Stats()
 	if st.Tactic != "sorted" && st.Tactic != "fscan" {
-		t.Fatalf("tactic = %s; trace: %v", st.Tactic, st.Trace)
+		t.Fatalf("tactic = %s; trace: %v", st.Tactic, st.Trace())
 	}
 	// A total-time ordered query over a huge range should instead fall
 	// back to materialize-and-sort when the ordered Fscan is projected
@@ -454,6 +454,22 @@ func TestSortFallbackWithoutOrderIndex(t *testing.T) {
 	if !strings.HasPrefix(rows.Stats().Tactic, "sort(") {
 		t.Fatalf("tactic = %s", rows.Stats().Tactic)
 	}
+
+	// Regression: a LIMIT over the SORT node caps what is delivered, not
+	// what was sorted — the node used to count the rows it consumed and
+	// deliver nothing once they reached the limit.
+	limited := *q
+	limited.Limit = 5
+	rows = o.Run(&limited)
+	top := drain(t, rows)
+	if len(top) != 5 || rows.Stats().RowsDelivered != 5 {
+		t.Fatalf("LIMIT 5 over sort delivered %d rows (stats say %d)", len(top), rows.Stats().RowsDelivered)
+	}
+	for i := range top {
+		if top[i][0].I != got[i][0].I {
+			t.Fatalf("LIMIT 5 row %d has sort key %d, want %d", i, top[i][0].I, got[i][0].I)
+		}
+	}
 }
 
 func TestIndexOnlyTactic(t *testing.T) {
@@ -476,7 +492,7 @@ func TestIndexOnlyTactic(t *testing.T) {
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "sscan static")
 	if st := rows.Stats(); st.Tactic != "sscan" {
-		t.Fatalf("tactic = %s; trace: %v", st.Tactic, st.Trace)
+		t.Fatalf("tactic = %s; trace: %v", st.Tactic, st.Trace())
 	}
 	// Now add a CITY conjunct that IX_CITY can prefilter: index-only
 	// competition (self-sufficient candidate is gone, so rebuild with a
@@ -526,7 +542,7 @@ func TestPreviousOrderReused(t *testing.T) {
 	drain(t, rows)
 	st := rows.Stats()
 	if len(st.WinningOrder) == 0 {
-		t.Skipf("no winning order recorded (trace: %v)", st.Trace)
+		t.Skipf("no winning order recorded (trace: %v)", st.Trace())
 	}
 	if got := o.prevOrder[f.tab.Name]; len(got) == 0 {
 		t.Fatal("optimizer did not record the winning order")
@@ -614,7 +630,7 @@ func TestRandomizedAgainstNaive(t *testing.T) {
 		tactics[rows.Stats().Tactic]++
 		if len(got) != len(want) {
 			t.Fatalf("trial %d (%s, tactic %s): got %d rows, want %d\ntrace: %v",
-				trial, restriction, rows.Stats().Tactic, len(got), len(want), rows.Stats().Trace)
+				trial, restriction, rows.Stats().Tactic, len(got), len(want), rows.Stats().Trace())
 		}
 		sameMultiset(t, got, want, fmt.Sprintf("trial %d (%s)", trial, restriction))
 	}

@@ -46,8 +46,6 @@ const (
 	EvFilterInstalled
 	// EvFinalStage marks the retrieval entering its final stage.
 	EvFinalStage
-	// EvFixedPlan marks a frozen (static-baseline) plan executing.
-	EvFixedPlan
 	// EvQueryCancelled marks a retrieval unwound by its execution
 	// context: caller cancellation, deadline expiry, or I/O-budget
 	// exhaustion. Its ActualIO is the I/O invested before the unwind and
@@ -110,8 +108,6 @@ func (k EventKind) String() string {
 		return "filter-installed"
 	case EvFinalStage:
 		return "final-stage"
-	case EvFixedPlan:
-		return "fixed-plan"
 	case EvQueryCancelled:
 		return "query-cancelled"
 	case EvJoinOrderChosen:
@@ -133,8 +129,8 @@ func (k EventKind) String() string {
 	}
 }
 
-// TraceEvent is one competition decision. The human-readable lines in
-// RetrievalStats.Trace are renderings of these events (String).
+// TraceEvent is one competition decision; RetrievalStats.Trace renders
+// them as human-readable lines (String).
 type TraceEvent struct {
 	// QueryID identifies the retrieval the event belongs to (unique per
 	// process), so a shared sink can partition interleaved streams.
@@ -200,8 +196,7 @@ type TraceSink interface {
 }
 
 // tracer stamps and fans out one retrieval's events: into the
-// retrieval's own stats (Events + rendered Trace), the cumulative
-// metrics registry, and the user's sink. It is confined to the
+// retrieval's own stats (Events), the cumulative metrics registry, and the user's sink. It is confined to the
 // retrieval's goroutine; only the metrics and sink are shared.
 type tracer struct {
 	st      *RetrievalStats
@@ -217,7 +212,6 @@ func (t *tracer) emit(ev TraceEvent) {
 	ev.QueryID = t.st.QueryID
 	ev.Seq = len(t.st.Events)
 	t.st.Events = append(t.st.Events, ev)
-	t.st.Trace = append(t.st.Trace, ev.String())
 	if t.metrics != nil {
 		t.metrics.onEvent(ev)
 	}

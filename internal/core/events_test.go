@@ -37,8 +37,8 @@ func firstEvent(st RetrievalStats, kind EventKind, index string) *TraceEvent {
 // the stats, and one rendered Trace line per event.
 func checkStream(t *testing.T, st RetrievalStats) {
 	t.Helper()
-	if len(st.Events) != len(st.Trace) {
-		t.Fatalf("events (%d) and trace (%d) out of sync", len(st.Events), len(st.Trace))
+	if len(st.Events) != len(st.Trace()) {
+		t.Fatalf("events (%d) and trace (%d) out of sync", len(st.Events), len(st.Trace()))
 	}
 	if st.QueryID == 0 && len(st.Events) > 0 {
 		t.Fatalf("retrieval with events but no QueryID")
@@ -50,8 +50,8 @@ func checkStream(t *testing.T, st RetrievalStats) {
 		if ev.QueryID != st.QueryID {
 			t.Fatalf("event %d has QueryID %d, stats say %d", i, ev.QueryID, st.QueryID)
 		}
-		if st.Trace[i] != ev.String() {
-			t.Fatalf("trace line %d is not the event rendering:\n%q\nvs\n%q", i, st.Trace[i], ev.String())
+		if st.Trace()[i] != ev.String() {
+			t.Fatalf("trace line %d is not the event rendering:\n%q\nvs\n%q", i, st.Trace()[i], ev.String())
 		}
 	}
 }
@@ -129,10 +129,10 @@ func TestEventStreamPerTactic(t *testing.T) {
 			checkStream(t, st)
 			chosen := firstEvent(st, EvTacticChosen, "")
 			if chosen == nil {
-				t.Fatalf("no tactic-chosen event; trace: %v", st.Trace)
+				t.Fatalf("no tactic-chosen event; trace: %v", st.Trace())
 			}
 			if chosen.Tactic != tc.tactic {
-				t.Fatalf("tactic-chosen says %q, want %q (trace: %v)", chosen.Tactic, tc.tactic, st.Trace)
+				t.Fatalf("tactic-chosen says %q, want %q (trace: %v)", chosen.Tactic, tc.tactic, st.Trace())
 			}
 			if chosen.Seq != 0 {
 				t.Fatalf("tactic-chosen should be the first event, got Seq %d", chosen.Seq)
@@ -165,7 +165,7 @@ func TestEventStreamTscanRecommendation(t *testing.T) {
 	checkStream(t, st)
 	sw := firstEvent(st, EvStrategySwitch, "")
 	if sw == nil {
-		t.Fatalf("expected a strategy-switch event; trace: %v", st.Trace)
+		t.Fatalf("expected a strategy-switch event; trace: %v", st.Trace())
 	}
 	if sw.Scan != "Tscan" {
 		t.Fatalf("strategy-switch targets %q, want Tscan", sw.Scan)
@@ -196,10 +196,10 @@ func TestEventStreamEmptyRange(t *testing.T) {
 	st := rows.Stats()
 	checkStream(t, st)
 	if st.Tactic != "empty-range" {
-		t.Fatalf("tactic = %s; trace: %v", st.Tactic, st.Trace)
+		t.Fatalf("tactic = %s; trace: %v", st.Tactic, st.Trace())
 	}
 	if !hasEvent(st, EvEmptyRange, "") {
-		t.Fatalf("expected an empty-range event; trace: %v", st.Trace)
+		t.Fatalf("expected an empty-range event; trace: %v", st.Trace())
 	}
 	if c := st.IO.IOCost(); c != 0 {
 		t.Fatalf("empty range cost %d I/O, want 0", c)
@@ -238,10 +238,10 @@ func TestOrderedEmptyRangeShortcut(t *testing.T) {
 		st := rows.Stats()
 		checkStream(t, st)
 		if !hasEvent(st, EvEmptyRange, "") {
-			t.Fatalf("expected an empty-range event; tactic %s, trace: %v", st.Tactic, st.Trace)
+			t.Fatalf("expected an empty-range event; tactic %s, trace: %v", st.Tactic, st.Trace())
 		}
 		if c := st.IO.IOCost(); c != 0 {
-			t.Fatalf("ordered empty range attributed %d I/O, want 0 (tactic %s, trace: %v)", c, st.Tactic, st.Trace)
+			t.Fatalf("ordered empty range attributed %d I/O, want 0 (tactic %s, trace: %v)", c, st.Tactic, st.Trace())
 		}
 	}
 }
@@ -257,7 +257,7 @@ func TestConfigMergeFieldWise(t *testing.T) {
 	if !cfg.StaticThresholds {
 		t.Fatalf("StaticThresholds lost in merge")
 	}
-	if cfg.StepEntries != d.StepEntries || cfg.FgBufferCap != d.FgBufferCap ||
+	if cfg.FgBufferCap != d.FgBufferCap ||
 		cfg.RaceFactor != d.RaceFactor || cfg.ShortRange != d.ShortRange ||
 		cfg.Criterion != d.Criterion || cfg.RID != d.RID {
 		t.Fatalf("zero fields not defaulted: %+v", cfg)
@@ -267,8 +267,8 @@ func TestConfigMergeFieldWise(t *testing.T) {
 	if got := o.Config().RaceFactor; got != 7 {
 		t.Fatalf("RaceFactor = %v, want 7", got)
 	}
-	if got := o.Config().StepEntries; got != d.StepEntries {
-		t.Fatalf("StepEntries = %v, want default", got)
+	if got := o.Config().FgBufferCap; got != d.FgBufferCap {
+		t.Fatalf("FgBufferCap = %v, want default", got)
 	}
 
 	// Negative sentinels mean "off" and survive untouched.

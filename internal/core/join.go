@@ -19,20 +19,22 @@ const (
 	joinReoptCheckEvery = 64
 )
 
-// RunJoin plans and executes a multi-table retrieval dynamically: a
-// greedy join order from corrected estimates, per-stage operator
-// competition, and mid-flight re-optimization when a stage's actual
-// cardinality diverges from its estimate past Config.JoinReoptFactor.
-func (o *Optimizer) RunJoin(ec *ExecCtx, jq *JoinQuery) Rows {
-	o.metrics.recordQuery()
-	rows, err := o.runJoin(ec, jq, nil)
-	if err != nil {
-		if isCancellation(err) && ec.markCancelRecorded() {
-			o.metrics.recordCancellation(err)
-		}
-		return errRows{err: err}
-	}
-	return rows
+// JoinReoptFactor is the mid-flight re-optimization trigger of a
+// dynamic multi-table retrieval: when a join stage's actual cardinality
+// diverges from its estimate by more than this factor (either
+// direction), the executor re-plans the remaining stages.
+const JoinReoptFactor = 4.0
+
+// RunJoin executes a multi-table retrieval. With a nil plan it runs
+// dynamically: a greedy join order from corrected estimates, per-stage
+// operator competition, and mid-flight re-optimization when a stage's
+// actual cardinality diverges from its estimate past JoinReoptFactor.
+// With a plan (from PlanJoin) it executes that plan as-is — no
+// mid-flight re-optimization and no feedback observation, mirroring a
+// pinned single-table replay.
+func (o *Optimizer) RunJoin(ec *ExecCtx, jq *JoinQuery, plan *JoinPlan) Rows {
+	rows, err := o.runJoin(ec, jq, plan)
+	return o.deliver(ec, rows, err)
 }
 
 // PlanJoin returns the static greedy plan for jq without executing it —
@@ -49,21 +51,6 @@ func (o *Optimizer) PlanJoin(ec *ExecCtx, jq *JoinQuery) (*JoinPlan, error) {
 	return o.planJoin(jq, infos, jts), nil
 }
 
-// RunJoinPlan executes a previously chosen plan as-is: no mid-flight
-// re-optimization and no feedback observation, mirroring a frozen
-// single-table replay.
-func (o *Optimizer) RunJoinPlan(ec *ExecCtx, jq *JoinQuery, plan *JoinPlan) Rows {
-	o.metrics.recordQuery()
-	rows, err := o.runJoin(ec, jq, plan)
-	if err != nil {
-		if isCancellation(err) && ec.markCancelRecorded() {
-			o.metrics.recordCancellation(err)
-		}
-		return errRows{err: err}
-	}
-	return rows
-}
-
 // joinExec is the per-run state of one join execution.
 type joinExec struct {
 	o       *Optimizer
@@ -76,7 +63,6 @@ type joinExec struct {
 	st      *RetrievalStats
 	trc     *tracer
 	dynamic bool
-	reoptF  float64
 	// ordered is the plan's order-preserving claim; the driver scans
 	// descending when the query wants descending order.
 	ordered bool
@@ -97,7 +83,7 @@ func (o *Optimizer) runJoin(ec *ExecCtx, jq *JoinQuery, fixed *JoinPlan) (Rows, 
 	for i := range infos {
 		st.EstimateIO += infos[i].estIO
 	}
-	trc := &tracer{st: &st, sink: o.cfg.Trace, extra: ec.traceSink(), metrics: o.metrics}
+	trc := o.tracer(ec, &st)
 	for i, tab := range jq.Tables {
 		if infos[i].empty {
 			trc.emit(TraceEvent{Kind: EvEmptyRange, Tactic: "join", Scan: tab.Name,
@@ -106,15 +92,14 @@ func (o *Optimizer) runJoin(ec *ExecCtx, jq *JoinQuery, fixed *JoinPlan) (Rows, 
 		}
 	}
 	plan := fixed
-	dynamic := fixed == nil && o.cfg.JoinReoptFactor > 0
+	dynamic := fixed == nil
 	if plan == nil {
 		plan = o.planJoin(jq, infos, jts)
 	}
 	je := &joinExec{
 		o: o, ec: ec, jq: jq, infos: infos, jts: jts,
 		offs: jq.Offsets(), width: jq.Width(), st: &st, trc: trc,
-		dynamic: dynamic, reoptF: o.cfg.JoinReoptFactor,
-		ordered: plan.Ordered,
+		dynamic: dynamic, ordered: plan.Ordered,
 	}
 	stages := append([]JoinStagePlan(nil), plan.Stages...)
 	trc.emit(TraceEvent{
@@ -162,7 +147,7 @@ func (o *Optimizer) runJoin(ec *ExecCtx, jq *JoinQuery, fixed *JoinPlan) (Rows, 
 		// tables (order and operators) from the observed count.
 		prevEst := stages[si-1].EstRows
 		actual := float64(len(cur))
-		if je.dynamic && diverged(prevEst, actual, je.reoptF) {
+		if je.dynamic && diverged(prevEst, actual) {
 			rest := o.planJoinRest(jq, infos, jts, chosen, actual)
 			if !sameStages(stages[si:], rest) {
 				trc.emit(TraceEvent{
@@ -243,23 +228,20 @@ func (o *Optimizer) runJoin(ec *ExecCtx, jq *JoinQuery, fixed *JoinPlan) (Rows, 
 		o.cfg.Feedback.ObserveCardinality(joinFeedbackTable(jq), joinFeedbackIndex, last.EstRows, float64(len(cur)))
 	}
 	o.metrics.recordJoin(&st)
-	return &joinRows{jq: jq, rows: cur, st: st}, nil
+	return &materializedRows{rows: cur, projection: jq.Projection, limit: jq.Limit, st: st}, nil
 }
 
 // diverged reports whether actual is off the estimate by more than
-// factor f in either direction (both sides clamped to >= 1 row so empty
-// intermediates compare sanely).
-func diverged(est, actual, f float64) bool {
-	if f <= 0 {
-		return false
-	}
+// JoinReoptFactor in either direction (both sides clamped to >= 1 row
+// so empty intermediates compare sanely).
+func diverged(est, actual float64) bool {
 	if est < 1 {
 		est = 1
 	}
 	if actual < 1 {
 		actual = 1
 	}
-	return actual > est*f || est > actual*f
+	return actual > est*JoinReoptFactor || est > actual*JoinReoptFactor
 }
 
 // sameStages reports whether two stage sequences name the same tables,
@@ -317,12 +299,62 @@ func (je *joinExec) recordStage(sg *JoinStagePlan, actualRows int, io storage.IO
 	})
 }
 
+// scanLocal streams the rows of table t that pass its local restriction
+// to emit, charging tr: a heap scan when ix is nil, else ix's [lo, hi)
+// range (reversed when desc) with a fetch and a re-filter per entry —
+// the range may over-approximate the restriction, or not bound it at
+// all.
+func (je *joinExec) scanLocal(t int, ix *catalog.Index, lo, hi []byte, desc bool, tr *storage.Tracker, emit func(expr.Row)) error {
+	tab, local := je.jq.Tables[t], je.jq.Local[t]
+	filter := func(row expr.Row) error {
+		pass, err := expr.EvalPred(local, row, je.jq.Binds)
+		if err == nil && pass {
+			emit(row)
+		}
+		return err
+	}
+	if ix == nil {
+		hc := tab.Heap.CursorTracked(tr)
+		defer hc.Close()
+		for {
+			rec, _, ok, err := hc.Next()
+			if err != nil || !ok {
+				return err
+			}
+			row, err := expr.DecodeRow(rec)
+			if err != nil {
+				return err
+			}
+			if err := filter(row); err != nil {
+				return err
+			}
+		}
+	}
+	cur, err := newEntryCursor(ix.Tree, lo, hi, desc, tr)
+	if err != nil {
+		return err
+	}
+	defer cur.Close()
+	for {
+		_, r, ok, err := cur.Next()
+		if err != nil || !ok {
+			return err
+		}
+		row, err := tab.FetchTracked(r, tr)
+		if err != nil {
+			return err
+		}
+		if err := filter(row); err != nil {
+			return err
+		}
+	}
+}
+
 // execDriver runs stage 0: a single-table scan of the driver table
 // under its local restriction, emitting full-width flat rows.
 func (je *joinExec) execDriver(sg *JoinStagePlan) ([]expr.Row, error) {
 	t := sg.Table
 	tab := je.jq.Tables[t]
-	local := je.jq.Local[t]
 	off := je.offs[t]
 	m := newMeter(je.ec)
 	je.trc.emit(TraceEvent{
@@ -330,74 +362,30 @@ func (je *joinExec) execDriver(sg *JoinStagePlan) ([]expr.Row, error) {
 		Indexes: []string{tab.Name, sg.Index}, EstimatedIO: sg.EstRows,
 		Detail: "driver scan",
 	})
-	var out []expr.Row
-	emit := func(row expr.Row) {
-		fr := make(expr.Row, je.width)
-		copy(fr[off:], row)
-		out = append(out, fr)
-	}
+	var (
+		ix     *catalog.Index
+		lo, hi []byte
+	)
 	if sg.Operator == "iscan" {
-		info := je.infos[t]
-		ix := tab.IndexByName(sg.Index)
-		if ix == nil {
+		if ix = tab.IndexByName(sg.Index); ix == nil {
 			return nil, fmt.Errorf("core: join driver index %s.%s not found", tab.Name, sg.Index)
 		}
 		// The restriction bounds apply only when this index derived
 		// them; an order-delivering driver on a different index scans
-		// the full key range and filters per fetched row. A descending
-		// ORDER BY turns an order-delivering driver scan around.
-		var lo, hi []byte
-		if info.restrIx != nil && info.restrIx.Name == sg.Index {
+		// the full key range. A descending ORDER BY turns an
+		// order-delivering driver scan around.
+		if info := je.infos[t]; info.restrIx != nil && info.restrIx.Name == sg.Index {
 			lo, hi = info.restrLo, info.restrHi
 		}
-		cur, err := newEntryCursor(ix.Tree, lo, hi, je.ordered && je.jq.OrderDesc, m.tr)
-		if err != nil {
-			return nil, err
-		}
-		defer cur.Close()
-		for {
-			_, r, ok, err := cur.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			row, err := tab.FetchTracked(r, m.tr)
-			if err != nil {
-				return nil, err
-			}
-			pass, err := expr.EvalPred(local, row, je.jq.Binds)
-			if err != nil {
-				return nil, err
-			}
-			if pass {
-				emit(row)
-			}
-		}
-	} else {
-		hc := tab.Heap.CursorTracked(m.tr)
-		defer hc.Close()
-		for {
-			rec, _, ok, err := hc.Next()
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			row, err := expr.DecodeRow(rec)
-			if err != nil {
-				return nil, err
-			}
-			pass, err := expr.EvalPred(local, row, je.jq.Binds)
-			if err != nil {
-				return nil, err
-			}
-			if pass {
-				emit(row)
-			}
-		}
+	}
+	var out []expr.Row
+	err := je.scanLocal(t, ix, lo, hi, je.ordered && je.jq.OrderDesc, m.tr, func(row expr.Row) {
+		fr := make(expr.Row, je.width)
+		copy(fr[off:], row)
+		out = append(out, fr)
+	})
+	if err != nil {
+		return nil, err
 	}
 	je.recordStage(sg, len(out), m.io(), false)
 	return out, nil
@@ -492,7 +480,7 @@ func (je *joinExec) execStage(sg *JoinStagePlan, outer []expr.Row, in []bool) ([
 			Kind: EvJoinReoptimized, Tactic: "join", Scan: sg.Operator,
 			Indexes:  []string{tab.Name, sg.Index},
 			ActualIO: m.cost(),
-			Detail:   fmt.Sprintf("probe cost projects past %.0fx a one-scan alternative: falling back to hj", je.reoptF),
+			Detail:   fmt.Sprintf("probe cost projects past %.0fx a one-scan alternative: falling back to hj", JoinReoptFactor),
 		})
 		spent := m.io()
 		sg.Operator, sg.Index = JoinOpHJ, ""
@@ -511,31 +499,10 @@ func (je *joinExec) execStage(sg *JoinStagePlan, outer []expr.Row, in []bool) ([
 // the local restriction in memory, and looping over outer × inner.
 func (je *joinExec) execNL(t int, preds []stagePred, outer []expr.Row) ([]expr.Row, storage.IOStats, error) {
 	m := newMeter(je.ec)
-	tab := je.jq.Tables[t]
-	local := je.jq.Local[t]
 	off := je.offs[t]
-	hc := tab.Heap.CursorTracked(m.tr)
-	defer hc.Close()
 	var inner []expr.Row
-	for {
-		rec, _, ok, err := hc.Next()
-		if err != nil {
-			return nil, m.io(), err
-		}
-		if !ok {
-			break
-		}
-		row, err := expr.DecodeRow(rec)
-		if err != nil {
-			return nil, m.io(), err
-		}
-		pass, err := expr.EvalPred(local, row, je.jq.Binds)
-		if err != nil {
-			return nil, m.io(), err
-		}
-		if pass {
-			inner = append(inner, row)
-		}
+	if err := je.scanLocal(t, nil, nil, nil, false, m.tr, func(row expr.Row) { inner = append(inner, row) }); err != nil {
+		return nil, m.io(), err
 	}
 	var out []expr.Row
 	for _, orow := range outer {
@@ -611,7 +578,7 @@ func (je *joinExec) execProbe(sg *JoinStagePlan, preds []stagePred, outer []expr
 		if je.dynamic && oi >= joinReoptMinProbes && oi%joinReoptCheckEvery == 0 {
 			avg := m.cost() / float64(oi)
 			remaining := float64(len(outer) - oi)
-			if avg*remaining > je.reoptF*je.jts[t].Pages {
+			if avg*remaining > JoinReoptFactor*je.jts[t].Pages {
 				return nil, true, nil
 			}
 		}
@@ -672,25 +639,3 @@ func combineRows(outer, inner expr.Row, off int) expr.Row {
 	copy(fr[off:off+len(inner)], inner)
 	return fr
 }
-
-// joinRows delivers the materialized join result with projection and
-// limit, mirroring sliceRows for the single-table sort path.
-type joinRows struct {
-	jq   *JoinQuery
-	rows []expr.Row
-	i    int
-	st   RetrievalStats
-}
-
-func (s *joinRows) Next() (expr.Row, bool, error) {
-	if s.i >= len(s.rows) || (s.jq.Limit > 0 && s.st.RowsDelivered >= s.jq.Limit) {
-		return nil, false, nil
-	}
-	row := s.jq.project(s.rows[s.i])
-	s.i++
-	s.st.RowsDelivered++
-	return row, true, nil
-}
-
-func (s *joinRows) Close() error          { return nil }
-func (s *joinRows) Stats() RetrievalStats { return s.st }

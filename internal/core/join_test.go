@@ -228,7 +228,7 @@ func oracleJoin(t testing.TB, jq *JoinQuery, tabRows [][]expr.Row) []expr.Row {
 			t.Fatal(err)
 		}
 		if ok {
-			out = append(out, jq.project(a))
+			out = append(out, projectRow(a, jq.Projection))
 		}
 	}
 	return out
@@ -309,7 +309,7 @@ func TestJoinOperatorEquivalence(t *testing.T) {
 			}}
 			q := f.custOrdQuery(nil)
 			q.Local[1] = ordLocal
-			got, st := drainJoin(t, o.RunJoinPlan(nil, q, plan))
+			got, st := drainJoin(t, o.RunJoin(nil, q, plan))
 			assertSameRows(t, op.name, got, want)
 			if len(st.JoinStages) != 2 {
 				t.Fatalf("want 2 join stages, got %d", len(st.JoinStages))
@@ -379,7 +379,7 @@ func TestJoinDynamicEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			o := NewOptimizer(Config{})
 			want := oracleJoin(t, tc.jq(), tc.tabs)
-			got, _ := drainJoin(t, o.RunJoin(nil, tc.jq()))
+			got, _ := drainJoin(t, o.RunJoin(nil, tc.jq(), nil))
 			assertSameRows(t, tc.name, got, want)
 		})
 	}
@@ -392,7 +392,7 @@ func TestJoinOrderAndLimit(t *testing.T) {
 	jq := f.custOrdQuery(nil)
 	jq.OrderBy = []int{3} // ORD.ID (flat: 3 CUST cols... CUST has 3 cols, so ORD.ID = 3)
 	jq.Limit = 7
-	got, st := drainJoin(t, o.RunJoin(nil, jq))
+	got, st := drainJoin(t, o.RunJoin(nil, jq, nil))
 	if len(got) != 7 {
 		t.Fatalf("LIMIT 7 delivered %d rows", len(got))
 	}
@@ -440,13 +440,13 @@ func TestJoinReoptimizedBeatsStatic(t *testing.T) {
 		t.Fatalf("static plan chose %s for the orders stage, want %s (plan %s)",
 			got, JoinOpINL, plan.Describe(jqS))
 	}
-	staticRows, stS := drainJoin(t, oStatic.RunJoinPlan(nil, fStatic.starQuery(seg0(), nil), plan))
+	staticRows, stS := drainJoin(t, oStatic.RunJoin(nil, fStatic.starQuery(seg0(), nil), plan))
 
 	// Dynamic leg on a twin database: same data, same poisoned
 	// estimates, re-optimization on.
 	fDyn := newJoinFixture(t, 1000, 4000, 50, frames, false)
 	oDyn := NewOptimizer(Config{Feedback: poison()})
-	dynRows, stD := drainJoin(t, oDyn.RunJoin(nil, fDyn.starQuery(seg0(), nil)))
+	dynRows, stD := drainJoin(t, oDyn.RunJoin(nil, fDyn.starQuery(seg0(), nil), nil))
 
 	assertSameRows(t, "static vs dynamic", dynRows, staticRows)
 
@@ -457,7 +457,7 @@ func TestJoinReoptimizedBeatsStatic(t *testing.T) {
 		}
 	}
 	if !reopted {
-		t.Fatalf("dynamic run did not emit %s; events: %v", EvJoinReoptimized, stD.Trace)
+		t.Fatalf("dynamic run did not emit %s; events: %v", EvJoinReoptimized, stD.Trace())
 	}
 	ioS, ioD := stS.IO.IOCost(), stD.IO.IOCost()
 	if ioD >= ioS {
@@ -476,7 +476,7 @@ func TestJoinDeterminism(t *testing.T) {
 		o := NewOptimizer(Config{})
 		jq := f.starQuery(
 			expr.NewCmp(expr.EQ, expr.Col(1, "SEG"), expr.Lit(expr.Int(0))), nil)
-		return drainJoin(t, o.RunJoin(nil, jq))
+		return drainJoin(t, o.RunJoin(nil, jq, nil))
 	}
 	rows1, st1 := run()
 	rows2, st2 := run()
@@ -505,7 +505,7 @@ func TestJoinFeedsCardinalityFeedback(t *testing.T) {
 	o := NewOptimizer(Config{Feedback: fb})
 	jq := f.starQuery(
 		expr.NewCmp(expr.EQ, expr.Col(1, "SEG"), expr.Lit(expr.Int(0))), nil)
-	_, st := drainJoin(t, o.RunJoin(nil, jq))
+	_, st := drainJoin(t, o.RunJoin(nil, jq, nil))
 	if len(st.JoinStages) != 3 {
 		t.Fatalf("want 3 stages, got %d", len(st.JoinStages))
 	}
@@ -520,7 +520,7 @@ func TestJoinFeedsCardinalityFeedback(t *testing.T) {
 func TestCapturePlanRejectsJoin(t *testing.T) {
 	f := newJoinFixture(t, 60, 200, 10, 0, false)
 	o := NewOptimizer(Config{})
-	_, st := drainJoin(t, o.RunJoin(nil, f.custOrdQuery(nil)))
+	_, st := drainJoin(t, o.RunJoin(nil, f.custOrdQuery(nil), nil))
 	if plan, ok := CapturePlan(&st); ok {
 		t.Fatalf("CapturePlan froze a join retrieval as %s", plan)
 	}
@@ -565,7 +565,7 @@ func TestHashJoinEquivalence(t *testing.T) {
 				{Table: 0, Operator: "tscan", EstRows: float64(f.nCust)},
 				{Table: 1, Operator: JoinOpHJ, Index: tc.index, EstRows: 1},
 			}}
-			got, st := drainJoin(t, o.RunJoinPlan(nil, jq, plan))
+			got, st := drainJoin(t, o.RunJoin(nil, jq, plan))
 			assertSameRows(t, tc.name, got, want)
 			if len(want) > 0 && st.JoinStages[1].Operator != JoinOpHJ {
 				t.Fatalf("stage 1 ran %s, want hj", st.JoinStages[1].Operator)
@@ -586,7 +586,7 @@ func TestHashJoinParallelProbe(t *testing.T) {
 		{Table: 0, Operator: "tscan", EstRows: float64(f.nCust)},
 		{Table: 1, Operator: JoinOpHJ, EstRows: 1},
 	}}
-	got, _ := drainJoin(t, o.RunJoinPlan(nil, f.custOrdQuery(nil), plan))
+	got, _ := drainJoin(t, o.RunJoin(nil, f.custOrdQuery(nil), plan))
 	assertSameRows(t, "parallel-probe", got, want)
 }
 
@@ -602,7 +602,7 @@ func TestHashJoinDynamicPick(t *testing.T) {
 	}
 	want := oracleJoin(t, jq, [][]expr.Row{f.custRows, f.ordRows})
 	o := NewOptimizer(Config{})
-	got, st := drainJoin(t, o.RunJoin(nil, jq))
+	got, st := drainJoin(t, o.RunJoin(nil, jq, nil))
 	assertSameRows(t, "dynamic", got, want)
 	var ranHJ bool
 	for _, sg := range st.JoinStages {
@@ -713,10 +713,10 @@ func TestSortAvoidedOrderEquivalence(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			jqA := mk()
 			jqA.OrderDesc = desc
-			aware, stA := drainJoin(t, NewOptimizer(Config{}).RunJoin(nil, jqA))
+			aware, stA := drainJoin(t, NewOptimizer(Config{}).RunJoin(nil, jqA, nil))
 			jqB := mk()
 			jqB.OrderDesc = desc
-			base, stB := drainJoin(t, NewOptimizer(Config{DisableJoinSortAvoidance: true}).RunJoin(nil, jqB))
+			base, stB := drainJoin(t, NewOptimizer(Config{DisableJoinSortAvoidance: true}).RunJoin(nil, jqB, nil))
 			if !stA.SortAvoided {
 				t.Fatalf("aware run sorted anyway: %s", stA.Strategy)
 			}
@@ -755,7 +755,7 @@ func TestSortNotAvoidedStillOrdered(t *testing.T) {
 	f := newJoinFixture(t, 100, 600, 20, 64, false)
 	jq := f.custOrdQuery(nil) // unrestricted: hj beats the 100-row inl probe chain
 	jq.OrderBy = []int{0}
-	got, st := drainJoin(t, NewOptimizer(Config{}).RunJoin(nil, jq))
+	got, st := drainJoin(t, NewOptimizer(Config{}).RunJoin(nil, jq, nil))
 	if st.SortAvoided {
 		t.Fatalf("sort reported avoided on an order-destroying plan: %s", st.Strategy)
 	}
@@ -790,7 +790,7 @@ func TestJoinValidate(t *testing.T) {
 			Preds: []JoinPred{{LT: 0, LC: 9, RT: 1, RC: 0}}},
 	}
 	for i, jq := range bad {
-		rows := o.RunJoin(nil, jq)
+		rows := o.RunJoin(nil, jq, nil)
 		if _, _, err := rows.Next(); err == nil {
 			t.Fatalf("case %d: invalid join query executed without error", i)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"rdbdyn/internal/catalog"
 	"rdbdyn/internal/estimate"
 	"rdbdyn/internal/expr"
 	"rdbdyn/internal/storage"
@@ -43,8 +44,6 @@ func (je *joinExec) execHJ(sg *JoinStagePlan, preds []stagePred, outer []expr.Ro
 	}
 	m := newMeter(je.ec)
 	t := sg.Table
-	tab := je.jq.Tables[t]
-	local := je.jq.Local[t]
 	off := je.offs[t]
 	innerCols := make([]int, len(preds))
 	outerCols := make([]int, len(preds))
@@ -63,63 +62,21 @@ func (je *joinExec) execHJ(sg *JoinStagePlan, preds []stagePred, outer []expr.Ro
 		}
 		ht[string(key)] = append(ht[string(key)], row)
 	}
+	// Index-assisted build: the restriction index bounds the qualifying
+	// rows, so only they are fetched; otherwise the heap is scanned.
+	var (
+		ix     *catalog.Index
+		lo, hi []byte
+	)
 	if sg.Index != "" {
-		// Index-assisted build: the restriction index bounds the
-		// qualifying rows, so only they are fetched. The range may
-		// over-approximate the restriction; the full local predicate
-		// re-filters every fetched row, exactly like the driver's iscan.
 		info := je.infos[t]
 		if info.restrIx == nil || info.restrIx.Name != sg.Index {
-			return nil, m.io(), fmt.Errorf("core: hj build index %s.%s is not the restriction index", tab.Name, sg.Index)
+			return nil, m.io(), fmt.Errorf("core: hj build index %s.%s is not the restriction index", je.jq.Tables[t].Name, sg.Index)
 		}
-		cur, err := info.restrIx.Tree.SeekTracked(info.restrLo, info.restrHi, m.tr)
-		if err != nil {
-			return nil, m.io(), err
-		}
-		defer cur.Close()
-		for {
-			_, r, ok, err := cur.Next()
-			if err != nil {
-				return nil, m.io(), err
-			}
-			if !ok {
-				break
-			}
-			row, err := tab.FetchTracked(r, m.tr)
-			if err != nil {
-				return nil, m.io(), err
-			}
-			pass, err := expr.EvalPred(local, row, je.jq.Binds)
-			if err != nil {
-				return nil, m.io(), err
-			}
-			if pass {
-				insert(row)
-			}
-		}
-	} else {
-		hc := tab.Heap.CursorTracked(m.tr)
-		defer hc.Close()
-		for {
-			rec, _, ok, err := hc.Next()
-			if err != nil {
-				return nil, m.io(), err
-			}
-			if !ok {
-				break
-			}
-			row, err := expr.DecodeRow(rec)
-			if err != nil {
-				return nil, m.io(), err
-			}
-			pass, err := expr.EvalPred(local, row, je.jq.Binds)
-			if err != nil {
-				return nil, m.io(), err
-			}
-			if pass {
-				insert(row)
-			}
-		}
+		ix, lo, hi = info.restrIx, info.restrLo, info.restrHi
+	}
+	if err := je.scanLocal(t, ix, lo, hi, false, m.tr, insert); err != nil {
+		return nil, m.io(), err
 	}
 
 	if handled, out := je.hjProbeParallel(ht, preds, outerCols, outer, off); handled {

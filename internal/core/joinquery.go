@@ -117,18 +117,6 @@ func (jq *JoinQuery) validate() error {
 	return nil
 }
 
-// project narrows a flat row to the query's projection.
-func (jq *JoinQuery) project(row expr.Row) expr.Row {
-	if jq.Projection == nil {
-		return row
-	}
-	out := make(expr.Row, len(jq.Projection))
-	for i, c := range jq.Projection {
-		out[i] = row[c]
-	}
-	return out
-}
-
 // Join operator kinds: the four inner-stage execution strategies. The
 // constants size the Metrics per-operator win counters.
 const (

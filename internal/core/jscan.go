@@ -82,7 +82,7 @@ type jscan struct {
 
 	// Batch scratch for the single-goroutine paths (steps are strictly
 	// sequential within one jscan; goroutine race legs and partition
-	// workers allocate their own). Sized to StepEntries on first use.
+	// workers allocate their own). Sized to stepEntries on first use.
 	batch []btree.Entry
 	sc    *acceptScratch
 }
@@ -313,16 +313,12 @@ func (j *jscan) ensureBuffers() {
 	if j.batch != nil {
 		return
 	}
-	n := j.cfg.StepEntries
-	if n < 1 {
-		n = 1
-	}
-	j.batch = make([]btree.Entry, n)
-	j.sc = newAcceptScratch(n)
+	j.batch = make([]btree.Entry, stepEntries)
+	j.sc = newAcceptScratch(stepEntries)
 }
 
 // stepSequential advances the current single-index scan by one step of
-// StepEntries entries, consumed in leaf-sized batches. Batches are
+// stepEntries entries, consumed in leaf-sized batches. Batches are
 // sliced to the step budget, never across it, so the competition check
 // below fires at exactly the same entry counts as per-entry iteration.
 func (j *jscan) stepSequential() error {
@@ -330,7 +326,7 @@ func (j *jscan) stepSequential() error {
 	if handled, err := j.maybePartitionedScan(); handled || err != nil {
 		return err
 	}
-	budget := j.cfg.StepEntries
+	budget := stepEntries
 	for budget > 0 {
 		lim := budget
 		if lim > len(j.batch) {
@@ -364,7 +360,7 @@ func (j *jscan) stepSequential() error {
 		}
 	}
 	// Two-stage competition check.
-	if !j.cfg.DisableCompetition && j.seen >= j.cfg.StepEntries {
+	if !j.cfg.DisableCompetition && j.seen >= stepEntries {
 		frac := float64(j.seen) / j.rangeEst
 		if frac > 1 {
 			frac = 1
@@ -503,10 +499,7 @@ func (j *jscan) openLeg(e estimate.IndexEstimate) (raceLeg, bool) {
 func (j *jscan) stepRace() error {
 	j.ensureBuffers()
 	r := j.race
-	half := j.cfg.StepEntries / 2
-	if half < 1 {
-		half = 1
-	}
+	const half = stepEntries / 2
 	for _, leg := range []*raceLeg{&r.a, &r.b} {
 		if leg.done || leg.dead {
 			continue
@@ -534,7 +527,7 @@ func (j *jscan) stepRace() error {
 			leg.rids = append(leg.rids, kept...)
 		}
 		// Competition can kill a leg mid-race.
-		if !j.cfg.DisableCompetition && !leg.done && leg.seen >= j.cfg.StepEntries {
+		if !j.cfg.DisableCompetition && !leg.done && leg.seen >= stepEntries {
 			frac := float64(leg.seen) / leg.rangeEst
 			if frac > 1 {
 				frac = 1

@@ -197,7 +197,7 @@ func estErrBucket(ratio float64) int {
 }
 
 // MetricsSnapshot is a point-in-time copy of a Metrics registry, shaped
-// for JSON (rdbbench's BENCH_metrics.json, rdbsh's \metrics).
+// for JSON (rdbsh's \metrics, the benchmarks).
 type MetricsSnapshot struct {
 	Queries          int64            `json:"queries"`
 	EmptyRanges      int64            `json:"empty_ranges"`

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -53,21 +52,22 @@ func (o *Optimizer) Metrics() *Metrics { return o.metrics }
 // Run plans and starts a retrieval for q, choosing the tactic
 // dynamically at start-retrieval time (Sections 4–7). The returned Rows
 // is lazy: scans advance as the caller pulls. Run is the free-context
-// entry point (no cancellation, no deadline, no budget); RunCtx and
-// RunExec are the governed ones.
+// convenience (no cancellation, no deadline, no budget) over RunExec.
 func (o *Optimizer) Run(q *Query) Rows { return o.RunExec(nil, q) }
 
-// RunCtx is Run honoring ctx: cancellation and deadline stop the
-// retrieval within one simulated page I/O, and a WithIOBudget budget
-// carried by ctx bounds its attributed I/O.
-func (o *Optimizer) RunCtx(ctx context.Context, q *Query) Rows {
-	return o.RunExec(NewExecCtx(ctx, 0), q)
+// RunExec runs q under the given execution context (nil = free):
+// cancellation and deadline stop the retrieval within one simulated
+// page I/O, and a budget bounds its attributed I/O.
+func (o *Optimizer) RunExec(ec *ExecCtx, q *Query) Rows {
+	rows, err := o.run(ec, q)
+	return o.deliver(ec, rows, err)
 }
 
-// RunExec runs q under the given execution context (nil = free).
-func (o *Optimizer) RunExec(ec *ExecCtx, q *Query) Rows {
+// deliver is the tail of every entry point (dynamic, pinned, join): it
+// counts the query, and a setup error — counted as a cancellation when
+// it is one, once per ExecCtx — surfaces through the iterator contract.
+func (o *Optimizer) deliver(ec *ExecCtx, rows Rows, err error) Rows {
 	o.metrics.recordQuery()
-	rows, err := o.run(ec, q)
 	if err != nil {
 		if isCancellation(err) && ec.markCancelRecorded() {
 			o.metrics.recordCancellation(err)
@@ -77,20 +77,50 @@ func (o *Optimizer) RunExec(ec *ExecCtx, q *Query) Rows {
 	return rows
 }
 
+// Validate checks q's structure before any I/O is spent.
+func (q *Query) Validate() error {
+	if q.Table == nil {
+		return fmt.Errorf("core: query without table")
+	}
+	if err := expr.Validate(q.Restriction); err != nil {
+		return err
+	}
+	for _, cols := range [2][]int{q.Projection, q.OrderBy} {
+		for _, c := range cols {
+			if c < 0 || c >= len(q.Table.Columns) {
+				return fmt.Errorf("core: column position %d out of range", c)
+			}
+		}
+	}
+	return nil
+}
+
+// tracer builds the event fan-out for one retrieval's stats.
+func (o *Optimizer) tracer(ec *ExecCtx, st *RetrievalStats) *tracer {
+	return &tracer{st: st, sink: o.cfg.Trace, extra: ec.traceSink(), metrics: o.metrics}
+}
+
+// newRetrieval assembles the retrieval shell a tactic is arranged in.
+func (o *Optimizer) newRetrieval(ec *ExecCtx, q *Query, cfg Config, st RetrievalStats) *retrieval {
+	r := &retrieval{q: q, cfg: cfg, st: st, ec: ec, out: &rowQueue{}, metrics: o.metrics}
+	r.trc = o.tracer(ec, &r.st)
+	return r
+}
+
+// emptyRange is the paper's shortcut: a provably empty range cancels
+// all retrieval stages and delivers "end of data" at once.
+func (o *Optimizer) emptyRange(ec *ExecCtx, st RetrievalStats, detail string) Rows {
+	st.Tactic = "empty-range"
+	o.tracer(ec, &st).emit(TraceEvent{Kind: EvEmptyRange, Detail: detail})
+	return &emptyRows{stats: st}
+}
+
 func (o *Optimizer) run(ec *ExecCtx, q *Query) (Rows, error) {
 	if err := ec.Err(); err != nil {
 		return nil, err
 	}
-	if q.Table == nil {
-		return nil, fmt.Errorf("core: query without table")
-	}
-	if err := expr.Validate(q.Restriction); err != nil {
+	if err := q.Validate(); err != nil {
 		return nil, err
-	}
-	for _, c := range append(append([]int(nil), q.Projection...), q.OrderBy...) {
-		if c < 0 || c >= len(q.Table.Columns) {
-			return nil, fmt.Errorf("core: column position %d out of range", c)
-		}
 	}
 	goal := q.EffectiveGoal()
 	cl := Classify(q)
@@ -99,10 +129,8 @@ func (o *Optimizer) run(ec *ExecCtx, q *Query) (Rows, error) {
 	// unsatisfiable: cancel all retrieval stages and deliver the "end
 	// of data" condition at once, before any estimation I/O is spent.
 	if cl.EmptyRange {
-		st := RetrievalStats{FinalListLen: -1, QueryID: nextQueryID(), Tactic: "empty-range"}
-		trc := &tracer{st: &st, sink: o.cfg.Trace, extra: ec.traceSink(), metrics: o.metrics}
-		trc.emit(TraceEvent{Kind: EvEmptyRange, Detail: "contradictory sargable range, end of data at once"})
-		return &emptyRows{stats: st}, nil
+		st := RetrievalStats{FinalListLen: -1, QueryID: nextQueryID()}
+		return o.emptyRange(ec, st, "contradictory sargable range, end of data at once"), nil
 	}
 
 	// Order requested but no index delivers it: classic SORT node over
@@ -132,15 +160,12 @@ func (o *Optimizer) run(ec *ExecCtx, q *Query) (Rows, error) {
 		st.Estimates = append(st.Estimates, EstimateSummary{Index: e.Index.Name, RIDs: e.RIDs, Exact: e.Exact})
 	}
 	if res.EmptyRange {
-		st.Tactic = "empty-range"
-		trc := &tracer{st: &st, sink: o.cfg.Trace, extra: ec.traceSink(), metrics: o.metrics}
-		trc.emit(TraceEvent{Kind: EvEmptyRange, Detail: "initial stage: empty range, end of data at once"})
-		return &emptyRows{stats: st}, nil
+		return o.emptyRange(ec, st, "initial stage: empty range, end of data at once"), nil
 	}
 
 	model := o.costModel(q, cl)
-	r := &retrieval{q: q, cfg: o.cfg, model: model, st: st, ec: ec, out: &rowQueue{}, metrics: o.metrics, fb: o.cfg.Feedback}
-	r.trc = &tracer{st: &r.st, sink: o.cfg.Trace, extra: ec.traceSink(), metrics: o.metrics}
+	r := o.newRetrieval(ec, q, o.cfg, st)
+	r.model, r.fb = model, o.cfg.Feedback
 
 	switch {
 	case len(q.OrderBy) > 0:
@@ -213,15 +238,22 @@ func (o *Optimizer) planUnion(ec *ExecCtx, q *Query, legs []unionLeg, r *retriev
 	})
 }
 
-// runSorted wraps a total-time retrieval in a SORT (the paper's goal
-// inference treats SORT as a total-time controller).
+// runSorted wraps a total-time dynamic retrieval in a SORT (the paper's
+// goal inference treats SORT as a total-time controller).
 func (o *Optimizer) runSorted(ec *ExecCtx, q *Query) (Rows, error) {
+	return sortNode(q, func(inner *Query) (Rows, error) { return o.run(ec, inner) })
+}
+
+// sortNode is the SORT node over a single-table retrieval: q, stripped
+// of its order, projection and limit, runs through run; the result is
+// materialized, sorted, and delivered under q's projection and limit.
+func sortNode(q *Query, run func(inner *Query) (Rows, error)) (Rows, error) {
 	inner := *q
 	inner.OrderBy = nil
 	inner.Projection = nil
 	inner.Limit = 0
 	inner.Control = ControlSort
-	src, err := o.run(ec, &inner)
+	src, err := run(&inner)
 	if err != nil {
 		return nil, err
 	}
@@ -243,37 +275,48 @@ func (o *Optimizer) runSorted(ec *ExecCtx, q *Query) (Rows, error) {
 	sortRows(all, q.OrderBy, q.OrderDesc)
 	st := src.Stats()
 	st.Tactic = "sort(" + st.Tactic + ")"
-	return &sliceRows{q: q, rows: all, st: st}, nil
+	return &materializedRows{rows: all, projection: q.Projection, limit: q.Limit, st: st}, nil
 }
 
-// sliceRows delivers pre-materialized rows with projection and limit.
-type sliceRows struct {
-	q    *Query
-	rows []expr.Row
-	i    int
-	st   RetrievalStats
+// materializedRows delivers pre-materialized rows — a sorted
+// single-table result or a join's flat rows — under a projection and a
+// limit. RowsDelivered counts what the caller was handed, whatever the
+// stats of the retrieval that produced the rows said.
+type materializedRows struct {
+	rows       []expr.Row
+	projection []int // nil = all columns
+	limit      int   // 0 = all rows
+	i          int   // rows handed out
+	st         RetrievalStats
 }
 
-func (s *sliceRows) Next() (expr.Row, bool, error) {
-	if s.i >= len(s.rows) || (s.q.Limit > 0 && s.st.RowsDelivered >= s.q.Limit) {
+func (s *materializedRows) Next() (expr.Row, bool, error) {
+	if s.i >= len(s.rows) || (s.limit > 0 && s.i >= s.limit) {
 		return nil, false, nil
 	}
-	row := s.q.project(s.rows[s.i])
+	row := projectRow(s.rows[s.i], s.projection)
 	s.i++
-	s.st.RowsDelivered++
 	return row, true, nil
 }
 
-func (s *sliceRows) Close() error          { return nil }
-func (s *sliceRows) Stats() RetrievalStats { return s.st }
+func (s *materializedRows) Close() error { return nil }
+
+func (s *materializedRows) Stats() RetrievalStats {
+	st := s.st
+	st.RowsDelivered = s.i
+	return st
+}
+
+// tableCostModel is the cost model's table-size half — all a plain
+// sequential or single-index scan needs, and free to build.
+func tableCostModel(q *Query) estimate.CostModel {
+	return estimate.CostModel{TablePages: q.Table.Pages(), TableRows: q.Table.Cardinality()}
+}
 
 // costModel builds the I/O cost model for q, sampling the cluster ratio
 // of the most relevant index once and caching it.
 func (o *Optimizer) costModel(q *Query, cl Classification) estimate.CostModel {
-	m := estimate.CostModel{
-		TablePages: q.Table.Pages(),
-		TableRows:  q.Table.Cardinality(),
-	}
+	m := tableCostModel(q)
 	// Cluster ratio of the first fetch-needed index dominates fetch
 	// costs; sample it lazily. Sampling is cheap (a few ranked
 	// descents) but not free, which mirrors the paper's point that
@@ -354,7 +397,7 @@ func (o *Optimizer) planWithSelfSufficient(ec *ExecCtx, q *Query, cl Classificat
 		r.closed = true
 		return nil
 	}
-	fg, err := newSscan(ec, q, best, bestLo, bestHi, r.out, o.cfg.StepEntries, false)
+	fg, err := newSscan(ec, q, best, bestLo, bestHi, r.out, false)
 	if err != nil {
 		return err
 	}
@@ -412,8 +455,7 @@ func (o *Optimizer) bestSscan(ec *ExecCtx, q *Query, cands []*catalog.Index) (be
 		if err != nil {
 			return nil, 0, nil, nil, false, err
 		}
-		m := estimate.CostModel{TablePages: q.Table.Pages(), TableRows: q.Table.Cardinality()}
-		cost := m.SscanCost(rids, ix.Tree.AvgLeafEntries(), ix.Tree.Height())
+		cost := tableCostModel(q).SscanCost(rids, ix.Tree.AvgLeafEntries(), ix.Tree.Height())
 		if cost < bestCost {
 			best, bestCost, bestLo, bestHi = ix, cost, lo, hi
 		}
@@ -446,7 +488,7 @@ func (o *Optimizer) planOrdered(ec *ExecCtx, q *Query, cl Classification, res es
 				r.closed = true
 				return nil, nil
 			}
-			fg, err := newSscan(ec, q, ix, lo, hi, r.out, o.cfg.StepEntries, q.OrderDesc)
+			fg, err := newSscan(ec, q, ix, lo, hi, r.out, q.OrderDesc)
 			if err != nil {
 				return nil, err
 			}
@@ -479,7 +521,7 @@ func (o *Optimizer) planOrdered(ec *ExecCtx, q *Query, cl Classification, res es
 			return o.runSorted(ec, q)
 		}
 	}
-	fg, err := newFscan(ec, q, ordIx, ordLo, ordHi, r.out, o.cfg.StepEntries, q.OrderDesc)
+	fg, err := newFscan(ec, q, ordIx, ordLo, ordHi, r.out, q.OrderDesc)
 	if err != nil {
 		return nil, err
 	}

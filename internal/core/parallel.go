@@ -77,7 +77,7 @@ func (je *joinExec) execProbeParallel(sg *JoinStagePlan, preds []stagePred, prob
 		if je.dynamic && start >= joinReoptMinProbes {
 			avg := m.cost() / float64(start)
 			remaining := float64(len(outer) - start)
-			if avg*remaining > je.reoptF*je.jts[t].Pages {
+			if avg*remaining > JoinReoptFactor*je.jts[t].Pages {
 				return true, nil, true, nil
 			}
 		}
@@ -414,10 +414,6 @@ func (u *uscan) maybeParallelLegs() (bool, error) {
 	errs := make([]error, n)
 	trs := make([]*storage.Tracker, n)
 	gov := u.m.tr.Governor()
-	batchN := u.cfg.StepEntries
-	if batchN < 1 {
-		batchN = 1
-	}
 	sem := make(chan struct{}, workers)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -431,7 +427,7 @@ func (u *uscan) maybeParallelLegs() (bool, error) {
 			if stop.Load() {
 				return
 			}
-			rids[i], seen[i], errs[i] = u.scanLeg(leg, tr, &stop, batchN)
+			rids[i], seen[i], errs[i] = u.scanLeg(leg, tr, &stop)
 		}(i, u.legs[i], trs[i])
 	}
 	wg.Wait()
@@ -461,14 +457,14 @@ func (u *uscan) maybeParallelLegs() (bool, error) {
 // seek (one charged descent on the leg's own tracker), then leaf-sized
 // batches filtered through the leg's local disjunct. Aborts at the next
 // batch boundary when a sibling flips the stop flag.
-func (u *uscan) scanLeg(leg unionLeg, tr *storage.Tracker, stop *atomic.Bool, batchN int) ([]storage.RID, int, error) {
+func (u *uscan) scanLeg(leg unionLeg, tr *storage.Tracker, stop *atomic.Bool) ([]storage.RID, int, error) {
 	cur, err := leg.Index.Tree.SeekTracked(leg.Lo, leg.Hi, tr)
 	if err != nil {
 		stop.Store(true)
 		return nil, 0, err
 	}
 	defer cur.Close()
-	batch := make([]btree.Entry, batchN)
+	batch := make([]btree.Entry, stepEntries)
 	var out []storage.RID
 	seen := 0
 	for !stop.Load() {
@@ -616,10 +612,6 @@ func (j *jscan) maybePartitionedScan() (bool, error) {
 	errs := make([]error, n)
 	trs := make([]*storage.Tracker, n)
 	gov := j.m.tr.Governor()
-	batchN := j.cfg.StepEntries
-	if batchN < 1 {
-		batchN = 1
-	}
 	var stop atomic.Bool
 	// fill counts collected RIDs across all workers when an exact-count
 	// cap applies; the worker whose batch reaches the cap flips the stop
@@ -653,8 +645,8 @@ func (j *jscan) maybePartitionedScan() (bool, error) {
 				// the range bound like a sequential scan.
 				src = &boundedOp{src: src, remaining: part.Count}
 			}
-			batch := make([]btree.Entry, batchN)
-			sc := newAcceptScratch(batchN)
+			batch := make([]btree.Entry, stepEntries)
+			sc := newAcceptScratch(stepEntries)
 			for !stop.Load() {
 				cnt, err := src.NextBatch(batch)
 				if err != nil {

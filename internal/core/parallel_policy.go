@@ -29,22 +29,20 @@ import "fmt"
 // every scan keeps the static effectiveWorkers() width and behaves
 // bit-for-bit as before.
 
-// DefaultParallelStartupCost is the per-worker startup/merge overhead,
-// in simulated page accesses, charged against a candidate width when
-// Config.ParallelStartupCost is 0. Two pages per worker matches the
-// observed fixed cost of a partitioned leg: one charged leaf-seek to
-// open the partition plus roughly one access of barrier/merge slack.
-// Exported alongside PlanParallelWidth so benches replay the policy
-// with the same constant the executor uses.
-const DefaultParallelStartupCost = 2.0
+// parallelStartupCost is the per-worker startup/merge overhead, in
+// simulated page accesses, charged against a candidate width (fan-out
+// to k workers must save more than (k-1)·cost off the critical path to
+// win). Two pages per worker matches the observed fixed cost of a
+// partitioned leg: one charged leaf-seek to open the partition plus
+// roughly one access of barrier/merge slack.
+const parallelStartupCost = 2.0
 
-// PlanParallelWidth picks the worker width in [1, max] minimizing the
+// planParallelWidth picks the worker width in [1, max] minimizing the
 // expected critical-path cost estIO/k + startup·(k-1), after shrinking
 // the ceiling by the live load fraction (0 = idle, 1 = saturated).
 // Ties resolve to the smaller width, so a zero or unknown estimate
-// stays sequential. Exported so benches and tools can replay the
-// policy's arithmetic without running a retrieval.
-func PlanParallelWidth(estIO float64, max int, load, startup float64) int {
+// stays sequential.
+func planParallelWidth(estIO float64, max int, load float64) int {
 	if max > maxParallelism {
 		max = maxParallelism
 	}
@@ -59,12 +57,9 @@ func PlanParallelWidth(estIO float64, max int, load, startup float64) int {
 	if max < 1 {
 		max = 1
 	}
-	if startup < 0 {
-		startup = 0
-	}
 	best, bestCost := 1, estIO
 	for k := 2; k <= max; k++ {
-		c := estIO/float64(k) + startup*float64(k-1)
+		c := estIO/float64(k) + parallelStartupCost*float64(k-1)
 		if c < bestCost {
 			best, bestCost = k, c
 		}
@@ -95,20 +90,14 @@ func decideWidth(cfg Config, ec *ExecCtx, trc *tracer, scan string, estIO float6
 	if !cfg.AdaptiveParallelism || max < 2 {
 		return max
 	}
-	startup := cfg.ParallelStartupCost
-	if startup == 0 {
-		startup = DefaultParallelStartupCost
-	} else if startup < 0 {
-		startup = 0
-	}
 	load := ec.Load()
-	w := PlanParallelWidth(estIO, max, load, startup)
+	w := planParallelWidth(estIO, max, load)
 	trc.emit(TraceEvent{
 		Kind:        EvParallelWidthChosen,
 		Scan:        scan,
 		Width:       w,
 		EstimatedIO: estIO,
-		Detail:      fmt.Sprintf("ceiling %d, load %.2f, startup %.1f/worker", max, load, startup),
+		Detail:      fmt.Sprintf("ceiling %d, load %.2f, startup %.1f/worker", max, load, parallelStartupCost),
 	})
 	return w
 }

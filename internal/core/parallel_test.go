@@ -201,7 +201,7 @@ func TestParallelRaceAuditWinnerAdoption(t *testing.T) {
 	sameMultiset(t, got, f.naive(t, q), "goroutine race")
 	st := rows.Stats()
 	if !hasEvent(st, EvRaceStarted, "") {
-		t.Fatalf("no race started; trace: %v", st.Trace)
+		t.Fatalf("no race started; trace: %v", st.Trace())
 	}
 	if n := f.pool.PinnedPages(); n != 0 {
 		t.Fatalf("%d pins leaked after goroutine race", n)

@@ -1,0 +1,345 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"strings"
+
+	"rdbdyn/internal/catalog"
+	"rdbdyn/internal/estimate"
+)
+
+// ErrPlanStale reports that a pinned plan references an index that no
+// longer exists; the caller must drop the plan and re-plan.
+var ErrPlanStale = errors.New("core: pinned plan references a missing index")
+
+// Plan is the one pinned single-table plan representation: a tactic,
+// the index order it runs over, and the entry estimates that seeded it.
+// The static planner builds one from mean-point costs, the engine's plan
+// cache distills one from a completed dynamic retrieval (CapturePlan),
+// and Optimizer.RunPlan replays either. It names indexes rather than
+// holding pointers, so a dropped-and-recreated index is re-resolved (or
+// detected missing) at replay time, and holds no bind values — the
+// replay recomputes its scan bounds from the current bindings, exactly
+// as a frozen plan in the paper "still sees run-time values"; what it
+// cannot do is change strategy.
+type Plan struct {
+	// Tactic is the tacticKind string of the pinned arrangement.
+	Tactic string
+	// Indexes is the index order to replay: for sscan/fscan the single
+	// chosen index; for background-only the adopted Jscan order; for
+	// fast-first the borrow source; for sorted the order-delivering
+	// index followed by the filter Jscan's order. Empty for tscan.
+	Indexes []string
+	// RIDs carries the initial-stage entry estimates parallel to
+	// Indexes (0 when unknown), seeding the replay Jscan's bookkeeping.
+	RIDs []float64
+}
+
+func (p *Plan) String() string {
+	if p == nil {
+		return "<none>"
+	}
+	if len(p.Indexes) == 0 {
+		return p.Tactic
+	}
+	return p.Tactic + "(" + strings.Join(p.Indexes, ",") + ")"
+}
+
+// CapturePlan distills a completed retrieval's stats into a replayable
+// Plan. It returns ok=false when the run is not worth caching:
+// the competition intervened mid-flight (strategy switch, race, borrow
+// overflow, mid-scan abandonment, a completed-but-useless list), the
+// arrangement is not replayable deterministically, or the tactic has
+// no frozen form. The test is structural: a capturable run's replay
+// performs exactly the original's productive work — scans that were
+// merely *skipped* before starting cost nothing and do not block
+// capture.
+func CapturePlan(st *RetrievalStats) (*Plan, bool) {
+	// hj stages are refused on their own grounds, ahead of the blanket
+	// join rejection: a hash build's contents are run-time inner state
+	// no replay can re-derive, so even a future per-operator
+	// join-freezing scheme must keep refusing these stages.
+	for i := range st.JoinStages {
+		if st.JoinStages[i].Operator == JoinOpHJ {
+			return nil, false
+		}
+	}
+	// Multi-table retrievals are never frozen: a join's operator and
+	// order choices hinge on intermediate cardinalities the replay
+	// machinery cannot re-derive, and mid-flight re-optimization is the
+	// whole point of running them dynamically.
+	if st.Tactic == "join" || len(st.JoinStages) > 0 {
+		return nil, false
+	}
+	var chosen *TraceEvent
+	var started []string
+	var switches []*TraceEvent
+	for i := range st.Events {
+		ev := &st.Events[i]
+		switch ev.Kind {
+		case EvTacticChosen:
+			if chosen == nil {
+				chosen = ev
+			}
+		case EvScanStarted:
+			// Per-index background scan openings (Jscan emits one per
+			// index it actually reads; skips never start).
+			if ev.Scan == "Jscan" && len(ev.Indexes) == 1 {
+				started = append(started, ev.Indexes[0])
+			}
+		case EvStrategySwitch:
+			switches = append(switches, ev)
+		case EvBorrowOverflow, EvRaceStarted, EvRaceResolved:
+			return nil, false
+		}
+	}
+	if chosen == nil {
+		return nil, false
+	}
+	if len(switches) > 0 {
+		// One exactly-replayable switch exists: a background-only Jscan
+		// that skipped every index up front (zero scan I/O, no RID list
+		// materialized) and recommended Tscan before anything ran. The
+		// whole retrieval was one sequential scan; freeze it as tscan.
+		if st.Tactic == "background-only" && len(switches) == 1 &&
+			switches[0].Scan == "Tscan" && len(started) == 0 &&
+			len(st.WinningOrder) == 0 && st.FinalListLen < 0 {
+			return &Plan{Tactic: "tscan"}, true
+		}
+		return nil, false
+	}
+	// Every background scan that opened must be in the adopted order,
+	// in the same positions: a started-but-unadopted scan (mid-flight
+	// abandonment or a complete-but-useless list) burned I/O the replay
+	// would not reproduce.
+	jscanClean := func() bool {
+		if len(st.WinningOrder) != len(started) {
+			return false
+		}
+		for i, n := range started {
+			if st.WinningOrder[i] != n {
+				return false
+			}
+		}
+		return len(started) > 0
+	}
+	ridsFor := func(names []string) []float64 {
+		out := make([]float64, len(names))
+		for i, n := range names {
+			for _, es := range st.Estimates {
+				if es.Index == n {
+					out[i] = es.RIDs
+					break
+				}
+			}
+		}
+		return out
+	}
+	switch st.Tactic {
+	case "tscan":
+		if chosen.Scan != "Tscan" {
+			return nil, false
+		}
+		return &Plan{Tactic: "tscan"}, true
+	case "sscan", "fscan":
+		if len(chosen.Indexes) == 0 || len(started) > 0 {
+			return nil, false
+		}
+		ix := chosen.Indexes[:1]
+		return &Plan{Tactic: st.Tactic, Indexes: ix, RIDs: ridsFor(ix)}, true
+	case "background-only":
+		if chosen.Scan != "Jscan" || !jscanClean() {
+			return nil, false
+		}
+		order := append([]string(nil), st.WinningOrder...)
+		return &Plan{Tactic: st.Tactic, Indexes: order, RIDs: ridsFor(order)}, true
+	case "fast-first":
+		// Only the single-source borrow arrangement replays exactly: a
+		// multi-index run's later scans overlap the foreground drain.
+		if chosen.Scan != "Jscan" || !jscanClean() || len(st.WinningOrder) != 1 {
+			return nil, false
+		}
+		order := append([]string(nil), st.WinningOrder...)
+		return &Plan{Tactic: st.Tactic, Indexes: order, RIDs: ridsFor(order)}, true
+	case "sorted":
+		// chosen.Indexes = [order-delivering index, filter candidates...];
+		// the replay pairs the Fscan with the adopted filter order.
+		if len(chosen.Indexes) < 2 || !jscanClean() {
+			return nil, false
+		}
+		order := append([]string{chosen.Indexes[0]}, st.WinningOrder...)
+		return &Plan{Tactic: st.Tactic, Indexes: order, RIDs: ridsFor(order)}, true
+	default:
+		// index-only (always race-resolved), sort(...), empty-range,
+		// error: no frozen form.
+		return nil, false
+	}
+}
+
+// deliversOrder reports whether replaying p over ixs (p.Indexes
+// resolved) hands rows out in q's requested order: only the scans
+// driven by one index — sscan, fscan, and the sorted tactic's Fscan —
+// can, forward or in reverse.
+func (p *Plan) deliversOrder(ixs []*catalog.Index, q *Query) bool {
+	switch p.Tactic {
+	case "sscan", "fscan", "sorted":
+		return len(ixs) > 0 && ixs[0].DeliversOrder(q.OrderBy)
+	}
+	return false
+}
+
+// RunPlan replays a pinned plan for q, skipping estimation and
+// competition: scan bounds are recomputed from the current bindings
+// (zero I/O), the pinned arrangement executes with competition
+// disabled, and a contradictory range still short-circuits to end of
+// data. If q requests an order the plan does not deliver, the result is
+// materialized and sorted, as a static plan's SORT node would. Row
+// content, order, and productive I/O of a captured plan match the
+// dynamic run it was captured from, as long as the data hasn't drifted;
+// the saving is the estimation stage and the competition bookkeeping.
+//
+// A replay counts a query and a tactic win but feeds neither the
+// estimate-error histogram nor the feedback registry. ErrPlanStale
+// surfaces (through the Rows) when a referenced index is gone.
+func (o *Optimizer) RunPlan(ec *ExecCtx, q *Query, p *Plan) Rows {
+	rows, err := o.runPlan(ec, q, p)
+	return o.deliver(ec, rows, err)
+}
+
+func (o *Optimizer) runPlan(ec *ExecCtx, q *Query, p *Plan) (Rows, error) {
+	if err := ec.Err(); err != nil {
+		return nil, err
+	}
+	if p == nil {
+		return nil, errors.New("core: nil plan")
+	}
+	if err := q.Validate(); err != nil {
+		return nil, err
+	}
+	ixs := make([]*catalog.Index, len(p.Indexes))
+	for i, name := range p.Indexes {
+		if ixs[i] = q.Table.IndexByName(name); ixs[i] == nil {
+			return nil, fmt.Errorf("%w: %s.%s", ErrPlanStale, q.Table.Name, name)
+		}
+	}
+	cl := Classify(q)
+	if cl.EmptyRange {
+		st := RetrievalStats{FinalListLen: -1, QueryID: nextQueryID()}
+		return o.emptyRange(ec, st, "pinned plan: contradictory sargable range, end of data at once"), nil
+	}
+	if len(q.OrderBy) > 0 && !p.deliversOrder(ixs, q) {
+		return sortNode(q, func(inner *Query) (Rows, error) { return o.pinned(ec, inner, p, ixs, Classify(inner)) })
+	}
+	return o.pinned(ec, q, p, ixs, cl)
+}
+
+// pinnedTactics are the arrangements with a pinned form. index-only is
+// always race-resolved, so it has none.
+var pinnedTactics = map[string]tacticKind{
+	"tscan":           tacticTscan,
+	"sscan":           tacticSscan,
+	"fscan":           tacticFscan,
+	"background-only": tacticBackgroundOnly,
+	"fast-first":      tacticFastFirst,
+	"sorted":          tacticSorted,
+}
+
+// pinned arranges the retrieval p describes over ixs (p.Indexes
+// resolved against q's table) — the single place a pinned plan becomes
+// scans. Any order q requests is one ixs[0] delivers.
+func (o *Optimizer) pinned(ec *ExecCtx, q *Query, p *Plan, ixs []*catalog.Index, cl Classification) (Rows, error) {
+	tactic, ok := pinnedTactics[p.Tactic]
+	if !ok {
+		return nil, fmt.Errorf("core: no pinned form for tactic %q", p.Tactic)
+	}
+	need := 1 // indexes the arrangement runs over, at least
+	switch tactic {
+	case tacticTscan:
+		need = 0
+	case tacticSorted:
+		need = 2 // the order index and a filter index
+	}
+	if len(ixs) < need {
+		return nil, fmt.Errorf("core: %s plan needs %d indexes, has %d", p.Tactic, need, len(ixs))
+	}
+
+	// Competition off: the replay scans exactly the pinned order — no
+	// skips, no races, no abandonment.
+	cfg := o.cfg
+	cfg.DisableCompetition = true
+	cfg.RaceFactor = -1
+	r := o.newRetrieval(ec, q, cfg, RetrievalStats{FinalListLen: -1, QueryID: nextQueryID()})
+	r.pinned = true
+	r.tactic = tactic
+	desc := len(q.OrderBy) > 0 && q.OrderDesc
+	chosen := TraceEvent{Kind: EvTacticChosen, Tactic: p.Tactic, Indexes: p.Indexes, Detail: "pinned plan replay"}
+
+	switch tactic {
+	case tacticTscan:
+		r.model = tableCostModel(q)
+		r.fg = newTscan(ec, q, r.out, cfg.effectiveWorkers())
+		chosen.Scan, chosen.EstimatedIO = "Tscan", r.model.TscanCost()
+		r.trc.emit(chosen)
+		return r, nil
+	case tacticSscan, tacticFscan:
+		lo, hi, _, _ := ixs[0].RestrictionBounds(q.Restriction, q.Binds)
+		var err error
+		if tactic == tacticSscan {
+			r.fg, err = newSscan(ec, q, ixs[0], lo, hi, r.out, desc)
+		} else {
+			r.fg, err = newFscan(ec, q, ixs[0], lo, hi, r.out, desc)
+		}
+		if err != nil {
+			return nil, err
+		}
+		chosen.Scan = r.fg.name()
+		r.trc.emit(chosen)
+		return r, nil
+	}
+
+	// The Jscan-bearing tactics. Only they need the sampled cluster
+	// ratio: building the full cost model for a plain scan would spend
+	// pool I/O (and optimizer RNG draws) a static plan never spent.
+	r.model = o.costModel(q, cl)
+	jixs, jrids, borrow := ixs, p.RIDs, (*ridQueue)(nil)
+	chosen.Scan = "Jscan"
+	switch tactic {
+	case tacticFastFirst:
+		borrow = &ridQueue{}
+		r.fg = newBorrowFetcher(ec, q, borrow, r.out, cfg.FgBufferCap)
+		chosen.Detail += ", foreground borrows from " + ixs[0].Name
+	case tacticSorted:
+		// ixs[0] delivers the order through an Fscan; the rest feed the
+		// filter-only Jscan (no temp-table spill, the bitmap absorbs
+		// overflow).
+		lo, hi, _, _ := ixs[0].RestrictionBounds(q.Restriction, q.Binds)
+		fg, err := newFscan(ec, q, ixs[0], lo, hi, r.out, desc)
+		if err != nil {
+			return nil, err
+		}
+		r.fg = fg
+		jixs = ixs[1:]
+		if len(jrids) > 0 {
+			jrids = jrids[1:]
+		}
+		cfg.RID.FilterOnly = true
+		chosen.Scan = fg.name()
+	}
+	ests := make([]estimate.IndexEstimate, len(jixs))
+	for i, ix := range jixs {
+		lo, hi, sarg, _ := ix.RestrictionBounds(q.Restriction, q.Binds)
+		ests[i] = estimate.IndexEstimate{Index: ix, Lo: lo, Hi: hi, Sargable: sarg}
+		if i < len(jrids) {
+			ests[i].RIDs = jrids[i]
+		}
+	}
+	j := newJscan(ec, q, cfg, r.model, ests, borrow, r.trc)
+	j.onDone = o.observer(q)
+	r.bg = j
+	if tactic != tacticSorted {
+		chosen.EstimatedIO = bgPlanEst(r.model, ests[0])
+	}
+	r.trc.emit(chosen)
+	return r, nil
+}

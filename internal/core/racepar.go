@@ -26,7 +26,7 @@ import (
 // plan property).
 //
 // Competition can still kill a leg mid-race: each leg re-projects its
-// final-stage cost every StepEntries entries against the guaranteed
+// final-stage cost every stepEntries entries against the guaranteed
 // best (frozen for the duration of the race; the shared filter and
 // model are read-only) using its own tracker's exact charges — the
 // interleaved path has to approximate per-leg cost as half the shared
@@ -37,10 +37,6 @@ import (
 // keeping TraceEvent sequence numbers single-writer.
 func (j *jscan) runRaceParallel() error {
 	r := j.race
-	batchN := j.cfg.StepEntries
-	if batchN < 1 {
-		batchN = 1
-	}
 	memBudget := j.cfg.RID.MemBudget
 
 	var (
@@ -63,8 +59,8 @@ func (j *jscan) runRaceParallel() error {
 		wg.Add(1)
 		go func(li int, leg *raceLeg) {
 			defer wg.Done()
-			batch := make([]btree.Entry, batchN)
-			sc := newAcceptScratch(batchN)
+			batch := make([]btree.Entry, stepEntries)
+			sc := newAcceptScratch(stepEntries)
 			lastCheck := 0
 			for !stopped() {
 				n, err := leg.cur.NextBatch(batch)
@@ -90,8 +86,8 @@ func (j *jscan) runRaceParallel() error {
 					stopMem.Store(true)
 					return
 				}
-				if !j.cfg.DisableCompetition && leg.seen >= j.cfg.StepEntries &&
-					leg.seen-lastCheck >= j.cfg.StepEntries {
+				if !j.cfg.DisableCompetition && leg.seen >= stepEntries &&
+					leg.seen-lastCheck >= stepEntries {
 					lastCheck = leg.seen
 					frac := float64(leg.seen) / leg.rangeEst
 					if frac > 1 {

@@ -184,23 +184,21 @@ type sscan struct {
 	// delivered records RIDs of rows already handed out, so a winning
 	// background final stage can skip them (index-only tactic).
 	delivered []storage.RID
-	perStep   int
 	done      bool
 }
 
-func newSscan(ec *ExecCtx, q *Query, ix *catalog.Index, lo, hi []byte, out *rowQueue, perStep int, desc bool) (*sscan, error) {
+func newSscan(ec *ExecCtx, q *Query, ix *catalog.Index, lo, hi []byte, out *rowQueue, desc bool) (*sscan, error) {
 	m := newMeter(ec)
 	cur, err := newEntryCursor(ix.Tree, lo, hi, desc, m.tr)
 	if err != nil {
 		return nil, err
 	}
 	return &sscan{
-		q:       q,
-		ix:      ix,
-		cur:     cur,
-		out:     out,
-		m:       m,
-		perStep: perStep,
+		q:   q,
+		ix:  ix,
+		cur: cur,
+		out: out,
+		m:   m,
 	}, nil
 }
 
@@ -212,7 +210,7 @@ func (s *sscan) step() (bool, error) {
 	if s.done {
 		return true, nil
 	}
-	for i := 0; i < s.perStep; i++ {
+	for i := 0; i < stepEntries; i++ {
 		key, rid, ok, err := s.cur.Next()
 		if err != nil {
 			return s.done, err
@@ -250,7 +248,6 @@ type fscan struct {
 	filter  func(storage.RID) bool // nil = no pre-fetch filter
 	out     *rowQueue
 	m       meter
-	perStep int
 	scanned int // entries consumed
 	fetched int // records fetched
 	done    bool
@@ -271,20 +268,19 @@ func localRestriction(e expr.Expr, ix *catalog.Index) expr.Expr {
 	return expr.NewAnd(local...)
 }
 
-func newFscan(ec *ExecCtx, q *Query, ix *catalog.Index, lo, hi []byte, out *rowQueue, perStep int, desc bool) (*fscan, error) {
+func newFscan(ec *ExecCtx, q *Query, ix *catalog.Index, lo, hi []byte, out *rowQueue, desc bool) (*fscan, error) {
 	m := newMeter(ec)
 	cur, err := newEntryCursor(ix.Tree, lo, hi, desc, m.tr)
 	if err != nil {
 		return nil, err
 	}
 	return &fscan{
-		q:       q,
-		ix:      ix,
-		cur:     cur,
-		local:   localRestriction(q.Restriction, ix),
-		out:     out,
-		m:       m,
-		perStep: perStep,
+		q:     q,
+		ix:    ix,
+		cur:   cur,
+		local: localRestriction(q.Restriction, ix),
+		out:   out,
+		m:     m,
 	}, nil
 }
 
@@ -301,7 +297,7 @@ func (f *fscan) step() (bool, error) {
 		return true, nil
 	}
 	fetches := 0
-	for i := 0; i < f.perStep && fetches < 4; i++ {
+	for i := 0; i < stepEntries && fetches < 4; i++ {
 		key, rid, ok, err := f.cur.Next()
 		if err != nil {
 			return f.done, err

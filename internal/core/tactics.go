@@ -89,17 +89,17 @@ type retrieval struct {
 	// rounds so a cancelled query stops even while popping queued rows.
 	ec *ExecCtx
 	// trc stamps and fans out this retrieval's trace events; metrics is
-	// the optimizer's shared registry (nil for fixed plans).
+	// the optimizer's shared registry.
 	trc     *tracer
 	metrics *Metrics
 	// fb, when non-nil, receives this retrieval's estimated-vs-actual
 	// observations on completion (the feedback loop).
 	fb *feedback.Registry
-	// frozenReplay marks a plan-cache replay: it wins its tactic's
+	// pinned marks a pinned-plan replay (RunPlan): it wins its tactic's
 	// metric but feeds neither the estimate-error histogram nor the
-	// feedback registry — a replay's "estimate" is the cached plan
-	// itself, and folding it back in would only reinforce the cache.
-	frozenReplay bool
+	// feedback registry — a replay's "estimate" is the plan itself, and
+	// folding it back in would only reinforce it.
+	pinned bool
 
 	out *rowQueue
 
@@ -176,7 +176,7 @@ func (r *retrieval) fail(err error) error {
 			Kind: EvQueryCancelled, Tactic: r.tactic.String(), ActualIO: io,
 			Detail: err.Error(),
 		})
-		if r.metrics != nil && r.ec.markCancelRecorded() {
+		if r.ec.markCancelRecorded() {
 			r.metrics.recordCancellation(err)
 		}
 	}
@@ -572,10 +572,10 @@ func (r *retrieval) finalizeStats() {
 	// A cancelled retrieval is not a tactic win, and its truncated I/O
 	// would pollute the estimate-error histogram; it is counted by the
 	// cancellation counters instead.
-	if r.metrics != nil && !(r.err != nil && isCancellation(r.err)) {
-		r.metrics.recordRetrieval(r.tactic, &r.st, !r.frozenReplay)
+	if !(r.err != nil && isCancellation(r.err)) {
+		r.metrics.recordRetrieval(r.tactic, &r.st, !r.pinned)
 	}
-	if r.fb != nil && r.err == nil && !r.frozenReplay {
+	if r.fb != nil && r.err == nil && !r.pinned {
 		r.observeFeedback()
 	}
 }

@@ -50,7 +50,7 @@ type uscan struct {
 	recommendTscan bool
 	names          []string
 
-	// Batch scratch, sized to StepEntries on first use.
+	// Batch scratch, sized to stepEntries on first use.
 	batch []btree.Entry
 	obuf  []storage.RID
 }
@@ -230,17 +230,13 @@ func (u *uscan) step() (bool, error) {
 	}
 	leg := u.legs[u.idx]
 	if u.batch == nil {
-		n := u.cfg.StepEntries
-		if n < 1 {
-			n = 1
-		}
-		u.batch = make([]btree.Entry, n)
-		u.obuf = make([]storage.RID, 0, n)
+		u.batch = make([]btree.Entry, stepEntries)
+		u.obuf = make([]storage.RID, 0, stepEntries)
 	}
 	// Consume the step budget in leaf-sized batches; batches are sliced
 	// to the budget, never across it, so the competition check below
 	// fires at the same entry counts as per-entry iteration did.
-	budget := u.cfg.StepEntries
+	budget := stepEntries
 	for budget > 0 {
 		lim := budget
 		if lim > len(u.batch) {
@@ -289,7 +285,7 @@ func (u *uscan) step() (bool, error) {
 	// Two-stage competition: project the final union size; the
 	// guaranteed best is always Tscan (no intersection can improve
 	// a union mid-flight).
-	if !u.cfg.DisableCompetition && u.seen >= u.cfg.StepEntries {
+	if !u.cfg.DisableCompetition && u.seen >= stepEntries {
 		frac := float64(u.seen) / u.totalEst
 		if frac > 1 {
 			frac = 1

@@ -27,7 +27,7 @@ func TestUnionScanCorrectness(t *testing.T) {
 	sameMultiset(t, got, f.naive(t, q), "union scan")
 	st := rows.Stats()
 	if !strings.Contains(st.Strategy, "Uscan") {
-		t.Fatalf("expected a union scan, got %q (trace %v)", st.Strategy, st.Trace)
+		t.Fatalf("expected a union scan, got %q (trace %v)", st.Strategy, st.Trace())
 	}
 }
 
@@ -96,7 +96,7 @@ func TestUnionScanAbandonsToTscanWhenWide(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("expected union abandonment in trace: %v", st.Trace)
+		t.Fatalf("expected union abandonment in trace: %v", st.Trace())
 	}
 }
 

@@ -300,7 +300,7 @@ func TestQueryContextCancelMidStream(t *testing.T) {
 		}
 	}
 	if !found {
-		t.Fatalf("no query-cancelled event; trace: %v", st.Trace)
+		t.Fatalf("no query-cancelled event; trace: %v", st.Trace())
 	}
 	if err := res.Close(); err != nil {
 		t.Fatal(err)

@@ -52,7 +52,7 @@ func TestOrderByDescIndexIsCheapForTopK(t *testing.T) {
 	tab, _ := db.Catalog().Table("FAMILIES")
 	if c := db.Pool().Stats().IOCost(); c > int64(tab.Pages())/4 {
 		t.Fatalf("top-k DESC through the index cost %d I/Os (pages %d): %q / %v",
-			c, tab.Pages(), res.Stats().Strategy, res.Stats().Trace)
+			c, tab.Pages(), res.Stats().Strategy, res.Stats().Trace())
 	}
 }
 

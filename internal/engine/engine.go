@@ -379,7 +379,7 @@ func (s *Stmt) QueryContext(ctx context.Context, binds Binds) (*Result, error) {
 		if plan := cache.lookup(s.shape, q.Table); plan != nil {
 			// Warm path: replay the frozen plan, skipping estimation and
 			// competition. Drift demotion watches the replay's I/O.
-			rows = s.db.opt.RunFrozen(ec, &q, plan)
+			rows = s.db.opt.RunPlan(ec, &q, plan)
 			shape := s.shape
 			onDone = func(st *core.RetrievalStats, _ bool, err error) {
 				if isCancellation(err) {
@@ -399,12 +399,7 @@ func (s *Stmt) QueryContext(ctx context.Context, binds Binds) (*Result, error) {
 	} else {
 		rows = s.db.opt.RunExec(ec, &q)
 	}
-	res, err := newResult(s.db, s.compiled, rows)
-	if err != nil {
-		rows.Close()
-		release()
-		return nil, err
-	}
+	res := newResult(s.compiled, rows)
 	res.release = release
 	res.onDone = onDone
 	return res, nil
@@ -420,13 +415,7 @@ func (s *Stmt) queryJoin(ctx context.Context, bb expr.Bindings) (*Result, error)
 	if s.compiled.Explain {
 		return s.explainJoin(ec, &jq, s.compiled.Analyze)
 	}
-	rows := s.db.opt.RunJoin(ec, &jq)
-	res, err := newResult(s.db, s.compiled, rows)
-	if err != nil {
-		rows.Close()
-		return nil, err
-	}
-	return res, nil
+	return newResult(s.compiled, s.db.opt.RunJoin(ec, &jq, nil)), nil
 }
 
 // explainJoin describes the dynamic join run as (aspect, detail) rows:
@@ -437,20 +426,8 @@ func (s *Stmt) explainJoin(ec *core.ExecCtx, jq *core.JoinQuery, analyze bool) (
 	var st core.RetrievalStats
 	var delivered int64
 	if analyze {
-		rows := s.db.opt.RunJoin(ec, jq)
-		for {
-			_, ok, err := rows.Next()
-			if err != nil {
-				rows.Close()
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			delivered++
-		}
-		st = rows.Stats()
-		if err := rows.Close(); err != nil {
+		var err error
+		if delivered, st, err = finishExplained(s.db.opt.RunJoin(ec, jq, nil), true); err != nil {
 			return nil, err
 		}
 	} else {
@@ -490,22 +467,46 @@ func (s *Stmt) explainJoin(ec *core.ExecCtx, jq *core.JoinQuery, analyze bool) (
 		}
 	}
 	var staticPlan string
-	if plan, err := planner.PrepareJoin(core.NewExecCtx(context.Background(), 0), jq); err == nil {
+	switch plan, err := planner.PrepareJoin(ec, jq); {
+	case err == nil:
 		staticPlan = plan.String()
-	} else {
+	case isCancellation(err):
+		return nil, err
+	default:
 		staticPlan = "error: " + err.Error()
 	}
 	out = append(out, [2]string{"static optimizer would freeze", staticPlan})
+	return explainResult(out, &st), nil
+}
+
+// finishExplained ends an explained retrieval: under ANALYZE it is
+// drained to completion first, then closed either way. It returns the
+// rows delivered and the retrieval's final stats.
+func finishExplained(rows core.Rows, analyze bool) (delivered int64, st core.RetrievalStats, err error) {
+	if analyze {
+		for {
+			_, ok, err := rows.Next()
+			if err != nil {
+				rows.Close()
+				return 0, st, err
+			}
+			if !ok {
+				break
+			}
+			delivered++
+		}
+	}
+	st = rows.Stats()
+	return delivered, st, rows.Close()
+}
+
+// explainResult wraps (aspect, detail) pairs as an EXPLAIN result.
+func explainResult(out [][2]string, st *core.RetrievalStats) *Result {
 	exp := make([]expr.Row, len(out))
 	for i, kv := range out {
 		exp[i] = expr.Row{expr.Str(kv[0]), expr.Str(kv[1])}
 	}
-	return &Result{
-		rows:    nil,
-		columns: []string{"aspect", "detail"},
-		explain: exp,
-		expStat: &st,
-	}, nil
+	return &Result{columns: []string{"aspect", "detail"}, explain: exp, expStat: st}
 }
 
 // isCancellation reports whether err is an execution-context unwind
@@ -525,23 +526,8 @@ func isCancellation(err error) bool {
 // actually happened (winning strategy, rows delivered, attributed I/O)
 // and the event stream covers the whole competition.
 func (s *Stmt) explain(ec *core.ExecCtx, q *core.Query, analyze bool) (*Result, error) {
-	rows := s.db.opt.RunExec(ec, q)
-	var delivered int64
-	if analyze {
-		for {
-			_, ok, err := rows.Next()
-			if err != nil {
-				rows.Close()
-				return nil, err
-			}
-			if !ok {
-				break
-			}
-			delivered++
-		}
-	}
-	st := rows.Stats()
-	if err := rows.Close(); err != nil {
+	delivered, st, err := finishExplained(s.db.opt.RunExec(ec, q), analyze)
+	if err != nil {
 		return nil, err
 	}
 	out := [][2]string{
@@ -566,16 +552,7 @@ func (s *Stmt) explain(ec *core.ExecCtx, q *core.Query, analyze bool) (*Result, 
 		staticPlan = "error: " + err.Error()
 	}
 	out = append(out, [2]string{"static optimizer would freeze", staticPlan})
-	exp := make([]expr.Row, len(out))
-	for i, kv := range out {
-		exp[i] = expr.Row{expr.Str(kv[0]), expr.Str(kv[1])}
-	}
-	return &Result{
-		rows:    nil,
-		columns: []string{"aspect", "detail"},
-		explain: exp,
-		expStat: &st,
-	}, nil
+	return explainResult(out, &st), nil
 }
 
 // Freeze produces the static-optimizer baseline for this statement. If
@@ -595,7 +572,7 @@ func (s *Stmt) Freeze(binds Binds) (*FrozenStmt, error) {
 		return nil, err
 	}
 	if s.compiled.Join != nil {
-		return nil, fmt.Errorf("engine: multi-table statements cannot be frozen; use planner.PrepareJoin for the static baseline")
+		return nil, fmt.Errorf("engine: multi-table statements cannot be frozen; use planner.PrepareJoin and Optimizer.RunJoin for the static baseline")
 	}
 	tab := s.compiled.Query.Table
 	unlock := tab.RLock()
@@ -609,9 +586,7 @@ func (s *Stmt) Freeze(binds Binds) (*FrozenStmt, error) {
 		compiled: s.compiled,
 		Plan:     plan,
 		sniffed:  bb,
-		version:  tab.Version(),
-		epoch:    tab.StatsEpoch(),
-		card:     tab.Cardinality(),
+		stamp:    stampOf(tab),
 	}, nil
 }
 
@@ -636,9 +611,7 @@ type FrozenStmt struct {
 
 	mu      sync.Mutex
 	sniffed expr.Bindings // bindings the plan was sniffed with (nil = defaults)
-	version uint64        // table schema version at freeze
-	epoch   uint64        // table stats epoch at freeze
-	card    int64         // table cardinality at freeze
+	stamp   planStamp     // table state at freeze
 }
 
 // ensureFresh returns the plan to execute, re-preparing it first if the
@@ -648,7 +621,7 @@ func (f *FrozenStmt) ensureFresh() (*planner.Plan, error) {
 	tab := f.compiled.Query.Table
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if tab.Version() == f.version && !statsStale(tab, f.epoch, f.card) {
+	if f.stamp.fresh(tab) {
 		return f.Plan, nil
 	}
 	unlock := tab.RLock()
@@ -658,9 +631,7 @@ func (f *FrozenStmt) ensureFresh() (*planner.Plan, error) {
 		return nil, err
 	}
 	f.Plan = plan
-	f.version = tab.Version()
-	f.epoch = tab.StatsEpoch()
-	f.card = tab.Cardinality()
+	f.stamp = stampOf(tab)
 	return plan, nil
 }
 
@@ -671,7 +642,9 @@ func (f *FrozenStmt) Query(binds Binds) (*Result, error) {
 
 // QueryContext runs the frozen plan under an execution context, with
 // the same cancellation, budget, and admission semantics as
-// Stmt.QueryContext.
+// Stmt.QueryContext, on the database's own optimizer — so a frozen
+// query shows in DB.Metrics and reaches Options.Optimizer.Trace like
+// any other.
 func (f *FrozenStmt) QueryContext(ctx context.Context, binds Binds) (*Result, error) {
 	bb, err := binds.toBindings()
 	if err != nil {
@@ -687,13 +660,7 @@ func (f *FrozenStmt) QueryContext(ctx context.Context, binds Binds) (*Result, er
 	}
 	q := *f.compiled.Query
 	q.Binds = bb
-	rows := plan.ExecuteExec(core.NewExecCtx(ctx, 0), &q)
-	res, err := newResult(f.db, f.compiled, rows)
-	if err != nil {
-		rows.Close()
-		release()
-		return nil, err
-	}
+	res := newResult(f.compiled, f.db.opt.RunPlan(f.db.execCtx(ctx), &q, plan.Strategy))
 	res.release = release
 	return res, nil
 }
@@ -741,7 +708,7 @@ type Result struct {
 	iterErr error
 }
 
-func newResult(db *DB, c *sql.Compiled, rows core.Rows) (*Result, error) {
+func newResult(c *sql.Compiled, rows core.Rows) *Result {
 	r := &Result{rows: rows, count: c.CountStar, exists: c.Exists, agg: c.Agg}
 	switch {
 	case c.Exists:
@@ -763,7 +730,7 @@ func newResult(db *DB, c *sql.Compiled, rows core.Rows) (*Result, error) {
 			r.columns = append(r.columns, tab.Columns[ci].Name)
 		}
 	}
-	return r, nil
+	return r
 }
 
 // Columns returns the result column names.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"rdbdyn/internal/catalog"
-	"rdbdyn/internal/core"
 	"rdbdyn/internal/expr"
 )
 
@@ -93,7 +92,7 @@ func TestHostVariableReoptimizedPerRun(t *testing.T) {
 	}
 	// The two runs should have chosen different effective strategies.
 	if s1, s2 := res.Stats().Strategy, res2.Stats().Strategy; s1 == s2 {
-		t.Logf("strategies: %q vs %q (traces %v / %v)", s1, s2, res.Stats().Trace, res2.Stats().Trace)
+		t.Logf("strategies: %q vs %q (traces %v / %v)", s1, s2, res.Stats().Trace(), res2.Stats().Trace())
 		t.Fatal("expected different strategies for different bindings")
 	}
 }
@@ -173,7 +172,7 @@ func TestFrozenVsDynamicOnAdversarialBindings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if frozen.Plan.Strategy.Kind != core.StrategyFscan {
+	if frozen.Plan.Strategy.Tactic != "fscan" {
 		t.Fatalf("sniffed plan = %s, want Fscan", frozen.Plan)
 	}
 
@@ -251,7 +250,7 @@ func TestStatsExposeTacticAndTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := res.Stats()
-	if st.Tactic == "" || len(st.Trace) == 0 {
+	if st.Tactic == "" || len(st.Trace()) == 0 {
 		t.Fatalf("stats incomplete: %+v", st)
 	}
 }

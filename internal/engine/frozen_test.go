@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"rdbdyn/internal/catalog"
+	"rdbdyn/internal/core"
 	"rdbdyn/internal/expr"
 )
 
@@ -219,4 +222,88 @@ func recoverMetrics(db *DB) error {
 		return fmt.Errorf("no queries recorded")
 	}
 	return nil
+}
+
+// eventSink collects every event the DB-wide trace sink receives.
+type eventSink struct {
+	mu     sync.Mutex
+	events []core.TraceEvent
+}
+
+func (s *eventSink) Event(ev core.TraceEvent) {
+	s.mu.Lock()
+	s.events = append(s.events, ev)
+	s.mu.Unlock()
+}
+
+func (s *eventSink) forQuery(id uint64) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, ev := range s.events {
+		if ev.QueryID == id {
+			n++
+		}
+	}
+	return n
+}
+
+// Regression: FrozenStmt used to execute on a private default-configured
+// runner outside the DB's optimizer, so a frozen query was invisible to
+// DB.Metrics (no query counted, no cancellation recorded) and to the
+// DB-wide trace sink. It now replays through the DB's optimizer like
+// the plan cache does.
+func TestFrozenStmtRunsOnTheDBOptimizer(t *testing.T) {
+	sink := &eventSink{}
+	db := frozenFixture(t, 2000, Options{Optimizer: core.Config{Trace: sink}})
+	stmt, err := db.Prepare("SELECT * FROM F WHERE AGE >= :a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen, err := stmt.Freeze(Binds{"a": 995})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tactic := frozen.Plan.Strategy.Tactic
+
+	before := db.Metrics()
+	res, err := frozen.Query(Binds{"a": 990})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.All(); err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats()
+	after := db.Metrics()
+	if got := after.Queries - before.Queries; got != 1 {
+		t.Fatalf("frozen query moved Metrics.Queries by %d, want 1", got)
+	}
+	if got := after.TacticWins[tactic] - before.TacticWins[tactic]; got != 1 {
+		t.Fatalf("frozen %s query moved its tactic win count by %d, want 1", tactic, got)
+	}
+	if len(st.Events) == 0 {
+		t.Fatal("frozen query recorded no events")
+	}
+	if got := sink.forQuery(st.QueryID); got != len(st.Events) {
+		t.Fatalf("DB-wide trace sink saw %d of the frozen query's %d events", got, len(st.Events))
+	}
+
+	// A frozen query unwound by its budget is a recorded cancellation.
+	db.Pool().EvictAll()
+	before = db.Metrics()
+	res, err = frozen.QueryContext(core.WithIOBudget(context.Background(), 2), Binds{"a": 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.All(); !errors.Is(err, core.ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	}
+	after = db.Metrics()
+	if got := after.QueriesBudgetExceeded - before.QueriesBudgetExceeded; got != 1 {
+		t.Fatalf("budget-exceeded frozen query moved the cancellation counter by %d, want 1", got)
+	}
+	if n := db.Pool().PinnedPages(); n != 0 {
+		t.Fatalf("%d pins leaked", n)
+	}
 }

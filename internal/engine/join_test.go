@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -186,6 +188,43 @@ func TestEngineJoinPlainExplainDoesNotExecute(t *testing.T) {
 	}
 	if got := db.Metrics().JoinQueries; got != 0 {
 		t.Fatalf("plain EXPLAIN executed %d join queries", got)
+	}
+}
+
+// Regression: EXPLAIN of a join built its "static optimizer would
+// freeze" contrast under a background context, so that second estimation
+// pass ignored the caller's cancellation and I/O budget. The whole
+// EXPLAIN now runs under the statement's execution context.
+func TestEngineJoinExplainHonorsContext(t *testing.T) {
+	db := newJoinDB(t, 400, 4000, Options{})
+	// The indexed local restriction makes both estimation passes descend
+	// ORD_CUST_IX under the query's governor.
+	stmt, err := db.Prepare("EXPLAIN SELECT * FROM CUST JOIN ORD ON CUST.ID = ORD.CUST WHERE ORD.CUST < 200")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, tc := range []struct {
+		name  string
+		ctx   context.Context
+		want  error
+		maxIO int64
+	}{
+		{"cancelled context", cancelled, context.Canceled, 1}, // unwinds within one page access
+		{"1-page budget", core.WithIOBudget(context.Background(), 1), core.ErrBudgetExceeded, 2},
+	} {
+		db.Pool().EvictAll()
+		db.Pool().ResetStats()
+		if _, err := stmt.QueryContext(tc.ctx, nil); !errors.Is(err, tc.want) {
+			t.Fatalf("EXPLAIN under a %s: err = %v, want %v", tc.name, err, tc.want)
+		}
+		if got := db.Pool().Stats().IOCost(); got > tc.maxIO {
+			t.Fatalf("EXPLAIN under a %s spent %d I/O, want at most %d", tc.name, got, tc.maxIO)
+		}
+		if n := db.Pool().PinnedPages(); n != 0 {
+			t.Fatalf("%s: %d pins leaked", tc.name, n)
+		}
 	}
 }
 

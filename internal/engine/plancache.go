@@ -49,13 +49,11 @@ type cacheEntry struct {
 	key    string
 	lastFP string // fingerprint of the last dynamic run's captured plan
 	streak int    // consecutive dynamic runs with that fingerprint
-	plan   *core.CachedPlan
+	plan   *core.Plan
 
 	// Promotion-time state, for invalidation and drift detection.
-	baselineIO    int64  // attributed I/O of the promoting run
-	version       uint64 // table schema version
-	statsEpoch    uint64 // table stats epoch
-	cardAtPromote int64  // table cardinality
+	baselineIO int64     // attributed I/O of the promoting run
+	stamp      planStamp // table state at promotion
 }
 
 // planCache is the shape-keyed frozen-plan cache. All methods are safe
@@ -77,6 +75,25 @@ func newPlanCache(cfg PlanCacheConfig) *planCache {
 	return &planCache{cfg: cfg.withDefaults(), entries: map[string]*cacheEntry{}}
 }
 
+// planStamp records the table state a pinned plan was made against —
+// the one staleness rule FrozenStmt and the plan cache share.
+type planStamp struct {
+	version uint64 // table schema version
+	epoch   uint64 // table stats epoch
+	card    int64  // table cardinality
+}
+
+func stampOf(tab *catalog.Table) planStamp {
+	return planStamp{version: tab.Version(), epoch: tab.StatsEpoch(), card: tab.Cardinality()}
+}
+
+// fresh reports whether a plan stamped s may still run against tab: the
+// schema is unchanged (no index appeared or disappeared) and the
+// statistics have not drifted past the staleness threshold.
+func (s planStamp) fresh(tab *catalog.Table) bool {
+	return tab.Version() == s.version && !statsStale(tab, s.epoch, s.card)
+}
+
 // statsStale reports whether enough row mutations have landed since
 // epoch0 (when the table held card0 rows) to distrust decisions made
 // then: more than max(32, card0/5) inserts/updates/deletes.
@@ -92,7 +109,7 @@ func statsStale(tab *catalog.Table, epoch0 uint64, card0 int64) bool {
 // lookup returns the frozen plan for key, or nil on miss. A hit is
 // revalidated against the table first: a schema change or stats drift
 // demotes the entry back to dynamic execution on the spot.
-func (c *planCache) lookup(key string, tab *catalog.Table) *core.CachedPlan {
+func (c *planCache) lookup(key string, tab *catalog.Table) *core.Plan {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e := c.entries[key]
@@ -100,7 +117,7 @@ func (c *planCache) lookup(key string, tab *catalog.Table) *core.CachedPlan {
 		c.misses++
 		return nil
 	}
-	if tab.Version() != e.version || statsStale(tab, e.statsEpoch, e.cardAtPromote) {
+	if !e.stamp.fresh(tab) {
 		e.plan, e.streak, e.lastFP = nil, 0, ""
 		c.invalidations++
 		c.misses++
@@ -141,7 +158,7 @@ func (c *planCache) observeDynamic(key string, tab *catalog.Table, st *core.Retr
 		e = &cacheEntry{key: key}
 		c.entries[key] = e
 	}
-	if fp := plan.Fingerprint(); fp == e.lastFP {
+	if fp := plan.String(); fp == e.lastFP {
 		e.streak++
 	} else {
 		e.streak, e.lastFP = 1, fp
@@ -149,9 +166,7 @@ func (c *planCache) observeDynamic(key string, tab *catalog.Table, st *core.Retr
 	if e.plan == nil && e.streak >= c.cfg.PromoteAfter {
 		e.plan = plan
 		e.baselineIO = st.IO.IOCost()
-		e.version = tab.Version()
-		e.statsEpoch = tab.StatsEpoch()
-		e.cardAtPromote = tab.Cardinality()
+		e.stamp = stampOf(tab)
 		c.promotions++
 	}
 }

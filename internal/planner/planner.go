@@ -12,13 +12,15 @@
 //     freezes the resulting plan, which is catastrophic when later runs
 //     bind very different values (the paper's AGE >= :A1 example).
 //
-// Either way the frozen plan is executed via core.RunFixed for every
-// subsequent run.
+// Either way the frozen plan is a core.Plan — the same pinned-plan
+// representation the engine's plan cache captures — replayed through
+// Optimizer.RunPlan for every subsequent run.
 package planner
 
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"rdbdyn/internal/catalog"
 	"rdbdyn/internal/core"
@@ -35,37 +37,36 @@ const (
 
 // Plan is a frozen execution plan with its compile-time cost estimate.
 type Plan struct {
-	Strategy core.FixedStrategy
+	// Strategy is the pinned plan: tscan, or sscan/fscan over one index.
+	Strategy *core.Plan
 	// Cost is the mean-point I/O estimate that won plan selection.
 	Cost float64
 	// Selectivity is the estimated restriction selectivity used.
 	Selectivity float64
 }
 
+// String names the scan the way RetrievalStats.Strategy does:
+// "Tscan", "Fscan(AGE_IX)".
 func (p *Plan) String() string {
-	return fmt.Sprintf("%s (est cost %.0f, sel %.3f)", p.Strategy, p.Cost, p.Selectivity)
+	scan := p.Strategy.String()
+	return fmt.Sprintf("%s%s (est cost %.0f, sel %.3f)", strings.ToUpper(scan[:1]), scan[1:], p.Cost, p.Selectivity)
 }
 
-// Execute runs the frozen plan for one set of bindings.
-func (p *Plan) Execute(q *core.Query) core.Rows {
-	return core.RunFixed(q, p.Strategy, core.DefaultConfig())
-}
-
-// ExecuteExec runs the frozen plan under an execution context:
-// cancellation, deadline, and I/O budget unwind the retrieval exactly
-// as they do a dynamic one (nil ec = free).
-func (p *Plan) ExecuteExec(ec *core.ExecCtx, q *core.Query) core.Rows {
-	return core.RunFixedExec(ec, q, p.Strategy, core.DefaultConfig())
+// Execute runs the frozen plan for one set of bindings under an
+// execution context (nil ec = free), on a private optimizer with the
+// paper's default settings. The engine replays frozen statements on the
+// database's own optimizer instead (FrozenStmt).
+func (p *Plan) Execute(ec *core.ExecCtx, q *core.Query) core.Rows {
+	return core.NewOptimizer(core.Config{}).RunPlan(ec, q, p.Strategy)
 }
 
 // JoinPlan is a frozen multi-table plan: the greedy join order and
 // per-stage operator choices made once before execution, System R
 // style, and never revised mid-flight. The dynamic join path starts
 // from the same plan but keeps re-optimizing; this is the baseline it
-// competes against.
+// competes against — replay it with Optimizer.RunJoin(ec, jq, p.Plan).
 type JoinPlan struct {
-	jq  *core.JoinQuery
-	opt *core.Optimizer
+	jq *core.JoinQuery
 	// Plan is the frozen order and operator sequence.
 	Plan *core.JoinPlan
 }
@@ -75,22 +76,15 @@ type JoinPlan struct {
 // learns nothing between runs). The estimation I/O it spends descends
 // live B-trees, so call it with the same care as Prepare.
 func PrepareJoin(ec *core.ExecCtx, jq *core.JoinQuery) (*JoinPlan, error) {
-	opt := core.NewOptimizer(core.Config{})
-	plan, err := opt.PlanJoin(ec, jq)
+	plan, err := core.NewOptimizer(core.Config{}).PlanJoin(ec, jq)
 	if err != nil {
 		return nil, err
 	}
-	return &JoinPlan{jq: jq, opt: opt, Plan: plan}, nil
+	return &JoinPlan{jq: jq, Plan: plan}, nil
 }
 
 func (p *JoinPlan) String() string {
 	return fmt.Sprintf("%s (est I/O %.0f)", p.Plan.Describe(p.jq), p.Plan.EstIO)
-}
-
-// ExecuteExec replays the frozen join plan for one set of bindings,
-// with mid-flight re-optimization disabled.
-func (p *JoinPlan) ExecuteExec(ec *core.ExecCtx, jq *core.JoinQuery) core.Rows {
-	return p.opt.RunJoinPlan(ec, jq, p.Plan)
 }
 
 // Prepare chooses a plan with compile-time default selectivities (host
@@ -106,10 +100,7 @@ func PrepareSniffing(q *core.Query, binds expr.Bindings) (*Plan, error) {
 }
 
 func prepare(q *core.Query, binds expr.Bindings, sniff bool) (*Plan, error) {
-	if q.Table == nil {
-		return nil, fmt.Errorf("planner: query without table")
-	}
-	if err := expr.Validate(q.Restriction); err != nil {
+	if err := q.Validate(); err != nil {
 		return nil, err
 	}
 	model := estimate.CostModel{
@@ -120,7 +111,7 @@ func prepare(q *core.Query, binds expr.Bindings, sniff bool) (*Plan, error) {
 	needed := queryColumns(q)
 
 	best := &Plan{
-		Strategy:    core.FixedStrategy{Kind: core.StrategyTscan},
+		Strategy:    &core.Plan{Tactic: "tscan"},
 		Cost:        model.TscanCost(),
 		Selectivity: 1,
 	}
@@ -140,16 +131,16 @@ func prepare(q *core.Query, binds expr.Bindings, sniff bool) (*Plan, error) {
 		}
 		est := sel * rows
 		var cost float64
-		kind := core.StrategyFscan
+		tactic := "fscan"
 		if covering {
-			kind = core.StrategySscan
+			tactic = "sscan"
 			cost = model.SscanCost(est, ix.Tree.AvgLeafEntries(), ix.Tree.Height())
 		} else {
 			cost = model.FscanCost(est, ix.Tree.AvgLeafEntries(), ix.Tree.Height())
 		}
 		if cost < best.Cost {
 			best = &Plan{
-				Strategy:    core.FixedStrategy{Kind: kind, Index: ix},
+				Strategy:    &core.Plan{Tactic: tactic, Indexes: []string{ix.Name}},
 				Cost:        cost,
 				Selectivity: sel,
 			}

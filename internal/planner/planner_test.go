@@ -73,8 +73,8 @@ func TestPrepareDefaultsPickTscanForRangeOnParam(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 1/3 of 20000 rows via unclustered fetches dwarfs a Tscan.
-	if p.Strategy.Kind != core.StrategyTscan {
-		t.Fatalf("plan = %s, want Tscan", p)
+	if p.Strategy.Tactic != "tscan" {
+		t.Fatalf("plan = %s, want tscan", p)
 	}
 }
 
@@ -90,12 +90,12 @@ func TestPrepareDefaultsPickIndexForEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Strategy.Index == nil || p.Strategy.Index.Name != "ID_IX" {
+	if len(p.Strategy.Indexes) != 1 || p.Strategy.Indexes[0] != "ID_IX" {
 		t.Fatalf("plan = %s, want ID_IX", p)
 	}
 	// Covering projection: Sscan.
-	if p.Strategy.Kind != core.StrategySscan {
-		t.Fatalf("plan kind = %s, want Sscan", p.Strategy.Kind)
+	if p.Strategy.Tactic != "sscan" {
+		t.Fatalf("plan tactic = %s, want sscan", p.Strategy.Tactic)
 	}
 }
 
@@ -111,16 +111,16 @@ func TestPrepareSniffingFreezesFromFirstBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Strategy.Kind != core.StrategyFscan {
-		t.Fatalf("sniffed plan = %s, want Fscan", p)
+	if p.Strategy.Tactic != "fscan" {
+		t.Fatalf("sniffed plan = %s, want fscan", p)
 	}
 	// Sniffed with a non-selective binding: picks Tscan.
 	p2, err := PrepareSniffing(q, expr.Bindings{"A1": expr.Int(0)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2.Strategy.Kind != core.StrategyTscan {
-		t.Fatalf("sniffed plan = %s, want Tscan", p2)
+	if p2.Strategy.Tactic != "tscan" {
+		t.Fatalf("sniffed plan = %s, want tscan", p2)
 	}
 }
 
@@ -139,14 +139,14 @@ func TestFrozenPlanExecutesCorrectlyButExpensively(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Strategy.Kind != core.StrategyFscan {
+	if p.Strategy.Tactic != "fscan" {
 		t.Fatalf("sniffed plan = %s, want Fscan(AGE_IX)", p)
 	}
 	// Run the frozen plan with the adversarial binding A1=0.
 	q.Binds = expr.Bindings{"A1": expr.Int(0)}
 	pool2.EvictAll()
 	pool2.ResetStats()
-	got := drainRows(t, p.Execute(q))
+	got := drainRows(t, p.Execute(nil, q))
 	if len(got) != 20000 {
 		t.Fatalf("frozen plan returned %d rows, want 20000", len(got))
 	}
@@ -189,7 +189,12 @@ func buildBoundedTable(t testing.TB, n, frames int) (*catalog.Table, *storage.Bu
 	return tab, pool
 }
 
-func TestRunFixedSscanAndSorted(t *testing.T) {
+// pin builds the plan Prepare would for one tactic over one index.
+func pin(tactic string, indexes ...string) *Plan {
+	return &Plan{Strategy: &core.Plan{Tactic: tactic, Indexes: indexes}}
+}
+
+func TestExecuteSscanAndSorted(t *testing.T) {
 	tab, _ := buildTable(t, 5000)
 	id, _ := tab.ColumnIndex("ID")
 	age, _ := tab.ColumnIndex("AGE")
@@ -198,42 +203,41 @@ func TestRunFixedSscanAndSorted(t *testing.T) {
 		Restriction: expr.NewCmp(expr.LT, expr.Col(id, "ID"), expr.Lit(expr.Int(100))),
 		Projection:  []int{id},
 	}
-	ixID := tab.Indexes[0]
-	got := drainRows(t, core.RunFixed(q, core.FixedStrategy{Kind: core.StrategySscan, Index: ixID}, core.DefaultConfig()))
+	ixID := tab.Indexes[0].Name
+	got := drainRows(t, pin("sscan", ixID).Execute(nil, q))
 	if len(got) != 100 {
 		t.Fatalf("Sscan returned %d rows", len(got))
 	}
-	// ORDER BY AGE with an ID index: RunFixed must sort.
+	// ORDER BY AGE with an ID index: the replay must sort.
 	q2 := &core.Query{
 		Table:       tab,
 		Restriction: expr.NewCmp(expr.LT, expr.Col(id, "ID"), expr.Lit(expr.Int(500))),
 		OrderBy:     []int{age},
 	}
-	rows := drainRows(t, core.RunFixed(q2, core.FixedStrategy{Kind: core.StrategyFscan, Index: ixID}, core.DefaultConfig()))
+	rows := drainRows(t, pin("fscan", ixID).Execute(nil, q2))
 	if len(rows) != 500 {
 		t.Fatalf("sorted Fscan returned %d rows", len(rows))
 	}
 	if !sort.SliceIsSorted(rows, func(i, j int) bool { return rows[i][age].I < rows[j][age].I }) {
-		t.Fatal("RunFixed did not sort")
+		t.Fatal("pinned fscan did not sort")
 	}
 }
 
-func TestRunFixedEmptyRangeAndErrors(t *testing.T) {
+func TestExecuteEmptyRangeAndErrors(t *testing.T) {
 	tab, _ := buildTable(t, 100)
 	id, _ := tab.ColumnIndex("ID")
 	q := &core.Query{
 		Table:       tab,
 		Restriction: expr.NewCmp(expr.EQ, expr.Col(id, "ID"), expr.Lit(expr.Int(-5))),
 	}
-	ixID := tab.Indexes[0]
-	got := drainRows(t, core.RunFixed(q, core.FixedStrategy{Kind: core.StrategyFscan, Index: ixID}, core.DefaultConfig()))
+	got := drainRows(t, pin("fscan", tab.Indexes[0].Name).Execute(nil, q))
 	if len(got) != 0 {
 		t.Fatalf("empty range returned %d rows", len(got))
 	}
-	if _, _, err := core.RunFixed(q, core.FixedStrategy{Kind: core.StrategySscan}, core.DefaultConfig()).Next(); err == nil {
+	if _, _, err := pin("sscan").Execute(nil, q).Next(); err == nil {
 		t.Fatal("Sscan without index accepted")
 	}
-	if _, _, err := core.RunFixed(&core.Query{}, core.FixedStrategy{}, core.DefaultConfig()).Next(); err == nil {
+	if _, _, err := pin("tscan").Execute(nil, &core.Query{}).Next(); err == nil {
 		t.Fatal("nil table accepted")
 	}
 }
