@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"sort"
+	"sync/atomic"
 
 	"rdbdyn/internal/expr"
 	"rdbdyn/internal/rid"
@@ -31,20 +32,34 @@ const finalPrefetchWindow = 8
 // an exact compressed bitmap of its RID buffer.
 type finalStage struct {
 	q       *Query
-	rids    []storage.RID
-	pos     int
+	c       fetchCursor           // the stepping path's position over the whole list
 	exclude *rid.CompressedBitmap // foreground-delivered RIDs; may be nil
 	out     *rowQueue
 	m       meter
 
-	run     []storage.RID // same-page run scratch
-	pfbuf   []storage.PageID
-	pfPos   int      // rids index the prefetcher has examined (monotonic)
-	scratch expr.Row // decode scratch; delivered rows are copied out
-
 	workers int // intra-query worker budget (see parallel.go)
 	parDone bool
 	done    bool
+}
+
+// fetchCursor is one consumer's position in a slice of the sorted RID
+// list, with the scratch the fetch kernel needs: the stepping path owns
+// one over the whole list, each partition worker one over its chunk.
+type fetchCursor struct {
+	rids    []storage.RID
+	pos     int
+	pfPos   int              // rids index the prefetcher has examined (monotonic)
+	run     []storage.RID    // same-page run scratch
+	pfbuf   []storage.PageID // prefetch batch scratch
+	scratch expr.Row         // decode scratch; delivered rows are copied out
+}
+
+func newFetchCursor(rids []storage.RID) fetchCursor {
+	return fetchCursor{
+		rids:  rids,
+		run:   make([]storage.RID, 0, finalFetchBudget),
+		pfbuf: make([]storage.PageID, 0, finalPrefetchWindow),
+	}
 }
 
 func newFinalStage(ec *ExecCtx, q *Query, c *rid.Container, delivered []storage.RID, out *rowQueue, workers int) (*finalStage, error) {
@@ -55,16 +70,13 @@ func newFinalStage(ec *ExecCtx, q *Query, c *rid.Container, delivered []storage.
 	if err != nil {
 		return nil, err
 	}
-	// Union scans may deliver the same RID through several legs; the
-	// sorted order makes duplicates adjacent.
-	rids = dedupSorted(rids)
 	f := &finalStage{
-		q:       q,
-		rids:    rids,
+		q: q,
+		// Union scans may deliver the same RID through several legs; the
+		// sorted order makes duplicates adjacent.
+		c:       newFetchCursor(dedupSorted(rids)),
 		out:     out,
 		m:       newMeter(ec),
-		run:     make([]storage.RID, 0, finalFetchBudget),
-		pfbuf:   make([]storage.PageID, 0, finalPrefetchWindow),
 		workers: workers,
 	}
 	if len(delivered) > 0 {
@@ -83,24 +95,35 @@ func (f *finalStage) step() (bool, error) {
 	}
 	// Eager partitioned fetch: only without a row limit (an eager fetch
 	// cannot stop early) and only from a fresh position.
-	if f.workers > 1 && f.q.Limit == 0 && f.pos == 0 && !f.parDone {
+	if f.workers > 1 && f.q.Limit == 0 && f.c.pos == 0 && !f.parDone {
 		f.parDone = true
 		if handled, err := f.runParallelFetch(); handled || err != nil {
 			return f.done, err
 		}
 	}
-	f.prefetchAhead()
-	for fetches := 0; fetches < finalFetchBudget; {
-		// Collect the next same-page run of non-excluded RIDs, capped by
-		// the remaining fetch budget (a run split across steps costs the
-		// same: the page is resident, so the re-fetch is a hit — exactly
-		// the hit per-record fetching would charge).
-		run := f.run[:0]
+	done, err := f.fetch(&f.c, f.m.tr, finalFetchBudget, nil, f.out)
+	f.done = done
+	return f.done, err
+}
+
+// fetch is the final-fetch kernel: same-page runs of c's non-excluded
+// RIDs, each span-fetched once, decoded into scratch, re-checked against
+// the full restriction and delivered in RID order, with the prefetch
+// window staged ahead of every run. The stepping path runs it with its
+// per-step record-access budget, which also caps the run length (a run
+// split across steps costs the same: the page is resident, so the
+// re-fetch is a hit — exactly the hit per-record fetching would charge);
+// partition workers run it unbounded (budget 0) over their chunk,
+// polling stop. done reports that c is exhausted.
+func (f *finalStage) fetch(c *fetchCursor, tr *storage.Tracker, budget int, stop *atomic.Bool, out *rowQueue) (done bool, _ error) {
+	for fetches := 0; (budget == 0 || fetches < budget) && !stopped(stop); {
+		c.prefetchAhead(f.q.Table.Pool())
+		run := c.run[:0]
 		var page storage.PageID
-		for f.pos < len(f.rids) && len(run) < finalFetchBudget-fetches {
-			r := f.rids[f.pos]
+		for c.pos < len(c.rids) && (budget == 0 || len(run) < budget-fetches) {
+			r := c.rids[c.pos]
 			if f.exclude != nil && f.exclude.MayContain(r) {
-				f.pos++
+				c.pos++
 				continue
 			}
 			if len(run) > 0 && r.Page != page {
@@ -108,71 +131,68 @@ func (f *finalStage) step() (bool, error) {
 			}
 			page = r.Page
 			run = append(run, r)
-			f.pos++
+			c.pos++
 		}
 		if len(run) == 0 {
-			f.done = true
 			return true, nil
 		}
-		p, err := f.q.Table.Heap.GetSpanTracked(page, len(run), f.m.tr)
+		c.run = run
+		p, err := f.q.Table.Heap.GetSpanTracked(page, len(run), tr)
 		if err != nil {
-			return f.done, err
+			return false, err
 		}
 		for _, r := range run {
 			rec, err := p.Get(r.Slot)
 			if err != nil {
-				return f.done, err
+				return false, err
 			}
-			row, err := expr.DecodeRowInto(rec, f.scratch)
+			row, err := expr.DecodeRowInto(rec, c.scratch)
 			if err != nil {
-				return f.done, err
+				return false, err
 			}
-			f.scratch = row
+			c.scratch = row
 			keep, err := expr.EvalPred(f.q.Restriction, row, f.q.Binds)
 			if err != nil {
-				return f.done, err
+				return false, err
 			}
 			if keep {
-				f.deliver(row)
+				// The row aliases the decode scratch, so a nil projection
+				// (which would hand the row out as-is) forces a copy; a
+				// real projection already copies the values it selects.
+				if f.q.Projection == nil {
+					row = append(expr.Row(nil), row...)
+				}
+				out.push(f.q.project(row))
 			}
 		}
 		fetches += len(run)
 	}
-	return f.done, nil
-}
-
-// deliver pushes a kept row. The row aliases the decode scratch, so a
-// nil projection (which would hand the row out as-is) forces a copy;
-// a real projection already copies the values it selects.
-func (f *finalStage) deliver(row expr.Row) {
-	if f.q.Projection == nil {
-		row = append(expr.Row(nil), row...)
-	}
-	f.out.push(f.q.project(row))
+	return false, nil
 }
 
 // prefetchAhead stages the pages of upcoming RID runs, up to
-// finalPrefetchWindow pages per step. The watermark advances
-// monotonically, so across the stage's whole life every RID is examined
-// once and every distinct page is offered to the prefetcher once.
-func (f *finalStage) prefetchAhead() {
-	if f.pfPos < f.pos {
-		f.pfPos = f.pos
+// finalPrefetchWindow pages per call (accounting-free; see
+// BufferPool.Prefetch). The watermark advances monotonically, so across
+// the cursor's whole life every RID is examined once and every distinct
+// page is offered to the prefetcher once.
+func (c *fetchCursor) prefetchAhead(pool *storage.BufferPool) {
+	if c.pfPos < c.pos {
+		c.pfPos = c.pos
 	}
-	if f.pfPos >= len(f.rids) {
+	if c.pfPos >= len(c.rids) {
 		return
 	}
-	buf := f.pfbuf[:0]
+	buf := c.pfbuf[:0]
 	var last storage.PageID
-	for f.pfPos < len(f.rids) && len(buf) < finalPrefetchWindow {
-		pg := f.rids[f.pfPos].Page
+	for c.pfPos < len(c.rids) && len(buf) < finalPrefetchWindow {
+		pg := c.rids[c.pfPos].Page
 		if len(buf) == 0 || pg != last {
 			buf = append(buf, pg)
 			last = pg
 		}
-		f.pfPos++
+		c.pfPos++
 	}
-	f.q.Table.Pool().Prefetch(buf)
+	pool.Prefetch(buf)
 }
 
 // sortRows orders rows by the given column positions ascending (the

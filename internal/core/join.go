@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"rdbdyn/internal/catalog"
 	"rdbdyn/internal/estimate"
@@ -542,10 +543,28 @@ func (je *joinExec) buildBitmap(t int, m *meter) (*rid.CompressedBitmap, error) 
 	return rid.FromRIDs(rids), nil
 }
 
+// probeWidth resolves a join probe's worker width. Probes fan out only
+// under adaptive mode — the static knob never touched joins, and keeps
+// not touching them — and only when there are outer rows to split.
+func (je *joinExec) probeWidth(scan string, estIO float64, outer int) int {
+	if !je.o.cfg.AdaptiveParallelism || je.o.cfg.effectiveWorkers() < 2 || outer < 2 {
+		return 1
+	}
+	return decideWidth(je.o.cfg, je.ec, je.trc, scan, estIO)
+}
+
 // execProbe joins by probing the inner index once per outer row,
 // optionally filtering candidate RIDs through a restriction bitmap
-// before fetching. Returns fellBack=true when the mid-stage checkpoint
-// decides a nested loop would be cheaper (partial output discarded).
+// before fetching. Outer rows are processed in rounds of
+// width·joinReoptCheckEvery: within a round each worker probes a
+// contiguous chunk on its own tracker and the outputs concatenate in
+// chunk order, so every width delivers the sequential probe order; at
+// width 1 the round is the sequential loop itself, inline on the stage
+// meter. Between rounds the mid-stage checkpoint (Section 6's direct
+// competition, applied to a join stage) extrapolates the remaining probe
+// cost from what probing has charged so far and compares it to scanning
+// the inner once. Returns fellBack=true when it decides the scan would
+// be cheaper (partial output discarded).
 func (je *joinExec) execProbe(sg *JoinStagePlan, preds []stagePred, outer []expr.Row, filter *rid.CompressedBitmap, m *meter) (_ []expr.Row, fellBack bool, _ error) {
 	t := sg.Table
 	tab := je.jq.Tables[t]
@@ -564,36 +583,53 @@ func (je *joinExec) execProbe(sg *JoinStagePlan, preds []stagePred, outer []expr
 	if probe == -1 {
 		return nil, false, fmt.Errorf("core: no join predicate drives probe index %s.%s", tab.Name, sg.Index)
 	}
-	if handled, pout, fellBack, err := je.execProbeParallel(sg, preds, probe, ix, outer, filter, m); handled {
-		return pout, fellBack, err
-	}
 	local := je.jq.Local[t]
 	off := je.offs[t]
-	var out []expr.Row
-	var err error
-	for oi, orow := range outer {
-		// Mid-stage checkpoint: extrapolate the remaining probe cost
-		// from what probing has actually charged so far and compare to
-		// scanning the inner once.
-		if je.dynamic && oi >= joinReoptMinProbes && oi%joinReoptCheckEvery == 0 {
-			avg := m.cost() / float64(oi)
-			remaining := float64(len(outer) - oi)
+	// Appraised probe work: one descent plus roughly one fetch per
+	// outer row.
+	width := je.probeWidth("JoinProbe", float64(len(outer))*(float64(ix.Tree.Height())+1), len(outer))
+	round := width * joinReoptCheckEvery
+	// outs[0] is the stage output itself: worker 0 appends to it in
+	// place, later workers' rows are appended behind it at the barrier.
+	outs := make([][]expr.Row, width)
+	var chunk []expr.Row
+	var k int
+	work := func(i int, tr *storage.Tracker, stop *atomic.Bool) error {
+		for _, orow := range chunk[i*len(chunk)/k : (i+1)*len(chunk)/k] {
+			if stop.Load() {
+				break
+			}
+			var err error
+			if outs[i], err = je.probeOne(outs[i], orow, preds, probe, tab, ix, local, off, filter, tr); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	for start := 0; start < len(outer); start += round {
+		if je.dynamic && start >= joinReoptMinProbes {
+			avg := m.cost() / float64(start)
+			remaining := float64(len(outer) - start)
 			if avg*remaining > JoinReoptFactor*je.jts[t].Pages {
 				return nil, true, nil
 			}
 		}
-		out, err = je.probeOne(out, orow, preds, probe, tab, ix, local, off, filter, m.tr)
-		if err != nil {
+		chunk = outer[start:min(start+round, len(outer))]
+		k = min(width, len(chunk))
+		if err := fanOut(m.tr, k, work); err != nil {
 			return nil, false, err
 		}
+		for i := 1; i < k; i++ {
+			outs[0] = append(outs[0], outs[i]...)
+			outs[i] = outs[i][:0]
+		}
 	}
-	return out, false, nil
+	return outs[0], false, nil
 }
 
-// probeOne probes the inner index for one outer row, appending matches
-// to out. All charged I/O goes to tr, so the partitioned probe path can
-// run probeOne on per-worker trackers while the sequential path passes
-// the stage meter's.
+// probeOne is the inl/ridx probe kernel: it probes the inner index for
+// one outer row, appending matches to out. All charged I/O goes to tr —
+// a worker's own tracker, or the stage meter's at width 1.
 func (je *joinExec) probeOne(out []expr.Row, orow expr.Row, preds []stagePred, probe int, tab *catalog.Table, ix *catalog.Index, local expr.Expr, off int, filter *rid.CompressedBitmap, tr *storage.Tracker) ([]expr.Row, error) {
 	v := orow[preds[probe].outerPos]
 	if v.IsNull() {

@@ -576,9 +576,12 @@ func TestHashJoinEquivalence(t *testing.T) {
 
 // TestHashJoinParallelProbe forces hj under adaptive parallelism and
 // checks the chunked parallel probe returns the same multiset as the
-// sequential run.
+// sequential run — and that the probe really fanned out, so the test
+// cannot pass on the sequential path.
 func TestHashJoinParallelProbe(t *testing.T) {
-	f := newJoinFixture(t, 100, 600, 20, 0, true)
+	// 1000 outer rows: enough CPU-in-I/O cost for the policy to leave
+	// width 1 (100 rows price at 2 units and stay sequential).
+	f := newJoinFixture(t, 1000, 2000, 20, 0, true)
 	jq := f.custOrdQuery(nil)
 	want := oracleJoin(t, jq, [][]expr.Row{f.custRows, f.ordRows})
 	o := NewOptimizer(Config{AdaptiveParallelism: true, Parallelism: 8})
@@ -586,8 +589,11 @@ func TestHashJoinParallelProbe(t *testing.T) {
 		{Table: 0, Operator: "tscan", EstRows: float64(f.nCust)},
 		{Table: 1, Operator: JoinOpHJ, EstRows: 1},
 	}}
-	got, _ := drainJoin(t, o.RunJoin(nil, f.custOrdQuery(nil), plan))
+	got, st := drainJoin(t, o.RunJoin(nil, f.custOrdQuery(nil), plan))
 	assertSameRows(t, "parallel-probe", got, want)
+	if ev := widthEvent(st, "HashProbe"); ev == nil || ev.Width < 2 {
+		t.Fatalf("hj probe did not fan out; trace: %v", st.Trace())
+	}
 }
 
 // TestHashJoinDynamicPick joins on a column with no probe index

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"rdbdyn/internal/catalog"
 	"rdbdyn/internal/estimate"
@@ -79,15 +79,28 @@ func (je *joinExec) execHJ(sg *JoinStagePlan, preds []stagePred, outer []expr.Ro
 		return nil, m.io(), err
 	}
 
-	if handled, out := je.hjProbeParallel(ht, preds, outerCols, outer, off); handled {
-		return out, m.io(), nil
+	// The probe charges no I/O, so the width policy prices it through the
+	// CPU-in-I/O currency — small probe sides stay sequential. Contiguous
+	// outer chunks probe the shared read-only table concurrently and
+	// concatenate in chunk order, matching the sequential probe exactly;
+	// the probe work cannot fail, so fanOut's error is always nil.
+	width := je.probeWidth("HashProbe", estimate.JoinCPUCost(float64(len(outer))), len(outer))
+	k := min(width, max(1, len(outer)))
+	outs := make([][]expr.Row, k)
+	_ = fanOut(m.tr, k, func(i int, _ *storage.Tracker, _ *atomic.Bool) error {
+		outs[i] = hjProbeChunk(ht, preds, outerCols, outer[i*len(outer)/k:(i+1)*len(outer)/k], off)
+		return nil
+	})
+	out := outs[0]
+	for _, o := range outs[1:] {
+		out = append(out, o...)
 	}
-	out := hjProbeChunk(ht, preds, outerCols, outer, off)
 	return out, m.io(), nil
 }
 
-// hjProbeChunk probes the (read-only) hash table for a contiguous run
-// of outer rows, preserving outer order in the output.
+// hjProbeChunk is the hj probe kernel: it probes the (read-only) hash
+// table for a contiguous run of outer rows, preserving outer order in
+// the output.
 func hjProbeChunk(ht map[string][]expr.Row, preds []stagePred, outerCols []int, outer []expr.Row, off int) []expr.Row {
 	var out []expr.Row
 	var kbuf []byte
@@ -104,40 +117,4 @@ func hjProbeChunk(ht map[string][]expr.Row, preds []stagePred, outerCols []int, 
 		}
 	}
 	return out
-}
-
-// hjProbeParallel fans the CPU-only probe phase across workers under
-// adaptive parallelism: contiguous outer chunks probe the shared
-// read-only hash table concurrently and the per-chunk outputs
-// concatenate in chunk order, matching the sequential probe exactly.
-// The probe charges no I/O, so the width policy prices it through the
-// CPU-in-I/O currency — small probe sides stay sequential.
-func (je *joinExec) hjProbeParallel(ht map[string][]expr.Row, preds []stagePred, outerCols []int, outer []expr.Row, off int) (handled bool, _ []expr.Row) {
-	if !je.o.cfg.AdaptiveParallelism || je.o.cfg.effectiveWorkers() < 2 || len(outer) < 2 {
-		return false, nil
-	}
-	estIO := estimate.JoinCPUCost(float64(len(outer)))
-	width := decideWidth(je.o.cfg, je.ec, je.trc, "HashProbe", estIO)
-	if width < 2 {
-		return false, nil
-	}
-	k := width
-	if k > len(outer) {
-		k = len(outer)
-	}
-	outs := make([][]expr.Row, k)
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int, rows []expr.Row) {
-			defer wg.Done()
-			outs[i] = hjProbeChunk(ht, preds, outerCols, rows, off)
-		}(i, outer[i*len(outer)/k:(i+1)*len(outer)/k])
-	}
-	wg.Wait()
-	var out []expr.Row
-	for i := range outs {
-		out = append(out, outs[i]...)
-	}
-	return true, out
 }

@@ -197,13 +197,9 @@ func (j *jscan) step() (bool, error) {
 	if j.done {
 		return true, nil
 	}
-	if j.race != nil {
-		return j.done, j.stepAnyRace()
-	}
-	if j.cur == nil {
-		if !j.startNextScan() {
-			j.finish()
-			return j.done, nil
+	if j.race == nil && j.cur == nil {
+		if err := j.nextScan(); err != nil || j.done {
+			return j.done, err
 		}
 	}
 	if j.race != nil {
@@ -244,10 +240,22 @@ func (j *jscan) finish() {
 	}
 }
 
+// nextScan moves on to the next worthwhile index or race, concluding
+// the joint scan when none remains.
+func (j *jscan) nextScan() error {
+	started, err := j.startNextScan()
+	if err == nil && !started {
+		j.finish()
+	}
+	return err
+}
+
 // startNextScan advances to the next worthwhile index and opens its
 // cursor; it returns false when no indexes remain. It may instead start
-// a race when the next two estimates are too close to call.
-func (j *jscan) startNextScan() bool {
+// a race when the next two estimates are too close to call. A seek that
+// fails is an error, never "index skipped": the scan must not go on to
+// conclude anything from a list it could not read.
+func (j *jscan) startNextScan() (bool, error) {
 	for j.idx < len(j.ests) {
 		e := j.ests[j.idx]
 		// Pre-check: an index whose scan alone is projected to exceed
@@ -266,26 +274,26 @@ func (j *jscan) startNextScan() bool {
 		if j.cfg.RaceFactor > 0 && j.idx+1 < len(j.ests) {
 			n := j.ests[j.idx+1]
 			if n.RIDs <= j.cfg.RaceFactor*e.RIDs && !e.Exact {
-				if j.startRace(e, n) {
-					j.idx += 2
-					return true
+				if err := j.startRace(e, n); err != nil {
+					return false, err
 				}
+				j.idx += 2
+				return true, nil
 			}
 		}
-		if !j.openSequential(e) {
-			j.idx++
-			continue
+		if err := j.openSequential(e); err != nil {
+			return false, err
 		}
 		j.idx++
-		return true
+		return true, nil
 	}
-	return false
+	return false, nil
 }
 
-func (j *jscan) openSequential(e estimate.IndexEstimate) bool {
+func (j *jscan) openSequential(e estimate.IndexEstimate) error {
 	cur, err := e.Index.Tree.SeekTracked(e.Lo, e.Hi, j.m.tr)
 	if err != nil {
-		return false
+		return err
 	}
 	j.cur = cur
 	j.curIx = e.Index
@@ -305,7 +313,7 @@ func (j *jscan) openSequential(e estimate.IndexEstimate) bool {
 		ActualIO:    j.m.cost(),
 		Detail:      fmt.Sprintf("est %.0f rids", e.RIDs),
 	})
-	return true
+	return nil
 }
 
 // ensureBuffers sizes the shared batch scratch to one step.
@@ -374,7 +382,7 @@ func (j *jscan) stepSequential() error {
 				EstimatedIO: projFinal, ActualIO: j.m.cost(),
 				Detail: fmt.Sprintf("proj final %.0f, scan cost %.0f, best %.0f", projFinal, scanCost, j.currentGuaranteedBest()),
 			})
-			j.abandonCurrent()
+			return j.abandonCurrent()
 		}
 	}
 	return nil
@@ -419,14 +427,11 @@ func (j *jscan) completeScan() error {
 	}
 	j.cur = nil
 	j.list = nil
-	if !j.startNextScan() {
-		j.finish()
-	}
-	return nil
+	return j.nextScan()
 }
 
 // abandonCurrent discards the in-flight scan and moves on.
-func (j *jscan) abandonCurrent() {
+func (j *jscan) abandonCurrent() error {
 	j.closeBorrow()
 	if j.list != nil {
 		j.list.Discard()
@@ -436,22 +441,21 @@ func (j *jscan) abandonCurrent() {
 	}
 	j.cur = nil
 	j.list = nil
-	if !j.startNextScan() {
-		j.finish()
-	}
+	return j.nextScan()
 }
 
-// startRace opens simultaneous cursors on two adjacent indexes. It
-// returns false when either cursor fails to open (falls back to
-// sequential scanning).
-func (j *jscan) startRace(a, b estimate.IndexEstimate) bool {
-	legA, ok := j.openLeg(a)
-	if !ok {
-		return false
+// startRace opens simultaneous cursors on two adjacent indexes. When
+// the second seek fails the first leg's cursor is closed before the
+// error is returned: no race state exists yet for bgKill to find it.
+func (j *jscan) startRace(a, b estimate.IndexEstimate) error {
+	legA, err := j.openLeg(a)
+	if err != nil {
+		return err
 	}
-	legB, ok := j.openLeg(b)
-	if !ok {
-		return false
+	legB, err := j.openLeg(b)
+	if err != nil {
+		legA.cur.Close()
+		return err
 	}
 	j.race = &raceState{a: legA, b: legB}
 	// Racing steals the borrow stream's stability; close it.
@@ -460,10 +464,10 @@ func (j *jscan) startRace(a, b estimate.IndexEstimate) bool {
 		Kind: EvRaceStarted, Scan: j.name(), Indexes: []string{a.Index.Name, b.Index.Name},
 		Detail: fmt.Sprintf("est %.0f vs %.0f rids", a.RIDs, b.RIDs),
 	})
-	return true
+	return nil
 }
 
-func (j *jscan) openLeg(e estimate.IndexEstimate) (raceLeg, bool) {
+func (j *jscan) openLeg(e estimate.IndexEstimate) (raceLeg, error) {
 	// On the goroutine race path each leg charges its own tracker
 	// (merged at the race barrier); the interleaved path keeps the
 	// shared meter, whose half-split approximates per-leg cost.
@@ -475,7 +479,7 @@ func (j *jscan) openLeg(e estimate.IndexEstimate) (raceLeg, bool) {
 	}
 	cur, err := e.Index.Tree.SeekTracked(e.Lo, e.Hi, tr)
 	if err != nil {
-		return raceLeg{}, false
+		return raceLeg{}, err
 	}
 	re := e.RIDs
 	if re < 1 {
@@ -488,7 +492,7 @@ func (j *jscan) openLeg(e estimate.IndexEstimate) (raceLeg, bool) {
 		rangeEst: re,
 		cost0:    j.m.total(),
 		tr:       legTr,
-	}, true
+	}, nil
 }
 
 // stepRace advances both racing legs half a step each. The race ends
@@ -544,43 +548,65 @@ func (j *jscan) stepRace() error {
 			}
 		}
 	}
+	var win *raceLeg
+	if r.a.done {
+		win = &r.a
+	} else if r.b.done {
+		win = &r.b
+	}
+	return j.resolveRace(win)
+}
+
+// resolveRace is the race endgame, shared by the interleaved and the
+// goroutine scheduler. The race ends when a leg completed its range —
+// win, named by the scheduler, which alone knows who finished first: it
+// becomes the new list and the loser's partial list is refiltered and
+// continued — when competition killed both legs, or when a leg filled
+// the in-memory RID budget. Otherwise (interleaved scheduler only) the
+// race goes on.
+func (j *jscan) resolveRace(win *raceLeg) error {
+	r := j.race
+	a, b := &r.a, &r.b
+	full := func(l *raceLeg) bool { return len(l.rids) >= j.cfg.RID.MemBudget }
 	switch {
-	case r.a.done || r.b.done:
-		winner, loser := &r.a, &r.b
-		if r.b.done && !r.a.done {
-			winner, loser = &r.b, &r.a
+	case win != nil:
+		loser := a
+		if win == a {
+			loser = b
 		}
 		j.race = nil
-		if err := j.adoptRaceWinner(winner); err != nil {
+		if err := j.adoptRaceWinner(win); err != nil {
 			// The loser will not be continued; release its pin before
 			// surfacing the error (Close is idempotent for dead legs).
 			loser.cur.Close()
 			return err
 		}
 		if !loser.dead {
-			j.continueLoser(loser)
-		} else if j.cur == nil {
-			if !j.startNextScan() {
-				j.finish()
-			}
+			return j.continueLoser(loser)
 		}
-	case r.a.dead && r.b.dead:
+		if j.cur == nil {
+			return j.nextScan()
+		}
+	case a.dead && b.dead:
 		j.race = nil
 		j.trc.emit(TraceEvent{
-			Kind: EvRaceResolved, Scan: j.name(), Indexes: []string{r.a.ix.Name, r.b.ix.Name},
+			Kind: EvRaceResolved, Scan: j.name(), Indexes: []string{a.ix.Name, b.ix.Name},
 			ActualIO: j.m.cost(), Detail: "both race legs abandoned",
 		})
-		if !j.startNextScan() {
-			j.finish()
-		}
-	case len(r.a.rids) >= j.cfg.RID.MemBudget || len(r.b.rids) >= j.cfg.RID.MemBudget:
+		return j.nextScan()
+	case full(a) || full(b):
 		// The race must not continue beyond the memory buffer
 		// (Section 6); call it for the shorter list and continue that
 		// leg sequentially, dropping the other (it will not be
 		// rescanned: its projection was clearly unpromising).
-		keep, drop := &r.a, &r.b
-		if len(r.b.rids) < len(r.a.rids) {
-			keep, drop = &r.b, &r.a
+		keep, drop := a, b
+		if len(b.rids) < len(a.rids) {
+			keep, drop = b, a
+		}
+		if keep.dead {
+			// The shorter leg was killed by competition before the other
+			// overflowed; the surviving leg is the only continuation.
+			keep, drop = drop, keep
 		}
 		drop.cur.Close()
 		j.race = nil
@@ -589,7 +615,7 @@ func (j *jscan) stepRace() error {
 			ActualIO: j.m.cost(),
 			Detail:   fmt.Sprintf("race hit memory budget, continuing %s, dropping %s", keep.ix.Name, drop.ix.Name),
 		})
-		j.continueLoser(keep)
+		return j.continueLoser(keep)
 	}
 	return nil
 }
@@ -631,8 +657,10 @@ func (j *jscan) adoptRaceWinner(w *raceLeg) error {
 // continueLoser refilters the losing leg's partial list against the
 // (possibly new) filter — one bulk probe per step-sized chunk — and
 // resumes it as the current sequential scan. The filter is exact, so
-// nothing that cannot intersect survives into the continued list.
-func (j *jscan) continueLoser(l *raceLeg) {
+// nothing that cannot intersect survives into the continued list. The
+// cursor is adopted before anything can fail, so an error here unwinds
+// through bgKill like any other step error.
+func (j *jscan) continueLoser(l *raceLeg) error {
 	j.ensureBuffers()
 	if l.tr != nil {
 		// The leg ran on its own tracker (goroutine race); its charges
@@ -662,7 +690,7 @@ func (j *jscan) continueLoser(l *raceLeg) {
 			}
 		}
 		if err := j.list.AppendBatch(out); err != nil {
-			break
+			return err
 		}
 		rest = rest[n:]
 	}
@@ -673,4 +701,5 @@ func (j *jscan) continueLoser(l *raceLeg) {
 		Kind: EvScanStarted, Scan: j.name(), Indexes: []string{l.ix.Name}, ActualIO: j.m.cost(),
 		Detail: fmt.Sprintf("continuing %s with %d prefiltered rids", l.ix.Name, j.list.Len()),
 	})
+	return nil
 }

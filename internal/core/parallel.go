@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"rdbdyn/internal/btree"
-	"rdbdyn/internal/catalog"
 	"rdbdyn/internal/expr"
 	"rdbdyn/internal/rid"
 	"rdbdyn/internal/storage"
@@ -14,129 +13,58 @@ import (
 
 // Partitioned intra-query execution (Config.Parallelism > 1).
 //
-// Three scan shapes fan out across workers, all with the same contract:
-// the fan-out happens entirely inside one step() call (the coordinator
-// waits on every worker before returning, so no goroutine ever outlives
-// a step), every worker charges its own storage.Tracker sharing the
-// query's Governor (live budget enforcement), the worker trackers merge
-// into the stage's meter at the barrier (Tracker.Merge is associative,
-// so attributed totals equal the sequential scan exactly), and worker
-// results merge in partition order (partitions are contiguous, so the
-// concatenation is the sequential output order).
-//
-// Eligibility is deliberately conservative. Tscan and the final fetch
-// partition only when Limit is 0 (early termination is worth more than
-// parallelism and an eager scan would overpay); the partitioned Jscan's
-// gate is partitionDisqualifier, which documents and reports each
-// disqualifier — continued scan, rows already seen, competition
-// enabled, borrow queue attached, and Limit without an exact-count
-// cap — individually. Under Config.AdaptiveParallelism a bare-LIMIT
-// Jscan whose index covers the whole restriction partitions anyway,
-// with a cross-worker exact-count cap and first-to-fill early
-// cancellation of sibling workers (partitionLimitCap).
-//
-// Worker errors resolve deterministically to the lowest partition
-// index; a failing worker flips a shared stop flag so siblings unwind
-// at their next batch boundary (the buffer pool's governor checkpoint
-// bounds this to about one page access), and partial worker charges are
-// still merged so cancelled queries report exact attributed I/O.
+// Every partitioned site is fanOut over its scan shape's one kernel —
+// the per-row code the step-sliced sequential path runs with its step
+// budget, run unbounded on each worker: Tscan's page ranges over
+// tscan.scanRows, Fin's page-aligned RID chunks over finalStage.fetch,
+// Uscan's OR legs over uscan.scanLeg, Jscan's leaf-aligned key
+// partitions over acceptEntries, and the inl/ridx/hj join probes over
+// probeOne / hjProbeChunk (join.go, joinhash.go). Partitions are
+// contiguous and worker results merge in partition order, so the
+// concatenation is the sequential output order. DESIGN.md ("Streaming
+// operators and intra-query parallelism") has the contract and the
+// kernel table; the eligibility gates are documented where they live
+// (tscan.step, finalStage.step, maybeParallelLegs, partitionDisqualifier).
 
-// execProbeParallel is the partitioned join probe stage (inl/ridx over
-// partitioned outer batches), enabled only under adaptive mode — the
-// static knob never touched joins, and keeps not touching them. Outer
-// rows are processed in rounds of width·joinReoptCheckEvery: within a
-// round each worker probes a contiguous chunk on its own tracker,
-// trackers barrier-merge into the stage meter in chunk order, and
-// worker outputs concatenate in chunk order (matching the sequential
-// probe order exactly). The sequential mid-stage fallback checkpoint
-// runs between rounds over the merged global cost — the same
-// extrapolation at a coarser cadence — so mid-flight re-optimization
-// stays intact. Returns handled=false to fall through to the
-// sequential probe loop.
-func (je *joinExec) execProbeParallel(sg *JoinStagePlan, preds []stagePred, probe int, ix *catalog.Index, outer []expr.Row, filter *rid.CompressedBitmap, m *meter) (handled bool, _ []expr.Row, fellBack bool, _ error) {
-	if !je.o.cfg.AdaptiveParallelism || je.o.cfg.effectiveWorkers() < 2 || len(outer) < 2 {
-		return false, nil, false, nil
+// fanOut runs work(i, tr, stop) for every i in [0, n) and returns at the
+// barrier, so no goroutine outlives the step() that called it. Each
+// worker charges its own tracker on parent's governor (the budget is
+// enforced live); the trackers merge into parent in index order before
+// any error is returned (Tracker.Merge is associative, so attributed
+// totals equal the sequential scan's and stay exact for a query unwound
+// mid-scan). The first failing worker sets stop, which siblings poll at
+// their batch boundaries — the buffer pool's governor checkpoint bounds
+// that to about one page access — and a worker may set it itself to end
+// the fan-out early. The lowest-index worker's error wins. n == 1 runs
+// inline on parent: sequential is width 1 of the same code, and spawns
+// nothing.
+func fanOut(parent *storage.Tracker, n int, work func(i int, tr *storage.Tracker, stop *atomic.Bool) error) error {
+	var stop atomic.Bool
+	if n == 1 {
+		return work(0, parent, &stop)
 	}
-	t := sg.Table
-	tab := je.jq.Tables[t]
-	// Appraised probe work: one descent plus roughly one fetch per
-	// outer row.
-	estIO := float64(len(outer)) * (float64(ix.Tree.Height()) + 1)
-	width := decideWidth(je.o.cfg, je.ec, je.trc, "JoinProbe", estIO)
-	if width < 2 {
-		return false, nil, false, nil
-	}
-	local := je.jq.Local[t]
-	off := je.offs[t]
-	gov := m.tr.Governor()
-	round := width * joinReoptCheckEvery
-	var out []expr.Row
-	for start := 0; start < len(outer); start += round {
-		// Between-round checkpoint: same formula as the sequential
-		// per-probe one, over the merged cost so far.
-		if je.dynamic && start >= joinReoptMinProbes {
-			avg := m.cost() / float64(start)
-			remaining := float64(len(outer) - start)
-			if avg*remaining > JoinReoptFactor*je.jts[t].Pages {
-				return true, nil, true, nil
+	trs := make([]*storage.Tracker, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range trs {
+		trs[i] = storage.NewTracker(parent.Governor())
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if errs[i] = work(i, trs[i], &stop); errs[i] != nil {
+				stop.Store(true)
 			}
-		}
-		end := start + round
-		if end > len(outer) {
-			end = len(outer)
-		}
-		chunk := outer[start:end]
-		k := width
-		if k > len(chunk) {
-			k = len(chunk)
-		}
-		outs := make([][]expr.Row, k)
-		errs := make([]error, k)
-		trs := make([]*storage.Tracker, k)
-		var stop atomic.Bool
-		var wg sync.WaitGroup
-		for i := 0; i < k; i++ {
-			trs[i] = storage.NewTracker(gov)
-			wg.Add(1)
-			go func(i int, rows []expr.Row, tr *storage.Tracker) {
-				defer wg.Done()
-				var o []expr.Row
-				var err error
-				for _, orow := range rows {
-					if stop.Load() {
-						break
-					}
-					o, err = je.probeOne(o, orow, preds, probe, tab, ix, local, off, filter, tr)
-					if err != nil {
-						stop.Store(true)
-						break
-					}
-				}
-				outs[i], errs[i] = o, err
-			}(i, chunk[i*len(chunk)/k:(i+1)*len(chunk)/k], trs[i])
-		}
-		wg.Wait()
-		for _, tr := range trs {
-			m.tr.Merge(tr)
-		}
-		if err := parallelWorkerErr(errs); err != nil {
-			return true, nil, false, err
-		}
-		for i := range outs {
-			out = append(out, outs[i]...)
+		}(i)
+	}
+	wg.Wait()
+	var first error
+	for i, tr := range trs {
+		parent.Merge(tr)
+		if first == nil {
+			first = errs[i]
 		}
 	}
-	return true, out, false, nil
-}
-
-// parallelWorkerErr picks the terminal error: the lowest-index worker's.
-func parallelWorkerErr(errs []error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
+	return first
 }
 
 // runParallelScan is the eager partitioned Tscan: the heap's page range
@@ -146,75 +74,24 @@ func parallelWorkerErr(errs []error) error {
 // worker's readahead window stays inside its own partition. Returns
 // false when the heap is too small to split.
 func (t *tscan) runParallelScan() (bool, error) {
-	npages := t.q.Table.Heap.NumPages()
-	k := t.workers
-	if k > npages {
-		k = npages
-	}
+	heap := t.q.Table.Heap
+	npages := heap.NumPages()
+	k := min(t.workers, npages)
 	if k < 2 {
 		return false, nil
 	}
-	heap := t.q.Table.Heap
-	rows := make([][]expr.Row, k)
-	errs := make([]error, k)
-	trs := make([]*storage.Tracker, k)
-	gov := t.m.tr.Governor()
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		start := storage.PageNo(i * npages / k)
-		end := storage.PageNo((i + 1) * npages / k)
-		tr := storage.NewTracker(gov)
-		trs[i] = tr
-		wg.Add(1)
-		go func(i int, start, end storage.PageNo, tr *storage.Tracker) {
-			defer wg.Done()
-			cur := heap.RangeCursorTracked(start, end, tr)
-			defer cur.Close()
-			for !stop.Load() {
-				rec, rrid, ok, err := cur.Next()
-				if err != nil {
-					errs[i] = err
-					stop.Store(true)
-					return
-				}
-				if !ok {
-					return
-				}
-				if t.exclude != nil && t.exclude.MayContain(rrid) {
-					continue
-				}
-				row, err := expr.DecodeRow(rec)
-				if err != nil {
-					errs[i] = err
-					stop.Store(true)
-					return
-				}
-				keep, err := expr.EvalPred(t.q.Restriction, row, t.q.Binds)
-				if err != nil {
-					errs[i] = err
-					stop.Store(true)
-					return
-				}
-				if keep {
-					rows[i] = append(rows[i], t.q.project(row))
-				}
-			}
-		}(i, start, end, tr)
-	}
-	wg.Wait()
-	// Merge charges before surfacing any error: attribution stays exact
-	// even for a query unwound mid-scan.
-	for _, tr := range trs {
-		t.m.tr.Merge(tr)
-	}
-	if err := parallelWorkerErr(errs); err != nil {
+	outs := make([]rowQueue, k)
+	err := fanOut(t.m.tr, k, func(i int, tr *storage.Tracker, stop *atomic.Bool) error {
+		cur := heap.RangeCursorTracked(storage.PageNo(i*npages/k), storage.PageNo((i+1)*npages/k), tr)
+		defer cur.Close()
+		_, err := t.scanRows(cur, 0, stop, &outs[i])
+		return err
+	})
+	if err != nil {
 		return false, err
 	}
-	for i := range rows {
-		for _, r := range rows[i] {
-			t.out.push(r)
-		}
+	for i := range outs {
+		t.out.rows = append(t.out.rows, outs[i].rows...)
 	}
 	t.done = true
 	return true, nil
@@ -224,13 +101,11 @@ func (t *tscan) runParallelScan() (bool, error) {
 // list splits into contiguous chunks aligned to page boundaries (a
 // same-page run is never split across workers, so each data page is
 // span-fetched by exactly one worker and the hit/miss profile matches
-// the sequential clustered fetch). Returns false when the list does not
-// split.
+// the sequential clustered fetch), each with a private prefetch window
+// staged inside the chunk. Returns false when the list does not split.
 func (f *finalStage) runParallelFetch() (bool, error) {
-	k := f.workers
-	if k > len(f.rids)/(2*finalFetchBudget) {
-		k = len(f.rids) / (2 * finalFetchBudget)
-	}
+	rids := f.c.rids
+	k := min(f.workers, len(rids)/(2*finalFetchBudget))
 	if k < 2 {
 		return false, nil
 	}
@@ -239,14 +114,14 @@ func (f *finalStage) runParallelFetch() (bool, error) {
 	starts := make([]int, 0, k+1)
 	starts = append(starts, 0)
 	for i := 1; i < k; i++ {
-		b := i * len(f.rids) / k
+		b := i * len(rids) / k
 		if b <= starts[len(starts)-1] {
 			continue
 		}
-		for b < len(f.rids) && f.rids[b].Page == f.rids[b-1].Page {
+		for b < len(rids) && rids[b].Page == rids[b-1].Page {
 			b++
 		}
-		if b >= len(f.rids) || b <= starts[len(starts)-1] {
+		if b >= len(rids) || b <= starts[len(starts)-1] {
 			continue
 		}
 		starts = append(starts, b)
@@ -254,132 +129,31 @@ func (f *finalStage) runParallelFetch() (bool, error) {
 	if len(starts) < 2 {
 		return false, nil
 	}
-	starts = append(starts, len(f.rids))
-	n := len(starts) - 1
-	rows := make([][]expr.Row, n)
-	errs := make([]error, n)
-	trs := make([]*storage.Tracker, n)
-	gov := f.m.tr.Governor()
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		tr := storage.NewTracker(gov)
-		trs[i] = tr
-		wg.Add(1)
-		go func(i int, chunk []storage.RID, tr *storage.Tracker) {
-			defer wg.Done()
-			rows[i], errs[i] = f.fetchChunk(chunk, tr, &stop)
-		}(i, f.rids[starts[i]:starts[i+1]], tr)
-	}
-	wg.Wait()
-	for _, tr := range trs {
-		f.m.tr.Merge(tr)
-	}
-	if err := parallelWorkerErr(errs); err != nil {
+	starts = append(starts, len(rids))
+	outs := make([]rowQueue, len(starts)-1)
+	err := fanOut(f.m.tr, len(outs), func(i int, tr *storage.Tracker, stop *atomic.Bool) error {
+		c := newFetchCursor(rids[starts[i]:starts[i+1]])
+		_, err := f.fetch(&c, tr, 0, stop, &outs[i])
+		return err
+	})
+	if err != nil {
 		return false, err
 	}
-	for i := range rows {
-		for _, r := range rows[i] {
-			f.out.push(r)
-		}
+	for i := range outs {
+		f.out.rows = append(f.out.rows, outs[i].rows...)
 	}
 	f.done = true
 	return true, nil
 }
 
-// fetchChunk runs one worker's share of the final fetch: same-page runs
-// of non-excluded RIDs, each span-fetched once, with a private prefetch
-// window staged ahead inside the chunk. Kept rows are returned in RID
-// order; they are copies (or projections), never aliases of the decode
-// scratch.
-func (f *finalStage) fetchChunk(chunk []storage.RID, tr *storage.Tracker, stop *atomic.Bool) ([]expr.Row, error) {
-	var out []expr.Row
-	var scratch expr.Row
-	pfbuf := make([]storage.PageID, 0, finalPrefetchWindow)
-	pfPos := 0
-	run := make([]storage.RID, 0, 16)
-	pos := 0
-	for pos < len(chunk) {
-		if stop.Load() {
-			return out, nil
-		}
-		// Stage upcoming pages of this chunk (accounting-free).
-		if pfPos < pos {
-			pfPos = pos
-		}
-		if pfPos < len(chunk) {
-			buf := pfbuf[:0]
-			var last storage.PageID
-			for pfPos < len(chunk) && len(buf) < finalPrefetchWindow {
-				pg := chunk[pfPos].Page
-				if len(buf) == 0 || pg != last {
-					buf = append(buf, pg)
-					last = pg
-				}
-				pfPos++
-			}
-			f.q.Table.Pool().Prefetch(buf)
-		}
-		// Collect the next same-page run of non-excluded RIDs.
-		run = run[:0]
-		var page storage.PageID
-		for pos < len(chunk) {
-			r := chunk[pos]
-			if f.exclude != nil && f.exclude.MayContain(r) {
-				pos++
-				continue
-			}
-			if len(run) > 0 && r.Page != page {
-				break
-			}
-			page = r.Page
-			run = append(run, r)
-			pos++
-		}
-		if len(run) == 0 {
-			break
-		}
-		p, err := f.q.Table.Heap.GetSpanTracked(page, len(run), tr)
-		if err != nil {
-			stop.Store(true)
-			return out, err
-		}
-		for _, r := range run {
-			rec, err := p.Get(r.Slot)
-			if err != nil {
-				stop.Store(true)
-				return out, err
-			}
-			row, err := expr.DecodeRowInto(rec, scratch)
-			if err != nil {
-				stop.Store(true)
-				return out, err
-			}
-			scratch = row
-			keep, err := expr.EvalPred(f.q.Restriction, row, f.q.Binds)
-			if err != nil {
-				stop.Store(true)
-				return out, err
-			}
-			if keep {
-				if f.q.Projection == nil {
-					row = append(expr.Row(nil), row...)
-				}
-				out = append(out, f.q.project(row))
-			}
-		}
-	}
-	return out, nil
-}
-
 // maybeParallelLegs fans the union scan out across its OR legs: each
 // leg is an independent index range on its own index, so legs are the
-// natural partitions. Every leg runs on its own goroutine with its own
-// tracker (merged at the barrier in leg order), bounded by a
-// width-sized semaphore; RIDs append to the union list in leg order, so
-// the list content and order equal the sequential leg-by-leg scan
-// exactly. Leg scan-started events are emitted at the barrier, also in
-// leg order (events feed no counters, so Metrics stay identical).
+// natural partitions. Each worker scans a contiguous run of legs — seek
+// (one charged descent) then the leg kernel to exhaustion — and RIDs
+// append to the union list in leg order at the barrier, so the list
+// content and order equal the sequential leg-by-leg scan exactly. Leg
+// scan-started events are emitted at the barrier, also in leg order
+// (events feed no counters, so Metrics stay identical).
 //
 // The gate mirrors the Jscan discipline: competition must be disabled
 // (union abandonment is all-or-nothing and interleaved with stepping;
@@ -401,41 +175,32 @@ func (u *uscan) maybeParallelLegs() (bool, error) {
 		estIO += u.model.LeafPages(l.Est, l.Index.Tree.AvgLeafEntries()) +
 			float64(l.Index.Tree.Height())
 	}
-	workers := decideWidth(u.cfg, u.ec, u.trc, "Uscan", estIO)
-	if workers < 2 {
+	n := len(u.legs)
+	k := min(decideWidth(u.cfg, u.ec, u.trc, "Uscan", estIO), n)
+	if k < 2 {
 		return false, nil
 	}
-	if workers > len(u.legs) {
-		workers = len(u.legs)
-	}
-	n := len(u.legs)
 	rids := make([][]storage.RID, n)
 	seen := make([]int, n)
-	errs := make([]error, n)
-	trs := make([]*storage.Tracker, n)
-	gov := u.m.tr.Governor()
-	sem := make(chan struct{}, workers)
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for i := range u.legs {
-		trs[i] = storage.NewTracker(gov)
-		wg.Add(1)
-		go func(i int, leg unionLeg, tr *storage.Tracker) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			if stop.Load() {
-				return
+	err := fanOut(u.m.tr, k, func(w int, tr *storage.Tracker, stop *atomic.Bool) error {
+		ls := newLegScan(true)
+		for i := w * n / k; i < (w+1)*n/k && !stop.Load(); i++ {
+			leg := &u.legs[i]
+			cur, err := leg.Index.Tree.SeekTracked(leg.Lo, leg.Hi, tr)
+			if err != nil {
+				return err
 			}
-			rids[i], seen[i], errs[i] = u.scanLeg(leg, tr, &stop)
-		}(i, u.legs[i], trs[i])
-	}
-	wg.Wait()
-	// Merge charges before surfacing any error, in leg order.
-	for _, tr := range trs {
-		u.m.tr.Merge(tr)
-	}
-	if err := parallelWorkerErr(errs); err != nil {
+			ls.rids = nil
+			seen[i], _, err = u.scanLeg(leg, cur, &ls, 0, stop)
+			cur.Close()
+			if err != nil {
+				return err
+			}
+			rids[i] = ls.rids
+		}
+		return nil
+	})
+	if err != nil {
 		return true, err
 	}
 	for i, leg := range u.legs {
@@ -451,52 +216,6 @@ func (u *uscan) maybeParallelLegs() (bool, error) {
 	}
 	u.finish()
 	return true, nil
-}
-
-// scanLeg runs one union leg to completion on a worker goroutine:
-// seek (one charged descent on the leg's own tracker), then leaf-sized
-// batches filtered through the leg's local disjunct. Aborts at the next
-// batch boundary when a sibling flips the stop flag.
-func (u *uscan) scanLeg(leg unionLeg, tr *storage.Tracker, stop *atomic.Bool) ([]storage.RID, int, error) {
-	cur, err := leg.Index.Tree.SeekTracked(leg.Lo, leg.Hi, tr)
-	if err != nil {
-		stop.Store(true)
-		return nil, 0, err
-	}
-	defer cur.Close()
-	batch := make([]btree.Entry, stepEntries)
-	var out []storage.RID
-	seen := 0
-	for !stop.Load() {
-		n, err := cur.NextBatch(batch)
-		if err != nil {
-			stop.Store(true)
-			return out, seen, err
-		}
-		if n == 0 {
-			return out, seen, nil
-		}
-		seen += n
-		for _, e := range batch[:n] {
-			if leg.Local != nil {
-				row, err := leg.Index.DecodeEntry(e.Key)
-				if err != nil {
-					stop.Store(true)
-					return out, seen, err
-				}
-				keep, err := expr.EvalPred(leg.Local, row, u.q.Binds)
-				if err != nil {
-					stop.Store(true)
-					return out, seen, err
-				}
-				if !keep {
-					continue
-				}
-			}
-			out = append(out, e.RID)
-		}
-	}
-	return out, seen, nil
 }
 
 // partitionLimitCap returns the exact-count cap a partitioned Jscan may
@@ -605,79 +324,52 @@ func (j *jscan) maybePartitionedScan() (bool, error) {
 		// costs nothing.
 		return false, nil
 	}
-	tree := j.curIx.Tree
 	n := len(parts)
 	rids := make([][]storage.RID, n)
 	seen := make([]int, n)
-	errs := make([]error, n)
-	trs := make([]*storage.Tracker, n)
-	gov := j.m.tr.Governor()
-	var stop atomic.Bool
 	// fill counts collected RIDs across all workers when an exact-count
-	// cap applies; the worker whose batch reaches the cap flips the stop
+	// cap applies; the worker whose batch reaches the cap sets the stop
 	// flag, so siblings overshoot by at most one batch (about one leaf
 	// access) before unwinding at their next NextBatch check.
 	var fill atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		tr := storage.NewTracker(gov)
-		trs[i] = tr
-		wg.Add(1)
-		go func(i int, part btree.RangePartition, tr *storage.Tracker) {
-			defer wg.Done()
-			var src Operator
-			if i == 0 {
-				src = cur // descent already charged to the shared meter
-			} else {
-				c, err := tree.SeekPartitionLeaf(part.Leaf, j.curHi, tr)
-				if err != nil {
-					errs[i] = err
-					stop.Store(true)
-					return
-				}
-				src = c
+	err = fanOut(j.m.tr, n, func(i int, tr *storage.Tracker, stop *atomic.Bool) error {
+		var src Operator = cur // worker 0: descent already charged to the shared meter
+		if i > 0 {
+			c, err := j.curIx.Tree.SeekPartitionLeaf(parts[i].Leaf, j.curHi, tr)
+			if err != nil {
+				return err
 			}
-			defer src.Close()
-			if i < n-1 {
-				// Interior partitions own whole leaves; the exact count
-				// stops them at their boundary without touching the next
-				// worker's first leaf. The last partition terminates on
-				// the range bound like a sequential scan.
-				src = &boundedOp{src: src, remaining: part.Count}
+			src = c
+		}
+		defer src.Close()
+		if i < n-1 {
+			// Interior partitions own whole leaves; the exact count
+			// stops them at their boundary without touching the next
+			// worker's first leaf. The last partition terminates on
+			// the range bound like a sequential scan.
+			src = &boundedOp{src: src, remaining: parts[i].Count}
+		}
+		batch := make([]btree.Entry, stepEntries)
+		sc := newAcceptScratch(stepEntries)
+		for !stop.Load() {
+			cnt, err := src.NextBatch(batch)
+			if err != nil || cnt == 0 {
+				return err
 			}
-			batch := make([]btree.Entry, stepEntries)
-			sc := newAcceptScratch(stepEntries)
-			for !stop.Load() {
-				cnt, err := src.NextBatch(batch)
-				if err != nil {
-					errs[i] = err
-					stop.Store(true)
-					return
-				}
-				if cnt == 0 {
-					return
-				}
-				seen[i] += cnt
-				kept, err := acceptEntries(batch[:cnt], j.curIx, j.local, j.q.Binds, j.filter, sc)
-				if err != nil {
-					errs[i] = err
-					stop.Store(true)
-					return
-				}
-				rids[i] = append(rids[i], kept...)
-				if limitCap > 0 && len(kept) > 0 &&
-					fill.Add(int64(len(kept))) >= int64(limitCap) {
-					stop.Store(true)
-					return
-				}
+			seen[i] += cnt
+			kept, err := acceptEntries(batch[:cnt], j.curIx, j.local, j.q.Binds, j.filter, sc)
+			if err != nil {
+				return err
 			}
-		}(i, parts[i], tr)
-	}
-	wg.Wait()
-	for _, tr := range trs {
-		j.m.tr.Merge(tr)
-	}
-	if err := parallelWorkerErr(errs); err != nil {
+			rids[i] = append(rids[i], kept...)
+			if limitCap > 0 && len(kept) > 0 &&
+				fill.Add(int64(len(kept))) >= int64(limitCap) {
+				stop.Store(true)
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return true, err
 	}
 	if limitCap > 0 && fill.Load() >= int64(limitCap) {
@@ -692,13 +384,9 @@ func (j *jscan) maybePartitionedScan() (bool, error) {
 		if len(rids[i]) == 0 {
 			continue
 		}
+		// No borrow stream to feed: the gate refuses a scan with one.
 		if err := j.list.AppendBatch(rids[i]); err != nil {
 			return true, err
-		}
-		if j.borrowActive {
-			for _, r := range rids[i] {
-				j.borrow.push(r)
-			}
 		}
 	}
 	// Worker cursors are closed (worker 0's is the scan cursor, whose

@@ -22,9 +22,9 @@ func TestBgKillHalfDeadRace(t *testing.T) {
 
 	var legs []raceLeg
 	for _, ix := range f.tab.Indexes {
-		leg, ok := j.openLeg(estimate.IndexEstimate{Index: ix, RIDs: 1000})
-		if !ok {
-			t.Fatalf("openLeg(%s) failed", ix.Name)
+		leg, err := j.openLeg(estimate.IndexEstimate{Index: ix, RIDs: 1000})
+		if err != nil {
+			t.Fatalf("openLeg(%s): %v", ix.Name, err)
 		}
 		legs = append(legs, leg)
 	}
@@ -65,13 +65,13 @@ func TestBgKillBothLegsDead(t *testing.T) {
 	model := estimate.CostModel{TablePages: f.tab.Pages(), TableRows: f.tab.Cardinality()}
 	j := newJscan(ec, q, DefaultConfig(), model, nil, nil, &tracer{st: &RetrievalStats{}})
 
-	a, ok := j.openLeg(estimate.IndexEstimate{Index: f.tab.Indexes[0], RIDs: 500})
-	if !ok {
-		t.Fatal("openLeg A")
+	a, err := j.openLeg(estimate.IndexEstimate{Index: f.tab.Indexes[0], RIDs: 500})
+	if err != nil {
+		t.Fatalf("openLeg A: %v", err)
 	}
-	b, ok := j.openLeg(estimate.IndexEstimate{Index: f.tab.Indexes[1], RIDs: 500})
-	if !ok {
-		t.Fatal("openLeg B")
+	b, err := j.openLeg(estimate.IndexEstimate{Index: f.tab.Indexes[1], RIDs: 500})
+	if err != nil {
+		t.Fatalf("openLeg B: %v", err)
 	}
 	j.race = &raceState{a: a, b: b}
 	j.race.a.dead = true

@@ -47,7 +47,7 @@ func (j *jscan) runRaceParallel() error {
 		events  [2][]TraceEvent
 		wg      sync.WaitGroup
 	)
-	stopped := func() bool {
+	raceOver := func() bool {
 		return stopErr.Load() || stopMem.Load() || stopWin.Load() != 0
 	}
 
@@ -62,7 +62,7 @@ func (j *jscan) runRaceParallel() error {
 			batch := make([]btree.Entry, stepEntries)
 			sc := newAcceptScratch(stepEntries)
 			lastCheck := 0
-			for !stopped() {
+			for !raceOver() {
 				n, err := leg.cur.NextBatch(batch)
 				if err != nil {
 					errs[li] = err
@@ -134,52 +134,8 @@ func (j *jscan) runRaceParallel() error {
 		return errs[1]
 	}
 
-	// Resolution mirrors the interleaved scheduler's endgame.
-	switch {
-	case stopWin.Load() != 0:
-		wi := int(stopWin.Load()) - 1
-		winner, loser := legs[wi], legs[1-wi]
-		j.race = nil
-		if err := j.adoptRaceWinner(winner); err != nil {
-			loser.cur.Close()
-			return err
-		}
-		if !loser.dead {
-			j.continueLoser(loser)
-		} else if j.cur == nil {
-			if !j.startNextScan() {
-				j.finish()
-			}
-		}
-	case stopMem.Load():
-		keep, drop := &r.a, &r.b
-		if len(r.b.rids) < len(r.a.rids) {
-			keep, drop = &r.b, &r.a
-		}
-		if keep.dead {
-			// The shorter leg was killed by competition before the other
-			// overflowed; the surviving leg is the only continuation.
-			keep, drop = drop, keep
-		}
-		if !drop.dead {
-			drop.cur.Close()
-		}
-		j.race = nil
-		j.trc.emit(TraceEvent{
-			Kind: EvRaceResolved, Scan: j.name(), Indexes: []string{keep.ix.Name, drop.ix.Name},
-			ActualIO: j.m.cost(),
-			Detail:   fmt.Sprintf("race hit memory budget, continuing %s, dropping %s", keep.ix.Name, drop.ix.Name),
-		})
-		j.continueLoser(keep)
-	default: // both legs dead
-		j.race = nil
-		j.trc.emit(TraceEvent{
-			Kind: EvRaceResolved, Scan: j.name(), Indexes: []string{r.a.ix.Name, r.b.ix.Name},
-			ActualIO: j.m.cost(), Detail: "both race legs abandoned",
-		})
-		if !j.startNextScan() {
-			j.finish()
-		}
+	if w := stopWin.Load(); w != 0 {
+		return j.resolveRace(legs[w-1])
 	}
-	return nil
+	return j.resolveRace(nil)
 }

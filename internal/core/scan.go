@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"rdbdyn/internal/btree"
 	"rdbdyn/internal/catalog"
 	"rdbdyn/internal/expr"
@@ -143,13 +145,26 @@ func (t *tscan) step() (bool, error) {
 			return t.done, err
 		}
 	}
-	for i := 0; i < t.rpp; i++ {
-		rec, rrid, ok, err := t.cur.Next()
+	done, err := t.scanRows(t.cur, t.rpp, nil, t.out)
+	t.done = done
+	return t.done, err
+}
+
+// stopped polls a fan-out's stop flag; the stepping paths pass nil.
+func stopped(stop *atomic.Bool) bool { return stop != nil && stop.Load() }
+
+// scanRows is the heap-row kernel: records from cur pass exclude →
+// decode → restriction → project into out. The stepping path runs it on
+// the scan's own cursor with its per-step record budget; partition
+// workers run it unbounded (budget 0) on a page-range cursor, polling
+// stop. done reports that cur is exhausted.
+func (t *tscan) scanRows(cur *storage.HeapCursor, budget int, stop *atomic.Bool, out *rowQueue) (done bool, _ error) {
+	for i := 0; (budget == 0 || i < budget) && !stopped(stop); i++ {
+		rec, rrid, ok, err := cur.Next()
 		if err != nil {
-			return t.done, err
+			return false, err
 		}
 		if !ok {
-			t.done = true
 			return true, nil
 		}
 		if t.exclude != nil && t.exclude.MayContain(rrid) {
@@ -157,17 +172,17 @@ func (t *tscan) step() (bool, error) {
 		}
 		row, err := expr.DecodeRow(rec)
 		if err != nil {
-			return t.done, err
+			return false, err
 		}
 		keep, err := expr.EvalPred(t.q.Restriction, row, t.q.Binds)
 		if err != nil {
-			return t.done, err
+			return false, err
 		}
 		if keep {
-			t.out.push(t.q.project(row))
+			out.push(t.q.project(row))
 		}
 	}
-	return t.done, nil
+	return false, nil
 }
 
 // pagesRemaining projects the scan's remaining cost.

@@ -501,7 +501,7 @@ func (r *retrieval) enterFinal(delivered []storage.RID) error {
 	r.fin = fin
 	r.trc.emit(TraceEvent{
 		Kind: EvFinalStage, Tactic: r.tactic.String(), Scan: "Fin", Indexes: r.bg.bgNames(),
-		Detail: fmt.Sprintf("final stage over %d rids (excluding %d delivered)", len(fin.rids), len(delivered)),
+		Detail: fmt.Sprintf("final stage over %d rids (excluding %d delivered)", len(fin.c.rids), len(delivered)),
 	})
 	return nil
 }

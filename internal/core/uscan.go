@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"rdbdyn/internal/btree"
 	"rdbdyn/internal/catalog"
@@ -50,9 +51,22 @@ type uscan struct {
 	recommendTscan bool
 	names          []string
 
-	// Batch scratch, sized to stepEntries on first use.
-	batch []btree.Entry
-	obuf  []storage.RID
+	ls legScan // the stepping path's kernel scratch, sized on first use
+}
+
+// legScan is one consumer's scratch for the union-leg kernel. A
+// partition worker must not touch the shared list, so it sets private
+// and collects its accepted RIDs in rids for the barrier to append in
+// leg order.
+type legScan struct {
+	batch   []btree.Entry
+	sc      *acceptScratch
+	private bool
+	rids    []storage.RID
+}
+
+func newLegScan(private bool) legScan {
+	return legScan{batch: make([]btree.Entry, stepEntries), sc: newAcceptScratch(stepEntries), private: private}
 }
 
 // unionLeg is one disjunct's index scan.
@@ -228,59 +242,21 @@ func (u *uscan) step() (bool, error) {
 			Detail: fmt.Sprintf("leg %d/%d, est %.0f rids", u.idx+1, len(u.legs), leg.Est),
 		})
 	}
-	leg := u.legs[u.idx]
-	if u.batch == nil {
-		u.batch = make([]btree.Entry, stepEntries)
-		u.obuf = make([]storage.RID, 0, stepEntries)
+	if u.ls.batch == nil {
+		u.ls = newLegScan(false)
 	}
-	// Consume the step budget in leaf-sized batches; batches are sliced
-	// to the budget, never across it, so the competition check below
-	// fires at the same entry counts as per-entry iteration did.
-	budget := stepEntries
-	for budget > 0 {
-		lim := budget
-		if lim > len(u.batch) {
-			lim = len(u.batch)
+	n, done, err := u.scanLeg(&u.legs[u.idx], u.cur, &u.ls, stepEntries, nil)
+	u.seen += n
+	if err != nil {
+		return u.done, err
+	}
+	if done {
+		u.cur = nil
+		u.idx++
+		if u.idx >= len(u.legs) {
+			u.finish()
 		}
-		n, err := u.cur.NextBatch(u.batch[:lim])
-		if err != nil {
-			return u.done, err
-		}
-		if n == 0 {
-			u.cur = nil
-			u.idx++
-			if u.idx >= len(u.legs) {
-				u.finish()
-			}
-			return u.done, nil
-		}
-		u.seen += n
-		budget -= n
-		out := u.obuf[:0]
-		for _, e := range u.batch[:n] {
-			if leg.Local != nil {
-				row, err := leg.Index.DecodeEntry(e.Key)
-				if err != nil {
-					return u.done, err
-				}
-				keep, err := expr.EvalPred(leg.Local, row, u.q.Binds)
-				if err != nil {
-					return u.done, err
-				}
-				if !keep {
-					continue
-				}
-			}
-			out = append(out, e.RID)
-		}
-		if err := u.list.AppendBatch(out); err != nil {
-			return u.done, err
-		}
-		if u.borrowActive {
-			for _, r := range out {
-				u.borrow.push(r)
-			}
-		}
+		return u.done, nil
 	}
 	// Two-stage competition: project the final union size; the
 	// guaranteed best is always Tscan (no intersection can improve
@@ -303,6 +279,48 @@ func (u *uscan) step() (bool, error) {
 		}
 	}
 	return u.done, nil
+}
+
+// scanLeg is the union-leg kernel: cur's entries, in leaf-sized batches,
+// pass the leg's local disjunct (acceptEntries with no previous filter)
+// and the survivors join the union list and the live borrow queue — or
+// ls.rids on a worker. The stepping path runs it with its step budget;
+// batches are sliced to the budget, never across it, so the competition
+// check fires at the same entry counts as per-entry iteration would.
+// Partition workers run it unbounded (budget 0), polling stop. n counts
+// the entries consumed; done reports that cur is exhausted.
+func (u *uscan) scanLeg(leg *unionLeg, cur *btree.Cursor, ls *legScan, budget int, stop *atomic.Bool) (n int, done bool, _ error) {
+	for (budget == 0 || n < budget) && !stopped(stop) {
+		lim := len(ls.batch)
+		if budget != 0 && budget-n < lim {
+			lim = budget - n
+		}
+		got, err := cur.NextBatch(ls.batch[:lim])
+		if err != nil {
+			return n, false, err
+		}
+		if got == 0 {
+			return n, true, nil
+		}
+		n += got
+		kept, err := acceptEntries(ls.batch[:got], leg.Index, leg.Local, u.q.Binds, rid.TrueFilter{}, ls.sc)
+		if err != nil {
+			return n, false, err
+		}
+		if ls.private {
+			ls.rids = append(ls.rids, kept...)
+			continue
+		}
+		if err := u.list.AppendBatch(kept); err != nil {
+			return n, false, err
+		}
+		if u.borrowActive {
+			for _, r := range kept {
+				u.borrow.push(r)
+			}
+		}
+	}
+	return n, false, nil
 }
 
 func (u *uscan) finish() {

@@ -926,29 +926,9 @@ func (db *DB) execDelete(stmt *sql.DeleteStmt, bb expr.Bindings) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	// Collect matching RIDs first, then delete, so the scan never
-	// observes its own modifications.
-	var victims []storage.RID
-	cur := tab.Heap.Cursor()
-	for {
-		rec, rid, ok, err := cur.Next()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		row, err := expr.DecodeRow(rec)
-		if err != nil {
-			return 0, err
-		}
-		keep, err := expr.EvalPred(restriction, row, bb)
-		if err != nil {
-			return 0, err
-		}
-		if keep {
-			victims = append(victims, rid)
-		}
+	victims, err := db.matchingRIDs(tab, restriction, bb)
+	if err != nil {
+		return 0, err
 	}
 	for i, rid := range victims {
 		if err := tab.Delete(rid); err != nil {
@@ -956,6 +936,36 @@ func (db *DB) execDelete(stmt *sql.DeleteStmt, bb expr.Bindings) (int, error) {
 		}
 	}
 	return len(victims), nil
+}
+
+// matchingRIDs collects the RIDs of tab's rows that pass restriction in
+// one full heap scan. DELETE and UPDATE collect their victims first and
+// mutate afterwards, so the scan never observes its own modifications
+// (an updated row must not match again).
+func (db *DB) matchingRIDs(tab *catalog.Table, restriction expr.Expr, bb expr.Bindings) ([]storage.RID, error) {
+	var victims []storage.RID
+	cur := tab.Heap.Cursor()
+	defer cur.Close()
+	for {
+		rec, rid, ok, err := cur.Next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return victims, nil
+		}
+		row, err := expr.DecodeRow(rec)
+		if err != nil {
+			return nil, err
+		}
+		keep, err := expr.EvalPred(restriction, row, bb)
+		if err != nil {
+			return nil, err
+		}
+		if keep {
+			victims = append(victims, rid)
+		}
+	}
 }
 
 // aggregate drains the retrieval computing the requested aggregate.
@@ -1049,29 +1059,9 @@ func (db *DB) execUpdate(stmt *sql.UpdateStmt, bb expr.Bindings) (int, error) {
 		}
 		sets[i] = set{col: ci, val: v}
 	}
-	// Collect matching RIDs first so the scan never observes its own
-	// modifications (an updated row must not match again).
-	var victims []storage.RID
-	cur := tab.Heap.Cursor()
-	for {
-		rec, rid, ok, err := cur.Next()
-		if err != nil {
-			return 0, err
-		}
-		if !ok {
-			break
-		}
-		row, err := expr.DecodeRow(rec)
-		if err != nil {
-			return 0, err
-		}
-		keep, err := expr.EvalPred(restriction, row, bb)
-		if err != nil {
-			return 0, err
-		}
-		if keep {
-			victims = append(victims, rid)
-		}
+	victims, err := db.matchingRIDs(tab, restriction, bb)
+	if err != nil {
+		return 0, err
 	}
 	for i, rid := range victims {
 		row, err := tab.Fetch(rid)
