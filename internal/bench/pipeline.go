@@ -198,8 +198,10 @@ func newFinalFetchFixture() (*finalFetchFixture, error) {
 
 // BenchFinalPerRID is the pre-vectorization leg: one FetchTracked
 // (fresh row allocation) per candidate, scalar sorted-list exclusion.
+// Both legs decide rows through the engine's own expr.Filter.
 func BenchFinalPerRID(b *testing.B, f *finalFetchFixture) {
 	b.ReportAllocs()
+	filter := expr.NewFilter(f.restr, nil)
 	for i := 0; i < b.N; i++ {
 		ex := rid.NewSortedList(f.exclude)
 		tr := storage.NewTracker(nil)
@@ -212,7 +214,7 @@ func BenchFinalPerRID(b *testing.B, f *finalFetchFixture) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			keep, err := expr.EvalPred(f.restr, row, nil)
+			keep, err := filter.Eval(row)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -227,10 +229,12 @@ func BenchFinalPerRID(b *testing.B, f *finalFetchFixture) {
 }
 
 // BenchFinalGrouped is the vectorized leg: candidates grouped into
-// same-page runs, one buffer-pool round trip per run, scratch-row
-// decoding, compressed-bitmap exclusion.
+// same-page runs, one buffer-pool round trip per run, the row kernel's
+// decode (restriction columns into a scratch view) and filter,
+// compressed-bitmap exclusion.
 func BenchFinalGrouped(b *testing.B, f *finalFetchFixture) {
 	b.ReportAllocs()
+	filter, need := expr.NewFilter(f.restr, nil), expr.Cols(len(f.tab.Columns), expr.Columns(f.restr)...)
 	for i := 0; i < b.N; i++ {
 		ex := rid.FromRIDs(f.exclude)
 		tr := storage.NewTracker(nil)
@@ -266,12 +270,10 @@ func BenchFinalGrouped(b *testing.B, f *finalFetchFixture) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				row, err := expr.DecodeRowInto(rec, scratch)
-				if err != nil {
+				if scratch, err = expr.DecodeView(rec, scratch, need); err != nil {
 					b.Fatal(err)
 				}
-				scratch = row
-				keep, err := expr.EvalPred(f.restr, row, nil)
+				keep, err := filter.Eval(scratch)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -297,7 +297,10 @@ func (t *Table) CreateIndex(name string, colNames ...string) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{Name: name, Table: t, Cols: cols, Tree: tree}
+	ix := &Index{Name: name, Table: t, Cols: cols, Tree: tree, types: make([]expr.Type, len(cols))}
+	for i, c := range cols {
+		ix.types[i] = t.Columns[c].Type
+	}
 	// Backfill from existing rows.
 	c := t.Heap.Cursor()
 	for {
@@ -360,6 +363,7 @@ type Index struct {
 	Table *Table
 	Cols  []int // column positions; Cols[0] is the leading column
 	Tree  *btree.BTree
+	types []expr.Type // column types of Cols, fixed at creation
 }
 
 // LeadingCol returns the position of the index's leading column — the
@@ -375,28 +379,27 @@ func (ix *Index) KeyFor(row expr.Row) []byte {
 	return expr.EncodeKey(nil, vals...)
 }
 
-// KeyTypes returns the expected types of the key columns, for DecodeKey.
-func (ix *Index) KeyTypes() []expr.Type {
-	ts := make([]expr.Type, len(ix.Cols))
-	for i, c := range ix.Cols {
-		ts[i] = ix.Table.Columns[c].Type
-	}
-	return ts
-}
+// KeyTypes returns the types of the key columns, for DecodeKey. The
+// slice is the index's own; callers must not modify it.
+func (ix *Index) KeyTypes() []expr.Type { return ix.types }
 
 // DecodeEntry converts an index entry key back into the key column
 // values, positioned into a full-width row (non-key columns NULL) so
 // restrictions that only touch key columns can be evaluated against it.
-func (ix *Index) DecodeEntry(key []byte) (expr.Row, error) {
-	vals, err := expr.DecodeKey(key, ix.KeyTypes())
-	if err != nil {
+// The row is decoded into dst's backing array when that is wide enough
+// — a scan passes its scratch row and allocates nothing per entry — and
+// its strings may view key's memory (see expr.DecodeKeyInto).
+func (ix *Index) DecodeEntry(key []byte, dst expr.Row) (expr.Row, error) {
+	n := len(ix.Table.Columns)
+	if cap(dst) < n {
+		dst = make(expr.Row, n)
+	}
+	dst = dst[:n]
+	clear(dst)
+	if err := expr.DecodeKeyInto(key, ix.types, ix.Cols, dst); err != nil {
 		return nil, err
 	}
-	row := make(expr.Row, len(ix.Table.Columns))
-	for i, c := range ix.Cols {
-		row[c] = vals[i]
-	}
-	return row, nil
+	return dst, nil
 }
 
 // Covers reports whether the index key columns include every column in
@@ -415,6 +418,22 @@ func (ix *Index) Covers(cols []int) bool {
 		}
 	}
 	return true
+}
+
+// KeyRestriction returns the conjuncts of e whose columns all lie in the
+// index key — what a scan can decide on an entry before fetching the
+// record — or nil when there are none.
+func (ix *Index) KeyRestriction(e expr.Expr) expr.Expr {
+	var local []expr.Expr
+	for _, cj := range expr.Conjuncts(e) {
+		if ix.Covers(expr.Columns(cj)) {
+			local = append(local, cj)
+		}
+	}
+	if len(local) == 0 {
+		return nil
+	}
+	return expr.NewAnd(local...)
 }
 
 // DeliversOrder reports whether an ascending scan of the index yields

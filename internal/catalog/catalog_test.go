@@ -176,7 +176,7 @@ func TestMultiColumnIndexAndDecodeEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := ix.KeyFor(row)
-	back, err := ix.DecodeEntry(key)
+	back, err := ix.DecodeEntry(key, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

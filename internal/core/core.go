@@ -108,31 +108,17 @@ type Query struct {
 // EffectiveGoal resolves the query's goal per Section 4.
 func (q *Query) EffectiveGoal() Goal { return InferGoal(q.Control, q.Goal) }
 
-// neededColumns returns the set of columns the query touches: the
-// restriction's columns plus the projection (all columns when the
+// neededColumns lists the columns the query touches (repeats allowed):
+// the restriction's columns plus the projection (all columns when the
 // projection is open) plus the order columns.
 func (q *Query) neededColumns() []int {
-	set := map[int]bool{}
-	for _, c := range expr.Columns(q.Restriction) {
-		set[c] = true
-	}
+	cols := append(append(expr.Columns(q.Restriction), q.Projection...), q.OrderBy...)
 	if q.Projection == nil {
 		for i := range q.Table.Columns {
-			set[i] = true
-		}
-	} else {
-		for _, c := range q.Projection {
-			set[c] = true
+			cols = append(cols, i)
 		}
 	}
-	for _, c := range q.OrderBy {
-		set[c] = true
-	}
-	out := make([]int, 0, len(set))
-	for c := range set {
-		out = append(out, c)
-	}
-	return out
+	return cols
 }
 
 // Classification sorts a table's indexes into the paper's three roles
@@ -427,9 +413,6 @@ type emptyRows struct{ stats RetrievalStats }
 func (e *emptyRows) Next() (expr.Row, bool, error) { return nil, false, nil }
 func (e *emptyRows) Close() error                  { return nil }
 func (e *emptyRows) Stats() RetrievalStats         { return e.stats }
-
-// project narrows a row to the query's projection.
-func (q *Query) project(row expr.Row) expr.Row { return projectRow(row, q.Projection) }
 
 // projectRow narrows a row to the given column positions (nil = all).
 func projectRow(row expr.Row, projection []int) expr.Row {

@@ -83,7 +83,7 @@ func (f *fixture) naive(t testing.TB, q *Query) []expr.Row {
 			t.Fatal(err)
 		}
 		if keep {
-			out = append(out, q.project(row))
+			out = append(out, projectRow(row, q.Projection))
 		}
 	}
 	return out

@@ -313,7 +313,7 @@ func TestBorrowFetcherCapNormalization(t *testing.T) {
 			in.push(r)
 		}
 		in.closed = true
-		bf := newBorrowFetcher(nil, q, in, &rowQueue{}, capRIDs)
+		bf := newBorrowFetcher(nil, q, q.kernel(), in, &rowQueue{}, capRIDs)
 		for {
 			done, err := bf.step()
 			if err != nil {
@@ -325,7 +325,7 @@ func TestBorrowFetcherCapNormalization(t *testing.T) {
 		}
 	}
 
-	if bf := newBorrowFetcher(nil, q, &ridQueue{}, &rowQueue{}, 0); bf.capRIDs != DefaultConfig().FgBufferCap {
+	if bf := newBorrowFetcher(nil, q, q.kernel(), &ridQueue{}, &rowQueue{}, 0); bf.capRIDs != DefaultConfig().FgBufferCap {
 		t.Fatalf("capRIDs 0 normalized to %d, want the default %d", bf.capRIDs, DefaultConfig().FgBufferCap)
 	}
 	if bf := run(0); bf.overflow || len(bf.delivered) != len(rids) {

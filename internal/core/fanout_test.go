@@ -190,6 +190,7 @@ func TestJoinProbePartitioned(t *testing.T) {
 					o: o, jq: jq, infos: infos, jts: jts, offs: jq.Offsets(), width: jq.Width(),
 					st: st, trc: o.tracer(nil, st), dynamic: true,
 				}
+				je.kern = je.tableKernels()
 				outer, err := je.execDriver(&JoinStagePlan{Table: 0, Operator: "tscan"})
 				if err != nil {
 					t.Fatal(err)

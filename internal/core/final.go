@@ -2,7 +2,7 @@ package core
 
 import (
 	"errors"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"rdbdyn/internal/expr"
@@ -32,6 +32,7 @@ const finalPrefetchWindow = 8
 // an exact compressed bitmap of its RID buffer.
 type finalStage struct {
 	q       *Query
+	k       *rowKernel
 	c       fetchCursor           // the stepping path's position over the whole list
 	exclude *rid.CompressedBitmap // foreground-delivered RIDs; may be nil
 	out     *rowQueue
@@ -51,7 +52,7 @@ type fetchCursor struct {
 	pfPos   int              // rids index the prefetcher has examined (monotonic)
 	run     []storage.RID    // same-page run scratch
 	pfbuf   []storage.PageID // prefetch batch scratch
-	scratch expr.Row         // decode scratch; delivered rows are copied out
+	scratch expr.Row         // the row kernel's scratch for this consumer
 }
 
 func newFetchCursor(rids []storage.RID) fetchCursor {
@@ -62,7 +63,7 @@ func newFetchCursor(rids []storage.RID) fetchCursor {
 	}
 }
 
-func newFinalStage(ec *ExecCtx, q *Query, c *rid.Container, delivered []storage.RID, out *rowQueue, workers int) (*finalStage, error) {
+func newFinalStage(ec *ExecCtx, q *Query, k *rowKernel, c *rid.Container, delivered []storage.RID, out *rowQueue, workers int) (*finalStage, error) {
 	if c == nil {
 		return nil, errors.New("core: final stage without a RID list")
 	}
@@ -72,6 +73,7 @@ func newFinalStage(ec *ExecCtx, q *Query, c *rid.Container, delivered []storage.
 	}
 	f := &finalStage{
 		q: q,
+		k: k,
 		// Union scans may deliver the same RID through several legs; the
 		// sorted order makes duplicates adjacent.
 		c:       newFetchCursor(dedupSorted(rids)),
@@ -106,11 +108,11 @@ func (f *finalStage) step() (bool, error) {
 	return f.done, err
 }
 
-// fetch is the final-fetch kernel: same-page runs of c's non-excluded
-// RIDs, each span-fetched once, decoded into scratch, re-checked against
-// the full restriction and delivered in RID order, with the prefetch
-// window staged ahead of every run. The stepping path runs it with its
-// per-step record-access budget, which also caps the run length (a run
+// fetch is the final-fetch loop: same-page runs of c's non-excluded
+// RIDs, each span-fetched once and handed record by record to the row
+// kernel (the full restriction is re-checked), delivered in RID order,
+// with the prefetch window staged ahead of every run. The stepping path
+// runs it with its record-access budget, which also caps the run (a run
 // split across steps costs the same: the page is resident, so the
 // re-fetch is a hit — exactly the hit per-record fetching would charge);
 // partition workers run it unbounded (budget 0) over their chunk,
@@ -146,23 +148,8 @@ func (f *finalStage) fetch(c *fetchCursor, tr *storage.Tracker, budget int, stop
 			if err != nil {
 				return false, err
 			}
-			row, err := expr.DecodeRowInto(rec, c.scratch)
-			if err != nil {
+			if _, err := f.k.deliver(rec, &c.scratch, out); err != nil {
 				return false, err
-			}
-			c.scratch = row
-			keep, err := expr.EvalPred(f.q.Restriction, row, f.q.Binds)
-			if err != nil {
-				return false, err
-			}
-			if keep {
-				// The row aliases the decode scratch, so a nil projection
-				// (which would hand the row out as-is) forces a copy; a
-				// real projection already copies the values it selects.
-				if f.q.Projection == nil {
-					row = append(expr.Row(nil), row...)
-				}
-				out.push(f.q.project(row))
 			}
 		}
 		fetches += len(run)
@@ -199,15 +186,15 @@ func (c *fetchCursor) prefetchAhead(pool *storage.BufferPool) {
 // SORT node the paper's goal-inference rules refer to; used when an
 // order is requested but no order-needed index carries the retrieval).
 func sortRows(rows []expr.Row, by []int, desc bool) {
-	sort.SliceStable(rows, func(i, j int) bool {
+	slices.SortStableFunc(rows, func(a, b expr.Row) int {
 		for _, c := range by {
-			if d := expr.Compare(rows[i][c], rows[j][c]); d != 0 {
+			if d := expr.Compare(a[c], b[c]); d != 0 {
 				if desc {
-					return d > 0
+					return -d
 				}
-				return d < 0
+				return d
 			}
 		}
-		return false
+		return 0
 	})
 }

@@ -61,6 +61,7 @@ type joinExec struct {
 	jts     []estimate.JoinTable
 	offs    []int
 	width   int
+	kern    []*rowKernel // one per FROM table, see tableKernels
 	st      *RetrievalStats
 	trc     *tracer
 	dynamic bool
@@ -102,6 +103,7 @@ func (o *Optimizer) runJoin(ec *ExecCtx, jq *JoinQuery, fixed *JoinPlan) (Rows, 
 		offs: jq.Offsets(), width: jq.Width(), st: &st, trc: trc,
 		dynamic: dynamic, ordered: plan.Ordered,
 	}
+	je.kern = je.tableKernels()
 	stages := append([]JoinStagePlan(nil), plan.Stages...)
 	trc.emit(TraceEvent{
 		Kind: EvJoinOrderChosen, Tactic: "join",
@@ -181,10 +183,10 @@ func (o *Optimizer) runJoin(ec *ExecCtx, jq *JoinQuery, fixed *JoinPlan) (Rows, 
 
 	// Residual conjuncts — cross-table predicates that are not
 	// equi-joins — apply once every table is bound.
-	if jq.Residual != nil {
+	if residual := expr.NewFilter(jq.Residual, jq.Binds); residual != nil {
 		kept := make([]expr.Row, 0, len(cur))
 		for _, row := range cur {
-			ok, err := expr.EvalPred(jq.Residual, row, jq.Binds)
+			ok, err := residual.Eval(row)
 			if err != nil {
 				return nil, err
 			}
@@ -300,33 +302,57 @@ func (je *joinExec) recordStage(sg *JoinStagePlan, actualRows int, io storage.IO
 	})
 }
 
+// tableKernels prepares each FROM table's row kernel: its local
+// restriction, needing the restriction's columns and the flat positions
+// of the join predicates, Projection, OrderBy and Residual inside the
+// table. Rows stay full-width with unread columns NULL, so flat offsets
+// do not move.
+func (je *joinExec) tableKernels() []*rowKernel {
+	jq := je.jq
+	flat := append(append(expr.Columns(jq.Residual), jq.Projection...), jq.OrderBy...)
+	for _, p := range jq.Preds {
+		flat = append(flat, je.offs[p.LT]+p.LC, je.offs[p.RT]+p.RC)
+	}
+	ks := make([]*rowKernel, len(jq.Tables))
+	for t, tab := range jq.Tables {
+		ks[t] = &rowKernel{filter: expr.NewFilter(jq.Local[t], jq.Binds)}
+		if jq.Projection == nil {
+			continue // every column is delivered
+		}
+		cols := expr.Columns(jq.Local[t])
+		for _, c := range flat {
+			cols = append(cols, c-je.offs[t]) // Cols drops what falls outside the table
+		}
+		ks[t].need = expr.Cols(len(tab.Columns), cols...)
+	}
+	return ks
+}
+
 // scanLocal streams the rows of table t that pass its local restriction
 // to emit, charging tr: a heap scan when ix is nil, else ix's [lo, hi)
 // range (reversed when desc) with a fetch and a re-filter per entry —
 // the range may over-approximate the restriction, or not bound it at
-// all.
-func (je *joinExec) scanLocal(t int, ix *catalog.Index, lo, hi []byte, desc bool, tr *storage.Tracker, emit func(expr.Row)) error {
-	tab, local := je.jq.Tables[t], je.jq.Local[t]
-	filter := func(row expr.Row) error {
-		pass, err := expr.EvalPred(local, row, je.jq.Binds)
-		if err == nil && pass {
-			emit(row)
+// all. emit gets the kernel's view of the row, valid until it returns:
+// what it keeps it must own (Row.Own, expr.CopyOwned).
+func (je *joinExec) scanLocal(t int, ix *catalog.Index, lo, hi []byte, desc bool, tr *storage.Tracker, emit func(view expr.Row)) error {
+	heap, k := je.jq.Tables[t].Heap, je.kern[t]
+	var view expr.Row
+	decide := func(rec []byte) error {
+		keep, err := k.record(rec, &view)
+		if keep {
+			emit(view)
 		}
 		return err
 	}
 	if ix == nil {
-		hc := tab.Heap.CursorTracked(tr)
+		hc := heap.CursorTracked(tr)
 		defer hc.Close()
 		for {
 			rec, _, ok, err := hc.Next()
 			if err != nil || !ok {
 				return err
 			}
-			row, err := expr.DecodeRow(rec)
-			if err != nil {
-				return err
-			}
-			if err := filter(row); err != nil {
+			if err := decide(rec); err != nil {
 				return err
 			}
 		}
@@ -341,11 +367,11 @@ func (je *joinExec) scanLocal(t int, ix *catalog.Index, lo, hi []byte, desc bool
 		if err != nil || !ok {
 			return err
 		}
-		row, err := tab.FetchTracked(r, tr)
+		rec, err := heap.GetTracked(r, tr)
 		if err != nil {
 			return err
 		}
-		if err := filter(row); err != nil {
+		if err := decide(rec); err != nil {
 			return err
 		}
 	}
@@ -380,9 +406,9 @@ func (je *joinExec) execDriver(sg *JoinStagePlan) ([]expr.Row, error) {
 		}
 	}
 	var out []expr.Row
-	err := je.scanLocal(t, ix, lo, hi, je.ordered && je.jq.OrderDesc, m.tr, func(row expr.Row) {
+	err := je.scanLocal(t, ix, lo, hi, je.ordered && je.jq.OrderDesc, m.tr, func(view expr.Row) {
 		fr := make(expr.Row, je.width)
-		copy(fr[off:], row)
+		expr.CopyOwned(fr[off:], view)
 		out = append(out, fr)
 	})
 	if err != nil {
@@ -502,7 +528,7 @@ func (je *joinExec) execNL(t int, preds []stagePred, outer []expr.Row) ([]expr.R
 	m := newMeter(je.ec)
 	off := je.offs[t]
 	var inner []expr.Row
-	if err := je.scanLocal(t, nil, nil, nil, false, m.tr, func(row expr.Row) { inner = append(inner, row) }); err != nil {
+	if err := je.scanLocal(t, nil, nil, nil, false, m.tr, func(view expr.Row) { inner = append(inner, view.Own(nil)) }); err != nil {
 		return nil, m.io(), err
 	}
 	var out []expr.Row
@@ -583,7 +609,6 @@ func (je *joinExec) execProbe(sg *JoinStagePlan, preds []stagePred, outer []expr
 	if probe == -1 {
 		return nil, false, fmt.Errorf("core: no join predicate drives probe index %s.%s", tab.Name, sg.Index)
 	}
-	local := je.jq.Local[t]
 	off := je.offs[t]
 	// Appraised probe work: one descent plus roughly one fetch per
 	// outer row.
@@ -592,6 +617,7 @@ func (je *joinExec) execProbe(sg *JoinStagePlan, preds []stagePred, outer []expr
 	// outs[0] is the stage output itself: worker 0 appends to it in
 	// place, later workers' rows are appended behind it at the barrier.
 	outs := make([][]expr.Row, width)
+	views := make([]expr.Row, width) // each worker's kernel scratch
 	var chunk []expr.Row
 	var k int
 	work := func(i int, tr *storage.Tracker, stop *atomic.Bool) error {
@@ -600,7 +626,7 @@ func (je *joinExec) execProbe(sg *JoinStagePlan, preds []stagePred, outer []expr
 				break
 			}
 			var err error
-			if outs[i], err = je.probeOne(outs[i], orow, preds, probe, tab, ix, local, off, filter, tr); err != nil {
+			if outs[i], err = je.probeOne(outs[i], orow, preds, probe, tab, ix, je.kern[t], &views[i], off, filter, tr); err != nil {
 				return err
 			}
 		}
@@ -628,9 +654,12 @@ func (je *joinExec) execProbe(sg *JoinStagePlan, preds []stagePred, outer []expr
 }
 
 // probeOne is the inl/ridx probe kernel: it probes the inner index for
-// one outer row, appending matches to out. All charged I/O goes to tr —
-// a worker's own tracker, or the stage meter's at width 1.
-func (je *joinExec) probeOne(out []expr.Row, orow expr.Row, preds []stagePred, probe int, tab *catalog.Table, ix *catalog.Index, local expr.Expr, off int, filter *rid.CompressedBitmap, tr *storage.Tracker) ([]expr.Row, error) {
+// one outer row, appending matches to out. A fetched record is decided
+// through the inner table's kernel k into the worker's scratch view, and
+// materialized — straight into the combined row — only if it matches.
+// All charged I/O goes to tr — a worker's own tracker, or the stage
+// meter's at width 1.
+func (je *joinExec) probeOne(out []expr.Row, orow expr.Row, preds []stagePred, probe int, tab *catalog.Table, ix *catalog.Index, k *rowKernel, view *expr.Row, off int, filter *rid.CompressedBitmap, tr *storage.Tracker) ([]expr.Row, error) {
 	v := orow[preds[probe].outerPos]
 	if v.IsNull() {
 		return out, nil
@@ -653,16 +682,18 @@ func (je *joinExec) probeOne(out []expr.Row, orow expr.Row, preds []stagePred, p
 		if filter != nil && !filter.MayContain(r) {
 			continue
 		}
-		row, err := tab.FetchTracked(r, tr)
+		rec, err := tab.Heap.GetTracked(r, tr)
 		if err != nil {
 			return out, err
 		}
-		pass, err := expr.EvalPred(local, row, je.jq.Binds)
+		pass, err := k.record(rec, view)
 		if err != nil {
 			return out, err
 		}
-		if pass && predsMatch(preds, orow, row) {
-			out = append(out, combineRows(orow, row, off))
+		if pass && predsMatch(preds, orow, *view) {
+			fr := orow.Clone()
+			expr.CopyOwned(fr[off:], *view)
+			out = append(out, fr)
 		}
 	}
 }

@@ -54,13 +54,13 @@ func (je *joinExec) execHJ(sg *JoinStagePlan, preds []stagePred, outer []expr.Ro
 
 	ht := make(map[string][]expr.Row)
 	var kbuf []byte
-	insert := func(row expr.Row) {
-		key, ok := hashJoinKey(kbuf[:0], row, innerCols)
+	insert := func(view expr.Row) {
+		key, ok := hashJoinKey(kbuf[:0], view, innerCols)
 		kbuf = key
 		if !ok {
 			return
 		}
-		ht[string(key)] = append(ht[string(key)], row)
+		ht[string(key)] = append(ht[string(key)], view.Own(nil))
 	}
 	// Index-assisted build: the restriction index bounds the qualifying
 	// rows, so only they are fetched; otherwise the heap is scanned.

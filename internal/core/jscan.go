@@ -6,7 +6,6 @@ import (
 	"rdbdyn/internal/btree"
 	"rdbdyn/internal/catalog"
 	"rdbdyn/internal/estimate"
-	"rdbdyn/internal/expr"
 	"rdbdyn/internal/rid"
 	"rdbdyn/internal/storage"
 )
@@ -45,7 +44,7 @@ type jscan struct {
 	curIx    *catalog.Index
 	curLo    []byte // the open scan's key range, kept for partitioning
 	curHi    []byte
-	local    expr.Expr
+	local    *rowKernel
 	list     *rid.Container
 	seen     int
 	rangeEst float64
@@ -94,7 +93,7 @@ type raceState struct {
 type raceLeg struct {
 	ix       *catalog.Index
 	cur      *btree.Cursor
-	local    expr.Expr
+	local    *rowKernel
 	rids     []storage.RID
 	seen     int
 	rangeEst float64
@@ -299,7 +298,7 @@ func (j *jscan) openSequential(e estimate.IndexEstimate) error {
 	j.curIx = e.Index
 	j.curLo, j.curHi = e.Lo, e.Hi
 	j.partitionable = true
-	j.local = localRestriction(j.q.Restriction, e.Index)
+	j.local = keyKernel(j.q.Restriction, j.q.Binds, e.Index)
 	j.list = rid.NewContainerTracked(j.q.Table.Pool(), j.cfg.RID, j.m.tr)
 	j.seen = 0
 	j.rangeEst = e.RIDs
@@ -349,7 +348,7 @@ func (j *jscan) stepSequential() error {
 		}
 		j.seen += n
 		budget -= n
-		kept, err := j.acceptBatch(j.batch[:n], j.curIx, j.local, j.filter)
+		kept, err := acceptEntries(j.batch[:n], j.curIx, j.local, j.filter, j.sc)
 		if err != nil {
 			return err
 		}
@@ -386,12 +385,6 @@ func (j *jscan) stepSequential() error {
 		}
 	}
 	return nil
-}
-
-// acceptBatch is acceptEntries over the jscan's own scratch, used by
-// the single-goroutine paths.
-func (j *jscan) acceptBatch(entries []btree.Entry, ix *catalog.Index, local expr.Expr, filter rid.Filter) ([]storage.RID, error) {
-	return acceptEntries(entries, ix, local, j.q.Binds, filter, j.sc)
 }
 
 // completeScan adopts or rejects the finished RID list.
@@ -488,7 +481,7 @@ func (j *jscan) openLeg(e estimate.IndexEstimate) (raceLeg, error) {
 	return raceLeg{
 		ix:       e.Index,
 		cur:      cur,
-		local:    localRestriction(j.q.Restriction, e.Index),
+		local:    keyKernel(j.q.Restriction, j.q.Binds, e.Index),
 		rangeEst: re,
 		cost0:    j.m.total(),
 		tr:       legTr,
@@ -524,7 +517,7 @@ func (j *jscan) stepRace() error {
 			}
 			leg.seen += n
 			budget -= n
-			kept, err := j.acceptBatch(j.batch[:n], leg.ix, leg.local, j.filter)
+			kept, err := acceptEntries(j.batch[:n], leg.ix, leg.local, j.filter, j.sc)
 			if err != nil {
 				return err
 			}

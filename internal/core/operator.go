@@ -65,6 +65,7 @@ type acceptScratch struct {
 	keep []bool
 	rbuf []storage.RID // filter-probe input
 	obuf []storage.RID // accepted-RID output
+	row  expr.Row      // the key kernel's scratch
 }
 
 func newAcceptScratch(n int) *acceptScratch {
@@ -79,14 +80,15 @@ func newAcceptScratch(n int) *acceptScratch {
 }
 
 // acceptEntries applies the previous list's filter and the index-local
-// restriction to a batch of entries, returning the surviving RIDs in
-// scan order. The returned slice aliases sc.obuf and stays valid until
-// the next call with the same scratch. The filter runs first as one
-// bulk probe (both predicates are pure, so the order does not change
-// the kept set), and — because the filter is exact — every entry it
-// rejects skips the key decode entirely. filter may be probed from
-// several goroutines at once: completed filters are read-only.
-func acceptEntries(entries []btree.Entry, ix *catalog.Index, local expr.Expr, binds expr.Bindings, filter rid.Filter, sc *acceptScratch) ([]storage.RID, error) {
+// restriction (a key kernel; nil = none) to a batch of entries,
+// returning the surviving RIDs in scan order. The returned slice aliases
+// sc.obuf and stays valid until the next call with the same scratch. The
+// filter runs first as one bulk probe (both predicates are pure, so the
+// order does not change the kept set), and — because the filter is
+// exact — every entry it rejects skips the key decode entirely. filter
+// may be probed from several goroutines at once: completed filters are
+// read-only.
+func acceptEntries(entries []btree.Entry, ix *catalog.Index, local *rowKernel, filter rid.Filter, sc *acceptScratch) ([]storage.RID, error) {
 	rids := sc.rbuf[:len(entries)]
 	keep := sc.keep[:len(entries)]
 	for i, e := range entries {
@@ -99,15 +101,9 @@ func acceptEntries(entries []btree.Entry, ix *catalog.Index, local expr.Expr, bi
 			continue
 		}
 		if local != nil {
-			row, err := ix.DecodeEntry(e.Key)
-			if err != nil {
+			if ok, err := local.entry(ix, e.Key, &sc.row); err != nil {
 				return nil, err
-			}
-			ok, err := expr.EvalPred(local, row, binds)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
+			} else if !ok {
 				continue
 			}
 		}

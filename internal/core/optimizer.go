@@ -102,7 +102,7 @@ func (o *Optimizer) tracer(ec *ExecCtx, st *RetrievalStats) *tracer {
 
 // newRetrieval assembles the retrieval shell a tactic is arranged in.
 func (o *Optimizer) newRetrieval(ec *ExecCtx, q *Query, cfg Config, st RetrievalStats) *retrieval {
-	r := &retrieval{q: q, cfg: cfg, st: st, ec: ec, out: &rowQueue{}, metrics: o.metrics}
+	r := &retrieval{q: q, k: q.kernel(), cfg: cfg, st: st, ec: ec, out: &rowQueue{}, metrics: o.metrics}
 	r.trc = o.tracer(ec, &r.st)
 	return r
 }
@@ -197,7 +197,7 @@ func (o *Optimizer) run(ec *ExecCtx, q *Query) (Rows, error) {
 			o.planUnion(ec, q, legs, r, model, goal)
 		} else {
 			r.tactic = tacticTscan
-			r.fg = newTscan(ec, q, r.out, tscanWidth(o.cfg, ec, r.trc, q, model.TscanCost()))
+			r.fg = newTscan(ec, q, r.k, r.out, tscanWidth(o.cfg, ec, r.trc, q, model.TscanCost()))
 			r.trc.emit(TraceEvent{
 				Kind: EvTacticChosen, Tactic: r.tactic.String(), Scan: "Tscan",
 				EstimatedIO: model.TscanCost(), Detail: "no useful index",
@@ -223,7 +223,7 @@ func (o *Optimizer) planUnion(ec *ExecCtx, q *Query, legs []unionLeg, r *retriev
 		r.tactic = tacticFastFirst
 		borrow := &ridQueue{}
 		r.bg = newUscan(ec, q, o.cfg, model, legs, borrow, r.trc)
-		r.fg = newBorrowFetcher(ec, q, borrow, r.out, o.cfg.FgBufferCap)
+		r.fg = newBorrowFetcher(ec, q, r.k, borrow, r.out, o.cfg.FgBufferCap)
 		r.trc.emit(TraceEvent{
 			Kind: EvTacticChosen, Tactic: r.tactic.String(), Scan: "Uscan", Indexes: names,
 			EstimatedIO: unionEst, Detail: fmt.Sprintf("fast-first over a %d-leg union", len(legs)),
@@ -375,7 +375,7 @@ func (o *Optimizer) planFastFirst(ec *ExecCtx, q *Query, res estimate.Result, r 
 	j := newJscan(ec, q, cfg, model, res.Estimates, borrow, r.trc)
 	j.onDone = o.observer(q)
 	r.bg = j
-	r.fg = newBorrowFetcher(ec, q, borrow, r.out, cfg.FgBufferCap)
+	r.fg = newBorrowFetcher(ec, q, r.k, borrow, r.out, cfg.FgBufferCap)
 	r.trc.emit(TraceEvent{
 		Kind: EvTacticChosen, Tactic: r.tactic.String(), Scan: "Jscan", Indexes: estNames(res.Estimates),
 		EstimatedIO: bgPlanEst(model, res.Estimates[0]),
@@ -397,7 +397,7 @@ func (o *Optimizer) planWithSelfSufficient(ec *ExecCtx, q *Query, cl Classificat
 		r.closed = true
 		return nil
 	}
-	fg, err := newSscan(ec, q, best, bestLo, bestHi, r.out, false)
+	fg, err := newSscan(ec, r.k, best, bestLo, bestHi, r.out, false)
 	if err != nil {
 		return err
 	}
@@ -412,6 +412,7 @@ func (o *Optimizer) planWithSelfSufficient(ec *ExecCtx, q *Query, cl Classificat
 		return nil
 	}
 	r.tactic = tacticIndexOnly
+	fg.track = func() bool { return !r.bgDone }
 	j := newJscan(ec, q, o.cfg, r.model, res.Estimates, nil, r.trc)
 	j.onDone = o.observer(q)
 	r.bg = j
@@ -488,7 +489,7 @@ func (o *Optimizer) planOrdered(ec *ExecCtx, q *Query, cl Classification, res es
 				r.closed = true
 				return nil, nil
 			}
-			fg, err := newSscan(ec, q, ix, lo, hi, r.out, q.OrderDesc)
+			fg, err := newSscan(ec, r.k, ix, lo, hi, r.out, q.OrderDesc)
 			if err != nil {
 				return nil, err
 			}
@@ -521,7 +522,7 @@ func (o *Optimizer) planOrdered(ec *ExecCtx, q *Query, cl Classification, res es
 			return o.runSorted(ec, q)
 		}
 	}
-	fg, err := newFscan(ec, q, ordIx, ordLo, ordHi, r.out, q.OrderDesc)
+	fg, err := newFscan(ec, q, r.k, ordIx, ordLo, ordHi, r.out, q.OrderDesc)
 	if err != nil {
 		return nil, err
 	}

@@ -84,7 +84,8 @@ func (t *tscan) runParallelScan() (bool, error) {
 	err := fanOut(t.m.tr, k, func(i int, tr *storage.Tracker, stop *atomic.Bool) error {
 		cur := heap.RangeCursorTracked(storage.PageNo(i*npages/k), storage.PageNo((i+1)*npages/k), tr)
 		defer cur.Close()
-		_, err := t.scanRows(cur, 0, stop, &outs[i])
+		var scratch expr.Row
+		_, err := t.scanRows(cur, 0, stop, &scratch, &outs[i])
 		return err
 	})
 	if err != nil {
@@ -357,7 +358,7 @@ func (j *jscan) maybePartitionedScan() (bool, error) {
 				return err
 			}
 			seen[i] += cnt
-			kept, err := acceptEntries(batch[:cnt], j.curIx, j.local, j.q.Binds, j.filter, sc)
+			kept, err := acceptEntries(batch[:cnt], j.curIx, j.local, j.filter, sc)
 			if err != nil {
 				return err
 			}

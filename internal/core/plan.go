@@ -278,7 +278,7 @@ func (o *Optimizer) pinned(ec *ExecCtx, q *Query, p *Plan, ixs []*catalog.Index,
 	switch tactic {
 	case tacticTscan:
 		r.model = tableCostModel(q)
-		r.fg = newTscan(ec, q, r.out, cfg.effectiveWorkers())
+		r.fg = newTscan(ec, q, r.k, r.out, cfg.effectiveWorkers())
 		chosen.Scan, chosen.EstimatedIO = "Tscan", r.model.TscanCost()
 		r.trc.emit(chosen)
 		return r, nil
@@ -286,9 +286,9 @@ func (o *Optimizer) pinned(ec *ExecCtx, q *Query, p *Plan, ixs []*catalog.Index,
 		lo, hi, _, _ := ixs[0].RestrictionBounds(q.Restriction, q.Binds)
 		var err error
 		if tactic == tacticSscan {
-			r.fg, err = newSscan(ec, q, ixs[0], lo, hi, r.out, desc)
+			r.fg, err = newSscan(ec, r.k, ixs[0], lo, hi, r.out, desc)
 		} else {
-			r.fg, err = newFscan(ec, q, ixs[0], lo, hi, r.out, desc)
+			r.fg, err = newFscan(ec, q, r.k, ixs[0], lo, hi, r.out, desc)
 		}
 		if err != nil {
 			return nil, err
@@ -307,14 +307,14 @@ func (o *Optimizer) pinned(ec *ExecCtx, q *Query, p *Plan, ixs []*catalog.Index,
 	switch tactic {
 	case tacticFastFirst:
 		borrow = &ridQueue{}
-		r.fg = newBorrowFetcher(ec, q, borrow, r.out, cfg.FgBufferCap)
+		r.fg = newBorrowFetcher(ec, q, r.k, borrow, r.out, cfg.FgBufferCap)
 		chosen.Detail += ", foreground borrows from " + ixs[0].Name
 	case tacticSorted:
 		// ixs[0] delivers the order through an Fscan; the rest feed the
 		// filter-only Jscan (no temp-table spill, the bitmap absorbs
 		// overflow).
 		lo, hi, _, _ := ixs[0].RestrictionBounds(q.Restriction, q.Binds)
-		fg, err := newFscan(ec, q, ixs[0], lo, hi, r.out, desc)
+		fg, err := newFscan(ec, q, r.k, ixs[0], lo, hi, r.out, desc)
 		if err != nil {
 			return nil, err
 		}

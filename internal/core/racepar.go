@@ -75,7 +75,7 @@ func (j *jscan) runRaceParallel() error {
 					return
 				}
 				leg.seen += n
-				kept, err := acceptEntries(batch[:n], leg.ix, leg.local, j.q.Binds, j.filter, sc)
+				kept, err := acceptEntries(batch[:n], leg.ix, leg.local, j.filter, sc)
 				if err != nil {
 					errs[li] = err
 					stopErr.Store(true)

@@ -67,33 +67,34 @@ func newEntryCursor(tree *btree.BTree, lo, hi []byte, desc bool, tr *storage.Tra
 	return tree.SeekTracked(lo, hi, tr)
 }
 
-// rowQueue is the delivery buffer between a producing scan and the
-// Rows iterator.
-type rowQueue struct {
-	rows []expr.Row
+// queue is a FIFO that reuses its backing array: pop advances a head
+// index, clears the slot it leaves and rewinds when the queue drains.
+type queue[T any] struct {
+	rows []T
+	head int
 }
 
-func (q *rowQueue) push(r expr.Row) { q.rows = append(q.rows, r) }
-func (q *rowQueue) empty() bool     { return len(q.rows) == 0 }
-func (q *rowQueue) pop() expr.Row {
-	r := q.rows[0]
-	q.rows = q.rows[1:]
-	return r
+func (q *queue[T]) push(v T)    { q.rows = append(q.rows, v) }
+func (q *queue[T]) empty() bool { return q.head == len(q.rows) }
+func (q *queue[T]) pop() T {
+	var zero T
+	v := q.rows[q.head]
+	q.rows[q.head] = zero
+	if q.head++; q.head == len(q.rows) {
+		q.rows, q.head = q.rows[:0], 0
+	}
+	return v
 }
+
+// rowQueue is the delivery buffer between a producing scan and the
+// Rows iterator.
+type rowQueue = queue[expr.Row]
 
 // ridQueue carries borrowed RIDs from the background's first index scan
 // to the fast-first foreground.
 type ridQueue struct {
-	rids   []storage.RID
+	queue[storage.RID]
 	closed bool // producer finished
-}
-
-func (q *ridQueue) push(r storage.RID) { q.rids = append(q.rids, r) }
-func (q *ridQueue) empty() bool        { return len(q.rids) == 0 }
-func (q *ridQueue) pop() storage.RID {
-	r := q.rids[0]
-	q.rids = q.rids[1:]
-	return r
 }
 
 // tscan is the classical sequential retrieval: one heap page per step.
@@ -101,6 +102,8 @@ func (q *ridQueue) pop() storage.RID {
 // delivered (fast-first fallback).
 type tscan struct {
 	q       *Query
+	k       *rowKernel
+	scratch expr.Row // the stepping path's; a partition worker brings its own
 	cur     *storage.HeapCursor
 	out     *rowQueue
 	m       meter
@@ -111,7 +114,7 @@ type tscan struct {
 	done    bool
 }
 
-func newTscan(ec *ExecCtx, q *Query, out *rowQueue, workers int) *tscan {
+func newTscan(ec *ExecCtx, q *Query, k *rowKernel, out *rowQueue, workers int) *tscan {
 	pages := q.Table.Pages()
 	rpp := 1
 	if pages > 0 {
@@ -120,6 +123,7 @@ func newTscan(ec *ExecCtx, q *Query, out *rowQueue, workers int) *tscan {
 	m := newMeter(ec)
 	return &tscan{
 		q:       q,
+		k:       k,
 		cur:     q.Table.Heap.CursorTracked(m.tr),
 		out:     out,
 		m:       m,
@@ -145,7 +149,7 @@ func (t *tscan) step() (bool, error) {
 			return t.done, err
 		}
 	}
-	done, err := t.scanRows(t.cur, t.rpp, nil, t.out)
+	done, err := t.scanRows(t.cur, t.rpp, nil, &t.scratch, t.out)
 	t.done = done
 	return t.done, err
 }
@@ -153,12 +157,12 @@ func (t *tscan) step() (bool, error) {
 // stopped polls a fan-out's stop flag; the stepping paths pass nil.
 func stopped(stop *atomic.Bool) bool { return stop != nil && stop.Load() }
 
-// scanRows is the heap-row kernel: records from cur pass exclude →
-// decode → restriction → project into out. The stepping path runs it on
-// the scan's own cursor with its per-step record budget; partition
-// workers run it unbounded (budget 0) on a page-range cursor, polling
-// stop. done reports that cur is exhausted.
-func (t *tscan) scanRows(cur *storage.HeapCursor, budget int, stop *atomic.Bool, out *rowQueue) (done bool, _ error) {
+// scanRows drives the row kernel over cur's records, skipping excluded
+// RIDs. The stepping path runs it on the scan's own cursor with its
+// per-step record budget; partition workers run it unbounded (budget 0)
+// on a page-range cursor with their own scratch, polling stop. done
+// reports that cur is exhausted.
+func (t *tscan) scanRows(cur *storage.HeapCursor, budget int, stop *atomic.Bool, scratch *expr.Row, out *rowQueue) (done bool, _ error) {
 	for i := 0; (budget == 0 || i < budget) && !stopped(stop); i++ {
 		rec, rrid, ok, err := cur.Next()
 		if err != nil {
@@ -170,51 +174,37 @@ func (t *tscan) scanRows(cur *storage.HeapCursor, budget int, stop *atomic.Bool,
 		if t.exclude != nil && t.exclude.MayContain(rrid) {
 			continue
 		}
-		row, err := expr.DecodeRow(rec)
-		if err != nil {
+		if _, err := t.k.deliver(rec, scratch, out); err != nil {
 			return false, err
-		}
-		keep, err := expr.EvalPred(t.q.Restriction, row, t.q.Binds)
-		if err != nil {
-			return false, err
-		}
-		if keep {
-			out.push(t.q.project(row))
 		}
 	}
 	return false, nil
 }
 
-// pagesRemaining projects the scan's remaining cost.
-func (t *tscan) pagesRemaining() int { return t.cur.PagesRemaining() }
-
 // sscan is the self-sufficient index scan: the whole query is answered
 // from index entries, never touching data records.
 type sscan struct {
-	q   *Query
-	ix  *catalog.Index
-	cur entryCursor
-	out *rowQueue
-	m   meter
+	k       *rowKernel
+	scratch expr.Row
+	ix      *catalog.Index
+	cur     entryCursor
+	out     *rowQueue
+	m       meter
 	// delivered records RIDs of rows already handed out, so a winning
-	// background final stage can skip them (index-only tactic).
+	// background final stage can skip them (index-only tactic) — only
+	// while track reports that such a background is still live.
 	delivered []storage.RID
+	track     func() bool // nil = nobody can take them
 	done      bool
 }
 
-func newSscan(ec *ExecCtx, q *Query, ix *catalog.Index, lo, hi []byte, out *rowQueue, desc bool) (*sscan, error) {
+func newSscan(ec *ExecCtx, k *rowKernel, ix *catalog.Index, lo, hi []byte, out *rowQueue, desc bool) (*sscan, error) {
 	m := newMeter(ec)
 	cur, err := newEntryCursor(ix.Tree, lo, hi, desc, m.tr)
 	if err != nil {
 		return nil, err
 	}
-	return &sscan{
-		q:   q,
-		ix:  ix,
-		cur: cur,
-		out: out,
-		m:   m,
-	}, nil
+	return &sscan{k: k, ix: ix, cur: cur, out: out, m: m}, nil
 }
 
 func (s *sscan) name() string  { return "Sscan(" + s.ix.Name + ")" }
@@ -234,17 +224,15 @@ func (s *sscan) step() (bool, error) {
 			s.done = true
 			return true, nil
 		}
-		row, err := s.ix.DecodeEntry(key)
-		if err != nil {
-			return s.done, err
-		}
-		keep, err := expr.EvalPred(s.q.Restriction, row, s.q.Binds)
+		keep, err := s.k.entry(s.ix, key, &s.scratch)
 		if err != nil {
 			return s.done, err
 		}
 		if keep {
-			s.out.push(s.q.project(row))
-			s.delivered = append(s.delivered, rid)
+			s.out.push(s.scratch.Own(s.k.proj))
+			if s.track != nil && s.track() {
+				s.delivered = append(s.delivered, rid)
+			}
 		}
 	}
 	return s.done, nil
@@ -257,33 +245,18 @@ func (s *sscan) step() (bool, error) {
 // usually comprise the biggest cost portion of retrieval".
 type fscan struct {
 	q       *Query
+	k       *rowKernel
+	scratch expr.Row // serves the key check and the fetched-row check in turn
 	ix      *catalog.Index
 	cur     entryCursor
-	local   expr.Expr              // restriction conjuncts evaluable on key columns
-	filter  func(storage.RID) bool // nil = no pre-fetch filter
+	local   *rowKernel             // restriction conjuncts the key decides; may be nil
+	filter  func(storage.RID) bool // pre-fetch RID filter; the sorted tactic installs it mid-scan
 	out     *rowQueue
 	m       meter
-	scanned int // entries consumed
-	fetched int // records fetched
 	done    bool
 }
 
-// localRestriction extracts the conjuncts of e whose columns all lie in
-// the index key, so they can be checked on the entry before fetching.
-func localRestriction(e expr.Expr, ix *catalog.Index) expr.Expr {
-	var local []expr.Expr
-	for _, cj := range expr.Conjuncts(e) {
-		if ix.Covers(expr.Columns(cj)) {
-			local = append(local, cj)
-		}
-	}
-	if len(local) == 0 {
-		return nil
-	}
-	return expr.NewAnd(local...)
-}
-
-func newFscan(ec *ExecCtx, q *Query, ix *catalog.Index, lo, hi []byte, out *rowQueue, desc bool) (*fscan, error) {
+func newFscan(ec *ExecCtx, q *Query, k *rowKernel, ix *catalog.Index, lo, hi []byte, out *rowQueue, desc bool) (*fscan, error) {
 	m := newMeter(ec)
 	cur, err := newEntryCursor(ix.Tree, lo, hi, desc, m.tr)
 	if err != nil {
@@ -291,9 +264,10 @@ func newFscan(ec *ExecCtx, q *Query, ix *catalog.Index, lo, hi []byte, out *rowQ
 	}
 	return &fscan{
 		q:     q,
+		k:     k,
 		ix:    ix,
 		cur:   cur,
-		local: localRestriction(q.Restriction, ix),
+		local: keyKernel(q.Restriction, q.Binds, ix),
 		out:   out,
 		m:     m,
 	}, nil
@@ -302,10 +276,6 @@ func newFscan(ec *ExecCtx, q *Query, ix *catalog.Index, lo, hi []byte, out *rowQ
 func (f *fscan) name() string  { return "Fscan(" + f.ix.Name + ")" }
 func (f *fscan) cost() float64 { return f.m.cost() }
 func (f *fscan) release()      { f.cur.Close() }
-
-// setFilter installs a pre-fetch RID filter (sorted tactic: the Jscan
-// filter arrives while the Fscan is already running).
-func (f *fscan) setFilter(fn func(storage.RID) bool) { f.filter = fn }
 
 func (f *fscan) step() (bool, error) {
 	if f.done {
@@ -321,35 +291,23 @@ func (f *fscan) step() (bool, error) {
 			f.done = true
 			return true, nil
 		}
-		f.scanned++
 		if f.local != nil {
-			row, err := f.ix.DecodeEntry(key)
-			if err != nil {
+			if keep, err := f.local.entry(f.ix, key, &f.scratch); err != nil {
 				return f.done, err
-			}
-			keep, err := expr.EvalPred(f.local, row, f.q.Binds)
-			if err != nil {
-				return f.done, err
-			}
-			if !keep {
+			} else if !keep {
 				continue
 			}
 		}
 		if f.filter != nil && !f.filter(rid) {
 			continue
 		}
-		row, err := f.q.Table.FetchTracked(rid, f.m.tr)
+		rec, err := f.q.Table.Heap.GetTracked(rid, f.m.tr)
 		if err != nil {
 			return f.done, err
 		}
 		fetches++
-		f.fetched++
-		keep, err := expr.EvalPred(f.q.Restriction, row, f.q.Binds)
-		if err != nil {
+		if _, err := f.k.deliver(rec, &f.scratch, f.out); err != nil {
 			return f.done, err
-		}
-		if keep {
-			f.out.push(f.q.project(row))
 		}
 	}
 	return f.done, nil
@@ -360,10 +318,12 @@ func (f *fscan) step() (bool, error) {
 // the records, and remembers what it delivered so the final stage can
 // filter those out (Section 7, fast-first tactic).
 type borrowFetcher struct {
-	q   *Query
-	in  *ridQueue
-	out *rowQueue
-	m   meter
+	q       *Query
+	k       *rowKernel
+	scratch expr.Row
+	in      *ridQueue
+	out     *rowQueue
+	m       meter
 	// delivered RIDs, bounded by cap; overflow signals the tactic to
 	// terminate the foreground.
 	delivered []storage.RID
@@ -372,19 +332,13 @@ type borrowFetcher struct {
 	done      bool
 }
 
-func newBorrowFetcher(ec *ExecCtx, q *Query, in *ridQueue, out *rowQueue, capRIDs int) *borrowFetcher {
+func newBorrowFetcher(ec *ExecCtx, q *Query, k *rowKernel, in *ridQueue, out *rowQueue, capRIDs int) *borrowFetcher {
 	// capRIDs == 0 means "the documented default", never "overflow
 	// after the first delivered row"; a negative cap means unbounded.
 	if capRIDs == 0 {
 		capRIDs = DefaultConfig().FgBufferCap
 	}
-	return &borrowFetcher{
-		q:       q,
-		in:      in,
-		out:     out,
-		m:       newMeter(ec),
-		capRIDs: capRIDs,
-	}
+	return &borrowFetcher{q: q, k: k, in: in, out: out, m: newMeter(ec), capRIDs: capRIDs}
 }
 
 func (b *borrowFetcher) name() string  { return "Fgr(borrow)" }
@@ -403,18 +357,17 @@ func (b *borrowFetcher) step() (bool, error) {
 			return b.done, nil
 		}
 		rid := b.in.pop()
-		row, err := b.q.Table.FetchTracked(rid, b.m.tr)
+		rec, err := b.q.Table.Heap.GetTracked(rid, b.m.tr)
 		if err != nil {
 			return b.done, err
 		}
-		keep, err := expr.EvalPred(b.q.Restriction, row, b.q.Binds)
+		keep, err := b.k.deliver(rec, &b.scratch, b.out)
 		if err != nil {
 			return b.done, err
 		}
 		// Only delivered rows need bookkeeping: rows rejected here
 		// will be rejected again by Fin's restriction re-check.
 		if keep {
-			b.out.push(b.q.project(row))
 			b.delivered = append(b.delivered, rid)
 			if b.capRIDs > 0 && len(b.delivered) >= b.capRIDs {
 				b.overflow = true

@@ -79,6 +79,7 @@ func (t tacticKind) String() string {
 // proportional speeds) until a row is available.
 type retrieval struct {
 	q      *Query
+	k      *rowKernel // q's row kernel, shared by every scan of the retrieval
 	cfg    Config
 	tactic tacticKind
 	model  estimate.CostModel
@@ -345,7 +346,7 @@ func (r *retrieval) onBgDone() error {
 				Indexes: r.bg.bgNames(), EstimatedIO: r.model.TscanCost(), ActualIO: r.bg.cost(),
 				Detail: "background recommends Tscan, switching",
 			})
-			r.replaceFg(newTscan(r.ec, r.q, r.out, tscanWidth(r.cfg, r.ec, r.trc, r.q, r.model.TscanCost())))
+			r.replaceFg(newTscan(r.ec, r.q, r.k, r.out, tscanWidth(r.cfg, r.ec, r.trc, r.q, r.model.TscanCost())))
 			return nil
 		}
 		return r.enterFinal(nil)
@@ -360,7 +361,7 @@ func (r *retrieval) onBgDone() error {
 		if c := r.bg.bgComplete(); c != nil {
 			f := c.Filter()
 			if fs, ok := r.fg.(*fscan); ok && !r.fgDone {
-				fs.setFilter(f.MayContain)
+				fs.filter = f.MayContain
 				r.trc.emit(TraceEvent{
 					Kind: EvFilterInstalled, Tactic: r.tactic.String(), Scan: r.fg.name(),
 					Indexes: r.bg.bgNames(), Detail: fmt.Sprintf("Jscan filter (%d rids) installed", c.Len()),
@@ -386,7 +387,7 @@ func (r *retrieval) bgResolveFastFirst() error {
 			EstimatedIO: r.model.TscanCost(), ActualIO: r.bg.cost(),
 			Detail: "background recommends Tscan for the remainder",
 		})
-		ts := newTscan(r.ec, r.q, r.out, tscanWidth(r.cfg, r.ec, r.trc, r.q, r.model.TscanCost()))
+		ts := newTscan(r.ec, r.q, r.k, r.out, tscanWidth(r.cfg, r.ec, r.trc, r.q, r.model.TscanCost()))
 		if len(delivered) > 0 {
 			ts.exclude = rid.FromRIDs(delivered)
 		}
@@ -494,7 +495,7 @@ func (r *retrieval) enterFinal(delivered []storage.RID) error {
 		}
 		width = decideWidth(r.cfg, r.ec, r.trc, "Fin", finEst)
 	}
-	fin, err := newFinalStage(r.ec, r.q, r.bg.bgComplete(), delivered, r.out, width)
+	fin, err := newFinalStage(r.ec, r.q, r.k, r.bg.bgComplete(), delivered, r.out, width)
 	if err != nil {
 		return err
 	}

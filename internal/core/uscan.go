@@ -74,10 +74,9 @@ type unionLeg struct {
 	Index *catalog.Index
 	Lo    []byte
 	Hi    []byte
-	// Local is the disjunct's restriction portion evaluable on the
-	// index's key columns (rejects non-matching entries before they
-	// enter the list).
-	Local expr.Expr
+	// Local is the disjunct as a key kernel when the index's key columns
+	// can evaluate it; nil otherwise.
+	Local *rowKernel
 	// Est is the estimated RID count of the leg's range.
 	Est float64
 }
@@ -133,27 +132,16 @@ func legForDisjunct(q *Query, d expr.Expr, tr *storage.Tracker) (unionLeg, bool)
 			continue
 		}
 		if bestEst < 0 || rids < bestEst {
-			best = unionLeg{
-				Index: ix,
-				Lo:    lo,
-				Hi:    hi,
-				Local: localDisjunct(d, ix),
-				Est:   rids,
+			best = unionLeg{Index: ix, Lo: lo, Hi: hi, Est: rids}
+			// A disjunct the key evaluates in full is checked on the entry,
+			// rejecting what its bounding range over-approximates.
+			if ix.Covers(expr.Columns(d)) {
+				best.Local = &rowKernel{filter: expr.NewFilter(d, q.Binds)}
 			}
 			bestEst = rids
 		}
 	}
 	return best, bestEst >= 0
-}
-
-// localDisjunct returns the disjunct if the index can evaluate it
-// fully on key columns, so leg entries outside the disjunct (but inside
-// its bounding range) are rejected before entering the list.
-func localDisjunct(d expr.Expr, ix *catalog.Index) expr.Expr {
-	if ix.Covers(expr.Columns(d)) {
-		return d
-	}
-	return nil
 }
 
 func newUscan(ec *ExecCtx, q *Query, cfg Config, model estimate.CostModel, legs []unionLeg, borrow *ridQueue, trc *tracer) *uscan {
@@ -303,7 +291,7 @@ func (u *uscan) scanLeg(leg *unionLeg, cur *btree.Cursor, ls *legScan, budget in
 			return n, true, nil
 		}
 		n += got
-		kept, err := acceptEntries(ls.batch[:got], leg.Index, leg.Local, u.q.Binds, rid.TrueFilter{}, ls.sc)
+		kept, err := acceptEntries(ls.batch[:got], leg.Index, leg.Local, rid.TrueFilter{}, ls.sc)
 		if err != nil {
 			return n, false, err
 		}

@@ -944,6 +944,10 @@ func (db *DB) execDelete(stmt *sql.DeleteStmt, bb expr.Bindings) (int, error) {
 // (an updated row must not match again).
 func (db *DB) matchingRIDs(tab *catalog.Table, restriction expr.Expr, bb expr.Bindings) ([]storage.RID, error) {
 	var victims []storage.RID
+	// The row kernel's decide half: nothing is delivered, so only the
+	// restriction's columns are decoded, into one scratch view.
+	filter, need := expr.NewFilter(restriction, bb), expr.Cols(len(tab.Columns), expr.Columns(restriction)...)
+	var view expr.Row
 	cur := tab.Heap.Cursor()
 	defer cur.Close()
 	for {
@@ -954,11 +958,10 @@ func (db *DB) matchingRIDs(tab *catalog.Table, restriction expr.Expr, bb expr.Bi
 		if !ok {
 			return victims, nil
 		}
-		row, err := expr.DecodeRow(rec)
-		if err != nil {
+		if view, err = expr.DecodeView(rec, view, need); err != nil {
 			return nil, err
 		}
-		keep, err := expr.EvalPred(restriction, row, bb)
+		keep, err := filter.Eval(view)
 		if err != nil {
 			return nil, err
 		}

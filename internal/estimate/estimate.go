@@ -220,12 +220,13 @@ func SampleSelectivity(ix *catalog.Index, rg expr.Range, restriction expr.Expr, 
 		return float64(count), nil
 	}
 	match := 0
+	filter := expr.NewFilter(restriction, binds)
+	var row expr.Row
 	for _, k := range keys {
-		row, err := ix.DecodeEntry(k)
-		if err != nil {
+		if row, err = ix.DecodeEntry(k, row); err != nil {
 			return 0, err
 		}
-		ok, err := expr.EvalPred(restriction, row, binds)
+		ok, err := filter.Eval(row)
 		if err != nil {
 			// Restriction touches non-key columns: sampling cannot
 			// refine; report the raw range count.

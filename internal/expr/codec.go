@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"strings"
+	"unsafe"
 )
 
 // ErrCorruptRecord is returned when a stored record cannot be decoded.
@@ -32,46 +34,78 @@ func EncodeRow(r Row) []byte {
 	return buf
 }
 
-// DecodeRow parses a record produced by EncodeRow.
-func DecodeRow(b []byte) (Row, error) { return DecodeRowInto(b, nil) }
+// ColSet is a set of column positions: the columns somebody reads. The
+// nil set means every column; Cols builds a proper subset.
+type ColSet []bool
 
-// DecodeRowInto is DecodeRow appending into dst[:0], reusing dst's
-// backing array when it has the capacity. Row-at-a-time pipelines pass
-// a scratch row to decode without allocating; a caller that keeps the
-// result past the next decode must copy it first. String values still
-// allocate (they copy out of the record).
-func DecodeRowInto(b []byte, dst Row) (Row, error) {
+// Cols returns the set of the given positions of a width-column row
+// (never nil: no positions means no columns). Positions outside the row
+// are ignored.
+func Cols(width int, cols ...int) ColSet {
+	s := make(ColSet, width)
+	for _, c := range cols {
+		if c >= 0 && c < width {
+			s[c] = true
+		}
+	}
+	return s
+}
+
+// Has reports whether column i is in the set.
+func (s ColSet) Has(i int) bool { return s == nil || (i < len(s) && s[i]) }
+
+// DecodeRow parses a record produced by EncodeRow into a fresh row that
+// owns its strings: the all-columns use of the record decoder, and the
+// reference DecodeView is tested against.
+func DecodeRow(b []byte) (Row, error) {
+	r, err := DecodeView(b, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	CopyOwned(r, r)
+	return r, nil
+}
+
+// DecodeView decodes record b into dst[:0] (reusing dst's backing array
+// when it is wide enough) as a full-width row that carries the columns
+// in need and NULL everywhere else. The whole record is walked and
+// validated whatever need says. String values share b's memory instead
+// of copying it, so the view must not outlive the record; Row.Own copies
+// out what a consumer keeps.
+func DecodeView(b []byte, dst Row, need ColSet) (Row, error) {
 	n, k := binary.Uvarint(b)
-	if k <= 0 {
+	// Every column takes at least its type byte, so a count beyond the
+	// record's length is corrupt — checked before it sizes an allocation.
+	if k <= 0 || n > uint64(len(b)-k) {
 		return nil, ErrCorruptRecord
 	}
 	b = b[k:]
 	r := dst[:0]
 	if uint64(cap(r)) < n {
-		r = make(Row, 0, n)
+		r = make(Row, n)
 	}
-	for i := uint64(0); i < n; i++ {
+	r = r[:n]
+	for i := range r {
 		if len(b) == 0 {
 			return nil, ErrCorruptRecord
 		}
-		t := Type(b[0])
+		has := need.Has(i)
+		v := Value{T: Type(b[0])}
 		b = b[1:]
-		var v Value
-		switch t {
+		switch v.T {
 		case TypeNull:
-			v = Null()
 		case TypeBool, TypeInt:
 			x, k := binary.Varint(b)
 			if k <= 0 {
 				return nil, ErrCorruptRecord
 			}
 			b = b[k:]
-			v = Value{T: t, I: x}
+			v.I = x
 		case TypeFloat:
 			if len(b) < 8 {
 				return nil, ErrCorruptRecord
 			}
-			v = Float(math.Float64frombits(binary.LittleEndian.Uint64(b)))
+			v.F = math.Float64frombits(binary.LittleEndian.Uint64(b))
 			b = b[8:]
 		case TypeString:
 			l, k := binary.Uvarint(b)
@@ -79,15 +113,51 @@ func DecodeRowInto(b []byte, dst Row) (Row, error) {
 				return nil, ErrCorruptRecord
 			}
 			b = b[k:]
-			v = Str(string(b[:l]))
+			if has {
+				v.S = viewString(b[:l])
+			}
 			b = b[l:]
 		default:
 			return nil, ErrCorruptRecord
 		}
-		r = append(r, v)
+		if !has {
+			v = Value{}
+		}
+		r[i] = v
 	}
 	if len(b) != 0 {
 		return nil, ErrCorruptRecord
 	}
 	return r, nil
+}
+
+// viewString returns b's bytes as a string without copying them. It is
+// as stable as b: stored records and index keys are replaced, never
+// modified in place, which is what lets a scan read a view of one.
+func viewString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// Own returns a fresh, exactly sized row of the view's columns cols
+// (nil = all of them, in order) with every string copied out of the
+// record it was viewing: the row a view's consumer may keep.
+func (r Row) Own(cols []int) Row {
+	if cols == nil {
+		out := make(Row, len(r))
+		CopyOwned(out, r)
+		return out
+	}
+	out := make(Row, len(cols))
+	for i, c := range cols {
+		out[i] = r[c]
+		out[i].S = strings.Clone(out[i].S)
+	}
+	return out
+}
+
+// CopyOwned copies view into dst[:len(view)], giving each string its
+// own storage.
+func CopyOwned(dst, view Row) {
+	for i, v := range view {
+		v.S = strings.Clone(v.S)
+		dst[i] = v
+	}
 }

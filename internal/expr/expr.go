@@ -129,6 +129,26 @@ func (op CmpOp) Flip() CmpOp {
 	}
 }
 
+// holds reports whether a op b is true given d = Compare(a, b).
+func (op CmpOp) holds(d int) bool {
+	switch op {
+	case EQ:
+		return d == 0
+	case NE:
+		return d != 0
+	case LT:
+		return d < 0
+	case LE:
+		return d <= 0
+	case GT:
+		return d > 0
+	case GE:
+		return d >= 0
+	default:
+		return false
+	}
+}
+
 // Cmp compares two sub-expressions.
 type Cmp struct {
 	Op   CmpOp
@@ -155,23 +175,7 @@ func (c *Cmp) Eval(row Row, binds Bindings) (Value, error) {
 	if !Comparable(lv.T, rv.T) {
 		return Null(), fmt.Errorf("%w: %s %s %s", ErrTypeMismatch, lv.T, c.Op, rv.T)
 	}
-	d := Compare(lv, rv)
-	var out bool
-	switch c.Op {
-	case EQ:
-		out = d == 0
-	case NE:
-		out = d != 0
-	case LT:
-		out = d < 0
-	case LE:
-		out = d <= 0
-	case GT:
-		out = d > 0
-	case GE:
-		out = d >= 0
-	}
-	return Bool(out), nil
+	return Bool(c.Op.holds(Compare(lv, rv))), nil
 }
 
 func (c *Cmp) String() string {

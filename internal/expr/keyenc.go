@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -82,28 +83,7 @@ func appendNumeric(dst []byte, f float64, i int64, isInt bool) []byte {
 }
 
 // CompareKeys compares two encoded keys bytewise.
-func CompareKeys(a, b []byte) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	default:
-		return 0
-	}
-}
+func CompareKeys(a, b []byte) int { return bytes.Compare(a, b) }
 
 // KeySuccessor returns the smallest key strictly greater than every key
 // having k as a prefix. It is used to turn inclusive upper bounds on key
@@ -117,31 +97,43 @@ func KeySuccessor(k []byte) []byte {
 // ErrBadKey is returned by DecodeKey for malformed encoded keys.
 var ErrBadKey = errors.New("expr: malformed encoded key")
 
-// DecodeKey parses the order-preserving encoding back into values. The
-// caller supplies the expected column types so the shared numeric code
-// can be mapped back to INT or FLOAT; a TypeNull expectation accepts any
-// type. Self-sufficient index scans use this to evaluate restrictions on
-// index keys without fetching data records.
+// DecodeKey parses the order-preserving encoding back into values, as a
+// fresh row that owns its strings. The caller supplies the expected
+// column types so the shared numeric code can be mapped back to INT or
+// FLOAT; a TypeNull expectation accepts any type.
 func DecodeKey(k []byte, types []Type) (Row, error) {
-	row := make(Row, 0, len(types))
-	for _, want := range types {
+	row := make(Row, len(types))
+	if err := DecodeKeyInto(k, types, nil, row); err != nil {
+		return nil, err
+	}
+	CopyOwned(row, row)
+	return row, nil
+}
+
+// DecodeKeyInto is the key decoder: value i of key k lands in
+// dst[pos[i]] (dst[i] when pos is nil). Self-sufficient index scans use
+// it to evaluate restrictions on index keys without fetching data
+// records. Like DecodeView it copies nothing it can share: a string
+// without escaped bytes views k's memory.
+func DecodeKeyInto(k []byte, types []Type, pos []int, dst Row) error {
+	for i, want := range types {
 		if len(k) == 0 {
-			return nil, ErrBadKey
+			return ErrBadKey
 		}
 		rank := k[0]
 		k = k[1:]
+		var v Value
 		switch rank {
 		case rankNull:
-			row = append(row, Null())
 		case rankBool:
 			if len(k) < 1 {
-				return nil, ErrBadKey
+				return ErrBadKey
 			}
-			row = append(row, Bool(k[0] != 0))
+			v = Bool(k[0] != 0)
 			k = k[1:]
 		case rankNumber:
 			if len(k) < 8 {
-				return nil, ErrBadKey
+				return ErrBadKey
 			}
 			bits := binary.BigEndian.Uint64(k)
 			k = k[8:]
@@ -152,43 +144,47 @@ func DecodeKey(k []byte, types []Type) (Row, error) {
 			}
 			f := math.Float64frombits(bits)
 			if want == TypeInt {
-				row = append(row, Int(int64(f)))
+				v = Int(int64(f))
 			} else {
-				row = append(row, Float(f))
+				v = Float(f)
 			}
 		case rankString:
-			var sb []byte
+			// end walks to the 0x00 0x01 terminator; each escaped zero on
+			// the way moves the bytes since from into the unescaped copy.
+			var unescaped []byte
+			from, end := 0, 0
 			for {
-				if len(k) < 1 {
-					return nil, ErrBadKey
+				z := bytes.IndexByte(k[end:], 0x00)
+				if z < 0 || end+z+1 >= len(k) {
+					return ErrBadKey
 				}
-				c := k[0]
-				k = k[1:]
-				if c != 0x00 {
-					sb = append(sb, c)
-					continue
+				end += z
+				if k[end+1] == 0x01 {
+					break
 				}
-				if len(k) < 1 {
-					return nil, ErrBadKey
+				if k[end+1] != 0xFF {
+					return ErrBadKey
 				}
-				esc := k[0]
-				k = k[1:]
-				if esc == 0xFF {
-					sb = append(sb, 0x00)
-					continue
-				}
-				if esc == 0x01 {
-					break // terminator
-				}
-				return nil, ErrBadKey
+				unescaped = append(append(unescaped, k[from:end]...), 0x00)
+				end += 2
+				from = end
 			}
-			row = append(row, Str(string(sb)))
+			if unescaped == nil {
+				v = Str(viewString(k[:end]))
+			} else {
+				v = Str(string(append(unescaped, k[from:end]...)))
+			}
+			k = k[end+2:]
 		default:
-			return nil, ErrBadKey
+			return ErrBadKey
 		}
+		if pos != nil {
+			i = pos[i]
+		}
+		dst[i] = v
 	}
 	if len(k) != 0 {
-		return nil, ErrBadKey
+		return ErrBadKey
 	}
-	return row, nil
+	return nil
 }

@@ -1,7 +1,7 @@
 package rid
 
 import (
-	"sort"
+	"slices"
 
 	"rdbdyn/internal/storage"
 )
@@ -251,7 +251,7 @@ func (c *Container) SortedAll() ([]storage.RID, error) {
 	if err != nil {
 		return nil, err
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, storage.RID.Compare)
 	return out, nil
 }
 

@@ -16,6 +16,7 @@ package rid
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 	"sort"
 
 	"rdbdyn/internal/storage"
@@ -90,7 +91,7 @@ type SortedList struct {
 // NewSortedList copies and sorts rids.
 func NewSortedList(rids []storage.RID) *SortedList {
 	s := &SortedList{rids: append([]storage.RID(nil), rids...)}
-	sort.Slice(s.rids, func(i, j int) bool { return s.rids[i].Less(s.rids[j]) })
+	slices.SortFunc(s.rids, storage.RID.Compare)
 	return s
 }
 
