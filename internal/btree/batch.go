@@ -7,7 +7,7 @@ import (
 
 // Entry is one index entry produced by batched cursor iteration.
 type Entry struct {
-	// Key is the tree's internal copy of the encoded key; callers must
+	// Key is the encoded key as it lies in the leaf page; callers must
 	// not modify it, and it stays valid only until the producing
 	// cursor's next batch (the leaf may be unpinned and reloaded).
 	Key []byte
@@ -26,16 +26,16 @@ func (c *Cursor) NextBatch(dst []Entry) (int, error) {
 		return 0, nil
 	}
 	for {
-		if c.pos < len(c.node.keys) {
+		if c.pos < len(c.node.ents) {
 			return c.drainLeaf(dst), nil
 		}
 		// Leaf exhausted (or empty after lazy deletion): hop forward.
-		if c.node.next == 0 {
+		if c.node.next() == 0 {
 			c.done = true
 			c.unpin()
 			return 0, nil
 		}
-		next := storage.PageNo(c.node.next - 1)
+		next := storage.PageNo(c.node.next() - 1)
 		n, err := c.tree.load(next, c.tr)
 		if err != nil {
 			return 0, err
@@ -46,30 +46,30 @@ func (c *Cursor) NextBatch(dst []Entry) (int, error) {
 }
 
 // drainLeaf copies in-range entries from the current position into dst.
-// Caller guarantees c.pos < len(c.node.keys). When the upper bound
+// Caller guarantees c.pos < len(c.node.ents). When the upper bound
 // cannot fall inside the copied run — decided with a single key compare
 // against the run's last key — the copy skips per-entry bound checks.
 func (c *Cursor) drainLeaf(dst []Entry) int {
-	n := len(c.node.keys) - c.pos
+	n := len(c.node.ents) - c.pos
 	if n > len(dst) {
 		n = len(dst)
 	}
-	if c.hi != nil && expr.CompareKeys(c.node.keys[c.pos+n-1], c.hi) >= 0 {
+	if c.hi != nil && expr.CompareKeys(c.node.key(c.pos+n-1), c.hi) >= 0 {
 		// The bound lands inside this run: walk to it entry by entry.
 		for i := 0; i < n; i++ {
-			k := c.node.keys[c.pos]
+			k := c.node.key(c.pos)
 			if expr.CompareKeys(k, c.hi) >= 0 {
 				c.done = true
 				c.unpin()
 				return i
 			}
-			dst[i] = Entry{Key: k, RID: c.node.rids[c.pos]}
+			dst[i] = Entry{Key: k, RID: c.node.rid(c.pos)}
 			c.pos++
 		}
 		return n
 	}
 	for i := 0; i < n; i++ {
-		dst[i] = Entry{Key: c.node.keys[c.pos+i], RID: c.node.rids[c.pos+i]}
+		dst[i] = Entry{Key: c.node.key(c.pos + i), RID: c.node.rid(c.pos + i)}
 	}
 	c.pos += n
 	return n
@@ -87,7 +87,7 @@ func (c *ReverseCursor) NextBatch(dst []Entry) (int, error) {
 	}
 	n := 0
 	for n < len(dst) {
-		k, r := c.node.keys[c.pos], c.node.rids[c.pos]
+		k, r := c.node.key(c.pos), c.node.rid(c.pos)
 		if c.lo != nil && expr.CompareKeys(k, c.lo) < 0 {
 			c.done = true
 			c.unpin()

@@ -26,18 +26,19 @@ package btree
 
 import (
 	"errors"
-	"fmt"
-	"sync"
+	"slices"
 
-	"rdbdyn/internal/expr"
 	"rdbdyn/internal/storage"
 )
 
 // ErrKeyTooLarge is returned when a key cannot fit comfortably in a page.
 var ErrKeyTooLarge = errors.New("btree: key too large for page")
 
-// BTree is a B+-tree whose nodes live in buffer-pool pages of a
-// dedicated disk file.
+// BTree is a B+-tree whose nodes are buffer-pool pages of a dedicated
+// disk file (node.go describes the page layout). Descents and cursors
+// read the pages directly and may run concurrently; tree mutations
+// (Insert/Delete) must be serialized by the caller and must not overlap
+// reads of the same tree.
 type BTree struct {
 	pool *storage.BufferPool
 	file storage.FileID // file holding the tree's pages
@@ -49,19 +50,10 @@ type BTree struct {
 	len         int64 // total entries
 	numLeaves   int
 	numInternal int
-	totChildren int64 // sum of len(children) over internal nodes
+	totChildren int64 // sum of child counts over internal nodes
 
-	budget int // per-node byte budget
-
-	// cache holds decoded nodes. Pages remain authoritative (every
-	// mutation re-serializes into the page); the cache only avoids
-	// repeated decoding. I/O accounting happens on the pool.Get that
-	// precedes every cache lookup. cmu guards the map so concurrent
-	// read-only descents may populate it safely; tree mutations
-	// (Insert/Delete) must be serialized by the caller and must not
-	// overlap reads of the same tree.
-	cmu   sync.RWMutex
-	cache map[storage.PageNo]*node
+	budget  int    // per-node byte budget
+	scratch []byte // the entry being inserted, assembled here and copied by the page
 }
 
 // New creates an empty tree on a fresh file of the pool's disk.
@@ -72,11 +64,8 @@ func New(pool *storage.BufferPool, dataFile storage.FileID) (*BTree, error) {
 		file:   pool.Disk().CreateFile(),
 		data:   dataFile,
 		budget: pool.Disk().PageSize() - 32,
-		cache:  make(map[storage.PageNo]*node),
 	}
-	root := &node{leaf: true}
-	root.recomputeBytes()
-	no, err := t.allocNode(root)
+	no, err := t.allocNode(true, 0, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -117,102 +106,46 @@ func (t *BTree) AvgInternalFanout() float64 {
 
 // load fetches a node, charging buffer-pool traffic to tr (nil = global
 // counters only).
-func (t *BTree) load(no storage.PageNo, tr *storage.Tracker) (*node, error) {
+func (t *BTree) load(no storage.PageNo, tr *storage.Tracker) (node, error) {
 	p, err := t.pool.GetTracked(storage.PageID{File: t.file, No: no}, tr)
 	if err != nil {
-		return nil, err
+		return node{}, err
 	}
-	t.cmu.RLock()
-	n, ok := t.cache[no]
-	t.cmu.RUnlock()
-	if ok {
-		return n, nil
-	}
-	blob, err := p.Get(0)
-	if err != nil {
-		return nil, fmt.Errorf("btree: node page %d has no blob: %w", no, err)
-	}
-	n, err = decodeNode(blob, t.data)
-	if err != nil {
-		return nil, err
-	}
-	t.cmu.Lock()
-	// Two concurrent descents may race to decode the same page; keep the
-	// first decode so there is one canonical node per page.
-	if prior, ok := t.cache[no]; ok {
-		n = prior
-	} else {
-		t.cache[no] = n
-	}
-	t.cmu.Unlock()
-	return n, nil
+	return viewNode(p, t.data)
 }
 
-// store serializes the node back into its page and marks it dirty.
-func (t *BTree) store(no storage.PageNo, n *node) error {
+// loadDirty re-fetches a node a mutation is about to write, marking its
+// page dirty. Every mutation loads its path clean on the way down and
+// dirty on the way back up, leaf first: the order of page touches the
+// simulated I/O figures were recorded under (DESIGN.md, "B-tree page
+// layout").
+func (t *BTree) loadDirty(no storage.PageNo) (node, error) {
 	p, err := t.pool.GetDirty(storage.PageID{File: t.file, No: no})
 	if err != nil {
-		return err
+		return node{}, err
 	}
-	if err := p.Update(0, n.encode()); err != nil {
-		return fmt.Errorf("btree: node %d overflow: %w", no, err)
-	}
-	t.cmu.Lock()
-	t.cache[no] = n
-	t.cmu.Unlock()
-	return nil
+	return viewNode(p, t.data)
 }
 
-// allocNode places a new node on a fresh page.
-func (t *BTree) allocNode(n *node) (storage.PageNo, error) {
+// allocNode builds a node on a fresh page.
+func (t *BTree) allocNode(leaf bool, link uint32, count0 int64, ents [][]byte) (storage.PageNo, error) {
 	p, err := t.pool.NewPage(t.file)
 	if err != nil {
 		return 0, err
 	}
-	if _, err := p.Insert(n.encode()); err != nil {
-		return 0, err
-	}
-	t.cmu.Lock()
-	t.cache[p.ID.No] = n
-	t.cmu.Unlock()
-	return p.ID.No, nil
+	return p.ID.No, fillNode(p, leaf, link, count0, ents)
 }
 
-// cmpEntry orders composite entries (key, rid).
-func cmpEntry(k1 []byte, r1 storage.RID, k2 []byte, r2 storage.RID) int {
-	if c := expr.CompareKeys(k1, k2); c != 0 {
-		return c
-	}
-	return r1.Compare(r2)
+// leafEntry assembles key | RID in the tree's scratch buffer.
+func (t *BTree) leafEntry(key []byte, rid storage.RID) []byte {
+	t.scratch = appendRID(append(t.scratch[:0], key...), rid)
+	return t.scratch
 }
 
-// findChild returns the child of internal node n that may contain the
-// composite entry (k, r): the number of separators <= (k, r).
-func findChild(n *node, k []byte, r storage.RID) int {
-	lo, hi := 0, len(n.keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cmpEntry(n.keys[mid], n.rids[mid], k, r) <= 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// leafLowerBound returns the position of the first entry >= (k, r).
-func leafLowerBound(n *node, k []byte, r storage.RID) int {
-	lo, hi := 0, len(n.keys)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cmpEntry(n.keys[mid], n.rids[mid], k, r) < 0 {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
+// separator assembles the separator in front of a split's right half.
+func (t *BTree) separator(sp *splitResult) []byte {
+	t.scratch = appendRef(t.leafEntry(sp.sepKey, sp.sepRID), sp.right, sp.rightCount)
+	return t.scratch
 }
 
 type splitResult struct {
@@ -237,18 +170,12 @@ func (t *BTree) Insert(key []byte, rid storage.RID) error {
 	if sp == nil {
 		return nil
 	}
-	// Root split: grow a new root.
-	oldRoot := t.root
-	leftCount := t.mustSubtreeCount(oldRoot)
-	nr := &node{
-		leaf:     false,
-		keys:     [][]byte{sp.sepKey},
-		rids:     []storage.RID{sp.sepRID},
-		children: []storage.PageNo{oldRoot, sp.right},
-		counts:   []int64{leftCount, sp.rightCount},
+	// Root split: grow a new root over the old one and its new sibling.
+	old, err := t.load(t.root, nil)
+	if err != nil {
+		return err
 	}
-	nr.recomputeBytes()
-	no, err := t.allocNode(nr)
+	no, err := t.allocNode(false, uint32(t.root), old.subtreeCount(), [][]byte{t.separator(sp)})
 	if err != nil {
 		return err
 	}
@@ -259,123 +186,101 @@ func (t *BTree) Insert(key []byte, rid storage.RID) error {
 	return nil
 }
 
-func (t *BTree) mustSubtreeCount(no storage.PageNo) int64 {
-	n, err := t.load(no, nil)
-	if err != nil {
-		return 0
-	}
-	return n.subtreeCount()
-}
-
+// insertAt inserts (key, rid) below node no. Unless a node splits, the
+// leaf gets one new slot and each ancestor one rewritten count field.
 func (t *BTree) insertAt(no storage.PageNo, key []byte, rid storage.RID) (*splitResult, error) {
 	n, err := t.load(no, nil)
 	if err != nil {
 		return nil, err
 	}
+	var (
+		pos  int    // where the node's new entry goes
+		ent  []byte // the entry, with klen key bytes
+		klen = len(key)
+		kept int64 // internal node: what child pos holds afterwards
+	)
 	if n.leaf {
-		pos := leafLowerBound(n, key, rid)
-		n.keys = append(n.keys, nil)
-		copy(n.keys[pos+1:], n.keys[pos:])
-		n.keys[pos] = append([]byte(nil), key...)
-		n.rids = append(n.rids, storage.RID{})
-		copy(n.rids[pos+1:], n.rids[pos:])
-		n.rids[pos] = rid
-		n.bytes += n.entryBytes(key)
-		if n.bytes <= t.budget {
-			return nil, t.store(no, n)
+		pos, ent = n.lowerBound(key, rid), t.leafEntry(key, rid)
+	} else {
+		pos = n.findChild(key, rid)
+		sp, err := t.insertAt(n.child(pos), key, rid)
+		if err != nil {
+			return nil, err
 		}
-		return t.splitLeaf(no, n)
+		kept = n.count(pos) + 1
+		if sp == nil {
+			if n, err = t.loadDirty(no); err == nil {
+				n.setCount(pos, kept)
+			}
+			return nil, err
+		}
+		// Child pos split: its right half is the new child pos+1, behind
+		// a new separator at position pos.
+		kept -= sp.rightCount
+		ent, klen = t.separator(sp), len(sp.sepKey)
+		t.totChildren++
 	}
-	i := findChild(n, key, rid)
-	sp, err := t.insertAt(n.children[i], key, rid)
-	if err != nil {
+	if n.bytes()+entryBytes(n.leaf, klen) > t.budget {
+		return t.split(no, n, pos, ent, kept)
+	}
+	if n, err = t.loadDirty(no); err != nil {
 		return nil, err
 	}
-	if sp == nil {
-		n.counts[i]++
-		return nil, t.store(no, n)
+	if !n.leaf {
+		n.setCount(pos, kept)
 	}
-	// Child i split: it kept (old+1-rightCount) entries.
-	n.counts[i] = n.counts[i] + 1 - sp.rightCount
-	n.keys = append(n.keys, nil)
-	copy(n.keys[i+1:], n.keys[i:])
-	n.keys[i] = sp.sepKey
-	n.rids = append(n.rids, storage.RID{})
-	copy(n.rids[i+1:], n.rids[i:])
-	n.rids[i] = sp.sepRID
-	n.children = append(n.children, 0)
-	copy(n.children[i+2:], n.children[i+1:])
-	n.children[i+1] = sp.right
-	n.counts = append(n.counts, 0)
-	copy(n.counts[i+2:], n.counts[i+1:])
-	n.counts[i+1] = sp.rightCount
-	n.bytes += n.entryBytes(sp.sepKey)
-	t.totChildren++
-	if n.bytes <= t.budget {
-		return nil, t.store(no, n)
-	}
-	return t.splitInternal(no, n)
+	return nil, n.page.InsertAt(1+pos, ent)
 }
 
-func (t *BTree) splitLeaf(no storage.PageNo, n *node) (*splitResult, error) {
-	mid := len(n.keys) / 2
-	right := &node{
-		leaf: true,
-		keys: append([][]byte(nil), n.keys[mid:]...),
-		rids: append([]storage.RID(nil), n.rids[mid:]...),
-		next: n.next,
+// split divides node n (page no), which entry ent at position pos
+// overflows, at the middle of its entries: the upper half moves to a
+// fresh right sibling, and both halves are rebuilt. A leaf's middle
+// entry is copied up as the separator; an internal node's moves up.
+func (t *BTree) split(no storage.PageNo, n node, pos int, ent []byte, kept int64) (*splitResult, error) {
+	leaf, link, count0 := n.leaf, n.next(), int64(0)
+	m := n // the node as it would be with ent in place
+	m.ents = slices.Insert(slices.Clone(n.ents), pos, slices.Clone(ent))
+	if !leaf {
+		// Child pos now holds kept entries; its count sits in the header
+		// or in the separator before the new one, copied before the write
+		// because the page is not dirty yet.
+		link, count0 = uint32(n.child(0)), n.count(0)
+		if pos == 0 {
+			count0 = kept
+		} else {
+			m.ents[pos-1] = slices.Clone(m.ents[pos-1])
+			m.setCount(pos, kept)
+		}
 	}
-	right.recomputeBytes()
-	n.keys = n.keys[:mid]
-	n.rids = n.rids[:mid]
-	n.recomputeBytes()
-	rightNo, err := t.allocNode(right)
+	mid := len(m.ents) / 2
+	sp := &splitResult{sepKey: m.key(mid), sepRID: m.rid(mid)}
+	var err error
+	if leaf {
+		sp.rightCount = int64(len(m.ents) - mid)
+		sp.right, err = t.allocNode(true, link, 0, m.ents[mid:])
+		link = uint32(sp.right) + 1
+	} else {
+		for i := mid + 1; i < m.numChildren(); i++ {
+			sp.rightCount += m.count(i)
+		}
+		sp.right, err = t.allocNode(false, uint32(m.child(mid+1)), m.count(mid+1), m.ents[mid+1:])
+	}
 	if err != nil {
 		return nil, err
 	}
-	n.next = uint32(rightNo) + 1
-	if err := t.store(no, n); err != nil {
+	if n, err = t.loadDirty(no); err != nil {
 		return nil, err
 	}
-	t.numLeaves++
-	return &splitResult{
-		sepKey:     right.keys[0],
-		sepRID:     right.rids[0],
-		right:      rightNo,
-		rightCount: int64(len(right.keys)),
-	}, nil
-}
-
-func (t *BTree) splitInternal(no storage.PageNo, n *node) (*splitResult, error) {
-	mid := len(n.keys) / 2
-	sepKey, sepRID := n.keys[mid], n.rids[mid]
-	right := &node{
-		leaf:     false,
-		keys:     append([][]byte(nil), n.keys[mid+1:]...),
-		rids:     append([]storage.RID(nil), n.rids[mid+1:]...),
-		children: append([]storage.PageNo(nil), n.children[mid+1:]...),
-		counts:   append([]int64(nil), n.counts[mid+1:]...),
-	}
-	right.recomputeBytes()
-	n.keys = n.keys[:mid]
-	n.rids = n.rids[:mid]
-	n.children = n.children[:mid+1]
-	n.counts = n.counts[:mid+1]
-	n.recomputeBytes()
-	rightNo, err := t.allocNode(right)
-	if err != nil {
+	n.page.Truncate(0)
+	if err = fillNode(n.page, leaf, link, count0, m.ents[:mid]); err != nil {
 		return nil, err
 	}
-	if err := t.store(no, n); err != nil {
-		return nil, err
+	if leaf {
+		t.numLeaves++
+	} else {
+		t.numInternal++
 	}
-	t.numInternal++
-	return &splitResult{
-		sepKey:     sepKey,
-		sepRID:     sepRID,
-		right:      rightNo,
-		rightCount: right.subtreeCount(),
-	}, nil
+	return sp, nil
 }
 
 // Delete removes the exact entry (key, rid). It returns false when the
@@ -397,22 +302,25 @@ func (t *BTree) deleteAt(no storage.PageNo, key []byte, rid storage.RID) (bool, 
 		return false, err
 	}
 	if n.leaf {
-		pos := leafLowerBound(n, key, rid)
-		if pos >= len(n.keys) || cmpEntry(n.keys[pos], n.rids[pos], key, rid) != 0 {
+		pos := n.lowerBound(key, rid)
+		if pos >= len(n.ents) || n.cmp(pos, key, rid) != 0 {
 			return false, nil
 		}
-		n.bytes -= n.entryBytes(n.keys[pos])
-		n.keys = append(n.keys[:pos], n.keys[pos+1:]...)
-		n.rids = append(n.rids[:pos], n.rids[pos+1:]...)
-		return true, t.store(no, n)
+		if n, err = t.loadDirty(no); err != nil {
+			return false, err
+		}
+		return true, n.page.RemoveAt(1 + pos)
 	}
-	i := findChild(n, key, rid)
-	del, err := t.deleteAt(n.children[i], key, rid)
+	i := n.findChild(key, rid)
+	del, err := t.deleteAt(n.child(i), key, rid)
 	if err != nil || !del {
 		return del, err
 	}
-	n.counts[i]--
-	return true, t.store(no, n)
+	if n, err = t.loadDirty(no); err != nil {
+		return false, err
+	}
+	n.setCount(i, n.count(i)-1)
+	return true, nil
 }
 
 // Contains reports whether the exact entry (key, rid) is present.
@@ -424,9 +332,9 @@ func (t *BTree) Contains(key []byte, rid storage.RID) (bool, error) {
 			return false, err
 		}
 		if n.leaf {
-			pos := leafLowerBound(n, key, rid)
-			return pos < len(n.keys) && cmpEntry(n.keys[pos], n.rids[pos], key, rid) == 0, nil
+			pos := n.lowerBound(key, rid)
+			return pos < len(n.ents) && n.cmp(pos, key, rid) == 0, nil
 		}
-		no = n.children[findChild(n, key, rid)]
+		no = n.child(n.findChild(key, rid))
 	}
 }

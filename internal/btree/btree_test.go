@@ -460,51 +460,60 @@ func TestSampleAcceptRejectIsUnbiasedEnough(t *testing.T) {
 	}
 }
 
+// leafEnt and sepEnt assemble entries as the tree does.
+func leafEnt(key []byte, r storage.RID) []byte { return appendRID(append([]byte(nil), key...), r) }
+func sepEnt(key []byte, r storage.RID, child storage.PageNo, count int64) []byte {
+	return appendRef(leafEnt(key, r), child, count)
+}
+
 func TestNodeSerializationRoundTrip(t *testing.T) {
-	leaf := &node{
-		leaf: true,
-		keys: [][]byte{intKey(1), intKey(2)},
-		rids: []storage.RID{ridFor(0), ridFor(1)},
-		next: 5,
+	page := func(leaf bool, link uint32, count0 int64, ents ...[]byte) *storage.Page {
+		p := storage.NewPage(storage.PageID{}, 512)
+		if err := fillNode(p, leaf, link, count0, ents); err != nil {
+			t.Fatal(err)
+		}
+		return p
 	}
-	leaf.recomputeBytes()
-	dec, err := decodeNode(leaf.encode(), 3)
+	dec, err := viewNode(page(true, 5, 0, leafEnt(intKey(1), ridFor(0)), leafEnt(intKey(2), ridFor(1))), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec.leaf || dec.next != 5 || len(dec.keys) != 2 {
+	if !dec.leaf || dec.next() != 5 || len(dec.ents) != 2 || string(dec.key(1)) != string(intKey(2)) {
 		t.Fatalf("leaf round trip: %+v", dec)
 	}
-	if dec.rids[1].Page.File != 3 {
-		t.Fatalf("RID file not restored: %v", dec.rids[1])
+	if want := ridFor(1); dec.rid(1).Page.File != 3 || dec.rid(1).Slot != want.Slot || dec.rid(1).Page.No != want.Page.No {
+		t.Fatalf("RID not restored: %v", dec.rid(1))
 	}
-	inner := &node{
-		leaf:     false,
-		keys:     [][]byte{intKey(10)},
-		rids:     []storage.RID{ridFor(7)},
-		children: []storage.PageNo{1, 2},
-		counts:   []int64{40, 60},
-	}
-	inner.recomputeBytes()
-	dec, err = decodeNode(inner.encode(), 3)
+	dec, err = viewNode(page(false, 1, 40, sepEnt(intKey(10), ridFor(7), 2, 60)), 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.leaf || len(dec.children) != 2 || dec.counts[1] != 60 {
+	if dec.leaf || dec.numChildren() != 2 || dec.child(0) != 1 || dec.count(0) != 40 || dec.child(1) != 2 || dec.count(1) != 60 ||
+		dec.rid(0) != (storage.RID{Page: storage.PageID{File: 3, No: ridFor(7).Page.No}, Slot: ridFor(7).Slot}) || dec.subtreeCount() != 100 {
 		t.Fatalf("internal round trip: %+v", dec)
 	}
-	// Corruption must be detected.
-	blob := inner.encode()
-	for cut := 1; cut < len(blob); cut++ {
-		if _, err := decodeNode(blob[:cut], 3); err == nil {
-			t.Fatalf("truncated node at %d accepted", cut)
+	dec.setCount(1, 61)
+	if dec.count(1) != 61 || dec.child(1) != 2 || string(dec.key(0)) != string(intKey(10)) {
+		t.Fatalf("count rewrite disturbed its neighbours: %+v", dec)
+	}
+	// A page that does not start with a node header must be detected.
+	bad := storage.NewPage(storage.PageID{}, 512)
+	if _, err := viewNode(bad, 3); err != ErrCorruptNode {
+		t.Fatalf("empty page accepted: %v", err)
+	}
+	for cut := 0; cut < hdrBytes; cut++ {
+		bad = storage.NewPage(storage.PageID{}, 512)
+		if _, err := bad.Insert(make([]byte, cut)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := viewNode(bad, 3); err != ErrCorruptNode {
+			t.Fatalf("header truncated at %d accepted: %v", cut, err)
 		}
 	}
 }
 
 func TestTreeSurvivesCacheEviction(t *testing.T) {
-	// A tiny buffer pool forces nodes to round-trip through their
-	// serialized form constantly.
+	// A tiny buffer pool forces node pages out and back in constantly.
 	d := storage.NewDisk(512)
 	bp := storage.NewBufferPool(d, 4)
 	data := d.CreateFile()
@@ -512,7 +521,6 @@ func TestTreeSurvivesCacheEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Drop the decode cache after every operation to force re-decodes.
 	rng := rand.New(rand.NewSource(8))
 	want := map[int64]int{}
 	for i := 0; i < 3000; i++ {
@@ -522,11 +530,9 @@ func TestTreeSurvivesCacheEviction(t *testing.T) {
 		}
 		want[v]++
 		if i%97 == 0 {
-			tr.cache = make(map[storage.PageNo]*node)
 			bp.EvictAll()
 		}
 	}
-	tr.cache = make(map[storage.PageNo]*node)
 	bp.EvictAll()
 	got := scanAll(t, tr)
 	if int64(len(got)) != tr.Len() {

@@ -17,7 +17,7 @@ import (
 type Cursor struct {
 	tree   *BTree
 	hi     []byte
-	node   *node
+	node   node
 	no     storage.PageNo
 	pos    int
 	done   bool
@@ -45,14 +45,14 @@ func (t *BTree) SeekTracked(lo, hi []byte, tr *storage.Tracker) (*Cursor, error)
 			if lo == nil {
 				c.pos = 0
 			} else {
-				c.pos = leafLowerBound(n, lo, storage.RID{})
+				c.pos = n.lowerBound(lo, storage.RID{})
 			}
 			return c, nil
 		}
 		if lo == nil {
-			no = n.children[0]
+			no = n.child(0)
 		} else {
-			no = n.children[findChild(n, lo, storage.RID{})]
+			no = n.child(n.findChild(lo, storage.RID{}))
 		}
 	}
 }
@@ -64,7 +64,7 @@ func (t *BTree) SeekTracked(lo, hi []byte, tr *storage.Tracker) (*Cursor, error)
 func (c *Cursor) SetTracker(tr *storage.Tracker) { c.tr = tr }
 
 // setLeaf repositions the cursor onto leaf n (page no), moving the pin.
-func (c *Cursor) setLeaf(n *node, no storage.PageNo) {
+func (c *Cursor) setLeaf(n node, no storage.PageNo) {
 	c.unpin()
 	c.node, c.no = n, no
 	c.tree.pool.Pin(storage.PageID{File: c.tree.file, No: no})
@@ -80,14 +80,14 @@ func (c *Cursor) unpin() {
 
 // Next returns the next entry. ok is false when the cursor is
 // exhausted (past hi or at the end of the tree). The returned key is
-// the tree's internal copy and must not be modified.
+// the page's own bytes and must not be modified.
 func (c *Cursor) Next() (key []byte, rid storage.RID, ok bool, err error) {
 	if c.done {
 		return nil, storage.RID{}, false, nil
 	}
 	for {
-		if c.pos < len(c.node.keys) {
-			k, r := c.node.keys[c.pos], c.node.rids[c.pos]
+		if c.pos < len(c.node.ents) {
+			k, r := c.node.key(c.pos), c.node.rid(c.pos)
 			if c.hi != nil && expr.CompareKeys(k, c.hi) >= 0 {
 				c.done = true
 				c.unpin()
@@ -96,12 +96,12 @@ func (c *Cursor) Next() (key []byte, rid storage.RID, ok bool, err error) {
 			c.pos++
 			return k, r, true, nil
 		}
-		if c.node.next == 0 {
+		if c.node.next() == 0 {
 			c.done = true
 			c.unpin()
 			return nil, storage.RID{}, false, nil
 		}
-		next := storage.PageNo(c.node.next - 1)
+		next := storage.PageNo(c.node.next() - 1)
 		n, err := c.tree.load(next, c.tr)
 		if err != nil {
 			return nil, storage.RID{}, false, err

@@ -47,23 +47,23 @@ func (t *BTree) EstimateRange(lo, hi []byte) (Estimate, error) {
 			return Estimate{}, err
 		}
 		if n.leaf {
-			k := t.leafRangeCount(n, lo, hi)
+			k := leafRangeCount(n, lo, hi)
 			return Estimate{RIDs: float64(k), SplitLevel: 1, Exact: true, K: k}, nil
 		}
 		iLo := 0
 		if lo != nil {
-			iLo = findChild(n, lo, storage.RID{})
+			iLo = n.findChild(lo, storage.RID{})
 		}
-		iHi := len(n.children) - 1
+		iHi := len(n.ents)
 		if hi != nil {
-			iHi = findChild(n, hi, storage.RID{})
+			iHi = n.findChild(hi, storage.RID{})
 		}
 		if iLo > iHi {
 			// Degenerate: empty range between separators.
 			return Estimate{RIDs: 0, SplitLevel: level, Exact: false, K: 0}, nil
 		}
 		if iLo == iHi {
-			no = n.children[iLo]
+			no = n.child(iLo)
 			level--
 			continue
 		}
@@ -118,21 +118,21 @@ func (t *BTree) refineAt(no storage.PageNo, level int, lo, hi []byte, tr *storag
 			return 0, false, err
 		}
 		if n.leaf {
-			return float64(t.leafRangeCount(n, lo, hi)), true, nil
+			return float64(leafRangeCount(n, lo, hi)), true, nil
 		}
 		iLo := 0
 		if lo != nil {
-			iLo = findChild(n, lo, storage.RID{})
+			iLo = n.findChild(lo, storage.RID{})
 		}
-		iHi := len(n.children) - 1
+		iHi := len(n.ents)
 		if hi != nil {
-			iHi = findChild(n, hi, storage.RID{})
+			iHi = n.findChild(hi, storage.RID{})
 		}
 		if iLo > iHi {
 			return 0, true, nil
 		}
 		if iLo == iHi {
-			no = n.children[iLo]
+			no = n.child(iLo)
 			level--
 			continue
 		}
@@ -141,11 +141,11 @@ func (t *BTree) refineAt(no storage.PageNo, level int, lo, hi []byte, tr *storag
 		// the tree is used as a histogram, not as an exact counter).
 		interior := iHi - iLo - 1
 		est := float64(interior) * t.subtreeSizeEstimate(level-1)
-		left, lx, err := t.refineAt(n.children[iLo], level-1, lo, nil, tr)
+		left, lx, err := t.refineAt(n.child(iLo), level-1, lo, nil, tr)
 		if err != nil {
 			return 0, false, err
 		}
-		right, rx, err := t.refineAt(n.children[iHi], level-1, nil, hi, tr)
+		right, rx, err := t.refineAt(n.child(iHi), level-1, nil, hi, tr)
 		if err != nil {
 			return 0, false, err
 		}
@@ -175,14 +175,14 @@ func (t *BTree) subtreeSizeEstimate(level int) float64 {
 }
 
 // leafRangeCount counts entries within bounds inside one leaf.
-func (t *BTree) leafRangeCount(n *node, lo, hi []byte) int {
+func leafRangeCount(n node, lo, hi []byte) int {
 	start := 0
 	if lo != nil {
-		start = leafLowerBound(n, lo, storage.RID{})
+		start = n.lowerBound(lo, storage.RID{})
 	}
-	end := len(n.keys)
+	end := len(n.ents)
 	if hi != nil {
-		end = leafLowerBound(n, hi, storage.RID{})
+		end = n.lowerBound(hi, storage.RID{})
 	}
 	if end < start {
 		return 0
@@ -204,13 +204,13 @@ func (t *BTree) Rank(k []byte) (int64, error) {
 			return 0, err
 		}
 		if n.leaf {
-			return rank + int64(leafLowerBound(n, k, storage.RID{})), nil
+			return rank + int64(n.lowerBound(k, storage.RID{})), nil
 		}
-		i := findChild(n, k, storage.RID{})
+		i := n.findChild(k, storage.RID{})
 		for j := 0; j < i; j++ {
-			rank += n.counts[j]
+			rank += n.count(j)
 		}
-		no = n.children[i]
+		no = n.child(i)
 	}
 }
 
@@ -250,17 +250,17 @@ func (t *BTree) EntryAt(rank int64) (key []byte, rid storage.RID, err error) {
 			return nil, storage.RID{}, err
 		}
 		if n.leaf {
-			if rank < 0 || rank >= int64(len(n.keys)) {
+			if rank < 0 || rank >= int64(len(n.ents)) {
 				return nil, storage.RID{}, ErrCorruptNode
 			}
-			return n.keys[rank], n.rids[rank], nil
+			return n.key(int(rank)), n.rid(int(rank)), nil
 		}
 		i := 0
-		for i < len(n.counts)-1 && rank >= n.counts[i] {
-			rank -= n.counts[i]
+		for i < len(n.ents) && rank >= n.count(i) {
+			rank -= n.count(i)
 			i++
 		}
-		no = n.children[i]
+		no = n.child(i)
 	}
 }
 
@@ -317,19 +317,19 @@ func (t *BTree) SampleAcceptReject(rng *rand.Rand, maxFanout int) (key []byte, r
 		}
 		visits++
 		if n.leaf {
-			if len(n.keys) == 0 {
+			if len(n.ents) == 0 {
 				return nil, storage.RID{}, false, visits, nil
 			}
-			i := rng.Intn(len(n.keys))
-			accept *= float64(len(n.keys)) / float64(maxFanout)
+			i := rng.Intn(len(n.ents))
+			accept *= float64(len(n.ents)) / float64(maxFanout)
 			if rng.Float64() >= accept {
 				return nil, storage.RID{}, false, visits, nil
 			}
-			return n.keys[i], n.rids[i], true, visits, nil
+			return n.key(i), n.rid(i), true, visits, nil
 		}
-		i := rng.Intn(len(n.children))
-		accept *= float64(len(n.children)) / float64(maxFanout)
-		no = n.children[i]
+		i := rng.Intn(n.numChildren())
+		accept *= float64(n.numChildren()) / float64(maxFanout)
+		no = n.child(i)
 	}
 }
 

@@ -3,81 +3,158 @@ package btree
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 
+	"rdbdyn/internal/expr"
 	"rdbdyn/internal/storage"
 )
 
-// ErrCorruptNode is returned when a stored node blob cannot be decoded.
+// ErrCorruptNode is returned when a page does not hold a node.
 var ErrCorruptNode = errors.New("btree: corrupt node")
 
-// node is the decoded form of one B+-tree page.
+// The page is the node (DESIGN.md, "B-tree page layout"). Slot 0 holds
+// the header, every later slot one entry, sorted by the composite order
+// (CompareKeys on key, then RID order; duplicates of a key are
+// distinguished by RID):
 //
-// Leaf nodes hold (key, rid) entries sorted by the composite order
-// (CompareKeys on key, then RID order); duplicates of the same key are
-// distinguished by RID. Internal nodes hold separators (also composite
-// (key, rid) pairs), child page numbers, and per-child subtree entry
-// counts. The counts make the tree "pseudo-ranked": exact range counts
-// and uniform random sampling both become O(height) descents, which is
-// what the [Ant92]-style sampler in this package relies on.
-type node struct {
-	leaf bool
-
-	// Entry keys. For leaves these are the indexed keys; for internal
-	// nodes they are separators: child i holds entries in
-	// [sep[i-1], sep[i]) under the composite order.
-	keys []([]byte)
-	rids []storage.RID
-
-	// Leaf only: next sibling page number + 1 (0 = last leaf).
-	next uint32
-
-	// Internal only: len(children) == len(keys)+1, counts parallel.
-	children []storage.PageNo
-	counts   []int64
-
-	// bytes is the serialized size estimate, maintained incrementally.
-	bytes int
-}
-
+//	header     leaf flag (1) | link (4) | count0 (8)
+//	leaf entry key | RID (6)
+//	separator  key | RID (6) | child (4) | count (8)
+//
+// A leaf's link is its next sibling's page number + 1 (0 = last leaf).
+// An internal node's link and count0 are child 0; separator i carries
+// child i+1, which holds the entries in [sep i, sep i+1), and that
+// child's subtree entry count. The counts make the tree "pseudo-ranked":
+// exact range counts and uniform random sampling both become O(height)
+// descents, which is what the [Ant92]-style sampler in this package
+// relies on.
 const (
+	hdrBytes = 1 + 4 + 8
+	ridBytes = 6
+	sepTail  = ridBytes + 4 + 8 // what follows the key in a separator
+	refBytes = 4 + 8            // child | count, the end of a separator and of the header
+
+	// slotBytes is what a page charges per record on top of its length,
+	// so an entry costs its page exactly entryBytes and a node's
+	// accounted size follows from the page's (node.bytes).
+	slotBytes         = 4
 	nodeBaseBytes     = 16
-	leafEntryOverhead = 4 + 6  // varint key length + encoded RID
-	sepEntryOverhead  = 4 + 18 // varint key length + RID + child + count
+	leafEntryOverhead = slotBytes + ridBytes
+	sepEntryOverhead  = slotBytes + sepTail
 )
 
-func (n *node) entryBytes(key []byte) int {
+// node is a read view of one node page, valid until the page's next
+// structural change; nothing is decoded ahead of use.
+type node struct {
+	page *storage.Page
+	hdr  []byte
+	ents [][]byte
+	leaf bool
+	tail int            // bytes after the key in an entry
+	data storage.FileID // the heap file RIDs point into (entries store page+slot)
+}
+
+func viewNode(p *storage.Page, data storage.FileID) (node, error) {
+	recs := p.Records()
+	if len(recs) == 0 || len(recs[0]) != hdrBytes {
+		return node{}, ErrCorruptNode
+	}
+	n := node{page: p, hdr: recs[0], ents: recs[1:], leaf: recs[0][0] == 1, tail: sepTail, data: data}
 	if n.leaf {
-		return leafEntryOverhead + len(key)
+		n.tail = ridBytes
 	}
-	return sepEntryOverhead + len(key)
+	return n, nil
 }
 
-// full reports whether adding key would overflow the page byte budget.
-func (n *node) full(key []byte, budget int) bool {
-	return n.bytes+n.entryBytes(key) > budget
+// entryBytes is what an entry with klen key bytes adds to its node.
+func entryBytes(leaf bool, klen int) int {
+	if leaf {
+		return leafEntryOverhead + klen
+	}
+	return sepEntryOverhead + klen
 }
 
-// recomputeBytes recalculates the serialized size from scratch (used
-// after splits).
-func (n *node) recomputeBytes() {
-	b := nodeBaseBytes
-	for _, k := range n.keys {
-		b += n.entryBytes(k)
+// bytes is the node's accounted size, nodeBaseBytes plus entryBytes of
+// every entry — the quantity the split rule compares with the budget.
+func (n *node) bytes() int { return n.page.Used() - (hdrBytes + slotBytes) + nodeBaseBytes }
+
+func (n *node) key(i int) []byte { return n.ents[i][:len(n.ents[i])-n.tail] }
+
+func (n *node) rid(i int) storage.RID {
+	b := n.ents[i][len(n.ents[i])-n.tail:]
+	return storage.RID{
+		Page: storage.PageID{File: n.data, No: storage.PageNo(binary.BigEndian.Uint32(b))},
+		Slot: binary.BigEndian.Uint16(b[4:]),
 	}
-	n.bytes = b
 }
+
+// cmp orders entry i against the composite entry (k, r).
+func (n *node) cmp(i int, k []byte, r storage.RID) int {
+	if c := expr.CompareKeys(n.key(i), k); c != 0 {
+		return c
+	}
+	return n.rid(i).Compare(r)
+}
+
+// next is a leaf's sibling link.
+func (n *node) next() uint32 { return binary.BigEndian.Uint32(n.hdr[1:]) }
+
+// ref returns the child | count field of child i.
+func (n *node) ref(i int) []byte {
+	if i == 0 {
+		return n.hdr[1:]
+	}
+	return n.ents[i-1][len(n.ents[i-1])-refBytes:]
+}
+
+func (n *node) numChildren() int           { return len(n.ents) + 1 }
+func (n *node) child(i int) storage.PageNo { return storage.PageNo(binary.BigEndian.Uint32(n.ref(i))) }
+func (n *node) count(i int) int64          { return int64(binary.BigEndian.Uint64(n.ref(i)[4:])) }
+
+// setCount rewrites child i's count in place: one fixed-width field of
+// a page the caller fetched dirty.
+func (n *node) setCount(i int, c int64) { binary.BigEndian.PutUint64(n.ref(i)[4:], uint64(c)) }
 
 // subtreeCount returns the number of entries under the node: for a leaf
 // its own entries, for an internal node the sum of child counts.
 func (n *node) subtreeCount() int64 {
 	if n.leaf {
-		return int64(len(n.keys))
+		return int64(len(n.ents))
 	}
 	var s int64
-	for _, c := range n.counts {
-		s += c
+	for i := 0; i < n.numChildren(); i++ {
+		s += n.count(i)
 	}
 	return s
+}
+
+// findChild returns the child of internal node n that may contain the
+// composite entry (k, r): the number of separators <= (k, r).
+func (n *node) findChild(k []byte, r storage.RID) int {
+	lo, hi := 0, len(n.ents)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if n.cmp(mid, k, r) <= 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// lowerBound returns the position of the first entry >= (k, r).
+func (n *node) lowerBound(k []byte, r storage.RID) int {
+	lo, hi := 0, len(n.ents)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if n.cmp(mid, k, r) < 0 {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 func appendRID(dst []byte, r storage.RID) []byte {
@@ -85,131 +162,29 @@ func appendRID(dst []byte, r storage.RID) []byte {
 	return binary.BigEndian.AppendUint16(dst, r.Slot)
 }
 
-func decodeRID(b []byte, file storage.FileID) (storage.RID, []byte, error) {
-	if len(b) < 6 {
-		return storage.RID{}, nil, ErrCorruptNode
-	}
-	r := storage.RID{
-		Page: storage.PageID{File: file, No: storage.PageNo(binary.BigEndian.Uint32(b))},
-		Slot: binary.BigEndian.Uint16(b[4:]),
-	}
-	return r, b[6:], nil
+// appendRef appends a child | count field.
+func appendRef(dst []byte, child storage.PageNo, count int64) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(child))
+	return binary.BigEndian.AppendUint64(dst, uint64(count))
 }
 
-// encode serializes the node into a blob stored in slot 0 of its page.
-// ridFile is the heap file RIDs point into (RIDs store only page+slot).
-func (n *node) encode() []byte {
-	buf := make([]byte, 0, n.bytes)
-	flags := byte(0)
-	if n.leaf {
-		flags = 1
+// fillNode writes a node into the empty page p: the header, then the
+// entries. New and splits build pages with it; no other mutation writes
+// more than one entry.
+func fillNode(p *storage.Page, leaf bool, link uint32, count0 int64, ents [][]byte) error {
+	hdr := make([]byte, 1, hdrBytes)
+	if leaf {
+		hdr[0] = 1
 	}
-	buf = append(buf, flags)
-	buf = binary.AppendUvarint(buf, uint64(len(n.keys)))
-	if n.leaf {
-		buf = binary.AppendUvarint(buf, uint64(n.next))
-		for i, k := range n.keys {
-			buf = binary.AppendUvarint(buf, uint64(len(k)))
-			buf = append(buf, k...)
-			buf = appendRID(buf, n.rids[i])
-		}
-		return buf
+	if _, err := p.Insert(appendRef(hdr, storage.PageNo(link), count0)); err != nil {
+		return err
 	}
-	for i, c := range n.children {
-		buf = binary.AppendUvarint(buf, uint64(c))
-		buf = binary.AppendVarint(buf, n.counts[i])
-		if i < len(n.keys) {
-			buf = binary.AppendUvarint(buf, uint64(len(n.keys[i])))
-			buf = append(buf, n.keys[i]...)
-			buf = appendRID(buf, n.rids[i])
-		}
+	_, n, err := p.InsertBatch(ents)
+	if err == nil && n != len(ents) {
+		err = storage.ErrPageFull
 	}
-	return buf
-}
-
-// decodeNode parses a node blob. ridFile re-fills the file component of
-// decoded RIDs.
-func decodeNode(b []byte, ridFile storage.FileID) (*node, error) {
-	if len(b) < 2 {
-		return nil, ErrCorruptNode
+	if err != nil {
+		return fmt.Errorf("btree: node %d overflow: %w", p.ID.No, err)
 	}
-	n := &node{leaf: b[0] == 1}
-	b = b[1:]
-	cnt, k := binary.Uvarint(b)
-	if k <= 0 {
-		return nil, ErrCorruptNode
-	}
-	b = b[k:]
-	if n.leaf {
-		nx, k := binary.Uvarint(b)
-		if k <= 0 {
-			return nil, ErrCorruptNode
-		}
-		b = b[k:]
-		n.next = uint32(nx)
-		n.keys = make([][]byte, 0, cnt)
-		n.rids = make([]storage.RID, 0, cnt)
-		for i := uint64(0); i < cnt; i++ {
-			kl, k := binary.Uvarint(b)
-			if k <= 0 || uint64(len(b)-k) < kl {
-				return nil, ErrCorruptNode
-			}
-			b = b[k:]
-			key := make([]byte, kl)
-			copy(key, b[:kl])
-			b = b[kl:]
-			var (
-				r   storage.RID
-				err error
-			)
-			if r, b, err = decodeRID(b, ridFile); err != nil {
-				return nil, err
-			}
-			n.keys = append(n.keys, key)
-			n.rids = append(n.rids, r)
-		}
-	} else {
-		n.children = make([]storage.PageNo, 0, cnt+1)
-		n.counts = make([]int64, 0, cnt+1)
-		n.keys = make([][]byte, 0, cnt)
-		n.rids = make([]storage.RID, 0, cnt)
-		for i := uint64(0); i <= cnt; i++ {
-			c, k := binary.Uvarint(b)
-			if k <= 0 {
-				return nil, ErrCorruptNode
-			}
-			b = b[k:]
-			sz, k := binary.Varint(b)
-			if k <= 0 {
-				return nil, ErrCorruptNode
-			}
-			b = b[k:]
-			n.children = append(n.children, storage.PageNo(c))
-			n.counts = append(n.counts, sz)
-			if i < cnt {
-				kl, k := binary.Uvarint(b)
-				if k <= 0 || uint64(len(b)-k) < kl {
-					return nil, ErrCorruptNode
-				}
-				b = b[k:]
-				key := make([]byte, kl)
-				copy(key, b[:kl])
-				b = b[kl:]
-				var (
-					r   storage.RID
-					err error
-				)
-				if r, b, err = decodeRID(b, ridFile); err != nil {
-					return nil, err
-				}
-				n.keys = append(n.keys, key)
-				n.rids = append(n.rids, r)
-			}
-		}
-	}
-	if len(b) != 0 {
-		return nil, ErrCorruptNode
-	}
-	n.recomputeBytes()
-	return n, nil
+	return nil
 }

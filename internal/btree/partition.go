@@ -126,37 +126,14 @@ func (t *BTree) SeekPartitionLeaf(no storage.PageNo, hi []byte, tr *storage.Trac
 	return c, nil
 }
 
-// loadPlanning fetches a node without touching any I/O accounting: the
-// cache is consulted first (a plain load charges the pool even on a
-// cache hit), and a cache miss reads the page through the pool's
-// uncounted path. Partition planning runs entirely through it.
-func (t *BTree) loadPlanning(no storage.PageNo) (*node, error) {
-	t.cmu.RLock()
-	n, ok := t.cache[no]
-	t.cmu.RUnlock()
-	if ok {
-		return n, nil
-	}
+// loadPlanning reads a node through the pool's uncounted path, touching
+// no I/O accounting. Partition planning runs entirely through it.
+func (t *BTree) loadPlanning(no storage.PageNo) (node, error) {
 	p, err := t.pool.ReadUncounted(storage.PageID{File: t.file, No: no})
 	if err != nil {
-		return nil, err
+		return node{}, err
 	}
-	blob, err := p.Get(0)
-	if err != nil {
-		return nil, fmt.Errorf("btree: node page %d has no blob: %w", no, err)
-	}
-	n, err = decodeNode(blob, t.data)
-	if err != nil {
-		return nil, err
-	}
-	t.cmu.Lock()
-	if prior, ok := t.cache[no]; ok {
-		n = prior
-	} else {
-		t.cache[no] = n
-	}
-	t.cmu.Unlock()
-	return n, nil
+	return viewNode(p, t.data)
 }
 
 // rankOfKey returns the number of entries whose composite (key, RID)
@@ -171,13 +148,13 @@ func (t *BTree) rankOfKey(k []byte) (int64, error) {
 			return 0, err
 		}
 		if n.leaf {
-			return acc + int64(leafLowerBound(n, k, storage.RID{})), nil
+			return acc + int64(n.lowerBound(k, storage.RID{})), nil
 		}
-		i := findChild(n, k, storage.RID{})
+		i := n.findChild(k, storage.RID{})
 		for j := 0; j < i; j++ {
-			acc += n.counts[j]
+			acc += n.count(j)
 		}
-		no = n.children[i]
+		no = n.child(i)
 	}
 }
 
@@ -195,13 +172,12 @@ func (t *BTree) leafForRank(rank int64) (storage.PageNo, int64, error) {
 		if n.leaf {
 			return no, acc, nil
 		}
-		last := len(n.children) - 1
-		for j := range n.children {
-			if rank < acc+n.counts[j] || j == last {
-				no = n.children[j]
+		for j := 0; ; j++ {
+			if rank < acc+n.count(j) || j == len(n.ents) {
+				no = n.child(j)
 				break
 			}
-			acc += n.counts[j]
+			acc += n.count(j)
 		}
 	}
 }

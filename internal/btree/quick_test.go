@@ -141,37 +141,38 @@ func TestQuickScanIsSortedMultiset(t *testing.T) {
 	}
 }
 
-// Property: node serialization round-trips arbitrary leaf content.
+// Property: a node page round-trips arbitrary leaf content.
 func TestQuickNodeCodecRoundTrip(t *testing.T) {
 	f := func(keys [][]byte, next uint32) bool {
 		if len(keys) > 100 {
 			keys = keys[:100]
 		}
-		n := &node{leaf: true, next: next}
+		var ents [][]byte
+		rids := make([]storage.RID, len(keys))
 		for i, k := range keys {
 			if len(k) > 64 {
 				k = k[:64]
 			}
-			n.keys = append(n.keys, k)
-			n.rids = append(n.rids, storage.RID{
-				Page: storage.PageID{File: 2, No: storage.PageNo(i)},
-				Slot: uint16(i),
-			})
+			keys[i] = k
+			rids[i] = storage.RID{Page: storage.PageID{File: 2, No: storage.PageNo(i)}, Slot: uint16(i)}
+			ents = append(ents, leafEnt(k, rids[i]))
 		}
-		n.recomputeBytes()
-		dec, err := decodeNode(n.encode(), 2)
-		if err != nil {
+		p := storage.NewPage(storage.PageID{}, 16384)
+		if err := fillNode(p, true, next, 0, ents); err != nil {
 			return false
 		}
-		if dec.next != n.next || len(dec.keys) != len(n.keys) {
+		dec, err := viewNode(p, 2)
+		if err != nil || !dec.leaf || dec.next() != next || len(dec.ents) != len(keys) {
 			return false
 		}
-		for i := range n.keys {
-			if string(dec.keys[i]) != string(n.keys[i]) || dec.rids[i] != n.rids[i] {
+		want := nodeBaseBytes
+		for i := range keys {
+			if string(dec.key(i)) != string(keys[i]) || dec.rid(i) != rids[i] {
 				return false
 			}
+			want += entryBytes(true, len(keys[i]))
 		}
-		return true
+		return dec.bytes() == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ type ReverseCursor struct {
 	tree   *BTree
 	lo     []byte
 	stack  []revFrame
-	node   *node
+	node   node
 	curNo  storage.PageNo
 	pos    int
 	done   bool
@@ -53,9 +53,9 @@ func (t *BTree) SeekReverseTracked(lo, hi []byte, tr *storage.Tracker) (*Reverse
 		if n.leaf {
 			c.setLeaf(n, no)
 			if hi == nil {
-				c.pos = len(n.keys) - 1
+				c.pos = len(n.ents) - 1
 			} else {
-				c.pos = leafLowerBound(n, hi, storage.RID{}) - 1
+				c.pos = n.lowerBound(hi, storage.RID{}) - 1
 			}
 			if c.pos < 0 {
 				if err := c.retreat(); err != nil {
@@ -65,17 +65,17 @@ func (t *BTree) SeekReverseTracked(lo, hi []byte, tr *storage.Tracker) (*Reverse
 			}
 			return c, nil
 		}
-		idx := len(n.children) - 1
+		idx := len(n.ents)
 		if hi != nil {
-			idx = findChild(n, hi, storage.RID{})
+			idx = n.findChild(hi, storage.RID{})
 		}
 		c.stack = append(c.stack, revFrame{no: no, idx: idx})
-		no = n.children[idx]
+		no = n.child(idx)
 	}
 }
 
 // setLeaf repositions the cursor onto leaf n (page no), moving the pin.
-func (c *ReverseCursor) setLeaf(n *node, no storage.PageNo) {
+func (c *ReverseCursor) setLeaf(n node, no storage.PageNo) {
 	c.unpin()
 	c.node, c.curNo = n, no
 	c.tree.pool.Pin(storage.PageID{File: c.tree.file, No: no})
@@ -108,7 +108,7 @@ func (c *ReverseCursor) retreat() error {
 		if err != nil {
 			return err
 		}
-		no := parent.children[f.idx]
+		no := parent.child(f.idx)
 		for {
 			n, err := c.tree.load(no, c.tr)
 			if err != nil {
@@ -116,11 +116,11 @@ func (c *ReverseCursor) retreat() error {
 			}
 			if n.leaf {
 				c.setLeaf(n, no)
-				c.pos = len(n.keys) - 1
+				c.pos = len(n.ents) - 1
 				break
 			}
-			c.stack = append(c.stack, revFrame{no: no, idx: len(n.children) - 1})
-			no = n.children[len(n.children)-1]
+			c.stack = append(c.stack, revFrame{no: no, idx: len(n.ents)})
+			no = n.child(len(n.ents))
 		}
 		if c.pos >= 0 {
 			return nil
@@ -135,7 +135,7 @@ func (c *ReverseCursor) Next() (key []byte, rid storage.RID, ok bool, err error)
 	if c.done {
 		return nil, storage.RID{}, false, nil
 	}
-	k, r := c.node.keys[c.pos], c.node.rids[c.pos]
+	k, r := c.node.key(c.pos), c.node.rid(c.pos)
 	if c.lo != nil && expr.CompareKeys(k, c.lo) < 0 {
 		c.done = true
 		c.unpin()

@@ -232,6 +232,11 @@ func (t *Table) Update(rid storage.RID, newRow expr.Row) error {
 	if err != nil {
 		return err
 	}
+	return t.update(rid, oldRow, newRow)
+}
+
+// update is Update on a checked row, under the write lock.
+func (t *Table) update(rid storage.RID, oldRow, newRow expr.Row) error {
 	p, err := t.pool.GetDirty(rid.Page)
 	if err != nil {
 		return err
@@ -263,6 +268,11 @@ func (t *Table) Delete(rid storage.RID) error {
 	if err != nil {
 		return err
 	}
+	return t.delete(rid, row)
+}
+
+// delete is Delete of the fetched row, under the write lock.
+func (t *Table) delete(rid storage.RID, row expr.Row) error {
 	for _, ix := range t.Indexes {
 		if _, err := ix.Tree.Delete(ix.KeyFor(row), rid); err != nil {
 			return fmt.Errorf("catalog: index %s: %w", ix.Name, err)
@@ -270,6 +280,47 @@ func (t *Table) Delete(rid storage.RID) error {
 	}
 	t.statsEpoch.Add(1)
 	return t.Heap.Delete(rid)
+}
+
+// Mutate is the write path of DELETE and UPDATE, in two lock phases.
+// collect returns the victims' RIDs; it is a read and runs under the
+// read lock. change is then applied to every victim under the write
+// lock: it returns the row's new contents, or nil to delete the row.
+// The victims are collected completely before the first mutation, so a
+// row that a change moves cannot match again. When another writer got
+// in between the phases (the statistics epoch moved), the victims are
+// collected once more, now under the write lock. Mutate returns the
+// number of rows changed.
+func (t *Table) Mutate(collect func() ([]storage.RID, error), change func(expr.Row) expr.Row) (int, error) {
+	unlock := t.RLock()
+	victims, err := collect()
+	epoch := t.StatsEpoch()
+	unlock()
+	if err != nil {
+		return 0, err
+	}
+	t.wmu.Lock()
+	defer t.wmu.Unlock()
+	if t.StatsEpoch() != epoch {
+		if victims, err = collect(); err != nil {
+			return 0, err
+		}
+	}
+	for i, rid := range victims {
+		row, err := t.Fetch(rid)
+		if err != nil {
+			return i, err
+		}
+		if newRow := change(row); newRow == nil {
+			err = t.delete(rid, row)
+		} else if err = t.checkRow(newRow); err == nil {
+			err = t.update(rid, row, newRow)
+		}
+		if err != nil {
+			return i, err
+		}
+	}
+	return len(victims), nil
 }
 
 // CreateIndex builds a B-tree index over the named columns, populating

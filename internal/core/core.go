@@ -103,6 +103,12 @@ type Query struct {
 	// Control is the controlling plan node, used when Goal is
 	// GoalDefault.
 	Control ControlNode
+	// RIDs makes the retrieval deliver, in place of each qualifying
+	// row's columns, the row's RID as the two-column row (heap page
+	// number, slot): what DELETE and UPDATE need of their victims. Set
+	// Projection to an empty, non-nil slice with it, so an index over
+	// the restriction's columns is self-sufficient.
+	RIDs bool
 }
 
 // EffectiveGoal resolves the query's goal per Section 4.

@@ -148,7 +148,7 @@ func (f *finalStage) fetch(c *fetchCursor, tr *storage.Tracker, budget int, stop
 			if err != nil {
 				return false, err
 			}
-			if _, err := f.k.deliver(rec, &c.scratch, out); err != nil {
+			if _, err := f.k.deliver(r, rec, &c.scratch, out); err != nil {
 				return false, err
 			}
 		}

@@ -57,7 +57,9 @@ type jscan struct {
 	// Racing pair, when active.
 	race *raceState
 
-	// Filter and best-so-far state.
+	// Filter and best-so-far state. filter is nil from the moment a new
+	// list completes until a scan that will consume it opens
+	// (refreshFilter): the list that completes last never pays for one.
 	filter         rid.Filter
 	complete       *rid.Container
 	completeNames  []string
@@ -289,7 +291,16 @@ func (j *jscan) startNextScan() (bool, error) {
 	return false, nil
 }
 
+// refreshFilter builds the filter of the best complete list for the
+// scan or race that is opening.
+func (j *jscan) refreshFilter() {
+	if j.filter == nil {
+		j.filter = j.complete.Filter()
+	}
+}
+
 func (j *jscan) openSequential(e estimate.IndexEstimate) error {
+	j.refreshFilter()
 	cur, err := e.Index.Tree.SeekTracked(e.Lo, e.Hi, j.m.tr)
 	if err != nil {
 		return err
@@ -402,7 +413,7 @@ func (j *jscan) completeScan() error {
 			}
 			j.complete = j.list
 			j.completeNames = append(j.completeNames, j.curIx.Name)
-			j.filter = j.list.Filter()
+			j.filter = nil
 			j.guaranteedBest = newFinal
 			j.trc.emit(TraceEvent{
 				Kind: EvScanComplete, Scan: j.name(), Indexes: []string{j.curIx.Name},
@@ -441,6 +452,7 @@ func (j *jscan) abandonCurrent() error {
 // the second seek fails the first leg's cursor is closed before the
 // error is returned: no race state exists yet for bgKill to find it.
 func (j *jscan) startRace(a, b estimate.IndexEstimate) error {
+	j.refreshFilter()
 	legA, err := j.openLeg(a)
 	if err != nil {
 		return err
@@ -637,7 +649,7 @@ func (j *jscan) adoptRaceWinner(w *raceLeg) error {
 	}
 	j.complete = c
 	j.completeNames = append(j.completeNames, w.ix.Name)
-	j.filter = c.Filter()
+	j.filter = nil
 	j.guaranteedBest = newFinal
 	j.trc.emit(TraceEvent{
 		Kind: EvRaceResolved, Scan: j.name(), Indexes: []string{w.ix.Name},
@@ -655,6 +667,7 @@ func (j *jscan) adoptRaceWinner(w *raceLeg) error {
 // through bgKill like any other step error.
 func (j *jscan) continueLoser(l *raceLeg) error {
 	j.ensureBuffers()
+	j.refreshFilter()
 	if l.tr != nil {
 		// The leg ran on its own tracker (goroutine race); its charges
 		// were merged at the barrier, so re-point the cursor at the

@@ -37,8 +37,16 @@ func (c *nthCancelCtx) Err() error {
 	return nil
 }
 
+// victimQuery is bgQuery as a DELETE runs it: RIDs out, nothing projected.
+func victimQuery(f *fixture, t *testing.T) *Query {
+	q := bgQuery(f, t, GoalTotalTime)
+	q.Projection, q.RIDs = []int{}, true
+	return q
+}
+
 // TestNthAccessCancellationSweep cancels at the n-th governor checkpoint
-// for every n a small query makes, across the scan shapes and at widths
+// for every n a small query makes, across the scan shapes — the last a
+// RID-delivering run, the victim retrieval of a DELETE — and at widths
 // {0, 2}. Whatever access fails — a seek, a leaf hop, a spill write, a
 // fetch — the error must surface from Next with every pin released, no
 // goroutine left behind, the cancellation counted at most once, and no
@@ -73,6 +81,7 @@ func TestNthAccessCancellationSweep(t *testing.T) {
 				expr.NewCmp(expr.EQ, expr.Col(city, "CITY"), expr.Lit(expr.Int(7))),
 			),
 		}, false},
+		{"delete-victims", victimQuery(f, t), false},
 	}
 	for _, sh := range shapes {
 		for _, width := range []int{0, 2} {

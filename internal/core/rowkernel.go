@@ -3,6 +3,7 @@ package core
 import (
 	"rdbdyn/internal/catalog"
 	"rdbdyn/internal/expr"
+	"rdbdyn/internal/storage"
 )
 
 // rowKernel is the engine's one row path (DESIGN.md, "Row kernel"):
@@ -15,12 +16,13 @@ type rowKernel struct {
 	filter *expr.Filter // the restriction, host variables resolved; nil = none
 	need   expr.ColSet  // columns the filter or a consumer reads; nil = all
 	proj   []int        // delivered columns; nil = the whole row
+	rids   bool         // deliver each survivor's RID in place of its columns (Query.RIDs)
 }
 
 // kernel prepares q's restriction under its bindings, delivering its
 // projection.
 func (q *Query) kernel() *rowKernel {
-	k := &rowKernel{filter: expr.NewFilter(q.Restriction, q.Binds), proj: q.Projection}
+	k := &rowKernel{filter: expr.NewFilter(q.Restriction, q.Binds), proj: q.Projection, rids: q.RIDs}
 	if q.Projection != nil {
 		k.need = expr.Cols(len(q.Table.Columns), q.neededColumns()...)
 	}
@@ -56,11 +58,21 @@ func (k *rowKernel) entry(ix *catalog.Index, key []byte, scratch *expr.Row) (kee
 	return k.filter.Eval(*scratch)
 }
 
-// deliver decides rec and pushes a survivor onto out as the delivered
-// row: one exactly sized allocation plus one per delivered string.
-func (k *rowKernel) deliver(rec []byte, scratch *expr.Row, out *rowQueue) (keep bool, err error) {
+// deliver decides the record rec at rid and hands a survivor over.
+func (k *rowKernel) deliver(rid storage.RID, rec []byte, scratch *expr.Row, out *rowQueue) (keep bool, err error) {
 	if keep, err = k.record(rec, scratch); keep {
-		out.push(scratch.Own(k.proj))
+		k.emit(rid, scratch, out)
 	}
 	return keep, err
+}
+
+// emit pushes a survivor, decoded in *scratch, onto out as the delivered
+// row — one exactly sized allocation plus one per delivered string — or,
+// for a RID-delivering run, as its RID: every delivery site holds it.
+func (k *rowKernel) emit(rid storage.RID, scratch *expr.Row, out *rowQueue) {
+	if k.rids {
+		out.push(expr.Row{expr.Int(int64(rid.Page.No)), expr.Int(int64(rid.Slot))})
+		return
+	}
+	out.push(scratch.Own(k.proj))
 }

@@ -174,7 +174,7 @@ func (t *tscan) scanRows(cur *storage.HeapCursor, budget int, stop *atomic.Bool,
 		if t.exclude != nil && t.exclude.MayContain(rrid) {
 			continue
 		}
-		if _, err := t.k.deliver(rec, scratch, out); err != nil {
+		if _, err := t.k.deliver(rrid, rec, scratch, out); err != nil {
 			return false, err
 		}
 	}
@@ -229,7 +229,7 @@ func (s *sscan) step() (bool, error) {
 			return s.done, err
 		}
 		if keep {
-			s.out.push(s.scratch.Own(s.k.proj))
+			s.k.emit(rid, &s.scratch, s.out)
 			if s.track != nil && s.track() {
 				s.delivered = append(s.delivered, rid)
 			}
@@ -306,7 +306,7 @@ func (f *fscan) step() (bool, error) {
 			return f.done, err
 		}
 		fetches++
-		if _, err := f.k.deliver(rec, &f.scratch, f.out); err != nil {
+		if _, err := f.k.deliver(rid, rec, &f.scratch, f.out); err != nil {
 			return f.done, err
 		}
 	}
@@ -361,7 +361,7 @@ func (b *borrowFetcher) step() (bool, error) {
 		if err != nil {
 			return b.done, err
 		}
-		keep, err := b.k.deliver(rec, &b.scratch, b.out)
+		keep, err := b.k.deliver(rid, rec, &b.scratch, b.out)
 		if err != nil {
 			return b.done, err
 		}

@@ -862,10 +862,11 @@ func (r *Result) All() ([]expr.Row, error) {
 // code that drives core-level execution with the same values).
 func (b Binds) Bindings() (expr.Bindings, error) { return b.toBindings() }
 
-// Exec runs a DML statement (INSERT INTO ... VALUES, DELETE FROM ...)
-// and returns the number of rows affected. Deletions evaluate the
-// restriction over a sequential scan (DML is outside the paper's
-// retrieval-optimization scope) and maintain every index.
+// Exec runs a DML statement (INSERT INTO ... VALUES, UPDATE, DELETE
+// FROM ...) and returns the number of rows affected. UPDATE and DELETE
+// find their victims with a RID-delivering dynamic retrieval of the
+// restriction (victims), collected completely before the first row
+// changes, and maintain every index.
 func (db *DB) Exec(src string, binds Binds) (int, error) {
 	stmt, err := sql.ParseStatement(src)
 	if err != nil {
@@ -896,17 +897,8 @@ func (db *DB) execInsert(stmt *sql.InsertStmt, bb expr.Bindings) (int, error) {
 	for _, nodes := range stmt.Rows {
 		row := make(expr.Row, len(nodes))
 		for i, nd := range nodes {
-			switch v := nd.(type) {
-			case sql.LitNode:
-				row[i] = v.V
-			case sql.ParamNode:
-				val, ok := bb[v.Name]
-				if !ok {
-					return inserted, fmt.Errorf("engine: unbound parameter :%s", v.Name)
-				}
-				row[i] = val
-			default:
-				return inserted, fmt.Errorf("engine: unsupported VALUES entry %T", nd)
+			if row[i], err = dmlValue(nd, bb, "VALUES entry"); err != nil {
+				return inserted, err
 			}
 		}
 		if _, err := tab.Insert(row); err != nil {
@@ -922,52 +914,39 @@ func (db *DB) execDelete(stmt *sql.DeleteStmt, bb expr.Bindings) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	restriction, err := sql.CompileExpr(db.cat, stmt.Table, stmt.Where)
-	if err != nil {
-		return 0, err
-	}
-	victims, err := db.matchingRIDs(tab, restriction, bb)
-	if err != nil {
-		return 0, err
-	}
-	for i, rid := range victims {
-		if err := tab.Delete(rid); err != nil {
-			return i, err
-		}
-	}
-	return len(victims), nil
+	return db.mutate(tab, stmt.Where, bb, func(expr.Row) expr.Row { return nil })
 }
 
-// matchingRIDs collects the RIDs of tab's rows that pass restriction in
-// one full heap scan. DELETE and UPDATE collect their victims first and
-// mutate afterwards, so the scan never observes its own modifications
-// (an updated row must not match again).
-func (db *DB) matchingRIDs(tab *catalog.Table, restriction expr.Expr, bb expr.Bindings) ([]storage.RID, error) {
+// mutate runs the two phases of an UPDATE or DELETE (catalog.Table.Mutate)
+// on tab's rows that pass where: the dynamic optimizer collects the
+// victims, then change is applied to each — nil deletes the row.
+func (db *DB) mutate(tab *catalog.Table, where sql.Node, bb expr.Bindings, change func(expr.Row) expr.Row) (int, error) {
+	restriction, err := sql.CompileExpr(db.cat, tab.Name, where)
+	if err != nil {
+		return 0, err
+	}
+	return tab.Mutate(func() ([]storage.RID, error) { return db.victims(tab, restriction, bb) }, change)
+}
+
+// victims collects the RIDs of tab's rows that pass restriction: the
+// paper's retrieval component ends in a RID list, so this is an ordinary
+// run of the dynamic optimizer — estimation, competition, governor,
+// trace events, metrics — that delivers RIDs in place of columns and
+// projects nothing, which makes an index over the restriction's columns
+// self-sufficient. A restriction no index bounds ends in a Tscan through
+// the same call.
+func (db *DB) victims(tab *catalog.Table, restriction expr.Expr, bb expr.Bindings) ([]storage.RID, error) {
+	q := &core.Query{Table: tab, Restriction: restriction, Binds: bb, Projection: []int{}, RIDs: true}
+	rows := db.opt.RunExec(db.execCtx(context.Background()), q)
+	defer rows.Close()
 	var victims []storage.RID
-	// The row kernel's decide half: nothing is delivered, so only the
-	// restriction's columns are decoded, into one scratch view.
-	filter, need := expr.NewFilter(restriction, bb), expr.Cols(len(tab.Columns), expr.Columns(restriction)...)
-	var view expr.Row
-	cur := tab.Heap.Cursor()
-	defer cur.Close()
 	for {
-		rec, rid, ok, err := cur.Next()
-		if err != nil {
-			return nil, err
+		row, ok, err := rows.Next()
+		if err != nil || !ok {
+			return victims, err
 		}
-		if !ok {
-			return victims, nil
-		}
-		if view, err = expr.DecodeView(rec, view, need); err != nil {
-			return nil, err
-		}
-		keep, err := filter.Eval(view)
-		if err != nil {
-			return nil, err
-		}
-		if keep {
-			victims = append(victims, rid)
-		}
+		page := storage.PageID{File: tab.Heap.File(), No: storage.PageNo(row[0].I)}
+		victims = append(victims, storage.RID{Page: page, Slot: uint16(row[1].I)})
 	}
 }
 
@@ -1035,49 +1014,37 @@ func (db *DB) execUpdate(stmt *sql.UpdateStmt, bb expr.Bindings) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	restriction, err := sql.CompileExpr(db.cat, stmt.Table, stmt.Where)
-	if err != nil {
-		return 0, err
-	}
-	type set struct {
-		col int
-		val expr.Value
-	}
-	sets := make([]set, len(stmt.Sets))
+	cols := make([]int, len(stmt.Sets))
+	vals := make(expr.Row, len(stmt.Sets))
 	for i, sc := range stmt.Sets {
-		ci, err := tab.ColumnIndex(sc.Col)
-		if err != nil {
+		if cols[i], err = tab.ColumnIndex(sc.Col); err != nil {
 			return 0, err
 		}
-		var v expr.Value
-		switch t := sc.Value.(type) {
-		case sql.LitNode:
-			v = t.V
-		case sql.ParamNode:
-			val, ok := bb[t.Name]
-			if !ok {
-				return 0, fmt.Errorf("engine: unbound parameter :%s", t.Name)
-			}
-			v = val
-		}
-		sets[i] = set{col: ci, val: v}
-	}
-	victims, err := db.matchingRIDs(tab, restriction, bb)
-	if err != nil {
-		return 0, err
-	}
-	for i, rid := range victims {
-		row, err := tab.Fetch(rid)
-		if err != nil {
-			return i, err
-		}
-		newRow := row.Clone()
-		for _, sc := range sets {
-			newRow[sc.col] = sc.val
-		}
-		if err := tab.Update(rid, newRow); err != nil {
-			return i, err
+		if vals[i], err = dmlValue(sc.Value, bb, "SET value"); err != nil {
+			return 0, err
 		}
 	}
-	return len(victims), nil
+	return db.mutate(tab, stmt.Where, bb, func(row expr.Row) expr.Row {
+		row = row.Clone()
+		for i, c := range cols {
+			row[c] = vals[i]
+		}
+		return row
+	})
+}
+
+// dmlValue resolves a VALUES entry or SET value: a literal or a bound
+// parameter, nothing else.
+func dmlValue(nd sql.Node, bb expr.Bindings, what string) (expr.Value, error) {
+	switch v := nd.(type) {
+	case sql.LitNode:
+		return v.V, nil
+	case sql.ParamNode:
+		if val, ok := bb[v.Name]; ok {
+			return val, nil
+		}
+		return expr.Null(), fmt.Errorf("engine: unbound parameter :%s", v.Name)
+	default:
+		return expr.Null(), fmt.Errorf("engine: unsupported %s %T", what, nd)
+	}
 }

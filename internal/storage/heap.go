@@ -215,11 +215,17 @@ func (c *HeapCursor) bound() PageNo {
 }
 
 // Next advances to the next live record. It returns the record, its
-// RID, and false when the scan is exhausted.
+// RID, and false when the scan is exhausted. The bound is read when the
+// cursor moves to a page, not per record (it costs the disk's mutex), so
+// a heap that grows between pages is still seen.
 func (c *HeapCursor) Next() ([]byte, RID, bool, error) {
-	n := c.bound()
-	for c.page < n {
+	for {
 		if c.cur == nil || c.cur.ID.No != c.page {
+			n := c.bound()
+			if c.page >= n {
+				c.unpin()
+				return nil, RID{}, false, nil
+			}
 			p, err := c.heap.pool.GetTracked(PageID{File: c.heap.file, No: c.page}, c.tr)
 			if err != nil {
 				return nil, RID{}, false, err
@@ -241,8 +247,6 @@ func (c *HeapCursor) Next() ([]byte, RID, bool, error) {
 		c.page++
 		c.slot = -1
 	}
-	c.unpin()
-	return nil, RID{}, false, nil
 }
 
 // prefetchAhead stages the next window of heap pages. After the first

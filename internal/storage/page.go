@@ -1,5 +1,7 @@
 package storage
 
+import "slices"
+
 // Page is a slotted page holding variable-length records. Records are
 // addressed by slot number; deleting a record leaves a tombstone so that
 // RIDs of other records remain stable.
@@ -128,4 +130,51 @@ func (p *Page) Update(slot uint16, rec []byte) error {
 	p.used += len(rec) - old
 	p.slots[slot] = cp
 	return nil
+}
+
+// The three methods below serve pages whose slot order carries meaning —
+// B-tree nodes, which keep their entries sorted by slot. They renumber
+// slots, so heap pages, whose RIDs must stay stable, never use them.
+
+// Used returns the bytes consumed, slot overhead included.
+func (p *Page) Used() int { return p.used }
+
+// Records returns the slot directory: element i is the record in slot
+// i. The view is valid until the page's next structural change and is
+// read-only, except that the page's owner may overwrite a fixed-width
+// field of a record in place once the page has been fetched dirty.
+func (p *Page) Records() [][]byte { return p.slots }
+
+// InsertAt stores rec in the given slot, moving the records at slot and
+// above one slot up: it shifts the slot directory and writes one record.
+func (p *Page) InsertAt(slot int, rec []byte) error {
+	if slot < 0 || slot > len(p.slots) {
+		return ErrNoSuchSlot
+	}
+	if !p.Fits(len(rec)) {
+		return ErrPageFull
+	}
+	p.slots = slices.Insert(p.slots, slot, append([]byte(nil), rec...))
+	p.used += len(rec) + slotOverhead
+	return nil
+}
+
+// RemoveAt drops the given slot, moving the records above it one slot
+// down and releasing the record's bytes and its directory entry.
+func (p *Page) RemoveAt(slot int) error {
+	if slot < 0 || slot >= len(p.slots) {
+		return ErrNoSuchSlot
+	}
+	p.used -= len(p.slots[slot]) + slotOverhead
+	p.slots = slices.Delete(p.slots, slot, slot+1)
+	return nil
+}
+
+// Truncate drops slot n and every slot above it.
+func (p *Page) Truncate(n int) {
+	for _, rec := range p.slots[n:] {
+		p.used -= len(rec) + slotOverhead
+	}
+	clear(p.slots[n:])
+	p.slots = p.slots[:n]
 }
