@@ -30,6 +30,7 @@ import (
 
 	"rdbdyn/internal/catalog"
 	"rdbdyn/internal/competition"
+	"rdbdyn/internal/estimate"
 	"rdbdyn/internal/expr"
 	"rdbdyn/internal/feedback"
 	"rdbdyn/internal/rid"
@@ -109,6 +110,15 @@ type Query struct {
 	// Projection to an empty, non-nil slice with it, so an index over
 	// the restriction's columns is self-sufficient.
 	RIDs bool
+	// join is set on a table access of a join pipeline (join.go).
+	join *joinAccess
+}
+
+// joinAccess is what a join's table access inherits from the join. Such
+// a retrieval counts no query and no tactic win of its own.
+type joinAccess struct {
+	res *estimate.Result // gatherJoinInfo's appraisal of the restriction: handed in, not recomputed
+	trc *tracer          // the join's tracer: the access's events are the join's
 }
 
 // EffectiveGoal resolves the query's goal per Section 4.

@@ -118,7 +118,8 @@ func widthEvent(st RetrievalStats, scan string) *TraceEvent {
 // adaptive side must actually have fanned out (a parallel-width-chosen
 // event for "JoinProbe"), and the mid-stage checkpoint — which the
 // partitioned probe evaluates between rounds instead of every 64 rows —
-// must still abandon an overpriced probe for hj on both.
+// must still abandon an overpriced probe for hj on both, keeping what the
+// probes already produced.
 func TestJoinProbePartitioned(t *testing.T) {
 	configs := []struct {
 		name string
@@ -181,31 +182,17 @@ func TestJoinProbePartitioned(t *testing.T) {
 				jq := f.custOrdQuery(nil)
 				jq.Local[1] = expr.NewCmp(expr.GE, expr.Col(3, "QTY"), expr.Lit(expr.Int(2)))
 				o := NewOptimizer(c.cfg)
-				infos, jts, err := o.gatherJoinInfo(nil, jq)
-				if err != nil {
-					t.Fatal(err)
-				}
-				st := &RetrievalStats{}
-				je := &joinExec{
-					o: o, jq: jq, infos: infos, jts: jts, offs: jq.Offsets(), width: jq.Width(),
-					st: st, trc: o.tracer(nil, st), dynamic: true,
-				}
-				je.kern = je.tableKernels()
-				outer, err := je.execDriver(&JoinStagePlan{Table: 0, Operator: "tscan"})
-				if err != nil {
-					t.Fatal(err)
-				}
-				sg := &JoinStagePlan{Table: 1, Operator: op, Index: "ORD_CUST_IX"}
-				rows[i], err = je.execStage(sg, outer, []bool{true, false})
-				if err != nil {
-					t.Fatal(err)
-				}
+				var st RetrievalStats
+				rows[i], st = drainJoin(t, runJoinOn(o, nil, jq, &JoinPlan{Stages: []JoinStagePlan{
+					{Table: 0, Operator: "tscan", EstRows: float64(f.nCust)},
+					{Table: 1, Operator: op, Index: "ORD_CUST_IX"},
+				}}))
 				last := st.JoinStages[len(st.JoinStages)-1]
-				if last.Operator != JoinOpHJ || !last.Reoptimized || !hasEvent(*st, EvJoinReoptimized, "") {
+				if last.Operator != JoinOpHJ || !last.Reoptimized || !hasEvent(st, EvJoinReoptimized, "") {
 					t.Fatalf("%s: %s probe did not fall back to hj mid-stage: %s; trace: %v",
 						c.name, op, fmt.Sprint(last), st.Trace())
 				}
-				if (widthEvent(*st, "JoinProbe") != nil) != c.cfg.AdaptiveParallelism {
+				if (widthEvent(st, "JoinProbe") != nil) != c.cfg.AdaptiveParallelism {
 					t.Fatalf("%s: JoinProbe width decision present=%v", c.name, !c.cfg.AdaptiveParallelism)
 				}
 			}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -12,13 +13,11 @@ import (
 	"rdbdyn/internal/storage"
 )
 
-// Mid-stage re-optimization cadence: probe operators (inl/ridx) check
-// their measured per-probe cost against the nested-loop alternative
-// after this many outer rows, and every this-many thereafter.
-const (
-	joinReoptMinProbes  = 64
-	joinReoptCheckEvery = 64
-)
+// joinReoptCheckEvery is the mid-stage re-optimization cadence: probe
+// operators (inl/ridx) check their measured per-probe cost against a
+// one-scan alternative after this many outer rows, and every this-many
+// thereafter. It is also the per-worker size of a stage's full round.
+const joinReoptCheckEvery = 64
 
 // JoinReoptFactor is the mid-flight re-optimization trigger of a
 // dynamic multi-table retrieval: when a join stage's actual cardinality
@@ -26,13 +25,16 @@ const (
 // direction), the executor re-plans the remaining stages.
 const JoinReoptFactor = 4.0
 
-// RunJoin executes a multi-table retrieval. With a nil plan it runs
-// dynamically: a greedy join order from corrected estimates, per-stage
-// operator competition, and mid-flight re-optimization when a stage's
-// actual cardinality diverges from its estimate past JoinReoptFactor.
-// With a plan (from PlanJoin) it executes that plan as-is — no
-// mid-flight re-optimization and no feedback observation, mirroring a
-// pinned single-table replay.
+// RunJoin executes a multi-table retrieval as one pull pipeline
+// (DESIGN.md, "Dynamic join optimization"): the returned Rows is lazy, a
+// LIMIT or an early Close stops every stage where it stands. With a nil
+// plan it runs dynamically: a greedy join order from corrected estimates,
+// per-stage operator competition, every table read by a dynamic
+// single-table retrieval, and mid-flight re-optimization. With a plan
+// (from PlanJoin) the same pipeline executes that plan as-is — pinned
+// table accesses, stage at a time unless a LIMIT is set (see breaks), no
+// re-optimization, no feedback observation — mirroring a pinned
+// single-table replay.
 func (o *Optimizer) RunJoin(ec *ExecCtx, jq *JoinQuery, plan *JoinPlan) Rows {
 	rows, err := o.runJoin(ec, jq, plan)
 	return o.deliver(ec, rows, err)
@@ -42,38 +44,80 @@ func (o *Optimizer) RunJoin(ec *ExecCtx, jq *JoinQuery, plan *JoinPlan) Rows {
 // the baseline a dynamic run competes against (planner.PrepareJoin
 // wraps this for the System R-style comparison).
 func (o *Optimizer) PlanJoin(ec *ExecCtx, jq *JoinQuery) (*JoinPlan, error) {
-	if err := jq.validate(); err != nil {
-		return nil, err
-	}
-	infos, jts, err := o.gatherJoinInfo(ec, jq)
+	jr, err := o.newJoinRun(ec, jq)
 	if err != nil {
 		return nil, err
 	}
-	return o.planJoin(jq, infos, jts), nil
-}
-
-// joinExec is the per-run state of one join execution.
-type joinExec struct {
-	o       *Optimizer
-	ec      *ExecCtx
-	jq      *JoinQuery
-	infos   []joinTableInfo
-	jts     []estimate.JoinTable
-	offs    []int
-	width   int
-	kern    []*rowKernel // one per FROM table, see tableKernels
-	st      *RetrievalStats
-	trc     *tracer
-	dynamic bool
-	// ordered is the plan's order-preserving claim; the driver scans
-	// descending when the query wants descending order.
-	ordered bool
+	return o.planJoin(jq, jr.infos, jr.jts), nil
 }
 
 func (o *Optimizer) runJoin(ec *ExecCtx, jq *JoinQuery, fixed *JoinPlan) (Rows, error) {
-	if err := ec.Err(); err != nil {
+	jr, err := o.newJoinRun(ec, jq)
+	if err != nil {
 		return nil, err
 	}
+	for i, tab := range jq.Tables {
+		if jr.infos[i].empty {
+			jr.trc.emit(TraceEvent{Kind: EvEmptyRange, Tactic: "join", Scan: tab.Name,
+				Detail: "local restriction empty, end of data at once"})
+			return &emptyRows{stats: jr.st}, nil
+		}
+	}
+	plan := fixed
+	if plan == nil {
+		plan = o.planJoin(jq, jr.infos, jr.jts)
+	} else if len(plan.Stages) != len(jq.Tables) {
+		return nil, fmt.Errorf("core: join plan has %d stages for %d tables", len(plan.Stages), len(jq.Tables))
+	}
+	jr.begin(plan, fixed == nil)
+	return jr, nil
+}
+
+// rowSource is what a pipeline stage pulls its input from: another
+// stage, a table access (Rows), materialized rows (*rowQueue), a rowFunc.
+type rowSource interface {
+	Next() (expr.Row, bool, error)
+}
+
+type rowFunc func() (expr.Row, bool, error)
+
+func (f rowFunc) Next() (expr.Row, bool, error) { return f() }
+
+// joinRun is one multi-table retrieval: the Rows RunJoin returns and the
+// pull pipeline behind it. Rows travel as pipeline rows — the carried
+// columns of every table bound so far, in join order — so a table
+// access's narrow rows enter as they are; the last stage writes the
+// delivered row itself unless a residual or a pending sort needs more.
+type joinRun struct {
+	o     *Optimizer
+	ec    *ExecCtx
+	jq    *JoinQuery
+	infos []joinTableInfo
+	jts   []estimate.JoinTable
+	offs  []int
+	keep  [][]int // per table, the columns the join carries
+	proj  []int   // delivered flat positions (the whole flat row for SELECT *)
+	loc   []int   // flat position -> position in a pipeline row; -1 while its table is unbound
+	rowLn int     // pipeline row length so far
+	st    RetrievalStats
+	trc   *tracer
+
+	plan    []JoinStagePlan // as planned; re-optimization revises the unexecuted tail
+	dynamic bool
+	// ordered is the plan's order-preserving claim. Execution keeps it:
+	// only an hj built on the outer rows loses their order (see build).
+	ordered bool
+	direct  bool // no residual, no pending sort: the last stage writes delivered rows
+
+	stages    []*joinStage // executed, the driver first
+	top       rowSource    // nil until the first Next builds the pipeline
+	exhausted bool         // top reached end of data: actuals are whole
+	closed    bool
+	err       error
+}
+
+// newJoinRun validates jq and appraises its tables.
+func (o *Optimizer) newJoinRun(ec *ExecCtx, jq *JoinQuery) (*joinRun, error) {
 	if err := jq.validate(); err != nil {
 		return nil, err
 	}
@@ -81,184 +125,325 @@ func (o *Optimizer) runJoin(ec *ExecCtx, jq *JoinQuery, fixed *JoinPlan) (Rows, 
 	if err != nil {
 		return nil, err
 	}
-	st := RetrievalStats{Tactic: "join", QueryID: nextQueryID(), FinalListLen: -1}
+	jr := &joinRun{o: o, ec: ec, jq: jq, infos: infos, jts: jts, offs: jq.Offsets(),
+		keep: make([][]int, len(jq.Tables)), proj: jq.Projection, loc: make([]int, jq.Width()),
+		st: RetrievalStats{Tactic: "join", QueryID: nextQueryID(), FinalListLen: -1}}
 	for i := range infos {
-		st.EstimateIO += infos[i].estIO
+		jr.st.EstimateIO += infos[i].estIO
 	}
-	trc := o.tracer(ec, &st)
-	for i, tab := range jq.Tables {
-		if infos[i].empty {
-			trc.emit(TraceEvent{Kind: EvEmptyRange, Tactic: "join", Scan: tab.Name,
-				Detail: "local restriction empty, end of data at once"})
-			return &emptyRows{stats: st}, nil
+	jr.trc = o.tracer(ec, &jr.st, nil)
+	// A table's carried columns: all for SELECT *, else those the
+	// projection, the order, the residual and the join predicates read.
+	flat := append(append(expr.Columns(jq.Residual), jq.Projection...), jq.OrderBy...)
+	for _, p := range jq.Preds {
+		flat = append(flat, jr.offs[p.LT]+p.LC, jr.offs[p.RT]+p.RC)
+	}
+	for p := range jr.loc {
+		jr.loc[p] = -1
+		if jq.Projection == nil {
+			jr.proj = append(jr.proj, p)
 		}
 	}
-	plan := fixed
-	dynamic := fixed == nil
-	if plan == nil {
-		plan = o.planJoin(jq, infos, jts)
+	for t, tab := range jq.Tables {
+		jr.keep[t] = []int{}
+		for c := range tab.Columns {
+			if jq.Projection == nil || slices.Contains(flat, jr.offs[t]+c) {
+				jr.keep[t] = append(jr.keep[t], c)
+			}
+		}
 	}
-	je := &joinExec{
-		o: o, ec: ec, jq: jq, infos: infos, jts: jts,
-		offs: jq.Offsets(), width: jq.Width(), st: &st, trc: trc,
-		dynamic: dynamic, ordered: plan.Ordered,
-	}
-	je.kern = je.tableKernels()
-	stages := append([]JoinStagePlan(nil), plan.Stages...)
-	trc.emit(TraceEvent{
+	return jr, nil
+}
+
+// begin adopts the plan and announces it.
+func (jr *joinRun) begin(plan *JoinPlan, dynamic bool) {
+	jq := jr.jq
+	jr.plan, jr.dynamic, jr.ordered = slices.Clone(plan.Stages), dynamic, plan.Ordered
+	jr.direct = jq.Residual == nil && (len(jq.OrderBy) == 0 || jr.ordered)
+	jr.trc.emit(TraceEvent{
 		Kind: EvJoinOrderChosen, Tactic: "join",
-		Indexes:     stageTableNames(jq, stages),
+		Indexes:     stageTableNames(jq, jr.plan),
 		EstimatedIO: plan.EstIO,
 		Detail:      plan.Describe(jq),
 	})
-	// Join retrievals are structurally ineligible for plan capture
-	// (CapturePlan refuses them); announce that up front so cache-aware
-	// callers and the metrics see the rejection. hj stages are called
-	// out on their own grounds — their build tables hold run-time inner
-	// state no replay could re-derive — so a future per-operator
-	// join-freezing scheme keeps a reason to refuse them.
-	captureDetail := "multi-table retrievals are never frozen"
-	for _, sg := range stages {
-		if sg.Operator == JoinOpHJ {
-			captureDetail = "hj build side is re-derived at run time; multi-table retrievals are never frozen"
-			break
+	// CapturePlan refuses joins; announce it up front so cache-aware
+	// callers and the metrics see the rejection.
+	jr.trc.emit(TraceEvent{Kind: EvPlanCaptureRejected, Tactic: "join", Detail: "multi-table retrievals are never frozen"})
+	if jr.ordered {
+		jr.st.SortAvoided = true
+		jr.trc.emit(TraceEvent{Kind: EvJoinSortAvoided, Tactic: "join",
+			Detail: "plan order satisfies ORDER BY and every stage keeps it: no materialized sort"})
+	}
+}
+
+// breaks reports whether the boundary below stage si is a pipeline
+// breaker. In a dynamic run re-optimization needs a count there that it
+// does not have: behind an inexact cardinality (a driver whose estimate
+// is not exact, any join output). A fixed plan is the freezing
+// executor's baseline and runs stage at a time as one, each table read
+// whole before the next is touched, unless a LIMIT wants its rows early.
+func (jr *joinRun) breaks(si int) bool {
+	if !jr.dynamic {
+		return si > 0 && jr.jq.Limit == 0
+	}
+	return si > 1 || si == 1 && !jr.infos[jr.plan[0].Table].exact
+}
+
+// streams reports whether stage si's rows reach the consumer as they
+// are produced: no breaker and no sort stands in between.
+func (jr *joinRun) streams(si int) bool {
+	for above := si + 1; above < len(jr.plan); above++ {
+		if jr.breaks(above) {
+			return false
 		}
 	}
-	trc.emit(TraceEvent{
-		Kind: EvPlanCaptureRejected, Tactic: "join",
-		Detail: captureDetail,
-	})
+	return len(jr.jq.OrderBy) == 0 || jr.ordered
+}
 
-	in := make([]bool, len(jq.Tables))
-	chosen := []int{stages[0].Table}
-	in[stages[0].Table] = true
-	cur, err := je.execDriver(&stages[0])
-	if err != nil {
-		return nil, err
+// access starts the single-table retrieval of table t — the driver, an
+// hj side, an nl inner — the way every other query reads a table: in a
+// dynamic run through Optimizer.run, on the appraisal gatherJoinInfo
+// paid for; under a fixed plan pinned to the plan's scan. Rows that
+// stream to the consumer are retrieved under the join's goal (LIMIT and
+// EXISTS are fast-first), rows drained whole under total-time.
+func (jr *joinRun) access(t int, index string, streams, ordered bool) (Rows, error) {
+	jq := jr.jq
+	q := &Query{Table: jq.Tables[t], Restriction: jq.Local[t], Binds: jq.Binds, Projection: jr.keep[t],
+		Goal: GoalTotalTime, join: &joinAccess{res: &jr.infos[t].res, trc: jr.trc}}
+	if streams {
+		q.Goal, q.Control = jq.Goal, jq.Control
+		if jq.Limit > 0 && q.Control == ControlNone {
+			q.Control = ControlLimit
+		}
 	}
-
-	// orderLive tracks whether the rows still arrive in the query's
-	// ORDER BY order: true only for a plan whose driver delivers it, and
-	// cleared the moment any executed stage runs an order-destroying
-	// operator (hj/nl — whether planned, re-planned mid-flight, or a
-	// probe fallback).
-	orderLive := plan.Ordered
-	replanned := false
-	for si := 1; si < len(stages); si++ {
-		// Stage boundary: if the intermediate cardinality has diverged
-		// from the estimate past the factor, re-plan the remaining
-		// tables (order and operators) from the observed count.
-		prevEst := stages[si-1].EstRows
-		actual := float64(len(cur))
-		if je.dynamic && diverged(prevEst, actual) {
-			rest := o.planJoinRest(jq, infos, jts, chosen, actual)
-			if !sameStages(stages[si:], rest) {
-				trc.emit(TraceEvent{
-					Kind: EvJoinReoptimized, Tactic: "join",
-					Indexes:     stageTableNames(jq, rest),
-					EstimatedIO: prevEst, ActualIO: actual,
-					Detail: fmt.Sprintf("intermediate %d rows vs %.0f estimated: replanned remaining stages", len(cur), prevEst),
-				})
-				stages = append(stages[:si:si], rest...)
-				replanned = true
-			}
-		}
-		sg := &stages[si]
-		out, err := je.execStage(sg, cur, in)
-		if err != nil {
-			return nil, err
-		}
-		if replanned {
-			// The stage just executed was (re)chosen mid-flight.
-			st.JoinStages[len(st.JoinStages)-1].Reoptimized = true
-			replanned = false
-		}
-		if op := st.JoinStages[len(st.JoinStages)-1].Operator; op != JoinOpINL && op != JoinOpRIDX {
-			orderLive = false
-		}
-		in[sg.Table] = true
-		chosen = append(chosen, sg.Table)
-		cur = out
+	if ordered {
+		_, q.OrderBy, _ = joinOrderTable(jq)
+		q.OrderDesc = jq.OrderDesc
 	}
+	if jr.dynamic {
+		return jr.o.run(jr.ec, q)
+	}
+	p := &Plan{Tactic: "tscan"}
+	if index != "" {
+		p = &Plan{Tactic: "fscan", Indexes: []string{index}}
+	}
+	return jr.o.runPlan(jr.ec, q, p)
+}
 
-	// Residual conjuncts — cross-table predicates that are not
-	// equi-joins — apply once every table is bound.
-	if residual := expr.NewFilter(jq.Residual, jq.Binds); residual != nil {
-		kept := make([]expr.Row, 0, len(cur))
-		for _, row := range cur {
-			ok, err := residual.Eval(row)
+// start builds the pipeline, stage by stage. At a breaker the rows so
+// far are materialized and counted, and in a dynamic run a count off its
+// estimate past the factor re-plans the remaining tables, order and
+// operators. Everything else streams.
+func (jr *joinRun) start() error {
+	jq := jr.jq
+	for si := 0; si < len(jr.plan); si++ {
+		upRows, reopt := 0.0, false
+		if si > 0 {
+			upRows = jr.plan[si-1].EstRows
+		}
+		if jr.breaks(si) {
+			rows, err := drainRows(jr.top)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			if ok {
-				kept = append(kept, row)
+			jr.top, upRows = &rowQueue{rows: rows}, float64(len(rows))
+			if est := jr.plan[si-1].EstRows; jr.dynamic && diverged(est, upRows) {
+				chosen := make([]int, si)
+				for i, sg := range jr.plan[:si] {
+					chosen[i] = sg.Table
+				}
+				rest := jr.o.planJoinRest(jq, jr.infos, jr.jts, chosen, upRows)
+				if !sameStages(jr.plan[si:], rest) {
+					jr.trc.emit(TraceEvent{
+						Kind: EvJoinReoptimized, Tactic: "join",
+						Indexes:     stageTableNames(jq, rest),
+						EstimatedIO: est, ActualIO: upRows,
+						Detail: fmt.Sprintf("intermediate %d rows vs %.0f estimated: replanned remaining stages", len(rows), est),
+					})
+					jr.plan, reopt = append(jr.plan[:si:si], rest...), true
+				}
 			}
 		}
-		cur = kept
+		sg := jr.plan[si]
+		s := &joinStage{jr: jr, si: si, sg: sg, up: jr.top, upRows: upRows, reopt: reopt, m: newMeter(jr.ec), base: jr.rowLn}
+		jr.stages = append(jr.stages, s)
+		if err := s.open(); err != nil {
+			return err
+		}
+		jr.top = s
 	}
-	if len(jq.OrderBy) > 0 {
-		if orderLive {
-			// The surviving stage order satisfies the ORDER BY: the
-			// final materialized sort is skipped.
-			st.SortAvoided = true
-			trc.emit(TraceEvent{
-				Kind: EvJoinSortAvoided, Tactic: "join",
-				Detail: fmt.Sprintf("plan order satisfies ORDER BY: materialized sort of %d rows skipped", len(cur)),
-			})
-		} else {
-			sortRows(cur, jq.OrderBy, jq.OrderDesc)
+	// Residual conjuncts — cross-table predicates that are not
+	// equi-joins — apply once every table is bound, on a reused flat view
+	// of each pipeline row (they address flat positions). An ORDER BY the
+	// plan does not deliver is the one other materialization point.
+	if f := expr.NewFilter(jq.Residual, jq.Binds); f != nil {
+		up, cols, flat := jr.top, expr.Columns(jq.Residual), make(expr.Row, len(jr.loc))
+		jr.top = rowFunc(func() (expr.Row, bool, error) {
+			for {
+				row, ok, err := up.Next()
+				if err != nil || !ok {
+					return nil, false, err
+				}
+				for _, c := range cols {
+					flat[c] = row[jr.loc[c]]
+				}
+				if keep, err := f.Eval(flat); err != nil || keep {
+					return row, keep, err
+				}
+			}
+		})
+	}
+	if len(jq.OrderBy) > 0 && !jr.ordered {
+		rows, err := drainRows(jr.top)
+		if err != nil {
+			return err
+		}
+		by := make([]int, len(jq.OrderBy))
+		for i, p := range jq.OrderBy {
+			by[i] = jr.loc[p]
+		}
+		sortRows(rows, by, jq.OrderDesc)
+		jr.top = &rowQueue{rows: rows}
+	}
+	if !jr.direct { // what is delivered, as positions of the pipeline row
+		jr.proj = slices.Clone(jr.proj)
+		for i, p := range jr.proj {
+			jr.proj[i] = jr.loc[p]
 		}
 	}
-	st.Strategy = joinStrategy(jq, st.JoinStages)
-	if o.cfg.Feedback != nil && dynamic {
-		for _, sg := range st.JoinStages {
-			// Observations key on the catalog table name (via TableIdx;
-			// Table may show an alias). hj stages observe under a
-			// synthetic slot: their actual is join-output rows, which
-			// must not skew the build index's restriction corrections.
+	return nil
+}
+
+func drainRows(src rowSource) (rows []expr.Row, _ error) {
+	for {
+		row, ok, err := src.Next()
+		if err != nil || !ok {
+			return rows, err
+		}
+		rows = append(rows, row)
+	}
+}
+
+func (jr *joinRun) Next() (expr.Row, bool, error) {
+	if jr.err != nil || jr.closed {
+		return nil, false, jr.err
+	}
+	err := jr.ec.Err()
+	if err == nil && jr.top == nil {
+		err = jr.start()
+	}
+	if err != nil {
+		return nil, false, jr.fail(err)
+	}
+	row, ok, err := jr.top.Next()
+	if err != nil {
+		return nil, false, jr.fail(err)
+	}
+	if !ok {
+		jr.exhausted = true
+		jr.finish()
+		return nil, false, nil
+	}
+	if !jr.direct {
+		row = projectRow(row, jr.proj)
+	}
+	jr.st.RowsDelivered++
+	if jr.jq.Limit > 0 && jr.st.RowsDelivered >= jr.jq.Limit {
+		jr.finish() // forceful early termination: every stage stops where it stands
+	}
+	return row, true, nil
+}
+
+// Close stops the pipeline where it stands; safe at any point.
+func (jr *joinRun) Close() error {
+	jr.finish()
+	return nil
+}
+
+// Stats is valid at any time. Before the run ends, JoinStages lists the
+// stages built so far with the rows each has produced so far (a table
+// access's I/O joins its stage's when the access finishes). ActualRows
+// is a whole-stage actual only if the run reached end of data.
+func (jr *joinRun) Stats() RetrievalStats {
+	jr.sync()
+	return jr.st
+}
+
+// sync rebuilds the stats from the stages, as executed so far.
+func (jr *joinRun) sync() {
+	jr.st.IO, jr.st.JoinStages = storage.IOStats{}, make([]JoinStageStats, len(jr.stages))
+	for i, s := range jr.stages {
+		io := s.m.io().Add(s.inIO)
+		jr.st.IO = jr.st.IO.Add(io)
+		jr.st.JoinStages[i] = JoinStageStats{
+			Table: jr.jq.nameOf(s.sg.Table), TableIdx: s.sg.Table, Operator: s.sg.Operator, Index: s.sg.Index,
+			EstRows: s.sg.EstRows, ActualRows: s.rows, IO: io.IOCost(), Reoptimized: s.reopt}
+	}
+	jr.st.Strategy = joinStrategy(jr.jq, jr.st.JoinStages)
+}
+
+// finish ends the run exactly once, however it ends — end of data, the
+// LIMIT, Close, an error: table accesses are closed (every pin
+// released), the stats become final, the join is counted. Feedback
+// learns only from whole actuals: a run that reached end of data.
+func (jr *joinRun) finish() {
+	if jr.closed {
+		return
+	}
+	jr.closed = true
+	for _, s := range jr.stages {
+		s.closeIn()
+	}
+	jr.sync()
+	if fb := jr.o.cfg.Feedback; fb != nil && jr.dynamic && jr.exhausted {
+		for _, sg := range jr.st.JoinStages {
+			// Keyed on the catalog table name (Table may show an alias); hj
+			// under a synthetic slot, its actual being join-output rows.
 			ixKey := sg.Index
 			if sg.Operator == JoinOpHJ {
 				ixKey = joinFeedbackHJ
 			}
-			o.cfg.Feedback.ObserveCardinality(jq.Tables[sg.TableIdx].Name, ixKey, sg.EstRows, float64(sg.ActualRows))
+			fb.ObserveCardinality(jr.jq.Tables[sg.TableIdx].Name, ixKey, sg.EstRows, float64(sg.ActualRows))
 		}
-		// Whole-join output feedback: the final output cardinality
-		// (after the residual, which per-stage estimates never see)
-		// against the last stage's estimate, under a synthetic key for
-		// the table set. planJoin folds the learned correction back
-		// into the next run's stage estimates.
-		last := stages[len(stages)-1]
-		o.cfg.Feedback.ObserveCardinality(joinFeedbackTable(jq), joinFeedbackIndex, last.EstRows, float64(len(cur)))
+		// The whole join: its output (after the residual, which no stage
+		// estimate sees) against the last stage's estimate, under a key for
+		// the table set; planJoin folds the correction into the next run.
+		fb.ObserveCardinality(joinFeedbackTable(jr.jq), joinFeedbackIndex, jr.plan[len(jr.plan)-1].EstRows, float64(jr.st.RowsDelivered))
 	}
-	o.metrics.recordJoin(&st)
-	return &materializedRows{rows: cur, projection: jq.Projection, limit: jq.Limit, st: st}, nil
+	jr.o.metrics.recordJoin(&jr.st)
+}
+
+// fail latches err and unwinds. A cancellation is announced and counted
+// once per ExecCtx, whichever layer saw it first: a table access that
+// was unwound itself has already done both.
+func (jr *joinRun) fail(err error) error {
+	jr.err = err
+	jr.finish()
+	if isCancellation(err) {
+		if !slices.ContainsFunc(jr.st.Events, func(ev TraceEvent) bool { return ev.Kind == EvQueryCancelled }) {
+			jr.trc.emit(TraceEvent{Kind: EvQueryCancelled, Tactic: "join", ActualIO: float64(jr.st.IO.IOCost()), Detail: err.Error()})
+		}
+		if jr.ec.markCancelRecorded() {
+			jr.o.metrics.recordCancellation(err)
+		}
+	}
+	return err
 }
 
 // diverged reports whether actual is off the estimate by more than
 // JoinReoptFactor in either direction (both sides clamped to >= 1 row
 // so empty intermediates compare sanely).
 func diverged(est, actual float64) bool {
-	if est < 1 {
-		est = 1
-	}
-	if actual < 1 {
-		actual = 1
-	}
+	est, actual = max(est, 1), max(actual, 1)
 	return actual > est*JoinReoptFactor || est > actual*JoinReoptFactor
 }
 
 // sameStages reports whether two stage sequences name the same tables,
 // operators, and probe indexes.
 func sameStages(a, b []JoinStagePlan) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Table != b[i].Table || a[i].Operator != b[i].Operator || a[i].Index != b[i].Index {
-			return false
-		}
-	}
-	return true
+	return slices.EqualFunc(a, b, func(x, y JoinStagePlan) bool {
+		return x.Table == y.Table && x.Operator == y.Operator && x.Index == y.Index
+	})
 }
 
 func stageTableNames(jq *JoinQuery, stages []JoinStagePlan) []string {
@@ -287,157 +472,12 @@ func joinStrategy(jq *JoinQuery, stages []JoinStageStats) string {
 	return b.String()
 }
 
-// recordStage appends one executed stage to the run's stats.
-func (je *joinExec) recordStage(sg *JoinStagePlan, actualRows int, io storage.IOStats, reopt bool) {
-	je.st.IO = je.st.IO.Add(io)
-	je.st.JoinStages = append(je.st.JoinStages, JoinStageStats{
-		Table:       je.jq.nameOf(sg.Table),
-		TableIdx:    sg.Table,
-		Operator:    sg.Operator,
-		Index:       sg.Index,
-		EstRows:     sg.EstRows,
-		ActualRows:  actualRows,
-		IO:          io.IOCost(),
-		Reoptimized: reopt,
-	})
-}
-
-// tableKernels prepares each FROM table's row kernel: its local
-// restriction, needing the restriction's columns and the flat positions
-// of the join predicates, Projection, OrderBy and Residual inside the
-// table. Rows stay full-width with unread columns NULL, so flat offsets
-// do not move.
-func (je *joinExec) tableKernels() []*rowKernel {
-	jq := je.jq
-	flat := append(append(expr.Columns(jq.Residual), jq.Projection...), jq.OrderBy...)
-	for _, p := range jq.Preds {
-		flat = append(flat, je.offs[p.LT]+p.LC, je.offs[p.RT]+p.RC)
-	}
-	ks := make([]*rowKernel, len(jq.Tables))
-	for t, tab := range jq.Tables {
-		ks[t] = &rowKernel{filter: expr.NewFilter(jq.Local[t], jq.Binds)}
-		if jq.Projection == nil {
-			continue // every column is delivered
-		}
-		cols := expr.Columns(jq.Local[t])
-		for _, c := range flat {
-			cols = append(cols, c-je.offs[t]) // Cols drops what falls outside the table
-		}
-		ks[t].need = expr.Cols(len(tab.Columns), cols...)
-	}
-	return ks
-}
-
-// scanLocal streams the rows of table t that pass its local restriction
-// to emit, charging tr: a heap scan when ix is nil, else ix's [lo, hi)
-// range (reversed when desc) with a fetch and a re-filter per entry —
-// the range may over-approximate the restriction, or not bound it at
-// all. emit gets the kernel's view of the row, valid until it returns:
-// what it keeps it must own (Row.Own, expr.CopyOwned).
-func (je *joinExec) scanLocal(t int, ix *catalog.Index, lo, hi []byte, desc bool, tr *storage.Tracker, emit func(view expr.Row)) error {
-	heap, k := je.jq.Tables[t].Heap, je.kern[t]
-	var view expr.Row
-	decide := func(rec []byte) error {
-		keep, err := k.record(rec, &view)
-		if keep {
-			emit(view)
-		}
-		return err
-	}
-	if ix == nil {
-		hc := heap.CursorTracked(tr)
-		defer hc.Close()
-		for {
-			rec, _, ok, err := hc.Next()
-			if err != nil || !ok {
-				return err
-			}
-			if err := decide(rec); err != nil {
-				return err
-			}
-		}
-	}
-	cur, err := newEntryCursor(ix.Tree, lo, hi, desc, tr)
-	if err != nil {
-		return err
-	}
-	defer cur.Close()
-	for {
-		_, r, ok, err := cur.Next()
-		if err != nil || !ok {
-			return err
-		}
-		rec, err := heap.GetTracked(r, tr)
-		if err != nil {
-			return err
-		}
-		if err := decide(rec); err != nil {
-			return err
-		}
-	}
-}
-
-// execDriver runs stage 0: a single-table scan of the driver table
-// under its local restriction, emitting full-width flat rows.
-func (je *joinExec) execDriver(sg *JoinStagePlan) ([]expr.Row, error) {
-	t := sg.Table
-	tab := je.jq.Tables[t]
-	off := je.offs[t]
-	m := newMeter(je.ec)
-	je.trc.emit(TraceEvent{
-		Kind: EvJoinStageStarted, Tactic: "join", Scan: sg.Operator,
-		Indexes: []string{tab.Name, sg.Index}, EstimatedIO: sg.EstRows,
-		Detail: "driver scan",
-	})
-	var (
-		ix     *catalog.Index
-		lo, hi []byte
-	)
-	if sg.Operator == "iscan" {
-		if ix = tab.IndexByName(sg.Index); ix == nil {
-			return nil, fmt.Errorf("core: join driver index %s.%s not found", tab.Name, sg.Index)
-		}
-		// The restriction bounds apply only when this index derived
-		// them; an order-delivering driver on a different index scans
-		// the full key range. A descending ORDER BY turns an
-		// order-delivering driver scan around.
-		if info := je.infos[t]; info.restrIx != nil && info.restrIx.Name == sg.Index {
-			lo, hi = info.restrLo, info.restrHi
-		}
-	}
-	var out []expr.Row
-	err := je.scanLocal(t, ix, lo, hi, je.ordered && je.jq.OrderDesc, m.tr, func(view expr.Row) {
-		fr := make(expr.Row, je.width)
-		expr.CopyOwned(fr[off:], view)
-		out = append(out, fr)
-	})
-	if err != nil {
-		return nil, err
-	}
-	je.recordStage(sg, len(out), m.io(), false)
-	return out, nil
-}
-
-// stagePred is one join predicate applicable at a stage: the flat
-// position of the already-bound side and the inner table's local
-// column.
+// stagePred is one join predicate applicable at a stage: the position of
+// the already-bound side in the outer pipeline row and of the stage
+// table's side in its inner row.
 type stagePred struct {
 	outerPos int
 	innerCol int
-}
-
-// stagePreds collects the predicates connecting table t to the
-// already-joined set.
-func (je *joinExec) stagePreds(t int, in []bool) []stagePred {
-	var out []stagePred
-	for _, p := range je.jq.Preds {
-		if p.LT == t && p.RT != t && in[p.RT] {
-			out = append(out, stagePred{outerPos: je.offs[p.RT] + p.RC, innerCol: p.LC})
-		} else if p.RT == t && p.LT != t && in[p.LT] {
-			out = append(out, stagePred{outerPos: je.offs[p.LT] + p.LC, innerCol: p.RC})
-		}
-	}
-	return out
 }
 
 // predsMatch evaluates every connecting predicate; NULL on either side
@@ -452,257 +492,389 @@ func predsMatch(preds []stagePred, outer, inner expr.Row) bool {
 	return true
 }
 
-// execStage runs one inner join stage with its planned operator,
-// falling back from a probe operator to nested-loop mid-stage when the
-// measured per-probe cost projects past the factor.
-func (je *joinExec) execStage(sg *JoinStagePlan, outer []expr.Row, in []bool) ([]expr.Row, error) {
-	t := sg.Table
-	tab := je.jq.Tables[t]
-	preds := je.stagePreds(t, in)
-	je.trc.emit(TraceEvent{
-		Kind: EvJoinStageStarted, Tactic: "join", Scan: sg.Operator,
-		Indexes: []string{tab.Name, sg.Index}, EstimatedIO: sg.EstRows,
-		Detail: fmt.Sprintf("%d outer rows", len(outer)),
+// joinStage is one stage of the pipeline, a pull operator over the
+// stages below it: Next hands out joined rows, running a round — pull up
+// to width·joinReoptCheckEvery upstream rows, join them, each worker a
+// contiguous chunk on its own tracker, outputs concatenated in chunk
+// order — whenever it has none left. Stage 0, the driver, is its table
+// access and nothing else.
+type joinStage struct {
+	jr     *joinRun
+	si     int
+	sg     JoinStagePlan // as executed: a mid-stage fallback rewrites the operator
+	up     rowSource     // the rows joined so far; nil for the driver
+	upRows float64       // how many: counted behind a breaker, else the estimate
+	in     Rows          // the running table access: the driver, an hj side, an nl inner
+	inIO   storage.IOStats
+	m      meter // probe and bitmap I/O
+	reopt  bool
+	rows   int // produced so far
+
+	base  int         // the outer pipeline row's length
+	preds []stagePred // connecting the stage's table to the outer row
+	cols  []int       // the output row: >= 0 a position of the outer row, else ^position of the inner row
+	view  bool        // inner rows are kernel views of the table, whose strings a kept row copies
+
+	// inl / ridx: one index probe per outer row.
+	ix     *catalog.Index
+	probe  int // the predicate driving the probe
+	filter *rid.CompressedBitmap
+	k      *rowKernel
+	probed int
+
+	// hj / nl: one side built, the other streamed past it.
+	ht      *hashTable
+	onOuter bool  // built on the outer rows: up becomes the table's access, streaming
+	keys    []int // the streamed side's key columns
+
+	width int
+	chunk []expr.Row // this round's upstream rows
+	work  []joinWorker
+	out   rowQueue
+	done  bool
+}
+
+// joinWorker is one worker's scratch, reused across rounds.
+type joinWorker struct {
+	out  []expr.Row
+	view expr.Row // the kernel's decode target
+	key  []byte   // encoded probe key and its successor, or the hash key
+}
+
+// shape lays the stage out for the inner rows its operator sees — kernel
+// views of the whole table (a probe) or the narrow rows of the table's
+// access (hj, nl): the connecting predicates, and where each column of
+// the output row comes from, the delivered row on a direct run's last stage.
+func (s *joinStage) shape(view bool) {
+	jr, t := s.jr, s.sg.Table
+	off, ncol := jr.offs[t], len(jr.jq.Tables[t].Columns)
+	inner := func(c int) int {
+		if view {
+			return c
+		}
+		return slices.Index(jr.keep[t], c)
+	}
+	outer := func(ot, oc int) (int, bool) {
+		pos := jr.loc[jr.offs[ot]+oc]
+		return pos, ot != t && pos >= 0 && pos < s.base
+	}
+	s.view, s.preds, s.cols = view, s.preds[:0], s.cols[:0]
+	for _, p := range jr.jq.Preds {
+		if pos, ok := outer(p.RT, p.RC); ok && p.LT == t {
+			s.preds = append(s.preds, stagePred{outerPos: pos, innerCol: inner(p.LC)})
+		} else if pos, ok := outer(p.LT, p.LC); ok && p.RT == t {
+			s.preds = append(s.preds, stagePred{outerPos: pos, innerCol: inner(p.RC)})
+		}
+	}
+	if jr.direct && s.si == len(jr.plan)-1 {
+		for _, p := range jr.proj {
+			if c := p - off; c >= 0 && c < ncol {
+				s.cols = append(s.cols, ^inner(c))
+			} else {
+				s.cols = append(s.cols, jr.loc[p])
+			}
+		}
+		return
+	}
+	for i := 0; i < s.base; i++ {
+		s.cols = append(s.cols, i)
+	}
+	for _, c := range jr.keep[t] {
+		s.cols = append(s.cols, ^inner(c))
+	}
+}
+
+// combine makes the stage's output row of a matching pair.
+func (s *joinStage) combine(outer, inner expr.Row) expr.Row {
+	row := make(expr.Row, len(s.cols))
+	for i, c := range s.cols {
+		if c >= 0 {
+			row[i] = outer[c]
+			continue
+		}
+		v := inner[^c]
+		if s.view {
+			v.S = strings.Clone(v.S)
+		}
+		row[i] = v
+	}
+	return row
+}
+
+// open binds the stage's table and prepares its operator.
+func (s *joinStage) open() (err error) {
+	jr, t := s.jr, s.sg.Table
+	tab, detail := jr.jq.Tables[t], "driver scan"
+	if s.up != nil {
+		detail = fmt.Sprintf("%.0f outer rows", s.upRows)
+	}
+	jr.trc.emit(TraceEvent{
+		Kind: EvJoinStageStarted, Tactic: "join", Scan: s.sg.Operator,
+		Indexes: []string{tab.Name, s.sg.Index}, EstimatedIO: s.sg.EstRows, Detail: detail,
 	})
-	switch sg.Operator {
-	case JoinOpNL:
-		out, io, err := je.execNL(t, preds, outer)
-		if err != nil {
-			return nil, err
+	for _, c := range jr.keep[t] { // the table's carried columns join the pipeline row
+		jr.loc[jr.offs[t]+c] = jr.rowLn
+		jr.rowLn++
+	}
+	if s.up == nil {
+		s.in, err = jr.access(t, s.sg.Index, jr.streams(0), jr.ordered)
+		return err
+	}
+	switch s.sg.Operator {
+	case JoinOpNL, JoinOpHJ:
+		s.shape(false)
+		if s.sg.Operator == JoinOpHJ && len(s.preds) == 0 {
+			return fmt.Errorf("core: hj stage on %s without an equi-join predicate", jr.jq.nameOf(t))
 		}
-		je.recordStage(sg, len(out), io, false)
-		return out, nil
-	case JoinOpHJ:
-		out, io, err := je.execHJ(sg, preds, outer)
-		if err != nil {
-			return nil, err
-		}
-		je.recordStage(sg, len(out), io, false)
-		return out, nil
+		return nil
 	case JoinOpINL, JoinOpRIDX:
-		m := newMeter(je.ec)
-		var filter *rid.CompressedBitmap
-		if sg.Operator == JoinOpRIDX {
-			var err error
-			filter, err = je.buildBitmap(t, &m)
-			if err != nil {
-				return nil, err
-			}
-		}
-		out, fellBack, err := je.execProbe(sg, preds, outer, filter, &m)
-		if err != nil {
-			return nil, err
-		}
-		if !fellBack {
-			je.recordStage(sg, len(out), m.io(), false)
-			return out, nil
-		}
-		// Probing is costing more than a single scan of the inner:
-		// abandon it (the spent I/O stays attributed) and redo the
-		// stage with a scan-based operator — a hash join over the same
-		// connecting predicates (probe stages always have at least one),
-		// whose build scan costs what the nested loop's would while its
-		// probe phase is linear instead of quadratic.
-		je.trc.emit(TraceEvent{
-			Kind: EvJoinReoptimized, Tactic: "join", Scan: sg.Operator,
-			Indexes:  []string{tab.Name, sg.Index},
-			ActualIO: m.cost(),
-			Detail:   fmt.Sprintf("probe cost projects past %.0fx a one-scan alternative: falling back to hj", JoinReoptFactor),
-		})
-		spent := m.io()
-		sg.Operator, sg.Index = JoinOpHJ, ""
-		out, io, err := je.execHJ(sg, preds, outer)
-		if err != nil {
-			return nil, err
-		}
-		je.recordStage(sg, len(out), spent.Add(io), true)
-		return out, nil
 	default:
-		return nil, fmt.Errorf("core: unknown join operator %q", sg.Operator)
+		return fmt.Errorf("core: unknown join operator %q", s.sg.Operator)
 	}
+	s.shape(true)
+	if s.ix = tab.IndexByName(s.sg.Index); s.ix == nil {
+		return fmt.Errorf("core: join probe index %s.%s not found", tab.Name, s.sg.Index)
+	}
+	s.probe = slices.IndexFunc(s.preds, func(sp stagePred) bool { return sp.innerCol == s.ix.LeadingCol() })
+	if s.probe == -1 {
+		return fmt.Errorf("core: no join predicate drives probe index %s.%s", tab.Name, s.sg.Index)
+	}
+	// The table's row kernel needs its restriction's columns and the carried ones.
+	s.k = &rowKernel{filter: expr.NewFilter(jr.jq.Local[t], jr.jq.Binds),
+		need: expr.Cols(len(tab.Columns), append(expr.Columns(jr.jq.Local[t]), jr.keep[t]...)...)}
+	if s.sg.Operator == JoinOpRIDX {
+		err = s.buildBitmap()
+	}
+	// Appraised probe work: one descent plus roughly one fetch per outer row.
+	s.setWidth("JoinProbe", s.upRows*(float64(s.ix.Tree.Height())+1), s.upRows)
+	return err
 }
 
-// execNL joins by scanning the inner heap once, keeping rows that pass
-// the local restriction in memory, and looping over outer × inner.
-func (je *joinExec) execNL(t int, preds []stagePred, outer []expr.Row) ([]expr.Row, storage.IOStats, error) {
-	m := newMeter(je.ec)
-	off := je.offs[t]
-	var inner []expr.Row
-	if err := je.scanLocal(t, nil, nil, nil, false, m.tr, func(view expr.Row) { inner = append(inner, view.Own(nil)) }); err != nil {
-		return nil, m.io(), err
+// setWidth resolves the stage's worker width. Join stages fan out only
+// under adaptive mode (the static knob never touched joins) and only
+// when there are rows to split.
+func (s *joinStage) setWidth(scan string, estIO, rows float64) {
+	cfg := s.jr.o.cfg
+	if s.width = 1; cfg.AdaptiveParallelism && cfg.effectiveWorkers() >= 2 && rows >= 2 {
+		s.width = decideWidth(cfg, s.jr.ec, s.jr.trc, scan, estIO)
 	}
-	var out []expr.Row
-	for _, orow := range outer {
-		for _, irow := range inner {
-			if predsMatch(preds, orow, irow) {
-				out = append(out, combineRows(orow, irow, off))
-			}
-		}
-	}
-	return out, m.io(), nil
+	s.work = make([]joinWorker, s.width)
 }
 
-// buildBitmap scans the inner table's restriction-index range and
-// packs the qualifying RIDs into an exact compressed bitmap — the
-// RID-intersect half of the ridx operator.
-func (je *joinExec) buildBitmap(t int, m *meter) (*rid.CompressedBitmap, error) {
-	info := je.infos[t]
+// buildBitmap packs the RIDs of the table's restriction-index range
+// into an exact compressed bitmap: the RID-intersect half of ridx.
+func (s *joinStage) buildBitmap() error {
+	info := s.jr.infos[s.sg.Table]
 	if info.restrIx == nil {
-		return nil, fmt.Errorf("core: ridx stage on %s without a restriction index", je.jq.Tables[t].Name)
+		return fmt.Errorf("core: ridx stage on %s without a restriction index", s.jr.jq.Tables[s.sg.Table].Name)
 	}
-	cur, err := info.restrIx.Tree.SeekTracked(info.restrLo, info.restrHi, m.tr)
+	cur, err := info.restrIx.Tree.SeekTracked(info.restrLo, info.restrHi, s.m.tr)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer cur.Close()
 	var rids []storage.RID
 	for {
 		_, r, ok, err := cur.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			break
+		if err != nil || !ok {
+			s.filter = rid.FromRIDs(rids)
+			return err
 		}
 		rids = append(rids, r)
 	}
-	return rid.FromRIDs(rids), nil
 }
 
-// probeWidth resolves a join probe's worker width. Probes fan out only
-// under adaptive mode — the static knob never touched joins, and keeps
-// not touching them — and only when there are outer rows to split.
-func (je *joinExec) probeWidth(scan string, estIO float64, outer int) int {
-	if !je.o.cfg.AdaptiveParallelism || je.o.cfg.effectiveWorkers() < 2 || outer < 2 {
-		return 1
+// closeIn closes the stage's table access, if one runs, and books its
+// attributed I/O to the stage.
+func (s *joinStage) closeIn() {
+	if s.in != nil {
+		s.in.Close()
+		s.inIO = s.inIO.Add(s.in.Stats().IO)
+		s.in = nil
 	}
-	return decideWidth(je.o.cfg, je.ec, je.trc, scan, estIO)
 }
 
-// execProbe joins by probing the inner index once per outer row,
-// optionally filtering candidate RIDs through a restriction bitmap
-// before fetching. Outer rows are processed in rounds of
-// width·joinReoptCheckEvery: within a round each worker probes a
-// contiguous chunk on its own tracker and the outputs concatenate in
-// chunk order, so every width delivers the sequential probe order; at
-// width 1 the round is the sequential loop itself, inline on the stage
-// meter. Between rounds the mid-stage checkpoint (Section 6's direct
-// competition, applied to a join stage) extrapolates the remaining probe
-// cost from what probing has charged so far and compares it to scanning
-// the inner once. Returns fellBack=true when it decides the scan would
-// be cheaper (partial output discarded).
-func (je *joinExec) execProbe(sg *JoinStagePlan, preds []stagePred, outer []expr.Row, filter *rid.CompressedBitmap, m *meter) (_ []expr.Row, fellBack bool, _ error) {
-	t := sg.Table
-	tab := je.jq.Tables[t]
-	ix := tab.IndexByName(sg.Index)
-	if ix == nil {
-		return nil, false, fmt.Errorf("core: join probe index %s.%s not found", tab.Name, sg.Index)
+func (s *joinStage) Next() (expr.Row, bool, error) {
+	if s.up == nil { // the driver, not pulled again once it has ended
+		row, ok, err := s.in.Next()
+		if ok {
+			s.rows++
+		} else if err == nil {
+			s.closeIn()
+		}
+		return row, ok, err
 	}
-	probeCol := ix.LeadingCol()
-	probe := -1
-	for i, sp := range preds {
-		if sp.innerCol == probeCol {
-			probe = i
-			break
+	for s.out.empty() && !s.done {
+		if err := s.round(); err != nil {
+			return nil, false, err
 		}
 	}
-	if probe == -1 {
-		return nil, false, fmt.Errorf("core: no join predicate drives probe index %s.%s", tab.Name, sg.Index)
+	return s.out.Next()
+}
+
+// round joins the next chunk of upstream rows. A probe stage of a
+// dynamic run first passes its mid-stage checkpoint (Section 6's direct
+// competition, applied to a join stage): the probe cost charged so far,
+// extrapolated over the rows still expected, against scanning the inner
+// once. When the scan wins, hj takes the rows not yet probed: what the
+// stage has produced stands, the spent I/O stays attributed.
+func (s *joinStage) round() error {
+	jr := s.jr
+	if s.ix != nil && jr.dynamic && s.probed >= joinReoptCheckEvery {
+		left := s.upRows - float64(s.probed)
+		if s.m.cost()/float64(s.probed)*left > JoinReoptFactor*jr.jts[s.sg.Table].Pages {
+			jr.trc.emit(TraceEvent{
+				Kind: EvJoinReoptimized, Tactic: "join", Scan: s.sg.Operator,
+				Indexes:  []string{jr.jq.Tables[s.sg.Table].Name, s.sg.Index},
+				ActualIO: s.m.cost(),
+				Detail:   fmt.Sprintf("probe cost projects past %.0fx a one-scan alternative: hj takes the remaining rows", JoinReoptFactor),
+			})
+			s.sg.Operator, s.sg.Index, s.ix, s.filter = JoinOpHJ, "", nil, nil
+			s.reopt, s.upRows = true, left
+			s.shape(false)
+		}
 	}
-	off := je.offs[t]
-	// Appraised probe work: one descent plus roughly one fetch per
-	// outer row.
-	width := je.probeWidth("JoinProbe", float64(len(outer))*(float64(ix.Tree.Height())+1), len(outer))
-	round := width * joinReoptCheckEvery
-	// outs[0] is the stage output itself: worker 0 appends to it in
-	// place, later workers' rows are appended behind it at the barrier.
-	outs := make([][]expr.Row, width)
-	views := make([]expr.Row, width) // each worker's kernel scratch
-	var chunk []expr.Row
-	var k int
-	work := func(i int, tr *storage.Tracker, stop *atomic.Bool) error {
-		for _, orow := range chunk[i*len(chunk)/k : (i+1)*len(chunk)/k] {
+	if s.ix == nil && s.ht == nil {
+		if err := s.build(); err != nil {
+			return err
+		}
+	}
+	// A round takes as many rows as the stage has taken so far, from one a
+	// worker (the first joined row is one probe away) up to the cadence.
+	n := min(max(s.probed, s.width), s.width*joinReoptCheckEvery)
+	if lim := jr.jq.Limit; lim > 0 && jr.streams(s.si) {
+		n = min(n, lim-jr.st.RowsDelivered) // a LIMIT asks upstream for no more than is still wanted
+	}
+	s.chunk = s.chunk[:0]
+	for len(s.chunk) < n && !s.done {
+		row, ok, err := s.up.Next()
+		if err != nil {
+			return err
+		}
+		if s.done = !ok; ok {
+			s.chunk = append(s.chunk, row)
+		}
+	}
+	k := min(s.width, len(s.chunk))
+	err := fanOut(s.m.tr, k, func(i int, tr *storage.Tracker, stop *atomic.Bool) error {
+		w := &s.work[i]
+		for _, row := range s.chunk[i*len(s.chunk)/k : (i+1)*len(s.chunk)/k] {
 			if stop.Load() {
 				break
 			}
-			var err error
-			if outs[i], err = je.probeOne(outs[i], orow, preds, probe, tab, ix, je.kern[t], &views[i], off, filter, tr); err != nil {
+			if s.ix == nil {
+				s.hashProbe(w, row)
+			} else if err := s.probeOne(w, row, tr); err != nil {
 				return err
 			}
 		}
 		return nil
+	})
+	for i := range s.work[:k] {
+		w := &s.work[i]
+		s.out.rows = append(s.out.rows, w.out...)
+		s.rows += len(w.out)
+		w.out = w.out[:0]
 	}
-	for start := 0; start < len(outer); start += round {
-		if je.dynamic && start >= joinReoptMinProbes {
-			avg := m.cost() / float64(start)
-			remaining := float64(len(outer) - start)
-			if avg*remaining > JoinReoptFactor*je.jts[t].Pages {
-				return nil, true, nil
-			}
-		}
-		chunk = outer[start:min(start+round, len(outer))]
-		k = min(width, len(chunk))
-		if err := fanOut(m.tr, k, work); err != nil {
-			return nil, false, err
-		}
-		for i := 1; i < k; i++ {
-			outs[0] = append(outs[0], outs[i]...)
-			outs[i] = outs[i][:0]
-		}
-	}
-	return outs[0], false, nil
+	s.probed += len(s.chunk)
+	return err
 }
 
-// probeOne is the inl/ridx probe kernel: it probes the inner index for
-// one outer row, appending matches to out. A fetched record is decided
-// through the inner table's kernel k into the worker's scratch view, and
-// materialized — straight into the combined row — only if it matches.
-// All charged I/O goes to tr — a worker's own tracker, or the stage
-// meter's at width 1.
-func (je *joinExec) probeOne(out []expr.Row, orow expr.Row, preds []stagePred, probe int, tab *catalog.Table, ix *catalog.Index, k *rowKernel, view *expr.Row, off int, filter *rid.CompressedBitmap, tr *storage.Tracker) ([]expr.Row, error) {
-	v := orow[preds[probe].outerPos]
+// probeOne is the inl/ridx probe kernel: one outer row against the
+// inner index. A fetched record is decided through the table's kernel
+// into the worker's scratch view and materialized, straight into the
+// output row, only if it matches. All I/O is charged to tr.
+func (s *joinStage) probeOne(w *joinWorker, orow expr.Row, tr *storage.Tracker) error {
+	v := orow[s.preds[s.probe].outerPos]
 	if v.IsNull() {
-		return out, nil
+		return nil
 	}
-	lo := expr.EncodeKey(nil, v)
-	hi := expr.KeySuccessor(lo)
-	cur, err := ix.Tree.SeekTracked(lo, hi, tr)
+	// The key and its successor, back to back in the worker's buffer.
+	lo := expr.EncodeKey(w.key[:0], v)
+	n := len(lo)
+	w.key = expr.AppendKeySuccessor(lo, lo)
+	cur, err := s.ix.Tree.SeekTracked(w.key[:n:n], w.key[n:], tr)
 	if err != nil {
-		return out, err
+		return err
 	}
 	defer cur.Close()
+	heap := s.jr.jq.Tables[s.sg.Table].Heap
 	for {
 		_, r, ok, err := cur.Next()
-		if err != nil {
-			return out, err
+		if err != nil || !ok {
+			return err
 		}
-		if !ok {
-			return out, nil
-		}
-		if filter != nil && !filter.MayContain(r) {
+		if s.filter != nil && !s.filter.MayContain(r) {
 			continue
 		}
-		rec, err := tab.Heap.GetTracked(r, tr)
+		rec, err := heap.GetTracked(r, tr)
 		if err != nil {
-			return out, err
+			return err
 		}
-		pass, err := k.record(rec, view)
+		pass, err := s.k.record(rec, &w.view)
 		if err != nil {
-			return out, err
+			return err
 		}
-		if pass && predsMatch(preds, orow, *view) {
-			fr := orow.Clone()
-			expr.CopyOwned(fr[off:], *view)
-			out = append(out, fr)
+		if pass && predsMatch(s.preds, orow, w.view) {
+			w.out = append(w.out, s.combine(orow, w.view))
 		}
 	}
 }
 
-// combineRows binds an inner row into a copy of the outer flat row at
-// the inner table's offset.
-func combineRows(outer, inner expr.Row, off int) expr.Row {
-	fr := make(expr.Row, len(outer))
-	copy(fr, outer)
-	copy(fr[off:off+len(inner)], inner)
-	return fr
+// build reads one side of an hj (or nl) stage into the hash table and
+// leaves the other to stream past it. hj builds on whichever side is
+// smaller by known or estimated count: the stage's table, or the outer
+// rows with the table's access as the streamed side. An ordered run and
+// nl always build on the table, which keeps the outer rows' order.
+func (s *joinStage) build() error {
+	jr, t := s.jr, s.sg.Table
+	hj := s.sg.Operator == JoinOpHJ
+	s.onOuter = hj && !jr.ordered && s.upRows < jr.jts[t].Card
+	in, err := jr.access(t, s.sg.Index, s.onOuter && jr.streams(s.si), false)
+	if err != nil {
+		return err
+	}
+	s.in = in
+	var tkeys, okeys []int // nl: no key columns, one chain
+	if hj {
+		for _, sp := range s.preds {
+			tkeys, okeys = append(tkeys, sp.innerCol), append(okeys, sp.outerPos)
+		}
+	}
+	s.keys = okeys
+	built, bkeys, streamed := rowSource(in), tkeys, s.upRows
+	if s.onOuter {
+		built, bkeys, streamed = s.up, okeys, jr.jts[t].Card
+		s.up, s.keys = in, tkeys
+	}
+	rows, err := drainRows(built)
+	if err != nil {
+		return err
+	}
+	s.ht = newHashTable(rows, bkeys)
+	if !s.onOuter {
+		s.closeIn()
+	}
+	// The probe charges no I/O, so the width policy prices it through
+	// the CPU-in-I/O currency — small streamed sides stay sequential.
+	s.setWidth("HashProbe", estimate.JoinCPUCost(streamed), streamed)
+	return nil
+}
+
+// hashProbe is the hj/nl probe kernel: one streamed row against the
+// (read-only) table.
+func (s *joinStage) hashProbe(w *joinWorker, row expr.Row) {
+	key, ok := hashJoinKey(w.key[:0], row, s.keys)
+	if w.key = key; !ok {
+		return
+	}
+	for i := s.ht.head[string(key)]; i > 0; i = s.ht.next[i-1] {
+		outer, inner := row, s.ht.rows[i-1]
+		if s.onOuter {
+			outer, inner = inner, outer
+		}
+		if predsMatch(s.preds, outer, inner) {
+			w.out = append(w.out, s.combine(outer, inner))
+		}
+	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -242,6 +243,17 @@ func multiset(rows []expr.Row) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// runJoinOn is RunJoin for a dynamic run made to start on plan rather
+// than the planner's choice: it forces an operator and, unlike a fixed
+// plan, still streams (the unrestricted drivers it is used with are exact).
+func runJoinOn(o *Optimizer, ec *ExecCtx, jq *JoinQuery, plan *JoinPlan) Rows {
+	jr, err := o.newJoinRun(ec, jq)
+	if err == nil {
+		jr.begin(plan, true)
+	}
+	return o.deliver(ec, jr, err)
 }
 
 func drainJoin(t testing.TB, rows Rows) ([]expr.Row, RetrievalStats) {
@@ -801,5 +813,252 @@ func TestJoinValidate(t *testing.T) {
 			t.Fatalf("case %d: invalid join query executed without error", i)
 		}
 		rows.Close()
+	}
+}
+
+// tableRows reads a table's rows back through a plain retrieval, for the
+// oracle.
+func tableRows(t testing.TB, tab *catalog.Table) []expr.Row {
+	t.Helper()
+	rows, _ := drainJoin(t, NewOptimizer(Config{}).Run(&Query{Table: tab}))
+	return rows
+}
+
+// TestJoinPipelineEquivalence runs every query of this file's oracle
+// suite through the pull pipeline three ways — dynamically, as the fixed
+// plan PlanJoin freezes, and dynamically at adaptive width 2 — and holds
+// each to the oracle: the same row multiset, and under ORDER BY the same
+// sequence of sort keys (the same rows exactly where a LIMIT cuts a
+// unique key).
+func TestJoinPipelineEquivalence(t *testing.T) {
+	f := newJoinFixture(t, 100, 600, 20, 64, true)
+	sCust, sOrd := sortAvoidFixture(t)
+	qtyGE := func(v int64) expr.Expr { return expr.NewCmp(expr.GE, expr.Col(3, "QTY"), expr.Lit(expr.Int(v))) }
+	seg0 := expr.NewCmp(expr.EQ, expr.Col(1, "SEG"), expr.Lit(expr.Int(0)))
+	two := [][]expr.Row{f.custRows, f.ordRows}
+	star := [][]expr.Row{f.custRows, f.ordRows, f.itemRows}
+	sortAvoid := [][]expr.Row{tableRows(t, sCust), tableRows(t, sOrd)}
+	with := func(jq *JoinQuery, edit func(*JoinQuery)) *JoinQuery { edit(jq); return jq }
+	type joinCase struct {
+		name string
+		jq   func() *JoinQuery
+		tabs [][]expr.Row
+	}
+	cases := []joinCase{
+		{"restricted inner", func() *JoinQuery {
+			return with(f.custOrdQuery(nil), func(jq *JoinQuery) { jq.Local[1] = qtyGE(8) })
+		}, two},
+		{"two-table no restriction", func() *JoinQuery { return f.custOrdQuery(nil) }, two},
+		{"restricted driver", func() *JoinQuery { return f.custOrdQuery(seg0) }, two},
+		{"star with local restrictions", func() *JoinQuery { return f.starQuery(seg0, qtyGE(5)) }, star},
+		{"star with residual and projection", func() *JoinQuery {
+			return with(f.starQuery(nil, nil), func(jq *JoinQuery) {
+				jq.Residual = expr.NewCmp(expr.GT, expr.Col(1, "SEG"), expr.Col(9, "KIND"))
+				jq.Projection = []int{2, 6, 9}
+			})
+		}, star},
+		{"empty range", func() *JoinQuery {
+			return f.custOrdQuery(expr.NewCmp(expr.EQ, expr.Col(0, "ID"), expr.Lit(expr.Int(-5))))
+		}, two},
+		{"empty build side", func() *JoinQuery {
+			return with(f.custOrdQuery(nil), func(jq *JoinQuery) { jq.Local[1] = qtyGE(100) })
+		}, two},
+		{"unindexed equi-key", func() *JoinQuery {
+			return &JoinQuery{Tables: []*catalog.Table{f.cust, f.ord}, Local: []expr.Expr{nil, nil},
+				Preds: []JoinPred{{LT: 0, LC: 0, RT: 1, RC: 2}}}
+		}, two},
+		{"order by unique key, limit", func() *JoinQuery {
+			return with(f.custOrdQuery(nil), func(jq *JoinQuery) { jq.OrderBy, jq.Limit = []int{3}, 7 })
+		}, two},
+		{"order by, sorted", func() *JoinQuery {
+			return with(f.custOrdQuery(nil), func(jq *JoinQuery) { jq.OrderBy = []int{0} })
+		}, two},
+		{"order by, projected away", func() *JoinQuery {
+			return with(f.custOrdQuery(seg0), func(jq *JoinQuery) { jq.OrderBy, jq.OrderDesc, jq.Projection = []int{0}, true, []int{2, 6} })
+		}, two},
+	}
+	for _, desc := range []bool{false, true} {
+		cases = append(cases, joinCase{fmt.Sprintf("order by, sort avoided, desc=%v", desc), func() *JoinQuery {
+			return &JoinQuery{
+				Tables:  []*catalog.Table{sCust, sOrd},
+				Local:   []expr.Expr{expr.NewCmp(expr.LT, expr.Col(0, "ID"), expr.Lit(expr.Int(12))), nil},
+				Preds:   []JoinPred{{LT: 0, LC: 0, RT: 1, RC: 1}},
+				OrderBy: []int{0}, OrderDesc: desc,
+			}
+		}, sortAvoid})
+	}
+	modes := []struct {
+		name  string
+		cfg   Config
+		fixed bool
+	}{
+		{"dynamic", Config{}, false},
+		{"fixed", Config{}, true},
+		{"adaptive-2", Config{Parallelism: 2, AdaptiveParallelism: true}, false},
+	}
+	for _, tc := range cases {
+		// The oracle's rows, unprojected, in ORDER BY order, cut at the LIMIT.
+		ojq := tc.jq()
+		proj := ojq.Projection
+		ojq.Projection = nil
+		want := oracleJoin(t, ojq, tc.tabs)
+		if len(ojq.OrderBy) > 0 {
+			sortRows(want, ojq.OrderBy, ojq.OrderDesc)
+		}
+		if ojq.Limit > 0 && len(want) > ojq.Limit {
+			want = want[:ojq.Limit]
+		}
+		for _, m := range modes {
+			t.Run(tc.name+"/"+m.name, func(t *testing.T) {
+				o := NewOptimizer(m.cfg)
+				var plan *JoinPlan
+				if m.fixed {
+					var err error
+					if plan, err = o.PlanJoin(nil, tc.jq()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				// Run unprojected too, so the sort keys can be read.
+				for _, p := range [][]int{proj, nil} {
+					jq := tc.jq()
+					jq.Projection = p
+					got, st := drainJoin(t, o.RunJoin(nil, jq, plan))
+					wantP := make([]expr.Row, len(want))
+					for i, row := range want {
+						wantP[i] = projectRow(row, p)
+					}
+					if jq.Limit == 0 || len(jq.OrderBy) > 0 {
+						assertSameRows(t, tc.name, got, wantP)
+					}
+					if len(got) != len(want) || st.RowsDelivered != len(want) {
+						t.Fatalf("%d rows, stats say %d, want %d", len(got), st.RowsDelivered, len(want))
+					}
+					if p != nil {
+						continue
+					}
+					for i := range got {
+						for _, c := range jq.OrderBy {
+							if expr.Compare(got[i][c], want[i][c]) != 0 {
+								t.Fatalf("row %d: sort key %v, want %v (%s)", i, got[i][c], want[i][c], st.Strategy)
+							}
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestJoinEarlyStopStats: a join that stops early — at its LIMIT, or
+// closed by the caller — read less than the whole join, reports the rows
+// its stages really produced, and teaches the feedback registry nothing:
+// a truncated actual is not an observation. The same join drained is
+// observed, stage by stage and as a whole.
+func TestJoinEarlyStopStats(t *testing.T) {
+	f := newJoinFixture(t, 100, 600, 20, 64, false)
+	run := func(limit, closeAfter int) (RetrievalStats, *feedback.Registry, *Optimizer) {
+		fb := feedback.New(0)
+		o := NewOptimizer(Config{Feedback: fb})
+		jq := f.custOrdQuery(nil)
+		jq.Limit = limit
+		f.pool.EvictAll()
+		// A fixed plan never feeds the registry; a dynamic run on the plan does.
+		rows := runJoinOn(o, nil, jq, &JoinPlan{Stages: []JoinStagePlan{
+			{Table: 0, Operator: "tscan", EstRows: 100}, {Table: 1, Operator: JoinOpINL, Index: "ORD_CUST_IX", EstRows: 600}}})
+		for i := 0; closeAfter < 0 || i < closeAfter; i++ {
+			if _, ok, err := rows.Next(); err != nil {
+				t.Fatal(err)
+			} else if !ok {
+				break
+			}
+			if i == 0 {
+				if st := rows.Stats(); len(st.JoinStages) != 2 || st.Strategy == "" || st.JoinStages[1].ActualRows == 0 {
+					t.Fatalf("stats after the first row: %+v", st)
+				}
+			}
+		}
+		rows.Close()
+		return rows.Stats(), fb, o
+	}
+	whole, fbWhole, _ := run(0, -1)
+	if len(fbWhole.Snapshot()) == 0 {
+		t.Fatal("a drained dynamic join recorded no feedback")
+	}
+	for name, early := range map[string]func() (RetrievalStats, *feedback.Registry, *Optimizer){
+		"limit":  func() (RetrievalStats, *feedback.Registry, *Optimizer) { return run(10, -1) },
+		"closed": func() (RetrievalStats, *feedback.Registry, *Optimizer) { return run(0, 10) },
+	} {
+		st, fb, o := early()
+		if st.RowsDelivered != 10 {
+			t.Fatalf("%s: %d rows delivered", name, st.RowsDelivered)
+		}
+		if d, w := st.JoinStages[0].ActualRows, whole.JoinStages[0].ActualRows; d >= w/2 {
+			t.Fatalf("%s: the driver produced %d of %d rows for 10 joined rows", name, d, w)
+		}
+		if st.IO.IOCost() >= whole.IO.IOCost()/2 {
+			t.Fatalf("%s: %d I/O against %d for the whole join", name, st.IO.IOCost(), whole.IO.IOCost())
+		}
+		if n := len(fb.Snapshot()); n != 0 {
+			t.Fatalf("%s: a truncated run recorded %d feedback corrections", name, n)
+		}
+		if snap := o.Metrics().Snapshot(); snap.JoinQueries != 1 || snap.JoinOperatorWins[JoinOpINL] != 1 {
+			t.Fatalf("%s: metrics %+v", name, snap)
+		}
+	}
+}
+
+// TestAllocsJoinDeliveredRow: a joined row costs the pipeline one
+// allocation, the delivered row itself — no combined flat row and
+// projected copy, the pair the stage-at-a-time executor paid. Measured
+// over the streaming phase (the first row has sized every scratch
+// buffer and built the hash table), on int columns; what is allowed on
+// top is what the stage's inputs cost on their own: a table access's one
+// allocation per row it delivers (TestAllocsKeptRowUnderProjection) and
+// an inl probe's B-tree cursor.
+func TestAllocsJoinDeliveredRow(t *testing.T) {
+	skipAllocsUnderRace(t)
+	f := newJoinFixture(t, 1000, 6000, 20, 0, false)
+	for _, tc := range []struct {
+		name     string
+		stages   []JoinStagePlan
+		perInput int // allocations per row the streamed side hands the stage
+	}{
+		// CUST streams into one index probe each: its row and the cursor.
+		{"inl", []JoinStagePlan{{Table: 0, Operator: "tscan", EstRows: 1000},
+			{Table: 1, Operator: JoinOpINL, Index: "ORD_CUST_IX"}}, 2},
+		// An outer side announced larger than ORD keeps the build on ORD;
+		// CUST streams past it.
+		{"hj", []JoinStagePlan{{Table: 0, Operator: "tscan", EstRows: 10000},
+			{Table: 1, Operator: JoinOpHJ}}, 1},
+	} {
+		jq := f.custOrdQuery(nil)
+		jq.Projection = []int{0, 6} // CUST.ID, ORD.QTY
+		rows := runJoinOn(NewOptimizer(Config{}), nil, jq, &JoinPlan{Stages: tc.stages})
+		// The rounds grow to 64 upstream rows, which sizes the buffers.
+		for i := 0; i < 1500; i++ {
+			if _, ok, err := rows.Next(); err != nil || !ok {
+				t.Fatal(tc.name, i, ok, err)
+			}
+		}
+		before := rows.Stats()
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		n, err := drainToErr(rows)
+		runtime.ReadMemStats(&m1)
+		if err != nil || n < 3000 {
+			t.Fatal(tc.name, n, err)
+		}
+		st := rows.Stats()
+		rows.Close()
+		inputs := st.JoinStages[0].ActualRows - before.JoinStages[0].ActualRows
+		allocs := int(m1.Mallocs - m0.Mallocs)
+		t.Logf("%s: %d allocations, %d delivered rows, %d input rows (%s)", tc.name, allocs, n, inputs, st.Strategy)
+		if limit := n + tc.perInput*inputs + 8; inputs < 500 || allocs > limit {
+			t.Errorf("%s: %d allocations for %d delivered rows over %d input rows, want at most %d", tc.name, allocs, n, inputs, limit)
+		}
+		if allocs >= 2*n {
+			t.Errorf("%s: %d allocations for %d delivered rows: two a row again", tc.name, allocs, n)
+		}
 	}
 }

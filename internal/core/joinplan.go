@@ -7,6 +7,7 @@ import (
 
 	"rdbdyn/internal/catalog"
 	"rdbdyn/internal/estimate"
+	"rdbdyn/internal/expr"
 )
 
 // joinTableInfo is the gathered planning state of one FROM table: its
@@ -23,6 +24,7 @@ type joinTableInfo struct {
 	restrLo, restrHi []byte
 	restrRIDs        float64
 	estIO            int64
+	res              estimate.Result // the appraisal estIO paid for (see joinAccess)
 }
 
 // JoinStagePlan is one planned stage: the table it joins in, the
@@ -109,13 +111,14 @@ func (o *Optimizer) gatherJoinInfo(ec *ExecCtx, jq *JoinQuery) ([]joinTableInfo,
 				if err != nil {
 					return nil, nil, err
 				}
-				info.estIO = res.TotalCost
+				info.estIO, info.res = res.TotalCost, res
 				if res.EmptyRange {
 					info.empty = true
 				} else if len(res.Estimates) > 0 {
 					best := res.Estimates[0]
 					info.card = best.RIDs
-					info.exact = best.Exact
+					// Exact when the range is and is the whole restriction.
+					info.exact = best.Exact && best.Sargable == len(expr.Conjuncts(local))
 					info.restrIx = best.Index
 					info.restrLo, info.restrHi = best.Lo, best.Hi
 					info.restrRIDs = best.RIDs

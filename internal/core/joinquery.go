@@ -133,7 +133,7 @@ const (
 	JoinOpNL   = "nl"   // nested loop over a once-scanned materialized inner
 	JoinOpINL  = "inl"  // index nested loop: B-tree probe per outer row
 	JoinOpRIDX = "ridx" // INL probing filtered through a restriction-index RID bitmap
-	JoinOpHJ   = "hj"   // build/probe hash join: in-memory table over the inner, probed per outer row
+	JoinOpHJ   = "hj"   // build/probe hash join: an in-memory table over one side, probed per row of the other
 )
 
 func joinOpName(k int) string {

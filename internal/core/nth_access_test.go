@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -45,27 +46,44 @@ func victimQuery(f *fixture, t *testing.T) *Query {
 }
 
 // TestNthAccessCancellationSweep cancels at the n-th governor checkpoint
-// for every n a small query makes, across the scan shapes — the last a
-// RID-delivering run, the victim retrieval of a DELETE — and at widths
-// {0, 2}. Whatever access fails — a seek, a leaf hop, a spill write, a
-// fetch — the error must surface from Next with every pin released, no
-// goroutine left behind, the cancellation counted at most once, and no
-// decision taken on the strength of the failed access: a seek that
-// errored is not "index skipped", so no run may report a Tscan
-// recommendation or a strategy switch (the clean runs of these shapes
-// never do).
+// for every n a small query makes, across the scan shapes — the last
+// single-table one a RID-delivering run, the victim retrieval of a
+// DELETE — and the join pipeline's shapes, at widths {0, 2}. Whatever
+// access fails — a seek, a leaf hop, a spill write, a fetch, a probe —
+// the error must surface from Next with every pin released, no goroutine
+// left behind, the cancellation counted at most once, and no decision
+// taken on the strength of the failed access: a seek that errored is not
+// "index skipped", so no run may report a Tscan recommendation or a
+// strategy switch (the clean runs of these shapes never do). A join
+// counts one query and one join however it ends, and its table accesses
+// count nothing of their own.
 func TestNthAccessCancellationSweep(t *testing.T) {
 	f := newFixture(t, 10000, "AGE", "CITY")
 	age, city := f.col(t, "AGE"), f.col(t, "CITY")
+	jf := newJoinFixture(t, 50, 300, 10, 0, false)
+	single := func(q *Query) func(*Optimizer, *ExecCtx) Rows {
+		return func(o *Optimizer, ec *ExecCtx) Rows { return o.RunExec(ec, q) }
+	}
+	join := func(jq func() *JoinQuery, plan *JoinPlan) func(*Optimizer, *ExecCtx) Rows {
+		return func(o *Optimizer, ec *ExecCtx) Rows {
+			if plan != nil {
+				return runJoinOn(o, ec, jq(), plan)
+			}
+			return o.RunJoin(ec, jq(), nil)
+		}
+	}
+	custBelow := func(id int64) expr.Expr { return expr.NewCmp(expr.LT, expr.Col(0, "ID"), expr.Lit(expr.Int(id))) }
+	seg0 := expr.NewCmp(expr.EQ, expr.Col(1, "SEG"), expr.Lit(expr.Int(0)))
 	shapes := []struct {
 		name string
-		q    *Query
+		run  func(*Optimizer, *ExecCtx) Rows
 		race bool
+		join bool
 	}{
-		{"race", raceQuery(f, t), true},
-		{"background-only", bgQuery(f, t, GoalTotalTime), false},
-		{"fast-first", bgQuery(f, t, GoalFastFirst), false},
-		{"sorted", &Query{
+		{"race", single(raceQuery(f, t)), true, false},
+		{"background-only", single(bgQuery(f, t, GoalTotalTime)), false, false},
+		{"fast-first", single(bgQuery(f, t, GoalFastFirst)), false, false},
+		{"sorted", single(&Query{
 			Table: f.tab,
 			Restriction: expr.NewAnd(
 				expr.NewCmp(expr.GE, expr.Col(age, "AGE"), expr.Lit(expr.Int(10))),
@@ -73,31 +91,48 @@ func TestNthAccessCancellationSweep(t *testing.T) {
 			),
 			OrderBy: []int{age},
 			Goal:    GoalFastFirst,
-		}, false},
-		{"union", &Query{
+		}), false, false},
+		{"union", single(&Query{
 			Table: f.tab,
 			Restriction: expr.NewOr(
 				expr.NewCmp(expr.LT, expr.Col(age, "AGE"), expr.Lit(expr.Int(5))),
 				expr.NewCmp(expr.EQ, expr.Col(city, "CITY"), expr.Lit(expr.Int(7))),
 			),
-		}, false},
-		{"delete-victims", victimQuery(f, t), false},
+		}), false, false},
+		{"delete-victims", single(victimQuery(f, t)), false, false},
+		// An exact driver streaming into inl probes.
+		{"join-inl-streaming", join(func() *JoinQuery { return jf.custOrdQuery(custBelow(30)) }, nil), false, true},
+		// 50 customers against 300 orders: hj builds on the outer rows.
+		{"join-hj-builds-outer", join(func() *JoinQuery { return jf.custOrdQuery(nil) }, &JoinPlan{Stages: []JoinStagePlan{
+			{Table: 0, Operator: "tscan", EstRows: 50}, {Table: 1, Operator: JoinOpHJ}}}), false, true},
+		// The other way round: hj builds on its own table.
+		{"join-hj-builds-inner", join(func() *JoinQuery { return jf.custOrdQuery(nil) }, &JoinPlan{Stages: []JoinStagePlan{
+			{Table: 1, Operator: "tscan", EstRows: 300}, {Table: 0, Operator: JoinOpHJ}}}), false, true},
+		// An inexact driver and a join output: two breakers.
+		{"join-3-tables-breaker", join(func() *JoinQuery { return jf.starQuery(seg0, nil) }, nil), false, true},
+		{"join-limit", join(func() *JoinQuery {
+			jq := jf.custOrdQuery(custBelow(30))
+			jq.Limit = 5
+			return jq
+		}, nil), false, true},
 	}
 	for _, sh := range shapes {
 		for _, width := range []int{0, 2} {
 			t.Run(fmt.Sprintf("%s/w%d", sh.name, width), func(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Parallelism = width
+				// A join stage fans out only under the adaptive policy.
+				cfg.AdaptiveParallelism = sh.join && width >= 2
 				cfg.DisableCompetition = true
 				cfg.RaceFactor = -1
 				if sh.race {
 					cfg.RaceFactor = 1000
 				}
-				failed := 0
-				for n := 1; n <= 150; n++ {
+				failed, clean := 0, 0
+				for n := 1; n <= 150 || (sh.join && clean == 0); n++ {
 					baseline := runtime.NumGoroutine()
 					o := NewOptimizer(cfg)
-					rows := o.RunExec(NewExecCtx(newNthCancelCtx(n), 0), sh.q)
+					rows := sh.run(o, NewExecCtx(newNthCancelCtx(n), 0))
 					_, err := drainToErr(rows)
 					st := rows.Stats()
 					if cerr := rows.Close(); cerr != nil {
@@ -106,7 +141,7 @@ func TestNthAccessCancellationSweep(t *testing.T) {
 					if err != nil && !errors.Is(err, context.Canceled) {
 						t.Fatalf("n=%d: err = %v, want nil or context.Canceled", n, err)
 					}
-					if p := f.pool.PinnedPages(); p != 0 {
+					if p := f.pool.PinnedPages() + jf.pool.PinnedPages(); p != 0 {
 						t.Fatalf("n=%d: %d buffer-pool pins leaked; trace: %v", n, p, st.Trace())
 					}
 					waitGoroutines(t, baseline)
@@ -115,9 +150,25 @@ func TestNthAccessCancellationSweep(t *testing.T) {
 					if err != nil {
 						want = 1
 						failed++
+					} else {
+						clean++
 					}
 					if snap.QueriesCancelled != want {
 						t.Fatalf("n=%d: err=%v but QueriesCancelled=%d", n, err, snap.QueriesCancelled)
+					}
+					if sh.join {
+						// A join cancelled while still planning never started.
+						started := int64(0)
+						if st.Tactic == "join" {
+							started = 1
+						}
+						if snap.Queries != 1 || snap.JoinQueries != started || len(snap.TacticWins) != 0 || (err == nil && started != 1) {
+							t.Fatalf("n=%d: err=%v, queries=%d join_queries=%d (want %d) tactic_wins=%v",
+								n, err, snap.Queries, snap.JoinQueries, started, snap.TacticWins)
+						}
+						if err == nil && width >= 2 && !stageFannedOut(st) {
+							t.Fatalf("no join stage fanned out at width %d; trace: %v", width, st.Trace())
+						}
 					}
 					for _, ev := range st.Events {
 						if ev.Kind == EvStrategySwitch || strings.Contains(ev.Detail, "recommending Tscan") {
@@ -129,6 +180,56 @@ func TestNthAccessCancellationSweep(t *testing.T) {
 					t.Fatal("degenerate sweep: no n cancelled the query")
 				}
 			})
+		}
+	}
+}
+
+// stageFannedOut reports whether a join stage's probe round — inl/ridx
+// probes or the hj probe — decided on more than one worker.
+func stageFannedOut(st RetrievalStats) bool {
+	return slices.ContainsFunc(st.Events, func(ev TraceEvent) bool {
+		return ev.Kind == EvParallelWidthChosen && (ev.Scan == "JoinProbe" || ev.Scan == "HashProbe") && ev.Width >= 2
+	})
+}
+
+// TestJoinClosedAfterKRows closes a LIMIT join after k rows for every k,
+// at widths {0, 2}: whatever the pipeline was doing, Close releases
+// every pin, leaves no goroutine behind, and the run counts as one
+// query and one join — once, also when Close is called again — and
+// as no cancellation.
+func TestJoinClosedAfterKRows(t *testing.T) {
+	jf := newJoinFixture(t, 100, 600, 20, 0, false)
+	const limit = 40
+	for _, width := range []int{0, 2} {
+		for k := 0; k <= limit+1; k++ {
+			baseline := runtime.NumGoroutine()
+			o := NewOptimizer(Config{Parallelism: width, AdaptiveParallelism: width >= 2})
+			jq := jf.custOrdQuery(expr.NewCmp(expr.LT, expr.Col(0, "ID"), expr.Lit(expr.Int(30))))
+			jq.Limit = limit
+			rows := o.RunJoin(NewExecCtx(context.Background(), 1<<40), jq, nil)
+			for i := 0; i < k; i++ {
+				if _, ok, err := rows.Next(); err != nil || ok != (i < limit) {
+					t.Fatalf("w%d k=%d: row %d: ok=%v err=%v", width, k, i, ok, err)
+				}
+			}
+			rows.Close()
+			rows.Close()
+			if p := jf.pool.PinnedPages(); p != 0 {
+				t.Fatalf("w%d k=%d: %d pins leaked", width, k, p)
+			}
+			waitGoroutines(t, baseline)
+			snap := o.Metrics().Snapshot()
+			cancelled := snap.QueriesCancelled + snap.QueriesDeadlineExceeded + snap.QueriesBudgetExceeded
+			if snap.Queries != 1 || snap.JoinQueries != 1 || cancelled != 0 || len(snap.TacticWins) != 0 {
+				t.Fatalf("w%d k=%d: metrics %+v", width, k, snap)
+			}
+			st := rows.Stats()
+			if st.RowsDelivered != min(k, limit) {
+				t.Fatalf("w%d k=%d: RowsDelivered = %d", width, k, st.RowsDelivered)
+			}
+			if k > 0 && width >= 2 && !stageFannedOut(st) {
+				t.Fatalf("w%d k=%d: no join stage fanned out; trace: %v", width, k, st.Trace())
+			}
 		}
 	}
 }

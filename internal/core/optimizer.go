@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"rdbdyn/internal/catalog"
@@ -95,23 +96,27 @@ func (q *Query) Validate() error {
 	return nil
 }
 
-// tracer builds the event fan-out for one retrieval's stats.
-func (o *Optimizer) tracer(ec *ExecCtx, st *RetrievalStats) *tracer {
+// tracer builds the event fan-out for one retrieval's stats; a join's
+// table access (ja non-nil) emits as the join, through its tracer.
+func (o *Optimizer) tracer(ec *ExecCtx, st *RetrievalStats, ja *joinAccess) *tracer {
+	if ja != nil {
+		return ja.trc
+	}
 	return &tracer{st: st, sink: o.cfg.Trace, extra: ec.traceSink(), metrics: o.metrics}
 }
 
 // newRetrieval assembles the retrieval shell a tactic is arranged in.
 func (o *Optimizer) newRetrieval(ec *ExecCtx, q *Query, cfg Config, st RetrievalStats) *retrieval {
 	r := &retrieval{q: q, k: q.kernel(), cfg: cfg, st: st, ec: ec, out: &rowQueue{}, metrics: o.metrics}
-	r.trc = o.tracer(ec, &r.st)
+	r.trc = o.tracer(ec, &r.st, q.join)
 	return r
 }
 
 // emptyRange is the paper's shortcut: a provably empty range cancels
 // all retrieval stages and delivers "end of data" at once.
-func (o *Optimizer) emptyRange(ec *ExecCtx, st RetrievalStats, detail string) Rows {
+func (o *Optimizer) emptyRange(ec *ExecCtx, q *Query, st RetrievalStats, detail string) Rows {
 	st.Tactic = "empty-range"
-	o.tracer(ec, &st).emit(TraceEvent{Kind: EvEmptyRange, Detail: detail})
+	o.tracer(ec, &st, q.join).emit(TraceEvent{Kind: EvEmptyRange, Detail: detail})
 	return &emptyRows{stats: st}
 }
 
@@ -130,7 +135,7 @@ func (o *Optimizer) run(ec *ExecCtx, q *Query) (Rows, error) {
 	// of data" condition at once, before any estimation I/O is spent.
 	if cl.EmptyRange {
 		st := RetrievalStats{FinalListLen: -1, QueryID: nextQueryID()}
-		return o.emptyRange(ec, st, "contradictory sargable range, end of data at once"), nil
+		return o.emptyRange(ec, q, st, "contradictory sargable range, end of data at once"), nil
 	}
 
 	// Order requested but no index delivers it: classic SORT node over
@@ -139,28 +144,39 @@ func (o *Optimizer) run(ec *ExecCtx, q *Query) (Rows, error) {
 		return o.runSorted(ec, q)
 	}
 
-	// Initial stage over the fetch-needed indexes. The prevOrder slice
-	// is replaced wholesale by the observer, never mutated, so reading
-	// its elements outside the lock is safe.
-	o.mu.Lock()
-	prev := o.prevOrder[q.Table.Name]
-	o.mu.Unlock()
-	opts := estimate.Options{
-		ShortRange:    o.cfg.ShortRange,
-		PreviousOrder: prev,
-		Governor:      ec.Governor(),
-		Correction:    o.cfg.Feedback.CorrectionFor(q.Table.Name),
-	}
-	res, err := estimate.Appraise(cl.FetchNeeded, q.Restriction, q.Binds, opts)
-	if err != nil {
-		return nil, err
+	// Initial stage over the fetch-needed indexes, unless a join already
+	// ran it. The prevOrder slice is replaced wholesale by the observer,
+	// never mutated, so reading its elements outside the lock is safe.
+	var res estimate.Result
+	if q.join != nil {
+		res = *q.join.res // of every restricted index: keep the fetch-needed ones
+		res.Estimates = nil
+		for _, e := range q.join.res.Estimates {
+			if slices.Contains(cl.FetchNeeded, e.Index) {
+				res.Estimates = append(res.Estimates, e)
+			}
+		}
+	} else {
+		o.mu.Lock()
+		prev := o.prevOrder[q.Table.Name]
+		o.mu.Unlock()
+		opts := estimate.Options{
+			ShortRange:    o.cfg.ShortRange,
+			PreviousOrder: prev,
+			Governor:      ec.Governor(),
+			Correction:    o.cfg.Feedback.CorrectionFor(q.Table.Name),
+		}
+		var err error
+		if res, err = estimate.Appraise(cl.FetchNeeded, q.Restriction, q.Binds, opts); err != nil {
+			return nil, err
+		}
 	}
 	st := RetrievalStats{EstimateIO: res.TotalCost, FinalListLen: -1, QueryID: nextQueryID()}
 	for _, e := range res.Estimates {
 		st.Estimates = append(st.Estimates, EstimateSummary{Index: e.Index.Name, RIDs: e.RIDs, Exact: e.Exact})
 	}
 	if res.EmptyRange {
-		return o.emptyRange(ec, st, "initial stage: empty range, end of data at once"), nil
+		return o.emptyRange(ec, q, st, "initial stage: empty range, end of data at once"), nil
 	}
 
 	model := o.costModel(q, cl)
@@ -257,17 +273,10 @@ func sortNode(q *Query, run func(inner *Query) (Rows, error)) (Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	var all []expr.Row
-	for {
-		row, ok, err := src.Next()
-		if err != nil {
-			src.Close()
-			return nil, err
-		}
-		if !ok {
-			break
-		}
-		all = append(all, row)
+	all, err := drainRows(src)
+	if err != nil {
+		src.Close()
+		return nil, err
 	}
 	if err := src.Close(); err != nil {
 		return nil, err
@@ -279,9 +288,9 @@ func sortNode(q *Query, run func(inner *Query) (Rows, error)) (Rows, error) {
 }
 
 // materializedRows delivers pre-materialized rows — a sorted
-// single-table result or a join's flat rows — under a projection and a
-// limit. RowsDelivered counts what the caller was handed, whatever the
-// stats of the retrieval that produced the rows said.
+// single-table result — under a projection and a limit. RowsDelivered
+// counts what the caller was handed, whatever the stats of the retrieval
+// that produced the rows said.
 type materializedRows struct {
 	rows       []expr.Row
 	projection []int // nil = all columns

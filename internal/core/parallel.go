@@ -18,8 +18,8 @@ import (
 // budget, run unbounded on each worker: Tscan's page ranges over
 // tscan.scanRows, Fin's page-aligned RID chunks over finalStage.fetch,
 // Uscan's OR legs over uscan.scanLeg, Jscan's leaf-aligned key
-// partitions over acceptEntries, and the inl/ridx/hj join probes over
-// probeOne / hjProbeChunk (join.go, joinhash.go). Partitions are
+// partitions over acceptEntries, and a join stage's round of upstream
+// rows over probeOne / hashProbe (join.go). Partitions are
 // contiguous and worker results merge in partition order, so the
 // concatenation is the sequential output order. DESIGN.md ("Streaming
 // operators and intra-query parallelism") has the contract and the

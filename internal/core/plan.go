@@ -226,7 +226,7 @@ func (o *Optimizer) runPlan(ec *ExecCtx, q *Query, p *Plan) (Rows, error) {
 	cl := Classify(q)
 	if cl.EmptyRange {
 		st := RetrievalStats{FinalListLen: -1, QueryID: nextQueryID()}
-		return o.emptyRange(ec, st, "pinned plan: contradictory sargable range, end of data at once"), nil
+		return o.emptyRange(ec, q, st, "pinned plan: contradictory sargable range, end of data at once"), nil
 	}
 	if len(q.OrderBy) > 0 && !p.deliversOrder(ixs, q) {
 		return sortNode(q, func(inner *Query) (Rows, error) { return o.pinned(ec, inner, p, ixs, Classify(inner)) })

@@ -146,7 +146,7 @@ func plantCorrupt(t *testing.T, pool *storage.BufferPool, heap *storage.HeapFile
 // TestCorruptRecordBehindRejectingPredicate: deciding on the encoded
 // record never skips its validation — a record the restriction rejects
 // on an early column still fails the scan with ErrCorruptRecord when its
-// tail is corrupt, on the Tscan, final-stage and join scanLocal paths.
+// tail is corrupt, on the Tscan, final-stage and join table-access paths.
 func TestCorruptRecordBehindRejectingPredicate(t *testing.T) {
 	next := func(rows Rows) error {
 		defer rows.Close()
@@ -183,7 +183,7 @@ func TestCorruptRecordBehindRejectingPredicate(t *testing.T) {
 		{Table: 0, Operator: "tscan"}, {Table: 1, Operator: JoinOpHJ},
 	}}
 	if err := next(NewOptimizer(Config{}).RunJoin(nil, jq, plan)); !errors.Is(err, expr.ErrCorruptRecord) {
-		t.Errorf("join scanLocal: %v", err)
+		t.Errorf("join table access: %v", err)
 	}
 }
 

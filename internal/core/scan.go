@@ -86,6 +86,14 @@ func (q *queue[T]) pop() T {
 	return v
 }
 
+// Next pops as a join's row source does: ok=false once drained.
+func (q *queue[T]) Next() (v T, ok bool, _ error) {
+	if q.empty() {
+		return v, false, nil
+	}
+	return q.pop(), true, nil
+}
+
 // rowQueue is the delivery buffer between a producing scan and the
 // Rows iterator.
 type rowQueue = queue[expr.Row]

@@ -572,8 +572,8 @@ func (r *retrieval) finalizeStats() {
 	r.st.Strategy = strings.Join(parts, "+")
 	// A cancelled retrieval is not a tactic win, and its truncated I/O
 	// would pollute the estimate-error histogram; it is counted by the
-	// cancellation counters instead.
-	if !(r.err != nil && isCancellation(r.err)) {
+	// cancellation counters instead. Nor is a join's table access.
+	if !(r.err != nil && isCancellation(r.err)) && r.q.join == nil {
 		r.metrics.recordRetrieval(r.tactic, &r.st, !r.pinned)
 	}
 	if r.fb != nil && r.err == nil && !r.pinned {

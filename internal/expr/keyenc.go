@@ -89,9 +89,13 @@ func CompareKeys(a, b []byte) int { return bytes.Compare(a, b) }
 // having k as a prefix. It is used to turn inclusive upper bounds on key
 // prefixes into exclusive B-tree bounds.
 func KeySuccessor(k []byte) []byte {
-	s := make([]byte, len(k), len(k)+1)
-	copy(s, k)
-	return append(s, 0xFF)
+	return AppendKeySuccessor(make([]byte, 0, len(k)+1), k)
+}
+
+// AppendKeySuccessor appends k's successor to dst, for callers that
+// reuse a buffer; k may alias dst.
+func AppendKeySuccessor(dst, k []byte) []byte {
+	return append(append(dst, k...), 0xFF)
 }
 
 // ErrBadKey is returned by DecodeKey for malformed encoded keys.

@@ -214,4 +214,9 @@ func TestKeySuccessor(t *testing.T) {
 	if CompareKeys(s, next) != -1 {
 		t.Fatal("successor must sort before the next distinct key")
 	}
+	// The appending form, behind the key in the key's own buffer.
+	buf := AppendKeySuccessor(k, k)
+	if n := len(k); CompareKeys(buf[:n], k) != 0 || CompareKeys(buf[n:], s) != 0 {
+		t.Fatalf("AppendKeySuccessor(k, k) = %x, want %x followed by %x", buf, k, s)
+	}
 }
