@@ -8,128 +8,123 @@
 //	rdbbench -exp hostvar -rows 100000
 //	rdbbench -exp jscan
 //
-// Experiment IDs: competition, hostvar, estimate, jscan, background,
-// fastfirst, sorted, indexonly, goals, hybrid, all.
+// rdbbench -h lists the experiment IDs.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 
 	"rdbdyn/internal/bench"
 )
 
+// runner is one experiment at a table size (0 = its default).
+type runner func(rows int) (*bench.Report, error)
+
+// fixed adapts an experiment that has no table size to vary.
+func fixed(run func() (*bench.Report, error)) runner {
+	return func(int) (*bench.Report, error) { return run() }
+}
+
+// runners maps each -exp ID to its experiment; "all" runs bench.All.
+var runners = map[string]runner{
+	"competition": fixed(bench.CompetitionCosts),
+	"hostvar":     bench.HostVariable,
+	"estimate":    bench.EstimationStudy,
+	"jscan":       bench.JscanStudy,
+	"background":  bench.TacticBackground,
+	"fastfirst":   bench.TacticFastFirst,
+	"sorted":      bench.TacticSorted,
+	"indexonly":   bench.TacticIndexOnly,
+	"goals":       fixed(bench.GoalInference),
+	"hybrid":      fixed(bench.HybridContainer),
+	"union":       bench.UnionScan,
+	"ablations":   bench.Ablations,
+	"interfere":   bench.Interference,
+	"histogram":   bench.HistogramBaseline,
+	"samplers":    bench.SamplerComparison,
+}
+
+// experimentIDs lists what -exp accepts, sorted, "all" last.
+func experimentIDs() string {
+	ids := make([]string, 0, len(runners)+1)
+	for id := range runners {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	return strings.Join(append(ids, "all"), "|")
+}
+
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (competition|hostvar|estimate|jscan|background|fastfirst|sorted|indexonly|goals|hybrid|union|ablations|interfere|histogram|samplers|all)")
-	rows := flag.Int("rows", 0, "table size for retrieval experiments (0 = experiment default)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	benchout := flag.String("benchout", "", "run the vectorized-pipeline microbenchmarks and write JSON results to this file (e.g. BENCH_pipeline.json)")
-	cache := flag.Bool("cache", false, "run the plan-cache warm-vs-cold benchmark and write BENCH_cache.json")
-	join := flag.Bool("join", false, "run the static-vs-dynamic join benchmark and write BENCH_join.json")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "rdbbench:", err)
+		os.Exit(1)
+	}
+}
+
+// run is main without the process: it parses args, runs the chosen
+// experiment and prints its report to stdout.
+func run(args []string, stdout io.Writer) (err error) {
+	fs := flag.NewFlagSet("rdbbench", flag.ContinueOnError)
+	exp := fs.String("exp", "all", "experiment to run ("+experimentIDs()+")")
+	rows := fs.Int("rows", 0, "table size for retrieval experiments (0 = experiment default)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fail(err)
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
 	if *memprofile != "" {
 		defer func() {
-			f, err := os.Create(*memprofile)
 			if err != nil {
-				fail(err)
+				return
+			}
+			var f *os.File
+			if f, err = os.Create(*memprofile); err != nil {
+				return
 			}
 			defer f.Close()
 			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fail(err)
-			}
+			err = pprof.WriteHeapProfile(f)
 		}()
 	}
 
-	if *benchout != "" {
-		rep, err := bench.RunPipeline()
-		writeJSON(*benchout, rep, err)
-		return
-	}
-	if *cache {
-		res, err := bench.RunCacheBench(*rows)
-		writeJSON("BENCH_cache.json", res, err)
-		return
-	}
-	if *join {
-		res, err := bench.RunJoinBench(*rows)
-		writeJSON("BENCH_join.json", res, err)
-		return
-	}
-
-	runners := map[string]func() (*bench.Report, error){
-		"competition": bench.CompetitionCosts,
-		"hostvar":     func() (*bench.Report, error) { return bench.HostVariable(*rows) },
-		"estimate":    func() (*bench.Report, error) { return bench.EstimationStudy(*rows) },
-		"jscan":       func() (*bench.Report, error) { return bench.JscanStudy(*rows) },
-		"background":  func() (*bench.Report, error) { return bench.TacticBackground(*rows) },
-		"fastfirst":   func() (*bench.Report, error) { return bench.TacticFastFirst(*rows) },
-		"sorted":      func() (*bench.Report, error) { return bench.TacticSorted(*rows) },
-		"indexonly":   func() (*bench.Report, error) { return bench.TacticIndexOnly(*rows) },
-		"goals":       bench.GoalInference,
-		"hybrid":      bench.HybridContainer,
-		"union":       func() (*bench.Report, error) { return bench.UnionScan(*rows) },
-		"ablations":   func() (*bench.Report, error) { return bench.Ablations(*rows) },
-		"interfere":   func() (*bench.Report, error) { return bench.Interference(*rows) },
-		"histogram":   func() (*bench.Report, error) { return bench.HistogramBaseline(*rows) },
-		"samplers":    func() (*bench.Report, error) { return bench.SamplerComparison(*rows) },
-	}
 	if *exp == "all" {
 		reports, err := bench.All()
 		if err != nil {
-			fail(err)
+			return err
 		}
 		for _, r := range reports {
-			r.Fprint(os.Stdout)
+			r.Fprint(stdout)
 		}
-		return
+		return nil
 	}
-	run, ok := runners[*exp]
+	runExp, ok := runners[*exp]
 	if !ok {
-		fail(fmt.Errorf("unknown experiment %q", *exp))
+		return fmt.Errorf("unknown experiment %q (want %s)", *exp, experimentIDs())
 	}
-	r, err := run()
+	r, err := runExp(*rows)
 	if err != nil {
-		fail(err)
+		return err
 	}
-	r.Fprint(os.Stdout)
-}
-
-// writeJSON writes a benchmark report (or fails on its error) as
-// indented JSON to path and echoes it to stdout.
-func writeJSON(path string, report any, err error) {
-	if err != nil {
-		fail(err)
-	}
-	out, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fail(err)
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		fail(err)
-	}
-	os.Stdout.Write(out)
-}
-
-func fail(err error) {
-	fmt.Fprintln(os.Stderr, "rdbbench:", err)
-	os.Exit(1)
+	r.Fprint(stdout)
+	return nil
 }

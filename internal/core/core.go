@@ -216,12 +216,6 @@ type Config struct {
 	// Nil (the default) keeps estimation purely structural — the
 	// paper's behavior, and the setting every experiment runs under.
 	Feedback *feedback.Registry
-	// DisableJoinSortAvoidance turns off sort-order-aware join
-	// planning: ORDER BY joins always pay the final materialized sort,
-	// and no order-preserving alternative plan competes. For ablation
-	// and sorted-baseline comparisons; off (avoidance active) by
-	// default.
-	DisableJoinSortAvoidance bool
 	// Parallelism is the intra-query worker budget for partitioned
 	// scans and goroutine race legs. 0 or 1 keeps the paper-faithful
 	// single-goroutine cooperative scheduler (the default — all

@@ -174,9 +174,9 @@ func (e *ExecCtx) markCancelRecorded() bool {
 	return e.cancelRecorded.CompareAndSwap(false, true)
 }
 
-// isCancellation reports whether err is an execution-context unwind
+// IsCancellation reports whether err is an execution-context unwind
 // (caller cancel, deadline, or budget) as opposed to a storage fault.
-func isCancellation(err error) bool {
+func IsCancellation(err error) bool {
 	return errors.Is(err, context.Canceled) ||
 		errors.Is(err, context.DeadlineExceeded) ||
 		errors.Is(err, storage.ErrBudgetExceeded)

@@ -419,7 +419,7 @@ func (jr *joinRun) finish() {
 func (jr *joinRun) fail(err error) error {
 	jr.err = err
 	jr.finish()
-	if isCancellation(err) {
+	if IsCancellation(err) {
 		if !slices.ContainsFunc(jr.st.Events, func(ev TraceEvent) bool { return ev.Kind == EvQueryCancelled }) {
 			jr.trc.emit(TraceEvent{Kind: EvQueryCancelled, Tactic: "join", ActualIO: float64(jr.st.IO.IOCost()), Detail: err.Error()})
 		}

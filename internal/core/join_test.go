@@ -422,9 +422,10 @@ func TestJoinOrderAndLimit(t *testing.T) {
 // poisoned to grossly underestimate the driver's filtered cardinality
 // makes the static plan choose index-nested-loop probing for the big
 // orders table. The dynamic run sees the real driver cardinality at the
-// first stage boundary, emits join-reoptimized, switches the orders
-// stage to a nested-loop scan, and finishes with less attributed I/O
-// than the static plan on a twin database.
+// first stage boundary, emits join-reoptimized once, switches the
+// orders stage to a hash join, and finishes with less attributed I/O
+// than the static plan on a twin database. (engine's TestJoinPinnedIO
+// pins the page counts of the same scenario on its own fixture.)
 func TestJoinReoptimizedBeatsStatic(t *testing.T) {
 	const frames = 128
 	poison := func() *feedback.Registry {
@@ -462,14 +463,15 @@ func TestJoinReoptimizedBeatsStatic(t *testing.T) {
 
 	assertSameRows(t, "static vs dynamic", dynRows, staticRows)
 
-	var reopted bool
+	reopts := 0
 	for _, ev := range stD.Events {
 		if ev.Kind == EvJoinReoptimized {
-			reopted = true
+			reopts++
 		}
 	}
-	if !reopted {
-		t.Fatalf("dynamic run did not emit %s; events: %v", EvJoinReoptimized, stD.Trace())
+	if reopts != 1 || !strings.Contains(stD.Strategy, "ORD:"+JoinOpHJ) {
+		t.Fatalf("dynamic run emitted %s %d times and ran %s, want once into an hj orders stage; events: %v",
+			EvJoinReoptimized, reopts, stD.Strategy, stD.Trace())
 	}
 	ioS, ioD := stS.IO.IOCost(), stD.IO.IOCost()
 	if ioD >= ioS {
@@ -710,56 +712,46 @@ func sortAvoidFixture(t testing.TB) (cust, ord *catalog.Table) {
 
 // TestSortAvoidedOrderEquivalence runs an ORDER BY join whose cheapest
 // plan is order-preserving (restricted driver on the ordering index,
-// inl probe) against a baseline with sort avoidance disabled. The aware
-// run must skip the materialized sort and still deliver the baseline's
-// rows byte-for-byte, ascending and descending.
+// inl probe). The run must skip the materialized sort and still deliver
+// the oracle's rows in the oracle's key order, ascending and descending.
 func TestSortAvoidedOrderEquivalence(t *testing.T) {
 	cust, ord := sortAvoidFixture(t)
-	mk := func() *JoinQuery {
-		return &JoinQuery{
-			Tables:  []*catalog.Table{cust, ord},
-			Local:   []expr.Expr{expr.NewCmp(expr.LT, expr.Col(0, "ID"), expr.Lit(expr.Int(12))), nil},
-			Preds:   []JoinPred{{LT: 0, LC: 0, RT: 1, RC: 1}},
-			OrderBy: []int{0}, // CUST.ID, delivered by CUST_ID_IX
-		}
-	}
+	tabs := [][]expr.Row{tableRows(t, cust), tableRows(t, ord)}
 	for _, desc := range []bool{false, true} {
 		name := "asc"
 		if desc {
 			name = "desc"
 		}
 		t.Run(name, func(t *testing.T) {
-			jqA := mk()
-			jqA.OrderDesc = desc
-			aware, stA := drainJoin(t, NewOptimizer(Config{}).RunJoin(nil, jqA, nil))
-			jqB := mk()
-			jqB.OrderDesc = desc
-			base, stB := drainJoin(t, NewOptimizer(Config{DisableJoinSortAvoidance: true}).RunJoin(nil, jqB, nil))
-			if !stA.SortAvoided {
-				t.Fatalf("aware run sorted anyway: %s", stA.Strategy)
+			jq := &JoinQuery{
+				Tables:  []*catalog.Table{cust, ord},
+				Local:   []expr.Expr{expr.NewCmp(expr.LT, expr.Col(0, "ID"), expr.Lit(expr.Int(12))), nil},
+				Preds:   []JoinPred{{LT: 0, LC: 0, RT: 1, RC: 1}},
+				OrderBy: []int{0}, OrderDesc: desc, // CUST.ID, delivered by CUST_ID_IX
 			}
-			if stB.SortAvoided {
-				t.Fatalf("baseline run avoided the sort with avoidance disabled")
+			want := oracleJoin(t, jq, tabs)
+			sortRows(want, jq.OrderBy, desc)
+			got, st := drainJoin(t, NewOptimizer(Config{}).RunJoin(nil, jq, nil))
+			if !st.SortAvoided {
+				t.Fatalf("run sorted anyway: %s", st.Strategy)
 			}
-			if len(aware) == 0 || len(aware) != len(base) {
-				t.Fatalf("aware %d rows, baseline %d", len(aware), len(base))
+			if len(got) == 0 {
+				t.Fatal("no rows")
 			}
-			for i := range aware {
-				if rowKey(aware[i]) != rowKey(base[i]) {
-					t.Fatalf("row %d differs:\n aware    %v\n baseline %v", i, aware[i], base[i])
+			assertSameRows(t, name, got, want)
+			for i := range got {
+				if expr.Compare(got[i][0], want[i][0]) != 0 {
+					t.Fatalf("row %d: sort key %v, want %v", i, got[i][0], want[i][0])
 				}
 			}
-			if !isSortedBy(aware, 0, desc) {
-				t.Fatalf("aware output not in %s order", name)
-			}
 			var avoided bool
-			for _, ev := range stA.Events {
+			for _, ev := range st.Events {
 				if ev.Kind == EvJoinSortAvoided {
 					avoided = true
 				}
 			}
 			if !avoided {
-				t.Fatalf("aware run did not emit %s", EvJoinSortAvoided)
+				t.Fatalf("run did not emit %s", EvJoinSortAvoided)
 			}
 		})
 	}

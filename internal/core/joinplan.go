@@ -317,7 +317,7 @@ func (o *Optimizer) planJoinRest(jq *JoinQuery, infos []joinTableInfo, jts []est
 // the cheap plan's output.
 func (o *Optimizer) planJoin(jq *JoinQuery, infos []joinTableInfo, jts []estimate.JoinTable) *JoinPlan {
 	plan := o.planJoinBase(jq, infos, jts)
-	if len(jq.OrderBy) == 0 || o.cfg.DisableJoinSortAvoidance {
+	if len(jq.OrderBy) == 0 {
 		return plan
 	}
 	ot, localOrder, ok := joinOrderTable(jq)

@@ -37,18 +37,13 @@ type jscan struct {
 
 	idx int // next index position to scan
 
-	// Current sequential scan: a streaming operator over the index's
-	// key range. Freshly opened scans are *btree.Cursor; a continued
-	// race loser arrives as whatever operator the leg ran on.
-	cur      Operator
-	curIx    *catalog.Index
-	curLo    []byte // the open scan's key range, kept for partitioning
-	curHi    []byte
-	local    *rowKernel
-	list     *rid.Container
-	seen     int
-	rangeEst float64
-	scan0    int64 // meter total at scan start
+	// Current sequential scan (scan.cur == nil: none open): a leg like
+	// a racing one, freshly opened or a continued race loser, except
+	// that its RIDs go to list, not to the leg's in-memory slice.
+	scan  raceLeg
+	list  *rid.Container
+	curLo []byte // the open scan's key range, kept for partitioning
+	curHi []byte
 	// partitionable marks a scan eligible for the partitioned parallel
 	// path: freshly opened (not a continued race loser), forward, with
 	// its range bounds on hand.
@@ -92,6 +87,9 @@ type raceState struct {
 	a, b raceLeg
 }
 
+// raceLeg is one index scan in flight: a racing leg, the current
+// sequential scan, or (ix, local, rids and seen only) one partition of
+// a partitioned scan.
 type raceLeg struct {
 	ix       *catalog.Index
 	cur      *btree.Cursor
@@ -99,7 +97,7 @@ type raceLeg struct {
 	rids     []storage.RID
 	seen     int
 	rangeEst float64
-	cost0    int64
+	cost0    int64 // meter total at scan start
 	done     bool
 	dead     bool // abandoned by competition
 	// tr is the leg's own tracker when the race runs on goroutines
@@ -141,9 +139,9 @@ func (j *jscan) bgRecommendTscan() bool     { return j.recommendTscan }
 // done. It doubles as the stepper release hook, so it must be
 // idempotent and safe mid-race.
 func (j *jscan) bgKill() {
-	if j.cur != nil {
-		j.cur.Close()
-		j.cur = nil
+	if j.scan.cur != nil {
+		j.scan.cur.Close()
+		j.scan.cur = nil
 	}
 	if j.race != nil {
 		// A dead leg's cursor was already closed when competition killed
@@ -198,7 +196,7 @@ func (j *jscan) step() (bool, error) {
 	if j.done {
 		return true, nil
 	}
-	if j.race == nil && j.cur == nil {
+	if j.race == nil && j.scan.cur == nil {
 		if err := j.nextScan(); err != nil || j.done {
 			return j.done, err
 		}
@@ -301,22 +299,14 @@ func (j *jscan) refreshFilter() {
 
 func (j *jscan) openSequential(e estimate.IndexEstimate) error {
 	j.refreshFilter()
-	cur, err := e.Index.Tree.SeekTracked(e.Lo, e.Hi, j.m.tr)
+	leg, err := j.openLeg(e, false)
 	if err != nil {
 		return err
 	}
-	j.cur = cur
-	j.curIx = e.Index
+	j.scan = leg
 	j.curLo, j.curHi = e.Lo, e.Hi
 	j.partitionable = true
-	j.local = keyKernel(j.q.Restriction, j.q.Binds, e.Index)
 	j.list = rid.NewContainerTracked(j.q.Table.Pool(), j.cfg.RID, j.m.tr)
-	j.seen = 0
-	j.rangeEst = e.RIDs
-	if j.rangeEst < 1 {
-		j.rangeEst = 1
-	}
-	j.scan0 = j.m.total()
 	j.trc.emit(TraceEvent{
 		Kind: EvScanStarted, Scan: j.name(), Indexes: []string{e.Index.Name},
 		EstimatedIO: j.model.LeafPages(e.RIDs, e.Index.Tree.AvgLeafEntries()) + float64(e.Index.Tree.Height()),
@@ -324,6 +314,56 @@ func (j *jscan) openSequential(e estimate.IndexEstimate) error {
 		Detail:      fmt.Sprintf("est %.0f rids", e.RIDs),
 	})
 	return nil
+}
+
+// openLeg seeks e's key range and returns the scan as a leg. With own,
+// the leg charges a tracker of its own (a goroutine race merges it at
+// the barrier); otherwise the shared meter.
+func (j *jscan) openLeg(e estimate.IndexEstimate, own bool) (raceLeg, error) {
+	tr := j.m.tr
+	var legTr *storage.Tracker
+	if own {
+		legTr = storage.NewTracker(j.m.tr.Governor())
+		tr = legTr
+	}
+	cur, err := e.Index.Tree.SeekTracked(e.Lo, e.Hi, tr)
+	if err != nil {
+		return raceLeg{}, err
+	}
+	return raceLeg{
+		ix:       e.Index,
+		cur:      cur,
+		local:    keyKernel(j.q.Restriction, j.q.Binds, e.Index),
+		rangeEst: max(e.RIDs, 1),
+		cost0:    j.m.total(),
+		tr:       legTr,
+	}, nil
+}
+
+// pull is the one read every Jscan scheduler makes: src's next batch,
+// counted in l.seen, through the previous list's filter and the leg's
+// key kernel (acceptEntries). n == 0 means src is exhausted. src is
+// l.cur, or a partition worker's slice of the scan.
+func (l *raceLeg) pull(src Operator, batch []btree.Entry, filter rid.Filter, sc *acceptScratch) (n int, kept []storage.RID, err error) {
+	if n, err = src.NextBatch(batch); err != nil || n == 0 {
+		return 0, nil, err
+	}
+	l.seen += n
+	kept, err = acceptEntries(batch[:n], l.ix, l.local, filter, sc)
+	return n, kept, err
+}
+
+// abandonProjected is Section 6's two-stage check, made once a scan
+// has seen a full step: the list so far, scaled up by the share of the
+// estimated range already seen, projects the final stage's cost, and the
+// criterion weighs it and the scan's own cost against the guaranteed
+// best.
+func abandonProjected(cfg *Config, model estimate.CostModel, listLen, seen int, rangeEst, scanCost, best float64) (projFinal float64, abandon bool) {
+	if cfg.DisableCompetition || seen < stepEntries {
+		return 0, false
+	}
+	projFinal = model.JscanFinalCost(float64(listLen) / min(float64(seen)/rangeEst, 1))
+	return projFinal, cfg.Criterion.Abandon(projFinal, scanCost, best)
 }
 
 // ensureBuffers sizes the shared batch scratch to one step.
@@ -344,25 +384,16 @@ func (j *jscan) stepSequential() error {
 	if handled, err := j.maybePartitionedScan(); handled || err != nil {
 		return err
 	}
-	budget := stepEntries
-	for budget > 0 {
-		lim := budget
-		if lim > len(j.batch) {
-			lim = len(j.batch)
-		}
-		n, err := j.cur.NextBatch(j.batch[:lim])
+	sq := &j.scan
+	for budget := stepEntries; budget > 0; {
+		n, kept, err := sq.pull(sq.cur, j.batch[:min(budget, len(j.batch))], j.filter, j.sc)
 		if err != nil {
 			return err
 		}
 		if n == 0 {
 			return j.completeScan()
 		}
-		j.seen += n
 		budget -= n
-		kept, err := acceptEntries(j.batch[:n], j.curIx, j.local, j.filter, j.sc)
-		if err != nil {
-			return err
-		}
 		if len(kept) > 0 {
 			if err := j.list.AppendBatch(kept); err != nil {
 				return err
@@ -377,23 +408,14 @@ func (j *jscan) stepSequential() error {
 			}
 		}
 	}
-	// Two-stage competition check.
-	if !j.cfg.DisableCompetition && j.seen >= stepEntries {
-		frac := float64(j.seen) / j.rangeEst
-		if frac > 1 {
-			frac = 1
-		}
-		proj := float64(j.list.Len()) / frac
-		projFinal := j.model.JscanFinalCost(proj)
-		scanCost := float64(j.m.total() - j.scan0)
-		if j.cfg.Criterion.Abandon(projFinal, scanCost, j.currentGuaranteedBest()) {
-			j.trc.emit(TraceEvent{
-				Kind: EvScanAbandoned, Scan: j.name(), Indexes: []string{j.curIx.Name},
-				EstimatedIO: projFinal, ActualIO: j.m.cost(),
-				Detail: fmt.Sprintf("proj final %.0f, scan cost %.0f, best %.0f", projFinal, scanCost, j.currentGuaranteedBest()),
-			})
-			return j.abandonCurrent()
-		}
+	scanCost := float64(j.m.total() - sq.cost0)
+	if projFinal, abandon := abandonProjected(&j.cfg, j.model, j.list.Len(), sq.seen, sq.rangeEst, scanCost, j.currentGuaranteedBest()); abandon {
+		j.trc.emit(TraceEvent{
+			Kind: EvScanAbandoned, Scan: j.name(), Indexes: []string{sq.ix.Name},
+			EstimatedIO: projFinal, ActualIO: j.m.cost(),
+			Detail: fmt.Sprintf("proj final %.0f, scan cost %.0f, best %.0f", projFinal, scanCost, j.currentGuaranteedBest()),
+		})
+		return j.abandonCurrent()
 	}
 	return nil
 }
@@ -402,7 +424,7 @@ func (j *jscan) stepSequential() error {
 func (j *jscan) completeScan() error {
 	n := j.list.Len()
 	newFinal := j.model.JscanFinalCost(float64(n))
-	if j.curIx != nil {
+	if j.scan.ix != nil {
 		if j.borrowActive {
 			j.borrowComplete = true
 			j.closeBorrow()
@@ -412,24 +434,24 @@ func (j *jscan) completeScan() error {
 				j.complete.Discard()
 			}
 			j.complete = j.list
-			j.completeNames = append(j.completeNames, j.curIx.Name)
+			j.completeNames = append(j.completeNames, j.scan.ix.Name)
 			j.filter = nil
 			j.guaranteedBest = newFinal
 			j.trc.emit(TraceEvent{
-				Kind: EvScanComplete, Scan: j.name(), Indexes: []string{j.curIx.Name},
+				Kind: EvScanComplete, Scan: j.name(), Indexes: []string{j.scan.ix.Name},
 				EstimatedIO: newFinal, ActualIO: j.m.cost(),
 				Detail: fmt.Sprintf("%d rids, final cost %.0f", n, newFinal),
 			})
 		} else {
 			j.trc.emit(TraceEvent{
-				Kind: EvScanComplete, Scan: j.name(), Indexes: []string{j.curIx.Name},
+				Kind: EvScanComplete, Scan: j.name(), Indexes: []string{j.scan.ix.Name},
 				EstimatedIO: newFinal, ActualIO: j.m.cost(),
 				Detail: fmt.Sprintf("complete but useless (%d rids, final %.0f >= best %.0f)", n, newFinal, j.guaranteedBest),
 			})
 			j.list.Discard()
 		}
 	}
-	j.cur = nil
+	j.scan.cur = nil
 	j.list = nil
 	return j.nextScan()
 }
@@ -440,10 +462,10 @@ func (j *jscan) abandonCurrent() error {
 	if j.list != nil {
 		j.list.Discard()
 	}
-	if j.cur != nil {
-		j.cur.Close()
+	if j.scan.cur != nil {
+		j.scan.cur.Close()
 	}
-	j.cur = nil
+	j.scan.cur = nil
 	j.list = nil
 	return j.nextScan()
 }
@@ -453,11 +475,15 @@ func (j *jscan) abandonCurrent() error {
 // error is returned: no race state exists yet for bgKill to find it.
 func (j *jscan) startRace(a, b estimate.IndexEstimate) error {
 	j.refreshFilter()
-	legA, err := j.openLeg(a)
+	// On the goroutine race path each leg charges its own tracker; the
+	// interleaved path keeps the shared meter, whose half-split
+	// approximates per-leg cost.
+	own := j.cfg.effectiveWorkers() > 1
+	legA, err := j.openLeg(a, own)
 	if err != nil {
 		return err
 	}
-	legB, err := j.openLeg(b)
+	legB, err := j.openLeg(b, own)
 	if err != nil {
 		legA.cur.Close()
 		return err
@@ -470,34 +496,6 @@ func (j *jscan) startRace(a, b estimate.IndexEstimate) error {
 		Detail: fmt.Sprintf("est %.0f vs %.0f rids", a.RIDs, b.RIDs),
 	})
 	return nil
-}
-
-func (j *jscan) openLeg(e estimate.IndexEstimate) (raceLeg, error) {
-	// On the goroutine race path each leg charges its own tracker
-	// (merged at the race barrier); the interleaved path keeps the
-	// shared meter, whose half-split approximates per-leg cost.
-	tr := j.m.tr
-	var legTr *storage.Tracker
-	if j.cfg.effectiveWorkers() > 1 {
-		legTr = storage.NewTracker(j.m.tr.Governor())
-		tr = legTr
-	}
-	cur, err := e.Index.Tree.SeekTracked(e.Lo, e.Hi, tr)
-	if err != nil {
-		return raceLeg{}, err
-	}
-	re := e.RIDs
-	if re < 1 {
-		re = 1
-	}
-	return raceLeg{
-		ix:       e.Index,
-		cur:      cur,
-		local:    keyKernel(j.q.Restriction, j.q.Binds, e.Index),
-		rangeEst: re,
-		cost0:    j.m.total(),
-		tr:       legTr,
-	}, nil
 }
 
 // stepRace advances both racing legs half a step each. The race ends
@@ -513,13 +511,8 @@ func (j *jscan) stepRace() error {
 		if leg.done || leg.dead {
 			continue
 		}
-		budget := half
-		for budget > 0 {
-			lim := budget
-			if lim > len(j.batch) {
-				lim = len(j.batch)
-			}
-			n, err := leg.cur.NextBatch(j.batch[:lim])
+		for budget := half; budget > 0; {
+			n, kept, err := leg.pull(leg.cur, j.batch[:min(budget, len(j.batch))], j.filter, j.sc)
 			if err != nil {
 				return err
 			}
@@ -527,30 +520,21 @@ func (j *jscan) stepRace() error {
 				leg.done = true
 				break
 			}
-			leg.seen += n
 			budget -= n
-			kept, err := acceptEntries(j.batch[:n], leg.ix, leg.local, j.filter, j.sc)
-			if err != nil {
-				return err
-			}
 			leg.rids = append(leg.rids, kept...)
 		}
+		if leg.done {
+			continue
+		}
 		// Competition can kill a leg mid-race.
-		if !j.cfg.DisableCompetition && !leg.done && leg.seen >= stepEntries {
-			frac := float64(leg.seen) / leg.rangeEst
-			if frac > 1 {
-				frac = 1
-			}
-			projFinal := j.model.JscanFinalCost(float64(len(leg.rids)) / frac)
-			if j.cfg.Criterion.Abandon(projFinal, float64(j.m.total()-leg.cost0)/2, j.currentGuaranteedBest()) {
-				leg.dead = true
-				leg.cur.Close()
-				j.trc.emit(TraceEvent{
-					Kind: EvScanAbandoned, Scan: j.name(), Indexes: []string{leg.ix.Name},
-					EstimatedIO: projFinal, ActualIO: j.m.cost(),
-					Detail: fmt.Sprintf("race leg abandoned (proj final %.0f)", projFinal),
-				})
-			}
+		if projFinal, abandon := abandonProjected(&j.cfg, j.model, len(leg.rids), leg.seen, leg.rangeEst, float64(j.m.total()-leg.cost0)/2, j.currentGuaranteedBest()); abandon {
+			leg.dead = true
+			leg.cur.Close()
+			j.trc.emit(TraceEvent{
+				Kind: EvScanAbandoned, Scan: j.name(), Indexes: []string{leg.ix.Name},
+				EstimatedIO: projFinal, ActualIO: j.m.cost(),
+				Detail: fmt.Sprintf("race leg abandoned (proj final %.0f)", projFinal),
+			})
 		}
 	}
 	var win *raceLeg
@@ -589,7 +573,7 @@ func (j *jscan) resolveRace(win *raceLeg) error {
 		if !loser.dead {
 			return j.continueLoser(loser)
 		}
-		if j.cur == nil {
+		if j.scan.cur == nil {
 			return j.nextScan()
 		}
 	case a.dead && b.dead:
@@ -671,15 +655,14 @@ func (j *jscan) continueLoser(l *raceLeg) error {
 	if l.tr != nil {
 		// The leg ran on its own tracker (goroutine race); its charges
 		// were merged at the barrier, so re-point the cursor at the
-		// shared meter and re-base scan0 so the continued scan's
+		// shared meter and re-base cost0 so the continued scan's
 		// competition cost picks up where the leg left off.
 		l.cur.SetTracker(j.m.tr)
 		l.cost0 = j.m.total() - l.tr.IOCost()
 	}
-	j.cur = l.cur
-	j.curIx = l.ix
+	j.scan = *l
+	j.scan.rids = nil // they move to list, refiltered
 	j.partitionable = false
-	j.local = l.local
 	j.list = rid.NewContainerTracked(j.q.Table.Pool(), j.cfg.RID, j.m.tr)
 	rest := l.rids
 	for len(rest) > 0 {
@@ -700,9 +683,6 @@ func (j *jscan) continueLoser(l *raceLeg) error {
 		}
 		rest = rest[n:]
 	}
-	j.seen = l.seen
-	j.rangeEst = l.rangeEst
-	j.scan0 = l.cost0
 	j.trc.emit(TraceEvent{
 		Kind: EvScanStarted, Scan: j.name(), Indexes: []string{l.ix.Name}, ActualIO: j.m.cost(),
 		Detail: fmt.Sprintf("continuing %s with %d prefiltered rids", l.ix.Name, j.list.Len()),

@@ -70,7 +70,7 @@ func (o *Optimizer) RunExec(ec *ExecCtx, q *Query) Rows {
 func (o *Optimizer) deliver(ec *ExecCtx, rows Rows, err error) Rows {
 	o.metrics.recordQuery()
 	if err != nil {
-		if isCancellation(err) && ec.markCancelRecorded() {
+		if IsCancellation(err) && ec.markCancelRecorded() {
 			o.metrics.recordCancellation(err)
 		}
 		return errRows{err: err}

@@ -247,7 +247,7 @@ func (j *jscan) partitionLimitCap() int {
 	if _, exact := j.filter.(rid.TrueFilter); !exact {
 		return 0
 	}
-	if !j.curIx.Covers(expr.Columns(j.q.Restriction)) {
+	if !j.scan.ix.Covers(expr.Columns(j.q.Restriction)) {
 		return 0
 	}
 	return j.q.Limit
@@ -263,7 +263,7 @@ func (j *jscan) partitionDisqualifier() string {
 		// A continued race loser resumes mid-range on an arbitrary
 		// operator; there are no fresh range bounds to partition.
 		return "continued scan"
-	case j.seen != 0:
+	case j.scan.seen != 0:
 		// Entries were already consumed sequentially; an eager
 		// partition pass over the full range would double-charge them.
 		return "rows already seen"
@@ -302,23 +302,20 @@ func (j *jscan) maybePartitionedScan() (bool, error) {
 	if j.cfg.effectiveWorkers() < 2 || j.partitionDisqualifier() != "" {
 		return false, nil
 	}
-	cur, ok := j.cur.(*btree.Cursor)
-	if !ok {
-		return false, nil
-	}
+	sq := &j.scan
 	limitCap := j.partitionLimitCap()
 	// The adaptive policy sees the work the scan will actually do: the
 	// full range, or only the leaves needed to fill the cap.
-	est := j.rangeEst
+	est := sq.rangeEst
 	if limitCap > 0 && float64(limitCap) < est {
 		est = float64(limitCap)
 	}
-	estIO := j.model.LeafPages(est, j.curIx.Tree.AvgLeafEntries()) + float64(j.curIx.Tree.Height())
+	estIO := j.model.LeafPages(est, sq.ix.Tree.AvgLeafEntries()) + float64(sq.ix.Tree.Height())
 	workers := decideWidth(j.cfg, j.ec, j.trc, "Jscan", estIO)
 	if workers < 2 {
 		return false, nil
 	}
-	parts, err := j.curIx.Tree.PartitionRange(j.curLo, j.curHi, workers)
+	parts, err := sq.ix.Tree.PartitionRange(j.curLo, j.curHi, workers)
 	if err != nil || len(parts) < 2 {
 		// Planning trouble or a range too small to split: scan
 		// sequentially. Planning is accounting-free, so falling back
@@ -326,17 +323,16 @@ func (j *jscan) maybePartitionedScan() (bool, error) {
 		return false, nil
 	}
 	n := len(parts)
-	rids := make([][]storage.RID, n)
-	seen := make([]int, n)
+	legs := make([]raceLeg, n) // each partition's share of the scan
 	// fill counts collected RIDs across all workers when an exact-count
 	// cap applies; the worker whose batch reaches the cap sets the stop
 	// flag, so siblings overshoot by at most one batch (about one leaf
 	// access) before unwinding at their next NextBatch check.
 	var fill atomic.Int64
 	err = fanOut(j.m.tr, n, func(i int, tr *storage.Tracker, stop *atomic.Bool) error {
-		var src Operator = cur // worker 0: descent already charged to the shared meter
+		var src Operator = sq.cur // worker 0: descent already charged to the shared meter
 		if i > 0 {
-			c, err := j.curIx.Tree.SeekPartitionLeaf(parts[i].Leaf, j.curHi, tr)
+			c, err := sq.ix.Tree.SeekPartitionLeaf(parts[i].Leaf, j.curHi, tr)
 			if err != nil {
 				return err
 			}
@@ -352,17 +348,14 @@ func (j *jscan) maybePartitionedScan() (bool, error) {
 		}
 		batch := make([]btree.Entry, stepEntries)
 		sc := newAcceptScratch(stepEntries)
+		leg := &legs[i]
+		leg.ix, leg.local = sq.ix, sq.local
 		for !stop.Load() {
-			cnt, err := src.NextBatch(batch)
+			cnt, kept, err := leg.pull(src, batch, j.filter, sc)
 			if err != nil || cnt == 0 {
 				return err
 			}
-			seen[i] += cnt
-			kept, err := acceptEntries(batch[:cnt], j.curIx, j.local, j.filter, sc)
-			if err != nil {
-				return err
-			}
-			rids[i] = append(rids[i], kept...)
+			leg.rids = append(leg.rids, kept...)
 			if limitCap > 0 && len(kept) > 0 &&
 				fill.Add(int64(len(kept))) >= int64(limitCap) {
 				stop.Store(true)
@@ -375,18 +368,18 @@ func (j *jscan) maybePartitionedScan() (bool, error) {
 	}
 	if limitCap > 0 && fill.Load() >= int64(limitCap) {
 		j.trc.emit(TraceEvent{
-			Kind: EvParallelEarlyCancel, Scan: j.name(), Indexes: []string{j.curIx.Name},
+			Kind: EvParallelEarlyCancel, Scan: j.name(), Indexes: []string{sq.ix.Name},
 			ActualIO: j.m.cost(),
 			Detail:   fmt.Sprintf("%d candidates >= LIMIT %d, sibling workers cancelled", fill.Load(), limitCap),
 		})
 	}
-	for i := range parts {
-		j.seen += seen[i]
-		if len(rids[i]) == 0 {
+	for i := range legs {
+		sq.seen += legs[i].seen
+		if len(legs[i].rids) == 0 {
 			continue
 		}
 		// No borrow stream to feed: the gate refuses a scan with one.
-		if err := j.list.AppendBatch(rids[i]); err != nil {
+		if err := j.list.AppendBatch(legs[i].rids); err != nil {
 			return true, err
 		}
 	}

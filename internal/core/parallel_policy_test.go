@@ -77,7 +77,7 @@ func TestJscanPartitionGate(t *testing.T) {
 		return &jscan{
 			q:             &Query{Table: f.tab, Restriction: onAge},
 			cfg:           cfg,
-			curIx:         ixAge,
+			scan:          raceLeg{ix: ixAge},
 			filter:        rid.TrueFilter{},
 			partitionable: true,
 		}
@@ -91,7 +91,7 @@ func TestJscanPartitionGate(t *testing.T) {
 	}{
 		{"fresh full-range scan", func(j *jscan) {}, "", 0},
 		{"continued race loser", func(j *jscan) { j.partitionable = false }, "continued scan", 0},
-		{"mid-scan entry", func(j *jscan) { j.seen = 7 }, "rows already seen", 0},
+		{"mid-scan entry", func(j *jscan) { j.scan.seen = 7 }, "rows already seen", 0},
 		{"competition enabled", func(j *jscan) { j.cfg.DisableCompetition = false }, "competition enabled", 0},
 		{"borrow queue attached", func(j *jscan) { j.borrow = &ridQueue{} }, "borrow queue attached", 0},
 		{"limit without adaptive mode", func(j *jscan) { j.q.Limit = 5 }, "limit without exact-count cap", 0},

@@ -63,7 +63,7 @@ func (j *jscan) runRaceParallel() error {
 			sc := newAcceptScratch(stepEntries)
 			lastCheck := 0
 			for !raceOver() {
-				n, err := leg.cur.NextBatch(batch)
+				n, kept, err := leg.pull(leg.cur, batch, j.filter, sc)
 				if err != nil {
 					errs[li] = err
 					stopErr.Store(true)
@@ -74,29 +74,16 @@ func (j *jscan) runRaceParallel() error {
 					stopWin.CompareAndSwap(0, int32(li+1))
 					return
 				}
-				leg.seen += n
-				kept, err := acceptEntries(batch[:n], leg.ix, leg.local, j.filter, sc)
-				if err != nil {
-					errs[li] = err
-					stopErr.Store(true)
-					return
-				}
 				leg.rids = append(leg.rids, kept...)
 				if memBudget > 0 && len(leg.rids) >= memBudget {
 					stopMem.Store(true)
 					return
 				}
-				if !j.cfg.DisableCompetition && leg.seen >= stepEntries &&
-					leg.seen-lastCheck >= stepEntries {
+				if leg.seen-lastCheck >= stepEntries {
 					lastCheck = leg.seen
-					frac := float64(leg.seen) / leg.rangeEst
-					if frac > 1 {
-						frac = 1
-					}
-					projFinal := j.model.JscanFinalCost(float64(len(leg.rids)) / frac)
 					// The leg's own tracker gives its exact scan cost —
 					// no half-split approximation needed.
-					if j.cfg.Criterion.Abandon(projFinal, float64(leg.tr.IOCost()), j.currentGuaranteedBest()) {
+					if projFinal, abandon := abandonProjected(&j.cfg, j.model, len(leg.rids), leg.seen, leg.rangeEst, float64(leg.tr.IOCost()), j.currentGuaranteedBest()); abandon {
 						leg.dead = true
 						leg.cur.Close()
 						events[li] = append(events[li], TraceEvent{

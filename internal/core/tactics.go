@@ -150,7 +150,7 @@ func (r *retrieval) fail(err error) error {
 	if r.err == nil {
 		r.err = err
 	}
-	if isCancellation(err) {
+	if IsCancellation(err) {
 		if r.fg != nil && !r.fgDone && !r.fgTerminated {
 			r.trc.emit(TraceEvent{
 				Kind: EvScanAbandoned, Tactic: r.tactic.String(), Scan: r.fg.name(),
@@ -573,7 +573,7 @@ func (r *retrieval) finalizeStats() {
 	// A cancelled retrieval is not a tactic win, and its truncated I/O
 	// would pollute the estimate-error histogram; it is counted by the
 	// cancellation counters instead. Nor is a join's table access.
-	if !(r.err != nil && isCancellation(r.err)) && r.q.join == nil {
+	if !(r.err != nil && IsCancellation(r.err)) && r.q.join == nil {
 		r.metrics.recordRetrieval(r.tactic, &r.st, !r.pinned)
 	}
 	if r.fb != nil && r.err == nil && !r.pinned {

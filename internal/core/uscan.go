@@ -249,22 +249,14 @@ func (u *uscan) step() (bool, error) {
 	// Two-stage competition: project the final union size; the
 	// guaranteed best is always Tscan (no intersection can improve
 	// a union mid-flight).
-	if !u.cfg.DisableCompetition && u.seen >= stepEntries {
-		frac := float64(u.seen) / u.totalEst
-		if frac > 1 {
-			frac = 1
-		}
-		proj := float64(u.list.Len()) / frac
-		projFinal := u.model.JscanFinalCost(proj)
-		scanCost := float64(u.m.total())
-		if u.cfg.Criterion.Abandon(projFinal, scanCost, u.model.TscanCost()) {
-			u.trc.emit(TraceEvent{
-				Kind: EvScanAbandoned, Scan: u.name(), Indexes: u.names,
-				EstimatedIO: projFinal, ActualIO: u.m.cost(),
-				Detail: fmt.Sprintf("union abandoned (proj final %.0f, scan cost %.0f, Tscan %.0f)", projFinal, scanCost, u.model.TscanCost()),
-			})
-			u.abandon()
-		}
+	scanCost := float64(u.m.total())
+	if projFinal, abandon := abandonProjected(&u.cfg, u.model, u.list.Len(), u.seen, u.totalEst, scanCost, u.model.TscanCost()); abandon {
+		u.trc.emit(TraceEvent{
+			Kind: EvScanAbandoned, Scan: u.name(), Indexes: u.names,
+			EstimatedIO: projFinal, ActualIO: u.m.cost(),
+			Detail: fmt.Sprintf("union abandoned (proj final %.0f, scan cost %.0f, Tscan %.0f)", projFinal, scanCost, u.model.TscanCost()),
+		})
+		u.abandon()
 	}
 	return u.done, nil
 }

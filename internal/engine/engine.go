@@ -382,7 +382,7 @@ func (s *Stmt) QueryContext(ctx context.Context, binds Binds) (*Result, error) {
 			rows = s.db.opt.RunPlan(ec, &q, plan)
 			shape := s.shape
 			onDone = func(st *core.RetrievalStats, _ bool, err error) {
-				if isCancellation(err) {
+				if core.IsCancellation(err) {
 					return // deadline pressure is not the plan's fault
 				}
 				cache.observeFrozen(shape, st, err)
@@ -470,7 +470,7 @@ func (s *Stmt) explainJoin(ec *core.ExecCtx, jq *core.JoinQuery, analyze bool) (
 	switch plan, err := planner.PrepareJoin(ec, jq); {
 	case err == nil:
 		staticPlan = plan.String()
-	case isCancellation(err):
+	case core.IsCancellation(err):
 		return nil, err
 	default:
 		staticPlan = "error: " + err.Error()
@@ -507,15 +507,6 @@ func explainResult(out [][2]string, st *core.RetrievalStats) *Result {
 		exp[i] = expr.Row{expr.Str(kv[0]), expr.Str(kv[1])}
 	}
 	return &Result{columns: []string{"aspect", "detail"}, explain: exp, expStat: st}
-}
-
-// isCancellation reports whether err is an execution-context unwind
-// (caller cancellation, deadline, or I/O budget) rather than a fault of
-// the plan or data.
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, storage.ErrBudgetExceeded)
 }
 
 // explain plans the retrieval with the current bindings and reports the

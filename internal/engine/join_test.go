@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"rdbdyn/internal/catalog"
 	"rdbdyn/internal/core"
 	"rdbdyn/internal/expr"
+	"rdbdyn/internal/feedback"
 )
 
 // newJoinDB builds a CUST/ORD pair with referential join keys.
@@ -367,87 +369,246 @@ func TestEngineJoinPicksHashJoin(t *testing.T) {
 	}
 }
 
-// newSortAvoidDB builds the fat-table schema whose cheapest ORDER BY
-// plan is order-preserving (see core's sortAvoidFixture).
-func newSortAvoidDB(t *testing.T, opts Options) *DB {
+// declare creates tables, each given as its name followed by its
+// columns (INT, except NAME and PAD), then the index TABLE_COL_IX for
+// each {TABLE, COL}: the indexes exist before the rows arrive.
+func declare(t *testing.T, db *DB, tables [][]string, indexes [][2]string) {
 	t.Helper()
-	db := Open(opts)
-	if _, err := db.CreateTable("CUST",
-		catalog.Column{Name: "ID", Type: expr.TypeInt},
-		catalog.Column{Name: "SEG", Type: expr.TypeInt},
-		catalog.Column{Name: "PAD", Type: expr.TypeString},
-	); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.CreateTable("ORD",
-		catalog.Column{Name: "ID", Type: expr.TypeInt},
-		catalog.Column{Name: "CUST", Type: expr.TypeInt},
-		catalog.Column{Name: "PAD", Type: expr.TypeString},
-	); err != nil {
-		t.Fatal(err)
-	}
-	for _, ix := range [][3]string{{"CUST", "CUST_ID_IX", "ID"}, {"ORD", "ORD_CUST_IX", "CUST"}} {
-		if _, err := db.CreateIndex(ix[0], ix[1], ix[2]); err != nil {
+	for _, tab := range tables {
+		var cols []catalog.Column
+		for _, name := range tab[1:] {
+			col := catalog.Column{Name: name, Type: expr.TypeInt}
+			if name == "NAME" || name == "PAD" {
+				col.Type = expr.TypeString
+			}
+			cols = append(cols, col)
+		}
+		if _, err := db.CreateTable(tab[0], cols...); err != nil {
 			t.Fatal(err)
 		}
 	}
-	rng := rand.New(rand.NewSource(11))
+	for _, ix := range indexes {
+		if _, err := db.CreateIndex(ix[0], ix[0]+"_"+ix[1]+"_IX", ix[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// newPinnedJoinDB loads one of the two databases TestJoinPinnedIO's
+// figures were taken on, both on 128 frames with races off. The star is
+// 1000 CUST, 4000 fat ORD, 50 ITEM, every join key indexed; SEG = 0
+// covers 60% of customers, so the unsargable 10% guess undershoots even
+// before feedback is poisoned. The other has no index on ORD's join key,
+// so no index probe serves the join, while REGION (1% per value) gives
+// a hash join a cheap index-assisted build side.
+func newPinnedJoinDB(t *testing.T, star bool) *DB {
+	t.Helper()
+	db := Open(Options{PoolFrames: 128, Optimizer: core.Config{RaceFactor: -1}})
+	insert := func(table string, values ...any) {
+		if err := db.Insert(table, values...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const nCust, nOrd, nItem = 1000, 4000, 50
+	if !star {
+		declare(t, db, [][]string{{"CUST", "ID", "SEG", "NAME"}, {"ORD", "ID", "CUST", "REGION", "QTY", "PAD"}},
+			[][2]string{{"CUST", "ID"}, {"ORD", "REGION"}})
+		rng, pad := rand.New(rand.NewSource(13)), strings.Repeat("x", 800)
+		for i := 0; i < nCust; i++ {
+			insert("CUST", i, int(rng.Int63n(5)), fmt.Sprintf("c%05d", i))
+		}
+		for i := 0; i < nOrd; i++ {
+			insert("ORD", i, int(rng.Int63n(nCust)), i%100, 1+int(rng.Int63n(9)), pad)
+		}
+		return db
+	}
+	declare(t, db, [][]string{{"CUST", "ID", "SEG", "NAME"}, {"ORD", "ID", "CUST", "ITEM", "QTY", "PAD"}, {"ITEM", "ID", "KIND"}},
+		[][2]string{{"CUST", "ID"}, {"ORD", "CUST"}, {"ITEM", "ID"}})
+	rng, pad := rand.New(rand.NewSource(7)), strings.Repeat("x", 400)
+	for i := 0; i < nCust; i++ {
+		seg := int(rng.Int63n(10))
+		if seg < 6 {
+			seg = 0
+		}
+		insert("CUST", i, seg, fmt.Sprintf("c%05d", i))
+	}
+	for i := 0; i < nOrd; i++ {
+		insert("ORD", i, int(rng.Int63n(nCust)), int(rng.Int63n(nItem)), 1+int(rng.Int63n(9)), pad)
+	}
+	for i := 0; i < nItem; i++ {
+		insert("ITEM", i, int(rng.Int63n(5)))
+	}
+	return db
+}
+
+// TestJoinPinnedIO pins the join executor's attributed I/O, page for
+// page, on the comparisons the engine's claims rest on; each leg runs
+// from an evicted pool on its own twin database. Statically (the plan
+// chosen up front runs to completion, as a freezing optimizer would)
+// against dynamically: under accurate statistics both land on one plan
+// and one cost; under a poisoned feedback correction (CUST whole-table
+// guesses "run 16x over") the static plan commits to index probes sized
+// for the bogus estimate, while the dynamic run sees the driver's true
+// cardinality at the first boundary and re-plans into hj. And on the
+// unindexed equi-key: each forced scan-based competitor against the
+// dynamic run, which must settle on hj.
+func TestJoinPinnedIO(t *testing.T) {
+	const (
+		starSQL = "SELECT CUST.NAME, ORD.QTY, ITEM.KIND FROM CUST JOIN ORD ON CUST.ID = ORD.CUST JOIN ITEM ON ORD.ITEM = ITEM.ID WHERE SEG = 0"
+		hashSQL = "SELECT CUST.NAME, ORD.QTY FROM CUST JOIN ORD ON CUST.ID = ORD.CUST WHERE ORD.REGION = 3"
+	)
+	io := map[string]int64{}
+	for _, leg := range []struct {
+		name     string
+		star     bool
+		poisoned bool
+		static   bool                 // run the plan PlanJoin freezes
+		forced   []core.JoinStagePlan // or this one; neither = dynamic
+		strategy string
+		io       int64
+		rows     int
+		reopts   int
+	}{
+		{"accurate/static", true, false, true, nil, "ITEM:tscan -> ORD:hj -> CUST:hj", 215, 2293, 0},
+		{"accurate/dynamic", true, false, false, nil, "ITEM:tscan -> ORD:hj -> CUST:hj", 215, 2293, 0},
+		{"skewed/static", true, true, true, nil, "CUST:tscan -> ORD:inl(ORD_CUST_IX) -> ITEM:hj", 1014, 2293, 0},
+		{"skewed/dynamic", true, true, false, nil, "CUST:tscan -> ORD:hj -> ITEM:hj", 215, 2293, 1},
+		// CUST drives, ORD is rescanned as the inner.
+		{"unindexed/nl", false, false, false, []core.JoinStagePlan{
+			{Table: 0, Operator: "tscan", EstRows: 1000},
+			{Table: 1, Operator: core.JoinOpNL, EstRows: 1}}, "CUST:tscan -> ORD:nl", 403, 40, 0},
+		// The restricted ORD side drives and probes CUST_ID_IX: the best
+		// an index probe can do with ORD's join key unindexed.
+		{"unindexed/inl", false, false, false, []core.JoinStagePlan{
+			{Table: 1, Operator: "tscan", EstRows: 40},
+			{Table: 0, Operator: core.JoinOpINL, Index: "CUST_ID_IX", EstRows: 1}}, "ORD:tscan -> CUST:inl(CUST_ID_IX)", 408, 40, 0},
+		{"unindexed/dynamic", false, false, false, nil, "ORD:iscan(ORD_REGION_IX) -> CUST:hj", 43, 40, 0},
+	} {
+		db, src := newPinnedJoinDB(t, leg.star), hashSQL
+		if leg.star {
+			src = starSQL
+		}
+		stmt, err := db.Prepare(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := core.Config{RaceFactor: -1}
+		if leg.poisoned {
+			// The first sample adopts its ratio; the registry clamps it
+			// at the 1/16 floor.
+			cfg.Feedback = feedback.New(0)
+			cfg.Feedback.ObserveCardinality("CUST", "", 160, 10)
+		}
+		opt, jq := core.NewOptimizer(cfg), stmt.JoinQuery()
+		db.Pool().EvictAll()
+		var plan *core.JoinPlan
+		if leg.forced != nil {
+			plan = &core.JoinPlan{Stages: leg.forced}
+		} else if leg.static {
+			if plan, err = opt.PlanJoin(nil, jq); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rows, n, reopts := opt.RunJoin(nil, jq, plan), 0, 0
+		for {
+			_, ok, err := rows.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			n++
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st := rows.Stats()
+		for _, ev := range st.Events {
+			if ev.Kind == core.EvJoinReoptimized {
+				reopts++
+			}
+		}
+		io[leg.name] = st.IO.IOCost()
+		if st.Strategy != leg.strategy || io[leg.name] != leg.io || n != leg.rows || reopts != leg.reopts {
+			t.Errorf("%s: %s, %d I/O, %d rows, %d re-optimizations; want %s, %d, %d, %d",
+				leg.name, st.Strategy, io[leg.name], n, reopts, leg.strategy, leg.io, leg.rows, leg.reopts)
+		}
+	}
+	// The gates a deliberate re-pin must still clear.
+	if io["skewed/static"] < 4*io["skewed/dynamic"] {
+		t.Errorf("re-optimization under skew: static %d I/O, dynamic %d, want >= 4x", io["skewed/static"], io["skewed/dynamic"])
+	}
+	if dyn := io["unindexed/dynamic"]; io["unindexed/nl"] < 3*dyn || io["unindexed/inl"] < 3*dyn {
+		t.Errorf("hj on the unindexed equi-key: nl %d, inl %d, dynamic %d I/O, want >= 3x below both", io["unindexed/nl"], io["unindexed/inl"], dyn)
+	}
+}
+
+// newSortAvoidDB builds the fat-table schema whose cheapest ORDER BY
+// plan is order-preserving (see core's sortAvoidFixture): nCust
+// customers and nOrd orders referencing them at random from seed.
+func newSortAvoidDB(t *testing.T, opts Options, nCust, nOrd int, seed int64) *DB {
+	t.Helper()
+	db := Open(opts)
+	declare(t, db, [][]string{{"CUST", "ID", "SEG", "PAD"}, {"ORD", "ID", "CUST", "PAD"}},
+		[][2]string{{"CUST", "ID"}, {"ORD", "CUST"}})
+	rng := rand.New(rand.NewSource(seed))
 	pad := strings.Repeat("p", 400)
-	for i := 0; i < 300; i++ {
+	for i := 0; i < nCust; i++ {
 		if err := db.Insert("CUST", i, i%5, pad); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for i := 0; i < 900; i++ {
-		if err := db.Insert("ORD", i, int(rng.Int63n(300)), pad); err != nil {
+	for i := 0; i < nOrd; i++ {
+		if err := db.Insert("ORD", i, int(rng.Int63n(int64(nCust))), pad); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return db
 }
 
-// TestEngineJoinOrderBySortAvoided runs an ORDER BY join through SQL on
-// twin databases, one with sort avoidance disabled: the aware run must
-// skip the materialized sort and deliver the baseline's rows in the
-// same order.
+// TestEngineJoinOrderBySortAvoided runs an ORDER BY join through SQL:
+// the run must skip the materialized sort and still deliver what an
+// independent single-table retrieval of the orders says it should, in
+// key order, for the pinned rows and attributed I/O.
 func TestEngineJoinOrderBySortAvoided(t *testing.T) {
-	src := "SELECT CUST.ID, ORD.ID FROM CUST JOIN ORD ON CUST.ID = ORD.CUST WHERE CUST.ID < 12 ORDER BY CUST.ID"
-	aware := newSortAvoidDB(t, Options{})
-	base := newSortAvoidDB(t, Options{Optimizer: core.Config{DisableJoinSortAvoidance: true}})
-	ares, err := aware.Query(src, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arows, err := ares.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bres, err := base.Query(src, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	brows, err := bres.All()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ares.Stats().SortAvoided {
-		t.Fatalf("aware run sorted anyway: %s", ares.Stats().Strategy)
-	}
-	if bres.Stats().SortAvoided {
-		t.Fatal("baseline avoided the sort with avoidance disabled")
-	}
-	if len(arows) == 0 || len(arows) != len(brows) {
-		t.Fatalf("aware %d rows, baseline %d", len(arows), len(brows))
-	}
-	for i := range arows {
-		for c := range arows[i] {
-			if expr.Compare(arows[i][c], brows[i][c]) != 0 {
-				t.Fatalf("row %d differs: %v vs %v", i, arows[i], brows[i])
+	const strategy = "CUST:iscan(CUST_ID_IX) -> ORD:inl(ORD_CUST_IX)"
+	for _, tc := range []struct {
+		opts        Options
+		nCust, nOrd int
+		seed        int64
+		lim, rows   int
+		io          int64
+	}{
+		{Options{}, 300, 900, 11, 12, 37, 26},
+		{Options{PoolFrames: 128, Optimizer: core.Config{RaceFactor: -1}}, 1333, 4000, 17, 53, 176, 120},
+	} {
+		db := newSortAvoidDB(t, tc.opts, tc.nCust, tc.nOrd, tc.seed)
+		orders, _ := runShape(t, db, cacheShape{name: "orders", src: "SELECT CUST, ID FROM ORD WHERE CUST < :lim", binds: Binds{"lim": tc.lim}})
+		want := map[string]int{}
+		for _, o := range orders {
+			want[fmt.Sprint(o)]++
+		}
+		db.Pool().EvictAll()
+		rows, st := runShape(t, db, cacheShape{name: "join", src: fmt.Sprintf(
+			"SELECT CUST.ID, ORD.ID FROM CUST JOIN ORD ON CUST.ID = ORD.CUST WHERE CUST.ID < %d ORDER BY CUST.ID", tc.lim)})
+		if !st.SortAvoided || st.Strategy != strategy {
+			t.Fatalf("sort avoided = %v on %s, want %s", st.SortAvoided, st.Strategy, strategy)
+		}
+		if len(rows) != tc.rows || len(orders) != tc.rows || st.IO.IOCost() != tc.io {
+			t.Fatalf("%d rows for %d orders at %d I/O, want %d rows at %d", len(rows), len(orders), st.IO.IOCost(), tc.rows, tc.io)
+		}
+		for i, row := range rows {
+			if want[fmt.Sprint(row)]--; want[fmt.Sprint(row)] < 0 {
+				t.Fatalf("row %d: %v is not an order of a customer below %d (or came twice)", i, row, tc.lim)
+			}
+			if i > 0 && expr.Compare(rows[i-1][0], row[0]) > 0 {
+				t.Fatalf("row %d: key %v after %v", i, row[0], rows[i-1][0])
 			}
 		}
-	}
-	if m := aware.Metrics(); m.JoinSortsAvoided == 0 {
-		t.Fatalf("sorts-avoided metric = %+v", m)
+		if m := db.Metrics(); m.JoinSortsAvoided == 0 {
+			t.Fatalf("sorts-avoided metric = %+v", m)
+		}
 	}
 }
 

@@ -56,6 +56,10 @@ type cacheShape struct {
 	// tactic the dynamic optimizer settles on (checked so the suite is
 	// known to cover distinct plan forms, not six spellings of tscan).
 	tactic string
+	// Pinned by TestPlanCacheWarmReplayIO: rows delivered, the cold
+	// run's estimation I/O, and pool I/O of a cold and of a frozen run.
+	rows                          int
+	coldSetupIO, coldIO, frozenIO int64
 }
 
 func cacheShapes() []cacheShape {
@@ -64,13 +68,13 @@ func cacheShapes() []cacheShape {
 		pad += "x"
 	}
 	return []cacheShape{
-		{"seq-sweep", "SELECT * FROM FAMILIES WHERE PAD = :p", Binds{"p": pad}, "tscan"},
-		{"covered-range", "SELECT AGE FROM FAMILIES WHERE AGE >= :lo", Binds{"lo": 9900}, "sscan"},
-		{"ordered-range", "SELECT ID, AGE FROM FAMILIES WHERE AGE >= :lo ORDER BY AGE", Binds{"lo": 9950}, "fscan"},
-		{"intersection", "SELECT * FROM FAMILIES WHERE AGE >= :lo AND CITY = :c", Binds{"lo": 9000, "c": "C042"}, "background-only"},
-		{"limited", "SELECT * FROM FAMILIES WHERE CITY = :c LIMIT 5", Binds{"c": "C042"}, "fast-first"},
-		{"sorted-filter", "SELECT * FROM FAMILIES WHERE AGE >= :lo AND CITY = :c ORDER BY AGE", Binds{"lo": 9930, "c": "C042"}, "sorted"},
-		{"count-range", "SELECT COUNT(*) FROM FAMILIES WHERE AGE >= :lo", Binds{"lo": 9900}, "background-only"},
+		{"seq-sweep", "SELECT * FROM FAMILIES WHERE PAD = :p", Binds{"p": pad}, "tscan", 20000, 0, 147, 147},
+		{"covered-range", "SELECT AGE FROM FAMILIES WHERE AGE >= :lo", Binds{"lo": 9900}, "sscan", 200, 0, 2, 2},
+		{"ordered-range", "SELECT ID, AGE FROM FAMILIES WHERE AGE >= :lo ORDER BY AGE", Binds{"lo": 9950}, "fscan", 100, 2, 116, 102},
+		{"intersection", "SELECT * FROM FAMILIES WHERE AGE >= :lo AND CITY = :c", Binds{"lo": 9000, "c": "C042"}, "background-only", 21, 6, 32, 32},
+		{"limited", "SELECT * FROM FAMILIES WHERE CITY = :c LIMIT 5", Binds{"c": "C042"}, "fast-first", 5, 3, 23, 9},
+		{"sorted-filter", "SELECT * FROM FAMILIES WHERE AGE >= :lo AND CITY = :c ORDER BY AGE", Binds{"lo": 9930, "c": "C042"}, "sorted", 1, 5, 14, 14},
+		{"count-range", "SELECT COUNT(*) FROM FAMILIES WHERE AGE >= :lo", Binds{"lo": 9900}, "background-only", 1, 2, 125, 125},
 	}
 }
 
@@ -179,6 +183,46 @@ func TestPlanCacheEquivalence(t *testing.T) {
 	}
 	if cold.PlanCacheSnapshot().Enabled {
 		t.Error("cache-off DB reports an enabled plan cache")
+	}
+}
+
+// TestPlanCacheWarmReplayIO pins what a frozen replay saves, in pages.
+// Each shape runs PromoteAfter times dynamically, then as often frozen,
+// on 1024 frames and every time from an evicted pool, so both sides read
+// the same data pages and differ by what only dynamic optimization
+// pays: the estimation descents (Stats().EstimateIO; their pages are
+// hits for the scan that follows) and, on an index's first use, the
+// cluster-ratio sample. Totals are the pool's counters, not the query
+// tracker's, so pages read outside the tracked retrieval count too.
+func TestPlanCacheWarmReplayIO(t *testing.T) {
+	const promoteAfter = 3
+	db := buildCacheDB(t, Options{PoolFrames: 1024, PlanCache: PlanCacheConfig{Enable: true, PromoteAfter: promoteAfter}})
+	shapes := cacheShapes()
+	var coldSetup int64
+	for _, sh := range shapes {
+		for run := 0; run < 2*promoteAfter; run++ {
+			db.Pool().EvictAll()
+			db.Pool().ResetStats()
+			rows, st := runShape(t, db, sh)
+			wantSetup, wantIO := sh.coldSetupIO, sh.frozenIO
+			if run == 0 {
+				wantIO = sh.coldIO
+				coldSetup += st.EstimateIO
+			}
+			if run >= promoteAfter {
+				wantSetup = 0
+			}
+			if io := db.Pool().Stats().IOCost(); st.Tactic != sh.tactic || len(rows) != sh.rows || st.EstimateIO != wantSetup || io != wantIO {
+				t.Errorf("%s run %d: %s, %d rows, setup I/O %d, pool I/O %d; want %s, %d, %d, %d",
+					sh.name, run, st.Tactic, len(rows), st.EstimateIO, io, sh.tactic, sh.rows, wantSetup, wantIO)
+			}
+		}
+	}
+	if snap := db.PlanCacheSnapshot(); snap.Frozen != len(shapes) || snap.Hits != int64(promoteAfter*len(shapes)) {
+		t.Errorf("frozen plans %d, hits %d; want %d, %d", snap.Frozen, snap.Hits, len(shapes), promoteAfter*len(shapes))
+	}
+	if coldSetup != 18 {
+		t.Errorf("summed cold setup I/O = %d, want 18 (against 0 frozen)", coldSetup)
 	}
 }
 
