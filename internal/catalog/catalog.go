@@ -471,13 +471,15 @@ func (ix *Index) Covers(cols []int) bool {
 	return true
 }
 
-// KeyRestriction returns the conjuncts of e whose columns all lie in the
-// index key — what a scan can decide on an entry before fetching the
-// record — or nil when there are none.
-func (ix *Index) KeyRestriction(e expr.Expr) expr.Expr {
+// KeyRestriction returns what a scan of the index over the range
+// RestrictionBounds(e, binds) still has to decide on an entry: the
+// conjuncts of e whose columns all lie in the key, less the ones every
+// entry of that range provably satisfies — or nil when nothing is left.
+func (ix *Index) KeyRestriction(e expr.Expr, binds expr.Bindings) expr.Expr {
+	bounded := ix.boundedCols(e, binds)
 	var local []expr.Expr
 	for _, cj := range expr.Conjuncts(e) {
-		if ix.Covers(expr.Columns(cj)) {
+		if !ix.impliedByRange(cj, binds, bounded) && ix.Covers(expr.Columns(cj)) {
 			local = append(local, cj)
 		}
 	}
@@ -485,6 +487,37 @@ func (ix *Index) KeyRestriction(e expr.Expr) expr.Expr {
 		return nil
 	}
 	return expr.NewAnd(local...)
+}
+
+// boundedCols counts the leading key columns whose sargable conjuncts
+// RestrictionBounds turns into the key range: the equality-pinned
+// prefix and the first column with a broader range.
+func (ix *Index) boundedCols(e expr.Expr, binds expr.Bindings) int {
+	for i, col := range ix.Cols {
+		rg, n := expr.ExtractRange(e, col, binds)
+		if n == 0 {
+			return i
+		}
+		if !rg.IsPoint() {
+			return i + 1
+		}
+	}
+	return len(ix.Cols)
+}
+
+// impliedByRange reports whether every entry of the key range satisfies
+// conjunct cj: a sargable comparison of one of the first bounded key
+// columns. That column's part of the range is the intersection of all
+// such comparisons, so never wider than cj's own, and holds no NULL key;
+// expr.ProvedByKeyRange says whether that proves cj.
+func (ix *Index) impliedByRange(cj expr.Expr, binds expr.Bindings, bounded int) bool {
+	c, ok := cj.(*expr.Cmp)
+	for i := 0; ok && i < bounded; i++ {
+		if expr.ProvedByKeyRange(c, ix.Cols[i], ix.types[i], binds) {
+			return true
+		}
+	}
+	return false
 }
 
 // DeliversOrder reports whether an ascending scan of the index yields
@@ -506,8 +539,10 @@ func (ix *Index) DeliversOrder(order []int) bool {
 // the restriction pins: leading columns with point (equality) ranges
 // extend the key prefix, the first column with a broader range
 // contributes its bounds, and later columns are left to per-entry
-// evaluation. It returns lo inclusive / hi exclusive (nil = open), how
-// many conjuncts contributed, and whether the range is provably empty.
+// evaluation. A range with only an upper bound starts after the NULL
+// keys: a NULL satisfies no comparison. It returns lo inclusive / hi
+// exclusive (nil = open), how many conjuncts contributed, and whether
+// the range is provably empty.
 func (ix *Index) RestrictionBounds(e expr.Expr, binds expr.Bindings) (lo, hi []byte, sargable int, empty bool) {
 	var prefix []expr.Value
 	for _, col := range ix.Cols {
@@ -530,8 +565,8 @@ func (ix *Index) RestrictionBounds(e expr.Expr, binds expr.Bindings) (lo, hi []b
 			if !rg.Lo.Inclusive {
 				lo = expr.KeySuccessor(lo)
 			}
-		} else if len(prefix) > 0 {
-			lo = base
+		} else {
+			lo = expr.KeySuccessor(expr.EncodeKey(append([]byte(nil), base...), expr.Null()))
 		}
 		if rg.Hi.Present {
 			hi = expr.EncodeKey(append([]byte(nil), base...), rg.Hi.Value)

@@ -118,6 +118,7 @@ func (f *finalStage) step() (bool, error) {
 // partition workers run it unbounded (budget 0) over their chunk,
 // polling stop. done reports that c is exhausted.
 func (f *finalStage) fetch(c *fetchCursor, tr *storage.Tracker, budget int, stop *atomic.Bool, out *rowQueue) (done bool, _ error) {
+	defer out.own()
 	for fetches := 0; (budget == 0 || fetches < budget) && !stopped(stop); {
 		c.prefetchAhead(f.q.Table.Pool())
 		run := c.run[:0]
@@ -182,19 +183,38 @@ func (c *fetchCursor) prefetchAhead(pool *storage.BufferPool) {
 	pool.Prefetch(buf)
 }
 
-// sortRows orders rows by the given column positions ascending (the
-// SORT node the paper's goal-inference rules refer to; used when an
-// order is requested but no order-needed index carries the retrieval).
+// sortRows orders rows by the given column positions (the SORT node the
+// paper's goal-inference rules refer to; used when an order is requested
+// but no order-needed index carries the retrieval). Each row's leading
+// sort key is extracted once, beside its arrival sequence: the sequence
+// breaks ties, so an unstable O(n log n) sort yields the stable order.
 func sortRows(rows []expr.Row, by []int, desc bool) {
-	slices.SortStableFunc(rows, func(a, b expr.Row) int {
-		for _, c := range by {
-			if d := expr.Compare(a[c], b[c]); d != 0 {
-				if desc {
-					return -d
-				}
-				return d
+	type keyed struct {
+		key expr.Value
+		row expr.Row
+		seq int
+	}
+	ks := make([]keyed, len(rows))
+	for i, r := range rows {
+		ks[i] = keyed{key: r[by[0]], row: r, seq: i}
+	}
+	slices.SortFunc(ks, func(a, b keyed) int {
+		d := expr.Compare(a.key, b.key)
+		for _, c := range by[1:] {
+			if d != 0 {
+				break
 			}
+			d = expr.Compare(a.row[c], b.row[c])
 		}
-		return 0
+		if desc {
+			d = -d
+		}
+		if d == 0 {
+			d = a.seq - b.seq
+		}
+		return d
 	})
+	for i := range ks {
+		rows[i] = ks[i].row
+	}
 }

@@ -246,7 +246,7 @@ func (jr *joinRun) start() error {
 			if err != nil {
 				return err
 			}
-			jr.top, upRows = &rowQueue{rows: rows}, float64(len(rows))
+			jr.top, upRows = &queue[expr.Row]{rows: rows}, float64(len(rows))
 			if est := jr.plan[si-1].EstRows; jr.dynamic && diverged(est, upRows) {
 				chosen := make([]int, si)
 				for i, sg := range jr.plan[:si] {
@@ -303,7 +303,7 @@ func (jr *joinRun) start() error {
 			by[i] = jr.loc[p]
 		}
 		sortRows(rows, by, jq.OrderDesc)
-		jr.top = &rowQueue{rows: rows}
+		jr.top = &queue[expr.Row]{rows: rows}
 	}
 	if !jr.direct { // what is delivered, as positions of the pipeline row
 		jr.proj = slices.Clone(jr.proj)

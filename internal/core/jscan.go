@@ -78,9 +78,8 @@ type jscan struct {
 
 	// Batch scratch for the single-goroutine paths (steps are strictly
 	// sequential within one jscan; goroutine race legs and partition
-	// workers allocate their own). Sized to stepEntries on first use.
-	batch []btree.Entry
-	sc    *acceptScratch
+	// workers allocate their own). Allocated on first use.
+	sc *acceptScratch
 }
 
 type raceState struct {
@@ -88,12 +87,13 @@ type raceState struct {
 }
 
 // raceLeg is one index scan in flight: a racing leg, the current
-// sequential scan, or (ix, local, rids and seen only) one partition of
-// a partitioned scan.
+// sequential scan, (ix, local, rids and seen only) one partition of a
+// partitioned scan, or (ix, local, out) an Sscan.
 type raceLeg struct {
 	ix       *catalog.Index
 	cur      *btree.Cursor
 	local    *rowKernel
+	out      *rowQueue // where local delivers its survivors: an Sscan's; else nil
 	rids     []storage.RID
 	seen     int
 	rangeEst float64
@@ -340,16 +340,18 @@ func (j *jscan) openLeg(e estimate.IndexEstimate, own bool) (raceLeg, error) {
 	}, nil
 }
 
-// pull is the one read every Jscan scheduler makes: src's next batch,
-// counted in l.seen, through the previous list's filter and the leg's
-// key kernel (acceptEntries). n == 0 means src is exhausted. src is
-// l.cur, or a partition worker's slice of the scan.
-func (l *raceLeg) pull(src Operator, batch []btree.Entry, filter rid.Filter, sc *acceptScratch) (n int, kept []storage.RID, err error) {
+// pull is the one read every Jscan scheduler and Sscan makes: src's
+// next batch of at most budget entries, counted in l.seen, through the
+// previous list's filter and the leg's key kernel (acceptEntries).
+// n == 0 means src is exhausted. src is l.cur, a partition worker's
+// slice of the scan, or an Sscan's cursor.
+func (l *raceLeg) pull(src Operator, budget int, filter rid.Filter, sc *acceptScratch) (n int, kept []storage.RID, err error) {
+	batch := sc.batch[:min(budget, len(sc.batch))]
 	if n, err = src.NextBatch(batch); err != nil || n == 0 {
 		return 0, nil, err
 	}
 	l.seen += n
-	kept, err = acceptEntries(batch[:n], l.ix, l.local, filter, sc)
+	kept, err = acceptEntries(batch[:n], l.ix, l.local, l.out, filter, sc)
 	return n, kept, err
 }
 
@@ -366,13 +368,11 @@ func abandonProjected(cfg *Config, model estimate.CostModel, listLen, seen int, 
 	return projFinal, cfg.Criterion.Abandon(projFinal, scanCost, best)
 }
 
-// ensureBuffers sizes the shared batch scratch to one step.
+// ensureBuffers allocates the shared batch scratch.
 func (j *jscan) ensureBuffers() {
-	if j.batch != nil {
-		return
+	if j.sc == nil {
+		j.sc = newAcceptScratch(firstBatch)
 	}
-	j.batch = make([]btree.Entry, stepEntries)
-	j.sc = newAcceptScratch(stepEntries)
 }
 
 // stepSequential advances the current single-index scan by one step of
@@ -386,7 +386,7 @@ func (j *jscan) stepSequential() error {
 	}
 	sq := &j.scan
 	for budget := stepEntries; budget > 0; {
-		n, kept, err := sq.pull(sq.cur, j.batch[:min(budget, len(j.batch))], j.filter, j.sc)
+		n, kept, err := sq.pull(sq.cur, budget, j.filter, j.sc)
 		if err != nil {
 			return err
 		}
@@ -512,7 +512,7 @@ func (j *jscan) stepRace() error {
 			continue
 		}
 		for budget := half; budget > 0; {
-			n, kept, err := leg.pull(leg.cur, j.batch[:min(budget, len(j.batch))], j.filter, j.sc)
+			n, kept, err := leg.pull(leg.cur, budget, j.filter, j.sc)
 			if err != nil {
 				return err
 			}

@@ -58,44 +58,50 @@ func (b *boundedOp) NextBatch(dst []btree.Entry) (int, error) {
 
 func (b *boundedOp) Close() { b.src.Close() }
 
-// acceptScratch is the per-consumer buffer set of acceptEntries. Every
-// concurrent consumer (the sequential scan, each race leg, each
+// acceptScratch is the per-consumer buffer set of an entry scan: the
+// batch its operator fills and what acceptEntries needs to judge it.
+// Every concurrent consumer (the sequential scan, each race leg, each
 // partition worker) owns one, so batch acceptance never shares state.
 type acceptScratch struct {
-	keep []bool
-	rbuf []storage.RID // filter-probe input
-	obuf []storage.RID // accepted-RID output
-	row  expr.Row      // the key kernel's scratch
+	batch []btree.Entry
+	keep  []bool
+	rbuf  []storage.RID // filter-probe input
+	obuf  []storage.RID // accepted-RID output
+	row   expr.Row      // the key kernel's scratch
 }
 
+// firstBatch sizes a stepping scan's first batches: most index ranges
+// end within it, and a scan that fills its batches doubles them up to a
+// step (acceptEntries). Eager workers start at a full step.
+const firstBatch = 16
+
 func newAcceptScratch(n int) *acceptScratch {
-	if n < 1 {
-		n = 1
-	}
 	return &acceptScratch{
-		keep: make([]bool, n),
-		rbuf: make([]storage.RID, n),
-		obuf: make([]storage.RID, 0, n),
+		batch: make([]btree.Entry, n),
+		keep:  make([]bool, n),
+		rbuf:  make([]storage.RID, n),
+		obuf:  make([]storage.RID, 0, n),
 	}
 }
 
 // acceptEntries applies the previous list's filter and the index-local
 // restriction (a key kernel; nil = none) to a batch of entries,
-// returning the surviving RIDs in scan order. The returned slice aliases
-// sc.obuf and stays valid until the next call with the same scratch. The
+// returning the surviving RIDs in scan order; with out (an Sscan's
+// queue) the kernel also delivers each survivor there. The returned
+// slice stays valid until the next call with the same scratch. The
 // filter runs first as one bulk probe (both predicates are pure, so the
 // order does not change the kept set), and — because the filter is
 // exact — every entry it rejects skips the key decode entirely. filter
 // may be probed from several goroutines at once: completed filters are
 // read-only.
-func acceptEntries(entries []btree.Entry, ix *catalog.Index, local *rowKernel, filter rid.Filter, sc *acceptScratch) ([]storage.RID, error) {
+func acceptEntries(entries []btree.Entry, ix *catalog.Index, local *rowKernel, out *rowQueue, filter rid.Filter, sc *acceptScratch) ([]storage.RID, error) {
 	rids := sc.rbuf[:len(entries)]
 	keep := sc.keep[:len(entries)]
 	for i, e := range entries {
 		rids[i] = e.RID
 	}
 	rid.ApplyFilter(filter, rids, keep)
-	out := sc.obuf[:0]
+	kept := sc.obuf[:0]
 	for i, e := range entries {
 		if !keep[i] {
 			continue
@@ -106,9 +112,17 @@ func acceptEntries(entries []btree.Entry, ix *catalog.Index, local *rowKernel, f
 			} else if !ok {
 				continue
 			}
+			if out != nil {
+				local.emit(e.RID, &sc.row, out)
+			}
 		}
-		out = append(out, e.RID)
+		kept = append(kept, e.RID)
 	}
-	sc.obuf = out[:0]
-	return out, nil
+	sc.obuf = kept[:0]
+	if n := len(entries); n == len(sc.batch) && n < stepEntries {
+		row := sc.row // a full batch earns the scan bigger ones
+		*sc = *newAcceptScratch(2 * n)
+		sc.row = row
+	}
+	return kept, nil
 }

@@ -261,12 +261,22 @@ func (o *Optimizer) runSorted(ec *ExecCtx, q *Query) (Rows, error) {
 }
 
 // sortNode is the SORT node over a single-table retrieval: q, stripped
-// of its order, projection and limit, runs through run; the result is
-// materialized, sorted, and delivered under q's projection and limit.
+// of its order and limit and delivering its projection plus the ORDER BY
+// columns that projection lacks, runs through run — the row kernel
+// materializes nothing else; the result is sorted, cut back to q's
+// projection, and delivered under q's limit.
 func sortNode(q *Query, run func(inner *Query) (Rows, error)) (Rows, error) {
-	inner := *q
+	inner, by := *q, q.OrderBy
+	if q.Projection != nil {
+		by = make([]int, len(q.OrderBy))
+		for i, c := range q.OrderBy {
+			if by[i] = slices.Index(inner.Projection, c); by[i] < 0 {
+				by[i] = len(inner.Projection)
+				inner.Projection = append(slices.Clip(inner.Projection), c)
+			}
+		}
+	}
 	inner.OrderBy = nil
-	inner.Projection = nil
 	inner.Limit = 0
 	inner.Control = ControlSort
 	src, err := run(&inner)
@@ -281,31 +291,34 @@ func sortNode(q *Query, run func(inner *Query) (Rows, error)) (Rows, error) {
 	if err := src.Close(); err != nil {
 		return nil, err
 	}
-	sortRows(all, q.OrderBy, q.OrderDesc)
+	sortRows(all, by, q.OrderDesc)
+	if w := len(q.Projection); w < len(inner.Projection) {
+		for i, row := range all {
+			all[i] = row[:w:w] // drop the carried sort columns
+		}
+	}
 	st := src.Stats()
 	st.Tactic = "sort(" + st.Tactic + ")"
-	return &materializedRows{rows: all, projection: q.Projection, limit: q.Limit, st: st}, nil
+	return &materializedRows{rows: all, limit: q.Limit, st: st}, nil
 }
 
 // materializedRows delivers pre-materialized rows — a sorted
-// single-table result — under a projection and a limit. RowsDelivered
-// counts what the caller was handed, whatever the stats of the retrieval
-// that produced the rows said.
+// single-table result — under a limit. RowsDelivered counts what the
+// caller was handed, whatever the stats of the retrieval that produced
+// the rows said.
 type materializedRows struct {
-	rows       []expr.Row
-	projection []int // nil = all columns
-	limit      int   // 0 = all rows
-	i          int   // rows handed out
-	st         RetrievalStats
+	rows  []expr.Row
+	limit int // 0 = all rows
+	i     int // rows handed out
+	st    RetrievalStats
 }
 
 func (s *materializedRows) Next() (expr.Row, bool, error) {
 	if s.i >= len(s.rows) || (s.limit > 0 && s.i >= s.limit) {
 		return nil, false, nil
 	}
-	row := projectRow(s.rows[s.i], s.projection)
 	s.i++
-	return row, true, nil
+	return s.rows[s.i-1], true, nil
 }
 
 func (s *materializedRows) Close() error { return nil }
@@ -406,7 +419,7 @@ func (o *Optimizer) planWithSelfSufficient(ec *ExecCtx, q *Query, cl Classificat
 		r.closed = true
 		return nil
 	}
-	fg, err := newSscan(ec, r.k, best, bestLo, bestHi, r.out, false)
+	fg, err := newSscan(ec, q, best, bestLo, bestHi, r.out, false)
 	if err != nil {
 		return err
 	}
@@ -498,7 +511,7 @@ func (o *Optimizer) planOrdered(ec *ExecCtx, q *Query, cl Classification, res es
 				r.closed = true
 				return nil, nil
 			}
-			fg, err := newSscan(ec, r.k, ix, lo, hi, r.out, q.OrderDesc)
+			fg, err := newSscan(ec, q, ix, lo, hi, r.out, q.OrderDesc)
 			if err != nil {
 				return nil, err
 			}

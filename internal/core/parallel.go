@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"rdbdyn/internal/btree"
 	"rdbdyn/internal/expr"
 	"rdbdyn/internal/rid"
 	"rdbdyn/internal/storage"
@@ -184,7 +183,7 @@ func (u *uscan) maybeParallelLegs() (bool, error) {
 	rids := make([][]storage.RID, n)
 	seen := make([]int, n)
 	err := fanOut(u.m.tr, k, func(w int, tr *storage.Tracker, stop *atomic.Bool) error {
-		ls := newLegScan(true)
+		ls := legScan{sc: newAcceptScratch(stepEntries), private: true}
 		for i := w * n / k; i < (w+1)*n/k && !stop.Load(); i++ {
 			leg := &u.legs[i]
 			cur, err := leg.Index.Tree.SeekTracked(leg.Lo, leg.Hi, tr)
@@ -346,12 +345,11 @@ func (j *jscan) maybePartitionedScan() (bool, error) {
 			// the range bound like a sequential scan.
 			src = &boundedOp{src: src, remaining: parts[i].Count}
 		}
-		batch := make([]btree.Entry, stepEntries)
 		sc := newAcceptScratch(stepEntries)
 		leg := &legs[i]
 		leg.ix, leg.local = sq.ix, sq.local
 		for !stop.Load() {
-			cnt, kept, err := leg.pull(src, batch, j.filter, sc)
+			cnt, kept, err := leg.pull(src, stepEntries, j.filter, sc)
 			if err != nil || cnt == 0 {
 				return err
 			}

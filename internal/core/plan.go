@@ -286,7 +286,7 @@ func (o *Optimizer) pinned(ec *ExecCtx, q *Query, p *Plan, ixs []*catalog.Index,
 		lo, hi, _, _ := ixs[0].RestrictionBounds(q.Restriction, q.Binds)
 		var err error
 		if tactic == tacticSscan {
-			r.fg, err = newSscan(ec, r.k, ixs[0], lo, hi, r.out, desc)
+			r.fg, err = newSscan(ec, q, ixs[0], lo, hi, r.out, desc)
 		} else {
 			r.fg, err = newFscan(ec, q, r.k, ixs[0], lo, hi, r.out, desc)
 		}

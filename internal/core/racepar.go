@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"rdbdyn/internal/btree"
 )
 
 // Goroutine race legs (Config.Parallelism > 1).
@@ -59,11 +57,10 @@ func (j *jscan) runRaceParallel() error {
 		wg.Add(1)
 		go func(li int, leg *raceLeg) {
 			defer wg.Done()
-			batch := make([]btree.Entry, stepEntries)
 			sc := newAcceptScratch(stepEntries)
 			lastCheck := 0
 			for !raceOver() {
-				n, kept, err := leg.pull(leg.cur, batch, j.filter, sc)
+				n, kept, err := leg.pull(leg.cur, stepEntries, j.filter, sc)
 				if err != nil {
 					errs[li] = err
 					stopErr.Store(true)

@@ -29,13 +29,22 @@ func (q *Query) kernel() *rowKernel {
 	return k
 }
 
-// keyKernel prepares the part of e that ix's key decides, checked on an
-// entry before its RID is fetched or listed; nil when there is none.
+// keyKernel prepares what a scan of ix over RestrictionBounds(e, binds)
+// still has to decide on an entry before its RID is fetched or listed —
+// the conjuncts ix's key holds, less those the range already proves
+// (Index.KeyRestriction); nil when there is nothing left.
 func keyKernel(e expr.Expr, binds expr.Bindings, ix *catalog.Index) *rowKernel {
-	if local := ix.KeyRestriction(e); local != nil {
+	if local := ix.KeyRestriction(e, binds); local != nil {
 		return &rowKernel{filter: expr.NewFilter(local, binds)}
 	}
 	return nil
+}
+
+// sscanKernel is q's kernel for a self-sufficient scan of ix: the key
+// holds every column q reads, so the key kernel's filter is the whole
+// restriction and its survivors are delivered.
+func (q *Query) sscanKernel(ix *catalog.Index) *rowKernel {
+	return &rowKernel{filter: expr.NewFilter(ix.KeyRestriction(q.Restriction, q.Binds), q.Binds), proj: q.Projection, rids: q.RIDs}
 }
 
 // record decides one heap record: its needed columns are decoded into
@@ -50,8 +59,12 @@ func (k *rowKernel) record(rec []byte, scratch *expr.Row) (keep bool, err error)
 }
 
 // entry is record for an entry of ix, which carries its key columns and
-// nothing else.
+// nothing else. A kernel that reads nothing of the key — no filter left,
+// no column delivered — does not decode it.
 func (k *rowKernel) entry(ix *catalog.Index, key []byte, scratch *expr.Row) (keep bool, err error) {
+	if k.filter == nil && (k.rids || k.proj != nil && len(k.proj) == 0) {
+		return true, nil
+	}
 	if *scratch, err = ix.DecodeEntry(key, *scratch); err != nil {
 		return false, err
 	}
@@ -66,13 +79,13 @@ func (k *rowKernel) deliver(rid storage.RID, rec []byte, scratch *expr.Row, out 
 	return keep, err
 }
 
-// emit pushes a survivor, decoded in *scratch, onto out as the delivered
-// row — one exactly sized allocation plus one per delivered string — or,
-// for a RID-delivering run, as its RID: every delivery site holds it.
+// emit hands a survivor, decoded in *scratch, to out as the delivered
+// row or, for a RID-delivering run, as its RID: every delivery site
+// holds it. The row is out's to own at the end of the step (rowQueue).
 func (k *rowKernel) emit(rid storage.RID, scratch *expr.Row, out *rowQueue) {
 	if k.rids {
-		out.push(expr.Row{expr.Int(int64(rid.Page.No)), expr.Int(int64(rid.Slot))})
+		out.keep(expr.Row{expr.Int(int64(rid.Page.No)), expr.Int(int64(rid.Slot))}, nil)
 		return
 	}
-	out.push(scratch.Own(k.proj))
+	out.keep(*scratch, k.proj)
 }

@@ -95,8 +95,22 @@ func (q *queue[T]) Next() (v T, ok bool, _ error) {
 }
 
 // rowQueue is the delivery buffer between a producing scan and the
-// Rows iterator.
-type rowQueue = queue[expr.Row]
+// Rows iterator. Ownership is per step, not per row: the kernel keeps a
+// step's survivors as views in kept, and the scan owns them together
+// when its step ends (own) — one slab however many rows survived. An
+// unbounded partition worker is cut into steps of stepEntries rows.
+type rowQueue struct {
+	queue[expr.Row]
+	kept expr.Batch
+}
+
+func (q *rowQueue) keep(view expr.Row, cols []int) {
+	if q.kept.Keep(view, cols) >= stepEntries {
+		q.own()
+	}
+}
+
+func (q *rowQueue) own() { q.rows = q.kept.Own(q.rows) }
 
 // ridQueue carries borrowed RIDs from the background's first index scan
 // to the fast-first foreground.
@@ -171,6 +185,7 @@ func stopped(stop *atomic.Bool) bool { return stop != nil && stop.Load() }
 // on a page-range cursor with their own scratch, polling stop. done
 // reports that cur is exhausted.
 func (t *tscan) scanRows(cur *storage.HeapCursor, budget int, stop *atomic.Bool, scratch *expr.Row, out *rowQueue) (done bool, _ error) {
+	defer out.own()
 	for i := 0; (budget == 0 || i < budget) && !stopped(stop); i++ {
 		rec, rrid, ok, err := cur.Next()
 		if err != nil {
@@ -190,14 +205,14 @@ func (t *tscan) scanRows(cur *storage.HeapCursor, budget int, stop *atomic.Bool,
 }
 
 // sscan is the self-sufficient index scan: the whole query is answered
-// from index entries, never touching data records.
+// from index entries, never touching data records. It is a leg whose
+// key kernel delivers: the entries arrive in batches through the same
+// pull as a Jscan leg's.
 type sscan struct {
-	k       *rowKernel
-	scratch expr.Row
-	ix      *catalog.Index
-	cur     entryCursor
-	out     *rowQueue
-	m       meter
+	leg raceLeg // ix, the delivering key kernel, out
+	cur entryCursor
+	sc  *acceptScratch
+	m   meter
 	// delivered records RIDs of rows already handed out, so a winning
 	// background final stage can skip them (index-only tactic) — only
 	// while track reports that such a background is still live.
@@ -206,41 +221,30 @@ type sscan struct {
 	done      bool
 }
 
-func newSscan(ec *ExecCtx, k *rowKernel, ix *catalog.Index, lo, hi []byte, out *rowQueue, desc bool) (*sscan, error) {
+func newSscan(ec *ExecCtx, q *Query, ix *catalog.Index, lo, hi []byte, out *rowQueue, desc bool) (*sscan, error) {
 	m := newMeter(ec)
 	cur, err := newEntryCursor(ix.Tree, lo, hi, desc, m.tr)
 	if err != nil {
 		return nil, err
 	}
-	return &sscan{k: k, ix: ix, cur: cur, out: out, m: m}, nil
+	return &sscan{leg: raceLeg{ix: ix, local: q.sscanKernel(ix), out: out}, cur: cur, m: m, sc: newAcceptScratch(firstBatch)}, nil
 }
 
-func (s *sscan) name() string  { return "Sscan(" + s.ix.Name + ")" }
+func (s *sscan) name() string  { return "Sscan(" + s.leg.ix.Name + ")" }
 func (s *sscan) cost() float64 { return s.m.cost() }
 func (s *sscan) release()      { s.cur.Close() }
 
 func (s *sscan) step() (bool, error) {
-	if s.done {
-		return true, nil
-	}
-	for i := 0; i < stepEntries; i++ {
-		key, rid, ok, err := s.cur.Next()
+	defer s.leg.out.own()
+	for budget := stepEntries; budget > 0 && !s.done; {
+		n, kept, err := s.leg.pull(s.cur, budget, rid.TrueFilter{}, s.sc)
 		if err != nil {
 			return s.done, err
 		}
-		if !ok {
-			s.done = true
-			return true, nil
-		}
-		keep, err := s.k.entry(s.ix, key, &s.scratch)
-		if err != nil {
-			return s.done, err
-		}
-		if keep {
-			s.k.emit(rid, &s.scratch, s.out)
-			if s.track != nil && s.track() {
-				s.delivered = append(s.delivered, rid)
-			}
+		budget -= n
+		s.done = n == 0
+		if s.track != nil && s.track() {
+			s.delivered = append(s.delivered, kept...)
 		}
 	}
 	return s.done, nil
@@ -289,6 +293,7 @@ func (f *fscan) step() (bool, error) {
 	if f.done {
 		return true, nil
 	}
+	defer f.out.own()
 	fetches := 0
 	for i := 0; i < stepEntries && fetches < 4; i++ {
 		key, rid, ok, err := f.cur.Next()
@@ -357,6 +362,7 @@ func (b *borrowFetcher) step() (bool, error) {
 	if b.done {
 		return true, nil
 	}
+	defer b.out.own()
 	for fetches := 0; fetches < 4; fetches++ {
 		if b.in.empty() {
 			if b.in.closed {

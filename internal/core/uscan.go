@@ -59,14 +59,9 @@ type uscan struct {
 // and collects its accepted RIDs in rids for the barrier to append in
 // leg order.
 type legScan struct {
-	batch   []btree.Entry
 	sc      *acceptScratch
 	private bool
 	rids    []storage.RID
-}
-
-func newLegScan(private bool) legScan {
-	return legScan{batch: make([]btree.Entry, stepEntries), sc: newAcceptScratch(stepEntries), private: private}
 }
 
 // unionLeg is one disjunct's index scan.
@@ -133,11 +128,9 @@ func legForDisjunct(q *Query, d expr.Expr, tr *storage.Tracker) (unionLeg, bool)
 		}
 		if bestEst < 0 || rids < bestEst {
 			best = unionLeg{Index: ix, Lo: lo, Hi: hi, Est: rids}
-			// A disjunct the key evaluates in full is checked on the entry,
-			// rejecting what its bounding range over-approximates.
-			if ix.Covers(expr.Columns(d)) {
-				best.Local = &rowKernel{filter: expr.NewFilter(d, q.Binds)}
-			}
+			// What the key decides of the disjunct beyond its bounding
+			// range is checked on the entry.
+			best.Local = keyKernel(d, q.Binds, ix)
 			bestEst = rids
 		}
 	}
@@ -230,8 +223,8 @@ func (u *uscan) step() (bool, error) {
 			Detail: fmt.Sprintf("leg %d/%d, est %.0f rids", u.idx+1, len(u.legs), leg.Est),
 		})
 	}
-	if u.ls.batch == nil {
-		u.ls = newLegScan(false)
+	if u.ls.sc == nil {
+		u.ls.sc = newAcceptScratch(firstBatch)
 	}
 	n, done, err := u.scanLeg(&u.legs[u.idx], u.cur, &u.ls, stepEntries, nil)
 	u.seen += n
@@ -271,11 +264,11 @@ func (u *uscan) step() (bool, error) {
 // the entries consumed; done reports that cur is exhausted.
 func (u *uscan) scanLeg(leg *unionLeg, cur *btree.Cursor, ls *legScan, budget int, stop *atomic.Bool) (n int, done bool, _ error) {
 	for (budget == 0 || n < budget) && !stopped(stop) {
-		lim := len(ls.batch)
-		if budget != 0 && budget-n < lim {
-			lim = budget - n
+		batch := ls.sc.batch
+		if budget != 0 && budget-n < len(batch) {
+			batch = batch[:budget-n]
 		}
-		got, err := cur.NextBatch(ls.batch[:lim])
+		got, err := cur.NextBatch(batch)
 		if err != nil {
 			return n, false, err
 		}
@@ -283,7 +276,7 @@ func (u *uscan) scanLeg(leg *unionLeg, cur *btree.Cursor, ls *legScan, budget in
 			return n, true, nil
 		}
 		n += got
-		kept, err := acceptEntries(ls.batch[:got], leg.Index, leg.Local, rid.TrueFilter{}, ls.sc)
+		kept, err := acceptEntries(batch[:got], leg.Index, leg.Local, nil, rid.TrueFilter{}, ls.sc)
 		if err != nil {
 			return n, false, err
 		}

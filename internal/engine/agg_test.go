@@ -59,11 +59,11 @@ func TestAggregates(t *testing.T) {
 	if v := oneValue(t, db, "SELECT MAX(V) FROM T"); v.I != 200 {
 		t.Fatalf("MAX = %v", v)
 	}
-	if v := oneValue(t, db, "SELECT AVG(V) FROM T"); math.Abs(v.F-101) > 1e-9 {
+	if v := oneValue(t, db, "SELECT AVG(V) FROM T"); math.Abs(v.Float()-101) > 1e-9 {
 		t.Fatalf("AVG = %v", v)
 	}
 	// Float column keeps float type.
-	if v := oneValue(t, db, "SELECT SUM(F) FROM T"); v.T != expr.TypeFloat || math.Abs(v.F-2525) > 1e-9 {
+	if v := oneValue(t, db, "SELECT SUM(F) FROM T"); v.T != expr.TypeFloat || math.Abs(v.Float()-2525) > 1e-9 {
 		t.Fatalf("SUM(F) = %v", v)
 	}
 	// Restricted aggregate.

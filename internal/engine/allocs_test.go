@@ -52,3 +52,49 @@ func TestAllocsMatchingRIDsRejectedRows(t *testing.T) {
 		t.Fatalf("corrupt record behind a rejecting restriction: %v", err)
 	}
 }
+
+// TestAllocsScanDeliveredRows: ownership is per step, not per row — a
+// drained 10k-row table scan and a 10k-entry self-sufficient index scan
+// cost under 0.05 allocations per delivered row, everything the query
+// allocates around them included.
+func TestAllocsScanDeliveredRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const rows = 10000
+	db := newDB(t, rows)
+	for _, tc := range []struct{ src, strategy string }{
+		{"SELECT * FROM FAMILIES WHERE INCOME >= 0", "Tscan"},
+		{"SELECT AGE FROM FAMILIES WHERE AGE >= 0", "Sscan(AGE_IX)"},
+	} {
+		stmt, err := db.Prepare(tc.src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := testing.AllocsPerRun(3, func() {
+			res, err := stmt.Query(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := 0
+			for {
+				_, ok, err := res.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				got++
+			}
+			if err := res.Close(); err != nil || got != rows || res.Stats().Strategy != tc.strategy {
+				t.Fatalf("%s: %d rows by %s, %v", tc.src, got, res.Stats().Strategy, err)
+			}
+		})
+		if perRow := n / rows; perRow >= 0.05 {
+			t.Errorf("%s: %v allocations for %d delivered rows (%.3f a row), want under 0.05", tc.src, n, rows, perRow)
+		} else {
+			t.Logf("%s: %v allocations, %.4f a row", tc.src, n, perRow)
+		}
+	}
+}

@@ -71,7 +71,7 @@ func TestOrderByDescSortFallback(t *testing.T) {
 		t.Fatal("no rows")
 	}
 	for i := 1; i < len(rows); i++ {
-		if rows[i][0].F > rows[i-1][0].F {
+		if rows[i][0].Float() > rows[i-1][0].Float() {
 			t.Fatalf("sort fallback not descending at %d", i)
 		}
 	}

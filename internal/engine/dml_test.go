@@ -163,7 +163,7 @@ func TestUpdateStatement(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows, _ := res.All()
-	if rows[0][0].S != "hot" || rows[0][1].F != 9.9 {
+	if rows[0][0].S != "hot" || rows[0][1].Float() != 9.9 {
 		t.Fatalf("updated row = %v", rows[0])
 	}
 	// Untouched rows stay.

@@ -203,7 +203,7 @@ func TestBindsConversion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bb["i"].I != 1 || bb["i64"].I != 2 || bb["f"].F != 1.5 || bb["s"].S != "x" || !bb["b"].Truth() || bb["v"].I != 7 || !bb["n"].IsNull() {
+	if bb["i"].I != 1 || bb["i64"].I != 2 || bb["f"].Float() != 1.5 || bb["s"].S != "x" || !bb["b"].Truth() || bb["v"].I != 7 || !bb["n"].IsNull() {
 		t.Fatalf("conversion wrong: %v", bb)
 	}
 	if _, err := (Binds{"bad": struct{}{}}).toBindings(); err == nil {

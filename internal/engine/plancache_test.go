@@ -74,7 +74,7 @@ func cacheShapes() []cacheShape {
 		{"intersection", "SELECT * FROM FAMILIES WHERE AGE >= :lo AND CITY = :c", Binds{"lo": 9000, "c": "C042"}, "background-only", 21, 6, 32, 32},
 		{"limited", "SELECT * FROM FAMILIES WHERE CITY = :c LIMIT 5", Binds{"c": "C042"}, "fast-first", 5, 3, 23, 9},
 		{"sorted-filter", "SELECT * FROM FAMILIES WHERE AGE >= :lo AND CITY = :c ORDER BY AGE", Binds{"lo": 9930, "c": "C042"}, "sorted", 1, 5, 14, 14},
-		{"count-range", "SELECT COUNT(*) FROM FAMILIES WHERE AGE >= :lo", Binds{"lo": 9900}, "background-only", 1, 2, 125, 125},
+		{"count-range", "SELECT COUNT(*) FROM FAMILIES WHERE AGE >= :lo", Binds{"lo": 9900}, "sscan", 1, 0, 2, 2}, // projects nothing: AGE_IX is self-sufficient
 	}
 }
 
@@ -221,8 +221,8 @@ func TestPlanCacheWarmReplayIO(t *testing.T) {
 	if snap := db.PlanCacheSnapshot(); snap.Frozen != len(shapes) || snap.Hits != int64(promoteAfter*len(shapes)) {
 		t.Errorf("frozen plans %d, hits %d; want %d, %d", snap.Frozen, snap.Hits, len(shapes), promoteAfter*len(shapes))
 	}
-	if coldSetup != 18 {
-		t.Errorf("summed cold setup I/O = %d, want 18 (against 0 frozen)", coldSetup)
+	if coldSetup != 16 {
+		t.Errorf("summed cold setup I/O = %d, want 16 (against 0 frozen)", coldSetup)
 	}
 }
 

@@ -3,7 +3,6 @@ package expr
 import (
 	"encoding/binary"
 	"errors"
-	"math"
 	"strings"
 	"unsafe"
 )
@@ -25,7 +24,7 @@ func EncodeRow(r Row) []byte {
 		case TypeBool, TypeInt:
 			buf = binary.AppendVarint(buf, v.I)
 		case TypeFloat:
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.F))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(v.I))
 		case TypeString:
 			buf = binary.AppendUvarint(buf, uint64(len(v.S)))
 			buf = append(buf, v.S...)
@@ -70,8 +69,7 @@ func DecodeRow(b []byte) (Row, error) {
 // when it is wide enough) as a full-width row that carries the columns
 // in need and NULL everywhere else. The whole record is walked and
 // validated whatever need says. String values share b's memory instead
-// of copying it, so the view must not outlive the record; Row.Own copies
-// out what a consumer keeps.
+// of copying it; Batch.Own copies out what a consumer keeps.
 func DecodeView(b []byte, dst Row, need ColSet) (Row, error) {
 	n, k := binary.Uvarint(b)
 	// Every column takes at least its type byte, so a count beyond the
@@ -105,7 +103,7 @@ func DecodeView(b []byte, dst Row, need ColSet) (Row, error) {
 			if len(b) < 8 {
 				return nil, ErrCorruptRecord
 			}
-			v.F = math.Float64frombits(binary.LittleEndian.Uint64(b))
+			v.I = int64(binary.LittleEndian.Uint64(b))
 			b = b[8:]
 		case TypeString:
 			l, k := binary.Uvarint(b)
@@ -136,21 +134,59 @@ func DecodeView(b []byte, dst Row, need ColSet) (Row, error) {
 // modified in place, which is what lets a scan read a view of one.
 func viewString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
-// Own returns a fresh, exactly sized row of the view's columns cols
-// (nil = all of them, in order) with every string copied out of the
-// record it was viewing: the row a view's consumer may keep.
-func (r Row) Own(cols []int) Row {
+// Batch gathers the rows one consumer keeps during one step of its scan
+// and owns them together: however many rows a step keeps, they cost one
+// exactly sized []Value and one exactly sized string allocation. Until
+// Own runs, a kept row's strings still view the record or key they were
+// decoded from — records are replaced, never modified, so a view stays
+// readable after its page is unpinned; Own is what lets the record go.
+// All rows of one batch have the same width. The zero Batch is empty.
+type Batch struct {
+	vals []Value // the kept rows' columns, back to back; reused across steps
+	rows int
+}
+
+// Keep adds the view's columns cols (nil = all of them, in order) as one
+// more row and returns how many rows the batch now holds.
+func (b *Batch) Keep(view Row, cols []int) int {
 	if cols == nil {
-		out := make(Row, len(r))
-		CopyOwned(out, r)
-		return out
+		b.vals = append(b.vals, view...)
 	}
-	out := make(Row, len(cols))
-	for i, c := range cols {
-		out[i] = r[c]
-		out[i].S = strings.Clone(out[i].S)
+	for _, c := range cols {
+		b.vals = append(b.vals, view[c])
 	}
-	return out
+	b.rows++
+	return b.rows
+}
+
+// Own appends the kept rows to dst as rows that share nothing with the
+// records they came from, and empties the batch. The rows are slices of
+// one slab that is never reused, so a row a caller keeps stays valid for
+// ever — and keeps its step's slab alive. Zero-width rows allocate
+// nothing.
+func (b *Batch) Own(dst []Row) []Row {
+	if b.rows == 0 {
+		return dst
+	}
+	vals, size := make([]Value, len(b.vals)), 0
+	for i := range b.vals {
+		size += len(b.vals[i].S)
+	}
+	copy(vals, b.vals)
+	if size > 0 {
+		buf := make([]byte, 0, size)
+		for i := range vals {
+			if n := len(vals[i].S); n > 0 {
+				buf = append(buf, vals[i].S...)
+				vals[i].S = viewString(buf[len(buf)-n:])
+			}
+		}
+	}
+	for w := len(vals) / b.rows; b.rows > 0; b.rows-- {
+		dst, vals = append(dst, vals[:w:w]), vals[w:]
+	}
+	b.vals = b.vals[:0]
+	return dst
 }
 
 // CopyOwned copies view into dst[:len(view)], giving each string its

@@ -46,7 +46,7 @@ func EncodeKey(dst []byte, vals ...Value) []byte {
 			dst = appendNumeric(dst, float64(v.I), v.I, true)
 		case TypeFloat:
 			dst = append(dst, rankNumber)
-			dst = appendNumeric(dst, v.F, 0, false)
+			dst = appendNumeric(dst, v.Float(), 0, false)
 		case TypeString:
 			dst = append(dst, rankString)
 			for i := 0; i < len(v.S); i++ {

@@ -1,6 +1,9 @@
 package expr
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Bound is one end of a key range.
 type Bound struct {
@@ -136,31 +139,30 @@ func (r Range) EncodedBounds() (lo, hi []byte) {
 	return lo, hi
 }
 
-// RangeFromCmp derives the range a single comparison imposes on column
-// col. It handles both operand orders (col op const and const op col).
-// The second return is false when the conjunct is not sargable for col:
-// not a comparison, references a different or more than one column, uses
-// NE, or its constant side cannot be resolved under binds.
-func RangeFromCmp(c *Cmp, col int, binds Bindings) (Range, bool) {
+// sargable resolves c as a comparison of column col with a constant or
+// a parameter bound in binds, in either operand order, oriented
+// column-op-constant. ok is false when c is anything else: it references
+// a different or more than one column, or its constant side cannot be
+// resolved under binds.
+func sargable(c *Cmp, col int, binds Bindings) (op CmpOp, v Value, ok bool) {
 	constSide, op := c.R, c.Op
 	if cref, ok := c.L.(*ColRef); !ok || cref.Index != col {
 		cref, ok = c.R.(*ColRef)
 		if !ok || cref.Index != col {
-			return Range{}, false
+			return op, v, false
 		}
 		constSide, op = c.L, c.Op.Flip()
 	}
-	var v Value
-	switch t := constSide.(type) {
-	case *Const:
-		v = t.V
-	case *Param:
-		pv, okb := binds[t.Name]
-		if !okb {
-			return Range{}, false
-		}
-		v = pv
-	default:
+	v, ok = constOf(constSide, binds)
+	return op, v, ok
+}
+
+// RangeFromCmp derives the range a single comparison imposes on column
+// col. The second return is false when the conjunct is not sargable for
+// col (see sargable) or uses NE.
+func RangeFromCmp(c *Cmp, col int, binds Bindings) (Range, bool) {
+	op, v, ok := sargable(c, col, binds)
+	if !ok {
 		return Range{}, false
 	}
 	if v.IsNull() {
@@ -184,6 +186,33 @@ func RangeFromCmp(c *Cmp, col int, binds Bindings) (Range, bool) {
 	default:
 		return Range{}, false // NE is not sargable
 	}
+}
+
+// ProvedByKeyRange reports whether comparison c of column col, a column
+// of type t, holds for every non-NULL value whose encoded key lies
+// within the encoded bounds of c's own range (RangeFromCmp,
+// EncodedBounds) — so that a scan of a key range at least that tight,
+// holding no NULL key, need not evaluate c. That takes a constant on
+// which key order and Compare agree against every value the column can
+// hold: the column's own type, or a FLOAT against an INT column; an INT
+// within float64's exact range (keys encode numbers as float64), no NaN
+// and no negative zero (Compare calls them equal to what key order puts
+// beside them), and no FLOAT column, whose stored values could be
+// either. A NULL, mismatched or unbound constant proves nothing: the
+// comparison stays in the filter and fails there as it always did.
+func ProvedByKeyRange(c *Cmp, col int, t Type, binds Bindings) bool {
+	op, v, ok := sargable(c, col, binds)
+	if !ok || op == NE {
+		return false
+	}
+	switch {
+	case t == TypeInt && v.T == TypeInt:
+		return -1<<53 < v.I && v.I < 1<<53
+	case t == TypeInt && v.T == TypeFloat:
+		f := v.Float()
+		return f == f && !(f == 0 && math.Signbit(f))
+	}
+	return v.T == t && (t == TypeBool || t == TypeString)
 }
 
 // ExtractRange scans the top-level conjuncts of e and intersects every

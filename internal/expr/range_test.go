@@ -1,6 +1,7 @@
 package expr
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -198,5 +199,48 @@ func TestRangeString(t *testing.T) {
 	}
 	if got := FullRange().String(); got != "(-inf, +inf)" {
 		t.Fatalf("full String = %q", got)
+	}
+}
+
+// TestProvedByKeyRange: a key range proves a comparison only when key
+// order and Compare agree on its constant against every value the
+// column can hold. The cases the soundness property test of
+// catalog.KeyRestriction cannot reach with small stored values are
+// spelled out: an INT outside float64's exact integers sorts, as a key,
+// beside neighbours Compare tells apart; NaN and -0.0 compare equal to
+// values their keys sort away from.
+func TestProvedByKeyRange(t *testing.T) {
+	col := Col(1, "A")
+	binds := Bindings{"P": Int(7), "S": Str("x")}
+	for _, tc := range []struct {
+		name string
+		c    *Cmp
+		t    Type
+		want bool
+	}{
+		{"int constant", NewCmp(LT, col, Lit(Int(5))), TypeInt, true},
+		{"constant on the left", NewCmp(GE, Lit(Int(5)), col), TypeInt, true},
+		{"bound parameter", NewCmp(EQ, col, Var("P")), TypeInt, true},
+		{"float against an INT column", NewCmp(LE, col, Lit(Float(2.5))), TypeInt, true},
+		{"largest exact int", NewCmp(GT, col, Lit(Int(1<<53-1))), TypeInt, true},
+		{"int past float64's exact range", NewCmp(GE, col, Lit(Int(1<<53))), TypeInt, false},
+		{"negative int past it", NewCmp(LT, col, Lit(Int(-1<<53))), TypeInt, false},
+		{"NaN", NewCmp(LT, col, Lit(Float(math.NaN()))), TypeInt, false},
+		{"negative zero", NewCmp(GT, col, Lit(Float(math.Copysign(0, -1)))), TypeInt, false},
+		{"NE", NewCmp(NE, col, Lit(Int(5))), TypeInt, false},
+		{"NULL constant", NewCmp(EQ, col, Lit(Null())), TypeInt, false},
+		{"mismatched constant", NewCmp(LT, col, Lit(Str("x"))), TypeInt, false},
+		{"mismatched bind", NewCmp(LT, col, Var("S")), TypeInt, false},
+		{"unbound parameter", NewCmp(LT, col, Var("MISSING")), TypeInt, false},
+		{"another column", NewCmp(LT, Col(0, "B"), Lit(Int(5))), TypeInt, false},
+		{"column against column", NewCmp(LT, col, Col(0, "B")), TypeInt, false},
+		{"string", NewCmp(GE, col, Var("S")), TypeString, true},
+		{"int against a STRING column", NewCmp(GE, col, Lit(Int(5))), TypeString, false},
+		{"bool", NewCmp(EQ, col, Lit(Bool(true))), TypeBool, true},
+		{"FLOAT column", NewCmp(LT, col, Lit(Float(2.5))), TypeFloat, false},
+	} {
+		if got := ProvedByKeyRange(tc.c, 1, tc.t, binds); got != tc.want {
+			t.Errorf("%s (%s on a %s column): proved = %v, want %v", tc.name, tc.c, tc.t, got, tc.want)
+		}
 	}
 }

@@ -9,7 +9,9 @@
 package expr
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 )
 
@@ -42,12 +44,13 @@ func (t Type) String() string {
 	}
 }
 
-// Value is a dynamically typed scalar. The zero value is NULL.
+// Value is a dynamically typed scalar. The zero value is NULL. It is 32
+// bytes: a delivered row costs that per column, so the three numeric
+// types share one payload.
 type Value struct {
 	T Type
-	I int64   // TypeInt, and TypeBool (0/1)
-	F float64 // TypeFloat
-	S string  // TypeString
+	I int64  // TypeInt, TypeBool (0/1), and TypeFloat's IEEE-754 bits (see Float)
+	S string // TypeString
 }
 
 // Null returns the NULL value.
@@ -57,7 +60,10 @@ func Null() Value { return Value{} }
 func Int(i int64) Value { return Value{T: TypeInt, I: i} }
 
 // Float returns a floating-point value.
-func Float(f float64) Value { return Value{T: TypeFloat, F: f} }
+func Float(f float64) Value { return Value{T: TypeFloat, I: int64(math.Float64bits(f))} }
+
+// Float returns the number held by a TypeFloat value.
+func (v Value) Float() float64 { return math.Float64frombits(uint64(v.I)) }
 
 // Str returns a string value.
 func Str(s string) Value { return Value{T: TypeString, S: s} }
@@ -84,7 +90,7 @@ func (v Value) AsFloat() (float64, bool) {
 	case TypeInt:
 		return float64(v.I), true
 	case TypeFloat:
-		return v.F, true
+		return v.Float(), true
 	default:
 		return 0, false
 	}
@@ -102,7 +108,7 @@ func (v Value) String() string {
 	case TypeInt:
 		return strconv.FormatInt(v.I, 10)
 	case TypeFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case TypeString:
 		return strconv.Quote(v.S)
 	default:
@@ -116,21 +122,15 @@ func (v Value) String() string {
 // usable for sorting; predicate evaluation rejects such comparisons
 // separately.
 func Compare(a, b Value) int {
+	// Exact integer comparison when both sides are ints, to avoid float
+	// rounding at the extremes of int64 (and the common case, decided
+	// first).
+	if a.T == TypeInt && b.T == TypeInt {
+		return cmp.Compare(a.I, b.I)
+	}
 	an, aok := a.AsFloat()
 	bn, bok := b.AsFloat()
 	if aok && bok {
-		// Exact integer comparison when both sides are ints, to avoid
-		// float rounding at the extremes of int64.
-		if a.T == TypeInt && b.T == TypeInt {
-			switch {
-			case a.I < b.I:
-				return -1
-			case a.I > b.I:
-				return 1
-			default:
-				return 0
-			}
-		}
 		switch {
 		case an < bn:
 			return -1

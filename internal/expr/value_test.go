@@ -4,7 +4,19 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestValueSize: a delivered row costs one Value per column, so the
+// numeric types share one payload — 32 bytes, not 40.
+func TestValueSize(t *testing.T) {
+	if n := unsafe.Sizeof(Value{}); n != 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", n)
+	}
+	if v := Float(-2.5); v.Float() != -2.5 || v.I == 0 {
+		t.Fatalf("Float(-2.5) holds %v", v.Float())
+	}
+}
 
 func TestValueConstructorsAndString(t *testing.T) {
 	cases := []struct {

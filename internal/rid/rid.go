@@ -16,8 +16,6 @@ package rid
 import (
 	"encoding/binary"
 	"errors"
-	"slices"
-	"sort"
 
 	"rdbdyn/internal/storage"
 )
@@ -79,33 +77,6 @@ func (TrueFilter) FilterBatch(rids []storage.RID, keep []bool) {
 		keep[i] = true
 	}
 }
-
-// SortedList is an exact filter over a sorted RID slice. It survives as
-// the scalar baseline the compressed bitmap is benchmarked against (and
-// as a simple oracle in tests); the engine's hot paths use
-// CompressedBitmap.
-type SortedList struct {
-	rids []storage.RID
-}
-
-// NewSortedList copies and sorts rids.
-func NewSortedList(rids []storage.RID) *SortedList {
-	s := &SortedList{rids: append([]storage.RID(nil), rids...)}
-	slices.SortFunc(s.rids, storage.RID.Compare)
-	return s
-}
-
-// Len returns the number of RIDs.
-func (s *SortedList) Len() int { return len(s.rids) }
-
-// MayContain implements Filter by binary search.
-func (s *SortedList) MayContain(r storage.RID) bool {
-	i := sort.Search(len(s.rids), func(i int) bool { return !s.rids[i].Less(r) })
-	return i < len(s.rids) && s.rids[i] == r
-}
-
-// Exact implements Filter.
-func (s *SortedList) Exact() bool { return true }
 
 // tempTable spills RIDs to disk pages through the buffer pool, so the
 // spill and the read-back are charged as I/O like any other page

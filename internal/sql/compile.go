@@ -85,9 +85,9 @@ func Compile(cat *catalog.Catalog, stmt *SelectStmt) (*Compiled, error) {
 		}
 	}
 	if stmt.CountStar || stmt.Exists {
-		// Counting and existence need no column values; project the
-		// narrowest thing.
-		q.Projection = []int{0}
+		// Counting and existence need no column values: project nothing,
+		// so an index over the restriction's columns is self-sufficient.
+		q.Projection = []int{}
 	}
 	if stmt.Agg != nil {
 		ci, err := tab.ColumnIndex(stmt.Agg.Col)

@@ -44,7 +44,7 @@ func TestParseInsertShapes(t *testing.T) {
 	if p, ok := ins.Rows[0][2].(ParamNode); !ok || p.Name != "p" {
 		t.Fatalf("param value = %+v", ins.Rows[0][2])
 	}
-	if lit, ok := ins.Rows[1][2].(LitNode); !ok || lit.V.F != 3.5 {
+	if lit, ok := ins.Rows[1][2].(LitNode); !ok || lit.V.Float() != 3.5 {
 		t.Fatalf("float value = %+v", ins.Rows[1][2])
 	}
 }

@@ -87,7 +87,7 @@ func TestParseNumbers(t *testing.T) {
 	if lit := and.Kids[0].(CmpNode).R.(LitNode); lit.V.I != -5 {
 		t.Fatalf("int literal = %v", lit.V)
 	}
-	if lit := and.Kids[1].(CmpNode).R.(LitNode); lit.V.F != 2.75 {
+	if lit := and.Kids[1].(CmpNode).R.(LitNode); lit.V.Float() != 2.75 {
 		t.Fatalf("float literal = %v", lit.V)
 	}
 }
