@@ -38,8 +38,8 @@ type finalStage struct {
 	out     *rowQueue
 	m       meter
 
-	workers int // intra-query worker budget (see parallel.go)
-	parDone bool
+	workers int      // intra-query worker budget (see parallel.go)
+	par     *morsels // the streamed fetch, once partitioned
 	done    bool
 }
 
@@ -63,7 +63,7 @@ func newFetchCursor(rids []storage.RID) fetchCursor {
 	}
 }
 
-func newFinalStage(ec *ExecCtx, q *Query, k *rowKernel, c *rid.Container, delivered []storage.RID, out *rowQueue, workers int) (*finalStage, error) {
+func newFinalStage(ec *ExecCtx, q *Query, k *rowKernel, c *rid.Container, delivered []storage.RID, out *rowQueue) (*finalStage, error) {
 	if c == nil {
 		return nil, errors.New("core: final stage without a RID list")
 	}
@@ -76,10 +76,9 @@ func newFinalStage(ec *ExecCtx, q *Query, k *rowKernel, c *rid.Container, delive
 		k: k,
 		// Union scans may deliver the same RID through several legs; the
 		// sorted order makes duplicates adjacent.
-		c:       newFetchCursor(dedupSorted(rids)),
-		out:     out,
-		m:       newMeter(ec),
-		workers: workers,
+		c:   newFetchCursor(dedupSorted(rids)),
+		out: out,
+		m:   newMeter(ec),
 	}
 	if len(delivered) > 0 {
 		f.exclude = rid.FromRIDs(delivered)
@@ -89,22 +88,24 @@ func newFinalStage(ec *ExecCtx, q *Query, k *rowKernel, c *rid.Container, delive
 
 func (f *finalStage) name() string  { return "Fin" }
 func (f *finalStage) cost() float64 { return f.m.cost() }
-func (f *finalStage) release()      {} // materialized RID slice; no cursor held
+func (f *finalStage) release()      { f.par.close() } // a streamed fetch's workers; the RID slice holds no cursor
 
 func (f *finalStage) step() (bool, error) {
 	if f.done {
 		return true, nil
 	}
-	// Eager partitioned fetch: only without a row limit (an eager fetch
-	// cannot stop early) and only from a fresh position.
-	if f.workers > 1 && f.q.Limit == 0 && f.c.pos == 0 && !f.parDone {
-		f.parDone = true
-		if handled, err := f.runParallelFetch(); handled || err != nil {
-			return f.done, err
-		}
+	// Partitioned fetch: only without a row limit (workers run ahead of
+	// the consumer) and only from a fresh position; every step hands
+	// over one morsel.
+	if f.par == nil && f.workers > 1 && f.q.Limit == 0 && f.c.pos == 0 {
+		f.par = f.startParallelFetch()
 	}
-	done, err := f.fetch(&f.c, f.m.tr, finalFetchBudget, nil, f.out)
-	f.done = done
+	var err error
+	if f.par != nil {
+		f.done, err = f.par.step(f.out)
+	} else {
+		f.done, err = f.fetch(&f.c, f.m.tr, finalFetchBudget, nil, f.out)
+	}
 	return f.done, err
 }
 

@@ -46,19 +46,22 @@ func victimQuery(f *fixture, t *testing.T) *Query {
 }
 
 // TestNthAccessCancellationSweep cancels at the n-th governor checkpoint
-// for every n a small query makes, across the scan shapes — the last
-// single-table one a RID-delivering run, the victim retrieval of a
-// DELETE — and the join pipeline's shapes, at widths {0, 2}. Whatever
-// access fails — a seek, a leaf hop, a spill write, a fetch, a probe —
-// the error must surface from Next with every pin released, no goroutine
-// left behind, the cancellation counted at most once, and no decision
-// taken on the strength of the failed access: a seek that errored is not
+// for every n a small query makes, across the scan shapes — among them
+// a RID-delivering run, the victim retrieval of a DELETE, and the two
+// that stream at width 2 — and the join pipeline's shapes, at widths
+// {0, 2}; at width 2 the consumer pauses after its first row, so the
+// n-th checkpoint finds a streamed scan's workers with the consumer
+// between two Next calls. Whatever access fails — a seek, a leaf hop, a
+// spill write, a fetch, a probe — the error must surface from Next with
+// every pin released, no goroutine left behind, every charge attributed
+// (in-flight morsels included), the cancellation counted at most once,
+// and no decision taken on the strength of the failed access: a seek that errored is not
 // "index skipped", so no run may report a Tscan recommendation or a
 // strategy switch (the clean runs of these shapes never do). A join
 // counts one query and one join however it ends, and its table accesses
 // count nothing of their own.
 func TestNthAccessCancellationSweep(t *testing.T) {
-	f := newFixture(t, 10000, "AGE", "CITY")
+	f := newFixture(t, 10000, "AGE", "CITY", "ID")
 	age, city := f.col(t, "AGE"), f.col(t, "CITY")
 	jf := newJoinFixture(t, 50, 300, 10, 0, false)
 	single := func(q *Query) func(*Optimizer, *ExecCtx) Rows {
@@ -100,6 +103,18 @@ func TestNthAccessCancellationSweep(t *testing.T) {
 			),
 		}), false, false},
 		{"delete-victims", single(victimQuery(f, t)), false, false},
+		// The two shapes that stream at width 2: a Tscan and the final
+		// fetch of a clustered list, whose workers outlive a step.
+		{"tscan", single(&Query{
+			Table:       f.tab,
+			Restriction: expr.NewCmp(expr.GE, expr.Col(f.col(t, "SALARY"), "SALARY"), expr.Lit(expr.Float(0))),
+		}), false, false},
+		{"final-fetch", func(o *Optimizer, ec *ExecCtx) Rows {
+			return o.RunPlan(ec, &Query{
+				Table:       f.tab,
+				Restriction: expr.NewCmp(expr.LT, expr.Col(f.col(t, "ID"), "ID"), expr.Lit(expr.Int(2000))),
+			}, &Plan{Tactic: "background-only", Indexes: []string{"IX_ID"}})
+		}, false, false},
 		// An exact driver streaming into inl probes.
 		{"join-inl-streaming", join(func() *JoinQuery { return jf.custOrdQuery(custBelow(30)) }, nil), false, true},
 		// 50 customers against 300 orders: hj builds on the outer rows.
@@ -132,8 +147,20 @@ func TestNthAccessCancellationSweep(t *testing.T) {
 				for n := 1; n <= 150 || (sh.join && clean == 0); n++ {
 					baseline := runtime.NumGoroutine()
 					o := NewOptimizer(cfg)
-					rows := sh.run(o, NewExecCtx(newNthCancelCtx(n), 0))
-					_, err := drainToErr(rows)
+					ctx := newNthCancelCtx(n)
+					ec := NewExecCtx(ctx, 0)
+					rows := sh.run(o, ec)
+					_, ok, err := rows.Next()
+					if ok && width >= 2 && !sh.join {
+						// A streamed scan's workers run on while the
+						// consumer sits between two Next calls: let them
+						// reach the n-th checkpoint, or the window. (The
+						// joins' one-page drivers stay at width 1.)
+						quiesce(ctx.calls.Load)
+					}
+					if ok {
+						_, err = drainToErr(rows)
+					}
 					st := rows.Stats()
 					if cerr := rows.Close(); cerr != nil {
 						t.Fatalf("n=%d: Close: %v", n, cerr)
@@ -145,6 +172,9 @@ func TestNthAccessCancellationSweep(t *testing.T) {
 						t.Fatalf("n=%d: %d buffer-pool pins leaked; trace: %v", n, p, st.Trace())
 					}
 					waitGoroutines(t, baseline)
+					if spent := ec.IOSpent(); st.IO.IOCost()+st.EstimateIO != spent {
+						t.Fatalf("n=%d: attributed %d + estimate %d, charged %d; trace: %v", n, st.IO.IOCost(), st.EstimateIO, spent, st.Trace())
+					}
 					snap := o.Metrics().Snapshot()
 					want := int64(0)
 					if err != nil {
@@ -169,6 +199,10 @@ func TestNthAccessCancellationSweep(t *testing.T) {
 						if err == nil && width >= 2 && !stageFannedOut(st) {
 							t.Fatalf("no join stage fanned out at width %d; trace: %v", width, st.Trace())
 						}
+					}
+					if streams := sh.name == "tscan" || sh.name == "final-fetch"; streams && err == nil && width >= 2 &&
+						!slices.ContainsFunc(st.Events, func(ev TraceEvent) bool { return strings.Contains(ev.Detail, "streamed: 2 workers") }) {
+						t.Fatalf("n=%d: the scan did not stream at width %d; trace: %v", n, width, st.Trace())
 					}
 					for _, ev := range st.Events {
 						if ev.Kind == EvStrategySwitch || strings.Contains(ev.Detail, "recommending Tscan") {

@@ -12,138 +12,230 @@ import (
 
 // Partitioned intra-query execution (Config.Parallelism > 1).
 //
-// Every partitioned site is fanOut over its scan shape's one kernel —
-// the per-row code the step-sliced sequential path runs with its step
-// budget, run unbounded on each worker: Tscan's page ranges over
-// tscan.scanRows, Fin's page-aligned RID chunks over finalStage.fetch,
-// Uscan's OR legs over uscan.scanLeg, Jscan's leaf-aligned key
-// partitions over acceptEntries, and a join stage's round of upstream
-// rows over probeOne / hashProbe (join.go). Partitions are
-// contiguous and worker results merge in partition order, so the
-// concatenation is the sequential output order. DESIGN.md ("Streaming
-// operators and intra-query parallelism") has the contract and the
-// kernel table; the eligibility gates are documented where they live
-// (tscan.step, finalStage.step, maybeParallelLegs, partitionDisqualifier).
+// Every partitioned site runs its scan shape's one kernel — the per-row
+// code the step-sliced sequential path runs with its step budget, run
+// unbounded on each worker — over ordered morsels: contiguous and handed
+// over in index order, so the concatenation is the sequential output
+// order. Tscan's page ranges and Fin's page-aligned RID chunks stream
+// (workers outlive a step; each step hands over one morsel); Uscan's OR
+// legs, Jscan's leaf-aligned key partitions and a join stage's round of
+// upstream rows (join.go) take the barrier, fanOut. DESIGN.md
+// ("Streaming operators and intra-query parallelism") has the contract
+// and the kernel table; the eligibility gates are documented where they
+// live (tscan.step, finalStage.step, maybeParallelLegs,
+// partitionDisqualifier).
 
-// fanOut runs work(i, tr, stop) for every i in [0, n) and returns at the
-// barrier, so no goroutine outlives the step() that called it. Each
-// worker charges its own tracker on parent's governor (the budget is
-// enforced live); the trackers merge into parent in index order before
-// any error is returned (Tracker.Merge is associative, so attributed
-// totals equal the sequential scan's and stay exact for a query unwound
-// mid-scan). The first failing worker sets stop, which siblings poll at
-// their batch boundaries — the buffer pool's governor checkpoint bounds
-// that to about one page access — and a worker may set it itself to end
-// the fan-out early. The lowest-index worker's error wins. n == 1 runs
-// inline on parent: sequential is width 1 of the same code, and spawns
-// nothing.
-func fanOut(parent *storage.Tracker, n int, work func(i int, tr *storage.Tracker, stop *atomic.Bool) error) error {
-	var stop atomic.Bool
-	if n == 1 {
-		return work(0, parent, &stop)
+// A streamed morsel's cap, in heap pages (Tscan) and sorted RIDs (Fin):
+// a hand-over then costs under 1 % of the morsel's work.
+const (
+	morselPages = 32
+	morselRIDs  = 1024
+)
+
+// morselFunc scans units [lo, hi), one morsel, charging w.tr, polling
+// stop at its batch boundaries and leaving the rows it keeps in w.out.
+type morselFunc func(lo, hi int, stop *atomic.Bool, w *morselWorker) error
+
+// morselWorker is one worker's own: its tracker and what it writes per
+// record — the rows its morsel keeps, its kernel's cursor and decode
+// scratch — recycled from morsel to morsel and padded, so that two
+// workers never write the same cache line.
+type morselWorker struct {
+	out rowQueue
+	c   fetchCursor
+	tr  *storage.Tracker
+	_   [64]byte
+}
+
+// morsels runs work over a schedule of morsels on workers that claim
+// them in order, at most len(res) claimed and not yet handed over — the
+// back-pressure that bounds a streamed scan's memory. A worker charges
+// its own tracker on parent's governor (the budget is enforced live); a
+// morsel's rows, charges and error reach the consumer and parent at its
+// hand-over, in index order, so parent's cost between steps is a
+// function of the morsels delivered, never of timing. A failing worker
+// sets stop, which siblings poll (the buffer pool's governor checkpoint
+// bounds that to about one page access), and a worker may set it itself
+// to end the run early; nothing is handed over after that — a sibling
+// may have been cut short. Workers never call release; close joins them.
+type morsels struct {
+	parent     *storage.Tracker
+	work       morselFunc
+	cuts       []int // morsel i is units [cuts[i], cuts[i+1])
+	n, workers int
+	stop       atomic.Bool
+	wg         sync.WaitGroup
+	mu         sync.Mutex
+	cond       sync.Cond
+	next, head int            // morsels claimed; morsels handed over
+	res        []morselResult // the window: morsel i posts at i % len(res)
+}
+
+type morselResult struct {
+	rows  []expr.Row
+	io    storage.IOStats
+	err   error
+	ready bool
+}
+
+// startMorsels cuts total units into morsels and starts k workers on
+// them. The schedule is a pure function of the arguments: the first k
+// morsels are one sequential step's worth (unit), so the first row is
+// one step away, and every further round of k doubles up to limit;
+// a cut never falls between two units that are joined (nil = none are).
+// With the morsel in the consumer's queue, the window of 2k-1 keeps at
+// most 2k morsels in memory.
+func startMorsels(parent *storage.Tracker, total, k, unit, limit int, joined func(a, b int) bool, work morselFunc) *morsels {
+	m := &morsels{parent: parent, work: work, workers: k, res: make([]morselResult, 2*k-1)}
+	m.cuts = make([]int, 1, total/limit+8*k)
+	for at := 0; at < total; m.n++ {
+		if m.n > 0 && m.n%k == 0 {
+			unit = min(2*unit, limit)
+		}
+		at = min(at+unit, total)
+		for at < total && joined != nil && joined(at-1, at) {
+			at++
+		}
+		m.cuts = append(m.cuts, at)
 	}
-	trs := make([]*storage.Tracker, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := range trs {
-		trs[i] = storage.NewTracker(parent.Governor())
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if errs[i] = work(i, trs[i], &stop); errs[i] != nil {
-				stop.Store(true)
-			}
-		}(i)
+	m.cond.L = &m.mu
+	m.wg.Add(k)
+	for range k {
+		go m.worker(&morselWorker{tr: storage.NewTracker(parent.Governor())})
 	}
-	wg.Wait()
-	var first error
-	for i, tr := range trs {
-		parent.Merge(tr)
+	return m
+}
+
+func (m *morsels) worker(w *morselWorker) {
+	defer m.wg.Done()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for {
+		for m.next < m.n && m.next-m.head == len(m.res) && !m.stop.Load() {
+			m.cond.Wait() // parked on the window
+		}
+		i := m.next
+		if i == m.n || m.stop.Load() {
+			return
+		}
+		m.next++
+		r := &m.res[i%len(m.res)]
+		m.mu.Unlock()
+		err := m.work(m.cuts[i], m.cuts[i+1], &m.stop, w)
+		if err != nil {
+			m.stop.Store(true)
+		}
+		m.mu.Lock()
+		r.rows, w.out.rows = w.out.rows, r.rows // the slot's emptied buffer comes back
+		r.io, r.err, r.ready = w.tr.Stats(), err, true
+		w.tr.Reset()
+		m.cond.Broadcast()
+	}
+}
+
+// step hands the consumer the next morsel in order: its rows go to out,
+// its charges into parent. done reports every morsel delivered; a
+// stopped run is closed and its error returned.
+func (m *morsels) step(out *rowQueue) (done bool, _ error) {
+	m.mu.Lock()
+	r := &m.res[m.head%len(m.res)]
+	for m.head < m.n && !r.ready && !m.stop.Load() {
+		m.cond.Wait()
+	}
+	if m.head == m.n || m.stop.Load() {
+		m.mu.Unlock()
+		err := m.close()
+		return err == nil, err
+	}
+	m.parent.MergeStats(r.io)
+	out.rows = append(out.rows, r.rows...)
+	clear(r.rows)
+	r.rows, r.ready = r.rows[:0], false
+	m.head++
+	m.cond.Broadcast()
+	m.mu.Unlock()
+	return false, nil
+}
+
+// close stops the workers, wakes any parked on the window, joins them
+// and merges every charge not yet handed over — in-flight morsels
+// included, each exactly once — so attributed totals stay exact for a
+// query unwound mid-scan. It returns the lowest-index worker's error.
+// Idempotent; a scan that never partitioned has a nil run.
+func (m *morsels) close() (first error) {
+	if m == nil {
+		return nil
+	}
+	m.mu.Lock()
+	m.stop.Store(true)
+	m.cond.Broadcast()
+	m.mu.Unlock()
+	m.wg.Wait()
+	for ; m.head < m.next; m.head++ {
+		r := &m.res[m.head%len(m.res)]
+		m.parent.MergeStats(r.io)
 		if first == nil {
-			first = errs[i]
+			first = r.err
 		}
 	}
 	return first
 }
 
-// runParallelScan is the eager partitioned Tscan: the heap's page range
-// splits into contiguous chunks, one bounded range cursor per worker.
-// Every heap page is read exactly once by exactly one worker — the same
-// multiset of page accesses as the sequential cursor — and each
-// worker's readahead window stays inside its own partition. Returns
-// false when the heap is too small to split.
-func (t *tscan) runParallelScan() (bool, error) {
-	heap := t.q.Table.Heap
-	npages := heap.NumPages()
-	k := min(t.workers, npages)
-	if k < 2 {
-		return false, nil
-	}
-	outs := make([]rowQueue, k)
-	err := fanOut(t.m.tr, k, func(i int, tr *storage.Tracker, stop *atomic.Bool) error {
-		cur := heap.RangeCursorTracked(storage.PageNo(i*npages/k), storage.PageNo((i+1)*npages/k), tr)
-		defer cur.Close()
-		var scratch expr.Row
-		_, err := t.scanRows(cur, 0, stop, &scratch, &outs[i])
-		return err
-	})
-	if err != nil {
-		return false, err
-	}
-	for i := range outs {
-		t.out.rows = append(t.out.rows, outs[i].rows...)
-	}
-	t.done = true
-	return true, nil
+// String says how a streamed scan ran, for its scan-complete event.
+func (m *morsels) String() string {
+	return fmt.Sprintf(" (streamed: %d workers, %d morsels)", m.workers, m.n)
 }
 
-// runParallelFetch is the eager partitioned final fetch: the sorted RID
-// list splits into contiguous chunks aligned to page boundaries (a
-// same-page run is never split across workers, so each data page is
-// span-fetched by exactly one worker and the hit/miss profile matches
-// the sequential clustered fetch), each with a private prefetch window
-// staged inside the chunk. Returns false when the list does not split.
-func (f *finalStage) runParallelFetch() (bool, error) {
-	rids := f.c.rids
-	k := min(f.workers, len(rids)/(2*finalFetchBudget))
-	if k < 2 {
-		return false, nil
+// fanOut is the barrier: work(i, tr, stop) for every i in [0, n) as n
+// morsels [i, i+1) on n workers, all joined — charges merged, the
+// lowest-index error winning — before it returns, so no goroutine
+// outlives the step() that called it. n == 1 runs inline on parent:
+// sequential is width 1 of the same code, and spawns nothing.
+func fanOut(parent *storage.Tracker, n int, work func(i int, tr *storage.Tracker, stop *atomic.Bool) error) error {
+	var stop atomic.Bool
+	switch n {
+	case 0:
+		return nil
+	case 1:
+		return work(0, parent, &stop)
 	}
-	// Chunk boundaries: the nominal even split, advanced to the next
-	// page transition.
-	starts := make([]int, 0, k+1)
-	starts = append(starts, 0)
-	for i := 1; i < k; i++ {
-		b := i * len(rids) / k
-		if b <= starts[len(starts)-1] {
-			continue
-		}
-		for b < len(rids) && rids[b].Page == rids[b-1].Page {
-			b++
-		}
-		if b >= len(rids) || b <= starts[len(starts)-1] {
-			continue
-		}
-		starts = append(starts, b)
-	}
-	if len(starts) < 2 {
-		return false, nil
-	}
-	starts = append(starts, len(rids))
-	outs := make([]rowQueue, len(starts)-1)
-	err := fanOut(f.m.tr, len(outs), func(i int, tr *storage.Tracker, stop *atomic.Bool) error {
-		c := newFetchCursor(rids[starts[i]:starts[i+1]])
-		_, err := f.fetch(&c, tr, 0, stop, &outs[i])
+	m := startMorsels(parent, n, n, 1, 1, nil, func(i, _ int, stop *atomic.Bool, w *morselWorker) error {
+		return work(i, w.tr, stop)
+	})
+	m.wg.Wait()
+	return m.close()
+}
+
+// startParallelScan streams the partitioned Tscan, one bounded range
+// cursor per morsel: every heap page is read once by one worker — the
+// sequential cursor's multiset of page accesses — and readahead stays
+// inside the morsel.
+func (t *tscan) startParallelScan() *morsels {
+	heap := t.q.Table.Heap
+	return startMorsels(t.m.tr, heap.NumPages(), t.workers, 1, morselPages, nil, func(lo, hi int, stop *atomic.Bool, w *morselWorker) error {
+		cur := heap.RangeCursorTracked(storage.PageNo(lo), storage.PageNo(hi), w.tr)
+		defer cur.Close()
+		_, err := t.scanRows(cur, 0, stop, &w.c.scratch, &w.out)
 		return err
 	})
-	if err != nil {
-		return false, err
-	}
-	for i := range outs {
-		f.out.rows = append(f.out.rows, outs[i].rows...)
-	}
-	f.done = true
-	return true, nil
+}
+
+// startParallelFetch streams the partitioned final fetch: morsels of
+// the sorted RID list cut on page boundaries (a same-page run is never
+// split, so each data page is span-fetched by exactly one worker and
+// the hit/miss profile matches the sequential clustered fetch), each
+// prefetching inside itself.
+func (f *finalStage) startParallelFetch() *morsels {
+	rids := f.c.rids
+	samePage := func(a, b int) bool { return rids[a].Page == rids[b].Page }
+	return startMorsels(f.m.tr, len(rids), f.workers, finalFetchBudget, morselRIDs, samePage, func(lo, hi int, stop *atomic.Bool, w *morselWorker) error {
+		if w.c.run == nil {
+			w.c = newFetchCursor(nil)
+		}
+		w.c.rids, w.c.pos, w.c.pfPos = rids[lo:hi], 0, 0
+		_, err := f.fetch(&w.c, w.tr, 0, stop, &w.out)
+		return err
+	})
 }
 
 // maybeParallelLegs fans the union scan out across its OR legs: each

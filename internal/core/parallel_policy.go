@@ -3,38 +3,32 @@ package core
 import "fmt"
 
 // Adaptive parallelism policy: worker width as a per-scan optimizer
-// decision.
-//
-// PR 5 made partitioned scans possible but left the width a global
-// knob (Config.Parallelism): every eligible scan fans out to the full
-// budget, however small the scan or however busy the engine. This file
-// applies the paper's run-time-decision discipline to that choice. At
-// the moment a scan is about to partition, the policy knows three
-// things the compile-time knob cannot: the scan's appraised I/O
-// (feedback-corrected, per Section 5), the fixed per-worker
-// startup/merge overhead, and the engine's live load. From those it
-// picks the width minimizing the expected critical path:
+// decision, the paper's run-time-decision discipline applied to the
+// Config.Parallelism ceiling. At the moment a scan is about to
+// partition, the policy knows what a compile-time knob cannot: the
+// scan's appraised I/O (feedback-corrected, per Section 5), the fixed
+// per-worker startup/hand-over overhead, and the engine's live load.
+// From those it picks the width minimizing the expected critical path:
 //
 //	cost(k) = estIO/k + startup·(k-1)
 //
-// — the first term is the partitioned scan's longest leg under an even
-// split, the second the coordinator's cost to launch and barrier-merge
-// k-1 extra workers. The minimizer is k* ≈ sqrt(estIO/startup), so
-// small scans (estIO <= 2·startup) never leave width 1 and huge scans
-// grow as the square root of their size up to the ceiling. Live load
-// shrinks the ceiling proportionally: a saturated engine keeps every
-// query sequential rather than multiplying goroutines under contention.
+// — the scan's share per worker under an even split, plus the cost to
+// launch k-1 extra workers and merge what they post. The minimizer is
+// k* ≈ sqrt(estIO/startup), so small scans (estIO <= 2·startup) never
+// leave width 1 and huge scans grow as the square root of their size up
+// to the ceiling. Live load shrinks the ceiling proportionally: a
+// saturated engine keeps every query sequential rather than multiplying
+// goroutines under contention.
 //
 // The policy only runs under Config.AdaptiveParallelism; otherwise
-// every scan keeps the static effectiveWorkers() width and behaves
-// bit-for-bit as before.
+// every scan keeps the static effectiveWorkers() width.
 
-// parallelStartupCost is the per-worker startup/merge overhead, in
-// simulated page accesses, charged against a candidate width (fan-out
-// to k workers must save more than (k-1)·cost off the critical path to
-// win). Two pages per worker matches the observed fixed cost of a
-// partitioned leg: one charged leaf-seek to open the partition plus
-// roughly one access of barrier/merge slack.
+// parallelStartupCost is the per-worker startup/hand-over overhead, in
+// simulated page accesses, charged against a candidate width (k workers
+// must save more than (k-1)·cost off the critical path to win). Two
+// pages per worker matches the observed fixed cost of a partitioned
+// leg: one charged leaf-seek to open the partition plus roughly one
+// access of merge slack.
 const parallelStartupCost = 2.0
 
 // planParallelWidth picks the worker width in [1, max] minimizing the
@@ -69,11 +63,11 @@ func planParallelWidth(estIO float64, max int, load float64) int {
 
 // tscanWidth resolves a sequential-retrieval (Tscan) width. A
 // Limit-capped retrieval's Tscan never partitions — rows must stop at
-// the cap — so the policy is consulted only for the partitionable
-// shape; otherwise the static knob passes through untouched.
+// the cap — so it is width 1 and the policy is consulted only for the
+// partitionable shape.
 func tscanWidth(cfg Config, ec *ExecCtx, trc *tracer, q *Query, estIO float64) int {
 	if q.Limit != 0 {
-		return cfg.effectiveWorkers()
+		return 1
 	}
 	return decideWidth(cfg, ec, trc, "Tscan", estIO)
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"rdbdyn/internal/estimate"
@@ -268,6 +270,50 @@ func TestAdaptiveDowngradesSmallScan(t *testing.T) {
 	}
 	if snap.ParallelWidths["1"] == 0 {
 		t.Fatalf("width histogram missing bucket 1: %v", snap.ParallelWidths)
+	}
+}
+
+// TestAdaptivePinnedTscanWidth: a frozen Tscan plan asks the same width
+// policy as the dynamic path — RunPlan on a small table under a
+// saturated ceiling stays at width 1 with the decision in its trace,
+// and delivers the dynamic run's rows for the dynamic run's attributed
+// I/O — and a Limit-capped Tscan, which never partitions, is width 1
+// without a decision.
+func TestAdaptivePinnedTscanWidth(t *testing.T) {
+	f := newFixture(t, 300)
+	age := f.col(t, "AGE")
+	q := &Query{
+		Table:       f.tab,
+		Restriction: expr.NewCmp(expr.GE, expr.Col(age, "AGE"), expr.Lit(expr.Int(0))),
+	}
+	cfg := DefaultConfig()
+	cfg.Parallelism = 8
+	cfg.AdaptiveParallelism = true
+	o := NewOptimizer(cfg)
+	run := func(rows Rows) ([]expr.Row, RetrievalStats) {
+		t.Helper()
+		got := drain(t, rows)
+		return got, rows.Stats()
+	}
+	f.pool.EvictAll()
+	dyn, dynSt := run(o.Run(q))
+	f.pool.EvictAll()
+	pin, pinSt := run(o.RunPlan(nil, q, &Plan{Tactic: "tscan"}))
+	ev := firstEvent(pinSt, EvParallelWidthChosen, "")
+	if ev == nil || ev.Scan != "Tscan" || ev.Width != 1 {
+		t.Fatalf("pinned Tscan's width decision = %v, want width 1; trace: %v", ev, pinSt.Trace())
+	}
+	if strings.Contains(fmt.Sprint(pinSt.Trace()), "streamed") {
+		t.Fatalf("pinned Tscan of a %d-page table fanned out: %v", f.tab.Pages(), pinSt.Trace())
+	}
+	sameMultiset(t, pin, dyn, "pinned tscan")
+	if pinSt.IO != dynSt.IO {
+		t.Fatalf("pinned run attributed %+v, dynamic run %+v", pinSt.IO, dynSt.IO)
+	}
+	limited := *q
+	limited.Limit = 10
+	if w := tscanWidth(cfg, nil, nil, &limited, 1e6); w != 1 {
+		t.Fatalf("a Limit-capped Tscan got width %d, want 1", w)
 	}
 }
 

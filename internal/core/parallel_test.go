@@ -167,8 +167,9 @@ func raceQuery(f *fixture, t *testing.T) *Query {
 
 // waitGoroutines fails the test if the process goroutine count does not
 // return to the pre-run baseline: a worker or race leg outlived its
-// barrier. Parallel fan-outs are barrier-synchronous inside one step,
-// so nothing should linger beyond Close.
+// scan. Race legs and fan-outs are barrier-synchronous inside one step;
+// a streamed Tscan or Fin's workers outlive a step but are joined by the
+// scan's release, so nothing should linger beyond Close.
 func waitGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -238,25 +239,41 @@ func TestParallelRaceAuditCancellation(t *testing.T) {
 // sweep over the partitioned parallel paths (satellite of the
 // parallelism work): each mode must surface its error exactly once per
 // query — counted by the cumulative metrics — with every worker unwound
-// through the barrier, no pins held, and no goroutines orphaned.
+// (through the barrier, or joined by release when the scan streams),
+// every charge attributed, no pins held, and no goroutines orphaned.
 func TestParallelCancellationSweep(t *testing.T) {
-	f := newFixture(t, 10000, "AGE", "CITY")
-	salary := f.col(t, "SALARY")
+	f := newFixture(t, 10000, "AGE", "CITY", "ID")
+	salary, id := f.col(t, "SALARY"), f.col(t, "ID")
 	tscanQ := &Query{
 		Table:       f.tab,
 		Restriction: expr.NewCmp(expr.GE, expr.Col(salary, "SALARY"), expr.Lit(expr.Float(0))),
 	}
-	// Budgets are sized to trip inside each query's partitioned fan-out:
+	finQ := &Query{
+		Table:       f.tab,
+		Restriction: expr.NewCmp(expr.LT, expr.Col(id, "ID"), expr.Lit(expr.Int(5000))),
+	}
+	// Budgets are sized to trip inside each query's partitioned scan:
 	// the tscan charges hundreds of heap reads, the jscan's partitioned
-	// IX_AGE scan spans roughly I/Os 5..12 of its query.
+	// IX_AGE scan spans roughly I/Os 5..12 of its query, the streamed
+	// final fetch I/Os 44..83 of its. The event is the one whose sink
+	// cancels the query or sleeps past its deadline: the partitioned
+	// scan that follows it hits the governor checkpoint already tripped.
 	queries := map[string]struct {
 		q      *Query
 		budget int64
+		at     EventKind
 	}{
-		"partitioned-tscan": {tscanQ, 25},
-		"partitioned-jscan": {bgQuery(f, t, GoalTotalTime), 8},
+		"partitioned-tscan": {tscanQ, 25, EvTacticChosen},
+		"partitioned-jscan": {bgQuery(f, t, GoalTotalTime), 8, EvTacticChosen},
+		"partitioned-fin":   {finQ, 60, EvFinalStage},
 	}
 	const workers = 4
+	attributed := func(t *testing.T, ec *ExecCtx, rows Rows) {
+		t.Helper()
+		if st := rows.Stats(); st.IO.IOCost()+st.EstimateIO != ec.IOSpent() {
+			t.Fatalf("attributed %d + estimate %d, the query's workers charged %d", st.IO.IOCost(), st.EstimateIO, ec.IOSpent())
+		}
+	}
 
 	for qname, tc := range queries {
 		q, budget := tc.q, tc.budget
@@ -267,9 +284,7 @@ func TestParallelCancellationSweep(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			baseline := runtime.NumGoroutine()
-			// Fire on the tactic choice: the first parallel fan-out after
-			// it hits the governor checkpoint already cancelled.
-			ec := NewExecCtx(ctx, 0).WithTrace(&eventTrigger{kind: EvTacticChosen, fire: cancel})
+			ec := NewExecCtx(ctx, 0).WithTrace(&eventTrigger{kind: tc.at, fire: cancel})
 			o := NewOptimizer(cfg)
 			f.pool.EvictAll()
 			rows := o.RunExec(ec, q)
@@ -278,6 +293,7 @@ func TestParallelCancellationSweep(t *testing.T) {
 			}
 			checkCancelled(t, f, rows, o, false, false)
 			waitGoroutines(t, baseline)
+			attributed(t, ec, rows)
 		})
 
 		t.Run(qname+"/budget", func(t *testing.T) {
@@ -300,6 +316,7 @@ func TestParallelCancellationSweep(t *testing.T) {
 			}
 			checkCancelled(t, f, rows, o, false, true)
 			waitGoroutines(t, baseline)
+			attributed(t, ec, rows)
 		})
 
 		t.Run(qname+"/deadline", func(t *testing.T) {
@@ -312,7 +329,7 @@ func TestParallelCancellationSweep(t *testing.T) {
 			// Sleeping past the deadline inside the trace sink guarantees
 			// the expiry lands mid-retrieval without timing flakiness.
 			ec := NewExecCtx(ctx, 0).WithTrace(&eventTrigger{
-				kind: EvTacticChosen,
+				kind: tc.at,
 				fire: func() { time.Sleep(60 * time.Millisecond) },
 			})
 			o := NewOptimizer(cfg)
@@ -323,6 +340,7 @@ func TestParallelCancellationSweep(t *testing.T) {
 			}
 			checkCancelled(t, f, rows, o, true, false)
 			waitGoroutines(t, baseline)
+			attributed(t, ec, rows)
 		})
 	}
 }

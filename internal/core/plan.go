@@ -278,7 +278,7 @@ func (o *Optimizer) pinned(ec *ExecCtx, q *Query, p *Plan, ixs []*catalog.Index,
 	switch tactic {
 	case tacticTscan:
 		r.model = tableCostModel(q)
-		r.fg = newTscan(ec, q, r.k, r.out, cfg.effectiveWorkers())
+		r.fg = newTscan(ec, q, r.k, r.out, tscanWidth(cfg, ec, r.trc, q, r.model.TscanCost()))
 		chosen.Scan, chosen.EstimatedIO = "Tscan", r.model.TscanCost()
 		r.trc.emit(chosen)
 		return r, nil

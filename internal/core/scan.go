@@ -130,9 +130,9 @@ type tscan struct {
 	out     *rowQueue
 	m       meter
 	exclude *rid.CompressedBitmap
-	rpp     int // rows per page, the per-step record budget
-	workers int // intra-query worker budget (see parallel.go)
-	parDone bool
+	rpp     int      // rows per page, the per-step record budget
+	workers int      // intra-query worker budget (see parallel.go)
+	par     *morsels // the streamed scan, once partitioned
 	done    bool
 }
 
@@ -156,23 +156,24 @@ func newTscan(ec *ExecCtx, q *Query, k *rowKernel, out *rowQueue, workers int) *
 
 func (t *tscan) name() string  { return "Tscan" }
 func (t *tscan) cost() float64 { return t.m.cost() }
-func (t *tscan) release()      { t.cur.Close() }
+func (t *tscan) release()      { t.cur.Close(); t.par.close() }
 
 func (t *tscan) step() (bool, error) {
 	if t.done {
 		return true, nil
 	}
-	// Eager partitioned scan: only without a row limit (an eager scan
-	// cannot stop early) and only as the very first step (a scan that
-	// already made sequential progress keeps its cursor position).
-	if t.workers > 1 && t.q.Limit == 0 && !t.parDone {
-		t.parDone = true
-		if handled, err := t.runParallelScan(); handled || err != nil {
-			return t.done, err
-		}
+	// Partitioned scan: only without a row limit (workers run ahead of
+	// the consumer), started by the very first step; every step hands
+	// over one morsel.
+	if t.par == nil && t.workers > 1 && t.q.Limit == 0 {
+		t.par = t.startParallelScan()
 	}
-	done, err := t.scanRows(t.cur, t.rpp, nil, &t.scratch, t.out)
-	t.done = done
+	var err error
+	if t.par != nil {
+		t.done, err = t.par.step(t.out)
+	} else {
+		t.done, err = t.scanRows(t.cur, t.rpp, nil, &t.scratch, t.out)
+	}
 	return t.done, err
 }
 

@@ -262,7 +262,12 @@ func (r *retrieval) advance() (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		r.finDone = done
+		if r.finDone = done; done && r.fin.par != nil {
+			r.trc.emit(TraceEvent{
+				Kind: EvScanComplete, Tactic: r.tactic.String(), Scan: r.fin.name(),
+				ActualIO: r.fin.cost(), Detail: "final stage complete" + r.fin.par.String(),
+			})
+		}
 		return done, nil
 	}
 	// Foreground slice.
@@ -305,9 +310,13 @@ func (r *retrieval) advance() (bool, error) {
 
 // onFgDone handles foreground completion.
 func (r *retrieval) onFgDone() error {
+	detail := "foreground complete"
+	if ts, ok := r.fg.(*tscan); ok && ts.par != nil {
+		detail += ts.par.String()
+	}
 	r.trc.emit(TraceEvent{
 		Kind: EvScanComplete, Tactic: r.tactic.String(), Scan: r.fg.name(),
-		ActualIO: r.fg.cost(), Detail: "foreground complete",
+		ActualIO: r.fg.cost(), Detail: detail,
 	})
 	switch r.tactic {
 	case tacticFastFirst:
@@ -485,19 +494,14 @@ func (r *retrieval) control() error {
 
 // enterFinal switches the retrieval into its final stage.
 func (r *retrieval) enterFinal(delivered []storage.RID) error {
-	width := r.cfg.effectiveWorkers()
+	fin, err := newFinalStage(r.ec, r.q, r.k, r.bg.bgComplete(), delivered, r.out)
+	if err != nil {
+		return err
+	}
 	if r.q.Limit == 0 {
 		// Only the uncapped final stage partitions; its appraised cost
 		// is the fetch of the completed RID list.
-		var finEst float64
-		if c := r.bg.bgComplete(); c != nil {
-			finEst = r.model.JscanFinalCost(float64(c.Len()))
-		}
-		width = decideWidth(r.cfg, r.ec, r.trc, "Fin", finEst)
-	}
-	fin, err := newFinalStage(r.ec, r.q, r.k, r.bg.bgComplete(), delivered, r.out, width)
-	if err != nil {
-		return err
+		fin.workers = decideWidth(r.cfg, r.ec, r.trc, "Fin", r.model.JscanFinalCost(float64(r.bg.bgComplete().Len())))
 	}
 	r.fin = fin
 	r.trc.emit(TraceEvent{
