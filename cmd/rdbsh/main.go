@@ -377,7 +377,6 @@ func printMetrics(m core.MetricsSnapshot) {
 				fmt.Printf("  %-8s %d\n", bucket, n)
 			}
 		}
-		fmt.Printf("  early cancels:   %d\n", m.ParallelEarlyCancels)
 		fmt.Printf("  seq downgrades:  %d\n", m.ParallelSeqDowngrades)
 	}
 	if len(m.TacticWins) > 0 {

@@ -219,9 +219,9 @@ func (t *Table) FetchTracked(rid storage.RID, tr *storage.Tracker) (expr.Row, er
 }
 
 // Update replaces the row at rid, maintaining every index whose key
-// changes. The new row must satisfy the table's types and fit in the
-// page (records in this simulator are similar sizes, so in-place update
-// virtually always fits; a genuine overflow surfaces as an error).
+// changes. The new row must satisfy the table's types. A row that no
+// longer fits its page moves to a new RID (relocate), so rid does not
+// name it afterwards.
 func (t *Table) Update(rid storage.RID, newRow expr.Row) error {
 	if err := t.checkRow(newRow); err != nil {
 		return err
@@ -241,7 +241,10 @@ func (t *Table) update(rid storage.RID, oldRow, newRow expr.Row) error {
 	if err != nil {
 		return err
 	}
-	if err := p.Update(rid.Slot, expr.EncodeRow(newRow)); err != nil {
+	rec := expr.EncodeRow(newRow)
+	if err := p.Update(rid.Slot, rec); err == storage.ErrPageFull {
+		return t.relocate(rid, oldRow, newRow, rec)
+	} else if err != nil {
 		return err
 	}
 	for _, ix := range t.Indexes {
@@ -253,6 +256,31 @@ func (t *Table) update(rid storage.RID, oldRow, newRow expr.Row) error {
 			return fmt.Errorf("catalog: index %s: %w", ix.Name, err)
 		}
 		if err := ix.Tree.Insert(newKey, rid); err != nil {
+			return fmt.Errorf("catalog: index %s: %w", ix.Name, err)
+		}
+	}
+	t.statsEpoch.Add(1)
+	return nil
+}
+
+// relocate moves a row whose new record rec no longer fits its page:
+// rec is inserted wherever the heap puts a new record, the old slot is
+// deleted, and every index entry follows the row to its new RID, its key
+// changed or not. The insert comes first, so a record that fits no page
+// fails with nothing changed.
+func (t *Table) relocate(rid storage.RID, oldRow, newRow expr.Row, rec []byte) error {
+	moved, err := t.Heap.Insert(rec)
+	if err != nil {
+		return err
+	}
+	if err := t.Heap.Delete(rid); err != nil {
+		return err
+	}
+	for _, ix := range t.Indexes {
+		if _, err := ix.Tree.Delete(ix.KeyFor(oldRow), rid); err != nil {
+			return fmt.Errorf("catalog: index %s: %w", ix.Name, err)
+		}
+		if err := ix.Tree.Insert(ix.KeyFor(newRow), moved); err != nil {
 			return fmt.Errorf("catalog: index %s: %w", ix.Name, err)
 		}
 	}
@@ -287,7 +315,8 @@ func (t *Table) delete(rid storage.RID, row expr.Row) error {
 // read lock. change is then applied to every victim under the write
 // lock: it returns the row's new contents, or nil to delete the row.
 // The victims are collected completely before the first mutation, so a
-// row that a change moves cannot match again. When another writer got
+// row that a change moves — along an index, or to a new RID when it
+// outgrows its page — cannot match again. When another writer got
 // in between the phases (the statistics epoch moved), the victims are
 // collected once more, now under the write lock. Mutate returns the
 // number of rows changed.

@@ -8,60 +8,10 @@ import (
 	"rdbdyn/internal/storage"
 )
 
-// Operator is the composable streaming face of the scan machinery: a
-// pull-based producer of index-entry batches. B-tree cursors (forward
-// and reverse) are operators directly; wrappers add a consumption bound
-// (partition workers) without changing the charge profile, and
-// acceptEntries turns an entry batch into the surviving RIDs through
-// the bitmap filter and index-local restriction. Jscan's sequential
-// path, both race legs, and every partition worker all drive the same
-// operator + acceptEntries pipeline, differing only in which scratch
-// buffers they own — which is what lets race legs and partition workers
-// run on their own goroutines.
-type Operator interface {
-	// NextBatch fills dst with up to len(dst) entries and returns how
-	// many it produced; 0 means the operator is exhausted. Charges are
-	// identical to per-entry iteration.
-	NextBatch(dst []btree.Entry) (int, error)
-	// Close releases held resources (leaf pins). Idempotent and
-	// required when abandoning the operator before exhaustion.
-	Close()
-}
-
-var (
-	_ Operator = (*btree.Cursor)(nil)
-	_ Operator = (*btree.ReverseCursor)(nil)
-)
-
-// boundedOp caps an operator at a fixed number of entries — the shape
-// of an interior partition worker, which owns whole leaves and must
-// stop exactly at its boundary without touching the next worker's first
-// leaf. Each NextBatch clamps the destination to the remaining budget,
-// and NextBatch never hops past the leaf that satisfies the clamp, so
-// the bound adds no page charges.
-type boundedOp struct {
-	src       Operator
-	remaining int64
-}
-
-func (b *boundedOp) NextBatch(dst []btree.Entry) (int, error) {
-	if b.remaining <= 0 {
-		return 0, nil
-	}
-	if int64(len(dst)) > b.remaining {
-		dst = dst[:b.remaining]
-	}
-	n, err := b.src.NextBatch(dst)
-	b.remaining -= int64(n)
-	return n, err
-}
-
-func (b *boundedOp) Close() { b.src.Close() }
-
 // acceptScratch is the per-consumer buffer set of an entry scan: the
-// batch its operator fills and what acceptEntries needs to judge it.
-// Every concurrent consumer (the sequential scan, each race leg, each
-// partition worker) owns one, so batch acceptance never shares state.
+// batch its cursor fills and what acceptEntries needs to judge it.
+// Every concurrent consumer (the sequential scan, each goroutine race
+// leg) owns one, so batch acceptance never shares state.
 type acceptScratch struct {
 	batch []btree.Entry
 	keep  []bool
@@ -72,7 +22,7 @@ type acceptScratch struct {
 
 // firstBatch sizes a stepping scan's first batches: most index ranges
 // end within it, and a scan that fills its batches doubles them up to a
-// step (acceptEntries). Eager workers start at a full step.
+// step (acceptEntries). Goroutine race legs start at a full step.
 const firstBatch = 16
 
 func newAcceptScratch(n int) *acceptScratch {

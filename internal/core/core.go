@@ -225,17 +225,15 @@ type Config struct {
 	// core count). Parallel execution preserves result rows, attributed
 	// I/O totals, and Metrics exactly; see DESIGN.md for the invariants.
 	Parallelism int
-	// AdaptiveParallelism lets the optimizer pick each scan's worker
-	// width itself — from the scan's appraised I/O estimate, the
+	// AdaptiveParallelism lets the optimizer pick each Tscan's and Fin's
+	// worker width itself — from the scan's appraised I/O estimate, the
 	// per-worker startup cost, and the engine's live load
-	// (ExecCtx.Load) — instead of always fanning out to the full
+	// (ExecCtx.Load) — instead of always partitioning to the full
 	// Parallelism budget. Parallelism keeps its meaning as the ceiling;
 	// small or contended scans stay sequential, huge cold scans fan out
-	// up to the cap. Adaptive mode also unlocks the scan shapes that
-	// static widths leave sequential: Limit-capped partitioned Jscans
-	// with first-to-fill early cancellation, and partitioned join probe
-	// stages. Off by default — the paper's experiments and the static
-	// knob behave exactly as before.
+	// up to the cap. It selects the width policy and nothing else. Off
+	// by default — the paper's experiments and the static knob behave
+	// exactly as before.
 	AdaptiveParallelism bool
 }
 

@@ -73,11 +73,6 @@ const (
 	// EstimatedIO the scan's appraised cost, and Detail the inputs —
 	// the ceiling, the live load, and the per-worker startup cost.
 	EvParallelWidthChosen
-	// EvParallelEarlyCancel marks a Limit-capped partitioned scan
-	// cancelling its sibling workers because the first workers to fill
-	// already collected enough candidates; ActualIO is the scan's
-	// attributed I/O at the barrier.
-	EvParallelEarlyCancel
 	// EvJoinSortAvoided marks an ORDER BY join skipping its final
 	// materialized sort because the surviving stage order already
 	// satisfied the requested order.
@@ -120,8 +115,6 @@ func (k EventKind) String() string {
 		return "plan-capture-rejected"
 	case EvParallelWidthChosen:
 		return "parallel-width-chosen"
-	case EvParallelEarlyCancel:
-		return "parallel-early-cancel"
 	case EvJoinSortAvoided:
 		return "join-sort-avoided"
 	default:

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync/atomic"
 
 	"rdbdyn/internal/catalog"
 	"rdbdyn/internal/estimate"
@@ -16,7 +15,7 @@ import (
 // joinReoptCheckEvery is the mid-stage re-optimization cadence: probe
 // operators (inl/ridx) check their measured per-probe cost against a
 // one-scan alternative after this many outer rows, and every this-many
-// thereafter. It is also the per-worker size of a stage's full round.
+// thereafter. It is also the size of a stage's full round.
 const joinReoptCheckEvery = 64
 
 // JoinReoptFactor is the mid-flight re-optimization trigger of a
@@ -494,10 +493,8 @@ func predsMatch(preds []stagePred, outer, inner expr.Row) bool {
 
 // joinStage is one stage of the pipeline, a pull operator over the
 // stages below it: Next hands out joined rows, running a round — pull up
-// to width·joinReoptCheckEvery upstream rows, join them, each worker a
-// contiguous chunk on its own tracker, outputs concatenated in chunk
-// order — whenever it has none left. Stage 0, the driver, is its table
-// access and nothing else.
+// to joinReoptCheckEvery upstream rows, then join them — whenever it has
+// none left. Stage 0, the driver, is its table access and nothing else.
 type joinStage struct {
 	jr     *joinRun
 	si     int
@@ -527,16 +524,14 @@ type joinStage struct {
 	onOuter bool  // built on the outer rows: up becomes the table's access, streaming
 	keys    []int // the streamed side's key columns
 
-	width int
 	chunk []expr.Row // this round's upstream rows
-	work  []joinWorker
+	w     joinWorker
 	out   rowQueue
 	done  bool
 }
 
-// joinWorker is one worker's scratch, reused across rounds.
+// joinWorker is the probe kernels' scratch, reused across rounds.
 type joinWorker struct {
-	out  []expr.Row
 	view expr.Row // the kernel's decode target
 	key  []byte   // encoded probe key and its successor, or the hash key
 }
@@ -645,20 +640,7 @@ func (s *joinStage) open() (err error) {
 	if s.sg.Operator == JoinOpRIDX {
 		err = s.buildBitmap()
 	}
-	// Appraised probe work: one descent plus roughly one fetch per outer row.
-	s.setWidth("JoinProbe", s.upRows*(float64(s.ix.Tree.Height())+1), s.upRows)
 	return err
-}
-
-// setWidth resolves the stage's worker width. Join stages fan out only
-// under adaptive mode (the static knob never touched joins) and only
-// when there are rows to split.
-func (s *joinStage) setWidth(scan string, estIO, rows float64) {
-	cfg := s.jr.o.cfg
-	if s.width = 1; cfg.AdaptiveParallelism && cfg.effectiveWorkers() >= 2 && rows >= 2 {
-		s.width = decideWidth(cfg, s.jr.ec, s.jr.trc, scan, estIO)
-	}
-	s.work = make([]joinWorker, s.width)
 }
 
 // buildBitmap packs the RIDs of the table's restriction-index range
@@ -739,9 +721,9 @@ func (s *joinStage) round() error {
 			return err
 		}
 	}
-	// A round takes as many rows as the stage has taken so far, from one a
-	// worker (the first joined row is one probe away) up to the cadence.
-	n := min(max(s.probed, s.width), s.width*joinReoptCheckEvery)
+	// A round takes as many rows as the stage has taken so far, from one
+	// (the first joined row is one probe away) up to the cadence.
+	n := min(max(s.probed, 1), joinReoptCheckEvery)
 	if lim := jr.jq.Limit; lim > 0 && jr.streams(s.si) {
 		n = min(n, lim-jr.st.RowsDelivered) // a LIMIT asks upstream for no more than is still wanted
 	}
@@ -755,41 +737,35 @@ func (s *joinStage) round() error {
 			s.chunk = append(s.chunk, row)
 		}
 	}
-	k := min(s.width, len(s.chunk))
-	err := fanOut(s.m.tr, k, func(i int, tr *storage.Tracker, stop *atomic.Bool) error {
-		w := &s.work[i]
-		for _, row := range s.chunk[i*len(s.chunk)/k : (i+1)*len(s.chunk)/k] {
-			if stop.Load() {
-				break
-			}
-			if s.ix == nil {
-				s.hashProbe(w, row)
-			} else if err := s.probeOne(w, row, tr); err != nil {
-				return err
-			}
+	var err error
+	for _, row := range s.chunk {
+		if s.ix == nil {
+			s.hashProbe(row)
+		} else if err = s.probeOne(row); err != nil {
+			break
 		}
-		return nil
-	})
-	for i := range s.work[:k] {
-		w := &s.work[i]
-		s.out.rows = append(s.out.rows, w.out...)
-		s.rows += len(w.out)
-		w.out = w.out[:0]
 	}
 	s.probed += len(s.chunk)
 	return err
 }
 
+// emit hands a joined row to the stage's consumer.
+func (s *joinStage) emit(row expr.Row) {
+	s.out.push(row)
+	s.rows++
+}
+
 // probeOne is the inl/ridx probe kernel: one outer row against the
 // inner index. A fetched record is decided through the table's kernel
-// into the worker's scratch view and materialized, straight into the
-// output row, only if it matches. All I/O is charged to tr.
-func (s *joinStage) probeOne(w *joinWorker, orow expr.Row, tr *storage.Tracker) error {
+// into the scratch view and materialized, straight into the output row,
+// only if it matches. All I/O is charged to the stage's meter.
+func (s *joinStage) probeOne(orow expr.Row) error {
+	w, tr := &s.w, s.m.tr
 	v := orow[s.preds[s.probe].outerPos]
 	if v.IsNull() {
 		return nil
 	}
-	// The key and its successor, back to back in the worker's buffer.
+	// The key and its successor, back to back in the scratch buffer.
 	lo := expr.EncodeKey(w.key[:0], v)
 	n := len(lo)
 	w.key = expr.AppendKeySuccessor(lo, lo)
@@ -816,7 +792,7 @@ func (s *joinStage) probeOne(w *joinWorker, orow expr.Row, tr *storage.Tracker) 
 			return err
 		}
 		if pass && predsMatch(s.preds, orow, w.view) {
-			w.out = append(w.out, s.combine(orow, w.view))
+			s.emit(s.combine(orow, w.view))
 		}
 	}
 }
@@ -842,9 +818,9 @@ func (s *joinStage) build() error {
 		}
 	}
 	s.keys = okeys
-	built, bkeys, streamed := rowSource(in), tkeys, s.upRows
+	built, bkeys := rowSource(in), tkeys
 	if s.onOuter {
-		built, bkeys, streamed = s.up, okeys, jr.jts[t].Card
+		built, bkeys = s.up, okeys
 		s.up, s.keys = in, tkeys
 	}
 	rows, err := drainRows(built)
@@ -855,17 +831,14 @@ func (s *joinStage) build() error {
 	if !s.onOuter {
 		s.closeIn()
 	}
-	// The probe charges no I/O, so the width policy prices it through
-	// the CPU-in-I/O currency — small streamed sides stay sequential.
-	s.setWidth("HashProbe", estimate.JoinCPUCost(streamed), streamed)
 	return nil
 }
 
 // hashProbe is the hj/nl probe kernel: one streamed row against the
 // (read-only) table.
-func (s *joinStage) hashProbe(w *joinWorker, row expr.Row) {
-	key, ok := hashJoinKey(w.key[:0], row, s.keys)
-	if w.key = key; !ok {
+func (s *joinStage) hashProbe(row expr.Row) {
+	key, ok := hashJoinKey(s.w.key[:0], row, s.keys)
+	if s.w.key = key; !ok {
 		return
 	}
 	for i := s.ht.head[string(key)]; i > 0; i = s.ht.next[i-1] {
@@ -874,7 +847,7 @@ func (s *joinStage) hashProbe(w *joinWorker, row expr.Row) {
 			outer, inner = inner, outer
 		}
 		if predsMatch(s.preds, outer, inner) {
-			w.out = append(w.out, s.combine(outer, inner))
+			s.emit(s.combine(outer, inner))
 		}
 	}
 }

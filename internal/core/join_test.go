@@ -588,25 +588,87 @@ func TestHashJoinEquivalence(t *testing.T) {
 	}
 }
 
-// TestHashJoinParallelProbe forces hj under adaptive parallelism and
-// checks the chunked parallel probe returns the same multiset as the
-// sequential run — and that the probe really fanned out, so the test
-// cannot pass on the sequential path.
-func TestHashJoinParallelProbe(t *testing.T) {
-	// 1000 outer rows: enough CPU-in-I/O cost for the policy to leave
-	// width 1 (100 rows price at 2 units and stay sequential).
-	f := newJoinFixture(t, 1000, 2000, 20, 0, true)
-	jq := f.custOrdQuery(nil)
-	want := oracleJoin(t, jq, [][]expr.Row{f.custRows, f.ordRows})
-	o := NewOptimizer(Config{AdaptiveParallelism: true, Parallelism: 8})
-	plan := &JoinPlan{Stages: []JoinStagePlan{
-		{Table: 0, Operator: "tscan", EstRows: float64(f.nCust)},
-		{Table: 1, Operator: JoinOpHJ, EstRows: 1},
-	}}
-	got, st := drainJoin(t, o.RunJoin(nil, f.custOrdQuery(nil), plan))
-	assertSameRows(t, "parallel-probe", got, want)
-	if ev := widthEvent(st, "HashProbe"); ev == nil || ev.Width < 2 {
-		t.Fatalf("hj probe did not fan out; trace: %v", st.Trace())
+// TestJoinProbeWidthInvariant: a join stage has one width, so the
+// worker budget must not change what a probe stage does. A forced inl or
+// ridx stage delivers the same row sequence, and books the same I/O and
+// row count to every stage, at Parallelism 0 as at 4 under the adaptive
+// policy; an overpriced probe falls back to hj mid-stage at both,
+// keeping what the probes already produced; and no width decision names
+// anything but the two scans that partition, Tscan and Fin. (The
+// fallback runs on a 32-frame pool, where a streamed table access's
+// read-ahead moves which pages hit, so there the I/O may differ.)
+func TestJoinProbeWidthInvariant(t *testing.T) {
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"sequential", Config{}},
+		{"adaptive-4", Config{Parallelism: 4, AdaptiveParallelism: true}},
+	}
+	same := func(t *testing.T, rows [2][]expr.Row, sts [2]RetrievalStats, sameIO bool) {
+		t.Helper()
+		got, want := rows[1], rows[0]
+		if len(got) != len(want) || len(want) == 0 {
+			t.Fatalf("%d rows vs %d (want equal and non-zero)", len(got), len(want))
+		}
+		for i := range got {
+			if rowKey(got[i]) != rowKey(want[i]) {
+				t.Fatalf("row %d diverged:\n got  %s\n want %s", i, rowKey(got[i]), rowKey(want[i]))
+			}
+		}
+		for i := range sts[0].JoinStages {
+			s, p := sts[0].JoinStages[i], sts[1].JoinStages[i]
+			if s.Operator != p.Operator || sameIO && s.IO != p.IO || s.ActualRows != p.ActualRows {
+				t.Fatalf("stage %d: sequential %s io=%d rows=%d, adaptive %s io=%d rows=%d",
+					i, s.Operator, s.IO, s.ActualRows, p.Operator, p.IO, p.ActualRows)
+			}
+		}
+		for i, c := range configs {
+			onlyMorselWidths(t, c.name, sts[i])
+		}
+	}
+	for _, op := range []string{JoinOpINL, JoinOpRIDX} {
+		t.Run(op+"/forced", func(t *testing.T) {
+			// Unbounded pool, evicted before each run: every distinct page
+			// is read exactly once whatever the worker interleaving.
+			f := newJoinFixture(t, 100, 600, 20, 0, true)
+			var rows [2][]expr.Row
+			var sts [2]RetrievalStats
+			for i, c := range configs {
+				f.pool.EvictAll()
+				jq := f.custOrdQuery(nil)
+				jq.Local[1] = expr.NewCmp(expr.GE, expr.Col(3, "QTY"), expr.Lit(expr.Int(8)))
+				plan := &JoinPlan{Stages: []JoinStagePlan{
+					{Table: 0, Operator: "tscan", EstRows: float64(f.nCust)},
+					{Table: 1, Operator: op, Index: "ORD_CUST_IX", EstRows: 1},
+				}}
+				rows[i], sts[i] = drainJoin(t, NewOptimizer(c.cfg).RunJoin(nil, jq, plan))
+			}
+			same(t, rows, sts, true)
+		})
+
+		t.Run(op+"/fallback", func(t *testing.T) {
+			// A 32-frame pool keeps every probe missing, so the measured
+			// per-probe cost projects far past one scan of ORD.
+			f := newJoinFixture(t, 1000, 4000, 50, 32, false)
+			var rows [2][]expr.Row
+			var sts [2]RetrievalStats
+			for i, c := range configs {
+				f.pool.EvictAll()
+				jq := f.custOrdQuery(nil)
+				jq.Local[1] = expr.NewCmp(expr.GE, expr.Col(3, "QTY"), expr.Lit(expr.Int(2)))
+				rows[i], sts[i] = drainJoin(t, runJoinOn(NewOptimizer(c.cfg), nil, jq, &JoinPlan{Stages: []JoinStagePlan{
+					{Table: 0, Operator: "tscan", EstRows: float64(f.nCust)},
+					{Table: 1, Operator: op, Index: "ORD_CUST_IX"},
+				}}))
+				last := sts[i].JoinStages[len(sts[i].JoinStages)-1]
+				if last.Operator != JoinOpHJ || !last.Reoptimized || !hasEvent(sts[i], EvJoinReoptimized, "") {
+					t.Fatalf("%s: %s probe did not fall back to hj mid-stage: %s; trace: %v",
+						c.name, op, fmt.Sprint(last), sts[i].Trace())
+				}
+			}
+			same(t, rows, sts, false)
+		})
 	}
 }
 

@@ -27,7 +27,7 @@ func hashJoinKey(buf []byte, row expr.Row, cols []int) (_ []byte, ok bool) {
 // hashTable chains the built rows of one key through next, in build
 // order: one map lookup per built row, one assignment per distinct key.
 // Rows are numbered from 1, so 0 — what the map holds for a key it
-// lacks — ends a chain. Read-only once built: probe workers share it.
+// lacks — ends a chain. Read-only once built.
 type hashTable struct {
 	head map[string]int32 // key -> its first row
 	rows []expr.Row

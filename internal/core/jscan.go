@@ -40,14 +40,8 @@ type jscan struct {
 	// Current sequential scan (scan.cur == nil: none open): a leg like
 	// a racing one, freshly opened or a continued race loser, except
 	// that its RIDs go to list, not to the leg's in-memory slice.
-	scan  raceLeg
-	list  *rid.Container
-	curLo []byte // the open scan's key range, kept for partitioning
-	curHi []byte
-	// partitionable marks a scan eligible for the partitioned parallel
-	// path: freshly opened (not a continued race loser), forward, with
-	// its range bounds on hand.
-	partitionable bool
+	scan raceLeg
+	list *rid.Container
 
 	// Racing pair, when active.
 	race *raceState
@@ -77,8 +71,8 @@ type jscan struct {
 	onDone func(names []string)
 
 	// Batch scratch for the single-goroutine paths (steps are strictly
-	// sequential within one jscan; goroutine race legs and partition
-	// workers allocate their own). Allocated on first use.
+	// sequential within one jscan; goroutine race legs allocate their
+	// own). Allocated on first use.
 	sc *acceptScratch
 }
 
@@ -87,8 +81,7 @@ type raceState struct {
 }
 
 // raceLeg is one index scan in flight: a racing leg, the current
-// sequential scan, (ix, local, rids and seen only) one partition of a
-// partitioned scan, or (ix, local, out) an Sscan.
+// sequential scan, or (ix, local, out) an Sscan.
 type raceLeg struct {
 	ix       *catalog.Index
 	cur      *btree.Cursor
@@ -304,8 +297,6 @@ func (j *jscan) openSequential(e estimate.IndexEstimate) error {
 		return err
 	}
 	j.scan = leg
-	j.curLo, j.curHi = e.Lo, e.Hi
-	j.partitionable = true
 	j.list = rid.NewContainerTracked(j.q.Table.Pool(), j.cfg.RID, j.m.tr)
 	j.trc.emit(TraceEvent{
 		Kind: EvScanStarted, Scan: j.name(), Indexes: []string{e.Index.Name},
@@ -343,9 +334,8 @@ func (j *jscan) openLeg(e estimate.IndexEstimate, own bool) (raceLeg, error) {
 // pull is the one read every Jscan scheduler and Sscan makes: src's
 // next batch of at most budget entries, counted in l.seen, through the
 // previous list's filter and the leg's key kernel (acceptEntries).
-// n == 0 means src is exhausted. src is l.cur, a partition worker's
-// slice of the scan, or an Sscan's cursor.
-func (l *raceLeg) pull(src Operator, budget int, filter rid.Filter, sc *acceptScratch) (n int, kept []storage.RID, err error) {
+// n == 0 means src is exhausted. src is l.cur or an Sscan's cursor.
+func (l *raceLeg) pull(src entryCursor, budget int, filter rid.Filter, sc *acceptScratch) (n int, kept []storage.RID, err error) {
 	batch := sc.batch[:min(budget, len(sc.batch))]
 	if n, err = src.NextBatch(batch); err != nil || n == 0 {
 		return 0, nil, err
@@ -381,9 +371,6 @@ func (j *jscan) ensureBuffers() {
 // below fires at exactly the same entry counts as per-entry iteration.
 func (j *jscan) stepSequential() error {
 	j.ensureBuffers()
-	if handled, err := j.maybePartitionedScan(); handled || err != nil {
-		return err
-	}
 	sq := &j.scan
 	for budget := stepEntries; budget > 0; {
 		n, kept, err := sq.pull(sq.cur, budget, j.filter, j.sc)
@@ -662,7 +649,6 @@ func (j *jscan) continueLoser(l *raceLeg) error {
 	}
 	j.scan = *l
 	j.scan.rids = nil // they move to list, refiltered
-	j.partitionable = false
 	j.list = rid.NewContainerTracked(j.q.Table.Pool(), j.cfg.RID, j.m.tr)
 	rest := l.rids
 	for len(rest) > 0 {

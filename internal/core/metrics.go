@@ -56,7 +56,6 @@ type Metrics struct {
 	// Adaptive-parallelism counters (only moved under
 	// Config.AdaptiveParallelism).
 	parWidths       [parWidthBuckets]atomic.Int64
-	parEarlyCancels atomic.Int64
 	parSeqDowngrade atomic.Int64
 }
 
@@ -107,8 +106,6 @@ func (m *Metrics) onEvent(ev TraceEvent) {
 			// with a ceiling >= 2) and chose sequential anyway.
 			m.parSeqDowngrade.Add(1)
 		}
-	case EvParallelEarlyCancel:
-		m.parEarlyCancels.Add(1)
 	}
 }
 
@@ -226,8 +223,11 @@ type MetricsSnapshot struct {
 	// Adaptive-parallelism outcomes. All omitempty: workloads that never
 	// enable Config.AdaptiveParallelism serialize exactly as before.
 	ParallelWidths        map[string]int64 `json:"parallel_widths,omitempty"`
-	ParallelEarlyCancels  int64            `json:"parallel_early_cancels,omitempty"`
 	ParallelSeqDowngrades int64            `json:"parallel_seq_downgrades,omitempty"`
+	// ParallelEarlyCancels has no writer and always reads 0. It stays
+	// only because the benchmark report still reads it, and goes when
+	// that reader does (ROADMAP item 1a).
+	ParallelEarlyCancels int64 `json:"parallel_early_cancels,omitempty"`
 }
 
 // Snapshot copies the counters. Under concurrent load the copy is not a
@@ -261,7 +261,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 			s.JoinOperatorWins[joinOpName(k)] = n
 		}
 	}
-	s.ParallelEarlyCancels = m.parEarlyCancels.Load()
 	s.ParallelSeqDowngrades = m.parSeqDowngrade.Load()
 	for b := range m.parWidths {
 		if n := m.parWidths[b].Load(); n > 0 {

@@ -327,15 +327,92 @@ func TestMorselUnwinding(t *testing.T) {
 	}
 }
 
-// TestMorselFanOutOfNothing: a join round at the end of its upstream
-// fans out over zero rows — nothing runs, nothing is spawned.
-func TestMorselFanOutOfNothing(t *testing.T) {
-	before := runtime.NumGoroutine()
-	err := fanOut(storage.NewTracker(nil), 0, func(int, *storage.Tracker, *atomic.Bool) error {
-		t.Error("work ran")
-		return nil
-	})
-	if err != nil || runtime.NumGoroutine() != before {
-		t.Fatalf("err = %v, goroutines %d -> %d", err, before, runtime.NumGoroutine())
+// TestMorselContract pins the protocol of the one launcher: the
+// lowest-index error wins whatever the finishing order, every morsel's
+// charges — failed morsels included — are in the parent tracker by the
+// time the error returns, a failure raises the stop flag for the
+// siblings, and a clean run merges in full.
+func TestMorselContract(t *testing.T) {
+	f := newFixture(t, 2000)
+	heap := f.tab.Heap
+	if heap.NumPages() < 8 {
+		t.Fatalf("fixture heap has %d pages, want >= 8", heap.NumPages())
 	}
+	// touch charges tr one page access per page of morsel i's private
+	// page pair, so each morsel leaves a distinct, known charge.
+	touch := func(i int, tr *storage.Tracker) {
+		for p := 2 * i; p < 2*i+2; p++ {
+			cur := heap.RangeCursorTracked(storage.PageNo(p), storage.PageNo(p+1), tr)
+			if _, _, _, err := cur.Next(); err != nil {
+				t.Error(err)
+			}
+			cur.Close()
+		}
+	}
+	errLow, errHigh := errors.New("morsel 1 failed"), errors.New("morsel 3 failed")
+
+	t.Run("two failures", func(t *testing.T) {
+		f.pool.EvictAll()
+		baseline := runtime.NumGoroutine()
+		parent := storage.NewTracker(nil)
+		var sawStop atomic.Int32
+		release := make(chan struct{})
+		// Four one-unit morsels on four workers: morsels 0 to 2 wait for
+		// morsel 3, so each worker holds one.
+		m := startMorsels(parent, 4, 4, 1, 1, nil, func(i, _ int, stop *atomic.Bool, w *morselWorker) error {
+			touch(i, w.tr)
+			switch i {
+			case 3:
+				// The higher index fails first; the lower one only after.
+				defer close(release)
+				return errHigh
+			case 1:
+				<-release
+				return errLow
+			}
+			// Healthy siblings spin until the failure reaches them.
+			<-release
+			for !stop.Load() {
+				runtime.Gosched()
+			}
+			sawStop.Add(1)
+			return nil
+		})
+		var out rowQueue
+		if done, err := m.step(&out); err != errLow || done {
+			t.Fatalf("step: done=%v err=%v, want the lowest-index morsel's error (%v)", done, err, errLow)
+		}
+		if got := parent.Stats().Reads; got != 8 {
+			t.Fatalf("parent holds %d reads at error return, want all 8 (2 per morsel, failed morsels included)", got)
+		}
+		if sawStop.Load() != 2 {
+			t.Fatalf("%d healthy siblings observed the stop flag, want 2", sawStop.Load())
+		}
+		if !out.empty() {
+			t.Fatal("a stopped run handed rows over")
+		}
+		waitGoroutines(t, baseline)
+	})
+
+	t.Run("clean run merges in full", func(t *testing.T) {
+		f.pool.EvictAll()
+		baseline := runtime.NumGoroutine()
+		parent := storage.NewTracker(nil)
+		m := startMorsels(parent, 3, 3, 1, 1, nil, func(i, _ int, _ *atomic.Bool, w *morselWorker) error {
+			touch(i, w.tr)
+			return nil
+		})
+		var out rowQueue
+		steps := 0
+		for done := false; !done; steps++ {
+			var err error
+			if done, err = m.step(&out); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if steps != 4 || parent.Stats().Reads != 6 {
+			t.Fatalf("%d steps, reads = %d; want 3 morsels and the end, and 6", steps, parent.Stats().Reads)
+		}
+		waitGoroutines(t, baseline)
+	})
 }

@@ -49,13 +49,15 @@ func victimQuery(f *fixture, t *testing.T) *Query {
 // for every n a small query makes, across the scan shapes — among them
 // a RID-delivering run, the victim retrieval of a DELETE, and the two
 // that stream at width 2 — and the join pipeline's shapes, at widths
-// {0, 2}; at width 2 the consumer pauses after its first row, so the
-// n-th checkpoint finds a streamed scan's workers with the consumer
-// between two Next calls. Whatever access fails — a seek, a leaf hop, a
-// spill write, a fetch, a probe — the error must surface from Next with
-// every pin released, no goroutine left behind, every charge attributed
-// (in-flight morsels included), the cancellation counted at most once,
-// and no decision taken on the strength of the failed access: a seek that errored is not
+// {0, 2}; at width 2 a single-table consumer pauses after its first row,
+// so the n-th checkpoint finds a streamed scan's workers with the
+// consumer between two Next calls, and a join's table accesses stream,
+// so its n-th checkpoint may fall inside a morsel. Whatever access fails
+// — a seek, a leaf hop, a spill write, a fetch, a probe — the error must
+// surface from Next with every pin released, no goroutine left behind,
+// every charge attributed (in-flight morsels included), the cancellation
+// counted at most once, and no decision taken on the strength of the
+// failed access: a seek that errored is not
 // "index skipped", so no run may report a Tscan recommendation or a
 // strategy switch (the clean runs of these shapes never do). A join
 // counts one query and one join however it ends, and its table accesses
@@ -136,8 +138,6 @@ func TestNthAccessCancellationSweep(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/w%d", sh.name, width), func(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.Parallelism = width
-				// A join stage fans out only under the adaptive policy.
-				cfg.AdaptiveParallelism = sh.join && width >= 2
 				cfg.DisableCompetition = true
 				cfg.RaceFactor = -1
 				if sh.race {
@@ -154,8 +154,10 @@ func TestNthAccessCancellationSweep(t *testing.T) {
 					if ok && width >= 2 && !sh.join {
 						// A streamed scan's workers run on while the
 						// consumer sits between two Next calls: let them
-						// reach the n-th checkpoint, or the window. (The
-						// joins' one-page drivers stay at width 1.)
+						// reach the n-th checkpoint, or the window. (A
+						// join sweeps hundreds of n to its first clean
+						// run; its accesses' workers meet the checkpoint
+						// while the consumer drains.)
 						quiesce(ctx.calls.Load)
 					}
 					if ok {
@@ -196,8 +198,8 @@ func TestNthAccessCancellationSweep(t *testing.T) {
 							t.Fatalf("n=%d: err=%v, queries=%d join_queries=%d (want %d) tactic_wins=%v",
 								n, err, snap.Queries, snap.JoinQueries, started, snap.TacticWins)
 						}
-						if err == nil && width >= 2 && !stageFannedOut(st) {
-							t.Fatalf("no join stage fanned out at width %d; trace: %v", width, st.Trace())
+						if err == nil && width >= 2 && !accessStreamed(st) {
+							t.Fatalf("no table access of the join streamed at width %d; trace: %v", width, st.Trace())
 						}
 					}
 					if streams := sh.name == "tscan" || sh.name == "final-fetch"; streams && err == nil && width >= 2 &&
@@ -218,18 +220,19 @@ func TestNthAccessCancellationSweep(t *testing.T) {
 	}
 }
 
-// stageFannedOut reports whether a join stage's probe round — inl/ridx
-// probes or the hj probe — decided on more than one worker.
-func stageFannedOut(st RetrievalStats) bool {
+// accessStreamed reports whether a table access of the run — a join's
+// driver, hj side or nl inner — streamed its Tscan or Fin over morsels.
+func accessStreamed(st RetrievalStats) bool {
 	return slices.ContainsFunc(st.Events, func(ev TraceEvent) bool {
-		return ev.Kind == EvParallelWidthChosen && (ev.Scan == "JoinProbe" || ev.Scan == "HashProbe") && ev.Width >= 2
+		return ev.Kind == EvScanComplete && strings.Contains(ev.Detail, "streamed:")
 	})
 }
 
 // TestJoinClosedAfterKRows closes a LIMIT join after k rows for every k,
-// at widths {0, 2}: whatever the pipeline was doing, Close releases
-// every pin, leaves no goroutine behind, and the run counts as one
-// query and one join — once, also when Close is called again — and
+// at widths {0, 2} (at 2 a table access of the join streams, so Close
+// unwinds morsels inside it): whatever the pipeline was doing, Close
+// releases every pin, leaves no goroutine behind, and the run counts as
+// one query and one join — once, also when Close is called again — and
 // as no cancellation.
 func TestJoinClosedAfterKRows(t *testing.T) {
 	jf := newJoinFixture(t, 100, 600, 20, 0, false)
@@ -237,7 +240,7 @@ func TestJoinClosedAfterKRows(t *testing.T) {
 	for _, width := range []int{0, 2} {
 		for k := 0; k <= limit+1; k++ {
 			baseline := runtime.NumGoroutine()
-			o := NewOptimizer(Config{Parallelism: width, AdaptiveParallelism: width >= 2})
+			o := NewOptimizer(Config{Parallelism: width})
 			jq := jf.custOrdQuery(expr.NewCmp(expr.LT, expr.Col(0, "ID"), expr.Lit(expr.Int(30))))
 			jq.Limit = limit
 			rows := o.RunJoin(NewExecCtx(context.Background(), 1<<40), jq, nil)
@@ -261,8 +264,8 @@ func TestJoinClosedAfterKRows(t *testing.T) {
 			if st.RowsDelivered != min(k, limit) {
 				t.Fatalf("w%d k=%d: RowsDelivered = %d", width, k, st.RowsDelivered)
 			}
-			if k > 0 && width >= 2 && !stageFannedOut(st) {
-				t.Fatalf("w%d k=%d: no join stage fanned out; trace: %v", width, k, st.Trace())
+			if k > 0 && width >= 2 && !accessStreamed(st) {
+				t.Fatalf("w%d k=%d: no table access of the join streamed; trace: %v", width, k, st.Trace())
 			}
 		}
 	}

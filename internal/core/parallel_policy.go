@@ -4,8 +4,9 @@ import "fmt"
 
 // Adaptive parallelism policy: worker width as a per-scan optimizer
 // decision, the paper's run-time-decision discipline applied to the
-// Config.Parallelism ceiling. At the moment a scan is about to
-// partition, the policy knows what a compile-time knob cannot: the
+// Config.Parallelism ceiling. It decides for the two scans that
+// partition, Tscan and Fin. At the moment one is about to partition,
+// the policy knows what a compile-time knob cannot: the
 // scan's appraised I/O (feedback-corrected, per Section 5), the fixed
 // per-worker startup/hand-over overhead, and the engine's live load.
 // From those it picks the width minimizing the expected critical path:
@@ -20,15 +21,14 @@ import "fmt"
 // saturated engine keeps every query sequential rather than multiplying
 // goroutines under contention.
 //
-// The policy only runs under Config.AdaptiveParallelism; otherwise
-// every scan keeps the static effectiveWorkers() width.
+// The policy only runs under Config.AdaptiveParallelism; otherwise a
+// Tscan or Fin keeps the static effectiveWorkers() width.
 
 // parallelStartupCost is the per-worker startup/hand-over overhead, in
 // simulated page accesses, charged against a candidate width (k workers
 // must save more than (k-1)·cost off the critical path to win). Two
-// pages per worker matches the observed fixed cost of a partitioned
-// leg: one charged leaf-seek to open the partition plus roughly one
-// access of merge slack.
+// pages per worker is on the order of one sequential step, the size of
+// a worker's first morsel.
 const parallelStartupCost = 2.0
 
 // planParallelWidth picks the worker width in [1, max] minimizing the
@@ -63,8 +63,8 @@ func planParallelWidth(estIO float64, max int, load float64) int {
 
 // tscanWidth resolves a sequential-retrieval (Tscan) width. A
 // Limit-capped retrieval's Tscan never partitions — rows must stop at
-// the cap — so it is width 1 and the policy is consulted only for the
-// partitionable shape.
+// the cap — so it is width 1 and the policy is consulted only for a
+// Tscan without a Limit.
 func tscanWidth(cfg Config, ec *ExecCtx, trc *tracer, q *Query, estIO float64) int {
 	if q.Limit != 0 {
 		return 1

@@ -6,10 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"rdbdyn/internal/estimate"
 	"rdbdyn/internal/expr"
-	"rdbdyn/internal/rid"
-	"rdbdyn/internal/storage"
 )
 
 // TestAdaptiveWidthPolicy pins planParallelWidth's choices over an
@@ -50,99 +47,14 @@ func TestAdaptiveWidthPolicy(t *testing.T) {
 	}
 }
 
-// notTrueFilter is an installed (post-first-scan) filter stand-in: any
-// concrete type other than rid.TrueFilter defeats the exact-count cap.
-type notTrueFilter struct{}
-
-func (notTrueFilter) MayContain(storage.RID) bool { return true }
-func (notTrueFilter) Exact() bool                 { return true }
-
-// TestJscanPartitionGate asserts exactly which scan shapes the
-// partitioned Jscan accepts, exercising every partitionDisqualifier
-// reason individually (the gate's code comments reference this test by
-// name). Each case perturbs one field of an otherwise-eligible scan
-// state and checks both the reported reason and the exact-count cap.
-func TestJscanPartitionGate(t *testing.T) {
-	f := newFixture(t, 500, "AGE", "CITY")
-	age, city := f.col(t, "AGE"), f.col(t, "CITY")
-	ixAge := f.tab.Indexes[0]
-	onAge := expr.NewCmp(expr.LT, expr.Col(age, "AGE"), expr.Lit(expr.Int(30)))
-	onCity := expr.NewCmp(expr.EQ, expr.Col(city, "CITY"), expr.Lit(expr.Int(7)))
-
-	// eligible builds the baseline partition-eligible scan state: a
-	// fresh (partitionable, nothing seen) scan of the last index under
-	// disabled competition with no borrow stream and no limit.
-	eligible := func() *jscan {
-		cfg := DefaultConfig()
-		cfg.Parallelism = 4
-		cfg.DisableCompetition = true
-		return &jscan{
-			q:             &Query{Table: f.tab, Restriction: onAge},
-			cfg:           cfg,
-			scan:          raceLeg{ix: ixAge},
-			filter:        rid.TrueFilter{},
-			partitionable: true,
-		}
-	}
-
-	cases := []struct {
-		name    string
-		mutate  func(j *jscan)
-		want    string // "" = eligible
-		wantCap int
-	}{
-		{"fresh full-range scan", func(j *jscan) {}, "", 0},
-		{"continued race loser", func(j *jscan) { j.partitionable = false }, "continued scan", 0},
-		{"mid-scan entry", func(j *jscan) { j.scan.seen = 7 }, "rows already seen", 0},
-		{"competition enabled", func(j *jscan) { j.cfg.DisableCompetition = false }, "competition enabled", 0},
-		{"borrow queue attached", func(j *jscan) { j.borrow = &ridQueue{} }, "borrow queue attached", 0},
-		{"limit without adaptive mode", func(j *jscan) { j.q.Limit = 5 }, "limit without exact-count cap", 0},
-		{"limit with exact-count cap", func(j *jscan) {
-			j.q.Limit = 5
-			j.cfg.AdaptiveParallelism = true
-		}, "", 5},
-		{"limit with order by", func(j *jscan) {
-			j.q.Limit = 5
-			j.cfg.AdaptiveParallelism = true
-			j.q.OrderBy = []int{age}
-		}, "limit without exact-count cap", 0},
-		{"limit before the last index", func(j *jscan) {
-			j.q.Limit = 5
-			j.cfg.AdaptiveParallelism = true
-			j.ests = make([]estimate.IndexEstimate, 1) // idx 0 < len 1: a later scan would intersect below the cap
-		}, "limit without exact-count cap", 0},
-		{"limit with installed filter", func(j *jscan) {
-			j.q.Limit = 5
-			j.cfg.AdaptiveParallelism = true
-			j.filter = notTrueFilter{}
-		}, "limit without exact-count cap", 0},
-		{"limit with non-covering index", func(j *jscan) {
-			j.q.Limit = 5
-			j.cfg.AdaptiveParallelism = true
-			j.q.Restriction = expr.NewAnd(onAge, onCity) // IX_AGE cannot prove CITY
-		}, "limit without exact-count cap", 0},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			j := eligible()
-			c.mutate(j)
-			if got := j.partitionDisqualifier(); got != c.want {
-				t.Fatalf("partitionDisqualifier() = %q, want %q", got, c.want)
-			}
-			if got := j.partitionLimitCap(); got != c.wantCap {
-				t.Fatalf("partitionLimitCap() = %d, want %d", got, c.wantCap)
-			}
-		})
-	}
-}
-
 // TestAdaptiveEquivalenceAllTactics extends the deterministic-
 // equivalence sweep to the adaptive policy: for every tactic shape,
 // widths {1, 2, 4} and adaptive mode must deliver identical rows in
 // identical order with identical attributed I/O and identical
 // pre-existing metrics. Adaptive runs additionally populate the width
 // histogram (its decisions are observable), so those counters are
-// compared separately rather than zero-asserted away.
+// compared separately rather than zero-asserted away, and each decision
+// must name Tscan or Fin (runEquiv).
 func TestAdaptiveEquivalenceAllTactics(t *testing.T) {
 	f := newFixture(t, 10000, "AGE", "CITY")
 	age, city, salary := f.col(t, "AGE"), f.col(t, "CITY"), f.col(t, "SALARY")
@@ -229,7 +141,6 @@ func requireEquiv(t *testing.T, label string, w int, par, base equivRun) {
 	scrub := func(s MetricsSnapshot) MetricsSnapshot {
 		s.ParallelWidths = nil
 		s.ParallelSeqDowngrades = 0
-		s.ParallelEarlyCancels = 0
 		return s
 	}
 	ps, bs := scrub(par.snap), scrub(base.snap)
@@ -314,75 +225,5 @@ func TestAdaptivePinnedTscanWidth(t *testing.T) {
 	limited.Limit = 10
 	if w := tscanWidth(cfg, nil, nil, &limited, 1e6); w != 1 {
 		t.Fatalf("a Limit-capped Tscan got width %d, want 1", w)
-	}
-}
-
-// TestJscanLimitEarlyCancel drives the adaptive exact-count cap end to
-// end: a bare-LIMIT query over a covering index partitions anyway, the
-// first workers to fill the cap cancel their siblings (one
-// parallel-early-cancel event), every delivered row satisfies the
-// restriction, and the capped parallel scan charges no more than the
-// sequential full-range scan plus one in-flight access per worker.
-func TestJscanLimitEarlyCancel(t *testing.T) {
-	f := newFixture(t, 10000, "ID")
-	id := f.col(t, "ID")
-	// Half the unique IDs match: a clustered RID list cheap enough that
-	// the planner keeps the Jscan, spread over enough leaves that the
-	// range partitions and the uncapped scan does real extra work.
-	// The cap must be worth fanning out for: the width policy prices the
-	// capped scan by the leaves needed to fill it, and a 10-row cap (one
-	// leaf) rightly stays sequential.
-	const limit = 1000
-	mk := func() *Query {
-		return &Query{
-			Table:       f.tab,
-			Restriction: expr.NewCmp(expr.GE, expr.Col(id, "ID"), expr.Lit(expr.Int(5000))),
-			Limit:       limit,
-			Goal:        GoalTotalTime,
-		}
-	}
-	const workers = 4
-	run := func(adaptive bool) (int, []expr.Row, RetrievalStats) {
-		cfg := DefaultConfig()
-		cfg.Parallelism = workers
-		cfg.DisableCompetition = true
-		if adaptive {
-			cfg.AdaptiveParallelism = true
-		}
-		o := NewOptimizer(cfg)
-		f.pool.EvictAll()
-		f.pool.ResetStats()
-		rows := o.Run(mk())
-		got := drain(t, rows)
-		return int(f.pool.Stats().IOCost()), got, rows.Stats()
-	}
-
-	seqIO, seqRows, seqSt := run(false)
-	parIO, parRows, parSt := run(true)
-
-	if parSt.Tactic != seqSt.Tactic {
-		t.Fatalf("tactic diverged: %s vs %s", parSt.Tactic, seqSt.Tactic)
-	}
-	if len(parRows) != limit || len(seqRows) != limit {
-		t.Fatalf("limit %d delivered %d adaptive, %d sequential", limit, len(parRows), len(seqRows))
-	}
-	// Under a bare LIMIT any N matching rows are a correct answer; each
-	// delivered row must still satisfy the restriction.
-	for _, r := range parRows {
-		if r[id].I < 5000 {
-			t.Fatalf("row %v fails restriction", r)
-		}
-	}
-	if !hasEvent(parSt, EvParallelEarlyCancel, "") {
-		t.Fatalf("no parallel-early-cancel event; trace: %v", parSt.Trace())
-	}
-	if hasEvent(seqSt, EvParallelEarlyCancel, "") {
-		t.Fatal("sequential run must not early-cancel")
-	}
-	// The capped scan stops at ~LIMIT candidates while the sequential
-	// background scans its whole range; overshoot past the sequential
-	// cost is bounded by the workers' in-flight accesses.
-	if parIO >= seqIO+workers {
-		t.Fatalf("adaptive capped scan cost %d, sequential %d: cap saved nothing", parIO, seqIO)
 	}
 }

@@ -31,9 +31,9 @@ type equivRun struct {
 // runEquiv executes q on a fresh optimizer (own metrics) at the given
 // parallelism — statically, or through the adaptive width policy —
 // against a cold pool, with racing off (race outcomes are
-// scheduling-dependent by design) and competition off (the partitioned
-// Jscan path requires it, and abandonment timing is step-cadence
-// shaped). Determinism everywhere else is the claim under test.
+// scheduling-dependent by design) and competition off (abandonment
+// timing is step-cadence shaped). Determinism everywhere else is the
+// claim under test. Every width decision must name Tscan or Fin.
 func runEquiv(t *testing.T, f *fixture, q *Query, parallelism int, adaptive bool) equivRun {
 	t.Helper()
 	cfg := DefaultConfig()
@@ -49,6 +49,7 @@ func runEquiv(t *testing.T, f *fixture, q *Query, parallelism int, adaptive bool
 		t.Fatalf("parallelism=%d leaked %d pins", parallelism, n)
 	}
 	st := rows.Stats()
+	onlyMorselWidths(t, "runEquiv", st)
 	keys := make([]string, len(got))
 	for i, r := range got {
 		keys[i] = rowKey(r)
@@ -69,6 +70,17 @@ func runEquiv(t *testing.T, f *fixture, q *Query, parallelism int, adaptive bool
 		finalLen:    st.FinalListLen,
 		snap:        o.Metrics().Snapshot(),
 		widthEvents: widths,
+	}
+}
+
+// onlyMorselWidths fails t if a width decision names a scan other than
+// the two that partition, Tscan and Fin.
+func onlyMorselWidths(t *testing.T, label string, st RetrievalStats) {
+	t.Helper()
+	for _, ev := range st.Events {
+		if ev.Kind == EvParallelWidthChosen && ev.Scan != "Tscan" && ev.Scan != "Fin" {
+			t.Fatalf("%s: a width decided for %s; only Tscan and Fin partition: %s", label, ev.Scan, ev.String())
+		}
 	}
 }
 
@@ -167,9 +179,9 @@ func raceQuery(f *fixture, t *testing.T) *Query {
 
 // waitGoroutines fails the test if the process goroutine count does not
 // return to the pre-run baseline: a worker or race leg outlived its
-// scan. Race legs and fan-outs are barrier-synchronous inside one step;
-// a streamed Tscan or Fin's workers outlive a step but are joined by the
-// scan's release, so nothing should linger beyond Close.
+// scan. Race legs are barrier-synchronous inside one step; a streamed
+// Tscan or Fin's workers outlive a step but are joined by the scan's
+// release, so nothing should linger beyond Close.
 func waitGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -253,18 +265,19 @@ func TestParallelCancellationSweep(t *testing.T) {
 		Restriction: expr.NewCmp(expr.LT, expr.Col(id, "ID"), expr.Lit(expr.Int(5000))),
 	}
 	// Budgets are sized to trip inside each query's partitioned scan:
-	// the tscan charges hundreds of heap reads, the jscan's partitioned
-	// IX_AGE scan spans roughly I/Os 5..12 of its query, the streamed
-	// final fetch I/Os 44..83 of its. The event is the one whose sink
-	// cancels the query or sleeps past its deadline: the partitioned
-	// scan that follows it hits the governor checkpoint already tripped.
+	// the tscan charges hundreds of heap reads; after a sequential Jscan
+	// over two indexes, the streamed final fetch spans I/Os 13..22 of
+	// jscan-then-fin and 44..83 of partitioned-fin. The event is the one
+	// whose sink cancels the query or sleeps past its deadline: the
+	// partitioned scan that follows it hits the governor checkpoint
+	// already tripped.
 	queries := map[string]struct {
 		q      *Query
 		budget int64
 		at     EventKind
 	}{
 		"partitioned-tscan": {tscanQ, 25, EvTacticChosen},
-		"partitioned-jscan": {bgQuery(f, t, GoalTotalTime), 8, EvTacticChosen},
+		"jscan-then-fin":    {bgQuery(f, t, GoalTotalTime), 16, EvFinalStage},
 		"partitioned-fin":   {finQ, 60, EvFinalStage},
 	}
 	const workers = 4

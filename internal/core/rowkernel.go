@@ -11,7 +11,7 @@ import (
 // survives, straight into what is delivered. A kernel is prepared once
 // per retrieval, immutable afterwards and shared by partition workers;
 // the scratch row a call decodes into belongs to one consumer — a
-// stepper, a fetch cursor, a fanOut worker — and is never shared.
+// stepper, a fetch cursor, a morsel worker — and is never shared.
 type rowKernel struct {
 	filter *expr.Filter // the restriction, host variables resolved; nil = none
 	need   expr.ColSet  // columns the filter or a consumer reads; nil = all

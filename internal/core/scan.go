@@ -177,7 +177,7 @@ func (t *tscan) step() (bool, error) {
 	return t.done, err
 }
 
-// stopped polls a fan-out's stop flag; the stepping paths pass nil.
+// stopped polls a morsel run's stop flag; the stepping paths pass nil.
 func stopped(stop *atomic.Bool) bool { return stop != nil && stop.Load() }
 
 // scanRows drives the row kernel over cur's records, skipping excluded

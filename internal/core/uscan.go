@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"rdbdyn/internal/btree"
 	"rdbdyn/internal/catalog"
@@ -51,17 +50,7 @@ type uscan struct {
 	recommendTscan bool
 	names          []string
 
-	ls legScan // the stepping path's kernel scratch, sized on first use
-}
-
-// legScan is one consumer's scratch for the union-leg kernel. A
-// partition worker must not touch the shared list, so it sets private
-// and collects its accepted RIDs in rids for the barrier to append in
-// leg order.
-type legScan struct {
-	sc      *acceptScratch
-	private bool
-	rids    []storage.RID
+	sc *acceptScratch // the leg kernel's scratch, sized on first use
 }
 
 // unionLeg is one disjunct's index scan.
@@ -203,9 +192,6 @@ func (u *uscan) step() (bool, error) {
 	if u.done {
 		return true, nil
 	}
-	if handled, err := u.maybeParallelLegs(); handled || err != nil {
-		return u.done, err
-	}
 	if u.cur == nil {
 		if u.idx >= len(u.legs) {
 			u.finish()
@@ -223,10 +209,10 @@ func (u *uscan) step() (bool, error) {
 			Detail: fmt.Sprintf("leg %d/%d, est %.0f rids", u.idx+1, len(u.legs), leg.Est),
 		})
 	}
-	if u.ls.sc == nil {
-		u.ls.sc = newAcceptScratch(firstBatch)
+	if u.sc == nil {
+		u.sc = newAcceptScratch(firstBatch)
 	}
-	n, done, err := u.scanLeg(&u.legs[u.idx], u.cur, &u.ls, stepEntries, nil)
+	n, done, err := u.scanLeg()
 	u.seen += n
 	if err != nil {
 		return u.done, err
@@ -254,21 +240,18 @@ func (u *uscan) step() (bool, error) {
 	return u.done, nil
 }
 
-// scanLeg is the union-leg kernel: cur's entries, in leaf-sized batches,
-// pass the leg's local disjunct (acceptEntries with no previous filter)
-// and the survivors join the union list and the live borrow queue — or
-// ls.rids on a worker. The stepping path runs it with its step budget;
-// batches are sliced to the budget, never across it, so the competition
-// check fires at the same entry counts as per-entry iteration would.
-// Partition workers run it unbounded (budget 0), polling stop. n counts
-// the entries consumed; done reports that cur is exhausted.
-func (u *uscan) scanLeg(leg *unionLeg, cur *btree.Cursor, ls *legScan, budget int, stop *atomic.Bool) (n int, done bool, _ error) {
-	for (budget == 0 || n < budget) && !stopped(stop) {
-		batch := ls.sc.batch
-		if budget != 0 && budget-n < len(batch) {
-			batch = batch[:budget-n]
-		}
-		got, err := cur.NextBatch(batch)
+// scanLeg is the union-leg kernel, one step of the current leg: its
+// cursor's entries, in leaf-sized batches, pass the leg's local disjunct
+// (acceptEntries with no previous filter) and the survivors join the
+// union list and the live borrow queue. Batches are sliced to the step
+// budget, never across it, so the competition check fires at the same
+// entry counts as per-entry iteration would. n counts the entries
+// consumed; done reports that the leg is exhausted.
+func (u *uscan) scanLeg() (n int, done bool, _ error) {
+	leg := &u.legs[u.idx]
+	for n < stepEntries {
+		batch := u.sc.batch[:min(stepEntries-n, len(u.sc.batch))]
+		got, err := u.cur.NextBatch(batch)
 		if err != nil {
 			return n, false, err
 		}
@@ -276,13 +259,9 @@ func (u *uscan) scanLeg(leg *unionLeg, cur *btree.Cursor, ls *legScan, budget in
 			return n, true, nil
 		}
 		n += got
-		kept, err := acceptEntries(batch[:got], leg.Index, leg.Local, nil, rid.TrueFilter{}, ls.sc)
+		kept, err := acceptEntries(batch[:got], leg.Index, leg.Local, nil, rid.TrueFilter{}, u.sc)
 		if err != nil {
 			return n, false, err
-		}
-		if ls.private {
-			ls.rids = append(ls.rids, kept...)
-			continue
 		}
 		if err := u.list.AppendBatch(kept); err != nil {
 			return n, false, err

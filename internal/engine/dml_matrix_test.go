@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"bytes"
 	"errors"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -71,8 +73,12 @@ func matrixDB(t *testing.T, n int, sink core.TraceSink) (*DB, []matrixRow) {
 // table against an oracle, that the victim retrieval is an ordinary
 // dynamic retrieval (counted in DB.Metrics, traced to the sink, on the
 // scan the restriction calls for), and that no pin outlives the
-// statement.
+// statement. UPDATE-GROW sets a 300-byte PAD, which outgrows the 1 KiB
+// heap pages: a page's first victims fill it and the rest move to new
+// RIDs. After every verb each surviving row is found exactly once by a
+// Tscan and through every index, whose entries all lead to their row.
 func TestDMLMatrix(t *testing.T) {
+	grown := "'" + strings.Repeat("q", 300) + "'"
 	for _, c := range []struct {
 		name, where string
 		binds       Binds
@@ -87,13 +93,19 @@ func TestDMLMatrix(t *testing.T) {
 		{"or of two indexes", "ID < 20 OR GRP = 49", nil, func(r matrixRow) bool { return r.id < 20 || r.grp == 49 }, "Uscan"},
 		{"everything", "", nil, func(r matrixRow) bool { return true }, "Sscan"},
 	} {
-		for _, verb := range []string{"DELETE", "UPDATE"} {
+		for _, verb := range []string{"DELETE", "UPDATE", "UPDATE-GROW"} {
 			t.Run(verb+"/"+c.name, func(t *testing.T) {
 				log := &eventLog{}
 				db, rows := matrixDB(t, 3000, log)
-				stmt, where := "DELETE FROM M", ""
-				if verb == "UPDATE" {
-					stmt = "UPDATE M SET VAL = 1000"
+				stmt, set, where := "DELETE FROM M", "", ""
+				switch verb {
+				case "UPDATE":
+					set = "VAL = 1000"
+				case "UPDATE-GROW":
+					set = "PAD = " + grown
+				}
+				if set != "" {
+					stmt = "UPDATE M SET " + set
 				}
 				if c.where != "" {
 					where = " WHERE " + c.where
@@ -108,7 +120,7 @@ func TestDMLMatrix(t *testing.T) {
 				queries := db.Metrics().Queries
 				n, err := db.Exec(stmt+where, c.binds)
 				if err != nil || n != want {
-					t.Fatalf("%s%s: %d rows (%v), the oracle counts %d", stmt, where, n, err, want)
+					t.Fatalf("%s%s: %d rows (%v), the oracle counts %d", verb, where, n, err, want)
 				}
 				if got := db.Metrics().Queries - queries; got != 1 {
 					t.Fatalf("the victim retrieval counted as %d queries in DB.Metrics, want 1", got)
@@ -133,7 +145,7 @@ func TestDMLMatrix(t *testing.T) {
 					switch {
 					case !c.match(r):
 						left++
-					case verb == "UPDATE":
+					case set != "":
 						left++
 						changed++
 					}
@@ -143,10 +155,76 @@ func TestDMLMatrix(t *testing.T) {
 						t.Fatalf("%s: %d rows left, the oracle has %d", probe, got, left)
 					}
 				}
-				if got := countRows(t, db, "SELECT COUNT(*) FROM M WHERE VAL = 1000"); got != int64(changed) {
-					t.Fatalf("%d rows carry the new value, the oracle has %d", got, changed)
+				if set != "" {
+					if got := countRows(t, db, "SELECT COUNT(*) FROM M WHERE "+set); got != int64(changed) {
+						t.Fatalf("%d rows carry the new value, the oracle has %d", got, changed)
+					}
+				}
+				survivors := map[int64]int{}
+				for _, r := range rows {
+					if set != "" || !c.match(r) {
+						survivors[r.id] = 1
+					}
+				}
+				res, err := db.Query("SELECT ID FROM M WHERE VAL >= 0", nil) // VAL has no index: a Tscan
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids, err := res.All()
+				if err != nil {
+					t.Fatal(err)
+				}
+				seen := map[int64]int{}
+				for _, r := range ids {
+					seen[r[0].I]++
+				}
+				if !maps.Equal(seen, survivors) {
+					t.Fatalf("a Tscan finds %d rows (%d distinct), the oracle leaves %d, each once", len(ids), len(seen), len(survivors))
+				}
+				checkIndexEntries(t, db, survivors)
+				if p := db.Pool().PinnedPages(); p != 0 {
+					t.Fatalf("%d pins left after the checks", p)
 				}
 			})
+		}
+	}
+}
+
+// checkIndexEntries walks every index of M: each entry must lead to a
+// live row whose key it carries, and each row in want must be found
+// exactly once through every index, whose Len counts them.
+func checkIndexEntries(t *testing.T, db *DB, want map[int64]int) {
+	t.Helper()
+	tab, err := db.cat.Table("M")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range tab.Indexes {
+		cur, err := ix.Tree.Seek(nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[int64]int{}
+		for {
+			key, rid, ok, err := cur.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ok {
+				break
+			}
+			row, err := tab.Fetch(rid)
+			if err != nil {
+				t.Fatalf("%s: an entry leads to %v: %v", ix.Name, rid, err)
+			}
+			if !bytes.Equal(ix.KeyFor(row), key) {
+				t.Fatalf("%s: the entry at %v carries another key than its row", ix.Name, rid)
+			}
+			seen[row[0].I]++
+		}
+		cur.Close()
+		if !maps.Equal(seen, want) || ix.Tree.Len() != int64(len(want)) {
+			t.Fatalf("%s: %d distinct rows, Len %d; the oracle leaves %d, each once", ix.Name, len(seen), ix.Tree.Len(), len(want))
 		}
 	}
 }

@@ -283,17 +283,6 @@ func (bp *BufferPool) Prefetch(ids []PageID) {
 	}
 }
 
-// ReadUncounted returns the page bypassing all accounting: no counters
-// move, no tracker or governor is consulted, and nothing is admitted to
-// the pool or its LRU. Like Prefetch, it exists for coordination work
-// that must not perturb the simulated cost model — B-tree partition
-// planning descends the tree through it to choose worker split points,
-// and later demand fetches of the same pages still pay their full
-// hit/miss charges.
-func (bp *BufferPool) ReadUncounted(id PageID) (*Page, error) {
-	return bp.disk.read(id)
-}
-
 // Staged returns the number of prefetched pages not yet demanded.
 func (bp *BufferPool) Staged() int {
 	total := 0
