@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -34,7 +35,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	stmt, err := db.Prepare("SELECT COUNT(*) FROM EVENTS WHERE CITY = :C")
+	stmt, err := db.PrepareContext(context.Background(), "SELECT COUNT(*) FROM EVENTS WHERE CITY = :C")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func main() {
 	for _, c := range []int{0, 1, 50, 1500} {
 		db.Pool().EvictAll()
 		db.Pool().ResetStats()
-		res, err := stmt.Query(engine.Binds{"C": c})
+		res, err := stmt.QueryContext(context.Background(), engine.Binds{"C": c})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -56,7 +57,7 @@ func main() {
 	}
 
 	fmt.Println("\n-- correlated conjuncts: the REGION index cannot shrink CITY's RID list --")
-	multi, err := db.Prepare("SELECT COUNT(*) FROM EVENTS WHERE CITY = :C AND REGION >= :R1 AND REGION <= :R2 AND DAY < :D")
+	multi, err := db.PrepareContext(context.Background(), "SELECT COUNT(*) FROM EVENTS WHERE CITY = :C AND REGION >= :R1 AND REGION <= :R2 AND DAY < :D")
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func main() {
 	} {
 		db.Pool().EvictAll()
 		db.Pool().ResetStats()
-		res, err := multi.Query(engine.Binds{"C": tc.c, "R1": tc.r1, "R2": tc.r2, "D": tc.d})
+		res, err := multi.QueryContext(context.Background(), engine.Binds{"C": tc.c, "R1": tc.r1, "R2": tc.r2, "D": tc.d})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -59,7 +60,7 @@ func main() {
 
 	const q = "SELECT CUST.NAME, ORD.QTY FROM CUST JOIN ORD ON CUST.ID = ORD.CUST WHERE SEG = 0"
 
-	res, err := db.Query("EXPLAIN ANALYZE "+q, nil)
+	res, err := db.QueryContext(context.Background(), "EXPLAIN ANALYZE "+q, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func main() {
 		fmt.Printf("  %-28s %s\n", r[0].S, r[1].S)
 	}
 
-	res, err = db.Query(q, nil)
+	res, err = db.QueryContext(context.Background(), q, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

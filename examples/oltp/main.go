@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,7 +34,7 @@ func main() {
 
 	run := func(label, src string, binds engine.Binds) {
 		db.Pool().ResetStats()
-		res, err := db.Query(src, binds)
+		res, err := db.QueryContext(context.Background(), src, binds)
 		if err != nil {
 			log.Fatal(err)
 		}

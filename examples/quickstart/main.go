@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -37,14 +38,14 @@ func main() {
 	// taking values 0 and 200, delivering all or no records in two
 	// different runs. A correct choice between the sequential and index
 	// strategies can only be done dynamically on a per-run basis.
-	stmt, err := db.Prepare("SELECT ID, AGE FROM FAMILIES WHERE AGE >= :A1")
+	stmt, err := db.PrepareContext(context.Background(), "SELECT ID, AGE FROM FAMILIES WHERE AGE >= :A1")
 	if err != nil {
 		log.Fatal(err)
 	}
 	for _, a1 := range []int{198, 0, 200} {
 		db.Pool().EvictAll()
 		db.Pool().ResetStats()
-		res, err := stmt.Query(engine.Binds{"A1": a1})
+		res, err := stmt.QueryContext(context.Background(), engine.Binds{"A1": a1})
 		if err != nil {
 			log.Fatal(err)
 		}

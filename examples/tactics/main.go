@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -32,7 +33,7 @@ func main() {
 		fmt.Printf("\n=== %s ===\n%s\n", title, src)
 		db.Pool().EvictAll()
 		db.Pool().ResetStats()
-		res, err := db.Query(src, nil)
+		res, err := db.QueryContext(context.Background(), src, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

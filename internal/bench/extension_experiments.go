@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"rdbdyn/internal/core"
@@ -24,7 +25,7 @@ func UnionScan(rows int) (*Report, error) {
 	if _, err := l.tab.CreateIndex("CITY_IX", "CITY"); err != nil {
 		return nil, err
 	}
-	stmt, err := l.db.Prepare("SELECT * FROM FAMILIES WHERE AGE < :W OR CITY = :C OPTIMIZE FOR TOTAL TIME")
+	stmt, err := l.db.PrepareContext(context.Background(), "SELECT * FROM FAMILIES WHERE AGE < :W OR CITY = :C OPTIMIZE FOR TOTAL TIME")
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +120,7 @@ func Ablations(rows int) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		stmt, err := l.db.Prepare(sqlText)
+		stmt, err := l.db.PrepareContext(context.Background(), sqlText)
 		if err != nil {
 			return nil, err
 		}
@@ -127,7 +128,7 @@ func Ablations(rows int) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		bStmt, err := l.db.Prepare(borderSQL)
+		bStmt, err := l.db.PrepareContext(context.Background(), borderSQL)
 		if err != nil {
 			return nil, err
 		}
@@ -165,7 +166,7 @@ func Interference(rows int) (*Report, error) {
 
 	runVictim := func() (int64, error) {
 		before := l.db.Pool().Stats().IOCost()
-		res, err := l.db.Query(victimSQL, nil)
+		res, err := l.db.QueryContext(context.Background(), victimSQL, nil)
 		if err != nil {
 			return 0, err
 		}
@@ -192,12 +193,12 @@ func Interference(rows int) (*Report, error) {
 
 	// Interleaved: between every victim row, the bully streams 100 rows
 	// through the shared pool.
-	victim, err := l.db.Query(victimSQL, nil)
+	victim, err := l.db.QueryContext(context.Background(), victimSQL, nil)
 	if err != nil {
 		return nil, err
 	}
 	var victimIO int64
-	bully, err := l.db.Query(bullySQL, nil)
+	bully, err := l.db.QueryContext(context.Background(), bullySQL, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -216,7 +217,7 @@ func Interference(rows int) (*Report, error) {
 				return nil, err
 			} else if !ok {
 				bully.Close()
-				bully, err = l.db.Query(bullySQL, nil)
+				bully, err = l.db.QueryContext(context.Background(), bullySQL, nil)
 				if err != nil {
 					return nil, err
 				}

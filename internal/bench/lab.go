@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"rdbdyn/internal/catalog"
@@ -62,7 +63,7 @@ func drainResult(res *engine.Result, limit int) (int, error) {
 // runStmt executes a prepared statement cold and reports rows and I/O.
 func (l *lab) runStmt(stmt *engine.Stmt, binds engine.Binds, limit int) (rows int, io storage.IOStats, st core.RetrievalStats, err error) {
 	io, err = l.coldRun(func() error {
-		res, err := stmt.Query(binds)
+		res, err := stmt.QueryContext(context.Background(), binds)
 		if err != nil {
 			return err
 		}
@@ -80,7 +81,7 @@ func (l *lab) runStmt(stmt *engine.Stmt, binds engine.Binds, limit int) (rows in
 // runFrozen executes a frozen statement cold.
 func (l *lab) runFrozen(stmt *engine.FrozenStmt, binds engine.Binds, limit int) (rows int, io storage.IOStats, err error) {
 	io, err = l.coldRun(func() error {
-		res, err := stmt.Query(binds)
+		res, err := stmt.QueryContext(context.Background(), binds)
 		if err != nil {
 			return err
 		}

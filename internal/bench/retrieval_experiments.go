@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -42,7 +43,7 @@ func HostVariable(rows int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	stmt, err := l.db.Prepare("SELECT * FROM FAMILIES WHERE AGE >= :A1")
+	stmt, err := l.db.PrepareContext(context.Background(), "SELECT * FROM FAMILIES WHERE AGE >= :A1")
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +227,7 @@ func JscanStudy(rows int) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		stmt, err := l.db.Prepare(sqlText)
+		stmt, err := l.db.PrepareContext(context.Background(), sqlText)
 		if err != nil {
 			return nil, err
 		}
@@ -302,12 +303,12 @@ func GoalInference() (*Report, error) {
 		core.ControlExists: "EXISTS",
 	}
 	for _, src := range cases {
-		stmt, err := l.db.Prepare(src)
+		stmt, err := l.db.PrepareContext(context.Background(), src)
 		if err != nil {
 			return nil, err
 		}
 		// Execute once to prove the statement runs.
-		res, err := stmt.Query(nil)
+		res, err := stmt.QueryContext(context.Background(), nil)
 		if err != nil {
 			return nil, err
 		}

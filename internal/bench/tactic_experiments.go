@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 
 	"rdbdyn/internal/core"
@@ -24,7 +25,7 @@ func TacticBackground(rows int) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	stmt, err := l.db.Prepare("SELECT * FROM FAMILIES WHERE AGE < :HI OPTIMIZE FOR TOTAL TIME")
+	stmt, err := l.db.PrepareContext(context.Background(), "SELECT * FROM FAMILIES WHERE AGE < :HI OPTIMIZE FOR TOTAL TIME")
 	if err != nil {
 		return nil, err
 	}
@@ -79,7 +80,7 @@ func TacticFastFirst(rows int) (*Report, error) {
 	const hi = 2000 // ~20% selectivity: plenty of matches to stop early in
 	for _, limit := range []int{1, 10, 100, 1000, 0} {
 		src := "SELECT * FROM FAMILIES WHERE AGE < 2000 OPTIMIZE FOR FAST FIRST"
-		stmt, err := l.db.Prepare(src)
+		stmt, err := l.db.PrepareContext(context.Background(), src)
 		if err != nil {
 			return nil, err
 		}
@@ -92,7 +93,7 @@ func TacticFastFirst(rows int) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		ttStmt, err := l.db.Prepare("SELECT * FROM FAMILIES WHERE AGE < 2000 OPTIMIZE FOR TOTAL TIME")
+		ttStmt, err := l.db.PrepareContext(context.Background(), "SELECT * FROM FAMILIES WHERE AGE < 2000 OPTIMIZE FOR TOTAL TIME")
 		if err != nil {
 			return nil, err
 		}
@@ -147,7 +148,7 @@ func TacticSorted(rows int) (*Report, error) {
 		// under total-time the optimizer would compare against
 		// materialize-and-sort instead.
 		src := fmt.Sprintf("SELECT * FROM S WHERE A >= 0 AND C < %d ORDER BY A OPTIMIZE FOR FAST FIRST", cHi)
-		stmt, err := l.db.Prepare(src)
+		stmt, err := l.db.PrepareContext(context.Background(), src)
 		if err != nil {
 			return nil, err
 		}
@@ -218,7 +219,7 @@ func TacticIndexOnly(rows int) (*Report, error) {
 			return nil, err
 		}
 		src := fmt.Sprintf("SELECT A, B FROM IO WHERE A < %d AND B < %d OPTIMIZE FOR TOTAL TIME", c.aHi, c.bHi)
-		stmt, err := l.db.Prepare(src)
+		stmt, err := l.db.PrepareContext(context.Background(), src)
 		if err != nil {
 			return nil, err
 		}

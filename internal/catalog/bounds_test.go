@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"math/rand"
 	"testing"
 
 	"rdbdyn/internal/expr"
@@ -177,5 +178,55 @@ func TestRestrictionBoundsWithParams(t *testing.T) {
 	_, _, n, _ = ix.RestrictionBounds(e, nil)
 	if n != 0 {
 		t.Fatalf("unbound params must not be sargable, n=%d", n)
+	}
+}
+
+// TestRestrictionBoundsEmptyImpliesSargable is the property the planners
+// lean on: a range is reported empty only after some conjunct bounded
+// it (empty ⇒ sargable > 0), and an empty range holds no matching row.
+// Restrictions are random conjunctions over both key columns and the
+// unindexed C, with unbound parameters and ORs mixed in.
+func TestRestrictionBoundsEmptyImpliesSargable(t *testing.T) {
+	tab, ix := boundsTable(t)
+	ops := []expr.CmpOp{expr.EQ, expr.LT, expr.LE, expr.GT, expr.GE, expr.NE}
+	cols := []string{"A", "B", "C"}
+	rng := rand.New(rand.NewSource(5))
+	term := func() expr.Expr {
+		col := cols[rng.Intn(len(cols))]
+		ci, _ := tab.ColumnIndex(col)
+		switch rng.Intn(6) {
+		case 0:
+			return expr.NewCmp(ops[rng.Intn(len(ops))], expr.Col(ci, col), expr.Var("UNBOUND"))
+		case 1:
+			return expr.NewOr(cmpOn(tab, t, col, expr.LT, rng.Int63n(12)-1), cmpOn(tab, t, col, expr.GT, rng.Int63n(12)-1))
+		default:
+			return cmpOn(tab, t, col, ops[rng.Intn(len(ops))], rng.Int63n(12)-1)
+		}
+	}
+	empties := 0
+	for i := 0; i < 3000; i++ {
+		kids := make([]expr.Expr, 1+rng.Intn(4))
+		for k := range kids {
+			kids[k] = term()
+		}
+		e := expr.NewAnd(kids...)
+		_, _, n, empty := ix.RestrictionBounds(e, nil)
+		if !empty {
+			continue
+		}
+		empties++
+		if n == 0 {
+			t.Fatalf("%s: empty with no sargable conjunct", e)
+		}
+		for a := int64(0); a < 10; a++ {
+			for b := int64(0); b < 10; b++ {
+				if keep, err := expr.EvalPred(e, expr.Row{expr.Int(a), expr.Int(b), expr.Int(a + b)}, nil); err == nil && keep {
+					t.Fatalf("%s: reported empty, but (%d, %d) matches", e, a, b)
+				}
+			}
+		}
+	}
+	if empties == 0 {
+		t.Fatal("no empty range generated; the property went unexercised")
 	}
 }

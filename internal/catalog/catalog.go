@@ -571,7 +571,8 @@ func (ix *Index) DeliversOrder(order []int) bool {
 // evaluation. A range with only an upper bound starts after the NULL
 // keys: a NULL satisfies no comparison. It returns lo inclusive / hi
 // exclusive (nil = open), how many conjuncts contributed, and whether
-// the range is provably empty.
+// the range is provably empty — only ever after some conjunct
+// contributed, so empty implies sargable > 0.
 func (ix *Index) RestrictionBounds(e expr.Expr, binds expr.Bindings) (lo, hi []byte, sargable int, empty bool) {
 	var prefix []expr.Value
 	for _, col := range ix.Cols {

@@ -66,7 +66,7 @@ func TestIndexOnlyJscanWinsAndSscanIsAbandoned(t *testing.T) {
 		Goal:       GoalTotalTime,
 	}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "index-only jscan wins")
 	st := rows.Stats()
@@ -105,7 +105,7 @@ func TestJscanMidScanAbandonment(t *testing.T) {
 		Goal:        GoalTotalTime,
 	}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "mid-scan abandonment")
 	st := rows.Stats()
@@ -133,7 +133,7 @@ func TestUnionFastFirstEarlyCloseKillsBackground(t *testing.T) {
 		Goal: GoalFastFirst,
 	}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	for i := 0; i < 3; i++ {
 		if _, ok, err := rows.Next(); err != nil || !ok {
 			t.Fatalf("pull %d: %v %v", i, ok, err)

@@ -162,7 +162,7 @@ func Classify(q *Query) Classification {
 	needed := q.neededColumns()
 	for _, ix := range q.Table.Indexes {
 		lo, hi, n, empty := ix.RestrictionBounds(q.Restriction, q.Binds)
-		if empty && n > 0 {
+		if empty {
 			cl.EmptyRange = true
 		}
 		restricted := n > 0 && (lo != nil || hi != nil)

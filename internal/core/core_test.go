@@ -201,7 +201,7 @@ func TestTscanWhenNoIndexes(t *testing.T) {
 		Restriction: expr.NewCmp(expr.LT, expr.Col(age, "AGE"), expr.Lit(expr.Int(10))),
 	}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "tscan")
 	st := rows.Stats()
@@ -219,7 +219,7 @@ func TestEmptyRangeShortcut(t *testing.T) {
 	}
 	o := NewOptimizer(DefaultConfig())
 	f.pool.ResetStats()
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	if len(got) != 0 {
 		t.Fatalf("got %d rows", len(got))
@@ -254,7 +254,7 @@ func TestHostVariableChangesStrategy(t *testing.T) {
 	f.pool.EvictAll()
 	f.pool.ResetStats()
 	qSmall := mk(19990)
-	got := drain(t, o.Run(qSmall))
+	got := drain(t, o.RunExec(nil, qSmall))
 	sameMultiset(t, got, f.naive(t, qSmall), "A1=19990")
 	smallCost := f.pool.Stats().IOCost()
 
@@ -263,7 +263,7 @@ func TestHostVariableChangesStrategy(t *testing.T) {
 	f.pool.EvictAll()
 	f.pool.ResetStats()
 	qAll := mk(0)
-	got = drain(t, o.Run(qAll))
+	got = drain(t, o.RunExec(nil, qAll))
 	sameMultiset(t, got, f.naive(t, qAll), "A1=0")
 	allCost := f.pool.Stats().IOCost()
 
@@ -290,7 +290,7 @@ func TestBackgroundOnlyIntersectsIndexes(t *testing.T) {
 		Goal: GoalTotalTime,
 	}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "background-only")
 	st := rows.Stats()
@@ -311,7 +311,7 @@ func TestJscanRecommendsTscanOnHugeRanges(t *testing.T) {
 		Goal:        GoalTotalTime,
 	}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "tscan-recommend")
 	st := rows.Stats()
@@ -332,7 +332,7 @@ func TestFastFirstDeliversEarlyAndCheap(t *testing.T) {
 	o := NewOptimizer(DefaultConfig())
 	f.pool.EvictAll()
 	f.pool.ResetStats()
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	if len(got) != 3 {
 		t.Fatalf("limit 3 delivered %d", len(got))
@@ -362,7 +362,7 @@ func TestFastFirstCompletesFullyWithoutDuplicates(t *testing.T) {
 		Goal:        GoalFastFirst,
 	}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "fast-first full drain")
 }
@@ -378,7 +378,7 @@ func TestFastFirstOverflowSwitchesToFinal(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FgBufferCap = 16 // force overflow quickly
 	o := NewOptimizer(cfg)
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "fast-first overflow")
 	st := rows.Stats()
@@ -403,7 +403,7 @@ func TestSortedTacticOrderAndFilter(t *testing.T) {
 		Goal: GoalFastFirst,
 	}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "sorted tactic")
 	// Order check.
@@ -425,7 +425,7 @@ func TestSortedTacticOrderAndFilter(t *testing.T) {
 		OrderBy:     []int{age},
 		Goal:        GoalTotalTime,
 	}
-	rows2 := o.Run(q2)
+	rows2 := o.RunExec(nil, q2)
 	got2 := drain(t, rows2)
 	sameMultiset(t, got2, f.naive(t, q2), "ordered total-time fallback")
 	if !strings.HasPrefix(rows2.Stats().Tactic, "sort(") {
@@ -443,7 +443,7 @@ func TestSortFallbackWithoutOrderIndex(t *testing.T) {
 		Projection:  []int{age, city},
 	}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "sort fallback")
 	for i := 1; i < len(got); i++ {
@@ -460,7 +460,7 @@ func TestSortFallbackWithoutOrderIndex(t *testing.T) {
 	// deliver nothing once they reached the limit.
 	limited := *q
 	limited.Limit = 5
-	rows = o.Run(&limited)
+	rows = o.RunExec(nil, &limited)
 	top := drain(t, rows)
 	if len(top) != 5 || rows.Stats().RowsDelivered != 5 {
 		t.Fatalf("LIMIT 5 over sort delivered %d rows (stats say %d)", len(top), rows.Stats().RowsDelivered)
@@ -488,7 +488,7 @@ func TestIndexOnlyTactic(t *testing.T) {
 	// is NOT self-sufficient). Rework: restriction only on AGE.
 	q.Restriction = expr.NewCmp(expr.LT, expr.Col(age, "AGE"), expr.Lit(expr.Int(30)))
 	o := NewOptimizer(DefaultConfig())
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "sscan static")
 	if st := rows.Stats(); st.Tactic != "sscan" {
@@ -506,7 +506,7 @@ func TestIndexOnlyTactic(t *testing.T) {
 		Projection: []int{age, id},
 		Goal:       GoalTotalTime,
 	}
-	rows = o.Run(q2)
+	rows = o.RunExec(nil, q2)
 	got = drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q2), "index-only")
 }
@@ -520,7 +520,7 @@ func TestSscanEmptyRange(t *testing.T) {
 		Projection:  []int{age, id},
 	}
 	o := NewOptimizer(DefaultConfig())
-	got := drain(t, o.Run(q))
+	got := drain(t, o.RunExec(nil, q))
 	if len(got) != 0 {
 		t.Fatalf("got %d rows", len(got))
 	}
@@ -538,7 +538,7 @@ func TestPreviousOrderReused(t *testing.T) {
 		Goal: GoalTotalTime,
 	}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	drain(t, rows)
 	st := rows.Stats()
 	if len(st.WinningOrder) == 0 {
@@ -558,7 +558,7 @@ func TestErrorsSurfaceThroughRows(t *testing.T) {
 	// Unbound parameter: not sargable, so Tscan runs and hits the
 	// evaluation error on the first row.
 	o := NewOptimizer(DefaultConfig())
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	_, _, err := rows.Next()
 	if err == nil {
 		t.Fatal("expected unbound-parameter error")
@@ -572,14 +572,14 @@ func TestErrorsSurfaceThroughRows(t *testing.T) {
 func TestInvalidQueryRejected(t *testing.T) {
 	f := newFixture(t, 10)
 	o := NewOptimizer(DefaultConfig())
-	if _, _, err := o.Run(&Query{Table: nil}).Next(); err == nil {
+	if _, _, err := o.RunExec(nil, &Query{Table: nil}).Next(); err == nil {
 		t.Fatal("nil table accepted")
 	}
-	if _, _, err := o.Run(&Query{Table: f.tab, Projection: []int{99}}).Next(); err == nil {
+	if _, _, err := o.RunExec(nil, &Query{Table: f.tab, Projection: []int{99}}).Next(); err == nil {
 		t.Fatal("bad projection accepted")
 	}
 	bad := &expr.Cmp{Op: expr.EQ, L: expr.Col(0, "ID"), R: nil}
-	if _, _, err := o.Run(&Query{Table: f.tab, Restriction: bad}).Next(); err == nil {
+	if _, _, err := o.RunExec(nil, &Query{Table: f.tab, Restriction: bad}).Next(); err == nil {
 		t.Fatal("invalid expression accepted")
 	}
 }
@@ -624,7 +624,7 @@ func TestRandomizedAgainstNaive(t *testing.T) {
 		if rng.Intn(4) == 0 {
 			q.OrderBy = []int{age}
 		}
-		rows := o.Run(q)
+		rows := o.RunExec(nil, q)
 		got := drain(t, rows)
 		want := f.naive(t, q)
 		tactics[rows.Stats().Tactic]++
@@ -654,7 +654,7 @@ func TestStaticThresholdBaselineStillCorrect(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.StaticThresholds = true
 	o := NewOptimizer(cfg)
-	got := drain(t, o.Run(q))
+	got := drain(t, o.RunExec(nil, q))
 	sameMultiset(t, got, f.naive(t, q), "static thresholds")
 }
 
@@ -669,7 +669,7 @@ func TestDisableCompetitionStillCorrect(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DisableCompetition = true
 	o := NewOptimizer(cfg)
-	got := drain(t, o.Run(q))
+	got := drain(t, o.RunExec(nil, q))
 	sameMultiset(t, got, f.naive(t, q), "no competition")
 }
 
@@ -682,7 +682,7 @@ func TestCloseEarlyIsSafe(t *testing.T) {
 		Goal:        GoalFastFirst,
 	}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	// Pull two rows then close (the paper's forceful termination).
 	for i := 0; i < 2; i++ {
 		if _, ok, err := rows.Next(); err != nil || !ok {

@@ -180,7 +180,7 @@ func (e TraceEvent) String() string {
 }
 
 // TraceSink receives every event of every retrieval as it is emitted.
-// Run may be called from many goroutines at once, so a sink must be
+// RunExec may be called from many goroutines at once, so a sink must be
 // safe for concurrent Event calls; events of one retrieval arrive in
 // Seq order, but events of different retrievals interleave. The sink
 // must not block: it runs inside the retrieval's step loop.

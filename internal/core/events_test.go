@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -56,89 +58,70 @@ func checkStream(t *testing.T, st RetrievalStats) {
 	}
 }
 
-// TestEventStreamPerTactic runs one query per tactic and asserts the
-// typed stream: a tactic-chosen event naming the tactic, plus the
+// TestEventStreamPerTactic runs one query per arrangement and asserts
+// the typed stream: a first tactic-chosen event naming the tactic, its
+// scan, its indexes and its detail — the rows EXPLAIN shows — plus the
 // structural invariants.
 func TestEventStreamPerTactic(t *testing.T) {
 	f := newFixture(t, 10000, "AGE", "CITY", "AGE+ID")
-	age, city, id := f.col(t, "AGE"), f.col(t, "CITY"), f.col(t, "ID")
+	age, city, id, salary := f.col(t, "AGE"), f.col(t, "CITY"), f.col(t, "ID"), f.col(t, "SALARY")
+	cmp := func(op expr.CmpOp, col int, name string, v int64) expr.Expr {
+		return expr.NewCmp(op, expr.Col(col, name), expr.Lit(expr.Int(v)))
+	}
+	ageCity := expr.NewAnd(cmp(expr.LT, age, "AGE", 20), cmp(expr.EQ, city, "CITY", 7))
+	union := expr.NewOr(cmp(expr.EQ, city, "CITY", 7), cmp(expr.LT, age, "AGE", 2))
+	disjoint := expr.NewOr(cmp(expr.EQ, city, "CITY", 7), cmp(expr.EQ, city, "CITY", 9))
+	unsargable := expr.NewCmp(expr.LT, expr.Col(salary, "SALARY"), expr.Lit(expr.Float(500)))
 
 	cases := []struct {
-		name   string
-		q      *Query
-		tactic string
+		name    string
+		q       Query
+		tactic  string
+		scan    string
+		indexes []string
+		detail  string
 	}{
-		{
-			name: "background-only",
-			q: &Query{
-				Table: f.tab,
-				Restriction: expr.NewAnd(
-					expr.NewCmp(expr.LT, expr.Col(age, "AGE"), expr.Lit(expr.Int(20))),
-					expr.NewCmp(expr.EQ, expr.Col(city, "CITY"), expr.Lit(expr.Int(7))),
-				),
-				Goal: GoalTotalTime,
-			},
-			tactic: "background-only",
-		},
-		{
-			name: "fast-first",
-			q: &Query{
-				Table: f.tab,
-				Restriction: expr.NewAnd(
-					expr.NewCmp(expr.LT, expr.Col(age, "AGE"), expr.Lit(expr.Int(20))),
-					expr.NewCmp(expr.EQ, expr.Col(city, "CITY"), expr.Lit(expr.Int(7))),
-				),
-				Goal: GoalFastFirst,
-			},
-			tactic: "fast-first",
-		},
-		{
-			name: "sorted",
-			q: &Query{
-				Table: f.tab,
-				Restriction: expr.NewAnd(
-					expr.NewCmp(expr.GE, expr.Col(age, "AGE"), expr.Lit(expr.Int(10))),
-					expr.NewCmp(expr.EQ, expr.Col(city, "CITY"), expr.Lit(expr.Int(3))),
-				),
-				OrderBy: []int{age},
-				Goal:    GoalFastFirst,
-			},
-			tactic: "sorted",
-		},
-		{
-			name: "index-only",
-			q: &Query{
-				Table: f.tab,
-				Restriction: expr.NewAnd(
-					expr.NewCmp(expr.LT, expr.Col(age, "AGE"), expr.Lit(expr.Int(30))),
-					expr.NewCmp(expr.LT, expr.Col(id, "ID"), expr.Lit(expr.Int(5000))),
-				),
-				Projection: []int{age, id},
-				Goal:       GoalTotalTime,
-			},
-			tactic: "index-only",
-		},
+		{"background-only", Query{Restriction: ageCity, Goal: GoalTotalTime},
+			"background-only", "Jscan", []string{"IX_CITY", "IX_AGE", "IX_AGE+ID"}, "background-only over 3 indexes"},
+		{"fast-first", Query{Restriction: ageCity, Goal: GoalFastFirst},
+			"fast-first", "Jscan", []string{"IX_CITY", "IX_AGE", "IX_AGE+ID"}, "fast-first, foreground borrows from IX_CITY"},
+		{"sorted", Query{Restriction: expr.NewAnd(cmp(expr.GE, age, "AGE", 10), cmp(expr.EQ, city, "CITY", 3)), OrderBy: []int{age}, Goal: GoalFastFirst},
+			"sorted", "Fscan(IX_AGE)", []string{"IX_AGE", "IX_CITY", "IX_AGE+ID"}, "Fscan(IX_AGE) + filter Jscan(2 indexes)"},
+		{"index-only", Query{Restriction: expr.NewAnd(cmp(expr.LT, age, "AGE", 30), cmp(expr.LT, id, "ID", 5000)), Projection: []int{age, id}, Goal: GoalTotalTime},
+			"index-only", "Sscan(IX_AGE+ID)", []string{"IX_AGE+ID", "IX_AGE"}, "Sscan(IX_AGE+ID) races Jscan over 1 indexes"},
+		{"tscan", Query{Restriction: unsargable},
+			"tscan", "Tscan", nil, "no useful index"},
+		{"sscan", Query{Restriction: cmp(expr.GE, age, "AGE", 95), Projection: []int{age}},
+			"sscan", "Sscan(IX_AGE)", []string{"IX_AGE"}, "lone self-sufficient index"},
+		{"sscan ordered", Query{Restriction: cmp(expr.GE, age, "AGE", 90), Projection: []int{age, id}, OrderBy: []int{age}},
+			"sscan", "Sscan(IX_AGE+ID)", []string{"IX_AGE+ID"}, "self-sufficient order-needed index"},
+		{"fscan", Query{Restriction: unsargable, OrderBy: []int{age}, Goal: GoalFastFirst},
+			"fscan", "Fscan(IX_AGE)", []string{"IX_AGE"}, "ordered plain Fscan"},
+		{"union background-only", Query{Restriction: union, Goal: GoalTotalTime},
+			"background-only", "Uscan", []string{"IX_CITY", "IX_AGE"}, "background-only union over 2 disjunct legs"},
+		{"union fast-first", Query{Restriction: disjoint, Goal: GoalFastFirst},
+			"fast-first", "Uscan", []string{"IX_CITY", "IX_CITY"}, "fast-first over a 2-leg union"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			q := tc.q
+			q.Table = f.tab
 			o := NewOptimizer(DefaultConfig())
-			rows := o.Run(tc.q)
+			rows := o.RunExec(nil, &q)
 			got := drain(t, rows)
-			sameMultiset(t, got, f.naive(t, tc.q), tc.name)
+			sameMultiset(t, got, f.naive(t, &q), tc.name)
 			st := rows.Stats()
 			checkStream(t, st)
 			chosen := firstEvent(st, EvTacticChosen, "")
 			if chosen == nil {
 				t.Fatalf("no tactic-chosen event; trace: %v", st.Trace())
 			}
-			if chosen.Tactic != tc.tactic {
-				t.Fatalf("tactic-chosen says %q, want %q (trace: %v)", chosen.Tactic, tc.tactic, st.Trace())
+			if chosen.Tactic != tc.tactic || chosen.Scan != tc.scan || !slices.Equal(chosen.Indexes, tc.indexes) || chosen.Detail != tc.detail {
+				t.Fatalf("tactic-chosen = %q %q %q %q, want %q %q %q %q", chosen.Tactic, chosen.Scan, chosen.Indexes, chosen.Detail,
+					tc.tactic, tc.scan, tc.indexes, tc.detail)
 			}
 			if chosen.Seq != 0 {
 				t.Fatalf("tactic-chosen should be the first event, got Seq %d", chosen.Seq)
-			}
-			if len(chosen.Indexes) == 0 {
-				t.Fatalf("tactic-chosen should name its indexes")
 			}
 			if snap := o.Metrics().Snapshot(); snap.TacticWins[tc.tactic] < 1 {
 				t.Fatalf("metrics recorded no %s win: %+v", tc.tactic, snap)
@@ -158,7 +141,7 @@ func TestEventStreamTscanRecommendation(t *testing.T) {
 		Goal:        GoalTotalTime,
 	}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "tscan-recommend")
 	st := rows.Stats()
@@ -188,7 +171,7 @@ func TestEventStreamEmptyRange(t *testing.T) {
 		),
 	}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	if len(got) != 0 {
 		t.Fatalf("contradictory range delivered %d rows", len(got))
@@ -212,10 +195,10 @@ func TestEventStreamEmptyRange(t *testing.T) {
 	}
 }
 
-// TestOrderedEmptyRangeShortcut is the regression test for planOrdered
-// discarding the empty flag from RestrictionBounds: an ordered query
-// with a contradictory range must deliver end-of-data at once with zero
-// scan I/O instead of opening a real (full-range) scan.
+// TestOrderedEmptyRangeShortcut: an ordered query with a contradictory
+// range must deliver end-of-data at once with zero scan I/O instead of
+// opening a real (full-range) scan. Classify sees the contradiction on
+// the order index, so run answers it before any planner is reached.
 func TestOrderedEmptyRangeShortcut(t *testing.T) {
 	f := newFixture(t, 5000, "AGE")
 	age := f.col(t, "AGE")
@@ -230,15 +213,16 @@ func TestOrderedEmptyRangeShortcut(t *testing.T) {
 			OrderDesc: desc,
 		}
 		o := NewOptimizer(DefaultConfig())
-		rows := o.Run(q)
+		rows := o.RunExec(nil, q)
 		got := drain(t, rows)
 		if len(got) != 0 {
 			t.Fatalf("ordered contradictory range delivered %d rows", len(got))
 		}
 		st := rows.Stats()
 		checkStream(t, st)
-		if !hasEvent(st, EvEmptyRange, "") {
-			t.Fatalf("expected an empty-range event; tactic %s, trace: %v", st.Tactic, st.Trace())
+		ev := firstEvent(st, EvEmptyRange, "")
+		if st.Tactic != "empty-range" || ev == nil || !strings.Contains(ev.Detail, "contradictory sargable range") {
+			t.Fatalf("want Classify's empty-range shortcut; tactic %s, trace: %v", st.Tactic, st.Trace())
 		}
 		if c := st.IO.IOCost(); c != 0 {
 			t.Fatalf("ordered empty range attributed %d I/O, want 0 (tactic %s, trace: %v)", c, st.Tactic, st.Trace())
@@ -380,7 +364,7 @@ func TestConcurrentQueriesDoNotInterleaveStreams(t *testing.T) {
 					),
 					Goal: GoalTotalTime,
 				}
-				rows := o.Run(q)
+				rows := o.RunExec(nil, q)
 				for {
 					_, ok, err := rows.Next()
 					if err != nil {

@@ -24,8 +24,8 @@ var ErrBudgetExceeded = storage.ErrBudgetExceeded
 // unwinds within one simulated page I/O.
 //
 // A nil *ExecCtx is the free, never-cancelling context; every method is
-// nil-safe, so the legacy Run/Query entry points simply pass nil and
-// keep their exact seed behaviour and cost accounting.
+// nil-safe, so a caller with no context passes nil and keeps the exact
+// seed behaviour and cost accounting.
 type ExecCtx struct {
 	ctx   context.Context
 	gov   *storage.Governor

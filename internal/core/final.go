@@ -31,12 +31,12 @@ const finalPrefetchWindow = 8
 // records already delivered by the foreground are filtered out through
 // an exact compressed bitmap of its RID buffer.
 type finalStage struct {
+	meter
 	q       *Query
 	k       *rowKernel
 	c       fetchCursor           // the stepping path's position over the whole list
 	exclude *rid.CompressedBitmap // foreground-delivered RIDs; may be nil
 	out     *rowQueue
-	m       meter
 
 	workers int      // intra-query worker budget (see parallel.go)
 	par     *morsels // the streamed fetch, once partitioned
@@ -76,9 +76,9 @@ func newFinalStage(ec *ExecCtx, q *Query, k *rowKernel, c *rid.Container, delive
 		k: k,
 		// Union scans may deliver the same RID through several legs; the
 		// sorted order makes duplicates adjacent.
-		c:   newFetchCursor(dedupSorted(rids)),
-		out: out,
-		m:   newMeter(ec),
+		c:     newFetchCursor(dedupSorted(rids)),
+		out:   out,
+		meter: newMeter(ec),
 	}
 	if len(delivered) > 0 {
 		f.exclude = rid.FromRIDs(delivered)
@@ -86,9 +86,8 @@ func newFinalStage(ec *ExecCtx, q *Query, k *rowKernel, c *rid.Container, delive
 	return f, nil
 }
 
-func (f *finalStage) name() string  { return "Fin" }
-func (f *finalStage) cost() float64 { return f.m.cost() }
-func (f *finalStage) release()      { f.par.close() } // a streamed fetch's workers; the RID slice holds no cursor
+func (f *finalStage) name() string { return "Fin" }
+func (f *finalStage) release()     { f.par.close() } // a streamed fetch's workers; the RID slice holds no cursor
 
 func (f *finalStage) step() (bool, error) {
 	if f.done {
@@ -104,7 +103,7 @@ func (f *finalStage) step() (bool, error) {
 	if f.par != nil {
 		f.done, err = f.par.step(f.out)
 	} else {
-		f.done, err = f.fetch(&f.c, f.m.tr, finalFetchBudget, nil, f.out)
+		f.done, err = f.fetch(&f.c, f.tr, finalFetchBudget, nil, f.out)
 	}
 	return f.done, err
 }

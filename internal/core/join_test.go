@@ -874,7 +874,7 @@ func TestJoinValidate(t *testing.T) {
 // oracle.
 func tableRows(t testing.TB, tab *catalog.Table) []expr.Row {
 	t.Helper()
-	rows, _ := drainJoin(t, NewOptimizer(Config{}).Run(&Query{Table: tab}))
+	rows, _ := drainJoin(t, NewOptimizer(Config{}).RunExec(nil, &Query{Table: tab}))
 	return rows
 }
 

@@ -95,7 +95,7 @@ func (o *Optimizer) gatherJoinInfo(ec *ExecCtx, jq *JoinQuery) ([]joinTableInfo,
 			var useful []*catalog.Index
 			for _, ix := range tab.Indexes {
 				lo, hi, n, empty := ix.RestrictionBounds(local, jq.Binds)
-				if empty && n > 0 {
+				if empty {
 					info.empty = true
 				}
 				if n > 0 && (lo != nil || hi != nil) {

@@ -27,13 +27,13 @@ import (
 // to complete becomes the new list and the loser's partial list is
 // refiltered and continued (Section 6's limited dynamic reordering).
 type jscan struct {
+	meter
 	q     *Query
 	cfg   Config
 	model estimate.CostModel
 	ests  []estimate.IndexEstimate
 	trc   *tracer
 	ec    *ExecCtx
-	m     meter
 
 	idx int // next index position to scan
 
@@ -108,7 +108,7 @@ func newJscan(ec *ExecCtx, q *Query, cfg Config, model estimate.CostModel, ests 
 		ests:           ests,
 		trc:            trc,
 		ec:             ec,
-		m:              newMeter(ec),
+		meter:          newMeter(ec),
 		filter:         rid.TrueFilter{},
 		guaranteedBest: model.TscanCost(),
 		tscanCost:      model.TscanCost(),
@@ -118,8 +118,7 @@ func newJscan(ec *ExecCtx, q *Query, cfg Config, model estimate.CostModel, ests 
 	return j
 }
 
-func (j *jscan) name() string  { return "Jscan" }
-func (j *jscan) cost() float64 { return j.m.cost() }
+func (j *jscan) name() string { return "Jscan" }
 
 // backgroundScan implementation.
 
@@ -218,12 +217,12 @@ func (j *jscan) finish() {
 	if j.complete == nil {
 		j.recommendTscan = true
 		j.trc.emit(TraceEvent{
-			Kind: EvScanComplete, Scan: j.name(), ActualIO: j.m.cost(),
+			Kind: EvScanComplete, Scan: j.name(), ActualIO: j.cost(),
 			Detail: "no complete RID list, recommending Tscan",
 		})
 	} else {
 		j.trc.emit(TraceEvent{
-			Kind: EvScanComplete, Scan: j.name(), Indexes: j.completeNames, ActualIO: j.m.cost(),
+			Kind: EvScanComplete, Scan: j.name(), Indexes: j.completeNames, ActualIO: j.cost(),
 			Detail: fmt.Sprintf("final RID list %d rids", j.complete.Len()),
 		})
 	}
@@ -256,7 +255,7 @@ func (j *jscan) startNextScan() (bool, error) {
 		if !j.cfg.DisableCompetition && scanEst >= j.cfg.Criterion.ScanCostFrac*j.currentGuaranteedBest() {
 			j.trc.emit(TraceEvent{
 				Kind: EvScanAbandoned, Scan: j.name(), Indexes: []string{e.Index.Name},
-				EstimatedIO: scanEst, ActualIO: j.m.cost(),
+				EstimatedIO: scanEst, ActualIO: j.cost(),
 				Detail: fmt.Sprintf("skipped before scan (scan est %.0f vs best %.0f)", scanEst, j.currentGuaranteedBest()),
 			})
 			j.idx++
@@ -297,11 +296,11 @@ func (j *jscan) openSequential(e estimate.IndexEstimate) error {
 		return err
 	}
 	j.scan = leg
-	j.list = rid.NewContainerTracked(j.q.Table.Pool(), j.cfg.RID, j.m.tr)
+	j.list = rid.NewContainerTracked(j.q.Table.Pool(), j.cfg.RID, j.tr)
 	j.trc.emit(TraceEvent{
 		Kind: EvScanStarted, Scan: j.name(), Indexes: []string{e.Index.Name},
 		EstimatedIO: j.model.LeafPages(e.RIDs, e.Index.Tree.AvgLeafEntries()) + float64(e.Index.Tree.Height()),
-		ActualIO:    j.m.cost(),
+		ActualIO:    j.cost(),
 		Detail:      fmt.Sprintf("est %.0f rids", e.RIDs),
 	})
 	return nil
@@ -311,10 +310,10 @@ func (j *jscan) openSequential(e estimate.IndexEstimate) error {
 // the leg charges a tracker of its own (a goroutine race merges it at
 // the barrier); otherwise the shared meter.
 func (j *jscan) openLeg(e estimate.IndexEstimate, own bool) (raceLeg, error) {
-	tr := j.m.tr
+	tr := j.tr
 	var legTr *storage.Tracker
 	if own {
-		legTr = storage.NewTracker(j.m.tr.Governor())
+		legTr = storage.NewTracker(j.tr.Governor())
 		tr = legTr
 	}
 	cur, err := e.Index.Tree.SeekTracked(e.Lo, e.Hi, tr)
@@ -326,7 +325,7 @@ func (j *jscan) openLeg(e estimate.IndexEstimate, own bool) (raceLeg, error) {
 		cur:      cur,
 		local:    keyKernel(j.q.Restriction, j.q.Binds, e.Index),
 		rangeEst: max(e.RIDs, 1),
-		cost0:    j.m.total(),
+		cost0:    j.total(),
 		tr:       legTr,
 	}, nil
 }
@@ -395,11 +394,11 @@ func (j *jscan) stepSequential() error {
 			}
 		}
 	}
-	scanCost := float64(j.m.total() - sq.cost0)
+	scanCost := float64(j.total() - sq.cost0)
 	if projFinal, abandon := abandonProjected(&j.cfg, j.model, j.list.Len(), sq.seen, sq.rangeEst, scanCost, j.currentGuaranteedBest()); abandon {
 		j.trc.emit(TraceEvent{
 			Kind: EvScanAbandoned, Scan: j.name(), Indexes: []string{sq.ix.Name},
-			EstimatedIO: projFinal, ActualIO: j.m.cost(),
+			EstimatedIO: projFinal, ActualIO: j.cost(),
 			Detail: fmt.Sprintf("proj final %.0f, scan cost %.0f, best %.0f", projFinal, scanCost, j.currentGuaranteedBest()),
 		})
 		return j.abandonCurrent()
@@ -426,13 +425,13 @@ func (j *jscan) completeScan() error {
 			j.guaranteedBest = newFinal
 			j.trc.emit(TraceEvent{
 				Kind: EvScanComplete, Scan: j.name(), Indexes: []string{j.scan.ix.Name},
-				EstimatedIO: newFinal, ActualIO: j.m.cost(),
+				EstimatedIO: newFinal, ActualIO: j.cost(),
 				Detail: fmt.Sprintf("%d rids, final cost %.0f", n, newFinal),
 			})
 		} else {
 			j.trc.emit(TraceEvent{
 				Kind: EvScanComplete, Scan: j.name(), Indexes: []string{j.scan.ix.Name},
-				EstimatedIO: newFinal, ActualIO: j.m.cost(),
+				EstimatedIO: newFinal, ActualIO: j.cost(),
 				Detail: fmt.Sprintf("complete but useless (%d rids, final %.0f >= best %.0f)", n, newFinal, j.guaranteedBest),
 			})
 			j.list.Discard()
@@ -514,12 +513,12 @@ func (j *jscan) stepRace() error {
 			continue
 		}
 		// Competition can kill a leg mid-race.
-		if projFinal, abandon := abandonProjected(&j.cfg, j.model, len(leg.rids), leg.seen, leg.rangeEst, float64(j.m.total()-leg.cost0)/2, j.currentGuaranteedBest()); abandon {
+		if projFinal, abandon := abandonProjected(&j.cfg, j.model, len(leg.rids), leg.seen, leg.rangeEst, float64(j.total()-leg.cost0)/2, j.currentGuaranteedBest()); abandon {
 			leg.dead = true
 			leg.cur.Close()
 			j.trc.emit(TraceEvent{
 				Kind: EvScanAbandoned, Scan: j.name(), Indexes: []string{leg.ix.Name},
-				EstimatedIO: projFinal, ActualIO: j.m.cost(),
+				EstimatedIO: projFinal, ActualIO: j.cost(),
 				Detail: fmt.Sprintf("race leg abandoned (proj final %.0f)", projFinal),
 			})
 		}
@@ -567,7 +566,7 @@ func (j *jscan) resolveRace(win *raceLeg) error {
 		j.race = nil
 		j.trc.emit(TraceEvent{
 			Kind: EvRaceResolved, Scan: j.name(), Indexes: []string{a.ix.Name, b.ix.Name},
-			ActualIO: j.m.cost(), Detail: "both race legs abandoned",
+			ActualIO: j.cost(), Detail: "both race legs abandoned",
 		})
 		return j.nextScan()
 	case full(a) || full(b):
@@ -588,7 +587,7 @@ func (j *jscan) resolveRace(win *raceLeg) error {
 		j.race = nil
 		j.trc.emit(TraceEvent{
 			Kind: EvRaceResolved, Scan: j.name(), Indexes: []string{keep.ix.Name, drop.ix.Name},
-			ActualIO: j.m.cost(),
+			ActualIO: j.cost(),
 			Detail:   fmt.Sprintf("race hit memory budget, continuing %s, dropping %s", keep.ix.Name, drop.ix.Name),
 		})
 		return j.continueLoser(keep)
@@ -603,12 +602,12 @@ func (j *jscan) adoptRaceWinner(w *raceLeg) error {
 	if w.dead || newFinal >= j.guaranteedBest {
 		j.trc.emit(TraceEvent{
 			Kind: EvRaceResolved, Scan: j.name(), Indexes: []string{w.ix.Name},
-			EstimatedIO: newFinal, ActualIO: j.m.cost(),
+			EstimatedIO: newFinal, ActualIO: j.cost(),
 			Detail: fmt.Sprintf("race winner %s useless (%d rids)", w.ix.Name, n),
 		})
 		return nil
 	}
-	c := rid.NewContainerTracked(j.q.Table.Pool(), j.cfg.RID, j.m.tr)
+	c := rid.NewContainerTracked(j.q.Table.Pool(), j.cfg.RID, j.tr)
 	if err := c.AppendBatch(w.rids); err != nil {
 		// The half-built list (and any temp table it spilled) must not
 		// leak when the copy fails.
@@ -624,7 +623,7 @@ func (j *jscan) adoptRaceWinner(w *raceLeg) error {
 	j.guaranteedBest = newFinal
 	j.trc.emit(TraceEvent{
 		Kind: EvRaceResolved, Scan: j.name(), Indexes: []string{w.ix.Name},
-		EstimatedIO: newFinal, ActualIO: j.m.cost(),
+		EstimatedIO: newFinal, ActualIO: j.cost(),
 		Detail: fmt.Sprintf("race winner %s, %d rids, final cost %.0f", w.ix.Name, n, newFinal),
 	})
 	return nil
@@ -644,12 +643,12 @@ func (j *jscan) continueLoser(l *raceLeg) error {
 		// were merged at the barrier, so re-point the cursor at the
 		// shared meter and re-base cost0 so the continued scan's
 		// competition cost picks up where the leg left off.
-		l.cur.SetTracker(j.m.tr)
-		l.cost0 = j.m.total() - l.tr.IOCost()
+		l.cur.SetTracker(j.tr)
+		l.cost0 = j.total() - l.tr.IOCost()
 	}
 	j.scan = *l
 	j.scan.rids = nil // they move to list, refiltered
-	j.list = rid.NewContainerTracked(j.q.Table.Pool(), j.cfg.RID, j.m.tr)
+	j.list = rid.NewContainerTracked(j.q.Table.Pool(), j.cfg.RID, j.tr)
 	rest := l.rids
 	for len(rest) > 0 {
 		n := len(j.sc.keep)
@@ -670,7 +669,7 @@ func (j *jscan) continueLoser(l *raceLeg) error {
 		rest = rest[n:]
 	}
 	j.trc.emit(TraceEvent{
-		Kind: EvScanStarted, Scan: j.name(), Indexes: []string{l.ix.Name}, ActualIO: j.m.cost(),
+		Kind: EvScanStarted, Scan: j.name(), Indexes: []string{l.ix.Name}, ActualIO: j.cost(),
 		Detail: fmt.Sprintf("continuing %s with %d prefiltered rids", l.ix.Name, j.list.Len()),
 	})
 	return nil

@@ -28,8 +28,8 @@ const estErrZeroLabel = "0-I/O"
 // optimizer runs: per-tactic win counts, competition-decision counters,
 // and a histogram of how far the start-retrieval I/O projection missed
 // the final attributed I/O. All counters are atomics, so concurrent
-// Stmt.Query traffic records without locks and Snapshot can be read at
-// any time.
+// Stmt.QueryContext traffic records without locks and Snapshot can be
+// read at any time.
 type Metrics struct {
 	queries          atomic.Int64
 	emptyRanges      atomic.Int64
@@ -123,7 +123,7 @@ func (m *Metrics) recordJoin(st *RetrievalStats) {
 	}
 }
 
-// recordQuery counts one Run call.
+// recordQuery counts one query, whichever entry point ran it.
 func (m *Metrics) recordQuery() { m.queries.Add(1) }
 
 // recordCancellation classifies an execution-context unwind into one of

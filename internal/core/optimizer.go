@@ -18,9 +18,9 @@ import (
 // pre-arrange the next initial stage) and cached cluster-ratio samples
 // per index.
 //
-// Run may be called from many goroutines at once; mu guards the shared
-// cross-run state (rng, prevOrder, cluster). Each retrieval's own state
-// lives in the returned Rows and is confined to its caller.
+// RunExec may be called from many goroutines at once; mu guards the
+// shared cross-run state (rng, prevOrder, cluster). Each retrieval's own
+// state lives in the returned Rows and is confined to its caller.
 type Optimizer struct {
 	cfg       Config
 	metrics   *Metrics
@@ -50,15 +50,12 @@ func (o *Optimizer) Config() Config { return o.cfg }
 // Metrics returns the optimizer's cumulative telemetry registry.
 func (o *Optimizer) Metrics() *Metrics { return o.metrics }
 
-// Run plans and starts a retrieval for q, choosing the tactic
+// RunExec plans and starts a retrieval for q, choosing the tactic
 // dynamically at start-retrieval time (Sections 4–7). The returned Rows
-// is lazy: scans advance as the caller pulls. Run is the free-context
-// convenience (no cancellation, no deadline, no budget) over RunExec.
-func (o *Optimizer) Run(q *Query) Rows { return o.RunExec(nil, q) }
-
-// RunExec runs q under the given execution context (nil = free):
-// cancellation and deadline stop the retrieval within one simulated
-// page I/O, and a budget bounds its attributed I/O.
+// is lazy: scans advance as the caller pulls. It runs under the given
+// execution context (nil = free): cancellation and deadline stop the
+// retrieval within one simulated page I/O, and a budget bounds its
+// attributed I/O.
 func (o *Optimizer) RunExec(ec *ExecCtx, q *Query) Rows {
 	rows, err := o.run(ec, q)
 	return o.deliver(ec, rows, err)
@@ -185,73 +182,120 @@ func (o *Optimizer) run(ec *ExecCtx, q *Query) (Rows, error) {
 
 	switch {
 	case len(q.OrderBy) > 0:
-		alt, err := o.planOrdered(ec, q, cl, res, r)
-		if err != nil {
-			return nil, err
-		}
-		if alt != nil {
-			return alt, nil
-		}
+		return o.planOrdered(ec, q, cl, res, r)
 	case len(cl.SelfSufficient) > 0:
-		if err := o.planWithSelfSufficient(ec, q, cl, res, r); err != nil {
-			return nil, err
-		}
+		return r, o.planWithSelfSufficient(ec, q, res, cl.SelfSufficient, r)
 	case len(res.Estimates) > 0:
+		// Fetch-needed indexes only: Jscan in the background, borrowed
+		// from by the foreground under fast-first.
+		a, est := arrangement{tactic: tacticBackgroundOnly, ests: res.Estimates}, bgPlanEst(model, res.Estimates[0])
 		if goal == GoalFastFirst {
-			o.planFastFirst(ec, q, res, r, model)
-		} else {
-			o.planBackgroundOnly(ec, q, res, r, model)
+			a.tactic = tacticFastFirst
+			return r, o.arrange(r, a, est, "fast-first, foreground borrows from "+res.Estimates[0].Index.Name)
 		}
-	default:
-		// No conjunct-level index use. A top-level OR whose disjuncts
-		// are all index-coverable can still be resolved by a union
-		// scan; otherwise the classical sequential retrieval remains.
-		ptr := storage.NewTracker(ec.Governor())
-		legs := unionLegs(q, ptr)
-		r.st.EstimateIO += ptr.IOCost()
-		if legs != nil {
-			o.planUnion(ec, q, legs, r, model, goal)
-		} else {
-			r.tactic = tacticTscan
-			r.fg = newTscan(ec, q, r.k, r.out, tscanWidth(o.cfg, ec, r.trc, q, model.TscanCost()))
-			r.trc.emit(TraceEvent{
-				Kind: EvTacticChosen, Tactic: r.tactic.String(), Scan: "Tscan",
-				EstimatedIO: model.TscanCost(), Detail: "no useful index",
-			})
-		}
+		return r, o.arrange(r, a, est, fmt.Sprintf("background-only over %d indexes", len(res.Estimates)))
 	}
-	return r, nil
-}
-
-// planUnion arranges a union scan as the background process, under the
-// same background-only / fast-first choreography as Jscan.
-func (o *Optimizer) planUnion(ec *ExecCtx, q *Query, legs []unionLeg, r *retrieval, model estimate.CostModel, goal Goal) {
-	var (
-		names    []string
-		totalEst float64
-	)
+	// No conjunct-level index use. A top-level OR whose disjuncts are all
+	// index-coverable can still be resolved by a union scan, under the
+	// same background-only / fast-first choreography as Jscan; otherwise
+	// the classical sequential retrieval remains.
+	ptr := storage.NewTracker(ec.Governor())
+	legs := unionLegs(q, ptr)
+	r.st.EstimateIO += ptr.IOCost()
+	if legs == nil {
+		return r, o.arrange(r, arrangement{tactic: tacticTscan}, model.TscanCost(), "no useful index")
+	}
+	var totalEst float64
 	for _, l := range legs {
-		names = append(names, l.Index.Name)
 		totalEst += l.Est
 	}
-	unionEst := model.JscanFinalCost(totalEst)
+	a, est := arrangement{tactic: tacticBackgroundOnly, legs: legs}, model.JscanFinalCost(totalEst)
 	if goal == GoalFastFirst {
-		r.tactic = tacticFastFirst
-		borrow := &ridQueue{}
-		r.bg = newUscan(ec, q, o.cfg, model, legs, borrow, r.trc)
-		r.fg = newBorrowFetcher(ec, q, r.k, borrow, r.out, o.cfg.FgBufferCap)
-		r.trc.emit(TraceEvent{
-			Kind: EvTacticChosen, Tactic: r.tactic.String(), Scan: "Uscan", Indexes: names,
-			EstimatedIO: unionEst, Detail: fmt.Sprintf("fast-first over a %d-leg union", len(legs)),
-		})
-		return
+		a.tactic = tacticFastFirst
+		return r, o.arrange(r, a, est, fmt.Sprintf("fast-first over a %d-leg union", len(legs)))
 	}
-	r.tactic = tacticBackgroundOnly
-	r.bg = newUscan(ec, q, o.cfg, model, legs, nil, r.trc)
-	r.trc.emit(TraceEvent{
-		Kind: EvTacticChosen, Tactic: r.tactic.String(), Scan: "Uscan", Indexes: names,
-		EstimatedIO: unionEst, Detail: fmt.Sprintf("background-only union over %d disjunct legs", len(legs)),
-	})
+	return r, o.arrange(r, a, est, fmt.Sprintf("background-only union over %d disjunct legs", len(legs)))
+}
+
+// arrangement is a tactic as the scans that run it — what start-retrieval
+// time decides (Section 7, Figure 4) and what a pinned plan freezes: the
+// foreground's index and bounds (sscan, fscan, sorted, index-only) and
+// the background's input, Jscan estimates or Uscan legs.
+type arrangement struct {
+	tactic tacticKind
+	ix     *catalog.Index
+	lo, hi []byte
+	desc   bool
+	ests   []estimate.IndexEstimate
+	legs   []unionLeg
+}
+
+// arrange turns a into r's foreground and background under r.cfg and
+// emits the retrieval's tactic-chosen event, whose Scan and Indexes it
+// derives from a — the one place any arrangement, dynamic or pinned,
+// becomes scans. The foreground is built first: its seek may spend I/O,
+// while Jscan and Uscan construction spends none.
+func (o *Optimizer) arrange(r *retrieval, a arrangement, estIO float64, detail string) error {
+	ec, q, cfg := r.ec, r.q, r.cfg
+	var borrow *ridQueue
+	switch a.tactic {
+	case tacticTscan:
+		r.fg = r.sequentialScan()
+	case tacticSscan, tacticIndexOnly:
+		fg, err := newSscan(ec, q, a.ix, a.lo, a.hi, r.out, a.desc)
+		if err != nil {
+			return err
+		}
+		if a.tactic == tacticIndexOnly {
+			fg.track = func() bool { return !r.bgDone }
+		}
+		r.fg = fg
+	case tacticFscan, tacticSorted:
+		fg, err := newFscan(ec, q, r.k, a.ix, a.lo, a.hi, r.out, a.desc)
+		if err != nil {
+			return err
+		}
+		r.fg = fg
+		// The filter is the sorted tactic's only useful Jscan outcome: no
+		// temp-table spill, the bitmap absorbs overflow (Section 7).
+		cfg.RID.FilterOnly = true
+	case tacticFastFirst:
+		// Racing is off so the borrow stream comes from a single stable
+		// first scan.
+		borrow, cfg.RaceFactor = &ridQueue{}, -1
+		r.fg = newBorrowFetcher(ec, q, r.k, borrow, r.out, cfg.FgBufferCap)
+	}
+	r.tactic = a.tactic
+
+	ev := TraceEvent{Kind: EvTacticChosen, Tactic: a.tactic.String(), EstimatedIO: estIO, Detail: detail}
+	if n := len(a.ests) + len(a.legs); a.ix != nil {
+		ev.Indexes = append(make([]string, 0, 1+n), a.ix.Name)
+	} else if n > 0 {
+		ev.Indexes = make([]string, 0, n)
+	}
+	switch {
+	case a.legs != nil:
+		r.bg = newUscan(ec, q, cfg, r.model, a.legs, borrow, r.trc)
+		for _, l := range a.legs {
+			ev.Indexes = append(ev.Indexes, l.Index.Name)
+		}
+	case len(a.ests) > 0:
+		j := newJscan(ec, q, cfg, r.model, a.ests, borrow, r.trc)
+		j.onDone = o.observer(q)
+		r.bg = j
+		for _, e := range a.ests {
+			ev.Indexes = append(ev.Indexes, e.Index.Name)
+		}
+	}
+	// The scan that answers for the tactic: the foreground's own index
+	// scan, else the background the foreground borrows from or waits on.
+	if ev.Scan = "Tscan"; a.ix != nil {
+		ev.Scan = r.fg.name()
+	} else if r.bg != nil {
+		ev.Scan = r.bg.name()
+	}
+	r.trc.emit(ev)
+	return nil
 }
 
 // runSorted wraps a total-time dynamic retrieval in a SORT (the paper's
@@ -373,87 +417,21 @@ func (o *Optimizer) observer(q *Query) func([]string) {
 	}
 }
 
-// planBackgroundOnly: total-time, fetch-needed indexes only.
-func (o *Optimizer) planBackgroundOnly(ec *ExecCtx, q *Query, res estimate.Result, r *retrieval, model estimate.CostModel) {
-	r.tactic = tacticBackgroundOnly
-	j := newJscan(ec, q, o.cfg, model, res.Estimates, nil, r.trc)
-	j.onDone = o.observer(q)
-	r.bg = j
-	r.trc.emit(TraceEvent{
-		Kind: EvTacticChosen, Tactic: r.tactic.String(), Scan: "Jscan", Indexes: estNames(res.Estimates),
-		EstimatedIO: bgPlanEst(model, res.Estimates[0]),
-		Detail:      fmt.Sprintf("background-only over %d indexes", len(res.Estimates)),
-	})
-}
-
-// planFastFirst: fast-first, fetch-needed indexes only. The background
-// Jscan feeds the foreground borrow fetcher; racing is disabled so the
-// borrow stream comes from a single stable first scan.
-func (o *Optimizer) planFastFirst(ec *ExecCtx, q *Query, res estimate.Result, r *retrieval, model estimate.CostModel) {
-	r.tactic = tacticFastFirst
-	cfg := o.cfg
-	cfg.RaceFactor = -1
-	borrow := &ridQueue{}
-	j := newJscan(ec, q, cfg, model, res.Estimates, borrow, r.trc)
-	j.onDone = o.observer(q)
-	r.bg = j
-	r.fg = newBorrowFetcher(ec, q, r.k, borrow, r.out, cfg.FgBufferCap)
-	r.trc.emit(TraceEvent{
-		Kind: EvTacticChosen, Tactic: r.tactic.String(), Scan: "Jscan", Indexes: estNames(res.Estimates),
-		EstimatedIO: bgPlanEst(model, res.Estimates[0]),
-		Detail:      "fast-first, foreground borrows from " + res.Estimates[0].Index.Name,
-	})
-}
-
 // planWithSelfSufficient: a self-sufficient index is available. With no
 // fetch-needed competition it is the statically clear Sscan; otherwise
 // the index-only tactic races the best Sscan against Jscan.
-func (o *Optimizer) planWithSelfSufficient(ec *ExecCtx, q *Query, cl Classification, res estimate.Result, r *retrieval) error {
-	best, bestCost, bestLo, bestHi, bestEmpty, err := o.bestSscan(ec, q, cl.SelfSufficient)
+func (o *Optimizer) planWithSelfSufficient(ec *ExecCtx, q *Query, res estimate.Result, cands []*catalog.Index, r *retrieval) error {
+	a, cost, err := bestSscan(ec, q, cands)
 	if err != nil {
 		return err
 	}
-	if bestEmpty {
-		r.tactic = tacticSscan
-		r.trc.emit(TraceEvent{Kind: EvEmptyRange, Scan: "Sscan", Indexes: []string{best.Name}, Detail: "sscan range empty, end of data at once"})
-		r.closed = true
-		return nil
-	}
-	fg, err := newSscan(ec, q, best, bestLo, bestHi, r.out, false)
-	if err != nil {
-		return err
-	}
-	r.fg = fg
-	r.fgEstTotal = bestCost
+	r.fgEstTotal = cost
 	if len(res.Estimates) == 0 {
-		r.tactic = tacticSscan
-		r.trc.emit(TraceEvent{
-			Kind: EvTacticChosen, Tactic: r.tactic.String(), Scan: fg.name(), Indexes: []string{best.Name},
-			EstimatedIO: bestCost, Detail: "lone self-sufficient index",
-		})
-		return nil
+		a.tactic = tacticSscan
+		return o.arrange(r, a, cost, "lone self-sufficient index")
 	}
-	r.tactic = tacticIndexOnly
-	fg.track = func() bool { return !r.bgDone }
-	j := newJscan(ec, q, o.cfg, r.model, res.Estimates, nil, r.trc)
-	j.onDone = o.observer(q)
-	r.bg = j
-	r.trc.emit(TraceEvent{
-		Kind: EvTacticChosen, Tactic: r.tactic.String(), Scan: fg.name(),
-		Indexes:     append([]string{best.Name}, estNames(res.Estimates)...),
-		EstimatedIO: bestCost,
-		Detail:      fmt.Sprintf("Sscan(%s) races Jscan over %d indexes", best.Name, len(res.Estimates)),
-	})
-	return nil
-}
-
-// estNames lists the index names of an estimate slice.
-func estNames(ests []estimate.IndexEstimate) []string {
-	out := make([]string, len(ests))
-	for i, e := range ests {
-		out[i] = e.Index.Name
-	}
-	return out
+	a.tactic, a.ests = tacticIndexOnly, res.Estimates
+	return o.arrange(r, a, cost, fmt.Sprintf("Sscan(%s) races Jscan over %d indexes", a.ix.Name, len(res.Estimates)))
 }
 
 // bgPlanEst is the optimistic projected I/O of a background plan: scan
@@ -465,25 +443,21 @@ func bgPlanEst(model estimate.CostModel, e estimate.IndexEstimate) float64 {
 }
 
 // bestSscan picks the cheapest self-sufficient index by estimated scan
-// cost over its restriction bounds.
-func (o *Optimizer) bestSscan(ec *ExecCtx, q *Query, cands []*catalog.Index) (best *catalog.Index, bestCost float64, bestLo, bestHi []byte, empty bool, err error) {
+// cost over its restriction bounds: the Sscan half of an arrangement.
+func bestSscan(ec *ExecCtx, q *Query, cands []*catalog.Index) (best arrangement, bestCost float64, err error) {
 	bestCost = math.Inf(1)
 	tr := storage.NewTracker(ec.Governor())
 	for _, ix := range cands {
-		lo, hi, _, emptyRg := ix.RestrictionBounds(q.Restriction, q.Binds)
-		if emptyRg {
-			return ix, 0, nil, nil, true, nil
-		}
+		lo, hi, _, _ := ix.RestrictionBounds(q.Restriction, q.Binds)
 		rids, _, err := ix.Tree.EstimateRangeRefinedTracked(lo, hi, tr)
 		if err != nil {
-			return nil, 0, nil, nil, false, err
+			return best, 0, err
 		}
-		cost := tableCostModel(q).SscanCost(rids, ix.Tree.AvgLeafEntries(), ix.Tree.Height())
-		if cost < bestCost {
-			best, bestCost, bestLo, bestHi = ix, cost, lo, hi
+		if cost := tableCostModel(q).SscanCost(rids, ix.Tree.AvgLeafEntries(), ix.Tree.Height()); cost < bestCost {
+			best, bestCost = arrangement{ix: ix, lo: lo, hi: hi}, cost
 		}
 	}
-	return best, bestCost, bestLo, bestHi, false, nil
+	return best, bestCost, nil
 }
 
 // planOrdered: an order-needed index exists. If one is also
@@ -498,43 +472,24 @@ func (o *Optimizer) bestSscan(ec *ExecCtx, q *Query, cands []*catalog.Index) (be
 // sequential scan and takes the cheaper estimate — an ordered Fscan
 // over a wide range costs one random fetch per row, which loses badly
 // to sort(Tscan).
+//
+// Run has already answered a contradictory range (Classify checks every
+// index), so the bounds here are never empty.
 func (o *Optimizer) planOrdered(ec *ExecCtx, q *Query, cl Classification, res estimate.Result, r *retrieval) (Rows, error) {
 	// Prefer an order-needed index that is also self-sufficient.
 	for _, ix := range cl.OrderNeeded {
 		if ix.Covers(q.neededColumns()) {
-			lo, hi, _, empty := ix.RestrictionBounds(q.Restriction, q.Binds)
-			if empty {
-				// Contradictory range: cancel all stages, end of data
-				// at once, zero scan I/O.
-				r.tactic = tacticSscan
-				r.trc.emit(TraceEvent{Kind: EvEmptyRange, Scan: "Sscan", Indexes: []string{ix.Name}, Detail: "ordered range empty, end of data at once"})
-				r.closed = true
-				return nil, nil
-			}
-			fg, err := newSscan(ec, q, ix, lo, hi, r.out, q.OrderDesc)
-			if err != nil {
-				return nil, err
-			}
-			r.tactic = tacticSscan
-			r.fg = fg
-			r.trc.emit(TraceEvent{
-				Kind: EvTacticChosen, Tactic: r.tactic.String(), Scan: fg.name(), Indexes: []string{ix.Name},
-				Detail: "self-sufficient order-needed index",
-			})
-			return nil, nil
+			a := arrangement{tactic: tacticSscan, ix: ix, desc: q.OrderDesc}
+			a.lo, a.hi, _, _ = ix.RestrictionBounds(q.Restriction, q.Binds)
+			return r, o.arrange(r, a, 0, "self-sufficient order-needed index")
 		}
 	}
 	ordIx := cl.OrderNeeded[0]
-	ordLo, ordHi, _, ordEmpty := ordIx.RestrictionBounds(q.Restriction, q.Binds)
-	if ordEmpty {
-		r.tactic = tacticFscan
-		r.trc.emit(TraceEvent{Kind: EvEmptyRange, Scan: "Fscan", Indexes: []string{ordIx.Name}, Detail: "ordered range empty, end of data at once"})
-		r.closed = true
-		return nil, nil
-	}
+	a := arrangement{tactic: tacticFscan, ix: ordIx, desc: q.OrderDesc}
+	a.lo, a.hi, _, _ = ordIx.RestrictionBounds(q.Restriction, q.Binds)
 	var fscanEst float64
 	if q.EffectiveGoal() != GoalFastFirst {
-		rids, _, err := ordIx.Tree.EstimateRangeRefinedTracked(ordLo, ordHi, storage.NewTracker(ec.Governor()))
+		rids, _, err := ordIx.Tree.EstimateRangeRefinedTracked(a.lo, a.hi, storage.NewTracker(ec.Governor()))
 		if err != nil {
 			return nil, err
 		}
@@ -544,40 +499,16 @@ func (o *Optimizer) planOrdered(ec *ExecCtx, q *Query, cl Classification, res es
 			return o.runSorted(ec, q)
 		}
 	}
-	fg, err := newFscan(ec, q, r.k, ordIx, ordLo, ordHi, r.out, q.OrderDesc)
-	if err != nil {
-		return nil, err
-	}
-	r.fg = fg
 	// Jscan over the other fetch-needed indexes produces the pre-fetch
 	// filter.
-	var others []estimate.IndexEstimate
 	for _, e := range res.Estimates {
 		if e.Index != ordIx {
-			others = append(others, e)
+			a.ests = append(a.ests, e)
 		}
 	}
-	if len(others) == 0 {
-		r.tactic = tacticFscan
-		r.trc.emit(TraceEvent{
-			Kind: EvTacticChosen, Tactic: r.tactic.String(), Scan: fg.name(), Indexes: []string{ordIx.Name},
-			EstimatedIO: fscanEst, Detail: "ordered plain Fscan",
-		})
-		return nil, nil
+	if len(a.ests) == 0 {
+		return r, o.arrange(r, a, fscanEst, "ordered plain Fscan")
 	}
-	r.tactic = tacticSorted
-	// The filter is the only useful Jscan outcome here: no temp-table
-	// spill, the bitmap absorbs overflow (Section 7, sorted tactic).
-	cfg := o.cfg
-	cfg.RID.FilterOnly = true
-	j := newJscan(ec, q, cfg, r.model, others, nil, r.trc)
-	j.onDone = o.observer(q)
-	r.bg = j
-	r.trc.emit(TraceEvent{
-		Kind: EvTacticChosen, Tactic: r.tactic.String(), Scan: fg.name(),
-		Indexes:     append([]string{ordIx.Name}, estNames(others)...),
-		EstimatedIO: fscanEst,
-		Detail:      fmt.Sprintf("Fscan(%s) + filter Jscan(%d indexes)", ordIx.Name, len(others)),
-	})
-	return nil, nil
+	a.tactic = tacticSorted
+	return r, o.arrange(r, a, fscanEst, fmt.Sprintf("Fscan(%s) + filter Jscan(%d indexes)", ordIx.Name, len(a.ests)))
 }

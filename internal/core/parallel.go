@@ -189,7 +189,7 @@ func (m *morsels) String() string {
 // inside the morsel.
 func (t *tscan) startParallelScan() *morsels {
 	heap := t.q.Table.Heap
-	return startMorsels(t.m.tr, heap.NumPages(), t.workers, 1, morselPages, nil, func(lo, hi int, stop *atomic.Bool, w *morselWorker) error {
+	return startMorsels(t.tr, heap.NumPages(), t.workers, 1, morselPages, nil, func(lo, hi int, stop *atomic.Bool, w *morselWorker) error {
 		cur := heap.RangeCursorTracked(storage.PageNo(lo), storage.PageNo(hi), w.tr)
 		defer cur.Close()
 		_, err := t.scanRows(cur, 0, stop, &w.c.scratch, &w.out)
@@ -205,7 +205,7 @@ func (t *tscan) startParallelScan() *morsels {
 func (f *finalStage) startParallelFetch() *morsels {
 	rids := f.c.rids
 	samePage := func(a, b int) bool { return rids[a].Page == rids[b].Page }
-	return startMorsels(f.m.tr, len(rids), f.workers, finalFetchBudget, morselRIDs, samePage, func(lo, hi int, stop *atomic.Bool, w *morselWorker) error {
+	return startMorsels(f.tr, len(rids), f.workers, finalFetchBudget, morselRIDs, samePage, func(lo, hi int, stop *atomic.Bool, w *morselWorker) error {
 		if w.c.run == nil {
 			w.c = newFetchCursor(nil)
 		}

@@ -164,7 +164,7 @@ func TestAdaptiveDowngradesSmallScan(t *testing.T) {
 	cfg.Parallelism = 8
 	cfg.AdaptiveParallelism = true
 	o := NewOptimizer(cfg)
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "downgraded tscan")
 	st := rows.Stats()
@@ -207,7 +207,7 @@ func TestAdaptivePinnedTscanWidth(t *testing.T) {
 		return got, rows.Stats()
 	}
 	f.pool.EvictAll()
-	dyn, dynSt := run(o.Run(q))
+	dyn, dynSt := run(o.RunExec(nil, q))
 	f.pool.EvictAll()
 	pin, pinSt := run(o.RunPlan(nil, q, &Plan{Tactic: "tscan"}))
 	ev := firstEvent(pinSt, EvParallelWidthChosen, "")

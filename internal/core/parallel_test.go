@@ -43,7 +43,7 @@ func runEquiv(t *testing.T, f *fixture, q *Query, parallelism int, adaptive bool
 	cfg.DisableCompetition = true
 	o := NewOptimizer(cfg)
 	f.pool.EvictAll()
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	if n := f.pool.PinnedPages(); n != 0 {
 		t.Fatalf("parallelism=%d leaked %d pins", parallelism, n)
@@ -209,7 +209,7 @@ func TestParallelRaceAuditWinnerAdoption(t *testing.T) {
 
 	baseline := runtime.NumGoroutine()
 	o := NewOptimizer(cfg)
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "goroutine race")
 	st := rows.Stats()

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"rdbdyn/internal/catalog"
 	"rdbdyn/internal/estimate"
 )
 
@@ -177,18 +176,6 @@ func CapturePlan(st *RetrievalStats) (*Plan, bool) {
 	}
 }
 
-// deliversOrder reports whether replaying p over ixs (p.Indexes
-// resolved) hands rows out in q's requested order: only the scans
-// driven by one index — sscan, fscan, and the sorted tactic's Fscan —
-// can, forward or in reverse.
-func (p *Plan) deliversOrder(ixs []*catalog.Index, q *Query) bool {
-	switch p.Tactic {
-	case "sscan", "fscan", "sorted":
-		return len(ixs) > 0 && ixs[0].DeliversOrder(q.OrderBy)
-	}
-	return false
-}
-
 // RunPlan replays a pinned plan for q, skipping estimation and
 // competition: scan bounds are recomputed from the current bindings
 // (zero I/O), the pinned arrangement executes with competition
@@ -217,21 +204,21 @@ func (o *Optimizer) runPlan(ec *ExecCtx, q *Query, p *Plan) (Rows, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	ixs := make([]*catalog.Index, len(p.Indexes))
-	for i, name := range p.Indexes {
-		if ixs[i] = q.Table.IndexByName(name); ixs[i] == nil {
-			return nil, fmt.Errorf("%w: %s.%s", ErrPlanStale, q.Table.Name, name)
-		}
+	a, err := p.arrangement(q)
+	if err != nil {
+		return nil, err
 	}
 	cl := Classify(q)
 	if cl.EmptyRange {
 		st := RetrievalStats{FinalListLen: -1, QueryID: nextQueryID()}
 		return o.emptyRange(ec, q, st, "pinned plan: contradictory sargable range, end of data at once"), nil
 	}
-	if len(q.OrderBy) > 0 && !p.deliversOrder(ixs, q) {
-		return sortNode(q, func(inner *Query) (Rows, error) { return o.pinned(ec, inner, p, ixs, Classify(inner)) })
+	// Only the scans one index drives — sscan, fscan, and the sorted
+	// tactic's Fscan — can deliver an order, forward or in reverse.
+	if len(q.OrderBy) > 0 && (a.ix == nil || !a.ix.DeliversOrder(q.OrderBy)) {
+		return sortNode(q, func(inner *Query) (Rows, error) { return o.pinned(ec, inner, a, Classify(inner)) })
 	}
-	return o.pinned(ec, q, p, ixs, cl)
+	return o.pinned(ec, q, a, cl)
 }
 
 // pinnedTactics are the arrangements with a pinned form. index-only is
@@ -245,25 +232,59 @@ var pinnedTactics = map[string]tacticKind{
 	"sorted":          tacticSorted,
 }
 
-// pinned arranges the retrieval p describes over ixs (p.Indexes
-// resolved against q's table) — the single place a pinned plan becomes
-// scans. Any order q requests is one ixs[0] delivers.
-func (o *Optimizer) pinned(ec *ExecCtx, q *Query, p *Plan, ixs []*catalog.Index, cl Classification) (Rows, error) {
+// arrangement resolves p's index names against q's table into the
+// arrangement it pins, with scan bounds from q's bindings: the first
+// index drives an sscan, fscan or sorted foreground, and the Jscan of
+// background-only, fast-first and sorted runs over the rest in order,
+// seeded with p.RIDs.
+func (p *Plan) arrangement(q *Query) (a arrangement, err error) {
 	tactic, ok := pinnedTactics[p.Tactic]
 	if !ok {
-		return nil, fmt.Errorf("core: no pinned form for tactic %q", p.Tactic)
+		return a, fmt.Errorf("core: no pinned form for tactic %q", p.Tactic)
 	}
-	need := 1 // indexes the arrangement runs over, at least
+	// need: the indexes the arrangement runs over, at least; fg: how
+	// many of them drive the foreground; bg: how many the Jscan runs over.
+	need, fg, bg := 1, 0, len(p.Indexes)
 	switch tactic {
 	case tacticTscan:
-		need = 0
+		need, bg = 0, 0
+	case tacticSscan, tacticFscan:
+		fg, bg = 1, 0
 	case tacticSorted:
-		need = 2 // the order index and a filter index
+		need, fg, bg = 2, 1, bg-1 // the order index and a filter index
 	}
-	if len(ixs) < need {
-		return nil, fmt.Errorf("core: %s plan needs %d indexes, has %d", p.Tactic, need, len(ixs))
+	if len(p.Indexes) < need {
+		return a, fmt.Errorf("core: %s plan needs %d indexes, has %d", p.Tactic, need, len(p.Indexes))
 	}
+	a.tactic = tactic
+	if bg > 0 {
+		a.ests = make([]estimate.IndexEstimate, 0, bg)
+	}
+	for i, name := range p.Indexes {
+		ix := q.Table.IndexByName(name)
+		if ix == nil {
+			return a, fmt.Errorf("%w: %s.%s", ErrPlanStale, q.Table.Name, name)
+		}
+		switch {
+		case i < fg:
+			a.ix = ix
+			a.lo, a.hi, _, _ = ix.RestrictionBounds(q.Restriction, q.Binds)
+		case bg > 0:
+			e := estimate.IndexEstimate{Index: ix}
+			e.Lo, e.Hi, e.Sargable, _ = ix.RestrictionBounds(q.Restriction, q.Binds)
+			if i < len(p.RIDs) {
+				e.RIDs = p.RIDs[i]
+			}
+			a.ests = append(a.ests, e)
+		}
+	}
+	return a, nil
+}
 
+// pinned arranges a resolved plan for q through the dynamic runner's
+// arrange: a replay differs from a dynamic run only in its config —
+// competition and racing off — and in skipping estimation.
+func (o *Optimizer) pinned(ec *ExecCtx, q *Query, a arrangement, cl Classification) (Rows, error) {
 	// Competition off: the replay scans exactly the pinned order — no
 	// skips, no races, no abandonment.
 	cfg := o.cfg
@@ -271,75 +292,22 @@ func (o *Optimizer) pinned(ec *ExecCtx, q *Query, p *Plan, ixs []*catalog.Index,
 	cfg.RaceFactor = -1
 	r := o.newRetrieval(ec, q, cfg, RetrievalStats{FinalListLen: -1, QueryID: nextQueryID()})
 	r.pinned = true
-	r.tactic = tactic
-	desc := len(q.OrderBy) > 0 && q.OrderDesc
-	chosen := TraceEvent{Kind: EvTacticChosen, Tactic: p.Tactic, Indexes: p.Indexes, Detail: "pinned plan replay"}
-
-	switch tactic {
+	a.desc = len(q.OrderBy) > 0 && q.OrderDesc
+	// Only a Jscan needs the sampled cluster ratio: building the full
+	// cost model for a plain scan would spend pool I/O (and optimizer RNG
+	// draws) a static plan never spent.
+	if r.model = tableCostModel(q); len(a.ests) > 0 {
+		r.model = o.costModel(q, cl)
+	}
+	estIO, detail := 0.0, "pinned plan replay"
+	switch a.tactic {
 	case tacticTscan:
-		r.model = tableCostModel(q)
-		r.fg = newTscan(ec, q, r.k, r.out, tscanWidth(cfg, ec, r.trc, q, r.model.TscanCost()))
-		chosen.Scan, chosen.EstimatedIO = "Tscan", r.model.TscanCost()
-		r.trc.emit(chosen)
-		return r, nil
-	case tacticSscan, tacticFscan:
-		lo, hi, _, _ := ixs[0].RestrictionBounds(q.Restriction, q.Binds)
-		var err error
-		if tactic == tacticSscan {
-			r.fg, err = newSscan(ec, q, ixs[0], lo, hi, r.out, desc)
-		} else {
-			r.fg, err = newFscan(ec, q, r.k, ixs[0], lo, hi, r.out, desc)
-		}
-		if err != nil {
-			return nil, err
-		}
-		chosen.Scan = r.fg.name()
-		r.trc.emit(chosen)
-		return r, nil
-	}
-
-	// The Jscan-bearing tactics. Only they need the sampled cluster
-	// ratio: building the full cost model for a plain scan would spend
-	// pool I/O (and optimizer RNG draws) a static plan never spent.
-	r.model = o.costModel(q, cl)
-	jixs, jrids, borrow := ixs, p.RIDs, (*ridQueue)(nil)
-	chosen.Scan = "Jscan"
-	switch tactic {
+		estIO = r.model.TscanCost()
 	case tacticFastFirst:
-		borrow = &ridQueue{}
-		r.fg = newBorrowFetcher(ec, q, r.k, borrow, r.out, cfg.FgBufferCap)
-		chosen.Detail += ", foreground borrows from " + ixs[0].Name
-	case tacticSorted:
-		// ixs[0] delivers the order through an Fscan; the rest feed the
-		// filter-only Jscan (no temp-table spill, the bitmap absorbs
-		// overflow).
-		lo, hi, _, _ := ixs[0].RestrictionBounds(q.Restriction, q.Binds)
-		fg, err := newFscan(ec, q, r.k, ixs[0], lo, hi, r.out, desc)
-		if err != nil {
-			return nil, err
-		}
-		r.fg = fg
-		jixs = ixs[1:]
-		if len(jrids) > 0 {
-			jrids = jrids[1:]
-		}
-		cfg.RID.FilterOnly = true
-		chosen.Scan = fg.name()
+		detail += ", foreground borrows from " + a.ests[0].Index.Name
+		fallthrough
+	case tacticBackgroundOnly:
+		estIO = bgPlanEst(r.model, a.ests[0])
 	}
-	ests := make([]estimate.IndexEstimate, len(jixs))
-	for i, ix := range jixs {
-		lo, hi, sarg, _ := ix.RestrictionBounds(q.Restriction, q.Binds)
-		ests[i] = estimate.IndexEstimate{Index: ix, Lo: lo, Hi: hi, Sargable: sarg}
-		if i < len(jrids) {
-			ests[i].RIDs = jrids[i]
-		}
-	}
-	j := newJscan(ec, q, cfg, r.model, ests, borrow, r.trc)
-	j.onDone = o.observer(q)
-	r.bg = j
-	if tactic != tacticSorted {
-		chosen.EstimatedIO = bgPlanEst(r.model, ests[0])
-	}
-	r.trc.emit(chosen)
-	return r, nil
+	return r, o.arrange(r, a, estIO, detail)
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -134,7 +135,7 @@ func TestRunPlan(t *testing.T) {
 			var dynSt RetrievalStats
 			for i := 0; i < 2; i++ {
 				f.pool.EvictAll()
-				dynRows, dynSt = cold(o.Run(mk(func(*Query) {})))
+				dynRows, dynSt = cold(o.RunExec(nil, mk(func(*Query) {})))
 			}
 			if dynSt.Tactic != sh.tactic {
 				t.Fatalf("dynamic tactic = %s, shape expects %s", dynSt.Tactic, sh.tactic)
@@ -251,6 +252,11 @@ func TestRunPlan(t *testing.T) {
 							t.Fatalf("%s: replay row %d differs from the dynamic run", label, i)
 						}
 					}
+					// The replay names the same arrangement as the run.
+					rc, dc := firstEvent(stC, EvTacticChosen, ""), firstEvent(dynSt, EvTacticChosen, "")
+					if rc.Scan != dc.Scan || !slices.Equal(rc.Indexes, dc.Indexes) {
+						t.Fatalf("%s: replay chose %s %v, dynamic run %s %v", label, rc.Scan, rc.Indexes, dc.Scan, dc.Indexes)
+					}
 				}
 			}
 
@@ -297,7 +303,7 @@ func TestRunPlan(t *testing.T) {
 			}
 			// The dynamic runner rejects the same queries the same way.
 			if tc.p != nil && tc.p.Tactic == "tscan" {
-				_, _, derr := o.Run(tc.q).Next()
+				_, _, derr := o.RunExec(nil, tc.q).Next()
 				if derr == nil || derr.Error() != err.Error() {
 					t.Errorf("%s: Run says %v, RunPlan says %v", tc.name, derr, err)
 				}

@@ -100,12 +100,12 @@ func (j *jscan) runRaceParallel() error {
 	// I/O stays exact even for a query unwound mid-race.
 	for _, leg := range legs {
 		if leg.tr != nil {
-			j.m.tr.Merge(leg.tr)
+			j.tr.Merge(leg.tr)
 		}
 	}
 	for li := range events {
 		for _, ev := range events[li] {
-			ev.ActualIO = j.m.cost()
+			ev.ActualIO = j.cost()
 			j.trc.emit(ev)
 		}
 	}

@@ -42,7 +42,7 @@ func TestRIDDeliveringRunMatchesRows(t *testing.T) {
 					want = append(want, row[0].I)
 				}
 				q.Projection, q.RIDs = []int{}, true
-				rows := NewOptimizer(cfg).Run(&q)
+				rows := NewOptimizer(cfg).RunExec(nil, &q)
 				var got []int64
 				for _, row := range drain(t, rows) {
 					if len(row) != 2 {

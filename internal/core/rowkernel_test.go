@@ -166,14 +166,14 @@ func TestCorruptRecordBehindRejectingPredicate(t *testing.T) {
 	f := newFixture(t, 300, "AGE")
 	plantCorrupt(t, f.pool, f.tab.Heap, 150)
 	o := NewOptimizer(Config{})
-	tscan := o.Run(&Query{Table: f.tab, Restriction: rejectID(0), Projection: []int{0}})
+	tscan := o.RunExec(nil, &Query{Table: f.tab, Restriction: rejectID(0), Projection: []int{0}})
 	if err := next(tscan); !errors.Is(err, expr.ErrCorruptRecord) {
 		t.Errorf("Tscan (%s): %v", tscan.Stats().Strategy, err)
 	}
 	// Every AGE is below 1000, so the Jscan lists all 300 RIDs and the
 	// final stage fetches the planted record.
 	age := f.col(t, "AGE")
-	fin := o.Run(&Query{Table: f.tab, Projection: []int{0}, Restriction: expr.NewAnd(
+	fin := o.RunExec(nil, &Query{Table: f.tab, Projection: []int{0}, Restriction: expr.NewAnd(
 		rejectID(0), expr.NewCmp(expr.LT, expr.Col(age, "AGE"), expr.Lit(expr.Int(1000))))})
 	if err := next(fin); !errors.Is(err, expr.ErrCorruptRecord) {
 		t.Errorf("final stage (%s): %v", fin.Stats().Strategy, err)
@@ -233,7 +233,7 @@ func TestSscanRecordsDeliveredOnlyForLiveBackground(t *testing.T) {
 		{"index-only", expr.NewAnd(lt(a, 9000), lt(b, 9000))},
 	} {
 		q := &Query{Table: f.tab, Restriction: tc.restriction, Projection: []int{a, b}}
-		rows := NewOptimizer(DefaultConfig()).Run(q)
+		rows := NewOptimizer(DefaultConfig()).RunExec(nil, q)
 		sameMultiset(t, drain(t, rows), f.naive(t, q), tc.tactic)
 		st := rows.Stats()
 		ss, ok := rows.(*retrieval).fg.(*sscan)

@@ -19,6 +19,8 @@ type stepper interface {
 	step() (done bool, err error)
 	// cost returns the I/O invested in this scan so far.
 	cost() float64
+	// io returns the I/O counts behind cost, for RetrievalStats.IO.
+	io() storage.IOStats
 	// name identifies the scan for traces.
 	name() string
 	// release frees resources held across steps — open cursors and
@@ -35,7 +37,8 @@ type stepper interface {
 //
 // The tracker carries the query's governor (from the ExecCtx), which is
 // how the execution context reaches the buffer pool's cancellation
-// checkpoint through every scan of the query.
+// checkpoint through every scan of the query. Every stepper embeds its
+// meter, which answers the stepper's cost and io.
 type meter struct {
 	tr *storage.Tracker
 }
@@ -123,12 +126,12 @@ type ridQueue struct {
 // An optional exclusion list skips rows a terminated foreground already
 // delivered (fast-first fallback).
 type tscan struct {
+	meter
 	q       *Query
 	k       *rowKernel
 	scratch expr.Row // the stepping path's; a partition worker brings its own
 	cur     *storage.HeapCursor
 	out     *rowQueue
-	m       meter
 	exclude *rid.CompressedBitmap
 	rpp     int      // rows per page, the per-step record budget
 	workers int      // intra-query worker budget (see parallel.go)
@@ -148,15 +151,14 @@ func newTscan(ec *ExecCtx, q *Query, k *rowKernel, out *rowQueue, workers int) *
 		k:       k,
 		cur:     q.Table.Heap.CursorTracked(m.tr),
 		out:     out,
-		m:       m,
+		meter:   m,
 		rpp:     rpp,
 		workers: workers,
 	}
 }
 
-func (t *tscan) name() string  { return "Tscan" }
-func (t *tscan) cost() float64 { return t.m.cost() }
-func (t *tscan) release()      { t.cur.Close(); t.par.close() }
+func (t *tscan) name() string { return "Tscan" }
+func (t *tscan) release()     { t.cur.Close(); t.par.close() }
 
 func (t *tscan) step() (bool, error) {
 	if t.done {
@@ -210,10 +212,10 @@ func (t *tscan) scanRows(cur *storage.HeapCursor, budget int, stop *atomic.Bool,
 // key kernel delivers: the entries arrive in batches through the same
 // pull as a Jscan leg's.
 type sscan struct {
+	meter
 	leg raceLeg // ix, the delivering key kernel, out
 	cur entryCursor
 	sc  *acceptScratch
-	m   meter
 	// delivered records RIDs of rows already handed out, so a winning
 	// background final stage can skip them (index-only tactic) — only
 	// while track reports that such a background is still live.
@@ -228,12 +230,11 @@ func newSscan(ec *ExecCtx, q *Query, ix *catalog.Index, lo, hi []byte, out *rowQ
 	if err != nil {
 		return nil, err
 	}
-	return &sscan{leg: raceLeg{ix: ix, local: q.sscanKernel(ix), out: out}, cur: cur, m: m, sc: newAcceptScratch(firstBatch)}, nil
+	return &sscan{leg: raceLeg{ix: ix, local: q.sscanKernel(ix), out: out}, cur: cur, meter: m, sc: newAcceptScratch(firstBatch)}, nil
 }
 
-func (s *sscan) name() string  { return "Sscan(" + s.leg.ix.Name + ")" }
-func (s *sscan) cost() float64 { return s.m.cost() }
-func (s *sscan) release()      { s.cur.Close() }
+func (s *sscan) name() string { return "Sscan(" + s.leg.ix.Name + ")" }
+func (s *sscan) release()     { s.cur.Close() }
 
 func (s *sscan) step() (bool, error) {
 	defer s.leg.out.own()
@@ -257,6 +258,7 @@ func (s *sscan) step() (bool, error) {
 // before the fetch, "eliminating a large number of record fetches that
 // usually comprise the biggest cost portion of retrieval".
 type fscan struct {
+	meter
 	q       *Query
 	k       *rowKernel
 	scratch expr.Row // serves the key check and the fetched-row check in turn
@@ -265,7 +267,6 @@ type fscan struct {
 	local   *rowKernel             // restriction conjuncts the key decides; may be nil
 	filter  func(storage.RID) bool // pre-fetch RID filter; the sorted tactic installs it mid-scan
 	out     *rowQueue
-	m       meter
 	done    bool
 }
 
@@ -282,13 +283,12 @@ func newFscan(ec *ExecCtx, q *Query, k *rowKernel, ix *catalog.Index, lo, hi []b
 		cur:   cur,
 		local: keyKernel(q.Restriction, q.Binds, ix),
 		out:   out,
-		m:     m,
+		meter: m,
 	}, nil
 }
 
-func (f *fscan) name() string  { return "Fscan(" + f.ix.Name + ")" }
-func (f *fscan) cost() float64 { return f.m.cost() }
-func (f *fscan) release()      { f.cur.Close() }
+func (f *fscan) name() string { return "Fscan(" + f.ix.Name + ")" }
+func (f *fscan) release()     { f.cur.Close() }
 
 func (f *fscan) step() (bool, error) {
 	if f.done {
@@ -315,7 +315,7 @@ func (f *fscan) step() (bool, error) {
 		if f.filter != nil && !f.filter(rid) {
 			continue
 		}
-		rec, err := f.q.Table.Heap.GetTracked(rid, f.m.tr)
+		rec, err := f.q.Table.Heap.GetTracked(rid, f.tr)
 		if err != nil {
 			return f.done, err
 		}
@@ -332,12 +332,12 @@ func (f *fscan) step() (bool, error) {
 // the records, and remembers what it delivered so the final stage can
 // filter those out (Section 7, fast-first tactic).
 type borrowFetcher struct {
+	meter
 	q       *Query
 	k       *rowKernel
 	scratch expr.Row
 	in      *ridQueue
 	out     *rowQueue
-	m       meter
 	// delivered RIDs, bounded by cap; overflow signals the tactic to
 	// terminate the foreground.
 	delivered []storage.RID
@@ -352,12 +352,11 @@ func newBorrowFetcher(ec *ExecCtx, q *Query, k *rowKernel, in *ridQueue, out *ro
 	if capRIDs == 0 {
 		capRIDs = DefaultConfig().FgBufferCap
 	}
-	return &borrowFetcher{q: q, k: k, in: in, out: out, m: newMeter(ec), capRIDs: capRIDs}
+	return &borrowFetcher{q: q, k: k, in: in, out: out, meter: newMeter(ec), capRIDs: capRIDs}
 }
 
-func (b *borrowFetcher) name() string  { return "Fgr(borrow)" }
-func (b *borrowFetcher) cost() float64 { return b.m.cost() }
-func (b *borrowFetcher) release()      {} // fetches page-at-a-time; nothing held
+func (b *borrowFetcher) name() string { return "Fgr(borrow)" }
+func (b *borrowFetcher) release()     {} // fetches page-at-a-time; nothing held
 
 func (b *borrowFetcher) step() (bool, error) {
 	if b.done {
@@ -372,7 +371,7 @@ func (b *borrowFetcher) step() (bool, error) {
 			return b.done, nil
 		}
 		rid := b.in.pop()
-		rec, err := b.q.Table.Heap.GetTracked(rid, b.m.tr)
+		rec, err := b.q.Table.Heap.GetTracked(rid, b.tr)
 		if err != nil {
 			return b.done, err
 		}

@@ -197,6 +197,13 @@ func (r *retrieval) replaceFg(s stepper) {
 	r.fgTerminated = false
 }
 
+// sequentialScan builds the retrieval's Tscan — the no-index arrangement
+// or a mid-flight switch to sequential retrieval — at the width the
+// policy picks for the table's scan cost.
+func (r *retrieval) sequentialScan() *tscan {
+	return newTscan(r.ec, r.q, r.k, r.out, tscanWidth(r.cfg, r.ec, r.trc, r.q, r.model.TscanCost()))
+}
+
 func (r *retrieval) Stats() RetrievalStats {
 	st := r.st
 	st.Tactic = r.tactic.String()
@@ -355,7 +362,7 @@ func (r *retrieval) onBgDone() error {
 				Indexes: r.bg.bgNames(), EstimatedIO: r.model.TscanCost(), ActualIO: r.bg.cost(),
 				Detail: "background recommends Tscan, switching",
 			})
-			r.replaceFg(newTscan(r.ec, r.q, r.k, r.out, tscanWidth(r.cfg, r.ec, r.trc, r.q, r.model.TscanCost())))
+			r.replaceFg(r.sequentialScan())
 			return nil
 		}
 		return r.enterFinal(nil)
@@ -396,7 +403,7 @@ func (r *retrieval) bgResolveFastFirst() error {
 			EstimatedIO: r.model.TscanCost(), ActualIO: r.bg.cost(),
 			Detail: "background recommends Tscan for the remainder",
 		})
-		ts := newTscan(r.ec, r.q, r.k, r.out, tscanWidth(r.cfg, r.ec, r.trc, r.q, r.model.TscanCost()))
+		ts := r.sequentialScan()
 		if len(delivered) > 0 {
 			ts.exclude = rid.FromRIDs(delivered)
 		}
@@ -570,7 +577,7 @@ func (r *retrieval) finalizeStats() {
 		parts = append(parts, "Fin")
 	}
 	for _, s := range r.steppers() {
-		io = io.Add(stepperIO(s))
+		io = io.Add(s.io())
 	}
 	r.st.IO = io
 	r.st.Strategy = strings.Join(parts, "+")
@@ -619,27 +626,5 @@ func (r *retrieval) observeFeedback() {
 				break
 			}
 		}
-	}
-}
-
-// stepperIO extracts the IOStats a stepper's meter accumulated.
-func stepperIO(s stepper) storage.IOStats {
-	switch t := s.(type) {
-	case *tscan:
-		return t.m.io()
-	case *sscan:
-		return t.m.io()
-	case *fscan:
-		return t.m.io()
-	case *borrowFetcher:
-		return t.m.io()
-	case *jscan:
-		return t.m.io()
-	case *uscan:
-		return t.m.io()
-	case *finalStage:
-		return t.m.io()
-	default:
-		return storage.IOStats{}
 	}
 }

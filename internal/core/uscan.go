@@ -29,13 +29,13 @@ import (
 // complete candidate list, so when the projected final cost approaches
 // the Tscan guarantee the whole union is abandoned.
 type uscan struct {
+	meter
 	q     *Query
 	cfg   Config
 	model estimate.CostModel
 	legs  []unionLeg
 	trc   *tracer
 	ec    *ExecCtx
-	m     meter
 
 	idx      int // current leg
 	cur      *btree.Cursor
@@ -45,6 +45,10 @@ type uscan struct {
 
 	borrow       *ridQueue
 	borrowActive bool
+	// borrowed holds every RID pushed to borrow when the legs can
+	// overlap (more than one leg), so a row two disjuncts match is
+	// fetched and delivered once; nil otherwise.
+	borrowed map[storage.RID]struct{}
 
 	done           bool
 	recommendTscan bool
@@ -135,10 +139,13 @@ func newUscan(ec *ExecCtx, q *Query, cfg Config, model estimate.CostModel, legs 
 		legs:         legs,
 		trc:          trc,
 		ec:           ec,
-		m:            m,
+		meter:        m,
 		list:         rid.NewContainerTracked(q.Table.Pool(), cfg.RID, m.tr),
 		borrow:       borrow,
 		borrowActive: borrow != nil,
+	}
+	if borrow != nil && len(legs) > 1 {
+		u.borrowed = make(map[storage.RID]struct{})
 	}
 	for _, l := range legs {
 		u.totalEst += l.Est
@@ -149,8 +156,7 @@ func newUscan(ec *ExecCtx, q *Query, cfg Config, model estimate.CostModel, legs 
 	return u
 }
 
-func (u *uscan) name() string  { return "Uscan" }
-func (u *uscan) cost() float64 { return u.m.cost() }
+func (u *uscan) name() string { return "Uscan" }
 
 // backgroundScan implementation.
 
@@ -198,14 +204,14 @@ func (u *uscan) step() (bool, error) {
 			return u.done, nil
 		}
 		leg := u.legs[u.idx]
-		cur, err := leg.Index.Tree.SeekTracked(leg.Lo, leg.Hi, u.m.tr)
+		cur, err := leg.Index.Tree.SeekTracked(leg.Lo, leg.Hi, u.tr)
 		if err != nil {
 			return u.done, err
 		}
 		u.cur = cur
 		u.names = append(u.names, leg.Index.Name)
 		u.trc.emit(TraceEvent{
-			Kind: EvScanStarted, Scan: u.name(), Indexes: []string{leg.Index.Name}, ActualIO: u.m.cost(),
+			Kind: EvScanStarted, Scan: u.name(), Indexes: []string{leg.Index.Name}, ActualIO: u.cost(),
 			Detail: fmt.Sprintf("leg %d/%d, est %.0f rids", u.idx+1, len(u.legs), leg.Est),
 		})
 	}
@@ -228,11 +234,11 @@ func (u *uscan) step() (bool, error) {
 	// Two-stage competition: project the final union size; the
 	// guaranteed best is always Tscan (no intersection can improve
 	// a union mid-flight).
-	scanCost := float64(u.m.total())
+	scanCost := float64(u.total())
 	if projFinal, abandon := abandonProjected(&u.cfg, u.model, u.list.Len(), u.seen, u.totalEst, scanCost, u.model.TscanCost()); abandon {
 		u.trc.emit(TraceEvent{
 			Kind: EvScanAbandoned, Scan: u.name(), Indexes: u.names,
-			EstimatedIO: projFinal, ActualIO: u.m.cost(),
+			EstimatedIO: projFinal, ActualIO: u.cost(),
 			Detail: fmt.Sprintf("union abandoned (proj final %.0f, scan cost %.0f, Tscan %.0f)", projFinal, scanCost, u.model.TscanCost()),
 		})
 		u.abandon()
@@ -268,6 +274,12 @@ func (u *uscan) scanLeg() (n int, done bool, _ error) {
 		}
 		if u.borrowActive {
 			for _, r := range kept {
+				if u.borrowed != nil {
+					if _, dup := u.borrowed[r]; dup {
+						continue
+					}
+					u.borrowed[r] = struct{}{}
+				}
 				u.borrow.push(r)
 			}
 		}
@@ -279,7 +291,7 @@ func (u *uscan) finish() {
 	u.done = true
 	u.closeBorrow()
 	u.trc.emit(TraceEvent{
-		Kind: EvScanComplete, Scan: u.name(), Indexes: u.names, ActualIO: u.m.cost(),
+		Kind: EvScanComplete, Scan: u.name(), Indexes: u.names, ActualIO: u.cost(),
 		Detail: fmt.Sprintf("union complete, %d rids", u.list.Len()),
 	})
 }

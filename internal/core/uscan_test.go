@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestUnionScanCorrectness(t *testing.T) {
 	f := newFixture(t, 8000, "AGE", "CITY")
 	q := &Query{Table: f.tab, Restriction: orRestriction(t, f, 5, 17), Goal: GoalTotalTime}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "union scan")
 	st := rows.Stats()
@@ -44,9 +45,47 @@ func TestUnionScanNoDuplicatesOnOverlap(t *testing.T) {
 		Goal: GoalTotalTime,
 	}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "overlapping union")
+
+	// Under fast-first the AGE overlap abandons into a Tscan; on a
+	// clustered key the union survives and its foreground fetches from
+	// the borrow stream, which must carry a row both legs match once.
+	f = newFixture(t, 20000, "ID", "AGE", "CITY")
+	id := f.col(t, "ID")
+	idLT := func(v int64) expr.Expr { return expr.NewCmp(expr.LT, expr.Col(id, "ID"), expr.Lit(expr.Int(v))) }
+	for _, or := range []expr.Expr{expr.NewOr(idLT(30), idLT(20)), expr.NewOr(idLT(20), idLT(30))} {
+		for _, limit := range []int{0, 25} {
+			q := &Query{Table: f.tab, Restriction: or, Goal: GoalFastFirst, Limit: limit}
+			rows := NewOptimizer(DefaultConfig()).RunExec(nil, q)
+			got := drain(t, rows)
+			label := fmt.Sprintf("fast-first %s limit %d (%s)", or, limit, rows.Stats().Strategy)
+			if st := rows.Stats(); st.Tactic != "fast-first" || !strings.Contains(st.Strategy, "Uscan") {
+				t.Fatalf("%s: tactic %s, want a fast-first union", label, st.Tactic)
+			}
+			want := f.naive(t, q)
+			if limit > 0 {
+				// The first rows each leg delivers, in leg order: any limit
+				// rows of the oracle's, each once.
+				in := map[string]bool{}
+				for _, r := range want {
+					in[rowKey(r)] = true
+				}
+				want = nil
+				for _, r := range got {
+					if in[rowKey(r)] {
+						want = append(want, r)
+						delete(in, rowKey(r))
+					}
+				}
+				if len(got) != limit {
+					t.Fatalf("%s: %d rows", label, len(got))
+				}
+			}
+			sameMultiset(t, got, want, label)
+		}
+	}
 }
 
 func TestUnionScanCheaperThanTscanWhenSelective(t *testing.T) {
@@ -65,7 +104,7 @@ func TestUnionScanCheaperThanTscanWhenSelective(t *testing.T) {
 	o := NewOptimizer(DefaultConfig())
 	f.pool.EvictAll()
 	f.pool.ResetStats()
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "selective union")
 	cost := f.pool.Stats().IOCost()
@@ -81,7 +120,7 @@ func TestUnionScanAbandonsToTscanWhenWide(t *testing.T) {
 	o := NewOptimizer(DefaultConfig())
 	f.pool.EvictAll()
 	f.pool.ResetStats()
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "wide union")
 	cost := f.pool.Stats().IOCost()
@@ -112,7 +151,7 @@ func TestUnionScanUncoveredDisjunctFallsBackToTscan(t *testing.T) {
 		),
 	}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "uncovered OR")
 	if st := rows.Stats(); st.Tactic != "tscan" {
@@ -131,7 +170,7 @@ func TestUnionScanFastFirst(t *testing.T) {
 	o := NewOptimizer(DefaultConfig())
 	f.pool.EvictAll()
 	f.pool.ResetStats()
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	if len(got) != 5 {
 		t.Fatalf("limit 5 delivered %d", len(got))
@@ -151,7 +190,7 @@ func TestUnionScanFastFirstFullDrain(t *testing.T) {
 	f := newFixture(t, 8000, "AGE", "CITY")
 	q := &Query{Table: f.tab, Restriction: orRestriction(t, f, 4, 31), Goal: GoalFastFirst}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "fast-first union drain")
 }
@@ -168,7 +207,7 @@ func TestUnionScanEmptyDisjunct(t *testing.T) {
 		Goal: GoalTotalTime,
 	}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "empty disjunct")
 }
@@ -192,7 +231,7 @@ func TestUnionWithConjunctionAroundIt(t *testing.T) {
 		Goal: GoalTotalTime,
 	}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "union under conjunction")
 	if !strings.Contains(rows.Stats().Strategy, "Uscan") {
@@ -222,7 +261,7 @@ func TestFastFirstMultiIndexDrainWhileBackgroundRuns(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.DisableCompetition = true // keep the background grinding through all indexes
 	o := NewOptimizer(cfg)
-	rows := o.Run(q)
+	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "multi-index fast-first")
 }

@@ -134,7 +134,7 @@ func TestAdmissionUnderConcurrency(t *testing.T) {
 		AdmissionQueueDepth:  goroutines,
 		AdmissionTimeout:     30 * time.Second,
 	})
-	stmt, err := db.Prepare("SELECT * FROM FAMILIES WHERE AGE >= :A1")
+	stmt, err := db.PrepareContext(context.Background(), "SELECT * FROM FAMILIES WHERE AGE >= :A1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestQueryContextCancelMidStream(t *testing.T) {
 // under a budget.
 func TestFrozenQueryContextBudget(t *testing.T) {
 	db := newDBOpts(t, 5000, Options{})
-	stmt, err := db.Prepare("SELECT * FROM FAMILIES WHERE INCOME >= :A1")
+	stmt, err := db.PrepareContext(context.Background(), "SELECT * FROM FAMILIES WHERE INCOME >= :A1")
 	if err != nil {
 		t.Fatal(err)
 	}

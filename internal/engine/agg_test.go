@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -34,7 +35,7 @@ func aggDB(t *testing.T) *DB {
 
 func oneValue(t *testing.T, db *DB, src string) expr.Value {
 	t.Helper()
-	res, err := db.Query(src, nil)
+	res, err := db.QueryContext(context.Background(), src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +76,7 @@ func TestAggregates(t *testing.T) {
 		t.Fatalf("empty MAX = %v", v)
 	}
 	// Aggregates infer the total-time goal.
-	stmt, err := db.Prepare("SELECT SUM(V) FROM T")
+	stmt, err := db.PrepareContext(context.Background(), "SELECT SUM(V) FROM T")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestAggregates(t *testing.T) {
 
 func TestAggregateColumnHeader(t *testing.T) {
 	db := aggDB(t)
-	res, err := db.Query("SELECT MIN(V) FROM T", nil)
+	res, err := db.QueryContext(context.Background(), "SELECT MIN(V) FROM T", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestAggregateErrors(t *testing.T) {
 		"SELECT SUM(V FROM T",
 		"EXISTS(SELECT SUM(V) FROM T)",
 	} {
-		if _, err := db.Query(src, nil); err == nil {
+		if _, err := db.QueryContext(context.Background(), src, nil); err == nil {
 			t.Errorf("accepted %q", src)
 		}
 	}
@@ -112,7 +113,7 @@ func TestAggregateErrors(t *testing.T) {
 
 func TestInAndBetween(t *testing.T) {
 	db := aggDB(t)
-	res, err := db.Query("SELECT ID FROM T WHERE ID IN (3, 5, 999)", nil)
+	res, err := db.QueryContext(context.Background(), "SELECT ID FROM T WHERE ID IN (3, 5, 999)", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestInAndBetween(t *testing.T) {
 	if !strings.Contains(res.Stats().Strategy, "Uscan") {
 		t.Fatalf("IN strategy = %q", res.Stats().Strategy)
 	}
-	res2, err := db.Query("SELECT COUNT(*) FROM T WHERE ID BETWEEN 10 AND 19", nil)
+	res2, err := db.QueryContext(context.Background(), "SELECT COUNT(*) FROM T WHERE ID BETWEEN 10 AND 19", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestInAndBetween(t *testing.T) {
 		t.Fatalf("BETWEEN count = %v", rows[0][0])
 	}
 	// NOT IN / NOT BETWEEN.
-	res3, err := db.Query("SELECT COUNT(*) FROM T WHERE ID NOT IN (1, 2)", nil)
+	res3, err := db.QueryContext(context.Background(), "SELECT COUNT(*) FROM T WHERE ID NOT IN (1, 2)", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +145,7 @@ func TestInAndBetween(t *testing.T) {
 	if rows[0][0].I != 98 {
 		t.Fatalf("NOT IN count = %v", rows[0][0])
 	}
-	res4, err := db.Query("SELECT COUNT(*) FROM T WHERE ID NOT BETWEEN 1 AND 90", nil)
+	res4, err := db.QueryContext(context.Background(), "SELECT COUNT(*) FROM T WHERE ID NOT BETWEEN 1 AND 90", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +154,7 @@ func TestInAndBetween(t *testing.T) {
 		t.Fatalf("NOT BETWEEN count = %v", rows[0][0])
 	}
 	// Parameters inside IN.
-	res5, err := db.Query("SELECT COUNT(*) FROM T WHERE ID IN (:a, :b)", Binds{"a": 7, "b": 8})
+	res5, err := db.QueryContext(context.Background(), "SELECT COUNT(*) FROM T WHERE ID IN (:a, :b)", Binds{"a": 7, "b": 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +173,7 @@ func TestInBetweenParseErrors(t *testing.T) {
 		"SELECT * FROM T WHERE ID BETWEEN 1",
 		"SELECT * FROM T WHERE ID NOT 5",
 	} {
-		if _, err := db.Prepare(src); err == nil {
+		if _, err := db.PrepareContext(context.Background(), src); err == nil {
 			t.Errorf("accepted %q", src)
 		}
 	}

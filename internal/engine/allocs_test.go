@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -67,12 +68,12 @@ func TestAllocsScanDeliveredRows(t *testing.T) {
 		{"SELECT * FROM FAMILIES WHERE INCOME >= 0", "Tscan"},
 		{"SELECT AGE FROM FAMILIES WHERE AGE >= 0", "Sscan(AGE_IX)"},
 	} {
-		stmt, err := db.Prepare(tc.src)
+		stmt, err := db.PrepareContext(context.Background(), tc.src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		n := testing.AllocsPerRun(3, func() {
-			res, err := stmt.Query(nil)
+			res, err := stmt.QueryContext(context.Background(), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

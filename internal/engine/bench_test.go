@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -41,14 +42,14 @@ func benchDBOpts(b *testing.B, rows int, opts Options) *DB {
 // estimation, tactic choice, and delivery of a handful of rows.
 func BenchmarkPreparedPointQuery(b *testing.B) {
 	db := benchDB(b, 50000)
-	stmt, err := db.Prepare("SELECT * FROM T WHERE AGE = :A")
+	stmt, err := db.PrepareContext(context.Background(), "SELECT * FROM T WHERE AGE = :A")
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := stmt.Query(Binds{"A": int(rng.Int63n(10000))})
+		res, err := stmt.QueryContext(context.Background(), Binds{"A": int(rng.Int63n(10000))})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -65,7 +66,7 @@ func BenchmarkPreparedPointQuery(b *testing.B) {
 // 1-vs-16 ratio reflects scaling, not workload size.
 func BenchmarkParallelQuery(b *testing.B) {
 	db := benchDBOpts(b, 50000, Options{PoolFrames: 8192, PoolShards: 16})
-	stmt, err := db.Prepare("SELECT * FROM T WHERE AGE = :A")
+	stmt, err := db.PrepareContext(context.Background(), "SELECT * FROM T WHERE AGE = :A")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func BenchmarkParallelQuery(b *testing.B) {
 					defer wg.Done()
 					rng := rand.New(rand.NewSource(int64(100 + w)))
 					for i := 0; i < n; i++ {
-						res, err := stmt.Query(Binds{"A": int(rng.Int63n(10000))})
+						res, err := stmt.QueryContext(context.Background(), Binds{"A": int(rng.Int63n(10000))})
 						if err != nil {
 							errs[w] = err
 							return
@@ -111,7 +112,7 @@ func BenchmarkPrepareOnly(b *testing.B) {
 	db := benchDB(b, 100)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.Prepare("SELECT ID FROM T WHERE AGE BETWEEN 5 AND 10 ORDER BY AGE LIMIT 3"); err != nil {
+		if _, err := db.PrepareContext(context.Background(), "SELECT ID FROM T WHERE AGE BETWEEN 5 AND 10 ORDER BY AGE LIMIT 3"); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -47,11 +48,11 @@ func TestParallelQueries(t *testing.T) {
 		perWkr  = 25
 	)
 	db, counts := concurrencyDB(t, rows, ages, Options{PoolFrames: 1024, PoolShards: 8})
-	point, err := db.Prepare("SELECT * FROM T WHERE AGE = :A")
+	point, err := db.PrepareContext(context.Background(), "SELECT * FROM T WHERE AGE = :A")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rangeStmt, err := db.Prepare("SELECT ID FROM T WHERE AGE BETWEEN :L AND :H")
+	rangeStmt, err := db.PrepareContext(context.Background(), "SELECT ID FROM T WHERE AGE BETWEEN :L AND :H")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestParallelQueries(t *testing.T) {
 				if i%5 == 4 {
 					lo := int(rng.Int63n(int64(ages - 20)))
 					hi := lo + 19
-					res, err := rangeStmt.Query(Binds{"L": lo, "H": hi})
+					res, err := rangeStmt.QueryContext(context.Background(), Binds{"L": lo, "H": hi})
 					if err != nil {
 						t.Error(err)
 						return
@@ -85,7 +86,7 @@ func TestParallelQueries(t *testing.T) {
 					}
 				} else {
 					age := int(rng.Int63n(int64(ages)))
-					res, err := point.Query(Binds{"A": age})
+					res, err := point.QueryContext(context.Background(), Binds{"A": age})
 					if err != nil {
 						t.Error(err)
 						return
@@ -128,7 +129,7 @@ func TestParallelInserts(t *testing.T) {
 		}(w * perWkr)
 	}
 	wg.Wait()
-	res, err := db.Query("SELECT COUNT(*) FROM T", nil)
+	res, err := db.QueryContext(context.Background(), "SELECT COUNT(*) FROM T", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +141,7 @@ func TestParallelInserts(t *testing.T) {
 		t.Fatalf("got %d rows after parallel inserts, want %d", n, workers*perWkr)
 	}
 	// The index must agree with the heap.
-	res, err = db.Query("SELECT * FROM T WHERE AGE = 13", nil)
+	res, err = db.QueryContext(context.Background(), "SELECT * FROM T WHERE AGE = 13", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +168,11 @@ func TestParallelInserts(t *testing.T) {
 // whose sampling I/O is deliberately unattributed.
 func TestPerQueryAttributionMatchesPoolDelta(t *testing.T) {
 	db, _ := concurrencyDB(t, 20000, 1000, Options{PoolFrames: 256})
-	stmt, err := db.Prepare("SELECT * FROM T WHERE AGE BETWEEN 100 AND 120")
+	stmt, err := db.PrepareContext(context.Background(), "SELECT * FROM T WHERE AGE BETWEEN 100 AND 120")
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := stmt.Query(nil)
+	warm, err := stmt.QueryContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestPerQueryAttributionMatchesPoolDelta(t *testing.T) {
 
 	db.Pool().EvictAll()
 	db.Pool().ResetStats()
-	res, err := stmt.Query(nil)
+	res, err := stmt.QueryContext(context.Background(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,14 @@
 package engine
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
 
 func TestOrderByDescWithIndex(t *testing.T) {
 	db := newDB(t, 5000)
-	res, err := db.Query("SELECT AGE FROM FAMILIES WHERE AGE >= 10 ORDER BY AGE DESC LIMIT 50", nil)
+	res, err := db.QueryContext(context.Background(), "SELECT AGE FROM FAMILIES WHERE AGE >= 10 ORDER BY AGE DESC LIMIT 50", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +25,7 @@ func TestOrderByDescWithIndex(t *testing.T) {
 		}
 	}
 	// The top value must be the global max within the range.
-	maxRes, err := db.Query("SELECT MAX(AGE) FROM FAMILIES WHERE AGE >= 10", nil)
+	maxRes, err := db.QueryContext(context.Background(), "SELECT MAX(AGE) FROM FAMILIES WHERE AGE >= 10", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestOrderByDescIndexIsCheapForTopK(t *testing.T) {
 	db := newDB(t, 20000)
 	db.Pool().EvictAll()
 	db.Pool().ResetStats()
-	res, err := db.Query("SELECT AGE FROM FAMILIES ORDER BY AGE DESC LIMIT 5 OPTIMIZE FOR FAST FIRST", nil)
+	res, err := db.QueryContext(context.Background(), "SELECT AGE FROM FAMILIES ORDER BY AGE DESC LIMIT 5 OPTIMIZE FOR FAST FIRST", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestOrderByDescIndexIsCheapForTopK(t *testing.T) {
 func TestOrderByDescSortFallback(t *testing.T) {
 	db := newDB(t, 2000)
 	// INCOME has no index: materialize-and-sort, descending.
-	res, err := db.Query("SELECT INCOME FROM FAMILIES WHERE AGE < 50 ORDER BY INCOME DESC", nil)
+	res, err := db.QueryContext(context.Background(), "SELECT INCOME FROM FAMILIES WHERE AGE < 50 ORDER BY INCOME DESC", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,14 +83,14 @@ func TestOrderByDescSortFallback(t *testing.T) {
 
 func TestMixedDirectionsRejected(t *testing.T) {
 	db := newDB(t, 10)
-	if _, err := db.Prepare("SELECT * FROM FAMILIES ORDER BY AGE ASC, ID DESC"); err == nil {
+	if _, err := db.PrepareContext(context.Background(), "SELECT * FROM FAMILIES ORDER BY AGE ASC, ID DESC"); err == nil {
 		t.Fatal("mixed directions accepted")
 	}
 }
 
 func TestDescMatchesAscReversedThroughAllPaths(t *testing.T) {
 	db := newDB(t, 3000)
-	asc, err := db.Query("SELECT ID, AGE FROM FAMILIES WHERE AGE BETWEEN 10 AND 30 ORDER BY AGE", nil)
+	asc, err := db.QueryContext(context.Background(), "SELECT ID, AGE FROM FAMILIES WHERE AGE BETWEEN 10 AND 30 ORDER BY AGE", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestDescMatchesAscReversedThroughAllPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	desc, err := db.Query("SELECT ID, AGE FROM FAMILIES WHERE AGE BETWEEN 10 AND 30 ORDER BY AGE DESC", nil)
+	desc, err := db.QueryContext(context.Background(), "SELECT ID, AGE FROM FAMILIES WHERE AGE BETWEEN 10 AND 30 ORDER BY AGE DESC", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

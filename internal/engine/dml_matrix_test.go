@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"maps"
 	"strings"
@@ -166,7 +167,7 @@ func TestDMLMatrix(t *testing.T) {
 						survivors[r.id] = 1
 					}
 				}
-				res, err := db.Query("SELECT ID FROM M WHERE VAL >= 0", nil) // VAL has no index: a Tscan
+				res, err := db.QueryContext(context.Background(), "SELECT ID FROM M WHERE VAL >= 0", nil) // VAL has no index: a Tscan
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -292,7 +293,7 @@ func TestDMLFailsAsSelectDoes(t *testing.T) {
 	}
 	check := func(where string, target error) {
 		t.Helper()
-		res, qerr := db.Query("SELECT ID FROM M WHERE "+where, nil)
+		res, qerr := db.QueryContext(context.Background(), "SELECT ID FROM M WHERE "+where, nil)
 		if qerr == nil {
 			_, qerr = res.All()
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"rdbdyn/internal/catalog"
@@ -26,7 +27,7 @@ func dmlDB(t *testing.T) *DB {
 
 func countRows(t *testing.T, db *DB, src string) int64 {
 	t.Helper()
-	res, err := db.Query(src, nil)
+	res, err := db.QueryContext(context.Background(), src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestInsertStatement(t *testing.T) {
 	if got := countRows(t, db, "SELECT COUNT(*) FROM T"); got != 2 {
 		t.Fatalf("count = %d", got)
 	}
-	res, err := db.Query("SELECT NAME FROM T WHERE ID = 2", nil)
+	res, err := db.QueryContext(context.Background(), "SELECT NAME FROM T WHERE ID = 2", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestDeleteStatementMaintainsIndexes(t *testing.T) {
 		t.Fatalf("count after delete = %d", got)
 	}
 	// The index must agree (query through it).
-	res, err := db.Query("SELECT COUNT(*) FROM T WHERE ID < 50", nil)
+	res, err := db.QueryContext(context.Background(), "SELECT COUNT(*) FROM T WHERE ID < 50", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +159,7 @@ func TestUpdateStatement(t *testing.T) {
 	if err != nil || n != 10 {
 		t.Fatalf("update: %d, %v", n, err)
 	}
-	res, err := db.Query("SELECT NAME, SCORE FROM T WHERE ID = 3", nil)
+	res, err := db.QueryContext(context.Background(), "SELECT NAME, SCORE FROM T WHERE ID = 3", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +168,7 @@ func TestUpdateStatement(t *testing.T) {
 		t.Fatalf("updated row = %v", rows[0])
 	}
 	// Untouched rows stay.
-	res2, _ := db.Query("SELECT NAME FROM T WHERE ID = 20", nil)
+	res2, _ := db.QueryContext(context.Background(), "SELECT NAME FROM T WHERE ID = 20", nil)
 	rows, _ = res2.All()
 	if rows[0][0].S != "n" {
 		t.Fatalf("untouched row = %v", rows[0])

@@ -10,18 +10,18 @@
 //	    catalog.Column{Name: "AGE", Type: expr.TypeInt})
 //	db.CreateIndex("FAMILIES", "AGE_IX", "AGE")
 //	...load rows...
-//	stmt, _ := db.Prepare("SELECT * FROM FAMILIES WHERE AGE >= :A1")
-//	res, _ := stmt.Query(engine.Binds{"A1": 30})
+//	stmt, _ := db.PrepareContext(ctx, "SELECT * FROM FAMILIES WHERE AGE >= :A1")
+//	res, _ := stmt.QueryContext(ctx, engine.Binds{"A1": 30})
 //	for { row, ok, _ := res.Next(); if !ok { break }; ... }
 //
-// Every Stmt.Query run re-optimizes dynamically with the current
+// Every Stmt.QueryContext run re-optimizes dynamically with the current
 // bindings; Stmt.Freeze produces the static baseline that keeps one
 // plan forever.
 //
 // A DB and its prepared Stmts are safe for concurrent use: any number
-// of goroutines may call Stmt.Query / DB.Query at once (each call gets
-// its own Result, which is itself single-goroutine), and writes
-// serialize per table. Per-query I/O attribution stays exact under
+// of goroutines may call Stmt.QueryContext / DB.QueryContext at once
+// (each call gets its own Result, which is itself single-goroutine), and
+// writes serialize per table. Per-query I/O attribution stays exact under
 // concurrency because every scan charges a private storage.Tracker
 // rather than differencing the shared pool's global counters. A
 // retrieval must not overlap a mutation of the same table; scheduling
@@ -277,22 +277,18 @@ func toValue(v any) (expr.Value, error) {
 }
 
 // Stmt is a prepared statement executed with dynamic optimization: each
-// Query call re-plans with the run's bindings — unless the plan cache
-// has promoted this statement's shape, in which case the frozen plan is
-// replayed without re-running the competition.
+// QueryContext call re-plans with the run's bindings — unless the plan
+// cache has promoted this statement's shape, in which case the frozen
+// plan is replayed without re-running the competition.
 type Stmt struct {
 	db       *DB
 	compiled *sql.Compiled
 	shape    string // plan-cache key; "" when the cache is off
 }
 
-// Prepare parses and compiles a statement.
-func (db *DB) Prepare(src string) (*Stmt, error) {
-	return db.PrepareContext(context.Background(), src)
-}
-
-// PrepareContext is Prepare honoring ctx: an already-cancelled or
-// expired context fails before any parse or compile work.
+// PrepareContext parses and compiles a statement, honoring ctx: an
+// already-cancelled or expired context fails before any parse or
+// compile work.
 func (db *DB) PrepareContext(ctx context.Context, src string) (*Stmt, error) {
 	stmt, err := sql.ParseContext(ctx, src)
 	if err != nil {
@@ -330,17 +326,12 @@ func (s *Stmt) JoinQuery() *core.JoinQuery {
 	return &jq
 }
 
-// Query runs the statement with the given bindings under the dynamic
-// optimizer. EXPLAIN statements return the plan description instead of
-// data rows.
-func (s *Stmt) Query(binds Binds) (*Result, error) {
-	return s.QueryContext(context.Background(), binds)
-}
-
-// QueryContext is Query under an execution context: cancellation and
-// deadline stop the retrieval within one simulated page I/O (the error
-// surfaces from Result.Next), a core.WithIOBudget budget carried by
-// ctx bounds the query's attributed I/O, and the admission governor
+// QueryContext runs the statement with the given bindings under the
+// dynamic optimizer; EXPLAIN statements return the plan description
+// instead of data rows. Cancellation and deadline of ctx stop the
+// retrieval within one simulated page I/O (the error surfaces from
+// Result.Next), a core.WithIOBudget budget carried by ctx bounds the
+// query's attributed I/O, and the admission governor
 // (Options.MaxConcurrentQueries) gates the start. The admission slot
 // is held until Result.Close.
 func (s *Stmt) QueryContext(ctx context.Context, binds Binds) (*Result, error) {
@@ -551,8 +542,8 @@ func (s *Stmt) explain(ec *core.ExecCtx, q *core.Query, analyze bool) (*Result, 
 // ("parameter sniffing"); otherwise compile-time default selectivities
 // apply. The plan survives until the table underneath it changes shape
 // (an index appears or disappears) or drifts far enough from the
-// statistics it was estimated against; then the next Query re-prepares
-// it with the same sniffed bindings.
+// statistics it was estimated against; then the next QueryContext
+// re-prepares it with the same sniffed bindings.
 //
 // The whole estimation runs under the table's read-lock: the planner
 // descends live B-trees, and a concurrent Insert splitting a page
@@ -591,10 +582,10 @@ func freezePlan(q *core.Query, bb expr.Bindings) (*planner.Plan, error) {
 // FrozenStmt executes one frozen plan for every run — the traditional
 // static optimizer the paper improves upon. Unlike the original, it is
 // no longer allowed to hold a plan forever against a changing table:
-// each Query revalidates the plan against the table's schema version
-// and stats epoch, and re-prepares (with the original sniffed bindings)
-// when either has moved. An unchanged table re-freezes nothing, so the
-// baseline's behavior on static data is untouched.
+// each QueryContext revalidates the plan against the table's schema
+// version and stats epoch, and re-prepares (with the original sniffed
+// bindings) when either has moved. An unchanged table re-freezes
+// nothing, so the baseline's behavior on static data is untouched.
 type FrozenStmt struct {
 	db       *DB
 	compiled *sql.Compiled
@@ -626,12 +617,7 @@ func (f *FrozenStmt) ensureFresh() (*planner.Plan, error) {
 	return plan, nil
 }
 
-// Query runs the frozen plan with the given bindings.
-func (f *FrozenStmt) Query(binds Binds) (*Result, error) {
-	return f.QueryContext(context.Background(), binds)
-}
-
-// QueryContext runs the frozen plan under an execution context, with
+// QueryContext runs the frozen plan with the given bindings, with
 // the same cancellation, budget, and admission semantics as
 // Stmt.QueryContext, on the database's own optimizer — so a frozen
 // query shows in DB.Metrics and reaches Options.Optimizer.Trace like
@@ -656,13 +642,8 @@ func (f *FrozenStmt) QueryContext(ctx context.Context, binds Binds) (*Result, er
 	return res, nil
 }
 
-// Query is Prepare + Query in one call.
-func (db *DB) Query(src string, binds Binds) (*Result, error) {
-	return db.QueryContext(context.Background(), src, binds)
-}
-
-// QueryContext is Prepare + Query in one call, honoring ctx throughout
-// parse, compile, admission, and execution.
+// QueryContext is PrepareContext + Stmt.QueryContext in one call,
+// honoring ctx throughout parse, compile, admission, and execution.
 func (db *DB) QueryContext(ctx context.Context, src string, binds Binds) (*Result, error) {
 	stmt, err := db.PrepareContext(ctx, src)
 	if err != nil {

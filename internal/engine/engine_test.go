@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -38,7 +39,7 @@ func newDB(t *testing.T, rows int) *DB {
 
 func TestEndToEndSelect(t *testing.T) {
 	db := newDB(t, 5000)
-	res, err := db.Query("SELECT ID, AGE FROM FAMILIES WHERE AGE >= 95", nil)
+	res, err := db.QueryContext(context.Background(), "SELECT ID, AGE FROM FAMILIES WHERE AGE >= 95", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,14 +62,14 @@ func TestEndToEndSelect(t *testing.T) {
 
 func TestHostVariableReoptimizedPerRun(t *testing.T) {
 	db := newDB(t, 20000)
-	stmt, err := db.Prepare("SELECT * FROM FAMILIES WHERE ID >= :A1")
+	stmt, err := db.PrepareContext(context.Background(), "SELECT * FROM FAMILIES WHERE ID >= :A1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.CreateIndex("FAMILIES", "ID_IX", "ID"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := stmt.Query(Binds{"A1": 19995})
+	res, err := stmt.QueryContext(context.Background(), Binds{"A1": 19995})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestHostVariableReoptimizedPerRun(t *testing.T) {
 	if len(rows) != 5 {
 		t.Fatalf("selective run returned %d rows", len(rows))
 	}
-	res2, err := stmt.Query(Binds{"A1": 0})
+	res2, err := stmt.QueryContext(context.Background(), Binds{"A1": 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +100,7 @@ func TestHostVariableReoptimizedPerRun(t *testing.T) {
 
 func TestCountStar(t *testing.T) {
 	db := newDB(t, 3000)
-	res, err := db.Query("SELECT COUNT(*) FROM FAMILIES WHERE AGE < 50", nil)
+	res, err := db.QueryContext(context.Background(), "SELECT COUNT(*) FROM FAMILIES WHERE AGE < 50", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestCountStar(t *testing.T) {
 	}
 	res.Close()
 	// Cross-check against actual row drain.
-	res2, _ := db.Query("SELECT * FROM FAMILIES WHERE AGE < 50", nil)
+	res2, _ := db.QueryContext(context.Background(), "SELECT * FROM FAMILIES WHERE AGE < 50", nil)
 	rows, _ := res2.All()
 	if int64(len(rows)) != row[0].I {
 		t.Fatalf("count %d != drained %d", row[0].I, len(rows))
@@ -124,7 +125,7 @@ func TestCountStar(t *testing.T) {
 
 func TestOrderByAndLimitThroughSQL(t *testing.T) {
 	db := newDB(t, 2000)
-	res, err := db.Query("SELECT AGE FROM FAMILIES WHERE AGE > 10 ORDER BY AGE LIMIT 20", nil)
+	res, err := db.QueryContext(context.Background(), "SELECT AGE FROM FAMILIES WHERE AGE > 10 ORDER BY AGE LIMIT 20", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +165,7 @@ func TestFrozenVsDynamicOnAdversarialBindings(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	stmt, err := db.Prepare("SELECT * FROM T WHERE AGE >= :A1")
+	stmt, err := db.PrepareContext(context.Background(), "SELECT * FROM T WHERE AGE >= :A1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +190,8 @@ func TestFrozenVsDynamicOnAdversarialBindings(t *testing.T) {
 		return db.Pool().Stats().IOCost()
 	}
 
-	frozenCost := run(func() (*Result, error) { return frozen.Query(Binds{"A1": 0}) })
-	dynCost := run(func() (*Result, error) { return stmt.Query(Binds{"A1": 0}) })
+	frozenCost := run(func() (*Result, error) { return frozen.QueryContext(context.Background(), Binds{"A1": 0}) })
+	dynCost := run(func() (*Result, error) { return stmt.QueryContext(context.Background(), Binds{"A1": 0}) })
 	if frozenCost < 3*dynCost {
 		t.Fatalf("frozen plan (%d I/Os) should be far worse than dynamic (%d I/Os) on the adversarial binding",
 			frozenCost, dynCost)
@@ -229,20 +230,20 @@ func TestInsertValidationThroughEngine(t *testing.T) {
 
 func TestPrepareErrors(t *testing.T) {
 	db := newDB(t, 1)
-	if _, err := db.Prepare("SELEKT * FROM FAMILIES"); err == nil {
+	if _, err := db.PrepareContext(context.Background(), "SELEKT * FROM FAMILIES"); err == nil {
 		t.Fatal("bad syntax accepted")
 	}
-	if _, err := db.Prepare("SELECT * FROM NOPE"); err == nil {
+	if _, err := db.PrepareContext(context.Background(), "SELECT * FROM NOPE"); err == nil {
 		t.Fatal("unknown table accepted")
 	}
-	if _, err := db.Query("SELECT * FROM FAMILIES WHERE AGE = :P", Binds{"P": struct{}{}}); err == nil {
+	if _, err := db.QueryContext(context.Background(), "SELECT * FROM FAMILIES WHERE AGE = :P", Binds{"P": struct{}{}}); err == nil {
 		t.Fatal("bad binding accepted")
 	}
 }
 
 func TestStatsExposeTacticAndTrace(t *testing.T) {
 	db := newDB(t, 5000)
-	res, err := db.Query("SELECT * FROM FAMILIES WHERE AGE = 97", nil)
+	res, err := db.QueryContext(context.Background(), "SELECT * FROM FAMILIES WHERE AGE = 97", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

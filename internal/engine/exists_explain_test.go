@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,7 +11,7 @@ import (
 
 func TestExistsStatement(t *testing.T) {
 	db := newDB(t, 5000)
-	res, err := db.Query("EXISTS(SELECT * FROM FAMILIES WHERE AGE = 42)", nil)
+	res, err := db.QueryContext(context.Background(), "EXISTS(SELECT * FROM FAMILIES WHERE AGE = 42)", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +30,7 @@ func TestExistsStatement(t *testing.T) {
 	}
 	res.Close()
 
-	res2, err := db.Query("EXISTS(SELECT * FROM FAMILIES WHERE AGE = 4200)", nil)
+	res2, err := db.QueryContext(context.Background(), "EXISTS(SELECT * FROM FAMILIES WHERE AGE = 4200)", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestExistsStatement(t *testing.T) {
 
 func TestExistsInfersFastFirst(t *testing.T) {
 	db := newDB(t, 100)
-	stmt, err := db.Prepare("EXISTS(SELECT * FROM FAMILIES WHERE AGE > 5)")
+	stmt, err := db.PrepareContext(context.Background(), "EXISTS(SELECT * FROM FAMILIES WHERE AGE > 5)")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +63,7 @@ func TestExistsIsCheap(t *testing.T) {
 	db := newDB(t, 20000)
 	db.Pool().EvictAll()
 	db.Pool().ResetStats()
-	res, err := db.Query("EXISTS(SELECT * FROM FAMILIES WHERE AGE >= 10)", nil)
+	res, err := db.QueryContext(context.Background(), "EXISTS(SELECT * FROM FAMILIES WHERE AGE >= 10)", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +78,7 @@ func TestExistsIsCheap(t *testing.T) {
 
 func TestExplainStatement(t *testing.T) {
 	db := newDB(t, 5000)
-	res, err := db.Query("EXPLAIN SELECT * FROM FAMILIES WHERE AGE = 42", nil)
+	res, err := db.QueryContext(context.Background(), "EXPLAIN SELECT * FROM FAMILIES WHERE AGE = 42", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +105,7 @@ func TestExplainDoesNotExecute(t *testing.T) {
 	db := newDB(t, 20000)
 	db.Pool().EvictAll()
 	db.Pool().ResetStats()
-	res, err := db.Query("EXPLAIN SELECT * FROM FAMILIES WHERE AGE >= 0", nil)
+	res, err := db.QueryContext(context.Background(), "EXPLAIN SELECT * FROM FAMILIES WHERE AGE >= 0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +121,7 @@ func TestExplainDoesNotExecute(t *testing.T) {
 
 func TestExplainExists(t *testing.T) {
 	db := newDB(t, 1000)
-	res, err := db.Query("EXPLAIN EXISTS(SELECT * FROM FAMILIES WHERE AGE = 1)", nil)
+	res, err := db.QueryContext(context.Background(), "EXPLAIN EXISTS(SELECT * FROM FAMILIES WHERE AGE = 1)", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,12 +170,12 @@ func containsAspect(rows []string, prefix string) bool {
 // Jscan, the wide run switches to Tscan mid-flight (experiment T4.A).
 func TestExplainAnalyzeFlipsStrategyWithBindings(t *testing.T) {
 	db := newDB(t, 20000)
-	stmt, err := db.Prepare("EXPLAIN ANALYZE SELECT * FROM FAMILIES WHERE AGE >= :A1")
+	stmt, err := db.PrepareContext(context.Background(), "EXPLAIN ANALYZE SELECT * FROM FAMILIES WHERE AGE >= :A1")
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	selRes, err := stmt.Query(Binds{"A1": 99})
+	selRes, err := stmt.QueryContext(context.Background(), Binds{"A1": 99})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +190,7 @@ func TestExplainAnalyzeFlipsStrategyWithBindings(t *testing.T) {
 		t.Fatalf("selective strategy = %q, want the index scan to win", st.Strategy)
 	}
 
-	wideRes, err := stmt.Query(Binds{"A1": 0})
+	wideRes, err := stmt.QueryContext(context.Background(), Binds{"A1": 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +225,7 @@ func TestExplainAnalyzeFlipsStrategyWithBindings(t *testing.T) {
 // after the ANALYZE addition: no strategy/rows rows, no execution.
 func TestExplainWithoutAnalyzeStaysCheap(t *testing.T) {
 	db := newDB(t, 5000)
-	res, err := db.Query("EXPLAIN SELECT * FROM FAMILIES WHERE AGE >= 0", nil)
+	res, err := db.QueryContext(context.Background(), "EXPLAIN SELECT * FROM FAMILIES WHERE AGE >= 0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +240,7 @@ func TestUnionThroughSQL(t *testing.T) {
 	if _, err := db.CreateIndex("FAMILIES", "ID_IX", "ID"); err != nil {
 		t.Fatal(err)
 	}
-	res, err := db.Query("SELECT ID, AGE FROM FAMILIES WHERE ID < 20 OR AGE = 77", nil)
+	res, err := db.QueryContext(context.Background(), "SELECT ID, AGE FROM FAMILIES WHERE ID < 20 OR AGE = 77", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,6 +267,43 @@ func TestUnionThroughSQL(t *testing.T) {
 	}
 }
 
+// TestUnionLimitMatchesUnlimited: a LIMIT above the row count makes an
+// OR retrieval fast-first, which borrows from the union's legs; where
+// the disjuncts overlap it must still deliver each row once, exactly the
+// rows of the same query without the LIMIT.
+func TestUnionLimitMatchesUnlimited(t *testing.T) {
+	db := newDB(t, 10000)
+	if _, err := db.CreateIndex("FAMILIES", "ID_IX", "ID"); err != nil {
+		t.Fatal(err)
+	}
+	ids := func(src string) ([]int64, *Result) {
+		t.Helper()
+		res, err := db.QueryContext(context.Background(), src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := res.All()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]int64, len(rows))
+		for i, r := range rows {
+			out[i] = r[0].I
+		}
+		slices.Sort(out)
+		return out, res
+	}
+	for _, where := range []string{"ID < 30 OR ID < 20", "ID < 20 OR ID < 30", "AGE < 3 OR AGE < 2"} {
+		src := "SELECT ID FROM FAMILIES WHERE " + where
+		want, _ := ids(src)
+		got, res := ids(src + " LIMIT 1000")
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: LIMIT 1000 delivered %d rows (tactic %s, strategy %s), without LIMIT %d",
+				where, len(got), res.Stats().Tactic, res.Stats().Strategy, len(want))
+		}
+	}
+}
+
 func TestParseExistsErrors(t *testing.T) {
 	db := newDB(t, 10)
 	for _, src := range []string{
@@ -273,7 +312,7 @@ func TestParseExistsErrors(t *testing.T) {
 		"EXISTS(SELECT COUNT(*) FROM FAMILIES)",
 		"EXPLAIN",
 	} {
-		if _, err := db.Prepare(src); err == nil {
+		if _, err := db.PrepareContext(context.Background(), src); err == nil {
 			t.Errorf("accepted %q", src)
 		}
 	}
@@ -281,7 +320,7 @@ func TestParseExistsErrors(t *testing.T) {
 
 func TestExistsRowValue(t *testing.T) {
 	db := newDB(t, 100)
-	res, err := db.Query("EXISTS(SELECT * FROM FAMILIES WHERE ID = 5)", nil)
+	res, err := db.QueryContext(context.Background(), "EXISTS(SELECT * FROM FAMILIES WHERE ID = 5)", nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,7 +45,7 @@ func frozenFixture(t *testing.T, rows int, opts ...Options) *DB {
 
 func frozenCount(t *testing.T, f *FrozenStmt, binds Binds) int {
 	t.Helper()
-	res, err := f.Query(binds)
+	res, err := f.QueryContext(context.Background(), binds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func frozenCount(t *testing.T, f *FrozenStmt, binds Binds) int {
 // Query, and an unchanged table re-prepares nothing.
 func TestFrozenStmtRefreshesOnIndexDrop(t *testing.T) {
 	db := frozenFixture(t, 2000)
-	stmt, err := db.Prepare("SELECT * FROM F WHERE AGE >= :a")
+	stmt, err := db.PrepareContext(context.Background(), "SELECT * FROM F WHERE AGE >= :a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestFrozenStmtRefreshesOnIndexDrop(t *testing.T) {
 
 func TestFrozenStmtRefreshesOnStatsDrift(t *testing.T) {
 	db := frozenFixture(t, 100)
-	stmt, err := db.Prepare("SELECT * FROM F WHERE AGE >= :a")
+	stmt, err := db.PrepareContext(context.Background(), "SELECT * FROM F WHERE AGE >= :a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestFrozenStmtRefreshesOnStatsDrift(t *testing.T) {
 // whole estimation now runs under the table's read-lock.
 func TestFreezeRaceWithConcurrentInserts(t *testing.T) {
 	db := frozenFixture(t, 500)
-	stmt, err := db.Prepare("SELECT * FROM F WHERE AGE >= :a")
+	stmt, err := db.PrepareContext(context.Background(), "SELECT * FROM F WHERE AGE >= :a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestFreezeRaceWithConcurrentInserts(t *testing.T) {
 	wg.Wait()
 }
 
-// Concurrent Stmt.Query traffic through the plan cache must be safe:
+// Concurrent Stmt.QueryContext traffic through the plan cache must be safe:
 // promotions, hits, and demotions may interleave arbitrarily but the
 // results must always be correct. Run under -race.
 func TestPlanCacheConcurrentQueries(t *testing.T) {
@@ -175,7 +175,7 @@ func TestPlanCacheConcurrentQueries(t *testing.T) {
 		EnableFeedback: true,
 		PlanCache:      PlanCacheConfig{Enable: true, PromoteAfter: 2},
 	})
-	if _, err := db.Query("SELECT COUNT(*) FROM F", nil); err != nil {
+	if _, err := db.QueryContext(context.Background(), "SELECT COUNT(*) FROM F", nil); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -185,7 +185,7 @@ func TestPlanCacheConcurrentQueries(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				lo := (g*7 + i*13) % 1000
-				res, err := db.Query("SELECT * FROM F WHERE AGE >= :a", Binds{"a": lo})
+				res, err := db.QueryContext(context.Background(), "SELECT * FROM F WHERE AGE >= :a", Binds{"a": lo})
 				if err != nil {
 					t.Error(err)
 					return
@@ -256,7 +256,7 @@ func (s *eventSink) forQuery(id uint64) int {
 func TestFrozenStmtRunsOnTheDBOptimizer(t *testing.T) {
 	sink := &eventSink{}
 	db := frozenFixture(t, 2000, Options{Optimizer: core.Config{Trace: sink}})
-	stmt, err := db.Prepare("SELECT * FROM F WHERE AGE >= :a")
+	stmt, err := db.PrepareContext(context.Background(), "SELECT * FROM F WHERE AGE >= :a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestFrozenStmtRunsOnTheDBOptimizer(t *testing.T) {
 	tactic := frozen.Plan.Strategy.Tactic
 
 	before := db.Metrics()
-	res, err := frozen.Query(Binds{"a": 990})
+	res, err := frozen.QueryContext(context.Background(), Binds{"a": 990})
 	if err != nil {
 		t.Fatal(err)
 	}

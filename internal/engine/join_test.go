@@ -56,7 +56,7 @@ func newJoinDB(t *testing.T, nCust, nOrd int, opts Options) *DB {
 
 func TestEngineJoinSQL(t *testing.T) {
 	db := newJoinDB(t, 200, 800, Options{})
-	res, err := db.Query(
+	res, err := db.QueryContext(context.Background(),
 		"SELECT CUST.NAME, ORD.QTY FROM CUST JOIN ORD ON CUST.ID = ORD.CUST WHERE SEG = 0 AND QTY >= :Q",
 		Binds{"Q": 5})
 	if err != nil {
@@ -84,7 +84,7 @@ func TestEngineJoinSQL(t *testing.T) {
 
 	// Cross-check the count against two single-table scans.
 	var want int64
-	cres, err := db.Query("SELECT ID FROM CUST WHERE SEG = 0", nil)
+	cres, err := db.QueryContext(context.Background(), "SELECT ID FROM CUST WHERE SEG = 0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestEngineJoinSQL(t *testing.T) {
 	for _, r := range crows {
 		seg0[r[0].I] = true
 	}
-	ores, err := db.Query("SELECT CUST, QTY FROM ORD WHERE QTY >= 5", nil)
+	ores, err := db.QueryContext(context.Background(), "SELECT CUST, QTY FROM ORD WHERE QTY >= 5", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestEngineJoinSQL(t *testing.T) {
 
 func TestEngineJoinCountStar(t *testing.T) {
 	db := newJoinDB(t, 100, 400, Options{})
-	res, err := db.Query("SELECT COUNT(*) FROM CUST JOIN ORD ON CUST.ID = ORD.CUST", nil)
+	res, err := db.QueryContext(context.Background(), "SELECT COUNT(*) FROM CUST JOIN ORD ON CUST.ID = ORD.CUST", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestEngineJoinCountStar(t *testing.T) {
 
 func TestEngineJoinExplainAnalyze(t *testing.T) {
 	db := newJoinDB(t, 100, 400, Options{})
-	res, err := db.Query(
+	res, err := db.QueryContext(context.Background(),
 		"EXPLAIN ANALYZE SELECT * FROM CUST JOIN ORD ON CUST.ID = ORD.CUST WHERE SEG = 1", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestEngineJoinExplainAnalyze(t *testing.T) {
 
 func TestEngineJoinPlainExplainDoesNotExecute(t *testing.T) {
 	db := newJoinDB(t, 100, 400, Options{})
-	res, err := db.Query("EXPLAIN SELECT * FROM CUST JOIN ORD ON CUST.ID = ORD.CUST", nil)
+	res, err := db.QueryContext(context.Background(), "EXPLAIN SELECT * FROM CUST JOIN ORD ON CUST.ID = ORD.CUST", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestEngineJoinExplainHonorsContext(t *testing.T) {
 	db := newJoinDB(t, 400, 4000, Options{})
 	// The indexed local restriction makes both estimation passes descend
 	// ORD_CUST_IX under the query's governor.
-	stmt, err := db.Prepare("EXPLAIN SELECT * FROM CUST JOIN ORD ON CUST.ID = ORD.CUST WHERE ORD.CUST < 200")
+	stmt, err := db.PrepareContext(context.Background(), "EXPLAIN SELECT * FROM CUST JOIN ORD ON CUST.ID = ORD.CUST WHERE ORD.CUST < 200")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,12 +236,12 @@ func TestEngineJoinExplainHonorsContext(t *testing.T) {
 // working alongside.
 func TestEngineJoinNeverFrozen(t *testing.T) {
 	db := newJoinDB(t, 100, 400, Options{PlanCache: PlanCacheConfig{Enable: true, PromoteAfter: 2}})
-	stmt, err := db.Prepare("SELECT * FROM CUST JOIN ORD ON CUST.ID = ORD.CUST WHERE SEG = 0")
+	stmt, err := db.PrepareContext(context.Background(), "SELECT * FROM CUST JOIN ORD ON CUST.ID = ORD.CUST WHERE SEG = 0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		res, err := stmt.Query(nil)
+		res, err := stmt.QueryContext(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -262,12 +262,12 @@ func TestEngineJoinNeverFrozen(t *testing.T) {
 	}
 
 	// The same DB still promotes single-table shapes.
-	single, err := db.Prepare("SELECT * FROM CUST WHERE ID >= 90")
+	single, err := db.PrepareContext(context.Background(), "SELECT * FROM CUST WHERE ID >= 90")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		res, err := single.Query(nil)
+		res, err := single.QueryContext(context.Background(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func TestEngineJoinNeverFrozen(t *testing.T) {
 
 func TestEngineJoinFreezeRejected(t *testing.T) {
 	db := newJoinDB(t, 10, 20, Options{})
-	stmt, err := db.Prepare("SELECT * FROM CUST JOIN ORD ON CUST.ID = ORD.CUST")
+	stmt, err := db.PrepareContext(context.Background(), "SELECT * FROM CUST JOIN ORD ON CUST.ID = ORD.CUST")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestEngineJoinFreezeRejected(t *testing.T) {
 // itself exactly once.
 func TestEngineSelfJoinAliases(t *testing.T) {
 	db := newJoinDB(t, 120, 300, Options{})
-	res, err := db.Query("SELECT a.ID, b.NAME FROM CUST a JOIN CUST AS b ON a.ID = b.ID WHERE a.SEG = 0", nil)
+	res, err := db.QueryContext(context.Background(), "SELECT a.ID, b.NAME FROM CUST a JOIN CUST AS b ON a.ID = b.ID WHERE a.SEG = 0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,7 +313,7 @@ func TestEngineSelfJoinAliases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cres, err := db.Query("SELECT COUNT(*) FROM CUST WHERE SEG = 0", nil)
+	cres, err := db.QueryContext(context.Background(), "SELECT COUNT(*) FROM CUST WHERE SEG = 0", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestEngineSelfJoinAliases(t *testing.T) {
 		t.Fatalf("stage tables = %v, want aliases a and b", names)
 	}
 	// Unaliased self-joins stay rejected, with an alias hint.
-	if _, err := db.Query("SELECT * FROM CUST JOIN CUST ON CUST.ID = CUST.SEG", nil); err == nil ||
+	if _, err := db.QueryContext(context.Background(), "SELECT * FROM CUST JOIN CUST ON CUST.ID = CUST.SEG", nil); err == nil ||
 		!strings.Contains(err.Error(), "alias") {
 		t.Fatalf("unaliased self-join error = %v", err)
 	}
@@ -344,7 +344,7 @@ func TestEngineSelfJoinAliases(t *testing.T) {
 // index: the per-stage competition must run an hj stage and count it.
 func TestEngineJoinPicksHashJoin(t *testing.T) {
 	db := newJoinDB(t, 60, 200, Options{})
-	res, err := db.Query("SELECT CUST.ID, ORD.ID FROM CUST JOIN ORD ON CUST.SEG = ORD.QTY", nil)
+	res, err := db.QueryContext(context.Background(), "SELECT CUST.ID, ORD.ID FROM CUST JOIN ORD ON CUST.SEG = ORD.QTY", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +488,7 @@ func TestJoinPinnedIO(t *testing.T) {
 		if leg.star {
 			src = starSQL
 		}
-		stmt, err := db.Prepare(src)
+		stmt, err := db.PrepareContext(context.Background(), src)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -619,7 +619,7 @@ func TestEngineJoinFeedbackLoop(t *testing.T) {
 	db := newJoinDB(t, 200, 800, Options{EnableFeedback: true})
 	src := "SELECT * FROM CUST JOIN ORD ON CUST.ID = ORD.CUST WHERE SEG = 0"
 	for i := 0; i < 2; i++ {
-		res, err := db.Query(src, nil)
+		res, err := db.QueryContext(context.Background(), src, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"strings"
@@ -81,7 +82,7 @@ func TestKeptRowsStayValid(t *testing.T) {
 			}},
 		}
 		for _, sh := range shapes {
-			res, err := db.Query(sh.src, nil)
+			res, err := db.QueryContext(context.Background(), sh.src, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,7 +166,7 @@ func TestCountUnderUpperBoundSkipsNulls(t *testing.T) {
 		"SELECT COUNT(*) FROM N WHERE A < 10 AND A <> 3": 162,
 		"SELECT COUNT(*) FROM N":                         2000,
 	} {
-		res, err := db.Query(src, nil)
+		res, err := db.QueryContext(context.Background(), src, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -81,7 +82,7 @@ func cacheShapes() []cacheShape {
 // runShape executes one shape and returns its rows and stats.
 func runShape(t testing.TB, db *DB, sh cacheShape) ([]expr.Row, core.RetrievalStats) {
 	t.Helper()
-	res, err := db.Query(sh.src, sh.binds)
+	res, err := db.QueryContext(context.Background(), sh.src, sh.binds)
 	if err != nil {
 		t.Fatalf("%s: %v", sh.name, err)
 	}

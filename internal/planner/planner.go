@@ -52,14 +52,6 @@ func (p *Plan) String() string {
 	return fmt.Sprintf("%s%s (est cost %.0f, sel %.3f)", strings.ToUpper(scan[:1]), scan[1:], p.Cost, p.Selectivity)
 }
 
-// Execute runs the frozen plan for one set of bindings under an
-// execution context (nil ec = free), on a private optimizer with the
-// paper's default settings. The engine replays frozen statements on the
-// database's own optimizer instead (FrozenStmt).
-func (p *Plan) Execute(ec *core.ExecCtx, q *core.Query) core.Rows {
-	return core.NewOptimizer(core.Config{}).RunPlan(ec, q, p.Strategy)
-}
-
 // JoinPlan is a frozen multi-table plan: the greedy join order and
 // per-stage operator choices made once before execution, System R
 // style, and never revised mid-flight. The dynamic join path starts

@@ -44,6 +44,12 @@ func buildTable(t testing.TB, n int) (*catalog.Table, *storage.BufferPool) {
 	return tab, pool
 }
 
+// replay runs a frozen plan the way every caller does: through
+// Optimizer.RunPlan, the one pinned-plan runner.
+func replay(p *Plan, q *core.Query) core.Rows {
+	return core.NewOptimizer(core.Config{}).RunPlan(nil, q, p.Strategy)
+}
+
 func drainRows(t testing.TB, rows core.Rows) []expr.Row {
 	t.Helper()
 	var out []expr.Row
@@ -146,7 +152,7 @@ func TestFrozenPlanExecutesCorrectlyButExpensively(t *testing.T) {
 	q.Binds = expr.Bindings{"A1": expr.Int(0)}
 	pool2.EvictAll()
 	pool2.ResetStats()
-	got := drainRows(t, p.Execute(nil, q))
+	got := drainRows(t, replay(p, q))
 	if len(got) != 20000 {
 		t.Fatalf("frozen plan returned %d rows, want 20000", len(got))
 	}
@@ -204,7 +210,7 @@ func TestExecuteSscanAndSorted(t *testing.T) {
 		Projection:  []int{id},
 	}
 	ixID := tab.Indexes[0].Name
-	got := drainRows(t, pin("sscan", ixID).Execute(nil, q))
+	got := drainRows(t, replay(pin("sscan", ixID), q))
 	if len(got) != 100 {
 		t.Fatalf("Sscan returned %d rows", len(got))
 	}
@@ -214,7 +220,7 @@ func TestExecuteSscanAndSorted(t *testing.T) {
 		Restriction: expr.NewCmp(expr.LT, expr.Col(id, "ID"), expr.Lit(expr.Int(500))),
 		OrderBy:     []int{age},
 	}
-	rows := drainRows(t, pin("fscan", ixID).Execute(nil, q2))
+	rows := drainRows(t, replay(pin("fscan", ixID), q2))
 	if len(rows) != 500 {
 		t.Fatalf("sorted Fscan returned %d rows", len(rows))
 	}
@@ -230,14 +236,14 @@ func TestExecuteEmptyRangeAndErrors(t *testing.T) {
 		Table:       tab,
 		Restriction: expr.NewCmp(expr.EQ, expr.Col(id, "ID"), expr.Lit(expr.Int(-5))),
 	}
-	got := drainRows(t, pin("fscan", tab.Indexes[0].Name).Execute(nil, q))
+	got := drainRows(t, replay(pin("fscan", tab.Indexes[0].Name), q))
 	if len(got) != 0 {
 		t.Fatalf("empty range returned %d rows", len(got))
 	}
-	if _, _, err := pin("sscan").Execute(nil, q).Next(); err == nil {
+	if _, _, err := replay(pin("sscan"), q).Next(); err == nil {
 		t.Fatal("Sscan without index accepted")
 	}
-	if _, _, err := pin("tscan").Execute(nil, &core.Query{}).Next(); err == nil {
+	if _, _, err := replay(pin("tscan"), &core.Query{}).Next(); err == nil {
 		t.Fatal("nil table accepted")
 	}
 }
