@@ -429,7 +429,6 @@ func printFeedback(cs []feedback.Correction) {
 		if c.Index != "" {
 			target += "." + c.Index
 		}
-		fmt.Printf("  %-28s card %.3fx (%d samples)  io %.3fx (%d samples)\n",
-			target, c.Card, c.CardSamples, c.IO, c.IOSamples)
+		fmt.Printf("  %-28s card %.3fx (%d samples)\n", target, c.Card, c.CardSamples)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"rdbdyn/internal/core"
 )
 
 // cellF parses a numeric report cell.
@@ -353,6 +355,33 @@ func TestAblationsShapes(t *testing.T) {
 	// The aggressive threshold changes the borderline strategy.
 	if r.Rows[1][4] == r.Rows[0][4] {
 		t.Fatalf("aggressive threshold should flip the borderline strategy: %q", r.Rows[1][4])
+	}
+}
+
+// TestAblationsMoveTheirKnob: every ablation row, once the optimizer
+// has merged in its defaults, differs from the default row in the knob
+// the row names — a knob set to its "use the default" zero would run
+// the default under another label.
+func TestAblationsMoveTheirKnob(t *testing.T) {
+	knobs := map[string]func(core.Config) any{
+		"aggressive switch (0.50)": func(c core.Config) any { return c.Criterion.Threshold },
+		"timid switch (0.999)":     func(c core.Config) any { return c.Criterion.Threshold },
+		"tight scan limit (0.1)":   func(c core.Config) any { return c.Criterion.ScanCostFrac },
+		"no pair racing":           func(c core.Config) any { return c.RaceFactor > 0 },
+		"no short-range shortcut":  func(c core.Config) any { return c.ShortRange },
+		"no competition at all":    func(c core.Config) any { return c.DisableCompetition },
+	}
+	effective := func(c core.Config) core.Config { return core.NewOptimizer(c).Config() }
+	rows := ablationConfigs()
+	def := effective(rows[0].cfg)
+	for _, a := range rows[1:] {
+		knob, ok := knobs[a.name]
+		if !ok {
+			t.Fatalf("ablation %q names no knob this test knows", a.name)
+		}
+		if got, want := knob(effective(a.cfg)), knob(def); got == want {
+			t.Fatalf("ablation %q runs with its knob at the default's %v", a.name, want)
+		}
 	}
 }
 

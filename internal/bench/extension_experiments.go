@@ -92,30 +92,12 @@ func Ablations(rows int) (*Report, error) {
 	// (exercises mid-scan abandonment).
 	sqlText := "SELECT * FROM J WHERE A < 5 AND B < 8 AND C < 800 AND D < 900"
 	borderSQL := "SELECT * FROM J WHERE A < 28"
-	base := core.DefaultConfig()
-	mk := func(mod func(*core.Config)) core.Config {
-		c := base
-		mod(&c)
-		return c
-	}
-	configs := []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"default (0.95 / 0.5)", base},
-		{"aggressive switch (0.50)", mk(func(c *core.Config) { c.Criterion.Threshold = 0.5 })},
-		{"timid switch (0.999)", mk(func(c *core.Config) { c.Criterion.Threshold = 0.999 })},
-		{"tight scan limit (0.1)", mk(func(c *core.Config) { c.Criterion.ScanCostFrac = 0.1 })},
-		{"no pair racing", mk(func(c *core.Config) { c.RaceFactor = 0 })},
-		{"no short-range shortcut", mk(func(c *core.Config) { c.ShortRange = 1 })},
-		{"no competition at all", mk(func(c *core.Config) { c.DisableCompetition = true })},
-	}
 	r := &Report{
 		ID:     "TA.AB",
 		Title:  "Design-choice ablations (DESIGN.md knobs)",
 		Header: []string{"configuration", "correlated I/O", "strategy", "borderline I/O", "strategy"},
 	}
-	for _, c := range configs {
+	for _, c := range ablationConfigs() {
 		l, err := newLab(256, c.cfg, spec)
 		if err != nil {
 			return nil, err
@@ -141,6 +123,32 @@ func Ablations(rows int) (*Report, error) {
 	r.Notef("the default criterion dominates: timid switching and disabled competition pay for")
 	r.Notef("unproductive scans, while an aggressive threshold risks abandoning productive ones.")
 	return r, nil
+}
+
+// ablation is one row of Ablations: a configuration and its label.
+type ablation struct {
+	name string
+	cfg  core.Config
+}
+
+// ablationConfigs lists Ablations' rows: the default, then one row per
+// knob moved off its default.
+func ablationConfigs() []ablation {
+	base := core.DefaultConfig()
+	mk := func(mod func(*core.Config)) core.Config {
+		c := base
+		mod(&c)
+		return c
+	}
+	return []ablation{
+		{"default (0.95 / 0.5)", base},
+		{"aggressive switch (0.50)", mk(func(c *core.Config) { c.Criterion.Threshold = 0.5 })},
+		{"timid switch (0.999)", mk(func(c *core.Config) { c.Criterion.Threshold = 0.999 })},
+		{"tight scan limit (0.1)", mk(func(c *core.Config) { c.Criterion.ScanCostFrac = 0.1 })},
+		{"no pair racing", mk(func(c *core.Config) { c.RaceFactor = -1 })},
+		{"no short-range shortcut", mk(func(c *core.Config) { c.ShortRange = 1 })},
+		{"no competition at all", mk(func(c *core.Config) { c.DisableCompetition = true })},
+	}
 }
 
 // Interference reproduces the Section 3(c) observation: "the pattern of

@@ -57,12 +57,6 @@ func (t *BTree) SeekTracked(lo, hi []byte, tr *storage.Tracker) (*Cursor, error)
 	}
 }
 
-// SetTracker redirects the cursor's future page charges to tr. A race
-// leg scanned on its own goroutine charges a per-leg tracker; when the
-// losing leg is adopted back into the sequential scan, its cursor is
-// re-pointed at the scan's meter so the remaining charges land there.
-func (c *Cursor) SetTracker(tr *storage.Tracker) { c.tr = tr }
-
 // setLeaf repositions the cursor onto leaf n (page no), moving the pin.
 func (c *Cursor) setLeaf(n node, no storage.PageNo) {
 	c.unpin()

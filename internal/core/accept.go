@@ -10,8 +10,8 @@ import (
 
 // acceptScratch is the per-consumer buffer set of an entry scan: the
 // batch its cursor fills and what acceptEntries needs to judge it.
-// Every concurrent consumer (the sequential scan, each goroutine race
-// leg) owns one, so batch acceptance never shares state.
+// Each stepping scan owns one; a Jscan's two race legs take turns with
+// it.
 type acceptScratch struct {
 	batch []btree.Entry
 	keep  []bool
@@ -22,7 +22,7 @@ type acceptScratch struct {
 
 // firstBatch sizes a stepping scan's first batches: most index ranges
 // end within it, and a scan that fills its batches doubles them up to a
-// step (acceptEntries). Goroutine race legs start at a full step.
+// step (acceptEntries).
 const firstBatch = 16
 
 func newAcceptScratch(n int) *acceptScratch {
@@ -41,9 +41,7 @@ func newAcceptScratch(n int) *acceptScratch {
 // slice stays valid until the next call with the same scratch. The
 // filter runs first as one bulk probe (both predicates are pure, so the
 // order does not change the kept set), and — because the filter is
-// exact — every entry it rejects skips the key decode entirely. filter
-// may be probed from several goroutines at once: completed filters are
-// read-only.
+// exact — every entry it rejects skips the key decode entirely.
 func acceptEntries(entries []btree.Entry, ix *catalog.Index, local *rowKernel, out *rowQueue, filter rid.Filter, sc *acceptScratch) ([]storage.RID, error) {
 	rids := sc.rbuf[:len(entries)]
 	keep := sc.keep[:len(entries)]

@@ -211,19 +211,21 @@ type Config struct {
 	Trace TraceSink
 	// Feedback, when non-nil, closes the estimation loop: each
 	// completed dynamic retrieval folds its estimated-vs-actual
-	// cardinality and I/O into the registry, and the initial stage
+	// cardinality into the registry, and the initial stage
 	// multiplies inexact estimates by the learned per-index correction.
 	// Nil (the default) keeps estimation purely structural — the
 	// paper's behavior, and the setting every experiment runs under.
 	Feedback *feedback.Registry
-	// Parallelism is the intra-query worker budget for partitioned
-	// scans and goroutine race legs. 0 or 1 keeps the paper-faithful
-	// single-goroutine cooperative scheduler (the default — all
+	// Parallelism is the intra-query worker budget of the two scans
+	// that partition, Tscan and Fin, into ordered morsels; everything
+	// else, a Jscan race included, runs on the cooperative scheduler at
+	// every width. 0 or 1 keeps every scan on it (the default — all
 	// experiments run there); a negative value resolves to
 	// runtime.GOMAXPROCS(0); values above 1 are honored as given (the
 	// simulated cost model is deterministic regardless of the physical
-	// core count). Parallel execution preserves result rows, attributed
-	// I/O totals, and Metrics exactly; see DESIGN.md for the invariants.
+	// core count). Parallel execution preserves result rows, their
+	// order, and Metrics exactly, and attributed I/O too on a pool that
+	// does not evict; see DESIGN.md for the invariants.
 	Parallelism int
 	// AdaptiveParallelism lets the optimizer pick each Tscan's and Fin's
 	// worker width itself — from the scan's appraised I/O estimate, the
@@ -283,8 +285,11 @@ func DefaultConfig() Config {
 // paper's behaviour, so the zero value is already the default.
 func (c Config) WithDefaults() Config {
 	d := DefaultConfig()
-	if c.Criterion == (competition.SwitchCriterion{}) {
-		c.Criterion = d.Criterion
+	if c.Criterion.Threshold == 0 {
+		c.Criterion.Threshold = d.Criterion.Threshold
+	}
+	if c.Criterion.ScanCostFrac == 0 {
+		c.Criterion.ScanCostFrac = d.Criterion.ScanCostFrac
 	}
 	if c.RID.SmallCap == 0 {
 		c.RID.SmallCap = d.RID.SmallCap

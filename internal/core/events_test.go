@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"rdbdyn/internal/competition"
 	"rdbdyn/internal/expr"
 	"rdbdyn/internal/storage"
 )
@@ -269,6 +270,35 @@ func TestConfigMergeFieldWise(t *testing.T) {
 	o = NewOptimizer(Config{DisableCompetition: true})
 	if !o.Config().DisableCompetition {
 		t.Fatalf("DisableCompetition lost in merge")
+	}
+}
+
+// TestConfigMergesCriterionFieldWise: a Criterion that sets one field
+// keeps the default of the other. A zero ScanCostFrac would make Jscan
+// skip every index before its scan (a scan estimate is never below 0),
+// so a Criterion naming only the default Threshold must run the
+// default's strategy.
+func TestConfigMergesCriterionFieldWise(t *testing.T) {
+	d := DefaultConfig().Criterion
+	for _, c := range []struct{ in, want competition.SwitchCriterion }{
+		{competition.SwitchCriterion{Threshold: 0.5}, competition.SwitchCriterion{Threshold: 0.5, ScanCostFrac: d.ScanCostFrac}},
+		{competition.SwitchCriterion{ScanCostFrac: 0.1}, competition.SwitchCriterion{Threshold: d.Threshold, ScanCostFrac: 0.1}},
+	} {
+		if got := NewOptimizer(Config{Criterion: c.in}).Config().Criterion; got != c.want {
+			t.Fatalf("Criterion %+v merged to %+v, want %+v", c.in, got, c.want)
+		}
+	}
+
+	f := newFixture(t, 10000, "AGE", "CITY")
+	q := bgQuery(f, t, GoalTotalTime)
+	strategy := func(cfg Config) string {
+		rows := NewOptimizer(cfg).RunExec(nil, q)
+		drain(t, rows)
+		return rows.Stats().Strategy
+	}
+	want := strategy(Config{})
+	if got := strategy(Config{Criterion: competition.SwitchCriterion{Threshold: d.Threshold}}); got != want {
+		t.Fatalf("Threshold-only Criterion ran %s, the default %s", got, want)
 	}
 }
 

@@ -70,9 +70,9 @@ type jscan struct {
 	// run's initial stage).
 	onDone func(names []string)
 
-	// Batch scratch for the single-goroutine paths (steps are strictly
-	// sequential within one jscan; goroutine race legs allocate their
-	// own). Allocated on first use.
+	// Batch scratch, shared by the current scan and both race legs
+	// (steps are strictly sequential within one jscan). Allocated on
+	// first use.
 	sc *acceptScratch
 }
 
@@ -93,11 +93,6 @@ type raceLeg struct {
 	cost0    int64 // meter total at scan start
 	done     bool
 	dead     bool // abandoned by competition
-	// tr is the leg's own tracker when the race runs on goroutines
-	// (nil on the sequential interleaved path, where legs share the
-	// jscan meter). It is merged into the jscan meter at the race
-	// barrier, keeping per-query attribution exact.
-	tr *storage.Tracker
 }
 
 func newJscan(ec *ExecCtx, q *Query, cfg Config, model estimate.CostModel, ests []estimate.IndexEstimate, borrow *ridQueue, trc *tracer) *jscan {
@@ -194,19 +189,9 @@ func (j *jscan) step() (bool, error) {
 		}
 	}
 	if j.race != nil {
-		return j.done, j.stepAnyRace()
+		return j.done, j.stepRace()
 	}
 	return j.done, j.stepSequential()
-}
-
-// stepAnyRace dispatches an active race to the interleaved half-step
-// scheduler (paper default) or, under Parallelism > 1, to the
-// goroutine race that runs both legs concurrently to resolution.
-func (j *jscan) stepAnyRace() error {
-	if j.cfg.effectiveWorkers() > 1 {
-		return j.runRaceParallel()
-	}
-	return j.stepRace()
 }
 
 // finish concludes the joint scan: the last complete RID list is the
@@ -291,7 +276,7 @@ func (j *jscan) refreshFilter() {
 
 func (j *jscan) openSequential(e estimate.IndexEstimate) error {
 	j.refreshFilter()
-	leg, err := j.openLeg(e, false)
+	leg, err := j.openLeg(e)
 	if err != nil {
 		return err
 	}
@@ -306,17 +291,10 @@ func (j *jscan) openSequential(e estimate.IndexEstimate) error {
 	return nil
 }
 
-// openLeg seeks e's key range and returns the scan as a leg. With own,
-// the leg charges a tracker of its own (a goroutine race merges it at
-// the barrier); otherwise the shared meter.
-func (j *jscan) openLeg(e estimate.IndexEstimate, own bool) (raceLeg, error) {
-	tr := j.tr
-	var legTr *storage.Tracker
-	if own {
-		legTr = storage.NewTracker(j.tr.Governor())
-		tr = legTr
-	}
-	cur, err := e.Index.Tree.SeekTracked(e.Lo, e.Hi, tr)
+// openLeg seeks e's key range, charging the jscan meter, and returns the
+// scan as a leg.
+func (j *jscan) openLeg(e estimate.IndexEstimate) (raceLeg, error) {
+	cur, err := e.Index.Tree.SeekTracked(e.Lo, e.Hi, j.tr)
 	if err != nil {
 		return raceLeg{}, err
 	}
@@ -326,11 +304,10 @@ func (j *jscan) openLeg(e estimate.IndexEstimate, own bool) (raceLeg, error) {
 		local:    keyKernel(j.q.Restriction, j.q.Binds, e.Index),
 		rangeEst: max(e.RIDs, 1),
 		cost0:    j.total(),
-		tr:       legTr,
 	}, nil
 }
 
-// pull is the one read every Jscan scheduler and Sscan makes: src's
+// pull is the one read a Jscan scan, a race leg and an Sscan make: src's
 // next batch of at most budget entries, counted in l.seen, through the
 // previous list's filter and the leg's key kernel (acceptEntries).
 // n == 0 means src is exhausted. src is l.cur or an Sscan's cursor.
@@ -461,15 +438,11 @@ func (j *jscan) abandonCurrent() error {
 // error is returned: no race state exists yet for bgKill to find it.
 func (j *jscan) startRace(a, b estimate.IndexEstimate) error {
 	j.refreshFilter()
-	// On the goroutine race path each leg charges its own tracker; the
-	// interleaved path keeps the shared meter, whose half-split
-	// approximates per-leg cost.
-	own := j.cfg.effectiveWorkers() > 1
-	legA, err := j.openLeg(a, own)
+	legA, err := j.openLeg(a)
 	if err != nil {
 		return err
 	}
-	legB, err := j.openLeg(b, own)
+	legB, err := j.openLeg(b)
 	if err != nil {
 		legA.cur.Close()
 		return err
@@ -484,11 +457,15 @@ func (j *jscan) startRace(a, b estimate.IndexEstimate) error {
 	return nil
 }
 
-// stepRace advances both racing legs half a step each. The race ends
-// when a leg completes its range (it wins and becomes the list; the
-// loser's partial list is refiltered and continued), when a leg
-// overflows the in-memory budget (the race is called for the other
-// leg), or when competition kills a leg.
+// stepRace advances both racing legs half a step each — the paper's
+// "simultaneous" scan as a cooperative interleaving, at every
+// Parallelism, so a race's winner and cost are functions of plan and
+// data. The legs share the jscan meter; half its delta since the race
+// opened stands in for each leg's own scan cost. The race ends when a
+// leg completes its range (it wins and becomes the list; the loser's
+// partial list is refiltered and continued), when a leg overflows the
+// in-memory budget (the race is called for the other leg), or when
+// competition kills a leg.
 func (j *jscan) stepRace() error {
 	j.ensureBuffers()
 	r := j.race
@@ -532,13 +509,11 @@ func (j *jscan) stepRace() error {
 	return j.resolveRace(win)
 }
 
-// resolveRace is the race endgame, shared by the interleaved and the
-// goroutine scheduler. The race ends when a leg completed its range —
-// win, named by the scheduler, which alone knows who finished first: it
-// becomes the new list and the loser's partial list is refiltered and
-// continued — when competition killed both legs, or when a leg filled
-// the in-memory RID budget. Otherwise (interleaved scheduler only) the
-// race goes on.
+// resolveRace is the race endgame. The race ends when a leg completed
+// its range — win, named by stepRace, which alone knows who finished
+// first: it becomes the new list and the loser's partial list is
+// refiltered and continued — when competition killed both legs, or when
+// a leg filled the in-memory RID budget. Otherwise the race goes on.
 func (j *jscan) resolveRace(win *raceLeg) error {
 	r := j.race
 	a, b := &r.a, &r.b
@@ -638,14 +613,6 @@ func (j *jscan) adoptRaceWinner(w *raceLeg) error {
 func (j *jscan) continueLoser(l *raceLeg) error {
 	j.ensureBuffers()
 	j.refreshFilter()
-	if l.tr != nil {
-		// The leg ran on its own tracker (goroutine race); its charges
-		// were merged at the barrier, so re-point the cursor at the
-		// shared meter and re-base cost0 so the continued scan's
-		// competition cost picks up where the leg left off.
-		l.cur.SetTracker(j.tr)
-		l.cost0 = j.total() - l.tr.IOCost()
-	}
 	j.scan = *l
 	j.scan.rids = nil // they move to list, refiltered
 	j.list = rid.NewContainerTracked(j.q.Table.Pool(), j.cfg.RID, j.tr)

@@ -17,10 +17,12 @@ import (
 // its step budget, run unbounded on each worker — over ordered morsels:
 // contiguous, handed over in index order one per step, so the
 // concatenation is the sequential output order. Workers outlive a step
-// but never the scan's release. The only other goroutines are a Jscan
-// race's two legs (racepar.go). DESIGN.md ("Streaming operators and
-// intra-query parallelism") has the contract and the kernel table; the
-// eligibility gates live in tscan.step and finalStage.step.
+// but never the scan's release. They are the engine's only intra-query
+// goroutines: a Jscan race interleaves its two legs on the cooperative
+// scheduler at every width (jscan.stepRace). DESIGN.md ("Streaming
+// operators and intra-query parallelism") has the contract and the
+// kernel table; the eligibility gates live in tscan.step and
+// finalStage.step.
 
 // A streamed morsel's cap, in heap pages (Tscan) and sorted RIDs (Fin):
 // a hand-over then costs under 1 % of the morsel's work.

@@ -59,41 +59,36 @@ func TestAdaptiveEquivalenceAllTactics(t *testing.T) {
 	f := newFixture(t, 10000, "AGE", "CITY")
 	age, city, salary := f.col(t, "AGE"), f.col(t, "CITY"), f.col(t, "SALARY")
 
-	queries := []struct {
-		name string
-		q    *Query
-	}{
-		{"tscan", &Query{
+	queries := []equivShape{
+		{name: "tscan", q: &Query{
 			Table:       f.tab,
 			Restriction: expr.NewCmp(expr.GE, expr.Col(salary, "SALARY"), expr.Lit(expr.Float(5000))),
 		}},
-		{"background-only", bgQuery(f, t, GoalTotalTime)},
-		{"fast-first", bgQuery(f, t, GoalFastFirst)},
-		{"union", &Query{
+		{name: "background-only", q: bgQuery(f, t, GoalTotalTime)},
+		{name: "fast-first", q: bgQuery(f, t, GoalFastFirst)},
+		{name: "union", q: &Query{
 			Table: f.tab,
 			Restriction: expr.NewOr(
 				expr.NewCmp(expr.LT, expr.Col(age, "AGE"), expr.Lit(expr.Int(5))),
 				expr.NewCmp(expr.EQ, expr.Col(city, "CITY"), expr.Lit(expr.Int(7))),
 			),
 		}},
-		{"ordered-index", &Query{
+		{name: "ordered-index", q: &Query{
 			Table:       f.tab,
 			Restriction: expr.NewCmp(expr.LT, expr.Col(age, "AGE"), expr.Lit(expr.Int(25))),
 			OrderBy:     []int{age},
 		}},
+		raceShape(f, t),
 	}
 
 	for _, tc := range queries {
 		t.Run(tc.name, func(t *testing.T) {
-			base := runEquiv(t, f, tc.q, 0, false)
-			if len(base.rows) == 0 {
-				t.Fatalf("degenerate fixture: %s query delivered no rows", tc.name)
-			}
+			base := runEquiv(t, f, tc, 0, false)
 			for _, w := range []int{1, 2, 4} {
-				par := runEquiv(t, f, tc.q, w, false)
+				par := runEquiv(t, f, tc, w, false)
 				requireEquiv(t, "static width", w, par, base)
 			}
-			ad := runEquiv(t, f, tc.q, 4, true)
+			ad := runEquiv(t, f, tc, 4, true)
 			requireEquiv(t, "adaptive", 4, ad, base)
 		})
 	}

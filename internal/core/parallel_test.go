@@ -28,27 +28,46 @@ type equivRun struct {
 	widthEvents int
 }
 
-// runEquiv executes q on a fresh optimizer (own metrics) at the given
+// equivShape is one query of the equivalence suites, run at its
+// RaceFactor (0: the default).
+type equivShape struct {
+	name       string
+	q          *Query
+	raceFactor float64
+}
+
+// raceShape is the equivalence suites' race: two inexact estimates that
+// always race, interleaved at every width.
+func raceShape(f *fixture, t *testing.T) equivShape {
+	return equivShape{"race", raceQuery(f, t), 1000}
+}
+
+// runEquiv executes sh on a fresh optimizer (own metrics) at the given
 // parallelism — statically, or through the adaptive width policy —
-// against a cold pool, with racing off (race outcomes are
-// scheduling-dependent by design) and competition off (abandonment
-// timing is step-cadence shaped). Determinism everywhere else is the
-// claim under test. Every width decision must name Tscan or Fin.
-func runEquiv(t *testing.T, f *fixture, q *Query, parallelism int, adaptive bool) equivRun {
+// against a cold pool, with competition off (abandonment timing is
+// step-cadence shaped). Determinism everywhere else, races included, is
+// the claim under test. Every width decision must name Tscan or Fin.
+func runEquiv(t *testing.T, f *fixture, sh equivShape, parallelism int, adaptive bool) equivRun {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Parallelism = parallelism
 	cfg.AdaptiveParallelism = adaptive
-	cfg.RaceFactor = -1
 	cfg.DisableCompetition = true
+	cfg.RaceFactor = sh.raceFactor
 	o := NewOptimizer(cfg)
 	f.pool.EvictAll()
-	rows := o.RunExec(nil, q)
+	rows := o.RunExec(nil, sh.q)
 	got := drain(t, rows)
 	if n := f.pool.PinnedPages(); n != 0 {
 		t.Fatalf("parallelism=%d leaked %d pins", parallelism, n)
 	}
+	if len(got) == 0 {
+		t.Fatalf("degenerate fixture: %s query delivered no rows", sh.name)
+	}
 	st := rows.Stats()
+	if sh.raceFactor != 0 && !hasEvent(st, EvRaceResolved, "") {
+		t.Fatalf("%s: no race resolved; trace: %v", sh.name, st.Trace())
+	}
 	onlyMorselWidths(t, "runEquiv", st)
 	keys := make([]string, len(got))
 	for i, r := range got {
@@ -95,49 +114,44 @@ func TestParallelEquivalenceAllTactics(t *testing.T) {
 	f := newFixture(t, 10000, "AGE", "CITY")
 	age, city, salary := f.col(t, "AGE"), f.col(t, "CITY"), f.col(t, "SALARY")
 
-	queries := []struct {
-		name string
-		q    *Query
-	}{
-		{"tscan", &Query{
+	queries := []equivShape{
+		{name: "tscan", q: &Query{
 			Table:       f.tab,
 			Restriction: expr.NewCmp(expr.GE, expr.Col(salary, "SALARY"), expr.Lit(expr.Float(5000))),
 		}},
-		{"background-only", bgQuery(f, t, GoalTotalTime)},
-		{"fast-first", bgQuery(f, t, GoalFastFirst)},
-		{"index-only", &Query{
+		{name: "background-only", q: bgQuery(f, t, GoalTotalTime)},
+		{name: "fast-first", q: bgQuery(f, t, GoalFastFirst)},
+		{name: "index-only", q: &Query{
 			Table:       f.tab,
 			Restriction: expr.NewCmp(expr.LT, expr.Col(age, "AGE"), expr.Lit(expr.Int(30))),
 			Projection:  []int{age},
 		}},
-		{"sorted", &Query{
+		{name: "sorted", q: &Query{
 			Table:       f.tab,
 			Restriction: expr.NewCmp(expr.LT, expr.Col(city, "CITY"), expr.Lit(expr.Int(40))),
 			OrderBy:     []int{salary},
 		}},
-		{"ordered-index", &Query{
+		{name: "ordered-index", q: &Query{
 			Table:       f.tab,
 			Restriction: expr.NewCmp(expr.LT, expr.Col(age, "AGE"), expr.Lit(expr.Int(25))),
 			OrderBy:     []int{age},
 		}},
-		{"union", &Query{
+		{name: "union", q: &Query{
 			Table: f.tab,
 			Restriction: expr.NewOr(
 				expr.NewCmp(expr.LT, expr.Col(age, "AGE"), expr.Lit(expr.Int(5))),
 				expr.NewCmp(expr.EQ, expr.Col(city, "CITY"), expr.Lit(expr.Int(7))),
 			),
 		}},
+		raceShape(f, t),
 	}
 	widths := []int{2, 4, runtime.NumCPU()}
 
 	for _, tc := range queries {
 		t.Run(tc.name, func(t *testing.T) {
-			base := runEquiv(t, f, tc.q, 0, false)
-			if len(base.rows) == 0 {
-				t.Fatalf("degenerate fixture: %s query delivered no rows", tc.name)
-			}
+			base := runEquiv(t, f, tc, 0, false)
 			for _, w := range widths {
-				par := runEquiv(t, f, tc.q, w, false)
+				par := runEquiv(t, f, tc, w, false)
 				if par.tactic != base.tactic || par.strategy != base.strategy {
 					t.Fatalf("w=%d: tactic/strategy %s/%s, sequential %s/%s",
 						w, par.tactic, par.strategy, base.tactic, base.strategy)
@@ -178,10 +192,9 @@ func raceQuery(f *fixture, t *testing.T) *Query {
 }
 
 // waitGoroutines fails the test if the process goroutine count does not
-// return to the pre-run baseline: a worker or race leg outlived its
-// scan. Race legs are barrier-synchronous inside one step; a streamed
-// Tscan or Fin's workers outlive a step but are joined by the scan's
-// release, so nothing should linger beyond Close.
+// return to the pre-run baseline: a morsel worker outlived its scan. A
+// streamed Tscan or Fin's workers outlive a step but are joined by the
+// scan's release, so nothing should linger beyond Close.
 func waitGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	deadline := time.Now().Add(2 * time.Second)
@@ -196,10 +209,11 @@ func waitGoroutines(t *testing.T, baseline int) {
 	}
 }
 
-// TestParallelRaceAuditWinnerAdoption runs goroutine race legs to
-// natural resolution (winner adoption + loser continuation) and audits
-// the aftermath: correct rows, a race actually having started, zero
-// leaked pins, zero orphaned goroutines. Run under -race in CI.
+// TestParallelRaceAuditWinnerAdoption runs a race at width 2 —
+// interleaved half-steps, as at every width — to natural resolution
+// (winner adoption + loser continuation) and audits the aftermath:
+// correct rows, a race actually having started, zero leaked pins, zero
+// orphaned morsel workers. Run under -race in CI.
 func TestParallelRaceAuditWinnerAdoption(t *testing.T) {
 	f := newFixture(t, 10000, "AGE", "CITY")
 	q := raceQuery(f, t)
@@ -211,22 +225,21 @@ func TestParallelRaceAuditWinnerAdoption(t *testing.T) {
 	o := NewOptimizer(cfg)
 	rows := o.RunExec(nil, q)
 	got := drain(t, rows)
-	sameMultiset(t, got, f.naive(t, q), "goroutine race")
+	sameMultiset(t, got, f.naive(t, q), "race at width 2")
 	st := rows.Stats()
 	if !hasEvent(st, EvRaceStarted, "") {
 		t.Fatalf("no race started; trace: %v", st.Trace())
 	}
 	if n := f.pool.PinnedPages(); n != 0 {
-		t.Fatalf("%d pins leaked after goroutine race", n)
+		t.Fatalf("%d pins leaked after race at width 2", n)
 	}
 	waitGoroutines(t, baseline)
 }
 
-// TestParallelRaceAuditCancellation cancels the query the moment its
-// race starts, so the goroutine legs are unwound by the governor
-// checkpoint instead of finishing. Both legs must come back through the
-// barrier, the cancellation must surface exactly once, and neither pins
-// nor goroutines may leak.
+// TestParallelRaceAuditCancellation cancels a width-2 query the moment
+// its race starts, so the legs are unwound by the governor checkpoint
+// instead of finishing. The cancellation must surface exactly once, and
+// neither pins nor goroutines may leak.
 func TestParallelRaceAuditCancellation(t *testing.T) {
 	f := newFixture(t, 10000, "AGE", "CITY")
 	q := raceQuery(f, t)
@@ -248,11 +261,10 @@ func TestParallelRaceAuditCancellation(t *testing.T) {
 }
 
 // TestParallelCancellationSweep is the cancellation/deadline/budget
-// sweep over the partitioned parallel paths (satellite of the
-// parallelism work): each mode must surface its error exactly once per
-// query — counted by the cumulative metrics — with every worker unwound
-// (through the barrier, or joined by release when the scan streams),
-// every charge attributed, no pins held, and no goroutines orphaned.
+// sweep over the partitioned parallel paths: each mode must surface its
+// error exactly once per query — counted by the cumulative metrics —
+// with every worker joined by the scan's release, every charge
+// attributed, no pins held, and no goroutines orphaned.
 func TestParallelCancellationSweep(t *testing.T) {
 	f := newFixture(t, 10000, "AGE", "CITY", "ID")
 	salary, id := f.col(t, "SALARY"), f.col(t, "ID")

@@ -22,7 +22,7 @@ func TestBgKillHalfDeadRace(t *testing.T) {
 
 	var legs []raceLeg
 	for _, ix := range f.tab.Indexes {
-		leg, err := j.openLeg(estimate.IndexEstimate{Index: ix, RIDs: 1000}, false)
+		leg, err := j.openLeg(estimate.IndexEstimate{Index: ix, RIDs: 1000})
 		if err != nil {
 			t.Fatalf("openLeg(%s): %v", ix.Name, err)
 		}
@@ -65,11 +65,11 @@ func TestBgKillBothLegsDead(t *testing.T) {
 	model := estimate.CostModel{TablePages: f.tab.Pages(), TableRows: f.tab.Cardinality()}
 	j := newJscan(ec, q, DefaultConfig(), model, nil, nil, &tracer{st: &RetrievalStats{}})
 
-	a, err := j.openLeg(estimate.IndexEstimate{Index: f.tab.Indexes[0], RIDs: 500}, false)
+	a, err := j.openLeg(estimate.IndexEstimate{Index: f.tab.Indexes[0], RIDs: 500})
 	if err != nil {
 		t.Fatalf("openLeg A: %v", err)
 	}
-	b, err := j.openLeg(estimate.IndexEstimate{Index: f.tab.Indexes[1], RIDs: 500}, false)
+	b, err := j.openLeg(estimate.IndexEstimate{Index: f.tab.Indexes[1], RIDs: 500})
 	if err != nil {
 		t.Fatalf("openLeg B: %v", err)
 	}

@@ -592,39 +592,23 @@ func (r *retrieval) finalizeStats() {
 	}
 }
 
-// observeFeedback folds this retrieval's estimated-vs-actual numbers
-// into the feedback registry. Pure arithmetic over already-recorded
-// stats — no I/O, no locks beyond the registry's own.
+// observeFeedback folds this retrieval's estimated-vs-actual
+// cardinality into the feedback registry. Pure arithmetic over
+// already-recorded stats — no I/O, no locks beyond the registry's own.
+// A completed single-index background list is an exact ground truth for
+// that index's estimate. Multi-index lists measure the intersection,
+// not any one index, so they are not attributed.
 func (r *retrieval) observeFeedback() {
-	table := r.q.Table.Name
-	// I/O: the projection made at decision time against the final
-	// attributed I/O, keyed to the plan's driving index.
-	predicted := float64(r.st.EstimateIO)
-	var driving string
-	for _, ev := range r.st.Events {
-		if ev.Kind == EvTacticChosen {
-			predicted += ev.EstimatedIO
-			if len(ev.Indexes) > 0 {
-				driving = ev.Indexes[0]
-			}
-			break
-		}
+	if r.st.FinalListLen < 0 || len(r.st.WinningOrder) != 1 {
+		return
 	}
-	if driving != "" {
-		r.fb.ObserveIO(table, driving, predicted, float64(r.st.IO.IOCost()))
-	}
-	// Cardinality: a completed single-index background list is an exact
-	// ground truth for that index's estimate. Multi-index lists measure
-	// the intersection, not any one index, so they are not attributed.
-	if r.st.FinalListLen >= 0 && len(r.st.WinningOrder) == 1 {
-		win := r.st.WinningOrder[0]
-		for _, es := range r.st.Estimates {
-			if es.Index == win {
-				if !es.Exact {
-					r.fb.ObserveCardinality(table, win, es.RIDs, float64(r.st.FinalListLen))
-				}
-				break
+	win := r.st.WinningOrder[0]
+	for _, es := range r.st.Estimates {
+		if es.Index == win {
+			if !es.Exact {
+				r.fb.ObserveCardinality(r.q.Table.Name, win, es.RIDs, float64(r.st.FinalListLen))
 			}
+			return
 		}
 	}
 }

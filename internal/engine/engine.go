@@ -75,10 +75,10 @@ type Options struct {
 	// query's context is done.
 	AdmissionTimeout time.Duration
 	// EnableFeedback turns on the estimation feedback loop: each
-	// completed dynamic retrieval folds its observed cardinality and
-	// attributed I/O into per-(table, index) correction factors that
-	// scale future inexact estimates. Off by default — the paper's
-	// estimator (and the experiment suite) runs uncorrected.
+	// completed dynamic retrieval folds its observed cardinality into
+	// per-(table, index) correction factors that scale future inexact
+	// estimates. Off by default — the paper's estimator (and the
+	// experiment suite) runs uncorrected.
 	EnableFeedback bool
 	// PlanCache configures the frozen-plan cache (see PlanCacheConfig).
 	// Disabled by default.

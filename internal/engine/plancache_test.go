@@ -360,7 +360,9 @@ func TestPlanCacheStatsDriftInvalidation(t *testing.T) {
 
 // TestFeedbackSnapshotWiring checks the engine-level feedback switch:
 // off by default (nil snapshot), and learning per-(table, index)
-// corrections from completed retrievals when enabled.
+// corrections from completed retrievals when enabled. A retrieval
+// teaches a correction when its background list completes over one
+// index with an inexact estimate: the clustered ID range below.
 func TestFeedbackSnapshotWiring(t *testing.T) {
 	off := buildCacheDB(t, Options{})
 	runShape(t, off, cacheShapes()[3])
@@ -368,16 +370,16 @@ func TestFeedbackSnapshotWiring(t *testing.T) {
 		t.Fatalf("feedback off, snapshot = %v", s)
 	}
 
-	// Bounded pool so retrievals do real I/O for the loop to observe.
-	on := buildCacheDB(t, Options{PoolFrames: 64, EnableFeedback: true})
+	on := buildCacheDB(t, Options{EnableFeedback: true})
+	idRange := cacheShape{name: "id-range", src: "SELECT * FROM FAMILIES WHERE ID >= :lo", binds: Binds{"lo": 15000}}
 	for i := 0; i < 3; i++ {
-		for _, sh := range cacheShapes() {
+		for _, sh := range append(cacheShapes(), idRange) {
 			runShape(t, on, sh)
 		}
 	}
 	s := on.FeedbackSnapshot()
 	if len(s) == 0 {
-		t.Fatal("feedback on, no corrections learned after 21 retrievals")
+		t.Fatal("feedback on, no corrections learned after 24 retrievals")
 	}
 	for _, c := range s {
 		if c.Table != "FAMILIES" {

@@ -1,6 +1,6 @@
 // Package feedback closes the loop the telemetry opened: every
 // completed dynamic retrieval reports its estimated-vs-actual
-// cardinality and I/O back into a registry of per-(table, index)
+// cardinality back into a registry of per-(table, index)
 // exponential-moving-average correction factors, and the estimator
 // multiplies its next projection for the same index by the learned
 // factor. Repeated query shapes therefore start the competition with
@@ -38,8 +38,6 @@ type Key struct {
 type entry struct {
 	card        float64 // actual/estimated cardinality EMA
 	cardSamples int64
-	io          float64 // actual/predicted I/O EMA
-	ioSamples   int64
 }
 
 // Registry accumulates correction factors. Safe for concurrent use; a
@@ -92,29 +90,11 @@ func (r *Registry) ObserveCardinality(table, index string, estimated, actual flo
 	r.mu.Lock()
 	e := r.m[k]
 	if e == nil {
-		e = &entry{card: 1, io: 1}
+		e = &entry{}
 		r.m[k] = e
 	}
 	e.card = r.fold(e.card, e.cardSamples, actual/estimated)
 	e.cardSamples++
-	r.mu.Unlock()
-}
-
-// ObserveIO folds one predicted-vs-actual attributed-I/O sample for
-// (table, index) into the registry.
-func (r *Registry) ObserveIO(table, index string, predicted, actual float64) {
-	if r == nil || predicted <= 0 || actual <= 0 {
-		return
-	}
-	k := Key{Table: table, Index: index}
-	r.mu.Lock()
-	e := r.m[k]
-	if e == nil {
-		e = &entry{card: 1, io: 1}
-		r.m[k] = e
-	}
-	e.io = r.fold(e.io, e.ioSamples, actual/predicted)
-	e.ioSamples++
 	r.mu.Unlock()
 }
 
@@ -128,20 +108,6 @@ func (r *Registry) CardCorrection(table, index string) float64 {
 	defer r.mu.RUnlock()
 	if e := r.m[Key{Table: table, Index: index}]; e != nil && e.cardSamples > 0 {
 		return e.card
-	}
-	return 1
-}
-
-// IOCorrection returns the multiplicative I/O correction for
-// (table, index): 1 when the registry is nil or the key unseen.
-func (r *Registry) IOCorrection(table, index string) float64 {
-	if r == nil {
-		return 1
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if e := r.m[Key{Table: table, Index: index}]; e != nil && e.ioSamples > 0 {
-		return e.io
 	}
 	return 1
 }
@@ -171,8 +137,6 @@ type Correction struct {
 	Index       string  `json:"index,omitempty"`
 	Card        float64 `json:"card_factor"`
 	CardSamples int64   `json:"card_samples"`
-	IO          float64 `json:"io_factor"`
-	IOSamples   int64   `json:"io_samples"`
 }
 
 // Snapshot copies the registry, sorted by (table, index) so output is
@@ -187,7 +151,6 @@ func (r *Registry) Snapshot() []Correction {
 		out = append(out, Correction{
 			Table: k.Table, Index: k.Index,
 			Card: e.card, CardSamples: e.cardSamples,
-			IO: e.io, IOSamples: e.ioSamples,
 		})
 	}
 	r.mu.RUnlock()

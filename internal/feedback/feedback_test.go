@@ -9,12 +9,8 @@ import (
 func TestNilRegistryIsNeutral(t *testing.T) {
 	var r *Registry
 	r.ObserveCardinality("T", "IX", 10, 100) // must not panic
-	r.ObserveIO("T", "IX", 10, 100)
 	if got := r.CardCorrection("T", "IX"); got != 1 {
 		t.Fatalf("nil CardCorrection = %v", got)
-	}
-	if got := r.IOCorrection("T", "IX"); got != 1 {
-		t.Fatalf("nil IOCorrection = %v", got)
 	}
 	if r.CorrectionFor("T") != nil {
 		t.Fatal("nil registry must curry to nil")
@@ -62,8 +58,8 @@ func TestClamping(t *testing.T) {
 	if got := r.CardCorrection("T", "IX"); got != 16 {
 		t.Fatalf("over-clamp = %v, want 16", got)
 	}
-	r.ObserveIO("T", "IX", 1e9, 1)
-	if got := r.IOCorrection("T", "IX"); got != 1.0/16 {
+	r.ObserveCardinality("T", "IY", 1e9, 1)
+	if got := r.CardCorrection("T", "IY"); got != 1.0/16 {
 		t.Fatalf("under-clamp = %v, want 1/16", got)
 	}
 }
@@ -72,21 +68,9 @@ func TestBadSamplesIgnored(t *testing.T) {
 	r := New(0)
 	r.ObserveCardinality("T", "IX", 0, 100)
 	r.ObserveCardinality("T", "IX", 100, 0)
-	r.ObserveIO("T", "IX", -1, 5)
+	r.ObserveCardinality("T", "IX", -1, 5)
 	if r.Len() != 0 {
 		t.Fatalf("bad samples recorded, Len = %d", r.Len())
-	}
-}
-
-func TestCardAndIOAreIndependent(t *testing.T) {
-	r := New(0)
-	r.ObserveCardinality("T", "IX", 100, 200)
-	if got := r.IOCorrection("T", "IX"); got != 1 {
-		t.Fatalf("IO correction moved by card sample: %v", got)
-	}
-	r.ObserveIO("T", "IX", 100, 300)
-	if got := r.CardCorrection("T", "IX"); got != 2 {
-		t.Fatalf("card correction moved by IO sample: %v", got)
 	}
 }
 
@@ -116,7 +100,6 @@ func TestConcurrentObserve(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				r.ObserveCardinality("T", "IX", 100, 200)
-				r.ObserveIO("T", "IX", 100, 50)
 				_ = r.CardCorrection("T", "IX")
 				_ = r.Snapshot()
 			}
@@ -125,8 +108,5 @@ func TestConcurrentObserve(t *testing.T) {
 	wg.Wait()
 	if got := r.CardCorrection("T", "IX"); math.Abs(got-2) > 1e-9 {
 		t.Fatalf("card correction = %v, want 2", got)
-	}
-	if got := r.IOCorrection("T", "IX"); math.Abs(got-0.5) > 1e-9 {
-		t.Fatalf("io correction = %v, want 0.5", got)
 	}
 }

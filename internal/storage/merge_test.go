@@ -21,11 +21,11 @@ func applyCharge(tr *Tracker, kind int) {
 // TestTrackerMergeQuickcheck is the partitioned-scan attribution
 // property: take any sequence of charges (a scan's page accesses),
 // partition it arbitrarily across any number of worker trackers, merge
-// the workers in any order and any grouping (pairwise Merge calls form
-// an arbitrary reduction tree), and the result must equal charging one
-// tracker sequentially. This is what lets core/parallel.go hand each
-// partition worker its own tracker and still report exact per-query
-// attributed I/O at the barrier.
+// the workers in any order and any grouping (pairwise MergeStats calls
+// form an arbitrary reduction tree), and the result must equal charging
+// one tracker sequentially. This is what lets core/parallel.go hand each
+// morsel worker its own tracker and still report exact per-query
+// attributed I/O at each hand-over.
 func TestTrackerMergeQuickcheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260808))
 	for iter := 0; iter < 500; iter++ {
@@ -67,7 +67,7 @@ func TestTrackerMergeQuickcheck(t *testing.T) {
 			if j >= i {
 				j++
 			}
-			pool[i].Merge(pool[j])
+			pool[i].MergeStats(pool[j].Stats())
 			pool = append(pool[:j], pool[j+1:]...)
 		}
 		got := pool[0].Stats()
@@ -82,8 +82,8 @@ func TestTrackerMergeQuickcheck(t *testing.T) {
 }
 
 // TestTrackerMergeDoesNotChargeGovernor: workers share the query's
-// governor and charge it live at access time, so the barrier merge must
-// fold counters only — re-charging would double-bill the budget.
+// governor and charge it live at access time, so the hand-over merge
+// must fold counters only — re-charging would double-bill the budget.
 func TestTrackerMergeDoesNotChargeGovernor(t *testing.T) {
 	gov := NewGovernor(nil, 100)
 	parent := NewTracker(gov)
@@ -93,7 +93,7 @@ func TestTrackerMergeDoesNotChargeGovernor(t *testing.T) {
 	if spent := gov.Spent(); spent != 2 {
 		t.Fatalf("worker charges: governor spent %d, want 2", spent)
 	}
-	parent.Merge(worker)
+	parent.MergeStats(worker.Stats())
 	if spent := gov.Spent(); spent != 2 {
 		t.Fatalf("merge re-charged the governor: spent %d, want 2", spent)
 	}
@@ -102,8 +102,8 @@ func TestTrackerMergeDoesNotChargeGovernor(t *testing.T) {
 	}
 	// Nil-safety mirrors the rest of the Tracker API.
 	var nilT *Tracker
-	nilT.Merge(worker)
-	parent.Merge(nil)
+	nilT.MergeStats(worker.Stats())
+	parent.MergeStats(nilT.Stats())
 	if got := parent.Stats(); got != (IOStats{Reads: 1, Writes: 1}) {
 		t.Fatalf("nil merges changed stats: %+v", got)
 	}

@@ -231,11 +231,6 @@ func (t *Tracker) MergeStats(s IOStats) {
 	t.hits.Add(s.Hits)
 }
 
-// Merge folds a snapshot of o's counters into t (see MergeStats). o may
-// be nil or may keep accumulating afterwards; only the charges recorded
-// at snapshot time move.
-func (t *Tracker) Merge(o *Tracker) { t.MergeStats(o.Stats()) }
-
 // Reset zeroes the tracker.
 func (t *Tracker) Reset() {
 	if t == nil {
