@@ -20,59 +20,68 @@ type Entry struct {
 // per page, the Governor is consulted once per leaf hop (inside the
 // tree's page load), and the tracker charges are identical — in count
 // and order — to per-entry Next calls: batching changes CPU cost only,
-// never simulated I/O. Next and NextBatch may be interleaved freely.
+// never simulated I/O. Next, NextBatch and NextRIDs may be interleaved
+// freely.
 func (c *Cursor) NextBatch(dst []Entry) (int, error) {
-	if c.done || len(dst) == 0 {
-		return 0, nil
+	start, n, err := c.nextRun(len(dst))
+	for i := range n {
+		dst[i] = Entry{Key: c.node.key(start + i), RID: c.node.rid(start + i)}
 	}
-	for {
-		if c.pos < len(c.node.ents) {
-			return c.drainLeaf(dst), nil
-		}
+	return n, err
+}
+
+// NextRIDs is NextBatch for a caller that needs no keys: it fills dst
+// with the RIDs of the same entries, read straight off the leaf, with
+// the same leaf walk, tracker charges and pins.
+func (c *Cursor) NextRIDs(dst []storage.RID) (int, error) {
+	start, n, err := c.nextRun(len(dst))
+	for i := range n {
+		dst[i] = c.node.rid(start + i)
+	}
+	return n, err
+}
+
+// nextRun is the leaf walk NextBatch and NextRIDs share: it hops to the
+// next leaf with entries left, then claims the next run of at most max
+// in-range entries of that leaf, returning its start position; n == 0
+// means the cursor is exhausted. When the upper bound cannot fall
+// inside the run — decided with a single key compare against the run's
+// last key — the run skips per-entry bound checks. The claimed entries
+// stay readable through c.node even when the bound ends the scan and
+// unpins the leaf.
+func (c *Cursor) nextRun(max int) (start, n int, err error) {
+	if c.done || max == 0 {
+		return 0, 0, nil
+	}
+	for c.pos >= len(c.node.ents) {
 		// Leaf exhausted (or empty after lazy deletion): hop forward.
 		if c.node.next() == 0 {
 			c.done = true
 			c.unpin()
-			return 0, nil
+			return 0, 0, nil
 		}
 		next := storage.PageNo(c.node.next() - 1)
-		n, err := c.tree.load(next, c.tr)
+		nd, err := c.tree.load(next, c.tr)
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
-		c.setLeaf(n, next)
+		c.setLeaf(nd, next)
 		c.pos = 0
 	}
-}
-
-// drainLeaf copies in-range entries from the current position into dst.
-// Caller guarantees c.pos < len(c.node.ents). When the upper bound
-// cannot fall inside the copied run — decided with a single key compare
-// against the run's last key — the copy skips per-entry bound checks.
-func (c *Cursor) drainLeaf(dst []Entry) int {
-	n := len(c.node.ents) - c.pos
-	if n > len(dst) {
-		n = len(dst)
-	}
-	if c.hi != nil && expr.CompareKeys(c.node.key(c.pos+n-1), c.hi) >= 0 {
+	start = c.pos
+	n = min(len(c.node.ents)-start, max)
+	if c.hi != nil && expr.CompareKeys(c.node.key(start+n-1), c.hi) >= 0 {
 		// The bound lands inside this run: walk to it entry by entry.
-		for i := 0; i < n; i++ {
-			k := c.node.key(c.pos)
-			if expr.CompareKeys(k, c.hi) >= 0 {
-				c.done = true
-				c.unpin()
-				return i
-			}
-			dst[i] = Entry{Key: k, RID: c.node.rid(c.pos)}
-			c.pos++
+		i := 0
+		for expr.CompareKeys(c.node.key(start+i), c.hi) < 0 {
+			i++
 		}
-		return n
+		n = i
+		c.done = true
+		c.unpin()
 	}
-	for i := 0; i < n; i++ {
-		dst[i] = Entry{Key: c.node.key(c.pos + i), RID: c.node.rid(c.pos + i)}
-	}
-	c.pos += n
-	return n
+	c.pos = start + n
+	return start, n, nil
 }
 
 // NextBatch fills dst with up to len(dst) entries in descending order

@@ -252,3 +252,86 @@ func TestCursorCloseIdempotent(t *testing.T) {
 		t.Fatalf("reverse NextBatch after Close = %d, %v", n, err)
 	}
 }
+
+// TestNextRIDsMatchesNextBatch: NextRIDs is NextBatch without the keys —
+// over the same ranges and dst sizes it returns the same RIDs in calls
+// of the same sizes, with equal tracker stats after every call, and
+// holds no pin after exhaustion or Close.
+func TestNextRIDsMatchesNextBatch(t *testing.T) {
+	bounds := []struct {
+		name   string
+		lo, hi []byte
+	}{
+		{"open", nil, nil},
+		{"lowOnly", intKey(100), nil},
+		{"hiInsideLeaf", nil, intKey(313)},
+		{"crossesLeaves", intKey(37), intKey(491)},
+		{"empty", intKey(900), intKey(950)},
+	}
+	for _, b := range bounds {
+		for _, batch := range []int{1, 7, 64, 1024} {
+			tr1, bp1, _ := buildBatchTree(t)
+			trk1 := storage.NewTracker(nil)
+			c1, err := tr1.SeekTracked(b.lo, b.hi, trk1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr2, bp2, _ := buildBatchTree(t)
+			trk2 := storage.NewTracker(nil)
+			c2, err := tr2.SeekTracked(b.lo, b.hi, trk2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			entries, rids := make([]Entry, batch), make([]storage.RID, batch)
+			total := 0
+			for call := 0; ; call++ {
+				n1, err1 := c1.NextBatch(entries)
+				n2, err2 := c2.NextRIDs(rids)
+				if err1 != nil || err2 != nil {
+					t.Fatal(err1, err2)
+				}
+				if n1 != n2 {
+					t.Fatalf("%s batch=%d call %d: NextRIDs gave %d, NextBatch %d", b.name, batch, call, n2, n1)
+				}
+				for i := range n1 {
+					if rids[i] != entries[i].RID {
+						t.Fatalf("%s batch=%d call %d: rid %d = %v, want %v", b.name, batch, call, i, rids[i], entries[i].RID)
+					}
+				}
+				if s1, s2 := trk1.Stats(), trk2.Stats(); s1 != s2 {
+					t.Fatalf("%s batch=%d call %d: NextRIDs charges %v, NextBatch %v", b.name, batch, call, s2, s1)
+				}
+				if n1 == 0 {
+					break
+				}
+				total += n1
+			}
+			if b.name != "empty" && total == 0 {
+				t.Fatalf("%s: no entries in range", b.name)
+			}
+			if bp1.PinnedPages() != 0 || bp2.PinnedPages() != 0 {
+				t.Fatalf("%s batch=%d: %d/%d pages pinned after exhaustion", b.name, batch, bp1.PinnedPages(), bp2.PinnedPages())
+			}
+		}
+	}
+
+	// Abandoned mid-range, the cursor's pin goes with Close.
+	tr, bp, _ := buildBatchTree(t)
+	c, err := tr.Seek(intKey(37), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := c.NextRIDs(make([]storage.RID, 3)); n != 3 || err != nil {
+		t.Fatal(n, err)
+	}
+	if bp.PinnedPages() != 1 {
+		t.Fatalf("%d pages pinned mid-range, want 1", bp.PinnedPages())
+	}
+	c.Close()
+	if bp.PinnedPages() != 0 {
+		t.Fatalf("%d pages pinned after Close", bp.PinnedPages())
+	}
+	if n, err := c.NextRIDs(make([]storage.RID, 3)); n != 0 || err != nil {
+		t.Fatalf("NextRIDs after Close = %d, %v", n, err)
+	}
+}

@@ -1,9 +1,6 @@
 package btree
 
-import (
-	"rdbdyn/internal/expr"
-	"rdbdyn/internal/storage"
-)
+import "rdbdyn/internal/storage"
 
 // Cursor iterates entries in ascending (key, RID) order between an
 // inclusive lower and exclusive upper encoded-key bound (nil = open).
@@ -76,33 +73,11 @@ func (c *Cursor) unpin() {
 // exhausted (past hi or at the end of the tree). The returned key is
 // the page's own bytes and must not be modified.
 func (c *Cursor) Next() (key []byte, rid storage.RID, ok bool, err error) {
-	if c.done {
-		return nil, storage.RID{}, false, nil
+	start, n, err := c.nextRun(1)
+	if n == 0 {
+		return nil, storage.RID{}, false, err
 	}
-	for {
-		if c.pos < len(c.node.ents) {
-			k, r := c.node.key(c.pos), c.node.rid(c.pos)
-			if c.hi != nil && expr.CompareKeys(k, c.hi) >= 0 {
-				c.done = true
-				c.unpin()
-				return nil, storage.RID{}, false, nil
-			}
-			c.pos++
-			return k, r, true, nil
-		}
-		if c.node.next() == 0 {
-			c.done = true
-			c.unpin()
-			return nil, storage.RID{}, false, nil
-		}
-		next := storage.PageNo(c.node.next() - 1)
-		n, err := c.tree.load(next, c.tr)
-		if err != nil {
-			return nil, storage.RID{}, false, err
-		}
-		c.setLeaf(n, next)
-		c.pos = 0
-	}
+	return c.node.key(start), c.node.rid(start), true, nil
 }
 
 // Done reports whether the cursor has been exhausted.

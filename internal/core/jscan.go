@@ -307,17 +307,11 @@ func (j *jscan) openLeg(e estimate.IndexEstimate) (raceLeg, error) {
 	}, nil
 }
 
-// pull is the one read a Jscan scan, a race leg and an Sscan make: src's
-// next batch of at most budget entries, counted in l.seen, through the
-// previous list's filter and the leg's key kernel (acceptEntries).
-// n == 0 means src is exhausted. src is l.cur or an Sscan's cursor.
+// pull reads the leg's next batch from src (l.cur, or an Sscan's
+// cursor), counting every entry read in l.seen.
 func (l *raceLeg) pull(src entryCursor, budget int, filter rid.Filter, sc *acceptScratch) (n int, kept []storage.RID, err error) {
-	batch := sc.batch[:min(budget, len(sc.batch))]
-	if n, err = src.NextBatch(batch); err != nil || n == 0 {
-		return 0, nil, err
-	}
+	n, kept, err = pull(src, budget, l.ix, l.local, l.out, filter, sc)
 	l.seen += n
-	kept, err = acceptEntries(batch[:n], l.ix, l.local, l.out, filter, sc)
 	return n, kept, err
 }
 
@@ -616,21 +610,9 @@ func (j *jscan) continueLoser(l *raceLeg) error {
 	j.scan = *l
 	j.scan.rids = nil // they move to list, refiltered
 	j.list = rid.NewContainerTracked(j.q.Table.Pool(), j.cfg.RID, j.tr)
-	rest := l.rids
-	for len(rest) > 0 {
-		n := len(j.sc.keep)
-		if n > len(rest) {
-			n = len(rest)
-		}
-		keep := j.sc.keep[:n]
-		rid.ApplyFilter(j.filter, rest[:n], keep)
-		out := j.sc.obuf[:0]
-		for i, r := range rest[:n] {
-			if keep[i] {
-				out = append(out, r)
-			}
-		}
-		if err := j.list.AppendBatch(out); err != nil {
+	for rest := l.rids; len(rest) > 0; {
+		n := min(len(rest), len(j.sc.keep))
+		if err := j.list.AppendBatch(keepMembers(j.filter, rest[:n], j.sc.keep, rest[:0])); err != nil {
 			return err
 		}
 		rest = rest[n:]

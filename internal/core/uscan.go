@@ -248,7 +248,7 @@ func (u *uscan) step() (bool, error) {
 
 // scanLeg is the union-leg kernel, one step of the current leg: its
 // cursor's entries, in leaf-sized batches, pass the leg's local disjunct
-// (acceptEntries with no previous filter) and the survivors join the
+// (pull with no previous filter) and the survivors join the
 // union list and the live borrow queue. Batches are sliced to the step
 // budget, never across it, so the competition check fires at the same
 // entry counts as per-entry iteration would. n counts the entries
@@ -256,18 +256,13 @@ func (u *uscan) step() (bool, error) {
 func (u *uscan) scanLeg() (n int, done bool, _ error) {
 	leg := &u.legs[u.idx]
 	for n < stepEntries {
-		batch := u.sc.batch[:min(stepEntries-n, len(u.sc.batch))]
-		got, err := u.cur.NextBatch(batch)
+		got, kept, err := pull(u.cur, stepEntries-n, leg.Index, leg.Local, nil, rid.TrueFilter{}, u.sc)
+		n += got
 		if err != nil {
 			return n, false, err
 		}
 		if got == 0 {
 			return n, true, nil
-		}
-		n += got
-		kept, err := acceptEntries(batch[:got], leg.Index, leg.Local, nil, rid.TrueFilter{}, u.sc)
-		if err != nil {
-			return n, false, err
 		}
 		if err := u.list.AppendBatch(kept); err != nil {
 			return n, false, err

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"rdbdyn/internal/catalog"
+	"rdbdyn/internal/core"
 	"rdbdyn/internal/expr"
 )
 
@@ -97,5 +100,62 @@ func TestAllocsScanDeliveredRows(t *testing.T) {
 		} else {
 			t.Logf("%s: %v allocations, %.4f a row", tc.src, n, perRow)
 		}
+	}
+}
+
+// TestAllocsIntersection: a two-index AND costs the same few allocations
+// however its first list lies on the table's pages. The first index
+// lists ~1 000 RIDs in key order, scattered over most of the table's
+// ~800 pages; that list filters the second index as its sorted keys,
+// built in one allocation, and neither leg copies an index entry. A
+// filter built a page at a time costs an allocation or more per page,
+// some 600 in all for this query; the whole query makes about 200.
+func TestAllocsIntersection(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	db := Open(Options{PageSize: 1024})
+	if _, err := db.CreateTable("FAMILIES",
+		catalog.Column{Name: "ID", Type: expr.TypeInt},
+		catalog.Column{Name: "AGE", Type: expr.TypeInt},
+		catalog.Column{Name: "CITY", Type: expr.TypeString},
+	); err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range [][2]string{{"AGE_IX", "AGE"}, {"CITY_IX", "CITY"}} {
+		if _, err := db.CreateIndex("FAMILIES", ix[0], ix[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(3))
+	const rows = 20000
+	for i := 0; i < rows; i++ {
+		if err := db.Insert("FAMILIES", i, int(rng.Int63n(2000)), fmt.Sprintf("city-%d", rng.Intn(8))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stmt, err := db.PrepareContext(context.Background(),
+		"SELECT ID FROM FAMILIES WHERE AGE >= 1000 AND AGE < 1100 AND CITY = 'city-3'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stats core.RetrievalStats
+	n := testing.AllocsPerRun(5, func() {
+		res, err := stmt.QueryContext(context.Background(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := res.All(); err != nil {
+			t.Fatal(err)
+		}
+		stats = res.Stats()
+	})
+	if want := "Jscan[AGE_IX,CITY_IX]+Fin"; stats.Strategy != want {
+		t.Fatalf("strategy %s, want %s", stats.Strategy, want)
+	}
+	if n > 300 {
+		t.Errorf("%v allocations for an intersection delivering %d rows, want at most 300", n, stats.RowsDelivered)
+	} else {
+		t.Logf("%v allocations, %d rows", n, stats.RowsDelivered)
 	}
 }

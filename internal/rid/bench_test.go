@@ -1,10 +1,24 @@
 package rid
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"rdbdyn/internal/storage"
 )
+
+// indexOrder returns n distinct RIDs spread over pages data pages of 94
+// slots each (the shape of a 100k-row table on 1063 pages) in the order
+// an index on an uncorrelated column lists them: pages shuffled.
+func indexOrder(n, pages int, seed int64) []storage.RID {
+	rng := rand.New(rand.NewSource(seed))
+	rids := make([]storage.RID, n)
+	for i, x := range rng.Perm(pages * 94)[:n] {
+		rids[i] = storage.RID{Page: storage.PageID{File: 1, No: storage.PageNo(x / 94)}, Slot: uint16(x % 94)}
+	}
+	return rids
+}
 
 func BenchmarkContainerAppendSmall(b *testing.B) {
 	// The L-shape head: lists that never leave the static buffer.
@@ -59,14 +73,64 @@ func BenchmarkBitmapFilterBatch(b *testing.B) {
 	}
 }
 
-func BenchmarkSortedListProbe(b *testing.B) {
+func BenchmarkSortedKeysProbe(b *testing.B) {
 	rids := make([]storage.RID, 4096)
 	for i := range rids {
 		rids[i] = ridN(i * 2)
 	}
-	s := NewSortedList(rids)
+	s := &sortedKeys{keys: keysOf(rids)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.MayContain(ridN(i % 8192))
+	}
+}
+
+// sinkFilter keeps the benchmarked builds from being optimized away.
+var sinkFilter Filter
+
+// BenchmarkFilterBuildIndexOrder builds a list's filter from RIDs in a
+// Jscan's index-key order — pages shuffled, as an index on a column
+// uncorrelated with the table's order lists them — over 1 063 pages.
+func BenchmarkFilterBuildIndexOrder(b *testing.B) {
+	for _, n := range []int{1000, 4096} {
+		rids := indexOrder(n, 1063, 1)
+		b.Run(fmt.Sprintf("Container.Filter/%d", n), func(b *testing.B) {
+			c := NewContainer(newPool(), DefaultConfig())
+			if err := c.AppendBatch(rids); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkFilter = c.Filter()
+			}
+		})
+		b.Run(fmt.Sprintf("FromRIDs/%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkFilter = FromRIDs(rids)
+			}
+		})
+	}
+}
+
+// BenchmarkFilterBatchIndexOrder probes a 1 000-RID list's filter with
+// 4 096 RIDs in index-key order, the second index of an intersection.
+func BenchmarkFilterBatchIndexOrder(b *testing.B) {
+	probes := indexOrder(4096, 1063, 2)
+	keep := make([]bool, len(probes))
+	c := NewContainer(newPool(), DefaultConfig())
+	if err := c.AppendBatch(indexOrder(1000, 1063, 1)); err != nil {
+		b.Fatal(err)
+	}
+	for _, f := range []struct {
+		name string
+		f    Filter
+	}{{"Container.Filter", c.Filter()}, {"FromRIDs", FromRIDs(indexOrder(1000, 1063, 1))}} {
+		b.Run(f.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ApplyFilter(f.f, probes, keep)
+			}
+		})
 	}
 }

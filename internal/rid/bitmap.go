@@ -48,41 +48,43 @@ type chunk struct {
 // NewCompressedBitmap returns an empty set.
 func NewCompressedBitmap() *CompressedBitmap { return &CompressedBitmap{} }
 
-// FromRIDs builds a compressed bitmap over rids (duplicates collapse).
-// Sorted or page-clustered input — cursor output, sorted RID lists, a
-// container's in-memory region — takes a bulk path that allocates each
-// chunk's array exactly once; anything else falls back to Add.
+// FromRIDs builds a compressed bitmap over rids, in any order
+// (duplicates collapse). The keys are sorted once; each page's run of
+// slots then becomes one chunk whose array is cut from a single slab and
+// capped at its length, so a later Add to one chunk reallocates that
+// chunk's array instead of writing into its neighbour's. The build makes
+// the same few allocations whatever the input order.
 func FromRIDs(rids []storage.RID) *CompressedBitmap {
-	b := NewCompressedBitmap()
-	i := 0
-	for i < len(rids) {
-		key := rids[i].Key() >> 16
+	keys := keysOf(rids)
+	nc := 0
+	for i, k := range keys {
+		if i == 0 || k>>16 != keys[i-1]>>16 {
+			nc++
+		}
+	}
+	b := &CompressedBitmap{keys: make([]uint64, 0, nc), chunks: make([]chunk, 0, nc), n: len(keys)}
+	slab := make([]uint16, len(keys))
+	for i := 0; i < len(keys); {
+		key := keys[i] >> 16
 		j := i + 1
-		for j < len(rids) && rids[j].Key()>>16 == key {
+		for j < len(keys) && keys[j]>>16 == key {
 			j++
 		}
-		// Bulk path: a run on a page beyond every chunk so far becomes a
-		// fresh chunk with an exactly-sized array, as long as the run
-		// itself stays ascending.
-		if n := len(b.keys); (n == 0 || b.keys[n-1] < key) && j-i <= arrayMax {
-			arr := make([]uint16, 0, j-i)
-			for ; i < j; i++ {
-				s := uint16(rids[i].Key())
-				if m := len(arr); m > 0 && arr[m-1] >= s {
-					if arr[m-1] == s {
-						continue // duplicate
-					}
-					break // run went backwards: finish through Add
-				}
-				arr = append(arr, s)
+		var c chunk
+		if j-i > arrayMax {
+			c = chunk{bits: make([]uint64, bitsetWords), card: j - i}
+			for _, k := range keys[i:j] {
+				c.bits[uint16(k)>>6] |= 1 << (k & 63)
 			}
-			b.keys = append(b.keys, key)
-			b.chunks = append(b.chunks, chunk{arr: arr})
-			b.n += len(arr)
+		} else {
+			c.arr = slab[i:j:j]
+			for x, k := range keys[i:j] {
+				c.arr[x] = uint16(k)
+			}
 		}
-		for ; i < j; i++ {
-			b.Add(rids[i])
-		}
+		b.keys = append(b.keys, key)
+		b.chunks = append(b.chunks, c)
+		i = j
 	}
 	return b
 }
@@ -90,8 +92,8 @@ func FromRIDs(rids []storage.RID) *CompressedBitmap {
 // search finds the chunk index for key. ok is false when absent, in
 // which case the index is the insertion point.
 func (b *CompressedBitmap) search(key uint64) (int, bool) {
-	// Fast path: bulk builds from (file, page)-clustered input hit the
-	// last chunk repeatedly.
+	// Fast path: ascending Adds (a spilled list's appends in page order)
+	// hit the last chunk repeatedly.
 	if n := len(b.keys); n > 0 && b.keys[n-1] == key {
 		return n - 1, true
 	}
@@ -171,7 +173,7 @@ func (b *CompressedBitmap) FilterBatch(rids []storage.RID, keep []bool) {
 		if slot < lastSlot {
 			pos = 0 // probes went backwards: restart the merge
 		}
-		pos = searchU16From(c.arr, slot, pos)
+		pos = searchFrom(c.arr, slot, pos)
 		keep[i] = pos < len(c.arr) && c.arr[pos] == slot
 		lastSlot = slot
 	}
@@ -491,10 +493,11 @@ func searchU16(arr []uint16, s uint16) int {
 	return lo
 }
 
-// searchU16From is searchU16 restricted to arr[from:], galloping forward
-// before the binary search so an ascending probe sequence pays amortized
-// O(1) per probe while an isolated far probe stays O(log n).
-func searchU16From(arr []uint16, s uint16, from int) int {
+// searchFrom returns the first index i >= from with arr[i] >= s,
+// galloping forward before the binary search so an ascending probe
+// sequence pays amortized O(1) per probe while an isolated far probe
+// stays O(log n).
+func searchFrom[T uint16 | uint64](arr []T, s T, from int) int {
 	n := len(arr)
 	if from >= n || arr[from] >= s {
 		return from

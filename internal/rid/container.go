@@ -49,6 +49,7 @@ type Container struct {
 	allocated bool              // entered the allocated region
 	spill     *tempTable        // non-nil once spilled
 	bitmap    *CompressedBitmap // maintained once overflowed; exact
+	sorted    sortedKeys        // the in-memory list's filter (Filter)
 	discarded bool
 }
 
@@ -173,16 +174,13 @@ func (c *Container) graduate() {
 	c.allocated = true
 }
 
-// overflow graduates past the memory budget: existing in-memory RIDs
-// feed the bitmap and stay in memory. In filter-only mode the bitmap
+// overflow graduates past the memory budget: the bitmap is built from
+// the in-memory RIDs, which stay in memory. In filter-only mode the bitmap
 // alone absorbs the overflow; otherwise the overflow also goes to a
 // temporary table so the list can be read back. The bitmap is exact, so
 // even a filter-only container's answers carry no false positives.
 func (c *Container) overflow(r storage.RID) error {
-	c.bitmap = NewCompressedBitmap()
-	for _, x := range c.inMemory() {
-		c.bitmap.Add(x)
-	}
+	c.bitmap = FromRIDs(c.inMemory())
 	c.bitmap.Add(r)
 	if !c.cfg.FilterOnly {
 		c.spill = newTempTable(c.pool, c.tr)
@@ -208,16 +206,21 @@ func (c *Container) inMemory() []storage.RID {
 	return c.small[:k]
 }
 
-// Filter returns the membership filter for this container: a compressed
-// bitmap built from the in-memory list, or the maintained overflow
-// bitmap once the container outgrew its budget. Either way the filter
-// is exact — the modern replacement for the paper's "hashed in-memory
-// bitmap for temporary tables", which traded false positives for space.
+// Filter returns the exact membership filter for this container. A
+// list that stayed within its memory budget is its own filter: its keys,
+// copied once, sorted and deduplicated (Section 6's sorted buffer; one
+// allocation). The filter is held by the container and each call
+// rebuilds it from the list as it stands, so take it once the list is
+// complete; Discard leaves it intact. An overflowed list filters through
+// its maintained bitmap — the modern replacement for the paper's "hashed
+// in-memory bitmap for temporary tables", which traded false positives
+// for space.
 func (c *Container) Filter() Filter {
 	if c.bitmap != nil {
 		return c.bitmap
 	}
-	return FromRIDs(c.inMemory())
+	c.sorted.keys = keysOf(c.inMemory())
+	return &c.sorted
 }
 
 // All returns every RID in append order. Reading back a spilled

@@ -1,6 +1,8 @@
 package rid
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -131,30 +133,146 @@ func TestQuickBitmapSetOps(t *testing.T) {
 	}
 }
 
-// Property: FromRIDs equals incremental Add, and SortedList (the scalar
-// baseline) agrees with the compressed bitmap on membership.
-func TestQuickBitmapVsSortedList(t *testing.T) {
-	f := func(words []uint32, probeWords []uint32) bool {
+// probeOrders returns the orders every filter must answer alike in:
+// ascending, descending, shuffled, and shuffled with each probe twice.
+func probeOrders(probes []storage.RID, seed int64) [][]storage.RID {
+	asc := slices.Clone(probes)
+	slices.SortFunc(asc, storage.RID.Compare)
+	desc := slices.Clone(asc)
+	slices.Reverse(desc)
+	shuffled := slices.Clone(probes)
+	rand.New(rand.NewSource(seed)).Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	repeated := make([]storage.RID, 0, 2*len(probes))
+	for _, r := range shuffled {
+		repeated = append(repeated, r, r)
+	}
+	return [][]storage.RID{asc, desc, shuffled, repeated}
+}
+
+// agrees reports whether f answers like oracle for every probe, one at
+// a time and in bulk, in every order.
+func agrees(f Filter, oracle map[storage.RID]bool, orders [][]storage.RID) bool {
+	for _, probes := range orders {
+		keep := make([]bool, len(probes))
+		ApplyFilter(f, probes, keep)
+		for i, r := range probes {
+			if f.MayContain(r) != oracle[r] || keep[i] != oracle[r] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// Property: an in-memory container's filter (its sorted keys), FromRIDs
+// and incremental Add agree with a map oracle over RID sets with
+// duplicates spanning several files, for probes in every order.
+func TestQuickFiltersVsOracle(t *testing.T) {
+	f := func(words, probeWords []uint32, dupEvery uint8) bool {
 		rids := ridMix(words)
-		b := FromRIDs(rids)
+		for i, n := 0, len(rids); i < n; i += int(dupEvery%5) + 1 {
+			rids = append(rids, rids[i])
+		}
+		oracle := map[storage.RID]bool{}
 		inc := NewCompressedBitmap()
 		for _, r := range rids {
+			oracle[r] = true
 			inc.Add(r)
 		}
-		if b.Len() != inc.Len() {
+		c := NewContainer(newPool(), DefaultConfig())
+		if err := c.AppendBatch(rids); err != nil {
 			return false
 		}
-		s := NewSortedList(rids)
-		for _, r := range append(ridMix(probeWords), rids...) {
-			want := s.MayContain(r)
-			if b.MayContain(r) != want || inc.MayContain(r) != want {
-				return false
+		mem, ok := c.Filter().(*sortedKeys)
+		bm := FromRIDs(rids)
+		if !ok || len(mem.keys) != len(oracle) || bm.Len() != len(oracle) || inc.Len() != len(oracle) {
+			return false
+		}
+		orders := probeOrders(append(ridMix(probeWords), rids...), int64(len(words)))
+		return agrees(mem, oracle, orders) && agrees(bm, oracle, orders) && agrees(inc, oracle, orders)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: a container one RID below its memory budget filters as its
+// sorted keys, and one RID above it as its overflow bitmap, spilled or
+// filter-only; each agrees with the oracle of what was appended.
+func TestQuickContainerFilterAtBudget(t *testing.T) {
+	f := func(words, probeWords []uint32, budget uint8) bool {
+		m := int(budget%60) + 21 // past the static region
+		rids := ridMix(words)
+		for i := 0; len(rids) <= m; i++ {
+			rids = append(rids, ridN(7*i))
+		}
+		for _, filterOnly := range []bool{false, true} {
+			for _, n := range []int{m - 1, m + 1} {
+				c := NewContainer(newPool(), Config{SmallCap: 20, MemBudget: m, FilterOnly: filterOnly})
+				if err := c.AppendBatch(rids[:n]); err != nil {
+					return false
+				}
+				oracle := map[storage.RID]bool{}
+				for _, r := range rids[:n] {
+					oracle[r] = true
+				}
+				filter := c.Filter()
+				switch filter.(type) {
+				case *sortedKeys:
+					if n > m {
+						return false
+					}
+				case *CompressedBitmap:
+					if n < m {
+						return false
+					}
+				default:
+					return false
+				}
+				if !agrees(filter, oracle, probeOrders(append(ridMix(probeWords), rids...), int64(n))) {
+					return false
+				}
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestFromRIDsChunksDoNotAlias: FromRIDs cuts every chunk's array from
+// one slab; an Add to any chunk — between two of its slots or past the
+// last — must leave every other chunk intact.
+func TestFromRIDsChunksDoNotAlias(t *testing.T) {
+	rid := func(page, slot int) storage.RID {
+		return storage.RID{Page: storage.PageID{File: 1, No: storage.PageNo(page)}, Slot: uint16(slot)}
+	}
+	var rids []storage.RID
+	for p := 0; p < 8; p++ {
+		for s := 0; s < 10; s += 2 {
+			rids = append(rids, rid(p, s))
+		}
+	}
+	for target := 0; target < 8; target++ {
+		for _, slot := range []int{1, 50} {
+			b := FromRIDs(rids)
+			oracle := map[storage.RID]bool{rid(target, slot): true}
+			for _, r := range rids {
+				oracle[r] = true
+			}
+			b.Add(rid(target, slot))
+			if b.Len() != len(oracle) {
+				t.Fatalf("Add(%d, %d): Len = %d, want %d", target, slot, b.Len(), len(oracle))
+			}
+			for p := 0; p < 8; p++ {
+				for s := 0; s < 60; s++ {
+					if got := b.MayContain(rid(p, s)); got != oracle[rid(p, s)] {
+						t.Fatalf("after Add(%d, %d): MayContain(%d, %d) = %v", target, slot, p, s, got)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -1,12 +1,13 @@
 // Package rid implements the RID-list machinery of the paper's joint
-// scan (Section 6): sorted in-memory RID lists, compressed exact bitmaps
-// (a modern replacement for the hashed bitmap of [Babb79]),
+// scan (Section 6): in-memory RID lists that filter as their sorted
+// keys, compressed exact bitmaps (a modern replacement for the hashed
+// bitmap of [Babb79]) for lists that overflow and for exclusion sets,
 // temporary-table spill, and the "hybrid" container that exploits the
 // L-shaped distribution of RID-list sizes:
 //
 //	zero RIDs          -> immediate shortcut (caller observes Len()==0)
 //	up to SmallCap     -> statically-sized buffer, no allocation
-//	up to MemBudget    -> allocated in-memory buffer
+//	up to MemBudget    -> allocated in-memory buffer; filters as sorted keys
 //	beyond             -> temporary table on disk + in-memory bitmap
 //
 // The paper: "Despite its simplicity, this 'hybrid' scan arrangement is
@@ -28,7 +29,7 @@ var ErrDiscarded = errors.New("rid: container discarded")
 var ErrFilterOnly = errors.New("rid: container is filter-only")
 
 // Filter answers membership questions during RID-list intersection.
-// Every concrete filter here is exact (sorted lists and compressed
+// Every concrete filter here is exact (sorted keys and compressed
 // bitmaps have no false positives); the interface still allows
 // approximate implementations, which the final restriction re-evaluation
 // would absorb.

@@ -2,6 +2,7 @@ package rid
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -16,20 +17,59 @@ func newPool() *storage.BufferPool {
 	return storage.NewBufferPool(storage.NewDisk(1024), 0)
 }
 
-func TestSortedListMembership(t *testing.T) {
+// raceEnabled is set by raceon_test.go when the race detector is on.
+var raceEnabled bool
+
+// TestAllocsFilterBuild: building a list's filter costs the same few
+// allocations whatever order the list is in — one for an in-memory
+// container's sorted keys, a constant handful for FromRIDs' bitmap —
+// over 1 000 RIDs in a Jscan's index-key order as in page order.
+func TestAllocsFilterBuild(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	shuffled := indexOrder(1000, 1063, 1)
+	sorted := slices.Clone(shuffled)
+	slices.SortFunc(sorted, storage.RID.Compare)
+	build := func(rids []storage.RID) (filter, bitmap float64) {
+		c := NewContainer(newPool(), DefaultConfig())
+		if err := c.AppendBatch(rids); err != nil {
+			t.Fatal(err)
+		}
+		filter = testing.AllocsPerRun(20, func() { c.Filter() })
+		bitmap = testing.AllocsPerRun(20, func() { FromRIDs(rids) })
+		return filter, bitmap
+	}
+	fi, bi := build(shuffled)
+	fp, bp := build(sorted)
+	if fi != 1 || fp != 1 {
+		t.Errorf("Container.Filter: %v allocations in index order, %v in page order; want 1", fi, fp)
+	}
+	if bi != bp || bi > 5 {
+		t.Errorf("FromRIDs: %v allocations in index order, %v in page order; want equal and at most 5", bi, bp)
+	}
+}
+
+// TestSortedKeysMembership: an in-memory list filters as its sorted
+// keys, whatever order its RIDs arrived in.
+func TestSortedKeysMembership(t *testing.T) {
 	var rids []storage.RID
 	for i := 0; i < 100; i += 2 {
 		rids = append(rids, ridN(i))
 	}
-	// Shuffle to prove NewSortedList sorts.
+	// Shuffle to prove the filter sorts.
 	rand.New(rand.NewSource(1)).Shuffle(len(rids), func(i, j int) { rids[i], rids[j] = rids[j], rids[i] })
-	s := NewSortedList(rids)
-	if !s.Exact() {
-		t.Fatal("sorted list must be exact")
+	c := NewContainer(newPool(), DefaultConfig())
+	if err := c.AppendBatch(rids); err != nil {
+		t.Fatal(err)
+	}
+	f := c.Filter()
+	if _, ok := f.(*sortedKeys); !ok || !f.Exact() {
+		t.Fatalf("in-memory filter is %T, want exact *sortedKeys", f)
 	}
 	for i := 0; i < 100; i++ {
 		want := i%2 == 0
-		if got := s.MayContain(ridN(i)); got != want {
+		if got := f.MayContain(ridN(i)); got != want {
 			t.Fatalf("MayContain(%d) = %v, want %v", i, got, want)
 		}
 	}
