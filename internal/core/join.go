@@ -480,11 +480,13 @@ type stagePred struct {
 }
 
 // predsMatch evaluates every connecting predicate; NULL on either side
-// never matches (SQL two-valued semantics, same as expr.Cmp).
+// never matches (SQL two-valued semantics, same as expr.Cmp). Equality
+// is expr.KeyEqual, the pairs an inl probe's key can find, so every
+// operator joins the same pairs.
 func predsMatch(preds []stagePred, outer, inner expr.Row) bool {
 	for _, sp := range preds {
 		a, b := outer[sp.outerPos], inner[sp.innerCol]
-		if a.IsNull() || b.IsNull() || expr.Compare(a, b) != 0 {
+		if a.IsNull() || b.IsNull() || !expr.KeyEqual(a, b) {
 			return false
 		}
 	}
@@ -524,7 +526,8 @@ type joinStage struct {
 	onOuter bool  // built on the outer rows: up becomes the table's access, streaming
 	keys    []int // the streamed side's key columns
 
-	chunk []expr.Row // this round's upstream rows
+	chunk []expr.Row   // this round's upstream rows
+	slab  []expr.Value // what is left of the block emit carves joined rows from
 	w     joinWorker
 	out   rowQueue
 	done  bool
@@ -533,7 +536,7 @@ type joinStage struct {
 // joinWorker is the probe kernels' scratch, reused across rounds.
 type joinWorker struct {
 	view expr.Row // the kernel's decode target
-	key  []byte   // encoded probe key and its successor, or the hash key
+	key  []byte   // the inl/ridx probe's encoded key and its successor
 }
 
 // shape lays the stage out for the inner rows its operator sees — kernel
@@ -579,9 +582,17 @@ func (s *joinStage) shape(view bool) {
 	}
 }
 
-// combine makes the stage's output row of a matching pair.
-func (s *joinStage) combine(outer, inner expr.Row) expr.Row {
-	row := make(expr.Row, len(s.cols))
+// emit queues the stage's output row of a matching pair, carved from the
+// stage's slab: a full slab is replaced, never reused, by one holding as
+// many rows as the stage has produced so far (1 to 64, size-class rounded).
+func (s *joinStage) emit(outer, inner expr.Row) {
+	n := len(s.cols)
+	if len(s.slab) < n {
+		s.slab = slices.Grow([]expr.Value(nil), n*min(max(s.rows, 1), 64))
+		s.slab = s.slab[:cap(s.slab)]
+	}
+	row := s.slab[:n:n]
+	s.slab = s.slab[n:]
 	for i, c := range s.cols {
 		if c >= 0 {
 			row[i] = outer[c]
@@ -593,7 +604,8 @@ func (s *joinStage) combine(outer, inner expr.Row) expr.Row {
 		}
 		row[i] = v
 	}
-	return row
+	s.out.push(row)
+	s.rows++
 }
 
 // open binds the stage's table and prepares its operator.
@@ -749,12 +761,6 @@ func (s *joinStage) round() error {
 	return err
 }
 
-// emit hands a joined row to the stage's consumer.
-func (s *joinStage) emit(row expr.Row) {
-	s.out.push(row)
-	s.rows++
-}
-
 // probeOne is the inl/ridx probe kernel: one outer row against the
 // inner index. A fetched record is decided through the table's kernel
 // into the scratch view and materialized, straight into the output row,
@@ -792,7 +798,7 @@ func (s *joinStage) probeOne(orow expr.Row) error {
 			return err
 		}
 		if pass && predsMatch(s.preds, orow, w.view) {
-			s.emit(s.combine(orow, w.view))
+			s.emit(orow, w.view)
 		}
 	}
 }
@@ -837,17 +843,14 @@ func (s *joinStage) build() error {
 // hashProbe is the hj/nl probe kernel: one streamed row against the
 // (read-only) table.
 func (s *joinStage) hashProbe(row expr.Row) {
-	key, ok := hashJoinKey(s.w.key[:0], row, s.keys)
-	if s.w.key = key; !ok {
-		return
-	}
-	for i := s.ht.head[string(key)]; i > 0; i = s.ht.next[i-1] {
+	key, ok := hashJoinKey(row, s.keys) // a NULL key probes nothing
+	for i := s.ht.head[key]; ok && i > 0; i = s.ht.next[i-1] {
 		outer, inner := row, s.ht.rows[i-1]
 		if s.onOuter {
 			outer, inner = inner, outer
 		}
 		if predsMatch(s.preds, outer, inner) {
-			s.emit(s.combine(outer, inner))
+			s.emit(outer, inner)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sort"
@@ -586,6 +587,172 @@ func TestHashJoinEquivalence(t *testing.T) {
 			}
 		})
 	}
+
+	// Join keys the int fixture lacks: floats (-0.0 and NaN among them), a
+	// float column against an int one (3.0 = 3), and strings holding NUL
+	// bytes, NULLs among them. hj, whether built on the table or on the
+	// outer rows, returns the oracle's multiset, and so do inl and nl.
+	k := newKeyTypesFixture(t)
+	for _, kc := range []struct {
+		name   string
+		lc, rc int // L's and R's key column
+		index  string
+	}{
+		{"float", 1, 2, "R_F_IX"},
+		{"int-float", 1, 1, "R_I_IX"},
+		{"nul-string", 2, 3, "R_S_IX"},
+	} {
+		jq := &JoinQuery{
+			Tables: []*catalog.Table{k.l, k.r},
+			Local:  []expr.Expr{nil, nil},
+			Preds:  []JoinPred{{LT: 0, LC: kc.lc, RT: 1, RC: kc.rc}},
+		}
+		want := oracleJoin(t, jq, [][]expr.Row{k.lRows, k.rRows})
+		if len(want) == 0 {
+			t.Fatalf("%s: the oracle joins nothing; the case proves nothing", kc.name)
+		}
+		for _, op := range []struct {
+			name, index string
+			outerEst    float64
+		}{
+			{JoinOpHJ, "", 1},   // built on the outer rows
+			{JoinOpHJ, "", 1e6}, // built on R
+			{JoinOpINL, kc.index, 1},
+			{JoinOpNL, "", 1},
+		} {
+			label := fmt.Sprintf("%s/%s/%g", kc.name, op.name, op.outerEst)
+			plan := &JoinPlan{Stages: []JoinStagePlan{
+				{Table: 0, Operator: "tscan", EstRows: op.outerEst},
+				{Table: 1, Operator: op.name, Index: op.index, EstRows: 1},
+			}}
+			got, st := drainJoin(t, runJoinOn(NewOptimizer(Config{}), nil, jq, plan))
+			assertSameRows(t, label, got, want)
+			if st.JoinStages[1].Operator != op.name {
+				t.Fatalf("%s: stage 1 ran %s", label, st.JoinStages[1].Operator)
+			}
+		}
+	}
+}
+
+// keyTypesFixture is L (ID, F FLOAT, S STRING) and R (ID, I INT,
+// F FLOAT, S STRING), R indexed on each key column. Keys come from small
+// pools, so every key repeats, and about one in ten is NULL.
+type keyTypesFixture struct {
+	l, r         *catalog.Table
+	lRows, rRows []expr.Row
+}
+
+func newKeyTypesFixture(t *testing.T) *keyTypesFixture {
+	t.Helper()
+	cat := catalog.New(storage.NewBufferPool(storage.NewDisk(4096), 0))
+	k := &keyTypesFixture{}
+	var err error
+	if k.l, err = cat.CreateTable("L", []catalog.Column{
+		{Name: "ID", Type: expr.TypeInt}, {Name: "F", Type: expr.TypeFloat}, {Name: "S", Type: expr.TypeString},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if k.r, err = cat.CreateTable("R", []catalog.Column{
+		{Name: "ID", Type: expr.TypeInt}, {Name: "I", Type: expr.TypeInt},
+		{Name: "F", Type: expr.TypeFloat}, {Name: "S", Type: expr.TypeString},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range [][2]string{{"R_I_IX", "I"}, {"R_F_IX", "F"}, {"R_S_IX", "S"}} {
+		if _, err := k.r.CreateIndex(ix[0], ix[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	floats := []float64{0, math.Copysign(0, -1), math.NaN(), 0.5, 1, 1.5, 2, 3, -2.5, 1e300}
+	strs := []string{"", "a", "a\x00", "a\x00b", "\x00", "\x00\x00", "b"}
+	rng := rand.New(rand.NewSource(33))
+	orNull := func(v expr.Value) expr.Value {
+		if rng.Intn(10) == 0 {
+			return expr.Null()
+		}
+		return v
+	}
+	for i := 0; i < 60; i++ {
+		row := expr.Row{expr.Int(int64(i)), orNull(expr.Float(floats[rng.Intn(len(floats))])),
+			orNull(expr.Str(strs[rng.Intn(len(strs))]))}
+		if _, err := k.l.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+		k.lRows = append(k.lRows, row)
+	}
+	for i := 0; i < 300; i++ {
+		row := expr.Row{expr.Int(int64(i)), orNull(expr.Int(rng.Int63n(5) - 1)),
+			orNull(expr.Float(floats[rng.Intn(len(floats))])), orNull(expr.Str(strs[rng.Intn(len(strs))]))}
+		if _, err := k.r.Insert(row); err != nil {
+			t.Fatal(err)
+		}
+		k.rRows = append(k.rRows, row)
+	}
+	return k
+}
+
+// TestHashJoinKeyAgreesWithEncodeKey: hj's key hash stands in for the
+// order-preserving encoding, so key tuples with equal expr.EncodeKey
+// bytes must hash equally — across int/float pairs of one value, ±0.0,
+// strings with NUL bytes and bools — and a tuple holding a NULL has no
+// key at all.
+func TestHashJoinKeyAgreesWithEncodeKey(t *testing.T) {
+	pool := []expr.Value{
+		expr.Null(), expr.Bool(false), expr.Bool(true),
+		expr.Int(0), expr.Int(1), expr.Int(-1), expr.Int(3), expr.Int(1 << 53), expr.Int(1<<53 + 1),
+		expr.Float(0), expr.Float(math.Copysign(0, -1)), expr.Float(1), expr.Float(-1), expr.Float(3),
+		expr.Float(0.5), expr.Float(1 << 53), expr.Float(math.NaN()),
+		expr.Str(""), expr.Str("\x00"), expr.Str("a"), expr.Str("a\x00"), expr.Str("a\x00b"),
+		expr.Str("\x00\x00"), expr.Str("0"),
+	}
+	rng := rand.New(rand.NewSource(34))
+	desc := func(r expr.Row) string {
+		var b strings.Builder
+		for _, v := range r {
+			fmt.Fprintf(&b, "%s %s; ", v.T, v)
+		}
+		return b.String()
+	}
+	type firstTuple struct {
+		h   uint64
+		row string
+	}
+	seen := map[string]firstTuple{} // encoding -> the first tuple with it
+	shared := 0                     // tuples whose encoding an unequal tuple had first
+	for i := 0; i < 20000; i++ {
+		row := make(expr.Row, 1+rng.Intn(3))
+		cols := make([]int, len(row))
+		null := false
+		for j := range row {
+			row[j], cols[j] = pool[rng.Intn(len(pool))], j
+			null = null || row[j].IsNull()
+		}
+		h, ok := hashJoinKey(row, cols)
+		if ok == null {
+			t.Fatalf("%v: ok=%v", row, ok)
+		}
+		if !ok {
+			continue
+		}
+		enc := string(expr.EncodeKey(nil, row...))
+		if f, ok := seen[enc]; !ok {
+			seen[enc] = firstTuple{h, desc(row)}
+		} else if f.h != h {
+			t.Fatalf("%s and %s encode equally but hash %#x and %#x", desc(row), f.row, h, f.h)
+		} else if f.row != desc(row) {
+			shared++
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no two unequal tuples shared an encoding; the test proves nothing")
+	}
+	one := func(v expr.Value) uint64 { h, _ := hashJoinKey(expr.Row{v}, []int{0}); return h }
+	if one(expr.Int(3)) != one(expr.Float(3)) {
+		t.Fatal("3 and 3.0 hash apart")
+	}
+	if one(expr.Float(0)) == one(expr.Float(math.Copysign(0, -1))) {
+		t.Fatal("+0.0 and -0.0 encode apart but hash together")
+	}
 }
 
 // TestJoinProbeWidthInvariant: a join stage has one width, so the
@@ -1061,14 +1228,15 @@ func TestJoinEarlyStopStats(t *testing.T) {
 	}
 }
 
-// TestAllocsJoinDeliveredRow: a joined row costs the pipeline one
-// allocation, the delivered row itself — no combined flat row and
-// projected copy, the pair the stage-at-a-time executor paid. Measured
-// over the streaming phase (the first row has sized every scratch
-// buffer and built the hash table), on int columns; what is allowed on
-// top is what the stage's inputs cost on their own: a table access's one
-// allocation per row it delivers (TestAllocsKeptRowUnderProjection) and
-// an inl probe's B-tree cursor.
+// TestAllocsJoinDeliveredRow: joined rows are carved from the stage's
+// slab, so they cost the pipeline a fraction of an allocation each — no
+// allocation per delivered row, let alone the combined flat row and
+// projected copy the stage-at-a-time executor paid. Measured over the
+// streaming phase (the first row has sized every scratch buffer and
+// built the hash table), on int columns; what is allowed on top is what
+// the stage's inputs cost on their own: a table access's one allocation
+// per row it delivers (TestAllocsKeptRowUnderProjection) and an inl
+// probe's B-tree cursor.
 func TestAllocsJoinDeliveredRow(t *testing.T) {
 	skipAllocsUnderRace(t)
 	f := newJoinFixture(t, 1000, 6000, 20, 0, false)
@@ -1108,11 +1276,42 @@ func TestAllocsJoinDeliveredRow(t *testing.T) {
 		inputs := st.JoinStages[0].ActualRows - before.JoinStages[0].ActualRows
 		allocs := int(m1.Mallocs - m0.Mallocs)
 		t.Logf("%s: %d allocations, %d delivered rows, %d input rows (%s)", tc.name, allocs, n, inputs, st.Strategy)
-		if limit := n + tc.perInput*inputs + 8; inputs < 500 || allocs > limit {
+		if limit := tc.perInput*inputs + n/16 + 8; inputs < 500 || allocs > limit {
 			t.Errorf("%s: %d allocations for %d delivered rows over %d input rows, want at most %d", tc.name, allocs, n, inputs, limit)
 		}
-		if allocs >= 2*n {
-			t.Errorf("%s: %d allocations for %d delivered rows: two a row again", tc.name, allocs, n)
+	}
+}
+
+// BenchmarkHashProbe times hj's probe kernel alone: 40 000 ORD-shaped
+// streamed rows, keyed on an int column, against a 3000-row build, each
+// key matching one built row. One op is the whole stream.
+func BenchmarkHashProbe(b *testing.B) {
+	const nBuild, nProbe = 3000, 40000
+	build := make([]expr.Row, nBuild)
+	for i := range build {
+		build[i] = expr.Row{expr.Int(int64(i)), expr.Int(int64(i % 5)), expr.Str(fmt.Sprintf("c-%04d", i))}
+	}
+	rng := rand.New(rand.NewSource(1))
+	pad := strings.Repeat("x", 40)
+	probe := make([]expr.Row, nProbe)
+	for i := range probe {
+		probe[i] = expr.Row{expr.Int(int64(i)), expr.Int(rng.Int63n(nBuild)), expr.Int(rng.Int63n(9)), expr.Str(pad)}
+	}
+	s := &joinStage{
+		ht:    newHashTable(build, []int{0}),
+		keys:  []int{1},
+		preds: []stagePred{{outerPos: 1, innerCol: 0}},
+		cols:  []int{0, 1, 2, 3, ^1, ^2},
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, row := range probe {
+			s.hashProbe(row)
 		}
+		if len(s.out.rows) != nProbe {
+			b.Fatalf("%d joined rows, want %d", len(s.out.rows), nProbe)
+		}
+		s.out.rows = s.out.rows[:0]
 	}
 }

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -57,5 +58,29 @@ func BenchmarkCompareValues(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Compare(vals[i%1024], vals[(i+1)%1024])
+	}
+}
+
+// BenchmarkDecodeView decodes a FAMILIES-shaped record (ID, AGE, CITY,
+// a 60-byte PAD) whole and for a one-column need: the walk and
+// validation are the same, only the stores differ.
+func BenchmarkDecodeView(b *testing.B) {
+	rec := EncodeRow(Row{Int(73512), Int(4321), Int(17), Str(strings.Repeat("p", 60))})
+	for _, bc := range []struct {
+		name string
+		need ColSet
+	}{
+		{"all", nil},
+		{"one-column", Cols(4, 1)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var scratch Row
+			for i := 0; i < b.N; i++ {
+				var err error
+				if scratch, err = DecodeView(rec, scratch, bc.need); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

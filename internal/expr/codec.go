@@ -71,7 +71,10 @@ func DecodeRow(b []byte) (Row, error) {
 // validated whatever need says. String values share b's memory instead
 // of copying it; Batch.Own copies out what a consumer keeps.
 func DecodeView(b []byte, dst Row, need ColSet) (Row, error) {
-	n, k := binary.Uvarint(b)
+	n, k := shortUvarint(b)
+	if k == 0 {
+		n, k = binary.Uvarint(b)
+	}
 	// Every column takes at least its type byte, so a count beyond the
 	// record's length is corrupt — checked before it sizes an allocation.
 	if k <= 0 || n > uint64(len(b)-k) {
@@ -93,12 +96,18 @@ func DecodeView(b []byte, dst Row, need ColSet) (Row, error) {
 		switch v.T {
 		case TypeNull:
 		case TypeBool, TypeInt:
-			x, k := binary.Varint(b)
+			ux, k := shortUvarint(b)
+			if k == 0 {
+				ux, k = binary.Uvarint(b)
+			}
 			if k <= 0 {
 				return nil, ErrCorruptRecord
 			}
 			b = b[k:]
-			v.I = x
+			v.I = int64(ux >> 1) // zigzag, as binary.Varint decodes it
+			if ux&1 != 0 {
+				v.I = ^v.I
+			}
 		case TypeFloat:
 			if len(b) < 8 {
 				return nil, ErrCorruptRecord
@@ -106,7 +115,10 @@ func DecodeView(b []byte, dst Row, need ColSet) (Row, error) {
 			v.I = int64(binary.LittleEndian.Uint64(b))
 			b = b[8:]
 		case TypeString:
-			l, k := binary.Uvarint(b)
+			l, k := shortUvarint(b)
+			if k == 0 {
+				l, k = binary.Uvarint(b)
+			}
 			if k <= 0 || uint64(len(b)-k) < l {
 				return nil, ErrCorruptRecord
 			}
@@ -127,6 +139,23 @@ func DecodeView(b []byte, dst Row, need ColSet) (Row, error) {
 		return nil, ErrCorruptRecord
 	}
 	return r, nil
+}
+
+// shortUvarint decodes the 1-, 2- and 3-byte uvarints, which hold the
+// ints and string lengths of typical records, where binary.Uvarint would
+// loop; k=0 leaves anything else — longer, truncated or overlong — to
+// binary.Uvarint. Together they accept exactly what binary.Uvarint
+// accepts, non-minimal encodings included.
+func shortUvarint(b []byte) (uint64, int) {
+	switch {
+	case len(b) > 0 && b[0] < 0x80:
+		return uint64(b[0]), 1
+	case len(b) > 1 && b[1] < 0x80:
+		return uint64(b[1])<<7 + uint64(b[0]) - 0x80, 2
+	case len(b) > 2 && b[2] < 0x80:
+		return uint64(b[2])<<14 + uint64(b[1])<<7 + uint64(b[0]) - 0x4080, 3
+	}
+	return 0, 0
 }
 
 // viewString returns b's bytes as a string without copying them. It is

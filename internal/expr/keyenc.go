@@ -82,6 +82,22 @@ func appendNumeric(dst []byte, f float64, i int64, isInt bool) []byte {
 	return binary.BigEndian.AppendUint64(dst, bits)
 }
 
+// KeyEqual reports whether two values are equal (Compare) and also encode
+// to the same key, the equality an index probe or a hash of the key
+// already implies: -0.0 and +0.0 are different keys, and NaN equals only
+// a NaN of the same bits.
+func KeyEqual(a, b Value) bool {
+	if a.T == TypeInt && b.T == TypeInt {
+		return a.I == b.I
+	}
+	af, aok := a.AsFloat()
+	bf, bok := b.AsFloat()
+	if aok && bok {
+		return math.Float64bits(af) == math.Float64bits(bf)
+	}
+	return Compare(a, b) == 0
+}
+
 // CompareKeys compares two encoded keys bytewise.
 func CompareKeys(a, b []byte) int { return bytes.Compare(a, b) }
 

@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -55,5 +57,30 @@ func TestDecodeKeyRejectsMalformed(t *testing.T) {
 	}
 	if _, err := DecodeKey([]byte{0x77}, []Type{TypeInt}); err == nil {
 		t.Fatal("bad rank byte accepted")
+	}
+}
+
+// TestKeyEqual: two values are KeyEqual exactly when Compare calls them
+// equal and their key encodings are the same bytes — over the pairs
+// where the two disagree (±0.0, NaN, ints past 2^53, 3 against 3.0) and
+// random values.
+func TestKeyEqual(t *testing.T) {
+	pool := []Value{Null(), Bool(false), Bool(true), Int(0), Int(3), Int(-1), Int(1 << 53), Int(1<<53 + 1),
+		Float(0), Float(math.Copysign(0, -1)), Float(3), Float(-1), Float(1 << 53), Float(math.NaN()),
+		Float(math.Inf(1)), Str(""), Str("\x00"), Str("3")}
+	rng := rand.New(rand.NewSource(18))
+	for i := 0; i < 200; i++ {
+		pool = append(pool, randValue(rng))
+	}
+	for _, a := range pool {
+		for _, b := range pool {
+			want := Compare(a, b) == 0 && bytes.Equal(EncodeKey(nil, a), EncodeKey(nil, b))
+			if got := KeyEqual(a, b); got != want {
+				t.Fatalf("KeyEqual(%s %v, %s %v) = %v, want %v", a.T, a, b.T, b, got, want)
+			}
+		}
+	}
+	if KeyEqual(Float(0), Float(math.Copysign(0, -1))) || KeyEqual(Float(math.NaN()), Float(3)) || !KeyEqual(Int(3), Float(3)) {
+		t.Fatal("±0.0 are one key, NaN equals 3, or 3 and 3.0 are two keys")
 	}
 }
