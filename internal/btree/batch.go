@@ -53,7 +53,7 @@ func (c *Cursor) nextRun(max int) (start, n int, err error) {
 	if c.done || max == 0 {
 		return 0, 0, nil
 	}
-	for c.pos >= len(c.node.ents) {
+	for c.pos >= c.node.numEnts() {
 		// Leaf exhausted (or empty after lazy deletion): hop forward.
 		if c.node.next() == 0 {
 			c.done = true
@@ -69,7 +69,7 @@ func (c *Cursor) nextRun(max int) (start, n int, err error) {
 		c.pos = 0
 	}
 	start = c.pos
-	n = min(len(c.node.ents)-start, max)
+	n = min(c.node.numEnts()-start, max)
 	if c.hi != nil && expr.CompareKeys(c.node.key(start+n-1), c.hi) >= 0 {
 		// The bound lands inside this run: walk to it entry by entry.
 		i := 0

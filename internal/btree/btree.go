@@ -238,8 +238,14 @@ func (t *BTree) insertAt(no storage.PageNo, key []byte, rid storage.RID) (*split
 // entry is copied up as the separator; an internal node's moves up.
 func (t *BTree) split(no storage.PageNo, n node, pos int, ent []byte, kept int64) (*splitResult, error) {
 	leaf, link, count0 := n.leaf, n.next(), int64(0)
-	m := n // the node as it would be with ent in place
-	m.ents = slices.Insert(slices.Clone(n.ents), pos, slices.Clone(ent))
+	// The node's entries as they would be with ent in place, materialised
+	// once: views of the page's write-once records, which stay valid
+	// while the halves are rebuilt, and a copy of ent.
+	ents := make([][]byte, 0, n.numEnts()+1)
+	for i := range n.numEnts() {
+		ents = append(ents, n.ent(i))
+	}
+	ents = slices.Insert(ents, pos, slices.Clone(ent))
 	if !leaf {
 		// Child pos now holds kept entries; its count sits in the header
 		// or in the separator before the new one, copied before the write
@@ -248,22 +254,23 @@ func (t *BTree) split(no storage.PageNo, n node, pos int, ent []byte, kept int64
 		if pos == 0 {
 			count0 = kept
 		} else {
-			m.ents[pos-1] = slices.Clone(m.ents[pos-1])
-			m.setCount(pos, kept)
+			ents[pos-1] = slices.Clone(ents[pos-1])
+			putRefCount(sepRef(ents[pos-1]), kept)
 		}
 	}
-	mid := len(m.ents) / 2
-	sp := &splitResult{sepKey: m.key(mid), sepRID: m.rid(mid)}
+	mid := len(ents) / 2
+	sp := &splitResult{sepKey: entKey(ents[mid], n.tail), sepRID: entRID(ents[mid], n.tail, n.data)}
 	var err error
 	if leaf {
-		sp.rightCount = int64(len(m.ents) - mid)
-		sp.right, err = t.allocNode(true, link, 0, m.ents[mid:])
+		sp.rightCount = int64(len(ents) - mid)
+		sp.right, err = t.allocNode(true, link, 0, ents[mid:])
 		link = uint32(sp.right) + 1
 	} else {
-		for i := mid + 1; i < m.numChildren(); i++ {
-			sp.rightCount += m.count(i)
+		for _, e := range ents[mid:] {
+			sp.rightCount += refCount(sepRef(e))
 		}
-		sp.right, err = t.allocNode(false, uint32(m.child(mid+1)), m.count(mid+1), m.ents[mid+1:])
+		ref := sepRef(ents[mid])
+		sp.right, err = t.allocNode(false, uint32(refChild(ref)), refCount(ref), ents[mid+1:])
 	}
 	if err != nil {
 		return nil, err
@@ -272,7 +279,7 @@ func (t *BTree) split(no storage.PageNo, n node, pos int, ent []byte, kept int64
 		return nil, err
 	}
 	n.page.Truncate(0)
-	if err = fillNode(n.page, leaf, link, count0, m.ents[:mid]); err != nil {
+	if err = fillNode(n.page, leaf, link, count0, ents[:mid]); err != nil {
 		return nil, err
 	}
 	if leaf {
@@ -303,7 +310,7 @@ func (t *BTree) deleteAt(no storage.PageNo, key []byte, rid storage.RID) (bool, 
 	}
 	if n.leaf {
 		pos := n.lowerBound(key, rid)
-		if pos >= len(n.ents) || n.cmp(pos, key, rid) != 0 {
+		if pos >= n.numEnts() || n.cmp(pos, key, rid) != 0 {
 			return false, nil
 		}
 		if n, err = t.loadDirty(no); err != nil {
@@ -333,7 +340,7 @@ func (t *BTree) Contains(key []byte, rid storage.RID) (bool, error) {
 		}
 		if n.leaf {
 			pos := n.lowerBound(key, rid)
-			return pos < len(n.ents) && n.cmp(pos, key, rid) == 0, nil
+			return pos < n.numEnts() && n.cmp(pos, key, rid) == 0, nil
 		}
 		no = n.child(n.findChild(key, rid))
 	}

@@ -478,7 +478,7 @@ func TestNodeSerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dec.leaf || dec.next() != 5 || len(dec.ents) != 2 || string(dec.key(1)) != string(intKey(2)) {
+	if !dec.leaf || dec.next() != 5 || dec.numEnts() != 2 || string(dec.key(1)) != string(intKey(2)) {
 		t.Fatalf("leaf round trip: %+v", dec)
 	}
 	if want := ridFor(1); dec.rid(1).Page.File != 3 || dec.rid(1).Slot != want.Slot || dec.rid(1).Page.No != want.Page.No {

@@ -54,7 +54,7 @@ func (t *BTree) EstimateRange(lo, hi []byte) (Estimate, error) {
 		if lo != nil {
 			iLo = n.findChild(lo, storage.RID{})
 		}
-		iHi := len(n.ents)
+		iHi := n.numEnts()
 		if hi != nil {
 			iHi = n.findChild(hi, storage.RID{})
 		}
@@ -124,7 +124,7 @@ func (t *BTree) refineAt(no storage.PageNo, level int, lo, hi []byte, tr *storag
 		if lo != nil {
 			iLo = n.findChild(lo, storage.RID{})
 		}
-		iHi := len(n.ents)
+		iHi := n.numEnts()
 		if hi != nil {
 			iHi = n.findChild(hi, storage.RID{})
 		}
@@ -180,7 +180,7 @@ func leafRangeCount(n node, lo, hi []byte) int {
 	if lo != nil {
 		start = n.lowerBound(lo, storage.RID{})
 	}
-	end := len(n.ents)
+	end := n.numEnts()
 	if hi != nil {
 		end = n.lowerBound(hi, storage.RID{})
 	}
@@ -250,13 +250,13 @@ func (t *BTree) EntryAt(rank int64) (key []byte, rid storage.RID, err error) {
 			return nil, storage.RID{}, err
 		}
 		if n.leaf {
-			if rank < 0 || rank >= int64(len(n.ents)) {
+			if rank < 0 || rank >= int64(n.numEnts()) {
 				return nil, storage.RID{}, ErrCorruptNode
 			}
 			return n.key(int(rank)), n.rid(int(rank)), nil
 		}
 		i := 0
-		for i < len(n.ents) && rank >= n.count(i) {
+		for i < n.numEnts() && rank >= n.count(i) {
 			rank -= n.count(i)
 			i++
 		}
@@ -317,11 +317,11 @@ func (t *BTree) SampleAcceptReject(rng *rand.Rand, maxFanout int) (key []byte, r
 		}
 		visits++
 		if n.leaf {
-			if len(n.ents) == 0 {
+			if n.numEnts() == 0 {
 				return nil, storage.RID{}, false, visits, nil
 			}
-			i := rng.Intn(len(n.ents))
-			accept *= float64(len(n.ents)) / float64(maxFanout)
+			i := rng.Intn(n.numEnts())
+			accept *= float64(n.numEnts()) / float64(maxFanout)
 			if rng.Float64() >= accept {
 				return nil, storage.RID{}, false, visits, nil
 			}

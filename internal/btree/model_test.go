@@ -68,7 +68,7 @@ func checkNodes(t *testing.T, tr *BTree, no storage.PageNo, level int) int64 {
 		t.Fatalf("node %d at level %d: leaf=%v", no, level, n.leaf)
 	}
 	recount := nodeBaseBytes
-	for i := range n.ents {
+	for i := range n.numEnts() {
 		recount += entryBytes(n.leaf, len(n.key(i)))
 		if i > 0 && n.cmp(i-1, n.key(i), n.rid(i)) > 0 {
 			t.Fatalf("node %d: entries %d and %d out of order", no, i-1, i)
@@ -78,7 +78,7 @@ func checkNodes(t *testing.T, tr *BTree, no storage.PageNo, level int) int64 {
 		t.Fatalf("node %d: accounted %d bytes, recount %d, budget %d", no, n.bytes(), recount, tr.budget)
 	}
 	if n.leaf {
-		return int64(len(n.ents))
+		return int64(n.numEnts())
 	}
 	var total int64
 	for i := 0; i < n.numChildren(); i++ {
@@ -231,8 +231,8 @@ func TestAllocsInsertNoSplit(t *testing.T) {
 	if tr.NumNodes() != nodes {
 		t.Fatal("an insert split a node; the measurement is not of the non-splitting path")
 	}
-	if allocs > 2 {
-		t.Fatalf("non-splitting insert: %v allocations, want the entry and at most a slot-directory growth", allocs)
+	if allocs > 0 {
+		t.Fatalf("non-splitting insert: %v allocations, want none: the entry is appended at the leaf arena's tail (a rare slot-directory growth averages out)", allocs)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -43,23 +43,26 @@ const (
 	sepEntryOverhead  = slotBytes + sepTail
 )
 
-// node is a read view of one node page, valid until the page's next
-// structural change; nothing is decoded ahead of use.
+// node is a read view of one node page: it reads the header and the
+// entries through the page on every access and holds no slice into the
+// page, so a view stays valid across the page's mutations; nothing is
+// decoded ahead of use.
 type node struct {
 	page *storage.Page
-	hdr  []byte
-	ents [][]byte
 	leaf bool
 	tail int            // bytes after the key in an entry
 	data storage.FileID // the heap file RIDs point into (entries store page+slot)
 }
 
 func viewNode(p *storage.Page, data storage.FileID) (node, error) {
-	recs := p.Records()
-	if len(recs) == 0 || len(recs[0]) != hdrBytes {
+	if p.NumSlots() == 0 {
 		return node{}, ErrCorruptNode
 	}
-	n := node{page: p, hdr: recs[0], ents: recs[1:], leaf: recs[0][0] == 1, tail: sepTail, data: data}
+	hdr := p.Record(0)
+	if len(hdr) != hdrBytes {
+		return node{}, ErrCorruptNode
+	}
+	n := node{page: p, leaf: hdr[0] == 1, tail: sepTail, data: data}
 	if n.leaf {
 		n.tail = ridBytes
 	}
@@ -78,12 +81,21 @@ func entryBytes(leaf bool, klen int) int {
 // every entry — the quantity the split rule compares with the budget.
 func (n *node) bytes() int { return n.page.Used() - (hdrBytes + slotBytes) + nodeBaseBytes }
 
-func (n *node) key(i int) []byte { return n.ents[i][:len(n.ents[i])-n.tail] }
+func (n *node) hdr() []byte      { return n.page.Record(0) }
+func (n *node) ent(i int) []byte { return n.page.Record(1 + i) }
+func (n *node) numEnts() int     { return n.page.NumSlots() - 1 }
 
-func (n *node) rid(i int) storage.RID {
-	b := n.ents[i][len(n.ents[i])-n.tail:]
+func (n *node) key(i int) []byte { return entKey(n.ent(i), n.tail) }
+
+func (n *node) rid(i int) storage.RID { return entRID(n.ent(i), n.tail, n.data) }
+
+// entKey and entRID split a raw entry with tail bytes after its key.
+func entKey(e []byte, tail int) []byte { return e[:len(e)-tail] }
+
+func entRID(e []byte, tail int, data storage.FileID) storage.RID {
+	b := e[len(e)-tail:]
 	return storage.RID{
-		Page: storage.PageID{File: n.data, No: storage.PageNo(binary.BigEndian.Uint32(b))},
+		Page: storage.PageID{File: data, No: storage.PageNo(binary.BigEndian.Uint32(b))},
 		Slot: binary.BigEndian.Uint16(b[4:]),
 	}
 }
@@ -97,29 +109,36 @@ func (n *node) cmp(i int, k []byte, r storage.RID) int {
 }
 
 // next is a leaf's sibling link.
-func (n *node) next() uint32 { return binary.BigEndian.Uint32(n.hdr[1:]) }
+func (n *node) next() uint32 { return binary.BigEndian.Uint32(n.hdr()[1:]) }
 
 // ref returns the child | count field of child i.
 func (n *node) ref(i int) []byte {
 	if i == 0 {
-		return n.hdr[1:]
+		return n.hdr()[1:]
 	}
-	return n.ents[i-1][len(n.ents[i-1])-refBytes:]
+	return sepRef(n.ent(i - 1))
 }
 
-func (n *node) numChildren() int           { return len(n.ents) + 1 }
-func (n *node) child(i int) storage.PageNo { return storage.PageNo(binary.BigEndian.Uint32(n.ref(i))) }
-func (n *node) count(i int) int64          { return int64(binary.BigEndian.Uint64(n.ref(i)[4:])) }
+func (n *node) numChildren() int           { return n.numEnts() + 1 }
+func (n *node) child(i int) storage.PageNo { return refChild(n.ref(i)) }
+func (n *node) count(i int) int64          { return refCount(n.ref(i)) }
 
 // setCount rewrites child i's count in place: one fixed-width field of
 // a page the caller fetched dirty.
-func (n *node) setCount(i int, c int64) { binary.BigEndian.PutUint64(n.ref(i)[4:], uint64(c)) }
+func (n *node) setCount(i int, c int64) { putRefCount(n.ref(i), c) }
+
+// sepRef returns the child | count field that ends separator e.
+func sepRef(e []byte) []byte { return e[len(e)-refBytes:] }
+
+func refChild(ref []byte) storage.PageNo { return storage.PageNo(binary.BigEndian.Uint32(ref)) }
+func refCount(ref []byte) int64          { return int64(binary.BigEndian.Uint64(ref[4:])) }
+func putRefCount(ref []byte, c int64)    { binary.BigEndian.PutUint64(ref[4:], uint64(c)) }
 
 // subtreeCount returns the number of entries under the node: for a leaf
 // its own entries, for an internal node the sum of child counts.
 func (n *node) subtreeCount() int64 {
 	if n.leaf {
-		return int64(len(n.ents))
+		return int64(n.numEnts())
 	}
 	var s int64
 	for i := 0; i < n.numChildren(); i++ {
@@ -131,7 +150,7 @@ func (n *node) subtreeCount() int64 {
 // findChild returns the child of internal node n that may contain the
 // composite entry (k, r): the number of separators <= (k, r).
 func (n *node) findChild(k []byte, r storage.RID) int {
-	lo, hi := 0, len(n.ents)
+	lo, hi := 0, n.numEnts()
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if n.cmp(mid, k, r) <= 0 {
@@ -145,7 +164,7 @@ func (n *node) findChild(k []byte, r storage.RID) int {
 
 // lowerBound returns the position of the first entry >= (k, r).
 func (n *node) lowerBound(k []byte, r storage.RID) int {
-	lo, hi := 0, len(n.ents)
+	lo, hi := 0, n.numEnts()
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if n.cmp(mid, k, r) < 0 {

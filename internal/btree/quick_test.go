@@ -162,7 +162,7 @@ func TestQuickNodeCodecRoundTrip(t *testing.T) {
 			return false
 		}
 		dec, err := viewNode(p, 2)
-		if err != nil || !dec.leaf || dec.next() != next || len(dec.ents) != len(keys) {
+		if err != nil || !dec.leaf || dec.next() != next || dec.numEnts() != len(keys) {
 			return false
 		}
 		want := nodeBaseBytes

@@ -53,7 +53,7 @@ func (t *BTree) SeekReverseTracked(lo, hi []byte, tr *storage.Tracker) (*Reverse
 		if n.leaf {
 			c.setLeaf(n, no)
 			if hi == nil {
-				c.pos = len(n.ents) - 1
+				c.pos = n.numEnts() - 1
 			} else {
 				c.pos = n.lowerBound(hi, storage.RID{}) - 1
 			}
@@ -65,7 +65,7 @@ func (t *BTree) SeekReverseTracked(lo, hi []byte, tr *storage.Tracker) (*Reverse
 			}
 			return c, nil
 		}
-		idx := len(n.ents)
+		idx := n.numEnts()
 		if hi != nil {
 			idx = n.findChild(hi, storage.RID{})
 		}
@@ -116,11 +116,11 @@ func (c *ReverseCursor) retreat() error {
 			}
 			if n.leaf {
 				c.setLeaf(n, no)
-				c.pos = len(n.ents) - 1
+				c.pos = n.numEnts() - 1
 				break
 			}
-			c.stack = append(c.stack, revFrame{no: no, idx: len(n.ents)})
-			no = n.child(len(n.ents))
+			c.stack = append(c.stack, revFrame{no: no, idx: n.numEnts()})
+			no = n.child(n.numEnts())
 		}
 		if c.pos >= 0 {
 			return nil

@@ -63,9 +63,9 @@ func shapeHash(t testing.TB, tr *BTree) uint64 {
 			if err != nil {
 				t.Fatal(err)
 			}
-			binary.BigEndian.PutUint32(buf[:], uint32(len(n.ents)))
+			binary.BigEndian.PutUint32(buf[:], uint32(n.numEnts()))
 			h.Write(buf[:])
-			if len(n.ents) > 0 {
+			if n.numEnts() > 0 {
 				h.Write(n.key(0))
 			}
 			for i := 0; !n.leaf && i < n.numChildren(); i++ {

@@ -123,6 +123,9 @@ type Table struct {
 	// across cardinality, page counts, and index ranges (Stmt.Freeze's
 	// sniffing pass) hold the read side for the duration.
 	wmu sync.RWMutex
+	// rec and key are the write path's encoding scratch, used under wmu:
+	// the heap page and the B-tree copy what they keep.
+	rec, key []byte
 	// version counts schema changes (CreateIndex/DropIndex); statsEpoch
 	// counts row mutations. Frozen plans and cache entries record both
 	// at capture time and revalidate lazily against them.
@@ -193,12 +196,14 @@ func (t *Table) Insert(row expr.Row) (storage.RID, error) {
 	}
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	rid, err := t.Heap.Insert(expr.EncodeRow(row))
+	t.rec = expr.AppendRow(t.rec[:0], row)
+	rid, err := t.Heap.Insert(t.rec)
 	if err != nil {
 		return storage.RID{}, err
 	}
 	for _, ix := range t.Indexes {
-		if err := ix.Tree.Insert(ix.KeyFor(row), rid); err != nil {
+		t.key = ix.AppendKey(t.key[:0], row)
+		if err := ix.Tree.Insert(t.key, rid); err != nil {
 			return storage.RID{}, fmt.Errorf("catalog: index %s: %w", ix.Name, err)
 		}
 	}
@@ -241,9 +246,9 @@ func (t *Table) update(rid storage.RID, oldRow, newRow expr.Row) error {
 	if err != nil {
 		return err
 	}
-	rec := expr.EncodeRow(newRow)
-	if err := p.Update(rid.Slot, rec); err == storage.ErrPageFull {
-		return t.relocate(rid, oldRow, newRow, rec)
+	t.rec = expr.AppendRow(t.rec[:0], newRow)
+	if err := p.Update(rid.Slot, t.rec); err == storage.ErrPageFull {
+		return t.relocate(rid, oldRow, newRow, t.rec)
 	} else if err != nil {
 		return err
 	}
@@ -395,7 +400,8 @@ func (t *Table) CreateIndex(name string, colNames ...string) (*Index, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := tree.Insert(ix.KeyFor(row), rid); err != nil {
+		t.key = ix.AppendKey(t.key[:0], row)
+		if err := tree.Insert(t.key, rid); err != nil {
 			return nil, err
 		}
 	}
@@ -451,12 +457,14 @@ type Index struct {
 func (ix *Index) LeadingCol() int { return ix.Cols[0] }
 
 // KeyFor encodes the index key of a row.
-func (ix *Index) KeyFor(row expr.Row) []byte {
-	vals := make([]expr.Value, len(ix.Cols))
-	for i, c := range ix.Cols {
-		vals[i] = row[c]
+func (ix *Index) KeyFor(row expr.Row) []byte { return ix.AppendKey(nil, row) }
+
+// AppendKey appends the index key of a row to dst.
+func (ix *Index) AppendKey(dst []byte, row expr.Row) []byte {
+	for _, c := range ix.Cols {
+		dst = expr.EncodeKey(dst, row[c])
 	}
-	return expr.EncodeKey(nil, vals...)
+	return dst
 }
 
 // KeyTypes returns the types of the key columns, for DecodeKey. The

@@ -15,11 +15,6 @@ import (
 // of work" per step).
 const finalFetchBudget = 4
 
-// finalPrefetchWindow is how many upcoming data pages the final stage
-// stages ahead of its fetch position (accounting-free readahead; see
-// BufferPool.Prefetch).
-const finalPrefetchWindow = 8
-
 // finalStage is Fin: retrieval by a complete RID list, executed only
 // upon background completion as the alternative to foreground delivery.
 // RIDs are fetched in sorted order and grouped by page, so "several
@@ -49,18 +44,12 @@ type finalStage struct {
 type fetchCursor struct {
 	rids    []storage.RID
 	pos     int
-	pfPos   int              // rids index the prefetcher has examined (monotonic)
-	run     []storage.RID    // same-page run scratch
-	pfbuf   []storage.PageID // prefetch batch scratch
-	scratch expr.Row         // the row kernel's scratch for this consumer
+	run     []storage.RID // same-page run scratch
+	scratch expr.Row      // the row kernel's scratch for this consumer
 }
 
 func newFetchCursor(rids []storage.RID) fetchCursor {
-	return fetchCursor{
-		rids:  rids,
-		run:   make([]storage.RID, 0, finalFetchBudget),
-		pfbuf: make([]storage.PageID, 0, finalPrefetchWindow),
-	}
+	return fetchCursor{rids: rids, run: make([]storage.RID, 0, finalFetchBudget)}
 }
 
 func newFinalStage(ec *ExecCtx, q *Query, k *rowKernel, c *rid.Container, delivered []storage.RID, out *rowQueue) (*finalStage, error) {
@@ -110,17 +99,15 @@ func (f *finalStage) step() (bool, error) {
 
 // fetch is the final-fetch loop: same-page runs of c's non-excluded
 // RIDs, each span-fetched once and handed record by record to the row
-// kernel (the full restriction is re-checked), delivered in RID order,
-// with the prefetch window staged ahead of every run. The stepping path
-// runs it with its record-access budget, which also caps the run (a run
-// split across steps costs the same: the page is resident, so the
-// re-fetch is a hit — exactly the hit per-record fetching would charge);
-// partition workers run it unbounded (budget 0) over their chunk,
-// polling stop. done reports that c is exhausted.
+// kernel (the full restriction is re-checked), delivered in RID order.
+// The stepping path runs it with its record-access budget, which also
+// caps the run (a run split across steps costs the same: the page is
+// resident, so the re-fetch is a hit — exactly the hit per-record
+// fetching would charge); partition workers run it unbounded (budget
+// 0) over their chunk, polling stop. done reports that c is exhausted.
 func (f *finalStage) fetch(c *fetchCursor, tr *storage.Tracker, budget int, stop *atomic.Bool, out *rowQueue) (done bool, _ error) {
 	defer out.own()
 	for fetches := 0; (budget == 0 || fetches < budget) && !stopped(stop); {
-		c.prefetchAhead(f.q.Table.Pool())
 		run := c.run[:0]
 		var page storage.PageID
 		for c.pos < len(c.rids) && (budget == 0 || len(run) < budget-fetches) {
@@ -156,31 +143,6 @@ func (f *finalStage) fetch(c *fetchCursor, tr *storage.Tracker, budget int, stop
 		fetches += len(run)
 	}
 	return false, nil
-}
-
-// prefetchAhead stages the pages of upcoming RID runs, up to
-// finalPrefetchWindow pages per call (accounting-free; see
-// BufferPool.Prefetch). The watermark advances monotonically, so across
-// the cursor's whole life every RID is examined once and every distinct
-// page is offered to the prefetcher once.
-func (c *fetchCursor) prefetchAhead(pool *storage.BufferPool) {
-	if c.pfPos < c.pos {
-		c.pfPos = c.pos
-	}
-	if c.pfPos >= len(c.rids) {
-		return
-	}
-	buf := c.pfbuf[:0]
-	var last storage.PageID
-	for c.pfPos < len(c.rids) && len(buf) < finalPrefetchWindow {
-		pg := c.rids[c.pfPos].Page
-		if len(buf) == 0 || pg != last {
-			buf = append(buf, pg)
-			last = pg
-		}
-		c.pfPos++
-	}
-	pool.Prefetch(buf)
 }
 
 // sortRows orders rows by the given column positions (the SORT node the

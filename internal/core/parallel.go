@@ -187,8 +187,7 @@ func (m *morsels) String() string {
 
 // startParallelScan streams the partitioned Tscan, one bounded range
 // cursor per morsel: every heap page is read once by one worker — the
-// sequential cursor's multiset of page accesses — and readahead stays
-// inside the morsel.
+// sequential cursor's multiset of page accesses.
 func (t *tscan) startParallelScan() *morsels {
 	heap := t.q.Table.Heap
 	return startMorsels(t.tr, heap.NumPages(), t.workers, 1, morselPages, nil, func(lo, hi int, stop *atomic.Bool, w *morselWorker) error {
@@ -202,8 +201,7 @@ func (t *tscan) startParallelScan() *morsels {
 // startParallelFetch streams the partitioned final fetch: morsels of
 // the sorted RID list cut on page boundaries (a same-page run is never
 // split, so each data page is span-fetched by exactly one worker and
-// the hit/miss profile matches the sequential clustered fetch), each
-// prefetching inside itself.
+// the hit/miss profile matches the sequential clustered fetch).
 func (f *finalStage) startParallelFetch() *morsels {
 	rids := f.c.rids
 	samePage := func(a, b int) bool { return rids[a].Page == rids[b].Page }
@@ -211,7 +209,7 @@ func (f *finalStage) startParallelFetch() *morsels {
 		if w.c.run == nil {
 			w.c = newFetchCursor(nil)
 		}
-		w.c.rids, w.c.pos, w.c.pfPos = rids[lo:hi], 0, 0
+		w.c.rids, w.c.pos = rids[lo:hi], 0
 		_, err := f.fetch(&w.c, w.tr, 0, stop, &w.out)
 		return err
 	})

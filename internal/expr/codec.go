@@ -10,12 +10,14 @@ import (
 // ErrCorruptRecord is returned when a stored record cannot be decoded.
 var ErrCorruptRecord = errors.New("expr: corrupt record")
 
-// EncodeRow serializes a row into a compact binary record for heap-file
-// storage. The format is: uvarint column count, then per column a type
-// byte followed by a type-specific payload (varint for ints and bools,
-// 8-byte IEEE for floats, uvarint length + bytes for strings).
-func EncodeRow(r Row) []byte {
-	buf := make([]byte, 0, 8+8*len(r))
+// EncodeRow serializes a row into a fresh record; see AppendRow.
+func EncodeRow(r Row) []byte { return AppendRow(make([]byte, 0, 8+8*len(r)), r) }
+
+// AppendRow appends the compact binary record of a row for heap-file
+// storage to buf. The format is: uvarint column count, then per column a
+// type byte followed by a type-specific payload (varint for ints and
+// bools, 8-byte IEEE for floats, uvarint length + bytes for strings).
+func AppendRow(buf []byte, r Row) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(r)))
 	for _, v := range r {
 		buf = append(buf, byte(v.T))

@@ -176,9 +176,7 @@ func (h *HeapFile) CursorTracked(tr *Tracker) *HeapCursor {
 // RangeCursorTracked returns a cursor over the half-open physical page
 // range [start, end), charging every page fetch to tr. Partitioned
 // Tscan hands each worker one contiguous range: the union of the
-// workers' page fetches is exactly the sequential cursor's fetches, and
-// the bounded readahead window keeps each worker's prefetch inside its
-// own partition.
+// workers' page fetches is exactly the sequential cursor's fetches.
 func (h *HeapFile) RangeCursorTracked(start, end PageNo, tr *Tracker) *HeapCursor {
 	return &HeapCursor{heap: h, page: start, slot: -1, tr: tr, limit: end, bounded: true}
 }
@@ -195,14 +193,7 @@ type HeapCursor struct {
 	tr      *Tracker
 	limit   PageNo // exclusive upper page bound when bounded
 	bounded bool
-	ra      [heapReadahead]PageID // scratch for readahead IDs
 }
-
-// heapReadahead is the page window a sequential heap cursor stages
-// ahead of its position. Staging is accounting-free (see
-// BufferPool.Prefetch): the scan's simulated cost is unchanged, only
-// the physical reads are overlapped.
-const heapReadahead = 8
 
 // bound returns the exclusive page number the cursor stops at: the end
 // of its range partition if bounded, else the current heap size.
@@ -234,7 +225,6 @@ func (c *HeapCursor) Next() ([]byte, RID, bool, error) {
 			c.cur = p
 			c.heap.pool.Pin(p.ID)
 			c.pinned = true
-			c.prefetchAhead(n)
 		}
 		c.slot++
 		for c.slot < c.cur.NumSlots() {
@@ -247,24 +237,6 @@ func (c *HeapCursor) Next() ([]byte, RID, bool, error) {
 		c.page++
 		c.slot = -1
 	}
-}
-
-// prefetchAhead stages the next window of heap pages. After the first
-// transition only one page per hop is actually new — Prefetch skips
-// pages already staged or resident.
-func (c *HeapCursor) prefetchAhead(npages PageNo) {
-	end := c.page + 1 + heapReadahead
-	if end > npages {
-		end = npages
-	}
-	if end <= c.page+1 {
-		return
-	}
-	ids := c.ra[:0]
-	for no := c.page + 1; no < end; no++ {
-		ids = append(ids, PageID{File: c.heap.file, No: no})
-	}
-	c.heap.pool.Prefetch(ids)
 }
 
 func (c *HeapCursor) unpin() {

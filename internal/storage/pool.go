@@ -49,13 +49,7 @@ type poolShard struct {
 	frames   map[PageID]*list.Element
 	lru      *list.List // front = most recently used
 	pins     map[PageID]int
-	// staged holds prefetched pages that have been read from disk but
-	// not yet demanded. Staged pages are invisible to the cost model:
-	// they are outside the LRU, count toward no statistic, and the read
-	// is still charged (to the demanding tracker) when a Get consumes
-	// them. Bounded by prefetchCapPerShard.
-	staged map[PageID]*Page
-	_      [40]byte // pad to a cache line to avoid false sharing
+	_        [48]byte // pad to a cache line to avoid false sharing
 }
 
 type frame struct {
@@ -115,7 +109,6 @@ func NewBufferPoolSharded(disk *Disk, capacity, shards int) *BufferPool {
 		s.frames = make(map[PageID]*list.Element)
 		s.lru = list.New()
 		s.pins = make(map[PageID]int)
-		s.staged = make(map[PageID]*Page)
 	}
 	return bp
 }
@@ -222,17 +215,9 @@ func (bp *BufferPool) getSpan(id PageID, tr *Tracker, dirty bool, span int) (*Pa
 		}
 		return f.page, nil
 	}
-	p, ok := s.staged[id]
-	if ok {
-		// A prefetched page: skip the physical read, but charge the
-		// miss normally — readahead changes wall-clock, never cost.
-		delete(s.staged, id)
-	} else {
-		var err error
-		p, err = bp.disk.read(id)
-		if err != nil {
-			return nil, err
-		}
+	p, err := bp.disk.read(id)
+	if err != nil {
+		return nil, err
 	}
 	bp.reads.Add(1)
 	tr.read()
@@ -254,45 +239,6 @@ func (bp *BufferPool) ChargeHits(n int, tr *Tracker) {
 	}
 	bp.hits.Add(int64(n))
 	tr.hitN(int64(n))
-}
-
-// prefetchCapPerShard bounds staged pages per shard so readahead for an
-// abandoned scan cannot grow memory without limit.
-const prefetchCapPerShard = 64
-
-// Prefetch stages the given pages so future demand fetches skip the
-// physical disk read. It is pure readahead: no counters move, no LRU or
-// pin state changes, and nothing is admitted to the pool, so the
-// simulated cost model (and eviction order) is untouched — the miss is
-// still charged to the demanding query's tracker when the page is
-// actually fetched. Pages already resident or staged are skipped, each
-// shard stages at most prefetchCapPerShard pages, and EvictAll drops
-// staged pages along with the rest of the pool.
-func (bp *BufferPool) Prefetch(ids []PageID) {
-	for _, id := range ids {
-		s := bp.shard(id)
-		s.mu.Lock()
-		_, resident := s.frames[id]
-		_, staged := s.staged[id]
-		if !resident && !staged && len(s.staged) < prefetchCapPerShard {
-			if p, err := bp.disk.read(id); err == nil {
-				s.staged[id] = p
-			}
-		}
-		s.mu.Unlock()
-	}
-}
-
-// Staged returns the number of prefetched pages not yet demanded.
-func (bp *BufferPool) Staged() int {
-	total := 0
-	for i := range bp.shards {
-		s := &bp.shards[i]
-		s.mu.Lock()
-		total += len(s.staged)
-		s.mu.Unlock()
-	}
-	return total
 }
 
 // NewPage allocates a fresh page in the file and admits it to the pool
@@ -367,7 +313,6 @@ func (bp *BufferPool) EvictAll() {
 		}
 		s.frames = make(map[PageID]*list.Element)
 		s.lru.Init()
-		s.staged = make(map[PageID]*Page)
 		s.mu.Unlock()
 	}
 }
