@@ -351,7 +351,6 @@ func printMetrics(m core.MetricsSnapshot) {
 	fmt.Printf("cancelled:         %d\n", m.QueriesCancelled)
 	fmt.Printf("deadline exceeded: %d\n", m.QueriesDeadlineExceeded)
 	fmt.Printf("budget exceeded:   %d\n", m.QueriesBudgetExceeded)
-	fmt.Printf("admission rejects: %d\n", m.AdmissionRejected)
 	if m.JoinQueries > 0 {
 		fmt.Printf("join queries:      %d (orders chosen: %d, re-optimizations: %d)\n",
 			m.JoinQueries, m.JoinOrdersChosen, m.JoinReoptimizations)

@@ -228,11 +228,10 @@ type Config struct {
 	// does not evict; see DESIGN.md for the invariants.
 	Parallelism int
 	// AdaptiveParallelism lets the optimizer pick each Tscan's and Fin's
-	// worker width itself — from the scan's appraised I/O estimate, the
-	// per-worker startup cost, and the engine's live load
-	// (ExecCtx.Load) — instead of always partitioning to the full
-	// Parallelism budget. Parallelism keeps its meaning as the ceiling;
-	// small or contended scans stay sequential, huge cold scans fan out
+	// worker width itself — from the scan's appraised I/O estimate and
+	// the per-worker startup cost — instead of always partitioning to
+	// the full Parallelism budget. Parallelism keeps its meaning as the
+	// ceiling; small scans stay sequential, huge cold scans fan out
 	// up to the cap. It selects the width policy and nothing else. Off
 	// by default — the paper's experiments and the static knob behave
 	// exactly as before.

@@ -71,7 +71,7 @@ const (
 	// picking a scan's worker width (only emitted under
 	// Config.AdaptiveParallelism): Width carries the decision,
 	// EstimatedIO the scan's appraised cost, and Detail the inputs —
-	// the ceiling, the live load, and the per-worker startup cost.
+	// the ceiling and the per-worker startup cost.
 	EvParallelWidthChosen
 	// EvJoinSortAvoided marks an ORDER BY join skipping its final
 	// materialized sort because the surviving stage order already

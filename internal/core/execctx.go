@@ -30,7 +30,6 @@ type ExecCtx struct {
 	ctx   context.Context
 	gov   *storage.Governor
 	trace TraceSink
-	load  LoadFunc
 	// cancelRecorded dedupes the query-cancelled metric when an unwind
 	// crosses layers (e.g. a sorted wrapper draining an inner retrieval
 	// that already recorded it).
@@ -87,40 +86,6 @@ func (e *ExecCtx) WithTrace(sink TraceSink) *ExecCtx {
 	}
 	e.trace = sink
 	return e
-}
-
-// LoadFunc reports the engine's live load as a saturation fraction:
-// 0 = idle, 1 = the admission governor is fully saturated by other
-// queries. The adaptive parallelism policy shrinks its fan-out ceiling
-// by this fraction so one query does not hog workers the scheduler
-// needs for its siblings.
-type LoadFunc func() float64
-
-// WithLoad attaches the engine's live-load signal (e.g. admission
-// saturation) for the adaptive parallelism policy to consult. It
-// returns a non-nil ExecCtx even when e is nil.
-func (e *ExecCtx) WithLoad(f LoadFunc) *ExecCtx {
-	if e == nil {
-		e = &ExecCtx{ctx: context.Background()}
-	}
-	e.load = f
-	return e
-}
-
-// Load returns the engine's current load fraction, clamped to [0, 1];
-// 0 for a nil ExecCtx or when no load signal is attached.
-func (e *ExecCtx) Load() float64 {
-	if e == nil || e.load == nil {
-		return 0
-	}
-	l := e.load()
-	switch {
-	case l < 0:
-		return 0
-	case l > 1:
-		return 1
-	}
-	return l
 }
 
 // Context returns the caller's context (context.Background for nil).

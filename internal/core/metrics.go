@@ -40,7 +40,6 @@ type Metrics struct {
 	cancelled        atomic.Int64
 	deadlineExceeded atomic.Int64
 	budgetExceeded   atomic.Int64
-	admissionReject  atomic.Int64
 	tacticWins       [tacticKindCount]atomic.Int64
 	estErr           [estErrBuckets]atomic.Int64
 	estErrZero       atomic.Int64
@@ -141,10 +140,6 @@ func (m *Metrics) recordCancellation(err error) {
 	}
 }
 
-// RecordAdmissionRejected counts one query turned away by engine
-// admission control (queue full or admission-wait timeout).
-func (m *Metrics) RecordAdmissionRejected() { m.admissionReject.Add(1) }
-
 // recordRetrieval folds one finished retrieval into the registry: a win
 // for its tactic, and (when estErr is set — plan-cache replays carry no
 // estimate of their own) one estimate-error sample comparing the
@@ -205,11 +200,14 @@ type MetricsSnapshot struct {
 	TacticWins       map[string]int64 `json:"tactic_wins"`
 	EstimateErrorLog map[string]int64 `json:"estimate_error_log2"`
 
-	// Execution-context and admission outcomes.
+	// Execution-context outcomes.
 	QueriesCancelled        int64 `json:"queries_cancelled"`
 	QueriesDeadlineExceeded int64 `json:"queries_deadline_exceeded"`
 	QueriesBudgetExceeded   int64 `json:"queries_budget_exceeded"`
-	AdmissionRejected       int64 `json:"admission_rejected"`
+	// AdmissionRejected has no writer and always reads 0: the engine
+	// admits every query. It stays only because the benchmark report
+	// still reads it, and goes when that reader does (ROADMAP item 1a).
+	AdmissionRejected int64 `json:"admission_rejected"`
 
 	// Multi-table retrieval outcomes. All omitempty: single-table
 	// workloads (every paper experiment) serialize exactly as before.
@@ -246,7 +244,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		QueriesCancelled:        m.cancelled.Load(),
 		QueriesDeadlineExceeded: m.deadlineExceeded.Load(),
 		QueriesBudgetExceeded:   m.budgetExceeded.Load(),
-		AdmissionRejected:       m.admissionReject.Load(),
 	}
 	s.JoinQueries = m.joinQueries.Load()
 	s.JoinOrdersChosen = m.joinOrders.Load()

@@ -6,10 +6,10 @@ import "fmt"
 // decision, the paper's run-time-decision discipline applied to the
 // Config.Parallelism ceiling. It decides for the two scans that
 // partition, Tscan and Fin. At the moment one is about to partition,
-// the policy knows what a compile-time knob cannot: the
-// scan's appraised I/O (feedback-corrected, per Section 5), the fixed
-// per-worker startup/hand-over overhead, and the engine's live load.
-// From those it picks the width minimizing the expected critical path:
+// the policy knows what a compile-time knob cannot: the scan's
+// appraised I/O (feedback-corrected, per Section 5). Weighing it against
+// the fixed per-worker startup/hand-over overhead, it picks the width
+// minimizing the expected critical path:
 //
 //	cost(k) = estIO/k + startup·(k-1)
 //
@@ -17,9 +17,7 @@ import "fmt"
 // launch k-1 extra workers and merge what they post. The minimizer is
 // k* ≈ sqrt(estIO/startup), so small scans (estIO <= 2·startup) never
 // leave width 1 and huge scans grow as the square root of their size up
-// to the ceiling. Live load shrinks the ceiling proportionally: a
-// saturated engine keeps every query sequential rather than multiplying
-// goroutines under contention.
+// to the ceiling.
 //
 // The policy only runs under Config.AdaptiveParallelism; otherwise a
 // Tscan or Fin keeps the static effectiveWorkers() width.
@@ -32,25 +30,10 @@ import "fmt"
 const parallelStartupCost = 2.0
 
 // planParallelWidth picks the worker width in [1, max] minimizing the
-// expected critical-path cost estIO/k + startup·(k-1), after shrinking
-// the ceiling by the live load fraction (0 = idle, 1 = saturated).
-// Ties resolve to the smaller width, so a zero or unknown estimate
-// stays sequential.
-func planParallelWidth(estIO float64, max int, load float64) int {
-	if max > maxParallelism {
-		max = maxParallelism
-	}
-	// A saturated engine cedes its extra workers: the ceiling drops
-	// proportionally to the load, to 1 at full saturation.
-	if load > 0 {
-		if load > 1 {
-			load = 1
-		}
-		max = int(float64(max) * (1 - load))
-	}
-	if max < 1 {
-		max = 1
-	}
+// expected critical-path cost estIO/k + startup·(k-1). Ties resolve to
+// the smaller width, so a zero or unknown estimate stays sequential.
+func planParallelWidth(estIO float64, max int) int {
+	max = min(max, maxParallelism)
 	best, bestCost := 1, estIO
 	for k := 2; k <= max; k++ {
 		c := estIO/float64(k) + parallelStartupCost*float64(k-1)
@@ -65,33 +48,32 @@ func planParallelWidth(estIO float64, max int, load float64) int {
 // Limit-capped retrieval's Tscan never partitions — rows must stop at
 // the cap — so it is width 1 and the policy is consulted only for a
 // Tscan without a Limit.
-func tscanWidth(cfg Config, ec *ExecCtx, trc *tracer, q *Query, estIO float64) int {
+func tscanWidth(cfg Config, trc *tracer, q *Query, estIO float64) int {
 	if q.Limit != 0 {
 		return 1
 	}
-	return decideWidth(cfg, ec, trc, "Tscan", estIO)
+	return decideWidth(cfg, trc, "Tscan", estIO)
 }
 
 // decideWidth resolves a scan's worker width. Without adaptive mode it
 // is exactly the static knob (effectiveWorkers); with it, the policy
-// picks a width from the scan's appraised I/O and the engine's live
-// load, and emits one EvParallelWidthChosen per decision so EXPLAIN
+// picks a width from the scan's appraised I/O and the ceiling, and
+// emits one EvParallelWidthChosen per decision so EXPLAIN
 // ANALYZE shows the width and why. The event fires only when the
 // ceiling allows fan-out (>= 2): a width-1 budget has no decision to
 // record.
-func decideWidth(cfg Config, ec *ExecCtx, trc *tracer, scan string, estIO float64) int {
+func decideWidth(cfg Config, trc *tracer, scan string, estIO float64) int {
 	max := cfg.effectiveWorkers()
 	if !cfg.AdaptiveParallelism || max < 2 {
 		return max
 	}
-	load := ec.Load()
-	w := planParallelWidth(estIO, max, load)
+	w := planParallelWidth(estIO, max)
 	trc.emit(TraceEvent{
 		Kind:        EvParallelWidthChosen,
 		Scan:        scan,
 		Width:       w,
 		EstimatedIO: estIO,
-		Detail:      fmt.Sprintf("ceiling %d, load %.2f, startup %.1f/worker", max, load, parallelStartupCost),
+		Detail:      fmt.Sprintf("ceiling %d, startup %.1f/worker", max, parallelStartupCost),
 	})
 	return w
 }

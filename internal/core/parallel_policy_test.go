@@ -10,39 +10,33 @@ import (
 )
 
 // TestAdaptiveWidthPolicy pins planParallelWidth's choices over an
-// estimate × load grid. The formula cost(k) = estIO/k + startup·(k-1)
+// estimate × ceiling grid. The formula cost(k) = estIO/k + startup·(k-1)
 // has a closed-form minimizer k* ≈ sqrt(estIO/startup); these cases pin
 // the discrete scan's behaviour at the boundaries: the width-1 floor
 // for small scans (estIO <= 2·startup ties to sequential), the
-// square-root growth region, the load-shrunk ceiling, and the hard
-// maxParallelism clamp.
+// square-root growth region, the ceiling, and the hard maxParallelism
+// clamp.
 func TestAdaptiveWidthPolicy(t *testing.T) {
 	cases := []struct {
 		name  string
 		estIO float64
 		max   int
-		load  float64
 		want  int
 	}{
-		{"zero estimate stays sequential", 0, 64, 0, 1},
-		{"tie resolves to smaller width", 4, 64, 0, 1}, // cost(2) == cost(1)
-		{"just past the tie fans to 2", 5, 64, 0, 2},
-		{"sqrt region: estIO 32 -> 4", 32, 64, 0, 4},
-		{"sqrt region: estIO 128 -> 8", 128, 64, 0, 8},
-		{"sqrt region: estIO 2048 -> 32", 2048, 64, 0, 32},
-		{"huge scan hits the ceiling", 1e9, 64, 0, 64},
-		{"ceiling clamps to maxParallelism", 1e9, 1000, 0, maxParallelism},
-		{"half load halves the ceiling", 1e9, 64, 0.5, 32},
-		{"three-quarter load", 1e9, 64, 0.75, 16},
-		{"saturated engine stays sequential", 1e9, 64, 1, 1},
-		{"load over 1 clamps", 1e9, 64, 2.5, 1},
-		{"small scan under load", 5, 64, 0.9, 2}, // ceiling 6, k*=~1.6 -> 2
-		{"max 1 has no decision", 1e9, 1, 0, 1},
+		{"zero estimate stays sequential", 0, 64, 1},
+		{"tie resolves to smaller width", 4, 64, 1}, // cost(2) == cost(1)
+		{"just past the tie fans to 2", 5, 64, 2},
+		{"sqrt region: estIO 32 -> 4", 32, 64, 4},
+		{"sqrt region: estIO 128 -> 8", 128, 64, 8},
+		{"sqrt region: estIO 2048 -> 32", 2048, 64, 32},
+		{"huge scan hits the ceiling", 1e9, 64, 64},
+		{"ceiling clamps to maxParallelism", 1e9, 1000, maxParallelism},
+		{"max 1 has no decision", 1e9, 1, 1},
 	}
 	for _, c := range cases {
-		if got := planParallelWidth(c.estIO, c.max, c.load); got != c.want {
-			t.Errorf("%s: planParallelWidth(%g, %d, %g) = %d, want %d",
-				c.name, c.estIO, c.max, c.load, got, c.want)
+		if got := planParallelWidth(c.estIO, c.max); got != c.want {
+			t.Errorf("%s: planParallelWidth(%g, %d) = %d, want %d",
+				c.name, c.estIO, c.max, got, c.want)
 		}
 	}
 }
@@ -218,7 +212,7 @@ func TestAdaptivePinnedTscanWidth(t *testing.T) {
 	}
 	limited := *q
 	limited.Limit = 10
-	if w := tscanWidth(cfg, nil, nil, &limited, 1e6); w != 1 {
+	if w := tscanWidth(cfg, nil, &limited, 1e6); w != 1 {
 		t.Fatalf("a Limit-capped Tscan got width %d, want 1", w)
 	}
 }

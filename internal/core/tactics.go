@@ -201,7 +201,7 @@ func (r *retrieval) replaceFg(s stepper) {
 // or a mid-flight switch to sequential retrieval — at the width the
 // policy picks for the table's scan cost.
 func (r *retrieval) sequentialScan() *tscan {
-	return newTscan(r.ec, r.q, r.k, r.out, tscanWidth(r.cfg, r.ec, r.trc, r.q, r.model.TscanCost()))
+	return newTscan(r.ec, r.q, r.k, r.out, tscanWidth(r.cfg, r.trc, r.q, r.model.TscanCost()))
 }
 
 func (r *retrieval) Stats() RetrievalStats {
@@ -508,7 +508,7 @@ func (r *retrieval) enterFinal(delivered []storage.RID) error {
 	if r.q.Limit == 0 {
 		// Only the uncapped final stage partitions; its appraised cost
 		// is the fetch of the completed RID list.
-		fin.workers = decideWidth(r.cfg, r.ec, r.trc, "Fin", r.model.JscanFinalCost(float64(r.bg.bgComplete().Len())))
+		fin.workers = decideWidth(r.cfg, r.trc, "Fin", r.model.JscanFinalCost(float64(r.bg.bgComplete().Len())))
 	}
 	r.fin = fin
 	r.trc.emit(TraceEvent{

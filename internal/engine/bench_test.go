@@ -60,12 +60,12 @@ func BenchmarkPreparedPointQuery(b *testing.B) {
 }
 
 // BenchmarkParallelQuery measures query throughput when many
-// goroutines share one DB and one prepared statement — the scenario the
-// sharded buffer pool and tracker-based attribution exist for. Each
+// goroutines share one DB and one prepared statement — the scenario
+// tracker-based attribution exists for. Each
 // sub-benchmark splits b.N across a fixed goroutine count so the
 // 1-vs-16 ratio reflects scaling, not workload size.
 func BenchmarkParallelQuery(b *testing.B) {
-	db := benchDBOpts(b, 50000, Options{PoolFrames: 8192, PoolShards: 16})
+	db := benchDBOpts(b, 50000, Options{PoolFrames: 8192})
 	stmt, err := db.PrepareContext(context.Background(), "SELECT * FROM T WHERE AGE = :A")
 	if err != nil {
 		b.Fatal(err)

@@ -38,7 +38,8 @@ func concurrencyDB(t *testing.T, rows, ages int, opts Options) (*DB, []int) {
 }
 
 // TestParallelQueries drives one prepared statement from many
-// goroutines against a sharded pool and checks every result set exactly.
+// goroutines against one bounded pool, checks every result set exactly
+// and that no pin outlives the drain.
 // Run with -race to exercise the concurrency claims of the façade.
 func TestParallelQueries(t *testing.T) {
 	const (
@@ -47,7 +48,7 @@ func TestParallelQueries(t *testing.T) {
 		workers = 16
 		perWkr  = 25
 	)
-	db, counts := concurrencyDB(t, rows, ages, Options{PoolFrames: 1024, PoolShards: 8})
+	db, counts := concurrencyDB(t, rows, ages, Options{PoolFrames: 1024})
 	point, err := db.PrepareContext(context.Background(), "SELECT * FROM T WHERE AGE = :A")
 	if err != nil {
 		t.Fatal(err)
@@ -105,6 +106,9 @@ func TestParallelQueries(t *testing.T) {
 		}(int64(w + 1))
 	}
 	wg.Wait()
+	if n := db.Pool().PinnedPages(); n != 0 {
+		t.Fatalf("%d pins leaked", n)
+	}
 }
 
 // TestParallelInserts checks that concurrent writers to one table
@@ -114,7 +118,7 @@ func TestParallelInserts(t *testing.T) {
 		workers = 8
 		perWkr  = 250
 	)
-	db, _ := concurrencyDB(t, 0, 10, Options{PoolFrames: 512, PoolShards: 4})
+	db, _ := concurrencyDB(t, 0, 10, Options{PoolFrames: 512})
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)

@@ -25,15 +25,15 @@
 // concurrency because every scan charges a private storage.Tracker
 // rather than differencing the shared pool's global counters. A
 // retrieval must not overlap a mutation of the same table; scheduling
-// that is the application's job.
+// that is the application's job. So is capping how many queries run at
+// once: the engine admits every call, and a caller that wants a limit
+// holds its own semaphore around them.
 package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"rdbdyn/internal/catalog"
 	"rdbdyn/internal/core"
@@ -52,28 +52,8 @@ type Options struct {
 	// make random fetches genuinely expensive, as on the paper's
 	// hardware.
 	PoolFrames int
-	// PoolShards partitions the buffer pool into this many
-	// independently-locked shards (rounded up to a power of two) to cut
-	// lock contention under parallel query load. 0 keeps the default:
-	// one shard for bounded pools (exact global LRU, so simulated I/O
-	// costs are reproducible), one shard per CPU for unbounded pools.
-	PoolShards int
 	// Optimizer tunes the dynamic optimizer (zero value = defaults).
 	Optimizer core.Config
-	// MaxConcurrentQueries caps how many queries may execute at once
-	// (0 = unlimited, the historical behavior). Excess arrivals wait in
-	// a bounded queue and are rejected fast when it overflows.
-	MaxConcurrentQueries int
-	// AdmissionQueueDepth bounds how many queries may wait for an
-	// execution slot when MaxConcurrentQueries is saturated. A query
-	// arriving with the queue full fails immediately with
-	// ErrAdmissionQueueFull. 0 = no waiting: reject as soon as all
-	// slots are taken.
-	AdmissionQueueDepth int
-	// AdmissionTimeout bounds how long a queued query waits for a slot
-	// before failing with ErrAdmissionTimeout. 0 = wait until the
-	// query's context is done.
-	AdmissionTimeout time.Duration
 	// EnableFeedback turns on the estimation feedback loop: each
 	// completed dynamic retrieval folds its observed cardinality into
 	// per-(table, index) correction factors that scale future inexact
@@ -91,7 +71,6 @@ type DB struct {
 	pool  *storage.BufferPool
 	cat   *catalog.Catalog
 	opt   *core.Optimizer
-	admit *admission
 	fb    *feedback.Registry // nil unless Options.EnableFeedback
 	plans *planCache         // nil unless Options.PlanCache.Enable
 }
@@ -99,18 +78,8 @@ type DB struct {
 // Open creates an empty database.
 func Open(opts Options) *DB {
 	disk := storage.NewDisk(opts.PageSize)
-	var pool *storage.BufferPool
-	if opts.PoolShards > 0 {
-		pool = storage.NewBufferPoolSharded(disk, opts.PoolFrames, opts.PoolShards)
-	} else {
-		pool = storage.NewBufferPool(disk, opts.PoolFrames)
-	}
-	db := &DB{
-		disk:  disk,
-		pool:  pool,
-		cat:   catalog.New(pool),
-		admit: newAdmission(opts.MaxConcurrentQueries, opts.AdmissionQueueDepth, opts.AdmissionTimeout),
-	}
+	pool := storage.NewBufferPool(disk, opts.PoolFrames)
+	db := &DB{disk: disk, pool: pool, cat: catalog.New(pool)}
 	if opts.EnableFeedback {
 		db.fb = feedback.New(0)
 		opts.Optimizer.Feedback = db.fb
@@ -123,38 +92,6 @@ func Open(opts Options) *DB {
 		db.plans = newPlanCache(opts.PlanCache)
 	}
 	return db
-}
-
-// InFlightQueries reports how many queries currently hold admission
-// slots (always 0 when MaxConcurrentQueries is unset).
-func (db *DB) InFlightQueries() int64 { return db.admit.InFlight() }
-
-// admitQuery claims an admission slot for ctx, recording fast
-// rejections (queue full, admission timeout) in the metrics. Context
-// cancellation while queued is a cancellation, not an admission
-// rejection.
-func (db *DB) admitQuery(ctx context.Context) (func(), error) {
-	release, err := db.admit.acquire(ctx)
-	if err != nil {
-		if errors.Is(err, ErrAdmissionQueueFull) || errors.Is(err, ErrAdmissionTimeout) {
-			db.opt.Metrics().RecordAdmissionRejected()
-		}
-		return nil, err
-	}
-	return release, nil
-}
-
-// execCtx builds the per-query execution context: the caller's ctx
-// plus, under adaptive parallelism, the engine's live load signal
-// (admission-slot saturation by other queries). Non-adaptive sessions
-// get the plain context so their execution state is bit-identical to
-// builds without the load plumbing.
-func (db *DB) execCtx(ctx context.Context) *core.ExecCtx {
-	ec := core.NewExecCtx(ctx, 0)
-	if db.opt.Config().AdaptiveParallelism {
-		ec = ec.WithLoad(db.admit.Saturation)
-	}
-	return ec
 }
 
 // Catalog exposes the schema registry.
@@ -330,39 +267,21 @@ func (s *Stmt) JoinQuery() *core.JoinQuery {
 // dynamic optimizer; EXPLAIN statements return the plan description
 // instead of data rows. Cancellation and deadline of ctx stop the
 // retrieval within one simulated page I/O (the error surfaces from
-// Result.Next), a core.WithIOBudget budget carried by ctx bounds the
-// query's attributed I/O, and the admission governor
-// (Options.MaxConcurrentQueries) gates the start. The admission slot
-// is held until Result.Close.
+// Result.Next), and a core.WithIOBudget budget carried by ctx bounds
+// the query's attributed I/O.
 func (s *Stmt) QueryContext(ctx context.Context, binds Binds) (*Result, error) {
 	bb, err := binds.toBindings()
 	if err != nil {
 		return nil, err
 	}
-	release, err := s.db.admitQuery(ctx)
-	if err != nil {
-		return nil, err
-	}
 	if s.compiled.Join != nil {
-		res, err := s.queryJoin(ctx, bb)
-		if err != nil {
-			release()
-			return nil, err
-		}
-		res.release = release
-		return res, nil
+		return s.queryJoin(ctx, bb)
 	}
 	q := *s.compiled.Query
 	q.Binds = bb
-	ec := s.db.execCtx(ctx)
+	ec := core.NewExecCtx(ctx, 0)
 	if s.compiled.Explain {
-		res, err := s.explain(ec, &q, s.compiled.Analyze)
-		if err != nil {
-			release()
-			return nil, err
-		}
-		res.release = release
-		return res, nil
+		return s.explain(ec, &q, s.compiled.Analyze)
 	}
 	var rows core.Rows
 	var onDone func(st *core.RetrievalStats, drained bool, err error)
@@ -391,7 +310,6 @@ func (s *Stmt) QueryContext(ctx context.Context, binds Binds) (*Result, error) {
 		rows = s.db.opt.RunExec(ec, &q)
 	}
 	res := newResult(s.compiled, rows)
-	res.release = release
 	res.onDone = onDone
 	return res, nil
 }
@@ -402,7 +320,7 @@ func (s *Stmt) QueryContext(ctx context.Context, binds Binds) (*Result, error) {
 func (s *Stmt) queryJoin(ctx context.Context, bb expr.Bindings) (*Result, error) {
 	jq := *s.compiled.Join
 	jq.Binds = bb
-	ec := s.db.execCtx(ctx)
+	ec := core.NewExecCtx(ctx, 0)
 	if s.compiled.Explain {
 		return s.explainJoin(ec, &jq, s.compiled.Analyze)
 	}
@@ -618,7 +536,7 @@ func (f *FrozenStmt) ensureFresh() (*planner.Plan, error) {
 }
 
 // QueryContext runs the frozen plan with the given bindings, with
-// the same cancellation, budget, and admission semantics as
+// the same cancellation and budget semantics as
 // Stmt.QueryContext, on the database's own optimizer — so a frozen
 // query shows in DB.Metrics and reaches Options.Optimizer.Trace like
 // any other.
@@ -631,19 +549,13 @@ func (f *FrozenStmt) QueryContext(ctx context.Context, binds Binds) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	release, err := f.db.admitQuery(ctx)
-	if err != nil {
-		return nil, err
-	}
 	q := *f.compiled.Query
 	q.Binds = bb
-	res := newResult(f.compiled, f.db.opt.RunPlan(f.db.execCtx(ctx), &q, plan.Strategy))
-	res.release = release
-	return res, nil
+	return newResult(f.compiled, f.db.opt.RunPlan(core.NewExecCtx(ctx, 0), &q, plan.Strategy)), nil
 }
 
 // QueryContext is PrepareContext + Stmt.QueryContext in one call,
-// honoring ctx throughout parse, compile, admission, and execution.
+// honoring ctx throughout parse, compile, and execution.
 func (db *DB) QueryContext(ctx context.Context, src string, binds Binds) (*Result, error) {
 	stmt, err := db.PrepareContext(ctx, src)
 	if err != nil {
@@ -666,7 +578,6 @@ type Result struct {
 	expPos  int
 	expStat *core.RetrievalStats
 
-	release  func() // admission slot; nil when unadmitted
 	closed   bool
 	closeErr error
 
@@ -773,11 +684,10 @@ func (r *Result) Next() (expr.Row, bool, error) {
 	return row, ok, err
 }
 
-// Close releases the retrieval and the admission slot. It is
-// idempotent: every call after the first is a no-op returning the
-// first call's error, and the admission slot is released exactly once
-// no matter how many paths (All's error handling, deferred Close,
-// explicit Close) reach it.
+// Close releases the retrieval. It is idempotent: every call after the
+// first is a no-op returning the first call's error, so the retrieval
+// is released exactly once no matter how many paths (All's error
+// handling, deferred Close, explicit Close) reach it.
 func (r *Result) Close() error {
 	if r.closed {
 		return r.closeErr
@@ -793,9 +703,6 @@ func (r *Result) Close() error {
 			err = r.closeErr
 		}
 		r.onDone(&st, r.drained, err)
-	}
-	if r.release != nil {
-		r.release()
 	}
 	return r.closeErr
 }
@@ -909,7 +816,7 @@ func (db *DB) mutate(tab *catalog.Table, where sql.Node, bb expr.Bindings, chang
 // the same call.
 func (db *DB) victims(tab *catalog.Table, restriction expr.Expr, bb expr.Bindings) ([]storage.RID, error) {
 	q := &core.Query{Table: tab, Restriction: restriction, Binds: bb, Projection: []int{}, RIDs: true}
-	rows := db.opt.RunExec(db.execCtx(context.Background()), q)
+	rows := db.opt.RunExec(nil, q)
 	defer rows.Close()
 	var victims []storage.RID
 	for {

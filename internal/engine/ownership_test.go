@@ -2,10 +2,14 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"rdbdyn/internal/catalog"
 	"rdbdyn/internal/core"
@@ -177,5 +181,219 @@ func TestCountUnderUpperBoundSkipsNulls(t *testing.T) {
 		if st := res.Stats(); rows[0][0].I != want || st.Strategy != "Sscan(A_IX)" {
 			t.Errorf("%s = %d by %s, want %d by Sscan(A_IX)", src, rows[0][0].I, st.Strategy, want)
 		}
+	}
+}
+
+func newDBOpts(t *testing.T, rows int, opts Options) *DB {
+	t.Helper()
+	db := Open(opts)
+	_, err := db.CreateTable("FAMILIES",
+		catalog.Column{Name: "ID", Type: expr.TypeInt},
+		catalog.Column{Name: "AGE", Type: expr.TypeInt},
+		catalog.Column{Name: "CITY", Type: expr.TypeString},
+		catalog.Column{Name: "INCOME", Type: expr.TypeFloat},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.CreateIndex("FAMILIES", "AGE_IX", "AGE"); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	cities := []string{"nashua", "boston", "keene", "dover"}
+	for i := 0; i < rows; i++ {
+		err := db.Insert("FAMILIES",
+			i, int(rng.Int63n(100)), cities[rng.Intn(len(cities))], float64(rng.Intn(90000)))
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// checkReleased fails the test unless a query's exit let go of all it
+// held: no page pin survives, and the goroutine count is back at its
+// baseline (every morsel worker joined) within a short deadline.
+func checkReleased(t *testing.T, db *DB, baseline int) {
+	t.Helper()
+	if n := db.Pool().PinnedPages(); n != 0 {
+		t.Fatalf("%d pins leaked", n)
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines alive, baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestResultCloseIdempotent closes a Result repeatedly: every Close
+// after the first is a no-op, and the retrieval is released once.
+func TestResultCloseIdempotent(t *testing.T) {
+	db := newDBOpts(t, 500, Options{})
+	baseline := runtime.NumGoroutine()
+	res, err := db.QueryContext(context.Background(), "SELECT * FROM FAMILIES WHERE AGE >= 0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := res.Close(); err != nil {
+			t.Fatalf("Close #%d: %v", i+1, err)
+		}
+	}
+	checkReleased(t, db, baseline)
+}
+
+// TestAllErrorPathReleasesSlot fails a query mid-drain (budget
+// exhaustion inside All, which closes internally) and then closes
+// again by hand: nothing held survives, and the budget is counted.
+func TestAllErrorPathReleasesSlot(t *testing.T) {
+	db := newDBOpts(t, 5000, Options{})
+	db.Pool().EvictAll() // budgets meter pool misses; start cold
+	baseline := runtime.NumGoroutine()
+	ctx := core.WithIOBudget(context.Background(), 5)
+	res, err := db.QueryContext(ctx, "SELECT * FROM FAMILIES WHERE INCOME >= 0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.All(); !errors.Is(err, core.ErrBudgetExceeded) {
+		t.Fatalf("All err = %v, want ErrBudgetExceeded", err)
+	}
+	if err := res.Close(); err != nil {
+		t.Fatalf("Close after failed All: %v", err)
+	}
+	checkReleased(t, db, baseline)
+	if m := db.Metrics(); m.QueriesBudgetExceeded != 1 {
+		t.Fatalf("QueriesBudgetExceeded = %d, want 1: %+v", m.QueriesBudgetExceeded, m)
+	}
+}
+
+// TestExplainAnalyzeAbandonedReleasesSlot covers the rows==nil Result
+// shape: an EXPLAIN ANALYZE result abandoned after partial reads holds
+// nothing after (repeated) Close.
+func TestExplainAnalyzeAbandonedReleasesSlot(t *testing.T) {
+	db := newDBOpts(t, 1000, Options{})
+	baseline := runtime.NumGoroutine()
+	res, err := db.QueryContext(context.Background(), "EXPLAIN ANALYZE SELECT * FROM FAMILIES WHERE AGE >= 30", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Read one plan row, then abandon.
+	if _, ok, err := res.Next(); err != nil || !ok {
+		t.Fatalf("explain row: ok=%v err=%v", ok, err)
+	}
+	res.Close()
+	res.Close()
+	checkReleased(t, db, baseline)
+}
+
+// TestUnreadParallelResultReleases closes a two-worker Tscan's Result
+// unread, and again after its first row: the first scan step starts the
+// morsel workers, and they must exit with the Result either way.
+func TestUnreadParallelResultReleases(t *testing.T) {
+	db := newDBOpts(t, 20000, Options{Optimizer: core.Config{Parallelism: 2}})
+	for _, read := range []bool{false, true} {
+		baseline := runtime.NumGoroutine()
+		res, err := db.QueryContext(context.Background(), "SELECT * FROM FAMILIES WHERE INCOME >= 0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if read {
+			if _, ok, err := res.Next(); err != nil || !ok {
+				t.Fatalf("first row: ok=%v err=%v", ok, err)
+			}
+			if tac := res.Stats().Tactic; tac != "tscan" {
+				t.Fatalf("tactic %q, want tscan", tac)
+			}
+			if n := runtime.NumGoroutine(); n <= baseline {
+				t.Fatalf("%d goroutines after the first row, baseline %d: no morsel workers ran", n, baseline)
+			}
+		}
+		if err := res.Close(); err != nil {
+			t.Fatal(err)
+		}
+		checkReleased(t, db, baseline)
+	}
+}
+
+// TestQueryContextCancelMidStream cancels between Next calls at the
+// engine surface: the error must be context.Canceled, the cancellation
+// must be visible in the metrics and the typed event stream, and no
+// pin or goroutine may survive Close.
+func TestQueryContextCancelMidStream(t *testing.T) {
+	db := newDBOpts(t, 20000, Options{})
+	baseline := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res, err := db.QueryContext(ctx, "SELECT * FROM FAMILIES WHERE AGE >= 1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := res.Next(); err != nil || !ok {
+		t.Fatalf("first row: ok=%v err=%v", ok, err)
+	}
+	cancel()
+	_, _, err = res.Next()
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Next err = %v, want context.Canceled", err)
+	}
+	st := res.Stats()
+	found := false
+	for _, ev := range st.Events {
+		if ev.Kind == core.EvQueryCancelled {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("no query-cancelled event; trace: %v", st.Trace())
+	}
+	if err := res.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkReleased(t, db, baseline)
+	if m := db.Metrics(); m.QueriesCancelled != 1 {
+		t.Fatalf("QueriesCancelled = %d, want 1", m.QueriesCancelled)
+	}
+}
+
+// TestFrozenQueryContextBudget drives the frozen-plan engine path
+// under a budget.
+func TestFrozenQueryContextBudget(t *testing.T) {
+	db := newDBOpts(t, 5000, Options{})
+	stmt, err := db.PrepareContext(context.Background(), "SELECT * FROM FAMILIES WHERE INCOME >= :A1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen, err := stmt.Freeze(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Pool().EvictAll()
+	ctx := core.WithIOBudget(context.Background(), 5)
+	res, err := frozen.QueryContext(ctx, Binds{"A1": 0.0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = res.All()
+	if !errors.Is(err, core.ErrBudgetExceeded) {
+		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
+	}
+	res.Close()
+	if n := db.Pool().PinnedPages(); n != 0 {
+		t.Fatalf("%d pins leaked", n)
+	}
+}
+
+// TestPrepareContextExpired covers the parse/compile checkpoints.
+func TestPrepareContextExpired(t *testing.T) {
+	db := newDBOpts(t, 10, Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := db.PrepareContext(ctx, "SELECT * FROM FAMILIES"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("PrepareContext err = %v, want context.Canceled", err)
+	}
+	if _, err := db.QueryContext(ctx, "SELECT * FROM FAMILIES", nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("QueryContext err = %v, want context.Canceled", err)
 	}
 }

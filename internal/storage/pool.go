@@ -26,10 +26,8 @@ import (
 // Sharding and cost fidelity: an unbounded pool behaves identically at
 // any shard count (hits and misses depend only on residency, and nothing
 // is ever evicted), so unbounded pools shard automatically. A bounded
-// pool's per-shard LRU is only an approximation of the global LRU the
-// experiments' cost model assumes, so bounded pools default to a single
-// shard — exact global LRU — unless the caller opts into sharding with
-// NewBufferPoolSharded (as the parallel throughput benchmarks do).
+// pool's per-shard LRU would only approximate the global LRU the cost
+// model assumes, so a bounded pool always has exactly one shard.
 type BufferPool struct {
 	disk     *Disk
 	capacity int
@@ -44,12 +42,11 @@ type BufferPool struct {
 }
 
 type poolShard struct {
-	mu       sync.Mutex
-	capacity int // frame budget of this shard (<= 0 = unbounded)
-	frames   map[PageID]*list.Element
-	lru      *list.List // front = most recently used
-	pins     map[PageID]int
-	_        [48]byte // pad to a cache line to avoid false sharing
+	mu     sync.Mutex
+	frames map[PageID]*list.Element
+	lru    *list.List // front = most recently used
+	pins   map[PageID]int
+	_      [32]byte // pad to a cache line to avoid false sharing
 }
 
 type frame struct {
@@ -59,53 +56,28 @@ type frame struct {
 
 // NewBufferPool creates a pool over disk holding at most capacity pages.
 // A capacity <= 0 means effectively unbounded (everything stays hot
-// after first touch). Unbounded pools are sharded to the number of CPUs;
-// bounded pools keep one shard (exact global LRU) — use
-// NewBufferPoolSharded to shard a bounded pool.
+// after first touch). A bounded pool has one shard (exact global LRU);
+// an unbounded one has one shard per CPU, rounded up to a power of two.
 func NewBufferPool(disk *Disk, capacity int) *BufferPool {
-	shards := 1
-	if capacity <= 0 {
-		shards = runtime.GOMAXPROCS(0)
+	if capacity > 0 {
+		return newBufferPool(disk, capacity, 1)
 	}
-	return NewBufferPoolSharded(disk, capacity, shards)
+	return newBufferPool(disk, 0, runtime.GOMAXPROCS(0))
 }
 
-// NewBufferPoolSharded creates a pool with an explicit shard count. The
-// count is rounded up to a power of two, and for bounded pools clamped
-// so every shard holds at least one frame; the capacity is split across
-// shards. Bounded sharded pools approximate global LRU per shard, which
-// can change eviction order versus a single-shard pool of the same
-// capacity.
-func NewBufferPoolSharded(disk *Disk, capacity, shards int) *BufferPool {
+// newBufferPool creates a pool with shards rounded up to a power of
+// two. Only an unbounded pool may have more than one: each shard
+// enforces the whole capacity.
+func newBufferPool(disk *Disk, capacity, shards int) *BufferPool {
 	n := nextPow2(shards)
-	if capacity > 0 && n > capacity {
-		n = nextPow2(capacity)
-		if n > capacity {
-			n /= 2
-		}
-	}
-	if n < 1 {
-		n = 1
-	}
 	bp := &BufferPool{
 		disk:     disk,
 		capacity: capacity,
 		mask:     uint64(n - 1),
 		shards:   make([]poolShard, n),
 	}
-	base, rem := 0, 0
-	if capacity > 0 {
-		base, rem = capacity/n, capacity%n
-	}
 	for i := range bp.shards {
 		s := &bp.shards[i]
-		s.capacity = 0
-		if capacity > 0 {
-			s.capacity = base
-			if i < rem {
-				s.capacity++
-			}
-		}
 		s.frames = make(map[PageID]*list.Element)
 		s.lru = list.New()
 		s.pins = make(map[PageID]int)
@@ -135,9 +107,6 @@ func (bp *BufferPool) Disk() *Disk { return bp.disk }
 
 // Capacity returns the pool's total frame capacity (<= 0 = unbounded).
 func (bp *BufferPool) Capacity() int { return bp.capacity }
-
-// Shards returns the number of shards.
-func (bp *BufferPool) Shards() int { return len(bp.shards) }
 
 // Stats returns a snapshot of the I/O counters. It is lock-free.
 func (bp *BufferPool) Stats() IOStats {
@@ -368,10 +337,11 @@ func (bp *BufferPool) Unpin(id PageID) {
 func (bp *BufferPool) PinnedPages() int64 { return bp.pinned.Load() }
 
 // admit inserts page p into shard s, evicting the shard's LRU victim if
-// at capacity. Caller holds s.mu.
+// at capacity (a bounded pool's one shard holds every frame). Caller
+// holds s.mu.
 func (bp *BufferPool) admit(s *poolShard, p *Page, dirty bool, tr *Tracker) {
-	if s.capacity > 0 {
-		for s.lru.Len() >= s.capacity {
+	if bp.capacity > 0 {
+		for s.lru.Len() >= bp.capacity {
 			victim := s.lru.Back()
 			if victim == nil {
 				break

@@ -23,9 +23,10 @@ func stressDisk(t *testing.T, n int) (*Disk, []PageID) {
 	return disk, ids
 }
 
-// TestShardedPoolParallelStress hammers a sharded bounded pool from many
-// goroutines (Get, GetDirty, MarkDirty, and concurrent EvictAll) and
-// checks the global accounting invariants afterwards:
+// TestShardedPoolParallelStress hammers a bounded pool — one shard, as
+// every bounded pool is — from many goroutines (Get, GetDirty,
+// MarkDirty, and concurrent EvictAll) and checks the global accounting
+// invariants afterwards:
 //
 //   - every Get is either a read (miss) or a hit: Reads+Hits == Gets;
 //   - a dirty residency writes back at most once, so Writes never
@@ -40,7 +41,7 @@ func TestShardedPoolParallelStress(t *testing.T) {
 		iterations = 2000
 	)
 	disk, ids := stressDisk(t, pages)
-	bp := NewBufferPoolSharded(disk, 64, 8)
+	bp := NewBufferPool(disk, 64)
 
 	var gets, dirties atomic.Int64
 
@@ -163,9 +164,21 @@ func TestShardedUnboundedMatchesUnsharded(t *testing.T) {
 	diskA, idsA := stressDisk(t, pages)
 	diskB, idsB := stressDisk(t, pages)
 	a := run(NewBufferPool(diskA, 0), idsA)
-	b := run(NewBufferPoolSharded(diskB, 0, 8), idsB)
+	b := run(newBufferPool(diskB, 0, 8), idsB)
 	if a != b {
 		t.Fatalf("unbounded stats diverge: unsharded %+v, sharded %+v", a, b)
+	}
+}
+
+// TestPoolShardCount pins the shard rule: a bounded pool has exactly one
+// shard, so its LRU is the global LRU the cost model assumes, and an
+// unbounded pool has at least one.
+func TestPoolShardCount(t *testing.T) {
+	if n := len(NewBufferPool(NewDisk(0), 64).shards); n != 1 {
+		t.Fatalf("bounded pool has %d shards, want 1", n)
+	}
+	if n := len(NewBufferPool(NewDisk(0), 0).shards); n < 1 {
+		t.Fatalf("unbounded pool has %d shards, want >= 1", n)
 	}
 }
 
@@ -175,7 +188,7 @@ func TestShardedUnboundedMatchesUnsharded(t *testing.T) {
 func TestTrackerMatchesGlobalDelta(t *testing.T) {
 	const pages = 64
 	disk, ids := stressDisk(t, pages)
-	bp := NewBufferPoolSharded(disk, 16, 4)
+	bp := NewBufferPool(disk, 16)
 	tr := new(Tracker)
 	before := bp.Stats()
 	rng := rand.New(rand.NewSource(3))
