@@ -8,8 +8,9 @@ import (
 // Entry is one index entry produced by batched cursor iteration.
 type Entry struct {
 	// Key is the encoded key as it lies in the leaf page; callers must
-	// not modify it, and it stays valid only until the producing
-	// cursor's next batch (the leaf may be unpinned and reloaded).
+	// not modify it. The leaf's arena is write-once (storage.Page), so
+	// the key stays readable for as long as it is held, after the leaf
+	// is unpinned, split or compacted.
 	Key []byte
 	RID storage.RID
 }

@@ -106,7 +106,6 @@ func (f *finalStage) step() (bool, error) {
 // fetching would charge); partition workers run it unbounded (budget
 // 0) over their chunk, polling stop. done reports that c is exhausted.
 func (f *finalStage) fetch(c *fetchCursor, tr *storage.Tracker, budget int, stop *atomic.Bool, out *rowQueue) (done bool, _ error) {
-	defer out.own()
 	for fetches := 0; (budget == 0 || fetches < budget) && !stopped(stop); {
 		run := c.run[:0]
 		var page storage.PageID

@@ -512,7 +512,6 @@ type joinStage struct {
 	base  int         // the outer pipeline row's length
 	preds []stagePred // connecting the stage's table to the outer row
 	cols  []int       // the output row: >= 0 a position of the outer row, else ^position of the inner row
-	view  bool        // inner rows are kernel views of the table, whose strings a kept row copies
 
 	// inl / ridx: one index probe per outer row.
 	ix     *catalog.Index
@@ -526,8 +525,7 @@ type joinStage struct {
 	onOuter bool  // built on the outer rows: up becomes the table's access, streaming
 	keys    []int // the streamed side's key columns
 
-	chunk []expr.Row   // this round's upstream rows
-	slab  []expr.Value // what is left of the block emit carves joined rows from
+	chunk []expr.Row // this round's upstream rows
 	w     joinWorker
 	out   rowQueue
 	done  bool
@@ -543,8 +541,9 @@ type joinWorker struct {
 // views of the whole table (a probe) or the narrow rows of the table's
 // access (hj, nl): the connecting predicates, and where each column of
 // the output row comes from, the delivered row on a direct run's last stage.
-func (s *joinStage) shape(view bool) {
+func (s *joinStage) shape() {
 	jr, t := s.jr, s.sg.Table
+	view := s.sg.Operator == JoinOpINL || s.sg.Operator == JoinOpRIDX
 	off, ncol := jr.offs[t], len(jr.jq.Tables[t].Columns)
 	inner := func(c int) int {
 		if view {
@@ -556,7 +555,7 @@ func (s *joinStage) shape(view bool) {
 		pos := jr.loc[jr.offs[ot]+oc]
 		return pos, ot != t && pos >= 0 && pos < s.base
 	}
-	s.view, s.preds, s.cols = view, s.preds[:0], s.cols[:0]
+	s.preds, s.cols = s.preds[:0], s.cols[:0]
 	for _, p := range jr.jq.Preds {
 		if pos, ok := outer(p.RT, p.RC); ok && p.LT == t {
 			s.preds = append(s.preds, stagePred{outerPos: pos, innerCol: inner(p.LC)})
@@ -583,28 +582,17 @@ func (s *joinStage) shape(view bool) {
 }
 
 // emit queues the stage's output row of a matching pair, carved from the
-// stage's slab: a full slab is replaced, never reused, by one holding as
-// many rows as the stage has produced so far (1 to 64, size-class rounded).
+// out queue's slab; like a scan's, its strings view their records, a
+// probe's kernel view included.
 func (s *joinStage) emit(outer, inner expr.Row) {
-	n := len(s.cols)
-	if len(s.slab) < n {
-		s.slab = slices.Grow([]expr.Value(nil), n*min(max(s.rows, 1), 64))
-		s.slab = s.slab[:cap(s.slab)]
-	}
-	row := s.slab[:n:n]
-	s.slab = s.slab[n:]
+	row := s.out.carve(len(s.cols))
 	for i, c := range s.cols {
 		if c >= 0 {
 			row[i] = outer[c]
-			continue
+		} else {
+			row[i] = inner[^c]
 		}
-		v := inner[^c]
-		if s.view {
-			v.S = strings.Clone(v.S)
-		}
-		row[i] = v
 	}
-	s.out.push(row)
 	s.rows++
 }
 
@@ -627,9 +615,9 @@ func (s *joinStage) open() (err error) {
 		s.in, err = jr.access(t, s.sg.Index, jr.streams(0), jr.ordered)
 		return err
 	}
+	s.shape()
 	switch s.sg.Operator {
 	case JoinOpNL, JoinOpHJ:
-		s.shape(false)
 		if s.sg.Operator == JoinOpHJ && len(s.preds) == 0 {
 			return fmt.Errorf("core: hj stage on %s without an equi-join predicate", jr.jq.nameOf(t))
 		}
@@ -638,7 +626,6 @@ func (s *joinStage) open() (err error) {
 	default:
 		return fmt.Errorf("core: unknown join operator %q", s.sg.Operator)
 	}
-	s.shape(true)
 	if s.ix = tab.IndexByName(s.sg.Index); s.ix == nil {
 		return fmt.Errorf("core: join probe index %s.%s not found", tab.Name, s.sg.Index)
 	}
@@ -725,7 +712,7 @@ func (s *joinStage) round() error {
 			})
 			s.sg.Operator, s.sg.Index, s.ix, s.filter = JoinOpHJ, "", nil, nil
 			s.reopt, s.upRows = true, left
-			s.shape(false)
+			s.shape()
 		}
 	}
 	if s.ix == nil && s.ht == nil {

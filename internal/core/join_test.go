@@ -1229,14 +1229,14 @@ func TestJoinEarlyStopStats(t *testing.T) {
 }
 
 // TestAllocsJoinDeliveredRow: joined rows are carved from the stage's
-// slab, so they cost the pipeline a fraction of an allocation each — no
-// allocation per delivered row, let alone the combined flat row and
-// projected copy the stage-at-a-time executor paid. Measured over the
-// streaming phase (the first row has sized every scratch buffer and
-// built the hash table), on int columns; what is allowed on top is what
-// the stage's inputs cost on their own: a table access's one allocation
-// per row it delivers (TestAllocsKeptRowUnderProjection) and an inl
-// probe's B-tree cursor.
+// queue's slab, as a scan's are, so they cost the pipeline a fraction
+// of an allocation each — no allocation per delivered row, let alone
+// the combined flat row and projected copy the stage-at-a-time executor
+// paid. Measured over the streaming phase (the
+// first row has sized every scratch buffer and built the hash table), on
+// int columns; what is allowed on top is what the stage's inputs cost on
+// their own: at most one allocation per row a table access delivers
+// (TestAllocsKeptRowUnderProjection) and an inl probe's B-tree cursor.
 func TestAllocsJoinDeliveredRow(t *testing.T) {
 	skipAllocsUnderRace(t)
 	f := newJoinFixture(t, 1000, 6000, 20, 0, false)

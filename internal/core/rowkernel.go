@@ -50,7 +50,7 @@ func (q *Query) sscanKernel(ix *catalog.Index) *rowKernel {
 // record decides one heap record: its needed columns are decoded into
 // *scratch (a view sharing rec's memory; the whole record is validated
 // whatever the filter would say) and filtered. A rejected record has
-// allocated nothing; a survivor's view stays in *scratch to be owned.
+// allocated nothing; a survivor's view stays in *scratch to be kept.
 func (k *rowKernel) record(rec []byte, scratch *expr.Row) (keep bool, err error) {
 	if *scratch, err = expr.DecodeView(rec, *scratch, k.need); err != nil {
 		return false, err
@@ -79,13 +79,20 @@ func (k *rowKernel) deliver(rid storage.RID, rec []byte, scratch *expr.Row, out 
 	return keep, err
 }
 
-// emit hands a survivor, decoded in *scratch, to out as the delivered
-// row or, for a RID-delivering run, as its RID: every delivery site
-// holds it. The row is out's to own at the end of the step (rowQueue).
+// emit carves a survivor, decoded in *scratch, into out as its
+// projection or, for a RID-delivering run, as its RID: every delivery
+// site holds it.
 func (k *rowKernel) emit(rid storage.RID, scratch *expr.Row, out *rowQueue) {
-	if k.rids {
-		out.keep(expr.Row{expr.Int(int64(rid.Page.No)), expr.Int(int64(rid.Slot))}, nil)
-		return
+	switch {
+	case k.rids:
+		row := out.carve(2)
+		row[0], row[1] = expr.Int(int64(rid.Page.No)), expr.Int(int64(rid.Slot))
+	case k.proj == nil:
+		copy(out.carve(len(*scratch)), *scratch)
+	default:
+		row := out.carve(len(k.proj))
+		for i, c := range k.proj {
+			row[i] = (*scratch)[c]
+		}
 	}
-	out.keep(*scratch, k.proj)
 }

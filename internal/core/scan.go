@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"rdbdyn/internal/btree"
@@ -98,22 +99,31 @@ func (q *queue[T]) Next() (v T, ok bool, _ error) {
 }
 
 // rowQueue is the delivery buffer between a producing scan and the
-// Rows iterator. Ownership is per step, not per row: the kernel keeps a
-// step's survivors as views in kept, and the scan owns them together
-// when its step ends (own) — one slab however many rows survived. An
-// unbounded partition worker is cut into steps of stepEntries rows.
+// Rows iterator, or a join stage and the next. Its rows are carved once
+// and never copied: their strings view the write-once records and keys
+// they were decoded from, so a kept row keeps those arenas alive.
 type rowQueue struct {
 	queue[expr.Row]
-	kept expr.Batch
+	free   []expr.Value // the uncarved rest of the slab's current block
+	carved int
 }
 
-func (q *rowQueue) keep(view expr.Row, cols []int) {
-	if q.kept.Keep(view, cols) >= stepEntries {
-		q.own()
+// carve queues a fresh row of n columns for the caller to fill. A full
+// block is replaced, never reused, by one holding as many rows as the
+// queue has carved, up to stepEntries; a zero-width row allocates nothing.
+func (q *rowQueue) carve(n int) expr.Row {
+	row := expr.Row{}
+	if n > 0 {
+		if len(q.free) < n {
+			q.free = slices.Grow([]expr.Value(nil), n*min(max(q.carved, 1), stepEntries))
+			q.free = q.free[:cap(q.free)]
+		}
+		row, q.free = q.free[:n:n], q.free[n:]
+		q.carved++
 	}
+	q.push(row)
+	return row
 }
-
-func (q *rowQueue) own() { q.rows = q.kept.Own(q.rows) }
 
 // ridQueue carries borrowed RIDs from the background's first index scan
 // to the fast-first foreground.
@@ -188,7 +198,6 @@ func stopped(stop *atomic.Bool) bool { return stop != nil && stop.Load() }
 // on a page-range cursor with their own scratch, polling stop. done
 // reports that cur is exhausted.
 func (t *tscan) scanRows(cur *storage.HeapCursor, budget int, stop *atomic.Bool, scratch *expr.Row, out *rowQueue) (done bool, _ error) {
-	defer out.own()
 	for i := 0; (budget == 0 || i < budget) && !stopped(stop); i++ {
 		rec, rrid, ok, err := cur.Next()
 		if err != nil {
@@ -237,7 +246,6 @@ func (s *sscan) name() string { return "Sscan(" + s.leg.ix.Name + ")" }
 func (s *sscan) release()     { s.cur.Close() }
 
 func (s *sscan) step() (bool, error) {
-	defer s.leg.out.own()
 	for budget := stepEntries; budget > 0 && !s.done; {
 		n, kept, err := s.leg.pull(s.cur, budget, rid.TrueFilter{}, s.sc)
 		if err != nil {
@@ -294,7 +302,6 @@ func (f *fscan) step() (bool, error) {
 	if f.done {
 		return true, nil
 	}
-	defer f.out.own()
 	fetches := 0
 	for i := 0; i < stepEntries && fetches < 4; i++ {
 		key, rid, ok, err := f.cur.Next()
@@ -362,7 +369,6 @@ func (b *borrowFetcher) step() (bool, error) {
 	if b.done {
 		return true, nil
 	}
-	defer b.out.own()
 	for fetches := 0; fetches < 4; fetches++ {
 		if b.in.empty() {
 			if b.in.closed {

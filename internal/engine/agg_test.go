@@ -71,6 +71,29 @@ func TestAggregates(t *testing.T) {
 	if v := oneValue(t, db, "SELECT SUM(V) FROM T WHERE ID <= 3"); v.I != 12 {
 		t.Fatalf("restricted SUM = %v", v)
 	}
+	// SUM over INT is exact beyond float64's integers, and overflow is
+	// an error, not a wrapped or rounded total.
+	if _, err := db.CreateTable("BIG", catalog.Column{Name: "V", Type: expr.TypeInt}); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []int64{1 << 53, 1, 1} {
+		if err := db.Insert("BIG", v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if v := oneValue(t, db, "SELECT SUM(V) FROM BIG"); v.T != expr.TypeInt || v.I != 1<<53+2 {
+		t.Fatalf("SUM over 2^53, 1, 1 = %v, want %d", v, int64(1<<53+2))
+	}
+	if err := db.Insert("BIG", int64(math.MaxInt64-1<<53)); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.QueryContext(context.Background(), "SELECT SUM(V) FROM BIG", nil)
+	if err == nil {
+		_, err = res.All()
+	}
+	if err == nil || !strings.Contains(err.Error(), "overflow") {
+		t.Fatalf("overflowing SUM: err = %v", err)
+	}
 	// Empty input -> NULL.
 	if v := oneValue(t, db, "SELECT MAX(V) FROM T WHERE ID > 1000"); !v.IsNull() {
 		t.Fatalf("empty MAX = %v", v)

@@ -57,8 +57,8 @@ func TestAllocsMatchingRIDsRejectedRows(t *testing.T) {
 	}
 }
 
-// TestAllocsScanDeliveredRows: ownership is per step, not per row — a
-// drained 10k-row table scan and a 10k-entry self-sufficient index scan
+// TestAllocsScanDeliveredRows: a delivered row is carved from a shared
+// slab, not allocated — a drained 10k-row table scan and a 10k-entry self-sufficient index scan
 // cost under 0.05 allocations per delivered row, everything the query
 // allocates around them included.
 func TestAllocsScanDeliveredRows(t *testing.T) {

@@ -832,11 +832,15 @@ func (db *DB) victims(tab *catalog.Table, restriction expr.Expr, bb expr.Binding
 // aggregate drains the retrieval computing the requested aggregate.
 // NULLs are skipped; an empty input yields NULL (and 0 for SUM over an
 // integer column, matching common SQL engines is NOT attempted — NULL
-// keeps the semantics simple and explicit).
+// keeps the semantics simple and explicit). SUM over INT values is
+// exact, in int64, and an error when it overflows; AVG and SUM over
+// FLOAT values sum in float64.
 func (r *Result) aggregate() (expr.Value, error) {
 	var (
 		sum      float64
+		isum     int64
 		sawInt   = true
+		overflow bool
 		min, max expr.Value
 		count    int64
 	)
@@ -858,6 +862,10 @@ func (r *Result) aggregate() (expr.Value, error) {
 		}
 		if v.T != expr.TypeInt {
 			sawInt = false
+		} else if s := isum + v.I; (s > isum) == (v.I > 0) {
+			isum = s
+		} else {
+			overflow = true
 		}
 		sum += f
 		if count == 0 || expr.Compare(v, min) < 0 {
@@ -873,8 +881,11 @@ func (r *Result) aggregate() (expr.Value, error) {
 	}
 	switch r.agg.Kind {
 	case "SUM":
+		if sawInt && overflow {
+			return expr.Null(), fmt.Errorf("engine: SUM overflows INT")
+		}
 		if sawInt {
-			return expr.Int(int64(sum)), nil
+			return expr.Int(isum), nil
 		}
 		return expr.Float(sum), nil
 	case "AVG":

@@ -4,16 +4,19 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"rdbdyn/internal/catalog"
 	"rdbdyn/internal/core"
 	"rdbdyn/internal/expr"
+	"rdbdyn/internal/storage"
 )
 
 // keptRow is the oracle's copy of one row of K.
@@ -51,94 +54,316 @@ func keptDB(t *testing.T, n, workers int) (*DB, []keptRow) {
 	return db, rows
 }
 
-// TestKeptRowsStayValid: a delivered row is the caller's for ever. Every
-// row of every result — table scan, self-sufficient index scan, final
-// stage, fast-first, sorted with a carried sort column, and a COUNT's
-// zero-width retrieval — is kept, uncopied, across the later Next calls,
-// Close, the other queries and DML that rewrites every heap page, and
-// must still equal the oracle's row: nothing a scan reuses (its scratch,
-// its step's pending survivors, a page) may be what the row is made of.
-// Run sequentially and with two workers; -race covers the workers.
+// TestKeptRowsStayValid: a delivered row is the caller's for ever, though
+// it copies nothing: its strings view the heap record or index key they
+// were decoded from, which storage never writes again. Every case keeps
+// the rows of its results as delivered, not cloned, changes the data
+// under them — rewriting, relocating and deleting records, compacting
+// the pages they lie on, splitting the leaves that held the keys — and
+// then compares them with an oracle. Run sequentially and with two
+// workers; -race covers the workers.
 func TestKeptRowsStayValid(t *testing.T) {
 	for _, workers := range []int{0, 2} {
-		db, oracle := keptDB(t, 3000, workers)
-		type shape struct {
-			src      string
-			strategy string // a substring of the executed tactic and strategy
-			want     func(r keptRow) (expr.Row, bool)
-			kept     []expr.Row
+		for _, c := range []struct {
+			name string
+			run  func(t *testing.T, workers int)
+		}{
+			{"scans", keptScans},
+			{"compaction", keptUnderCompaction},
+			{"string-index", keptUnderLeafSplits},
+			{"joins", keptJoins},
+		} {
+			t.Run(fmt.Sprintf("%s/workers=%d", c.name, workers), func(t *testing.T) { c.run(t, workers) })
 		}
-		shapes := []*shape{
-			{src: "SELECT * FROM K WHERE PAD >= 'p'", strategy: "Tscan", want: func(r keptRow) (expr.Row, bool) {
-				return expr.Row{expr.Int(r.id), expr.Int(r.grp), expr.Str(r.name), expr.Str(r.pad)}, true
-			}},
-			{src: "SELECT GRP FROM K WHERE GRP >= 10", strategy: "Sscan(GRP_IX)", want: func(r keptRow) (expr.Row, bool) {
-				return expr.Row{expr.Int(r.grp)}, r.grp >= 10
-			}},
-			{src: "SELECT NAME, ID FROM K WHERE GRP = 7", strategy: "Fin", want: func(r keptRow) (expr.Row, bool) {
-				return expr.Row{expr.Str(r.name), expr.Int(r.id)}, r.grp == 7
-			}},
-			{src: "SELECT PAD, NAME FROM K WHERE GRP < 4 ORDER BY ID", strategy: "sort(", want: func(r keptRow) (expr.Row, bool) {
-				return expr.Row{expr.Str(r.pad), expr.Str(r.name)}, r.grp < 4
-			}},
-			{src: "SELECT NAME FROM K WHERE GRP = 3 LIMIT 1000", strategy: "fast-first", want: func(r keptRow) (expr.Row, bool) {
-				return expr.Row{expr.Str(r.name)}, r.grp == 3
-			}},
+	}
+}
+
+// keepRows runs src and keeps every row it delivers, uncopied, checking
+// that it ran as strategy (a substring of the executed tactic and
+// strategy).
+func keepRows(t *testing.T, db *DB, src, strategy string) []expr.Row {
+	t.Helper()
+	res, err := db.QueryContext(context.Background(), src, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []expr.Row
+	for {
+		row, ok, err := res.Next()
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, sh := range shapes {
-			res, err := db.QueryContext(context.Background(), sh.src, nil)
+		if !ok {
+			break
+		}
+		kept = append(kept, row) // kept as delivered, not cloned
+	}
+	if err := res.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := res.Stats(); !strings.Contains(st.Tactic+" "+st.Strategy, strategy) {
+		t.Fatalf("%s: ran as %s (%s), want %s", src, st.Strategy, st.Tactic, strategy)
+	}
+	return kept
+}
+
+// checkKept fails the test unless the kept rows still equal want, in
+// order or (ordered false) as multisets.
+func checkKept(t *testing.T, what string, kept, want []expr.Row, ordered bool) {
+	t.Helper()
+	got, exp := make([]string, len(kept)), make([]string, len(want))
+	for i, row := range kept {
+		got[i] = fmt.Sprint(row)
+	}
+	for i, row := range want {
+		exp[i] = fmt.Sprint(row)
+	}
+	if !ordered {
+		slices.Sort(got)
+		slices.Sort(exp)
+	}
+	if !slices.Equal(got, exp) {
+		t.Errorf("%s: the %d kept rows no longer equal the oracle's %d", what, len(got), len(exp))
+	}
+}
+
+// keptScans keeps the rows of every scan that delivers — table scan,
+// self-sufficient index scan, final stage, fast-first, sorted with a
+// carried sort column, and a COUNT's zero-width retrieval — across the
+// later queries and DML that rewrites every heap record: nothing a scan
+// reuses (its scratch, a page) may be what a row is made of.
+func keptScans(t *testing.T, workers int) {
+	db, oracle := keptDB(t, 3000, workers)
+	type shape struct {
+		src      string
+		strategy string
+		want     func(r keptRow) (expr.Row, bool)
+		kept     []expr.Row
+	}
+	shapes := []*shape{
+		{src: "SELECT * FROM K WHERE PAD >= 'p'", strategy: "Tscan", want: func(r keptRow) (expr.Row, bool) {
+			return expr.Row{expr.Int(r.id), expr.Int(r.grp), expr.Str(r.name), expr.Str(r.pad)}, true
+		}},
+		{src: "SELECT GRP FROM K WHERE GRP >= 10", strategy: "Sscan(GRP_IX)", want: func(r keptRow) (expr.Row, bool) {
+			return expr.Row{expr.Int(r.grp)}, r.grp >= 10
+		}},
+		{src: "SELECT NAME, ID FROM K WHERE GRP = 7", strategy: "Fin", want: func(r keptRow) (expr.Row, bool) {
+			return expr.Row{expr.Str(r.name), expr.Int(r.id)}, r.grp == 7
+		}},
+		{src: "SELECT PAD, NAME FROM K WHERE GRP < 4 ORDER BY ID", strategy: "sort(", want: func(r keptRow) (expr.Row, bool) {
+			return expr.Row{expr.Str(r.pad), expr.Str(r.name)}, r.grp < 4
+		}},
+		{src: "SELECT NAME FROM K WHERE GRP = 3 LIMIT 1000", strategy: "fast-first", want: func(r keptRow) (expr.Row, bool) {
+			return expr.Row{expr.Str(r.name)}, r.grp == 3
+		}},
+	}
+	for _, sh := range shapes {
+		sh.kept = keepRows(t, db, sh.src, sh.strategy)
+	}
+	if n := countRows(t, db, "SELECT COUNT(*) FROM K WHERE GRP >= 10"); n != int64(len(shapes[1].kept)) {
+		t.Errorf("COUNT(*) = %d, the scan delivered %d", n, len(shapes[1].kept))
+	}
+	// Rewrite every record, then drop half of them.
+	if n, err := db.Exec("UPDATE K SET NAME = 'overwritten-overwritten', PAD = 'q' WHERE ID >= 0", nil); err != nil || n != len(oracle) {
+		t.Fatal(n, err)
+	}
+	if _, err := db.Exec("DELETE FROM K WHERE GRP < 20", nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := countRows(t, db, "SELECT COUNT(*) FROM K WHERE NAME = 'overwritten-overwritten'"); n != int64(len(oracle)/2) {
+		t.Fatalf("%d rows left after the DML", n)
+	}
+	for _, sh := range shapes {
+		var want []expr.Row
+		for _, r := range oracle {
+			if row, ok := sh.want(r); ok {
+				want = append(want, row)
+			}
+		}
+		checkKept(t, sh.src, sh.kept, want, strings.Contains(sh.src, "ORDER BY"))
+	}
+}
+
+// keptUnderCompaction keeps every row of K from a table scan, then grows
+// the records under them round after round, so that each page they were
+// decoded from compacts — moves its live records into a fresh arena — at
+// least three times. The rows with GRP < 8, at least one on every page,
+// are never rewritten: a record of theirs changes address only when its
+// page compacts, which is how the compactions are counted.
+func keptUnderCompaction(t *testing.T, workers int) {
+	db, oracle := keptDB(t, 600, workers)
+	kept := keepRows(t, db, "SELECT * FROM K WHERE PAD >= 'p'", "Tscan")
+	tab, err := db.Catalog().Table("K")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sentinel := map[storage.PageID]storage.RID{}
+	cur := tab.Heap.Cursor()
+	for {
+		rec, r, ok, err := cur.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		row, err := expr.DecodeRow(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, seen := sentinel[r.Page]; !seen && row[1].I < 8 {
+			sentinel[r.Page] = r
+		}
+	}
+	cur.Close()
+	if pages := tab.Heap.NumPages(); len(sentinel) != pages {
+		t.Fatalf("%d of %d pages hold a sentinel row", len(sentinel), pages)
+	}
+	addr := func(r storage.RID) *byte {
+		rec, err := tab.Heap.Get(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return unsafe.SliceData(rec)
+	}
+	last, compactions := map[storage.PageID]*byte{}, map[storage.PageID]int{}
+	for p, r := range sentinel {
+		last[p] = addr(r)
+	}
+	for round := 1; round <= 6; round++ {
+		pad := strings.Repeat("u", 28+round)
+		if _, err := db.Exec("UPDATE K SET PAD = '"+pad+"' WHERE GRP >= 8", nil); err != nil {
+			t.Fatal(err)
+		}
+		for p, r := range sentinel {
+			if a := addr(r); a != last[p] {
+				last[p] = a
+				compactions[p]++
+			}
+		}
+	}
+	want := make([]expr.Row, len(oracle))
+	for i, r := range oracle {
+		want[i] = expr.Row{expr.Int(r.id), expr.Int(r.grp), expr.Str(r.name), expr.Str(r.pad)}
+	}
+	checkKept(t, "table scan under compaction", kept, want, false)
+	fewest := math.MaxInt
+	for p := range sentinel {
+		fewest = min(fewest, compactions[p])
+	}
+	t.Logf("each of %d pages compacted at least %d times", len(sentinel), fewest)
+	if fewest < 3 {
+		t.Errorf("a page compacted %d times, want at least 3", fewest)
+	}
+}
+
+// keptUnderLeafSplits keeps the rows of a self-sufficient scan of a
+// string-keyed index, whose strings view the leaf keys, then splits the
+// leaves they lie in with inserts and removes their entries with a
+// DELETE. S is a table of its own, so no index of K changes the
+// strategy of another case.
+func keptUnderLeafSplits(t *testing.T, workers int) {
+	db := Open(Options{PageSize: 1024, PoolFrames: 24, Optimizer: core.Config{Parallelism: workers}})
+	if _, err := db.CreateTable("S", catalog.Column{Name: "ID", Type: expr.TypeInt}, catalog.Column{Name: "NAME", Type: expr.TypeString}); err != nil {
+		t.Fatal(err)
+	}
+	ix, err := db.CreateIndex("S", "S_NAME_IX", "NAME")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 1000
+	var want []expr.Row
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("name-%04d", i*7%n)
+		if err := db.Insert("S", i, name); err != nil {
+			t.Fatal(err)
+		}
+		if name >= "name-0500" {
+			want = append(want, expr.Row{expr.Str(name)})
+		}
+	}
+	kept := keepRows(t, db, "SELECT NAME FROM S WHERE NAME >= 'name-0500'", "Sscan(S_NAME_IX)")
+	nodes := ix.Tree.NumNodes()
+	for i := 0; i < n; i++ { // a longer key beside every key there is
+		if err := db.Insert("S", n+i, fmt.Sprintf("name-%04d/%s", i, strings.Repeat("s", i%16))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ix.Tree.NumNodes() < 2*nodes {
+		t.Fatalf("the inserts grew the index from %d to %d nodes: too few leaf splits", nodes, ix.Tree.NumNodes())
+	}
+	if m, err := db.Exec("DELETE FROM S WHERE ID < 1000", nil); err != nil || m != n {
+		t.Fatal(m, err)
+	}
+	slices.SortFunc(want, func(a, b expr.Row) int { return strings.Compare(a[0].S, b[0].S) })
+	checkKept(t, "string-keyed Sscan under splits and deletes", kept, want, true)
+}
+
+// keptJoins keeps joined rows that carry strings of the inner table, K,
+// once probed through its ID index (inl: the strings come from the probe
+// kernel's view of K's record) and once through a hash join (hj: from
+// K's table access), then rewrites and deletes every K record.
+func keptJoins(t *testing.T, workers int) {
+	db, oracle := keptDB(t, 600, workers)
+	if _, err := db.CreateTable("J",
+		catalog.Column{Name: "ID", Type: expr.TypeInt},
+		catalog.Column{Name: "KID", Type: expr.TypeInt},
+		catalog.Column{Name: "TAG", Type: expr.TypeString},
+	); err != nil {
+		t.Fatal(err)
+	}
+	var want []expr.Row
+	for i := 0; i < 300; i++ {
+		tag, k := fmt.Sprintf("tag-%03d", i), oracle[2*i]
+		if err := db.Insert("J", i, k.id, tag); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, expr.Row{expr.Str(tag), expr.Str(k.name), expr.Str(k.pad)})
+	}
+	stmt, err := db.PrepareContext(context.Background(), "SELECT J.TAG, K.NAME, K.PAD FROM J JOIN K ON J.KID = K.ID")
+	if err != nil {
+		t.Fatal(err)
+	}
+	jq := stmt.JoinQuery()
+	table := func(name string) int {
+		return slices.IndexFunc(jq.Tables, func(tab *catalog.Table) bool { return tab.Name == name })
+	}
+	j, k := table("J"), table("K")
+	kept := map[string][]expr.Row{}
+	for _, leg := range []struct {
+		strategy string
+		inner    core.JoinStagePlan
+	}{
+		{"J:tscan -> K:inl(ID_IX)", core.JoinStagePlan{Table: k, Operator: core.JoinOpINL, Index: "ID_IX", EstRows: 1}},
+		{"J:tscan -> K:hj", core.JoinStagePlan{Table: k, Operator: core.JoinOpHJ}},
+	} {
+		plan := &core.JoinPlan{Stages: []core.JoinStagePlan{{Table: j, Operator: "tscan", EstRows: 300}, leg.inner}}
+		rows := core.NewOptimizer(core.Config{Parallelism: workers}).RunJoin(nil, jq, plan)
+		for {
+			row, ok, err := rows.Next()
 			if err != nil {
 				t.Fatal(err)
 			}
-			for {
-				row, ok, err := res.Next()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					break
-				}
-				sh.kept = append(sh.kept, row) // kept as delivered, not cloned
+			if !ok {
+				break
 			}
-			if err := res.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if st := res.Stats(); !strings.Contains(st.Tactic+" "+st.Strategy, sh.strategy) {
-				t.Fatalf("workers %d, %s: ran as %s (%s), want %s", workers, sh.src, st.Strategy, st.Tactic, sh.strategy)
-			}
+			kept[leg.strategy] = append(kept[leg.strategy], row)
 		}
-		if n := countRows(t, db, "SELECT COUNT(*) FROM K WHERE GRP >= 10"); n != int64(len(shapes[1].kept)) {
-			t.Errorf("workers %d: COUNT(*) = %d, the scan delivered %d", workers, n, len(shapes[1].kept))
-		}
-		// Rewrite every record, then drop half of them.
-		if n, err := db.Exec("UPDATE K SET NAME = 'overwritten-overwritten', PAD = 'q' WHERE ID >= 0", nil); err != nil || n != len(oracle) {
-			t.Fatal(n, err)
-		}
-		if _, err := db.Exec("DELETE FROM K WHERE GRP < 20", nil); err != nil {
+		if err := rows.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if n := countRows(t, db, "SELECT COUNT(*) FROM K WHERE NAME = 'overwritten-overwritten'"); n != int64(len(oracle)/2) {
-			t.Fatalf("workers %d: %d rows left after the DML", workers, n)
+		if st := rows.Stats(); st.Strategy != leg.strategy {
+			t.Fatalf("ran as %s, want %s", st.Strategy, leg.strategy)
 		}
-		for _, sh := range shapes {
-			var want []string
-			for _, r := range oracle {
-				if row, ok := sh.want(r); ok {
-					want = append(want, fmt.Sprint(row))
-				}
-			}
-			got := make([]string, len(sh.kept))
-			for i, row := range sh.kept {
-				got[i] = fmt.Sprint(row)
-			}
-			if !strings.Contains(sh.src, "ORDER BY") {
-				slices.Sort(got)
-				slices.Sort(want)
-			}
-			if !slices.Equal(got, want) {
-				t.Errorf("workers %d, %s: the %d kept rows no longer equal the oracle's %d", workers, sh.src, len(got), len(want))
-			}
-		}
+	}
+	if n, err := db.Exec("UPDATE K SET NAME = 'overwritten-overwritten', PAD = 'q' WHERE ID >= 0", nil); err != nil || n != len(oracle) {
+		t.Fatal(n, err)
+	}
+	if _, err := db.Exec("DELETE FROM K WHERE GRP < 20", nil); err != nil {
+		t.Fatal(err)
+	}
+	for strategy, rows := range kept {
+		checkKept(t, strategy, rows, want, false)
 	}
 }
 

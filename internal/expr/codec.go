@@ -3,7 +3,6 @@ package expr
 import (
 	"encoding/binary"
 	"errors"
-	"strings"
 	"unsafe"
 )
 
@@ -55,23 +54,19 @@ func Cols(width int, cols ...int) ColSet {
 // Has reports whether column i is in the set.
 func (s ColSet) Has(i int) bool { return s == nil || (i < len(s) && s[i]) }
 
-// DecodeRow parses a record produced by EncodeRow into a fresh row that
-// owns its strings: the all-columns use of the record decoder, and the
-// reference DecodeView is tested against.
-func DecodeRow(b []byte) (Row, error) {
-	r, err := DecodeView(b, nil, nil)
-	if err != nil {
-		return nil, err
-	}
-	CopyOwned(r, r)
-	return r, nil
-}
+// DecodeRow parses a record produced by EncodeRow into a fresh row: the
+// all-columns use of the record decoder. Like DecodeView it copies no
+// string: they view b, which must not change while the row is held.
+// Every caller decodes a stored record, which is never written again.
+func DecodeRow(b []byte) (Row, error) { return DecodeView(b, nil, nil) }
 
 // DecodeView decodes record b into dst[:0] (reusing dst's backing array
 // when it is wide enough) as a full-width row that carries the columns
 // in need and NULL everywhere else. The whole record is walked and
 // validated whatever need says. String values share b's memory instead
-// of copying it; Batch.Own copies out what a consumer keeps.
+// of copying it, so the row is as stable as b: a stored record is never
+// written again (storage.Page), and a row kept for ever keeps its
+// record's arena alive.
 func DecodeView(b []byte, dst Row, need ColSet) (Row, error) {
 	n, k := shortUvarint(b)
 	if k == 0 {
@@ -164,67 +159,3 @@ func shortUvarint(b []byte) (uint64, int) {
 // as stable as b: stored records and index keys are replaced, never
 // modified in place, which is what lets a scan read a view of one.
 func viewString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
-
-// Batch gathers the rows one consumer keeps during one step of its scan
-// and owns them together: however many rows a step keeps, they cost one
-// exactly sized []Value and one exactly sized string allocation. Until
-// Own runs, a kept row's strings still view the record or key they were
-// decoded from — records are replaced, never modified, so a view stays
-// readable after its page is unpinned; Own is what lets the record go.
-// All rows of one batch have the same width. The zero Batch is empty.
-type Batch struct {
-	vals []Value // the kept rows' columns, back to back; reused across steps
-	rows int
-}
-
-// Keep adds the view's columns cols (nil = all of them, in order) as one
-// more row and returns how many rows the batch now holds.
-func (b *Batch) Keep(view Row, cols []int) int {
-	if cols == nil {
-		b.vals = append(b.vals, view...)
-	}
-	for _, c := range cols {
-		b.vals = append(b.vals, view[c])
-	}
-	b.rows++
-	return b.rows
-}
-
-// Own appends the kept rows to dst as rows that share nothing with the
-// records they came from, and empties the batch. The rows are slices of
-// one slab that is never reused, so a row a caller keeps stays valid for
-// ever — and keeps its step's slab alive. Zero-width rows allocate
-// nothing.
-func (b *Batch) Own(dst []Row) []Row {
-	if b.rows == 0 {
-		return dst
-	}
-	vals, size := make([]Value, len(b.vals)), 0
-	for i := range b.vals {
-		size += len(b.vals[i].S)
-	}
-	copy(vals, b.vals)
-	if size > 0 {
-		buf := make([]byte, 0, size)
-		for i := range vals {
-			if n := len(vals[i].S); n > 0 {
-				buf = append(buf, vals[i].S...)
-				vals[i].S = viewString(buf[len(buf)-n:])
-			}
-		}
-	}
-	for w := len(vals) / b.rows; b.rows > 0; b.rows-- {
-		dst, vals = append(dst, vals[:w:w]), vals[w:]
-	}
-	b.vals = b.vals[:0]
-	return dst
-}
-
-// CopyOwned copies view into dst[:len(view)], giving each string its
-// own storage.
-func CopyOwned(dst, view Row) {
-	for i, v := range view {
-		v.S = strings.Clone(v.S)
-		dst[i] = v
-	}
-}

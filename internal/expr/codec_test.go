@@ -121,42 +121,6 @@ func TestDecodeViewValidatesWholeRecord(t *testing.T) {
 	}
 }
 
-// TestOwnCopiesStringsOut: a view's strings share the record; the rows
-// a Batch owns do not, and share one exactly sized slab.
-func TestOwnCopiesStringsOut(t *testing.T) {
-	rec := EncodeRow(Row{Int(1), Str("abc"), Str("xyz")})
-	view, err := DecodeView(rec, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var all, some, none Batch
-	all.Keep(view, nil)
-	all.Keep(view, nil)
-	some.Keep(view, []int{2, 0})
-	none.Keep(view, []int{})
-	none.Keep(view, []int{})
-	rows := all.Own(nil)
-	owned, picked := rows[1], some.Own(nil)[0]
-	for i := range rec {
-		rec[i] = '#' // what a reused page buffer would do to a view
-	}
-	if view[1].S == "abc" {
-		t.Fatal("view does not share the record's memory; the test proves nothing")
-	}
-	if owned[1].S != "abc" || owned[2].S != "xyz" || picked[0].S != "xyz" || picked[1] != Int(1) || len(picked) != 2 {
-		t.Fatalf("owned rows changed with the record: %v %v", owned, picked)
-	}
-	if len(rows) != 2 || len(rows[0]) != 3 || cap(rows[0]) != 3 {
-		t.Fatalf("two kept rows are not two exact rows: %v", rows)
-	}
-	if empty := none.Own(rows); len(empty) != 4 || empty[3] == nil || len(empty[3]) != 0 {
-		t.Fatalf("zero-width rows: %v", empty)
-	}
-	if again := all.Own(nil); again != nil {
-		t.Fatalf("Own left the batch holding %v", again)
-	}
-}
-
 // referenceDecodeView is DecodeView as it was before its inline varint
 // path: every varint through binary.Varint and binary.Uvarint. The fuzz
 // target holds DecodeView to it.

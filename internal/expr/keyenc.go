@@ -118,15 +118,16 @@ func AppendKeySuccessor(dst, k []byte) []byte {
 var ErrBadKey = errors.New("expr: malformed encoded key")
 
 // DecodeKey parses the order-preserving encoding back into values, as a
-// fresh row that owns its strings. The caller supplies the expected
-// column types so the shared numeric code can be mapped back to INT or
-// FLOAT; a TypeNull expectation accepts any type.
+// fresh row. The caller supplies the expected column types so the shared
+// numeric code can be mapped back to INT or FLOAT; a TypeNull
+// expectation accepts any type. Like DecodeKeyInto it returns views: a
+// string without escaped bytes shares k's memory, so k must not change
+// while the row is held — a B-tree leaf key never is.
 func DecodeKey(k []byte, types []Type) (Row, error) {
 	row := make(Row, len(types))
 	if err := DecodeKeyInto(k, types, nil, row); err != nil {
 		return nil, err
 	}
-	CopyOwned(row, row)
 	return row, nil
 }
 
