@@ -31,7 +31,6 @@ import (
 
 	"rdbdyn/internal/core"
 	"rdbdyn/internal/engine"
-	"rdbdyn/internal/feedback"
 	"rdbdyn/internal/workload"
 )
 
@@ -145,7 +144,7 @@ interrupt: no query in flight (\quit to exit)`)
   \stats            show the last statement's tactic, strategy, I/O, trace
   \metrics          show cumulative optimizer metrics (tactic wins, switches, joins, estimate error)
   \cache            show the plan cache (frozen plans, win streaks, hit/miss counters)
-  \feedback         show the feedback registry's estimation correction factors
+  \feedback         show the learned estimation correction factors
   \quit             exit
 EXPLAIN <select> describes the plan; EXPLAIN ANALYZE <select> executes it
 and reports the typed competition events alongside. Ctrl-C cancels the
@@ -366,9 +365,6 @@ func printMetrics(m core.MetricsSnapshot) {
 			}
 		}
 	}
-	if m.PlanCaptureRejected > 0 {
-		fmt.Printf("capture rejects:   %d\n", m.PlanCaptureRejected)
-	}
 	if len(m.ParallelWidths) > 0 {
 		fmt.Println("parallel widths chosen:")
 		for _, bucket := range []string{"1", "2", "4", "8", "16", "32", "64"} {
@@ -413,7 +409,7 @@ func printCache(s engine.PlanCacheSnapshot) {
 	}
 }
 
-func printFeedback(cs []feedback.Correction) {
+func printFeedback(cs []core.Correction) {
 	if cs == nil {
 		fmt.Println("feedback disabled")
 		return

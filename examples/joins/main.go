@@ -84,6 +84,5 @@ func main() {
 	st := res.Stats()
 	fmt.Printf("\n%d rows via %s (attributed I/O %d)\n", len(all), st.Strategy, st.IO.IOCost())
 	m := db.Metrics()
-	fmt.Printf("metrics: %d join queries, %d re-optimizations, capture rejects %d\n",
-		m.JoinQueries, m.JoinReoptimizations, m.PlanCaptureRejected)
+	fmt.Printf("metrics: %d join queries, %d re-optimizations\n", m.JoinQueries, m.JoinReoptimizations)
 }

@@ -127,8 +127,9 @@ type Table struct {
 	// the heap page and the B-tree copy what they keep.
 	rec, key []byte
 	// version counts schema changes (CreateIndex/DropIndex); statsEpoch
-	// counts row mutations. Frozen plans and cache entries record both
-	// at capture time and revalidate lazily against them.
+	// counts row mutations. Frozen plans, cache entries and the
+	// optimizer's learned records stamp both (Stamp) and revalidate
+	// lazily against them.
 	version    atomic.Uint64
 	statsEpoch atomic.Uint64
 }
@@ -155,6 +156,34 @@ func (t *Table) Version() uint64 { return t.version.Load() }
 // mutation, so a plan frozen against stale cardinalities can detect
 // how far the table has moved since.
 func (t *Table) StatsEpoch() uint64 { return t.statsEpoch.Load() }
+
+// Stamp is the catalog state a decision was derived from — a pinned
+// plan, a learned cluster ratio, a correction factor: one table's
+// schema version, statistics epoch and cardinality, or their sums over
+// a join's tables.
+type Stamp struct {
+	version, epoch uint64
+	card           int64
+}
+
+// StampOf stamps the current state of tabs.
+func StampOf(tabs ...*Table) Stamp {
+	var s Stamp
+	for _, t := range tabs {
+		s.version += t.Version()
+		s.epoch += t.StatsEpoch()
+		s.card += t.Cardinality()
+	}
+	return s
+}
+
+// Stale is the one staleness rule: a decision stamped s no longer holds
+// in the state now when an index was created or dropped since, or when
+// more than max(32, card/5) row mutations have landed, card being the
+// cardinality at s.
+func (s Stamp) Stale(now Stamp) bool {
+	return now.version != s.version || now.epoch-s.epoch > max(32, uint64(s.card/5))
+}
 
 // RLock takes the table's mutation lock in read mode and returns the
 // matching unlock. While held, no Insert/Update/Delete/CreateIndex/

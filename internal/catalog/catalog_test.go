@@ -380,3 +380,35 @@ func TestCatalogAccessors(t *testing.T) {
 		t.Fatalf("leading col = %d", ix.LeadingCol())
 	}
 }
+
+// TestStampStale pins the one staleness rule: a stamp goes stale on any
+// schema change, or past max(32, card/5) row mutations — card being the
+// cardinality at the stamp — and a table set's stamp sums its tables'.
+func TestStampStale(t *testing.T) {
+	for _, tc := range []struct {
+		then, now Stamp
+		stale     bool
+	}{
+		{Stamp{1, 10, 0}, Stamp{1, 42, 5}, false},       // 32 mutations of an empty table
+		{Stamp{1, 10, 0}, Stamp{1, 43, 5}, true},        // 33
+		{Stamp{1, 10, 1000}, Stamp{1, 210, 900}, false}, // 200 = 1000/5
+		{Stamp{1, 10, 1000}, Stamp{1, 211, 900}, true},
+		{Stamp{1, 10, 1000}, Stamp{2, 10, 1000}, true}, // an index created or dropped
+	} {
+		if got := tc.then.Stale(tc.now); got != tc.stale {
+			t.Errorf("%+v then, %+v now: stale = %v, want %v", tc.then, tc.now, got, tc.stale)
+		}
+	}
+
+	_, a := familiesTable(t)
+	_, b := familiesTable(t)
+	if _, err := a.Insert(expr.Row{expr.Int(1), expr.Int(30), expr.Str("x"), expr.Float(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.CreateIndex("AGE_IX", "AGE"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := StampOf(a, b), (Stamp{version: 1, epoch: 1, card: 1}); got != want {
+		t.Fatalf("StampOf(a, b) = %+v, want %+v", got, want)
+	}
+}

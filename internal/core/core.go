@@ -32,7 +32,6 @@ import (
 	"rdbdyn/internal/competition"
 	"rdbdyn/internal/estimate"
 	"rdbdyn/internal/expr"
-	"rdbdyn/internal/feedback"
 	"rdbdyn/internal/rid"
 	"rdbdyn/internal/storage"
 )
@@ -209,13 +208,13 @@ type Config struct {
 	// are emitted. The sink must be safe for concurrent use (see
 	// TraceSink) and adds no simulated I/O.
 	Trace TraceSink
-	// Feedback, when non-nil, closes the estimation loop: each
-	// completed dynamic retrieval folds its estimated-vs-actual
-	// cardinality into the registry, and the initial stage
-	// multiplies inexact estimates by the learned per-index correction.
-	// Nil (the default) keeps estimation purely structural — the
-	// paper's behavior, and the setting every experiment runs under.
-	Feedback *feedback.Registry
+	// Feedback closes the estimation loop: each completed dynamic
+	// retrieval and join folds its estimated-vs-actual cardinality into
+	// the optimizer's learned record of the index (or table) it
+	// observed, and later estimates are multiplied by the learned
+	// correction. Off (the default) keeps estimation purely structural —
+	// the paper's behavior, and the setting every experiment runs under.
+	Feedback bool
 	// Parallelism is the intra-query worker budget of the two scans
 	// that partition, Tscan and Fin, into ordered morsels; everything
 	// else, a Jscan race included, runs on the cooperative scheduler at
@@ -336,8 +335,8 @@ type RetrievalStats struct {
 	// the next run's initial stage.
 	WinningOrder []string
 	// Estimates summarizes the initial stage's per-index appraisals,
-	// in the order the stage settled on. Consumers: the feedback
-	// registry (estimated-vs-actual cardinality) and plan capture
+	// in the order the stage settled on. Consumers: the learned
+	// corrections (estimated-vs-actual cardinality) and plan capture
 	// (seeding a frozen replay's Jscan thresholds).
 	Estimates []EstimateSummary
 	// JoinStages describes each executed stage of a multi-table

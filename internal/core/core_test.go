@@ -544,7 +544,7 @@ func TestPreviousOrderReused(t *testing.T) {
 	if len(st.WinningOrder) == 0 {
 		t.Skipf("no winning order recorded (trace: %v)", st.Trace())
 	}
-	if got := o.prevOrder[f.tab.Name]; len(got) == 0 {
+	if rec := o.learned[learnedKey{f.tab.Name, ""}]; rec == nil || len(rec.order) == 0 {
 		t.Fatal("optimizer did not record the winning order")
 	}
 }

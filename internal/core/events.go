@@ -64,9 +64,6 @@ const (
 	// remaining tables — after actual cardinality diverged from the
 	// estimate past the configured factor.
 	EvJoinReoptimized
-	// EvPlanCaptureRejected marks a retrieval whose outcome the plan
-	// cache refused to freeze (join plans are never frozen).
-	EvPlanCaptureRejected
 	// EvParallelWidthChosen records the adaptive parallelism policy
 	// picking a scan's worker width (only emitted under
 	// Config.AdaptiveParallelism): Width carries the decision,
@@ -111,8 +108,6 @@ func (k EventKind) String() string {
 		return "join-stage-started"
 	case EvJoinReoptimized:
 		return "join-reoptimized"
-	case EvPlanCaptureRejected:
-		return "plan-capture-rejected"
 	case EvParallelWidthChosen:
 		return "parallel-width-chosen"
 	case EvJoinSortAvoided:

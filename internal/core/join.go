@@ -165,9 +165,6 @@ func (jr *joinRun) begin(plan *JoinPlan, dynamic bool) {
 		EstimatedIO: plan.EstIO,
 		Detail:      plan.Describe(jq),
 	})
-	// CapturePlan refuses joins; announce it up front so cache-aware
-	// callers and the metrics see the rejection.
-	jr.trc.emit(TraceEvent{Kind: EvPlanCaptureRejected, Tactic: "join", Detail: "multi-table retrievals are never frozen"})
 	if jr.ordered {
 		jr.st.SortAvoided = true
 		jr.trc.emit(TraceEvent{Kind: EvJoinSortAvoided, Tactic: "join",
@@ -394,7 +391,7 @@ func (jr *joinRun) finish() {
 		s.closeIn()
 	}
 	jr.sync()
-	if fb := jr.o.cfg.Feedback; fb != nil && jr.dynamic && jr.exhausted {
+	if jr.o.cfg.Feedback && jr.dynamic && jr.exhausted {
 		for _, sg := range jr.st.JoinStages {
 			// Keyed on the catalog table name (Table may show an alias); hj
 			// under a synthetic slot, its actual being join-output rows.
@@ -402,12 +399,12 @@ func (jr *joinRun) finish() {
 			if sg.Operator == JoinOpHJ {
 				ixKey = joinFeedbackHJ
 			}
-			fb.ObserveCardinality(jr.jq.Tables[sg.TableIdx].Name, ixKey, sg.EstRows, float64(sg.ActualRows))
+			jr.o.observeCard(ixKey, sg.EstRows, float64(sg.ActualRows), jr.jq.Tables[sg.TableIdx])
 		}
 		// The whole join: its output (after the residual, which no stage
 		// estimate sees) against the last stage's estimate, under a key for
 		// the table set; planJoin folds the correction into the next run.
-		fb.ObserveCardinality(joinFeedbackTable(jr.jq), joinFeedbackIndex, jr.plan[len(jr.plan)-1].EstRows, float64(jr.st.RowsDelivered))
+		jr.o.observeCard(joinFeedbackIndex, jr.plan[len(jr.plan)-1].EstRows, float64(jr.st.RowsDelivered), jr.jq.Tables...)
 	}
 	jr.o.metrics.recordJoin(&jr.st)
 }

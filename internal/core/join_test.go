@@ -11,7 +11,6 @@ import (
 
 	"rdbdyn/internal/catalog"
 	"rdbdyn/internal/expr"
-	"rdbdyn/internal/feedback"
 	"rdbdyn/internal/storage"
 )
 
@@ -429,13 +428,13 @@ func TestJoinOrderAndLimit(t *testing.T) {
 // pins the page counts of the same scenario on its own fixture.)
 func TestJoinReoptimizedBeatsStatic(t *testing.T) {
 	const frames = 128
-	poison := func() *feedback.Registry {
-		fb := feedback.New(0)
+	poisoned := func(cust *catalog.Table) *Optimizer {
+		o := NewOptimizer(Config{Feedback: true})
 		// One observation adopts the ratio outright; 10 vs 160 clamps
 		// to the 1/16 floor. The driver's unsargable SEG restriction
-		// estimates through corr("").
-		fb.ObserveCardinality("CUST", "", 160, 10)
-		return fb
+		// estimates through the table's "" record.
+		o.observeCard("", 160, 10, cust)
+		return o
 	}
 	seg0 := func() expr.Expr {
 		return expr.NewCmp(expr.EQ, expr.Col(1, "SEG"), expr.Lit(expr.Int(0)))
@@ -444,7 +443,7 @@ func TestJoinReoptimizedBeatsStatic(t *testing.T) {
 	// Static leg: plan with the poisoned estimates, then replay the
 	// frozen plan with re-optimization off.
 	fStatic := newJoinFixture(t, 1000, 4000, 50, frames, false)
-	oStatic := NewOptimizer(Config{Feedback: poison()})
+	oStatic := poisoned(fStatic.cust)
 	jqS := fStatic.starQuery(seg0(), nil)
 	plan, err := oStatic.PlanJoin(nil, jqS)
 	if err != nil {
@@ -459,7 +458,7 @@ func TestJoinReoptimizedBeatsStatic(t *testing.T) {
 	// Dynamic leg on a twin database: same data, same poisoned
 	// estimates, re-optimization on.
 	fDyn := newJoinFixture(t, 1000, 4000, 50, frames, false)
-	oDyn := NewOptimizer(Config{Feedback: poison()})
+	oDyn := poisoned(fDyn.cust)
 	dynRows, stD := drainJoin(t, oDyn.RunJoin(nil, fDyn.starQuery(seg0(), nil), nil))
 
 	assertSameRows(t, "static vs dynamic", dynRows, staticRows)
@@ -513,43 +512,29 @@ func TestJoinDeterminism(t *testing.T) {
 }
 
 // TestJoinFeedsCardinalityFeedback checks the per-stage actuals flow
-// into the feedback registry after a dynamic join.
+// into the learned corrections after a dynamic join.
 func TestJoinFeedsCardinalityFeedback(t *testing.T) {
 	f := newJoinFixture(t, 100, 400, 20, 0, false)
-	fb := feedback.New(0)
-	o := NewOptimizer(Config{Feedback: fb})
+	o := NewOptimizer(Config{Feedback: true})
 	jq := f.starQuery(
 		expr.NewCmp(expr.EQ, expr.Col(1, "SEG"), expr.Lit(expr.Int(0))), nil)
 	_, st := drainJoin(t, o.RunJoin(nil, jq, nil))
 	if len(st.JoinStages) != 3 {
 		t.Fatalf("want 3 stages, got %d", len(st.JoinStages))
 	}
-	if len(fb.Snapshot()) == 0 {
+	if len(o.FeedbackSnapshot()) == 0 {
 		t.Fatalf("dynamic join recorded no feedback corrections")
 	}
 }
 
 // TestCapturePlanRejectsJoin is the regression guard: multi-table
-// retrievals must never freeze into the plan cache, and every dynamic
-// join announces that with a plan-capture-rejected event.
+// retrievals must never freeze into the plan cache.
 func TestCapturePlanRejectsJoin(t *testing.T) {
 	f := newJoinFixture(t, 60, 200, 10, 0, false)
 	o := NewOptimizer(Config{})
 	_, st := drainJoin(t, o.RunJoin(nil, f.custOrdQuery(nil), nil))
 	if plan, ok := CapturePlan(&st); ok {
 		t.Fatalf("CapturePlan froze a join retrieval as %s", plan)
-	}
-	var rejected bool
-	for _, ev := range st.Events {
-		if ev.Kind == EvPlanCaptureRejected {
-			rejected = true
-		}
-	}
-	if !rejected {
-		t.Fatalf("join run did not emit %s", EvPlanCaptureRejected)
-	}
-	if got := o.Metrics().Snapshot(); got.PlanCaptureRejected == 0 || got.JoinQueries == 0 {
-		t.Fatalf("metrics missed the join: %+v", got)
 	}
 }
 
@@ -1005,13 +990,14 @@ func TestSortNotAvoidedStillOrdered(t *testing.T) {
 	assertSameRows(t, "sorted", got, want)
 }
 
-// TestCapturePlanRejectsHashJoinStage pins the explicit hj guard in
-// CapturePlan: a stats record carrying an hj stage must never freeze,
-// independent of the blanket join rejection.
+// TestCapturePlanRejectsHashJoinStage: a hash join's stats never
+// freeze, even when the table access whose tactic-chosen event they
+// carry ran a replayable tactic — the join tactic has no frozen form.
 func TestCapturePlanRejectsHashJoinStage(t *testing.T) {
 	st := &RetrievalStats{
-		Tactic:     "sorted", // not the join tactic: only the hj stage guard can reject
-		JoinStages: []JoinStageStats{{Table: "ORD", Operator: JoinOpHJ}},
+		Tactic:     "join",
+		Events:     []TraceEvent{{Kind: EvTacticChosen, Tactic: "tscan", Scan: "Tscan"}},
+		JoinStages: []JoinStageStats{{Table: "CUST", Operator: "tscan"}, {Table: "ORD", Operator: JoinOpHJ}},
 	}
 	if plan, ok := CapturePlan(st); ok {
 		t.Fatalf("CapturePlan froze an hj retrieval as %s", plan)
@@ -1172,18 +1158,17 @@ func TestJoinPipelineEquivalence(t *testing.T) {
 
 // TestJoinEarlyStopStats: a join that stops early — at its LIMIT, or
 // closed by the caller — read less than the whole join, reports the rows
-// its stages really produced, and teaches the feedback registry nothing:
+// its stages really produced, and teaches the learned corrections nothing:
 // a truncated actual is not an observation. The same join drained is
 // observed, stage by stage and as a whole.
 func TestJoinEarlyStopStats(t *testing.T) {
 	f := newJoinFixture(t, 100, 600, 20, 64, false)
-	run := func(limit, closeAfter int) (RetrievalStats, *feedback.Registry, *Optimizer) {
-		fb := feedback.New(0)
-		o := NewOptimizer(Config{Feedback: fb})
+	run := func(limit, closeAfter int) (RetrievalStats, *Optimizer) {
+		o := NewOptimizer(Config{Feedback: true})
 		jq := f.custOrdQuery(nil)
 		jq.Limit = limit
 		f.pool.EvictAll()
-		// A fixed plan never feeds the registry; a dynamic run on the plan does.
+		// A fixed plan never feeds the corrections; a dynamic run on the plan does.
 		rows := runJoinOn(o, nil, jq, &JoinPlan{Stages: []JoinStagePlan{
 			{Table: 0, Operator: "tscan", EstRows: 100}, {Table: 1, Operator: JoinOpINL, Index: "ORD_CUST_IX", EstRows: 600}}})
 		for i := 0; closeAfter < 0 || i < closeAfter; i++ {
@@ -1199,17 +1184,17 @@ func TestJoinEarlyStopStats(t *testing.T) {
 			}
 		}
 		rows.Close()
-		return rows.Stats(), fb, o
+		return rows.Stats(), o
 	}
-	whole, fbWhole, _ := run(0, -1)
-	if len(fbWhole.Snapshot()) == 0 {
+	whole, oWhole := run(0, -1)
+	if len(oWhole.FeedbackSnapshot()) == 0 {
 		t.Fatal("a drained dynamic join recorded no feedback")
 	}
-	for name, early := range map[string]func() (RetrievalStats, *feedback.Registry, *Optimizer){
-		"limit":  func() (RetrievalStats, *feedback.Registry, *Optimizer) { return run(10, -1) },
-		"closed": func() (RetrievalStats, *feedback.Registry, *Optimizer) { return run(0, 10) },
+	for name, early := range map[string]func() (RetrievalStats, *Optimizer){
+		"limit":  func() (RetrievalStats, *Optimizer) { return run(10, -1) },
+		"closed": func() (RetrievalStats, *Optimizer) { return run(0, 10) },
 	} {
-		st, fb, o := early()
+		st, o := early()
 		if st.RowsDelivered != 10 {
 			t.Fatalf("%s: %d rows delivered", name, st.RowsDelivered)
 		}
@@ -1219,7 +1204,7 @@ func TestJoinEarlyStopStats(t *testing.T) {
 		if st.IO.IOCost() >= whole.IO.IOCost()/2 {
 			t.Fatalf("%s: %d I/O against %d for the whole join", name, st.IO.IOCost(), whole.IO.IOCost())
 		}
-		if n := len(fb.Snapshot()); n != 0 {
+		if n := len(o.FeedbackSnapshot()); n != 0 {
 			t.Fatalf("%s: a truncated run recorded %d feedback corrections", name, n)
 		}
 		if snap := o.Metrics().Snapshot(); snap.JoinQueries != 1 || snap.JoinOperatorWins[JoinOpINL] != 1 {

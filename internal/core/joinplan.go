@@ -106,7 +106,7 @@ func (o *Optimizer) gatherJoinInfo(ec *ExecCtx, jq *JoinQuery) ([]joinTableInfo,
 				res, err := estimate.Appraise(useful, local, jq.Binds, estimate.Options{
 					ShortRange: o.cfg.ShortRange,
 					Governor:   ec.Governor(),
-					Correction: o.cfg.Feedback.CorrectionFor(tab.Name),
+					Correction: o.correctionFor(tab),
 				})
 				if err != nil {
 					return nil, nil, err
@@ -128,11 +128,8 @@ func (o *Optimizer) gatherJoinInfo(ec *ExecCtx, jq *JoinQuery) ([]joinTableInfo,
 				// by any learned whole-table correction (join stage
 				// actuals observe under the stage's index name, the
 				// driver's tscan under "").
-				info.card = float64(tab.Cardinality()) / 10
+				info.card = float64(tab.Cardinality()) / 10 * o.correction("", tab)
 				info.exact = false
-				if corr := o.cfg.Feedback.CorrectionFor(tab.Name); corr != nil {
-					info.card *= corr("")
-				}
 			}
 		}
 		infos[i] = info
@@ -372,11 +369,10 @@ func (o *Optimizer) planJoinBase(jq *JoinQuery, infos []joinTableInfo, jts []est
 // across the inner stages (full correction at the last stage, none at
 // the driver) so intermediate estimates drift toward observed reality
 // and the mid-flight divergence checks and re-plans start from better
-// numbers. Neutral (factor 1) when no feedback registry is attached or
-// nothing was learned.
+// numbers. Neutral (factor 1) with feedback off or nothing learned.
 func (o *Optimizer) finishJoinPlan(jq *JoinQuery, plan *JoinPlan) *JoinPlan {
 	if n := len(plan.Stages); n > 1 {
-		if corr := o.cfg.Feedback.CardCorrection(joinFeedbackTable(jq), joinFeedbackIndex); corr != 1 {
+		if corr := o.correction(joinFeedbackIndex, jq.Tables...); corr != 1 {
 			for i := 1; i < n; i++ {
 				plan.Stages[i].EstRows *= math.Pow(corr, float64(i)/float64(n-1))
 			}
@@ -491,14 +487,3 @@ const joinFeedbackIndex = "(output)"
 // the build index's real name would skew that index's restriction
 // corrections with numbers from a different population.
 const joinFeedbackHJ = "(hj)"
-
-// joinFeedbackTable is the synthetic feedback key for a join's table
-// set: the declaration-order table names, so repeated joins of the
-// same FROM list share one correction regardless of chosen order.
-func joinFeedbackTable(jq *JoinQuery) string {
-	names := make([]string, len(jq.Tables))
-	for i, t := range jq.Tables {
-		names[i] = t.Name
-	}
-	return "join(" + strings.Join(names, ",") + ")"
-}

@@ -50,7 +50,6 @@ type Metrics struct {
 	joinReopts       atomic.Int64
 	joinOpWins       [joinOpCount]atomic.Int64
 	joinSortsAvoided atomic.Int64
-	planCaptureRejs  atomic.Int64
 
 	// Adaptive-parallelism counters (only moved under
 	// Config.AdaptiveParallelism).
@@ -96,8 +95,6 @@ func (m *Metrics) onEvent(ev TraceEvent) {
 		m.joinReopts.Add(1)
 	case EvJoinSortAvoided:
 		m.joinSortsAvoided.Add(1)
-	case EvPlanCaptureRejected:
-		m.planCaptureRejs.Add(1)
 	case EvParallelWidthChosen:
 		m.parWidths[parWidthBucket(ev.Width)].Add(1)
 		if ev.Width <= 1 {
@@ -216,7 +213,6 @@ type MetricsSnapshot struct {
 	JoinReoptimizations int64            `json:"join_reoptimizations,omitempty"`
 	JoinOperatorWins    map[string]int64 `json:"join_operator_wins,omitempty"`
 	JoinSortsAvoided    int64            `json:"join_sorts_avoided,omitempty"`
-	PlanCaptureRejected int64            `json:"plan_capture_rejected,omitempty"`
 
 	// Adaptive-parallelism outcomes. All omitempty: workloads that never
 	// enable Config.AdaptiveParallelism serialize exactly as before.
@@ -249,7 +245,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 	s.JoinOrdersChosen = m.joinOrders.Load()
 	s.JoinReoptimizations = m.joinReopts.Load()
 	s.JoinSortsAvoided = m.joinSortsAvoided.Load()
-	s.PlanCaptureRejected = m.planCaptureRejs.Load()
 	for k := range m.joinOpWins {
 		if n := m.joinOpWins[k].Load(); n > 0 {
 			if s.JoinOperatorWins == nil {

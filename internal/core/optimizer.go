@@ -13,21 +13,22 @@ import (
 	"rdbdyn/internal/storage"
 )
 
-// Optimizer is the dynamic optimizer. It keeps cross-run state: the
-// winning index order of previous retrievals on each table (used to
-// pre-arrange the next initial stage) and cached cluster-ratio samples
-// per index.
+// Optimizer is the dynamic optimizer. Across runs it keeps one learned
+// record per (table, index) — the sampled cluster ratio, the winning
+// index order that pre-arranges the next initial stage, and under
+// Config.Feedback the cardinality correction — each stamped with the
+// catalog state it was learned in and re-derived once that has gone
+// stale (learned.go).
 //
 // RunExec may be called from many goroutines at once; mu guards the
-// shared cross-run state (rng, prevOrder, cluster). Each retrieval's own
-// state lives in the returned Rows and is confined to its caller.
+// shared cross-run state (rng and learned). Each retrieval's own state
+// lives in the returned Rows and is confined to its caller.
 type Optimizer struct {
-	cfg       Config
-	metrics   *Metrics
-	mu        sync.Mutex
-	rng       *rand.Rand
-	prevOrder map[string][]string
-	cluster   map[*catalog.Index]float64
+	cfg     Config
+	metrics *Metrics
+	mu      sync.Mutex
+	rng     *rand.Rand
+	learned map[learnedKey]*learned
 }
 
 // NewOptimizer creates a dynamic optimizer with the given
@@ -36,11 +37,10 @@ type Optimizer struct {
 // keeps its explicit settings.
 func NewOptimizer(cfg Config) *Optimizer {
 	return &Optimizer{
-		cfg:       cfg.WithDefaults(),
-		metrics:   &Metrics{},
-		rng:       rand.New(rand.NewSource(1)),
-		prevOrder: make(map[string][]string),
-		cluster:   make(map[*catalog.Index]float64),
+		cfg:     cfg.WithDefaults(),
+		metrics: &Metrics{},
+		rng:     rand.New(rand.NewSource(1)),
+		learned: make(map[learnedKey]*learned),
 	}
 }
 
@@ -104,7 +104,7 @@ func (o *Optimizer) tracer(ec *ExecCtx, st *RetrievalStats, ja *joinAccess) *tra
 
 // newRetrieval assembles the retrieval shell a tactic is arranged in.
 func (o *Optimizer) newRetrieval(ec *ExecCtx, q *Query, cfg Config, st RetrievalStats) *retrieval {
-	r := &retrieval{q: q, k: q.kernel(), cfg: cfg, st: st, ec: ec, out: &rowQueue{}, metrics: o.metrics}
+	r := &retrieval{q: q, k: q.kernel(), cfg: cfg, st: st, ec: ec, out: &rowQueue{}, o: o}
 	r.trc = o.tracer(ec, &r.st, q.join)
 	return r
 }
@@ -142,7 +142,7 @@ func (o *Optimizer) run(ec *ExecCtx, q *Query) (Rows, error) {
 	}
 
 	// Initial stage over the fetch-needed indexes, unless a join already
-	// ran it. The prevOrder slice is replaced wholesale by the observer,
+	// ran it. The learned order is replaced wholesale by the observer,
 	// never mutated, so reading its elements outside the lock is safe.
 	var res estimate.Result
 	if q.join != nil {
@@ -155,13 +155,13 @@ func (o *Optimizer) run(ec *ExecCtx, q *Query) (Rows, error) {
 		}
 	} else {
 		o.mu.Lock()
-		prev := o.prevOrder[q.Table.Name]
+		prev := o.recordLocked("", q.Table).order
 		o.mu.Unlock()
 		opts := estimate.Options{
 			ShortRange:    o.cfg.ShortRange,
 			PreviousOrder: prev,
 			Governor:      ec.Governor(),
-			Correction:    o.cfg.Feedback.CorrectionFor(q.Table.Name),
+			Correction:    o.correctionFor(q.Table),
 		}
 		var err error
 		if res, err = estimate.Appraise(cl.FetchNeeded, q.Restriction, q.Binds, opts); err != nil {
@@ -178,7 +178,7 @@ func (o *Optimizer) run(ec *ExecCtx, q *Query) (Rows, error) {
 
 	model := o.costModel(q, cl)
 	r := o.newRetrieval(ec, q, o.cfg, st)
-	r.model, r.fb = model, o.cfg.Feedback
+	r.model = model
 
 	switch {
 	case len(q.OrderBy) > 0:
@@ -379,8 +379,9 @@ func tableCostModel(q *Query) estimate.CostModel {
 	return estimate.CostModel{TablePages: q.Table.Pages(), TableRows: q.Table.Cardinality()}
 }
 
-// costModel builds the I/O cost model for q, sampling the cluster ratio
-// of the most relevant index once and caching it.
+// costModel builds the I/O cost model for q, with the cluster ratio of
+// its first fetch-needed index as learned: sampled once per fresh
+// record.
 func (o *Optimizer) costModel(q *Query, cl Classification) estimate.CostModel {
 	m := tableCostModel(q)
 	// Cluster ratio of the first fetch-needed index dominates fetch
@@ -390,17 +391,16 @@ func (o *Optimizer) costModel(q *Query, cl Classification) estimate.CostModel {
 	if len(cl.FetchNeeded) > 0 {
 		ix := cl.FetchNeeded[0]
 		o.mu.Lock()
-		r, ok := o.cluster[ix]
-		if !ok {
-			var err error
-			r, err = ix.EstimateClusterRatio(o.rng, 16)
+		rec := o.recordLocked(ix.Name, q.Table)
+		if !rec.sampled {
+			r, err := ix.EstimateClusterRatio(o.rng, 16)
 			if err != nil {
 				r = 0
 			}
-			o.cluster[ix] = r
+			rec.cluster, rec.sampled = r, true
 		}
+		m.ClusterRatio = rec.cluster
 		o.mu.Unlock()
-		m.ClusterRatio = r
 	}
 	return m
 }
@@ -411,7 +411,7 @@ func (o *Optimizer) observer(q *Query) func([]string) {
 	return func(names []string) {
 		if len(names) > 0 {
 			o.mu.Lock()
-			o.prevOrder[q.Table.Name] = names
+			o.recordLocked("", q.Table).order = names
 			o.mu.Unlock()
 		}
 	}

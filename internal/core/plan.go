@@ -50,27 +50,11 @@ func (p *Plan) String() string {
 // the competition intervened mid-flight (strategy switch, race, borrow
 // overflow, mid-scan abandonment, a completed-but-useless list), the
 // arrangement is not replayable deterministically, or the tactic has
-// no frozen form. The test is structural: a capturable run's replay
+// no frozen form — a join's among them. The test is structural: a capturable run's replay
 // performs exactly the original's productive work — scans that were
 // merely *skipped* before starting cost nothing and do not block
 // capture.
 func CapturePlan(st *RetrievalStats) (*Plan, bool) {
-	// hj stages are refused on their own grounds, ahead of the blanket
-	// join rejection: a hash build's contents are run-time inner state
-	// no replay can re-derive, so even a future per-operator
-	// join-freezing scheme must keep refusing these stages.
-	for i := range st.JoinStages {
-		if st.JoinStages[i].Operator == JoinOpHJ {
-			return nil, false
-		}
-	}
-	// Multi-table retrievals are never frozen: a join's operator and
-	// order choices hinge on intermediate cardinalities the replay
-	// machinery cannot re-derive, and mid-flight re-optimization is the
-	// whole point of running them dynamically.
-	if st.Tactic == "join" || len(st.JoinStages) > 0 {
-		return nil, false
-	}
 	var chosen *TraceEvent
 	var started []string
 	var switches []*TraceEvent
@@ -171,7 +155,7 @@ func CapturePlan(st *RetrievalStats) (*Plan, bool) {
 		return &Plan{Tactic: st.Tactic, Indexes: order, RIDs: ridsFor(order)}, true
 	default:
 		// index-only (always race-resolved), sort(...), empty-range,
-		// error: no frozen form.
+		// join, error: no frozen form.
 		return nil, false
 	}
 }
@@ -187,7 +171,7 @@ func CapturePlan(st *RetrievalStats) (*Plan, bool) {
 // the saving is the estimation stage and the competition bookkeeping.
 //
 // A replay counts a query and a tactic win but feeds neither the
-// estimate-error histogram nor the feedback registry. ErrPlanStale
+// estimate-error histogram nor the learned corrections. ErrPlanStale
 // surfaces (through the Rows) when a referenced index is gone.
 func (o *Optimizer) RunPlan(ec *ExecCtx, q *Query, p *Plan) Rows {
 	rows, err := o.runPlan(ec, q, p)

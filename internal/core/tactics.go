@@ -6,7 +6,6 @@ import (
 
 	"rdbdyn/internal/estimate"
 	"rdbdyn/internal/expr"
-	"rdbdyn/internal/feedback"
 	"rdbdyn/internal/rid"
 	"rdbdyn/internal/storage"
 )
@@ -89,16 +88,14 @@ type retrieval struct {
 	// errors from the buffer pool; Next additionally checks it between
 	// rounds so a cancelled query stops even while popping queued rows.
 	ec *ExecCtx
-	// trc stamps and fans out this retrieval's trace events; metrics is
-	// the optimizer's shared registry.
-	trc     *tracer
-	metrics *Metrics
-	// fb, when non-nil, receives this retrieval's estimated-vs-actual
-	// observations on completion (the feedback loop).
-	fb *feedback.Registry
+	// trc stamps and fans out this retrieval's trace events; o is the
+	// optimizer whose metrics count it and which learns its
+	// estimated-vs-actual cardinality on completion (Config.Feedback).
+	trc *tracer
+	o   *Optimizer
 	// pinned marks a pinned-plan replay (RunPlan): it wins its tactic's
 	// metric but feeds neither the estimate-error histogram nor the
-	// feedback registry — a replay's "estimate" is the plan itself, and
+	// learned corrections — a replay's "estimate" is the plan itself, and
 	// folding it back in would only reinforce it.
 	pinned bool
 
@@ -178,7 +175,7 @@ func (r *retrieval) fail(err error) error {
 			Detail: err.Error(),
 		})
 		if r.ec.markCancelRecorded() {
-			r.metrics.recordCancellation(err)
+			r.o.metrics.recordCancellation(err)
 		}
 	}
 	r.closed = true
@@ -585,16 +582,16 @@ func (r *retrieval) finalizeStats() {
 	// would pollute the estimate-error histogram; it is counted by the
 	// cancellation counters instead. Nor is a join's table access.
 	if !(r.err != nil && IsCancellation(r.err)) && r.q.join == nil {
-		r.metrics.recordRetrieval(r.tactic, &r.st, !r.pinned)
+		r.o.metrics.recordRetrieval(r.tactic, &r.st, !r.pinned)
 	}
-	if r.fb != nil && r.err == nil && !r.pinned {
+	if r.cfg.Feedback && r.err == nil && !r.pinned {
 		r.observeFeedback()
 	}
 }
 
 // observeFeedback folds this retrieval's estimated-vs-actual
-// cardinality into the feedback registry. Pure arithmetic over
-// already-recorded stats — no I/O, no locks beyond the registry's own.
+// cardinality into the optimizer's learned record of the winning index.
+// Pure arithmetic over already-recorded stats — no I/O.
 // A completed single-index background list is an exact ground truth for
 // that index's estimate. Multi-index lists measure the intersection,
 // not any one index, so they are not attributed.
@@ -606,7 +603,7 @@ func (r *retrieval) observeFeedback() {
 	for _, es := range r.st.Estimates {
 		if es.Index == win {
 			if !es.Exact {
-				r.fb.ObserveCardinality(r.q.Table.Name, win, es.RIDs, float64(r.st.FinalListLen))
+				r.o.observeCard(win, es.RIDs, float64(r.st.FinalListLen), r.q.Table)
 			}
 			return
 		}

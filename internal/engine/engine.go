@@ -38,7 +38,6 @@ import (
 	"rdbdyn/internal/catalog"
 	"rdbdyn/internal/core"
 	"rdbdyn/internal/expr"
-	"rdbdyn/internal/feedback"
 	"rdbdyn/internal/planner"
 	"rdbdyn/internal/sql"
 	"rdbdyn/internal/storage"
@@ -54,11 +53,12 @@ type Options struct {
 	PoolFrames int
 	// Optimizer tunes the dynamic optimizer (zero value = defaults).
 	Optimizer core.Config
-	// EnableFeedback turns on the estimation feedback loop: each
-	// completed dynamic retrieval folds its observed cardinality into
-	// per-(table, index) correction factors that scale future inexact
-	// estimates. Off by default — the paper's estimator (and the
-	// experiment suite) runs uncorrected.
+	// EnableFeedback turns on the estimation feedback loop
+	// (core.Config.Feedback): each completed dynamic retrieval folds its
+	// observed cardinality into the optimizer's learned per-(table,
+	// index) correction, which scales later inexact estimates until the
+	// table's schema or statistics move on. Off by default — the paper's
+	// estimator (and the experiment suite) runs uncorrected.
 	EnableFeedback bool
 	// PlanCache configures the frozen-plan cache (see PlanCacheConfig).
 	// Disabled by default.
@@ -71,8 +71,7 @@ type DB struct {
 	pool  *storage.BufferPool
 	cat   *catalog.Catalog
 	opt   *core.Optimizer
-	fb    *feedback.Registry // nil unless Options.EnableFeedback
-	plans *planCache         // nil unless Options.PlanCache.Enable
+	plans *planCache // nil unless Options.PlanCache.Enable
 }
 
 // Open creates an empty database.
@@ -81,8 +80,7 @@ func Open(opts Options) *DB {
 	pool := storage.NewBufferPool(disk, opts.PoolFrames)
 	db := &DB{disk: disk, pool: pool, cat: catalog.New(pool)}
 	if opts.EnableFeedback {
-		db.fb = feedback.New(0)
-		opts.Optimizer.Feedback = db.fb
+		opts.Optimizer.Feedback = true
 	}
 	// Zero-valued Config fields are filled in field-wise by the
 	// optimizer (core.Config.WithDefaults), so a caller tuning one knob
@@ -108,9 +106,10 @@ func (db *DB) Optimizer() *core.Optimizer { return db.opt }
 // estimate-error histogram. Safe to call concurrently with queries.
 func (db *DB) Metrics() core.MetricsSnapshot { return db.opt.Metrics().Snapshot() }
 
-// FeedbackSnapshot reports the learned estimation correction factors,
-// sorted by (table, index). Nil when Options.EnableFeedback is off.
-func (db *DB) FeedbackSnapshot() []feedback.Correction { return db.fb.Snapshot() }
+// FeedbackSnapshot reports the learned estimation correction factors
+// that still hold — none of a table whose schema or statistics moved on
+// since — sorted by (table, index). Nil when feedback is off.
+func (db *DB) FeedbackSnapshot() []core.Correction { return db.opt.FeedbackSnapshot() }
 
 // PlanCacheSnapshot reports the frozen-plan cache's entries and
 // hit/promotion/demotion counters. Enabled=false (and all zeroes) when
@@ -486,7 +485,7 @@ func (s *Stmt) Freeze(binds Binds) (*FrozenStmt, error) {
 		compiled: s.compiled,
 		Plan:     plan,
 		sniffed:  bb,
-		stamp:    stampOf(tab),
+		stamp:    catalog.StampOf(tab),
 	}, nil
 }
 
@@ -511,7 +510,7 @@ type FrozenStmt struct {
 
 	mu      sync.Mutex
 	sniffed expr.Bindings // bindings the plan was sniffed with (nil = defaults)
-	stamp   planStamp     // table state at freeze
+	stamp   catalog.Stamp // table state at freeze
 }
 
 // ensureFresh returns the plan to execute, re-preparing it first if the
@@ -521,7 +520,7 @@ func (f *FrozenStmt) ensureFresh() (*planner.Plan, error) {
 	tab := f.compiled.Query.Table
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.stamp.fresh(tab) {
+	if !f.stamp.Stale(catalog.StampOf(tab)) {
 		return f.Plan, nil
 	}
 	unlock := tab.RLock()
@@ -531,7 +530,7 @@ func (f *FrozenStmt) ensureFresh() (*planner.Plan, error) {
 		return nil, err
 	}
 	f.Plan = plan
-	f.stamp = stampOf(tab)
+	f.stamp = catalog.StampOf(tab)
 	return plan, nil
 }
 

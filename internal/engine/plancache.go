@@ -52,8 +52,8 @@ type cacheEntry struct {
 	plan   *core.Plan
 
 	// Promotion-time state, for invalidation and drift detection.
-	baselineIO int64     // attributed I/O of the promoting run
-	stamp      planStamp // table state at promotion
+	baselineIO int64         // attributed I/O of the promoting run
+	stamp      catalog.Stamp // table state at promotion
 }
 
 // planCache is the shape-keyed frozen-plan cache. All methods are safe
@@ -75,37 +75,6 @@ func newPlanCache(cfg PlanCacheConfig) *planCache {
 	return &planCache{cfg: cfg.withDefaults(), entries: map[string]*cacheEntry{}}
 }
 
-// planStamp records the table state a pinned plan was made against —
-// the one staleness rule FrozenStmt and the plan cache share.
-type planStamp struct {
-	version uint64 // table schema version
-	epoch   uint64 // table stats epoch
-	card    int64  // table cardinality
-}
-
-func stampOf(tab *catalog.Table) planStamp {
-	return planStamp{version: tab.Version(), epoch: tab.StatsEpoch(), card: tab.Cardinality()}
-}
-
-// fresh reports whether a plan stamped s may still run against tab: the
-// schema is unchanged (no index appeared or disappeared) and the
-// statistics have not drifted past the staleness threshold.
-func (s planStamp) fresh(tab *catalog.Table) bool {
-	return tab.Version() == s.version && !statsStale(tab, s.epoch, s.card)
-}
-
-// statsStale reports whether enough row mutations have landed since
-// epoch0 (when the table held card0 rows) to distrust decisions made
-// then: more than max(32, card0/5) inserts/updates/deletes.
-func statsStale(tab *catalog.Table, epoch0 uint64, card0 int64) bool {
-	drift := tab.StatsEpoch() - epoch0
-	thresh := uint64(32)
-	if c := uint64(card0 / 5); c > thresh {
-		thresh = c
-	}
-	return drift > thresh
-}
-
 // lookup returns the frozen plan for key, or nil on miss. A hit is
 // revalidated against the table first: a schema change or stats drift
 // demotes the entry back to dynamic execution on the spot.
@@ -117,7 +86,7 @@ func (c *planCache) lookup(key string, tab *catalog.Table) *core.Plan {
 		c.misses++
 		return nil
 	}
-	if !e.stamp.fresh(tab) {
+	if e.stamp.Stale(catalog.StampOf(tab)) {
 		e.plan, e.streak, e.lastFP = nil, 0, ""
 		c.invalidations++
 		c.misses++
@@ -166,7 +135,7 @@ func (c *planCache) observeDynamic(key string, tab *catalog.Table, st *core.Retr
 	if e.plan == nil && e.streak >= c.cfg.PromoteAfter {
 		e.plan = plan
 		e.baselineIO = st.IO.IOCost()
-		e.stamp = stampOf(tab)
+		e.stamp = catalog.StampOf(tab)
 		c.promotions++
 	}
 }
