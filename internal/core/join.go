@@ -393,13 +393,12 @@ func (jr *joinRun) finish() {
 	jr.sync()
 	if jr.o.cfg.Feedback && jr.dynamic && jr.exhausted {
 		for _, sg := range jr.st.JoinStages {
-			// Keyed on the catalog table name (Table may show an alias); hj
-			// under a synthetic slot, its actual being join-output rows.
-			ixKey := sg.Index
-			if sg.Operator == JoinOpHJ {
-				ixKey = joinFeedbackHJ
+			// Keyed on the catalog table name (Table may show an alias). An
+			// hj stage's actual is join-output rows, which no estimate of
+			// its build table reads, so it is not observed.
+			if sg.Operator != JoinOpHJ {
+				jr.o.observeCard(sg.Index, sg.EstRows, float64(sg.ActualRows), jr.jq.Tables[sg.TableIdx])
 			}
-			jr.o.observeCard(ixKey, sg.EstRows, float64(sg.ActualRows), jr.jq.Tables[sg.TableIdx])
 		}
 		// The whole join: its output (after the residual, which no stage
 		// estimate sees) against the last stage's estimate, under a key for

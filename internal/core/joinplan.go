@@ -481,9 +481,3 @@ func (o *Optimizer) planJoinOrdered(jq *JoinQuery, infos []joinTableInfo, jts []
 // joinFeedbackIndex is the synthetic index slot the whole-join output
 // observation lives under, distinguishing it from per-stage slots.
 const joinFeedbackIndex = "(output)"
-
-// joinFeedbackHJ is the synthetic index slot hj stage observations live
-// under. An hj stage's actual is join-output rows; recording it under
-// the build index's real name would skew that index's restriction
-// corrections with numbers from a different population.
-const joinFeedbackHJ = "(hj)"

@@ -9,8 +9,7 @@ import (
 
 // learnedKey names one learned record: an index of a table, or the
 // table itself under index "". A join's whole-output record lives under
-// its table-set name (learnedTable), and an hj stage's under the
-// synthetic index joinFeedbackHJ.
+// its table-set name (learnedTable).
 type learnedKey struct{ table, index string }
 
 // learned is everything the optimizer has learned about one (table,

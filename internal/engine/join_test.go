@@ -11,6 +11,7 @@ import (
 	"rdbdyn/internal/catalog"
 	"rdbdyn/internal/core"
 	"rdbdyn/internal/expr"
+	"rdbdyn/internal/workload"
 )
 
 // newJoinDB builds a CUST/ORD pair with referential join keys.
@@ -656,5 +657,65 @@ func TestEngineJoinFeedbackLoop(t *testing.T) {
 	}
 	if len(db.FeedbackSnapshot()) == 0 {
 		t.Fatal("join runs recorded no feedback corrections")
+	}
+}
+
+// TestJoinHashStageLearnsNothing: an hj stage's actual counts join
+// output, which no estimate of its build table reads, so a dynamic hj
+// join with feedback on learns its output record and no record for the
+// hj stage. The tables are the shell's demo FAMILIES and ORDERS.
+func TestJoinHashStageLearnsNothing(t *testing.T) {
+	db := Open(Options{PoolFrames: 1024, EnableFeedback: true})
+	for _, spec := range []workload.TableSpec{{
+		Name: "FAMILIES",
+		Rows: 100000,
+		Columns: []workload.ColumnSpec{
+			{Name: "ID", Gen: &workload.Seq{}},
+			{Name: "AGE", Gen: workload.Uniform{Lo: 0, Hi: 10000}},
+			{Name: "CITY", Gen: &workload.Zipf{S: 1.3, V: 1, N: 1000}},
+			{Name: "PAD", Gen: workload.Pad{Len: 40}},
+		},
+		Indexes: [][]string{{"AGE"}, {"CITY"}},
+		Seed:    1,
+	}, {
+		Name: "ORDERS",
+		Rows: 50000,
+		Columns: []workload.ColumnSpec{
+			{Name: "ID", Gen: &workload.Seq{}},
+			{Name: "FAM", Gen: workload.Uniform{Lo: 0, Hi: 100000}},
+			{Name: "QTY", Gen: workload.Uniform{Lo: 1, Hi: 10}},
+		},
+		Indexes: [][]string{{"FAM"}},
+		Seed:    2,
+	}} {
+		if _, err := workload.Build(db.Catalog(), spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := db.QueryContext(context.Background(),
+		"SELECT COUNT(*) FROM FAMILIES JOIN ORDERS ON FAMILIES.ID = ORDERS.FAM WHERE FAMILIES.AGE < 50", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := res.All(); err != nil {
+		t.Fatal(err)
+	}
+	st := res.Stats()
+	hj := false
+	for _, sg := range st.JoinStages {
+		hj = hj || sg.Operator == core.JoinOpHJ
+	}
+	if !hj {
+		t.Fatalf("the join ran %s, want an hj stage", st.Strategy)
+	}
+	output := false
+	for _, c := range db.FeedbackSnapshot() {
+		if c.Index == "(hj)" {
+			t.Fatalf("the hj stage was learned: %+v", c)
+		}
+		output = output || c.Index == "(output)"
+	}
+	if !output {
+		t.Fatalf("the join learned no output record: %+v", db.FeedbackSnapshot())
 	}
 }

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -17,11 +16,19 @@ import (
 // because unrelated queries shuffle the cache; the experiments reproduce
 // that by sharing one pool between interleaved retrievals.
 //
+// Each shard keeps its resident pages in a frame table: one []frame
+// whose prev/next indices thread an exact LRU list through a sentinel
+// at index 0, and a map from page ID to frame index. A hit relinks two
+// indices in the table; a miss on a full bounded pool writes the new
+// page into the LRU victim's frame, so once the map has grown to the
+// pool's size neither allocates. The table has no holes (only EvictAll
+// removes frames, and it empties the table), so Resident is its length.
+//
 // The pool is sharded for concurrency: pages hash onto N independent
-// shards (N a power of two), each with its own mutex, LRU list, and
-// frame map, so unrelated page touches from concurrent queries never
-// contend. The global Reads/Writes/Hits counters are atomics, so Stats
-// never takes a lock.
+// shards (N a power of two), each with its own mutex and frame table,
+// so unrelated page touches from concurrent queries never contend. The
+// global Reads/Writes/Hits counters are atomics, so Stats never takes a
+// lock.
 //
 // Sharding and cost fidelity: an unbounded pool behaves identically at
 // any shard count (hits and misses depend only on residency, and nothing
@@ -42,16 +49,34 @@ type BufferPool struct {
 }
 
 type poolShard struct {
-	mu     sync.Mutex
-	frames map[PageID]*list.Element
-	lru    *list.List // front = most recently used
+	mu sync.Mutex
+	// frames[0] is the LRU sentinel: its next is the most recently used
+	// frame, its prev the least. Frames 1.. are the resident pages.
+	frames []frame
+	index  map[PageID]int32
 	pins   map[PageID]int
 	_      [32]byte // pad to a cache line to avoid false sharing
 }
 
 type frame struct {
-	page  *Page
-	dirty bool
+	page       *Page
+	dirty      bool
+	prev, next int32
+}
+
+// unlink takes frame i out of the LRU list.
+func (s *poolShard) unlink(i int32) {
+	f := &s.frames[i]
+	s.frames[f.prev].next = f.next
+	s.frames[f.next].prev = f.prev
+}
+
+// pushFront links frame i in as the most recently used.
+func (s *poolShard) pushFront(i int32) {
+	head := s.frames[0].next
+	s.frames[i].prev, s.frames[i].next = 0, head
+	s.frames[head].prev = i
+	s.frames[0].next = i
 }
 
 // NewBufferPool creates a pool over disk holding at most capacity pages.
@@ -78,8 +103,8 @@ func newBufferPool(disk *Disk, capacity, shards int) *BufferPool {
 	}
 	for i := range bp.shards {
 		s := &bp.shards[i]
-		s.frames = make(map[PageID]*list.Element)
-		s.lru = list.New()
+		s.frames = make([]frame, 1)
+		s.index = make(map[PageID]int32)
 		s.pins = make(map[PageID]int)
 	}
 	return bp
@@ -173,12 +198,15 @@ func (bp *BufferPool) getSpan(id PageID, tr *Tracker, dirty bool, span int) (*Pa
 	s := bp.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.frames[id]; ok {
+	if i, ok := s.index[id]; ok {
 		bp.hits.Add(1 + extra)
 		tr.hit()
 		tr.hitN(extra)
-		s.lru.MoveToFront(el)
-		f := el.Value.(*frame)
+		if s.frames[0].next != i {
+			s.unlink(i)
+			s.pushFront(i)
+		}
+		f := &s.frames[i]
 		if dirty {
 			f.dirty = true
 		}
@@ -236,8 +264,8 @@ func (bp *BufferPool) MarkDirty(id PageID) {
 	s := bp.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.frames[id]; ok {
-		el.Value.(*frame).dirty = true
+	if i, ok := s.index[id]; ok {
+		s.frames[i].dirty = true
 	}
 }
 
@@ -248,7 +276,7 @@ func (bp *BufferPool) Contains(id PageID) bool {
 	s := bp.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, ok := s.frames[id]
+	_, ok := s.index[id]
 	return ok
 }
 
@@ -258,9 +286,8 @@ func (bp *BufferPool) FlushAll() {
 	for i := range bp.shards {
 		s := &bp.shards[i]
 		s.mu.Lock()
-		for el := s.lru.Front(); el != nil; el = el.Next() {
-			f := el.Value.(*frame)
-			if f.dirty {
+		for i := 1; i < len(s.frames); i++ {
+			if f := &s.frames[i]; f.dirty {
 				bp.writes.Add(1)
 				f.dirty = false
 			}
@@ -275,13 +302,14 @@ func (bp *BufferPool) EvictAll() {
 	for i := range bp.shards {
 		s := &bp.shards[i]
 		s.mu.Lock()
-		for el := s.lru.Front(); el != nil; el = el.Next() {
-			if f := el.Value.(*frame); f.dirty {
+		for _, f := range s.frames[1:] {
+			if f.dirty {
 				bp.writes.Add(1)
 			}
 		}
-		s.frames = make(map[PageID]*list.Element)
-		s.lru.Init()
+		clear(s.frames)
+		s.frames = s.frames[:1]
+		clear(s.index)
 		s.mu.Unlock()
 	}
 }
@@ -292,7 +320,7 @@ func (bp *BufferPool) Resident() int {
 	for i := range bp.shards {
 		s := &bp.shards[i]
 		s.mu.Lock()
-		total += s.lru.Len()
+		total += len(s.frames) - 1
 		s.mu.Unlock()
 	}
 	return total
@@ -336,24 +364,26 @@ func (bp *BufferPool) Unpin(id PageID) {
 // all shards. Zero means no cursor is holding a page.
 func (bp *BufferPool) PinnedPages() int64 { return bp.pinned.Load() }
 
-// admit inserts page p into shard s, evicting the shard's LRU victim if
-// at capacity (a bounded pool's one shard holds every frame). Caller
-// holds s.mu.
+// admit inserts page p into shard s as its most recently used frame.
+// At capacity (a bounded pool's one shard holds every frame) p takes
+// over the LRU victim's frame, writing the victim back if dirty; below
+// it p gets a new frame. Caller holds s.mu.
 func (bp *BufferPool) admit(s *poolShard, p *Page, dirty bool, tr *Tracker) {
-	if bp.capacity > 0 {
-		for s.lru.Len() >= bp.capacity {
-			victim := s.lru.Back()
-			if victim == nil {
-				break
-			}
-			f := victim.Value.(*frame)
-			if f.dirty {
-				bp.writes.Add(1)
-				tr.write()
-			}
-			delete(s.frames, f.page.ID)
-			s.lru.Remove(victim)
+	var i int32
+	if bp.capacity > 0 && len(s.frames)-1 >= bp.capacity {
+		i = s.frames[0].prev
+		victim := &s.frames[i]
+		if victim.dirty {
+			bp.writes.Add(1)
+			tr.write()
 		}
+		delete(s.index, victim.page.ID)
+		s.unlink(i)
+	} else {
+		i = int32(len(s.frames))
+		s.frames = append(s.frames, frame{})
 	}
-	s.frames[p.ID] = s.lru.PushFront(&frame{page: p, dirty: dirty})
+	s.frames[i].page, s.frames[i].dirty = p, dirty
+	s.pushFront(i)
+	s.index[p.ID] = i
 }
