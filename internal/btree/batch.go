@@ -2,6 +2,7 @@ package btree
 
 import (
 	"rdbdyn/internal/expr"
+	"rdbdyn/internal/rid"
 	"rdbdyn/internal/storage"
 )
 
@@ -40,6 +41,34 @@ func (c *Cursor) NextRIDs(dst []storage.RID) (int, error) {
 		dst[i] = c.node.rid(start + i)
 	}
 	return n, err
+}
+
+// NextRIDsIn is NextRIDs through keys, the ascending distinct Keys of
+// an in-memory RID list, for a cursor whose range is one full key value,
+// so that its RIDs ascend. It claims the same run as NextRIDs — the same
+// leaf walk, charges, pins and n — but puts in dst, and returns as kept,
+// only the run's RIDs whose Keys are in keys; between two of them it
+// gallops, through the leaf's RIDs to the next key and through keys to
+// the next RID, instead of reading every entry.
+func (c *Cursor) NextRIDsIn(keys []uint64, dst []storage.RID) (n int, kept []storage.RID, err error) {
+	start, n, err := c.nextRun(len(dst))
+	kept = dst[:0]
+	end := start + n
+	for i, p := start, 0; i < end; {
+		r := c.node.rid(i)
+		k := r.Key()
+		if p = rid.Gallop(p, len(keys), func(x int) bool { return keys[x] < k }); p == len(keys) {
+			break
+		}
+		if keys[p] == k {
+			kept = append(kept, r)
+			i++
+			continue
+		}
+		next := keys[p]
+		i = rid.Gallop(i+1, end, func(x int) bool { return c.node.rid(x).Key() < next })
+	}
+	return n, kept, err
 }
 
 // nextRun is the leaf walk NextBatch and NextRIDs share: it hops to the

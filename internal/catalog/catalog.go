@@ -16,6 +16,7 @@
 package catalog
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -650,6 +651,15 @@ func (ix *Index) RestrictionBounds(e expr.Expr, binds expr.Bindings) (lo, hi []b
 	}
 	base := expr.EncodeKey(nil, prefix...)
 	return base, expr.KeySuccessor(base), sargable, false
+}
+
+// PointRange reports whether the bounds [lo, hi) RestrictionBounds
+// derived pin every key column with an equality — hi is KeySuccessor(lo)
+// and lo a whole key — so the range is one key value and its entries
+// ascend by RID.
+func (ix *Index) PointRange(lo, hi []byte) bool {
+	return len(hi) == len(lo)+1 && hi[len(lo)] == 0xFF && bytes.HasPrefix(hi, lo) &&
+		expr.KeyValues(lo) == len(ix.Cols)
 }
 
 // EstimateClusterRatio samples consecutive index entries and reports

@@ -40,14 +40,21 @@ func newAcceptScratch(n int) *acceptScratch {
 // exhausted) and the surviving RIDs in scan order, valid until the next
 // call with the same scratch. A keyless leg — no kernel, no delivery, a
 // forward cursor — reads RIDs straight off the leaf and filters them in
-// place; a keyed one reads entries (acceptEntries).
-func pull(src entryCursor, budget int, ix *catalog.Index, local *rowKernel, out *rowQueue, filter rid.Filter, sc *acceptScratch) (n int, kept []storage.RID, err error) {
+// place; when point says its range is one full key value, so its RIDs
+// ascend, and the filter is an in-memory list's sorted keys, it seeks
+// the list's members among them instead (Cursor.NextRIDsIn). A keyed
+// leg reads entries (acceptEntries).
+func pull(src entryCursor, budget int, ix *catalog.Index, local *rowKernel, out *rowQueue, filter rid.Filter, point bool, sc *acceptScratch) (n int, kept []storage.RID, err error) {
 	if cur, ok := src.(*btree.Cursor); ok && local == nil && out == nil {
 		rids := sc.rbuf[:min(budget, len(sc.rbuf))]
-		if n, err = cur.NextRIDs(rids); err != nil || n == 0 {
+		if keys, sorted := rid.SortedKeys(filter); sorted && point {
+			n, kept, err = cur.NextRIDsIn(keys, rids)
+		} else if n, err = cur.NextRIDs(rids); n > 0 {
+			kept = keepMembers(filter, rids[:n], sc.keep, rids[:0])
+		}
+		if err != nil || n == 0 {
 			return 0, nil, err
 		}
-		kept = keepMembers(filter, rids[:n], sc.keep, rids[:0])
 	} else {
 		if len(sc.batch) != len(sc.keep) {
 			sc.batch = make([]btree.Entry, len(sc.keep))

@@ -160,3 +160,35 @@ func TestGoalStringsRender(t *testing.T) {
 		}
 	}
 }
+
+// TestJscanEqualityLegSeeksOnlyOverOneKey: a Jscan's second leg reads
+// through the first list's sorted keys by seeking only when its range is
+// one full key value. CITY = 7 pins a CITY index whole, so that leg
+// seeks; it pins a (CITY, AGE) index on CITY only, whose RIDs do not
+// ascend across AGE values, so that leg walks. Both return the
+// oracle's rows through a two-index Jscan.
+func TestJscanEqualityLegSeeksOnlyOverOneKey(t *testing.T) {
+	for _, c := range []struct {
+		second string
+		point  bool
+	}{{"CITY", true}, {"CITY+AGE", false}} {
+		f := newFixture(t, 20000, "SALARY", c.second)
+		q := &Query{
+			Table: f.tab,
+			Restriction: expr.NewAnd(
+				expr.NewCmp(expr.LT, expr.Col(f.col(t, "SALARY"), "SALARY"), expr.Lit(expr.Float(20))),
+				expr.NewCmp(expr.EQ, expr.Col(f.col(t, "CITY"), "CITY"), expr.Lit(expr.Int(7))),
+			),
+			Goal: GoalTotalTime,
+		}
+		ix := f.tab.IndexByName("IX_" + c.second)
+		if lo, hi, _, _ := ix.RestrictionBounds(q.Restriction, q.Binds); ix.PointRange(lo, hi) != c.point {
+			t.Fatalf("%s: PointRange = %v, want %v", ix.Name, !c.point, c.point)
+		}
+		rows := NewOptimizer(DefaultConfig()).RunExec(nil, q)
+		sameMultiset(t, drain(t, rows), f.naive(t, q), ix.Name)
+		if want := "Jscan[IX_SALARY," + ix.Name + "]"; !strings.Contains(rows.Stats().Strategy, want) {
+			t.Fatalf("strategy %q, want %s", rows.Stats().Strategy, want)
+		}
+	}
+}

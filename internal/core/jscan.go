@@ -93,6 +93,7 @@ type raceLeg struct {
 	cost0    int64 // meter total at scan start
 	done     bool
 	dead     bool // abandoned by competition
+	point    bool // the range is one full key value (Index.PointRange)
 }
 
 func newJscan(ec *ExecCtx, q *Query, cfg Config, model estimate.CostModel, ests []estimate.IndexEstimate, borrow *ridQueue, trc *tracer) *jscan {
@@ -302,6 +303,7 @@ func (j *jscan) openLeg(e estimate.IndexEstimate) (raceLeg, error) {
 		ix:       e.Index,
 		cur:      cur,
 		local:    keyKernel(j.q.Restriction, j.q.Binds, e.Index),
+		point:    e.Index.PointRange(e.Lo, e.Hi),
 		rangeEst: max(e.RIDs, 1),
 		cost0:    j.total(),
 	}, nil
@@ -310,7 +312,7 @@ func (j *jscan) openLeg(e estimate.IndexEstimate) (raceLeg, error) {
 // pull reads the leg's next batch from src (l.cur, or an Sscan's
 // cursor), counting every entry read in l.seen.
 func (l *raceLeg) pull(src entryCursor, budget int, filter rid.Filter, sc *acceptScratch) (n int, kept []storage.RID, err error) {
-	n, kept, err = pull(src, budget, l.ix, l.local, l.out, filter, sc)
+	n, kept, err = pull(src, budget, l.ix, l.local, l.out, filter, l.point, sc)
 	l.seen += n
 	return n, kept, err
 }

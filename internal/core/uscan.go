@@ -256,7 +256,7 @@ func (u *uscan) step() (bool, error) {
 func (u *uscan) scanLeg() (n int, done bool, _ error) {
 	leg := &u.legs[u.idx]
 	for n < stepEntries {
-		got, kept, err := pull(u.cur, stepEntries-n, leg.Index, leg.Local, nil, rid.TrueFilter{}, u.sc)
+		got, kept, err := pull(u.cur, stepEntries-n, leg.Index, leg.Local, nil, rid.TrueFilter{}, false, u.sc)
 		n += got
 		if err != nil {
 			return n, false, err

@@ -114,6 +114,44 @@ func AppendKeySuccessor(dst, k []byte) []byte {
 	return append(append(dst, k...), 0xFF)
 }
 
+// KeyValues returns how many values the encoded key k holds, or -1
+// when k is not a whole number of encoded values.
+func KeyValues(k []byte) int {
+	n := 0
+	for ; len(k) > 0; n++ {
+		w := 1
+		switch k[0] {
+		case rankNull:
+		case rankBool:
+			w = 2
+		case rankNumber:
+			w = 9
+		case rankString:
+			// Past the escaped zeros (0x00 0xFF) to the 0x00 0x01 terminator.
+			for {
+				z := bytes.IndexByte(k[w:], 0x00)
+				if z < 0 || w+z+1 >= len(k) {
+					return -1
+				}
+				w += z + 2
+				if k[w-1] == 0x01 {
+					break
+				}
+				if k[w-1] != 0xFF {
+					return -1
+				}
+			}
+		default:
+			return -1
+		}
+		if w > len(k) {
+			return -1
+		}
+		k = k[w:]
+	}
+	return n
+}
+
 // ErrBadKey is returned by DecodeKey for malformed encoded keys.
 var ErrBadKey = errors.New("expr: malformed encoded key")
 

@@ -60,6 +60,44 @@ func TestDecodeKeyRejectsMalformed(t *testing.T) {
 	}
 }
 
+// TestKeyValues: KeyValues counts the values of a whole key — strings
+// with escaped zeros included — and rejects every cut inside a value, a
+// successor (KeySuccessor appends a byte no value starts with) and a bad
+// rank byte.
+func TestKeyValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for i := 0; i < 5000; i++ {
+		row := Row{Str("a\x00b\x00")}
+		for n := rng.Intn(3); n > 0; n-- {
+			row = append(row, randValue(rng))
+		}
+		rng.Shuffle(len(row), func(a, b int) { row[a], row[b] = row[b], row[a] })
+		k := EncodeKey(nil, row...)
+		if got := KeyValues(k); got != len(row) {
+			t.Fatalf("KeyValues(%v) = %d, want %d", row, got, len(row))
+		}
+		whole := map[int]int{}
+		for j := 0; j <= len(row); j++ {
+			whole[len(EncodeKey(nil, row[:j]...))] = j
+		}
+		for cut := 0; cut < len(k); cut++ {
+			want, ok := whole[cut]
+			if !ok {
+				want = -1
+			}
+			if got := KeyValues(k[:cut]); got != want {
+				t.Fatalf("KeyValues(%v cut at %d) = %d, want %d", row, cut, got, want)
+			}
+		}
+		if got := KeyValues(KeySuccessor(k)); got != -1 {
+			t.Fatalf("KeyValues of %v's successor = %d, want -1", row, got)
+		}
+	}
+	if got := KeyValues([]byte{0x77}); got != -1 {
+		t.Fatalf("bad rank byte: KeyValues = %d, want -1", got)
+	}
+}
+
 // TestKeyEqual: two values are KeyEqual exactly when Compare calls them
 // equal and their key encodings are the same bytes — over the pairs
 // where the two disagree (±0.0, NaN, ints past 2^53, 3 against 3.0) and

@@ -2,6 +2,7 @@ package rid
 
 import (
 	"math/bits"
+	"slices"
 
 	"rdbdyn/internal/storage"
 )
@@ -97,16 +98,7 @@ func (b *CompressedBitmap) search(key uint64) (int, bool) {
 	if n := len(b.keys); n > 0 && b.keys[n-1] == key {
 		return n - 1, true
 	}
-	lo, hi := 0, len(b.keys)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if b.keys[mid] < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(b.keys) && b.keys[lo] == key
+	return slices.BinarySearch(b.keys, key)
 }
 
 // Add inserts r; duplicates are no-ops.
@@ -297,8 +289,8 @@ func (c *chunk) add(s uint16) bool {
 		c.arr = append(c.arr, s)
 		return true
 	}
-	i := searchU16(c.arr, s)
-	if i < len(c.arr) && c.arr[i] == s {
+	i, found := slices.BinarySearch(c.arr, s)
+	if found {
 		return false
 	}
 	if len(c.arr) >= arrayMax {
@@ -315,8 +307,8 @@ func (c *chunk) contains(s uint16) bool {
 	if c.bits != nil {
 		return c.bits[s>>6]&(1<<(s&63)) != 0
 	}
-	i := searchU16(c.arr, s)
-	return i < len(c.arr) && c.arr[i] == s
+	_, found := slices.BinarySearch(c.arr, s)
+	return found
 }
 
 // toBits converts a sparse chunk to the dense form.
@@ -479,43 +471,29 @@ func chunkAndNot(a, b *chunk) chunk {
 	}
 }
 
-// searchU16 returns the first index with arr[i] >= s.
-func searchU16(arr []uint16, s uint16) int {
-	lo, hi := 0, len(arr)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if arr[mid] < s {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
 // searchFrom returns the first index i >= from with arr[i] >= s,
-// galloping forward before the binary search so an ascending probe
-// sequence pays amortized O(1) per probe while an isolated far probe
-// stays O(log n).
+// galloping forward so an ascending probe sequence pays amortized O(1)
+// per probe while an isolated far probe stays O(log n).
 func searchFrom[T uint16 | uint64](arr []T, s T, from int) int {
-	n := len(arr)
-	if from >= n || arr[from] >= s {
+	if from >= len(arr) || arr[from] >= s {
 		return from
 	}
-	lo, step := from, 1
-	hi := from + step
-	for hi < n && arr[hi] < s {
-		lo = hi
-		step <<= 1
-		hi = from + step
-	}
-	if hi > n {
-		hi = n
-	}
+	return Gallop(from+1, len(arr), func(i int) bool { return arr[i] < s })
+}
+
+// Gallop returns the first i in [from, n) for which below(i) is false,
+// or n, where below is true on a prefix of [from, n) and false after
+// it. Its probes stride ahead — from, from+2, from+6, from+14, ... —
+// until below fails, then halve the bracket that leaves, so the end of
+// a prefix of length d costs O(log d) probes. That is what makes a merge of two
+// sorted sequences adaptive: a long skip through either costs its
+// logarithm. Gallop inlines, and below with it.
+func Gallop(from, n int, below func(int) bool) int {
+	lo, hi, step := from, n, 1
 	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if arr[mid] < s {
-			lo = mid + 1
+		mid := min(lo+step-1, int(uint(lo+hi)>>1))
+		if below(mid) {
+			lo, step = mid+1, 2*step
 		} else {
 			hi = mid
 		}

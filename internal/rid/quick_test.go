@@ -1,6 +1,7 @@
 package rid
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -192,6 +193,87 @@ func TestQuickFiltersVsOracle(t *testing.T) {
 		return agrees(mem, oracle, orders) && agrees(bm, oracle, orders) && agrees(inc, oracle, orders)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// keysOfShapes are the orders and spreads keysOf must sort: shuffled
+// over a table, descending, an index's per-key runs (each ascending),
+// two files far apart in the key space, one page, and few distinct
+// RIDs repeated.
+var keysOfShapes = []func(rng *rand.Rand, n int) []storage.RID{
+	func(rng *rand.Rand, n int) []storage.RID { return indexOrder(n, 1063, rng.Int63()) },
+	func(rng *rand.Rand, n int) []storage.RID {
+		rids := indexOrder(n, 1063, rng.Int63())
+		slices.SortFunc(rids, func(a, b storage.RID) int { return b.Compare(a) })
+		return rids
+	},
+	func(rng *rand.Rand, n int) []storage.RID {
+		rids := indexOrder(n, 1063, rng.Int63())
+		for i, run := 0, 1+rng.Intn(20); i < n; i += run {
+			slices.SortFunc(rids[i:min(i+run, n)], storage.RID.Compare)
+		}
+		return rids
+	},
+	func(rng *rand.Rand, n int) []storage.RID {
+		rids := indexOrder(n, 1063, rng.Int63())
+		for i := range rids {
+			rids[i].Page.File = storage.FileID(1 + 4000*rng.Intn(2))
+		}
+		return rids
+	},
+	func(rng *rand.Rand, n int) []storage.RID {
+		rids := make([]storage.RID, n)
+		for i, slot := range rng.Perm(n) {
+			rids[i] = storage.RID{Page: storage.PageID{File: 2, No: 77}, Slot: uint16(slot)}
+		}
+		return rids
+	},
+	func(rng *rand.Rand, n int) []storage.RID {
+		distinct := indexOrder(1+rng.Intn(50), 1063, rng.Int63())
+		rids := make([]storage.RID, n)
+		for i := range rids {
+			rids[i] = distinct[rng.Intn(len(distinct))]
+		}
+		return rids
+	},
+}
+
+// Property: keysOf is a sort and a dedup of the Keys, for every shape
+// of list from empty to past the memory budget.
+func TestQuickKeysOfSorts(t *testing.T) {
+	f := func(seed int64, size uint16, shape uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		rids := keysOfShapes[int(shape)%len(keysOfShapes)](rng, int(size)%5001)
+		want := make([]uint64, len(rids))
+		for i, r := range rids {
+			want[i] = r.Key()
+		}
+		slices.Sort(want)
+		return slices.Equal(keysOf(rids), slices.Compact(want))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: Gallop finds the end of a prefix, wherever it lies in the
+// searched span and wherever the span starts.
+func TestQuickGallop(t *testing.T) {
+	f := func(from, span, end uint16) bool {
+		lo, n := int(from%100), int(from%100)+int(span%3000)
+		stop := lo + int(end)%(n-lo+1)
+		probes := 0
+		got := Gallop(lo, n, func(i int) bool {
+			if i < lo || i >= n {
+				t.Fatalf("Gallop(%d, %d) probed %d", lo, n, i)
+			}
+			probes++
+			return i < stop
+		})
+		return got == stop && probes <= 2*bits.Len(uint(stop-lo+1))+1
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }
