@@ -59,9 +59,13 @@ func (s *interruptState) fire() bool {
 }
 
 func main() {
+	// Every retrieval's decisions land in trace, drained after each
+	// statement; \stats shows the last one's.
+	trace := &core.TraceLog{}
 	cfg := core.DefaultConfig()
 	cfg.Parallelism = 4
 	cfg.AdaptiveParallelism = true
+	cfg.Trace = trace
 	db := engine.Open(engine.Options{
 		PoolFrames:     1024,
 		Optimizer:      cfg,
@@ -120,6 +124,7 @@ interrupt: no query in flight (\quit to exit)`)
 	binds := engine.Binds{}
 	var (
 		lastStats *core.RetrievalStats
+		lastTrace []core.TraceEvent
 		timeout   time.Duration
 		budget    int64
 	)
@@ -158,7 +163,7 @@ in-flight query and reports its partial progress.`)
 				fmt.Println("no statement has run yet")
 				continue
 			}
-			printStats(*lastStats)
+			printStats(*lastStats, lastTrace)
 		case line == `\metrics`:
 			printMetrics(db.Metrics())
 		case line == `\cache`:
@@ -226,6 +231,7 @@ in-flight query and reports its partial progress.`)
 			up := strings.ToUpper(line)
 			if strings.HasPrefix(up, "INSERT") || strings.HasPrefix(up, "DELETE") || strings.HasPrefix(up, "UPDATE") {
 				n, err := db.Exec(line, binds)
+				trace.Take()
 				if err != nil {
 					fmt.Println("error:", err)
 					continue
@@ -234,11 +240,12 @@ in-flight query and reports its partial progress.`)
 				continue
 			}
 			st, err := runSQL(db, line, binds, timeout, budget, intr)
+			events := trace.Take()
 			if err != nil {
 				fmt.Println("error:", err)
 				continue
 			}
-			lastStats = st
+			lastStats, lastTrace = st, events
 		}
 	}
 }
@@ -318,7 +325,7 @@ func runSQL(db *engine.DB, src string, binds engine.Binds, timeout time.Duration
 	return &st, nil
 }
 
-func printStats(st core.RetrievalStats) {
+func printStats(st core.RetrievalStats, trace []core.TraceEvent) {
 	fmt.Printf("tactic:    %s\n", st.Tactic)
 	fmt.Printf("strategy:  %s\n", st.Strategy)
 	fmt.Printf("attributed I/O: %s (estimation: %d)\n", st.IO, st.EstimateIO)
@@ -335,8 +342,8 @@ func printStats(st core.RetrievalStats) {
 		}
 		fmt.Println(" ", line)
 	}
-	for _, tr := range st.Trace() {
-		fmt.Println("  *", tr)
+	for _, ev := range trace {
+		fmt.Println("  *", ev)
 	}
 }
 

@@ -12,12 +12,16 @@ import (
 	"fmt"
 	"log"
 
+	"rdbdyn/internal/core"
 	"rdbdyn/internal/engine"
 	"rdbdyn/internal/workload"
 )
 
 func main() {
-	db := engine.Open(engine.Options{PoolFrames: 512})
+	// Every retrieval's decision trace lands in trace, drained per
+	// statement.
+	trace := &core.TraceLog{}
+	db := engine.Open(engine.Options{PoolFrames: 512, Optimizer: core.Config{Trace: trace}})
 	spec := workload.TableSpec{
 		Name: "EVENTS",
 		Rows: 100000,
@@ -54,6 +58,7 @@ func main() {
 		st := res.Stats()
 		fmt.Printf("CITY=%5d -> count=%-6s tactic=%-16s strategy=%-35s I/O=%d\n",
 			c, rows[0][0], st.Tactic, st.Strategy, db.Pool().Stats().IOCost())
+		trace.Take() // this tour prints no trace
 	}
 
 	fmt.Println("\n-- correlated conjuncts: the REGION index cannot shrink CITY's RID list --")
@@ -82,8 +87,8 @@ func main() {
 		st := res.Stats()
 		fmt.Printf("%-34s count=%-6s strategy=%-42s I/O=%d\n",
 			tc.label, rows[0][0], st.Strategy, db.Pool().Stats().IOCost())
-		for _, tr := range st.Trace() {
-			fmt.Println("    *", tr)
+		for _, ev := range trace.Take() {
+			fmt.Println("    *", ev)
 		}
 	}
 }

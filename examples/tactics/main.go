@@ -8,12 +8,16 @@ import (
 	"fmt"
 	"log"
 
+	"rdbdyn/internal/core"
 	"rdbdyn/internal/engine"
 	"rdbdyn/internal/workload"
 )
 
 func main() {
-	db := engine.Open(engine.Options{PoolFrames: 512})
+	// Every retrieval's decision trace lands in trace, drained per
+	// statement.
+	trace := &core.TraceLog{}
+	db := engine.Open(engine.Options{PoolFrames: 512, Optimizer: core.Config{Trace: trace}})
 	spec := workload.TableSpec{
 		Name: "T",
 		Rows: 60000,
@@ -57,8 +61,8 @@ func main() {
 		st := res.Stats()
 		fmt.Printf("tactic=%s strategy=%s rows=%d I/O=%d\n",
 			st.Tactic, st.Strategy, count, db.Pool().Stats().IOCost())
-		for _, tr := range st.Trace() {
-			fmt.Println("  *", tr)
+		for _, ev := range trace.Take() {
+			fmt.Println("  *", ev)
 		}
 	}
 

@@ -8,10 +8,11 @@ import (
 	"rdbdyn/internal/expr"
 )
 
-// eventTrigger is a TraceSink that fires a callback when the n-th
+// eventTrigger is a TraceLog that fires a callback when the n-th
 // event of a given kind is emitted. Retrieval event emission is
-// confined to the pulling goroutine, so no locking is needed here.
+// confined to the pulling goroutine, so the trigger needs no locking.
 type eventTrigger struct {
+	TraceLog
 	kind  EventKind
 	after int // skip this many matching events first
 	seen  int
@@ -20,6 +21,7 @@ type eventTrigger struct {
 }
 
 func (e *eventTrigger) Event(ev TraceEvent) {
+	e.TraceLog.Event(ev)
 	if e.fired || ev.Kind != e.kind {
 		return
 	}
@@ -62,14 +64,13 @@ func bgQuery(f *fixture, t *testing.T, goal Goal) *Query {
 }
 
 // checkCancelled asserts the common post-cancellation contract: the
-// typed query-cancelled event is present, every buffer-pool pin has
-// been released, and the cumulative metrics counted the query exactly
-// once under the right counter.
-func checkCancelled(t *testing.T, f *fixture, rows Rows, o *Optimizer, wantDeadline, wantBudget bool) {
+// typed query-cancelled event is among the query's events, every
+// buffer-pool pin has been released, and the cumulative metrics counted
+// the query exactly once under the right counter.
+func checkCancelled(t *testing.T, f *fixture, rows Rows, o *Optimizer, evs []TraceEvent, wantDeadline, wantBudget bool) {
 	t.Helper()
-	st := rows.Stats()
-	if !hasEvent(st, EvQueryCancelled, "") {
-		t.Fatalf("no query-cancelled event; trace: %v", st.Trace())
+	if !hasEvent(evs, EvQueryCancelled, "") {
+		t.Fatalf("no query-cancelled event; trace: %v", evs)
 	}
 	if err := rows.Close(); err != nil {
 		t.Fatalf("Close after cancellation: %v", err)
@@ -101,17 +102,17 @@ func TestCancelDuringJscanRIDCollection(t *testing.T) {
 	q := bgQuery(f, t, GoalTotalTime)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ec := NewExecCtx(ctx, 0).WithTrace(&eventTrigger{kind: EvScanStarted, fire: cancel})
+	trig := &eventTrigger{kind: EvScanStarted, fire: cancel}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.RunExec(ec, q)
+	rows := o.RunExec(NewExecCtx(ctx, 0).WithTrace(trig), q)
 	if _, err := drainToErr(rows); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	st := rows.Stats()
-	if !hasEvent(st, EvScanAbandoned, "") {
-		t.Fatalf("no scan-abandoned for the live Jscan; trace: %v", st.Trace())
+	evs := trig.Take()
+	if !hasEvent(evs, EvScanAbandoned, "") {
+		t.Fatalf("no scan-abandoned for the live Jscan; trace: %v", evs)
 	}
-	checkCancelled(t, f, rows, o, false, false)
+	checkCancelled(t, f, rows, o, evs, false, false)
 }
 
 // TestCancelDuringFinalFetchStage cancels after the background stage
@@ -121,13 +122,13 @@ func TestCancelDuringFinalFetchStage(t *testing.T) {
 	q := bgQuery(f, t, GoalTotalTime)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	ec := NewExecCtx(ctx, 0).WithTrace(&eventTrigger{kind: EvFinalStage, fire: cancel})
+	trig := &eventTrigger{kind: EvFinalStage, fire: cancel}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.RunExec(ec, q)
+	rows := o.RunExec(NewExecCtx(ctx, 0).WithTrace(trig), q)
 	if _, err := drainToErr(rows); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	checkCancelled(t, f, rows, o, false, false)
+	checkCancelled(t, f, rows, o, trig.Take(), false, false)
 }
 
 // TestBudgetExhaustionMidSequentialScan runs an unindexed restriction
@@ -144,7 +145,8 @@ func TestBudgetExhaustionMidSequentialScan(t *testing.T) {
 	// paper's cost unit; start cold so the sequential scan pays them.
 	f.pool.EvictAll()
 	const budget = 25
-	ec := NewExecCtx(context.Background(), budget)
+	log := &TraceLog{}
+	ec := NewExecCtx(context.Background(), budget).WithTrace(log)
 	o := NewOptimizer(DefaultConfig())
 	rows := o.RunExec(ec, q)
 	if _, err := drainToErr(rows); !errors.Is(err, ErrBudgetExceeded) {
@@ -153,7 +155,7 @@ func TestBudgetExhaustionMidSequentialScan(t *testing.T) {
 	if spent := ec.IOSpent(); spent != budget {
 		t.Fatalf("spent %d simulated I/Os, want exactly the budget %d", spent, budget)
 	}
-	checkCancelled(t, f, rows, o, false, true)
+	checkCancelled(t, f, rows, o, log.Take(), false, true)
 }
 
 // TestDeadlineExpiredBeforeRun covers the pre-flight checkpoint: a
@@ -225,7 +227,6 @@ func TestCancelSweepNoPinsLeaked(t *testing.T) {
 			o := NewOptimizer(DefaultConfig())
 			rows := o.RunExec(ec, q)
 			_, err := drainToErr(rows)
-			st := rows.Stats()
 			rows.Close()
 			cancel()
 			if n := f.pool.PinnedPages(); n != 0 {
@@ -240,8 +241,8 @@ func TestCancelSweepNoPinsLeaked(t *testing.T) {
 					t.Fatalf("%s/%v: clean run counted as cancelled", name, kind)
 				}
 			case errors.Is(err, context.Canceled):
-				if !hasEvent(st, EvQueryCancelled, "") {
-					t.Fatalf("%s/%v: no query-cancelled event; trace: %v", name, kind, st.Trace())
+				if evs := trig.Take(); !hasEvent(evs, EvQueryCancelled, "") {
+					t.Fatalf("%s/%v: no query-cancelled event; trace: %v", name, kind, evs)
 				}
 				if snap.QueriesCancelled != 1 {
 					t.Fatalf("%s/%v: cancellation counted %d times", name, kind, snap.QueriesCancelled)
@@ -263,14 +264,13 @@ func TestCancelledRunPlan(t *testing.T) {
 		Restriction: expr.NewCmp(expr.GE, expr.Col(age, "AGE"), expr.Lit(expr.Int(0))),
 	}
 	f.pool.EvictAll()
-	ec := NewExecCtx(context.Background(), 10)
-	rows := NewOptimizer(Config{}).RunPlan(ec, q, &Plan{Tactic: "tscan"})
+	log := &TraceLog{}
+	rows := NewOptimizer(Config{}).RunPlan(NewExecCtx(context.Background(), 10).WithTrace(log), q, &Plan{Tactic: "tscan"})
 	if _, err := drainToErr(rows); !errors.Is(err, ErrBudgetExceeded) {
 		t.Fatalf("err = %v, want ErrBudgetExceeded", err)
 	}
-	st := rows.Stats()
-	if !hasEvent(st, EvQueryCancelled, "") {
-		t.Fatalf("no query-cancelled event; trace: %v", st.Trace())
+	if evs := log.Take(); !hasEvent(evs, EvQueryCancelled, "") {
+		t.Fatalf("no query-cancelled event; trace: %v", evs)
 	}
 	rows.Close()
 	if n := f.pool.PinnedPages(); n != 0 {

@@ -66,24 +66,25 @@ func TestIndexOnlyJscanWinsAndSscanIsAbandoned(t *testing.T) {
 		Goal:       GoalTotalTime,
 	}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.RunExec(nil, q)
+	ec, log := tracedCtx()
+	rows := o.RunExec(ec, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "index-only jscan wins")
-	st := rows.Stats()
+	st, evs := rows.Stats(), log.Take()
 	if st.Tactic != "index-only" {
-		t.Fatalf("tactic = %s (trace %v)", st.Tactic, st.Trace())
+		t.Fatalf("tactic = %s (trace %v)", st.Tactic, evs)
 	}
-	if !hasEvent(st, EvRaceResolved, "") {
-		t.Fatalf("expected a race-resolved event; trace: %v", st.Trace())
+	if !hasEvent(evs, EvRaceResolved, "") {
+		t.Fatalf("expected a race-resolved event; trace: %v", evs)
 	}
 	abandoned := false
-	for _, ev := range st.Events {
+	for _, ev := range evs {
 		if ev.Kind == EvScanAbandoned && strings.Contains(ev.Scan, "Sscan") {
 			abandoned = true
 		}
 	}
 	if !abandoned {
-		t.Fatalf("expected the Sscan to be abandoned for the final stage; trace: %v", st.Trace())
+		t.Fatalf("expected the Sscan to be abandoned for the final stage; trace: %v", evs)
 	}
 	if !strings.Contains(st.Strategy, "Fin") {
 		t.Fatalf("strategy %q should include the final stage", st.Strategy)
@@ -105,12 +106,13 @@ func TestJscanMidScanAbandonment(t *testing.T) {
 		Goal:        GoalTotalTime,
 	}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.RunExec(nil, q)
+	ec, log := tracedCtx()
+	rows := o.RunExec(ec, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "mid-scan abandonment")
-	st := rows.Stats()
-	if !hasEvent(st, EvScanAbandoned, "IX_A") {
-		t.Fatalf("expected mid-scan abandonment of IX_A; trace: %v", st.Trace())
+	st, evs := rows.Stats(), log.Take()
+	if !hasEvent(evs, EvScanAbandoned, "IX_A") {
+		t.Fatalf("expected mid-scan abandonment of IX_A; trace: %v", evs)
 	}
 	if !strings.Contains(st.Strategy, "Tscan") {
 		t.Fatalf("strategy %q should have switched to Tscan", st.Strategy)

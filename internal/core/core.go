@@ -117,7 +117,7 @@ type Query struct {
 // a retrieval counts no query and no tactic win of its own.
 type joinAccess struct {
 	res *estimate.Result // gatherJoinInfo's appraisal of the restriction: handed in, not recomputed
-	trc *tracer          // the join's tracer: the access's events are the join's
+	trc *tracer          // the join's tracer: the access's facts and events are the join's
 }
 
 // EffectiveGoal resolves the query's goal per Section 4.
@@ -205,8 +205,9 @@ type Config struct {
 	// ShortRange is the initial-stage shortcut threshold.
 	ShortRange int
 	// Trace, when set, receives every retrieval's TraceEvents as they
-	// are emitted. The sink must be safe for concurrent use (see
-	// TraceSink) and adds no simulated I/O.
+	// are emitted; with no sink here or on the query's ExecCtx, no event
+	// is built. The sink must be safe for concurrent use (see TraceSink)
+	// and adds no simulated I/O.
 	Trace TraceSink
 	// Feedback closes the estimation loop: each completed dynamic
 	// retrieval and join folds its estimated-vs-actual cardinality into
@@ -328,9 +329,6 @@ type RetrievalStats struct {
 	// FinalListLen is the length of the background's final RID list
 	// (-1 when the background did not complete).
 	FinalListLen int
-	// Events records the competition decisions in order, typed; Trace
-	// renders them.
-	Events []TraceEvent
 	// WinningOrder is the index order that won, reused to pre-arrange
 	// the next run's initial stage.
 	WinningOrder []string
@@ -347,15 +345,28 @@ type RetrievalStats struct {
 	// surviving stage order satisfied the requested order, so the final
 	// materialized sort was skipped.
 	SortAvoided bool
-}
 
-// Trace renders Events as human-readable lines, in order.
-func (st RetrievalStats) Trace() []string {
-	out := make([]string, len(st.Events))
-	for i, ev := range st.Events {
-		out[i] = ev.String()
-	}
-	return out
+	// The facts the engine reads back of its own decisions, recorded
+	// where each decision is taken, traced or not; a join's table
+	// accesses record into the join's stats.
+	//
+	// planEstIO is the chosen plan's projected I/O at start-retrieval
+	// time: with EstimateIO, the estimate-error histogram's prediction.
+	planEstIO float64
+	// planIndex is the index the chosen arrangement's foreground scans
+	// ("" when none does).
+	planIndex string
+	// scansStarted counts the Jscan index scans opened, continued race
+	// legs included; CapturePlan weighs them against WinningOrder.
+	scansStarted int
+	// switchedTo names the scan a mid-run strategy switch put in the
+	// plan's place ("" when none did).
+	switchedTo string
+	// raced, overflowed and cancelled mark a Jscan race, a foreground
+	// buffer overflow and an execution-context unwind.
+	raced, overflowed, cancelled bool
+	// events counts the TraceEvents emitted so far: the next one's Seq.
+	events int
 }
 
 // JoinStageStats is the est-vs-actual record of one executed join

@@ -295,10 +295,10 @@ func TestBackgroundOnlyIntersectsIndexes(t *testing.T) {
 	sameMultiset(t, got, f.naive(t, q), "background-only")
 	st := rows.Stats()
 	if st.Tactic != "background-only" {
-		t.Fatalf("tactic = %s (trace: %v)", st.Tactic, st.Trace())
+		t.Fatalf("tactic = %s (strategy %s)", st.Tactic, st.Strategy)
 	}
 	if st.FinalListLen < 0 {
-		t.Fatalf("expected a final RID list; trace: %v", st.Trace())
+		t.Fatalf("expected a final RID list; strategy %s", st.Strategy)
 	}
 }
 
@@ -316,7 +316,7 @@ func TestJscanRecommendsTscanOnHugeRanges(t *testing.T) {
 	sameMultiset(t, got, f.naive(t, q), "tscan-recommend")
 	st := rows.Stats()
 	if !strings.Contains(st.Strategy, "Tscan") {
-		t.Fatalf("expected Tscan in strategy %q; trace: %v", st.Strategy, st.Trace())
+		t.Fatalf("expected Tscan in strategy %q", st.Strategy)
 	}
 }
 
@@ -378,12 +378,12 @@ func TestFastFirstOverflowSwitchesToFinal(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FgBufferCap = 16 // force overflow quickly
 	o := NewOptimizer(cfg)
-	rows := o.RunExec(nil, q)
+	ec, log := tracedCtx()
+	rows := o.RunExec(ec, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "fast-first overflow")
-	st := rows.Stats()
-	if !hasEvent(st, EvBorrowOverflow, "") {
-		t.Fatalf("expected a borrow-overflow event in trace: %v", st.Trace())
+	if evs := log.Take(); !hasEvent(evs, EvBorrowOverflow, "") {
+		t.Fatalf("expected a borrow-overflow event in trace: %v", evs)
 	}
 }
 
@@ -414,7 +414,7 @@ func TestSortedTacticOrderAndFilter(t *testing.T) {
 	}
 	st := rows.Stats()
 	if st.Tactic != "sorted" && st.Tactic != "fscan" {
-		t.Fatalf("tactic = %s; trace: %v", st.Tactic, st.Trace())
+		t.Fatalf("tactic = %s (strategy %s)", st.Tactic, st.Strategy)
 	}
 	// A total-time ordered query over a huge range should instead fall
 	// back to materialize-and-sort when the ordered Fscan is projected
@@ -492,7 +492,7 @@ func TestIndexOnlyTactic(t *testing.T) {
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "sscan static")
 	if st := rows.Stats(); st.Tactic != "sscan" {
-		t.Fatalf("tactic = %s; trace: %v", st.Tactic, st.Trace())
+		t.Fatalf("tactic = %s (strategy %s)", st.Tactic, st.Strategy)
 	}
 	// Now add a CITY conjunct that IX_CITY can prefilter: index-only
 	// competition (self-sufficient candidate is gone, so rebuild with a
@@ -542,7 +542,7 @@ func TestPreviousOrderReused(t *testing.T) {
 	drain(t, rows)
 	st := rows.Stats()
 	if len(st.WinningOrder) == 0 {
-		t.Skipf("no winning order recorded (trace: %v)", st.Trace())
+		t.Skipf("no winning order recorded (strategy %s)", st.Strategy)
 	}
 	if rec := o.learned[learnedKey{f.tab.Name, ""}]; rec == nil || len(rec.order) == 0 {
 		t.Fatal("optimizer did not record the winning order")
@@ -629,8 +629,8 @@ func TestRandomizedAgainstNaive(t *testing.T) {
 		want := f.naive(t, q)
 		tactics[rows.Stats().Tactic]++
 		if len(got) != len(want) {
-			t.Fatalf("trial %d (%s, tactic %s): got %d rows, want %d\ntrace: %v",
-				trial, restriction, rows.Stats().Tactic, len(got), len(want), rows.Stats().Trace())
+			t.Fatalf("trial %d (%s, tactic %s): got %d rows, want %d\nstrategy: %s",
+				trial, restriction, rows.Stats().Tactic, len(got), len(want), rows.Stats().Strategy)
 		}
 		sameMultiset(t, got, want, fmt.Sprintf("trial %d (%s)", trial, restriction))
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 )
 
 // EventKind classifies a competition decision. Every run-time choice the
@@ -76,49 +77,35 @@ const (
 	EvJoinSortAvoided
 )
 
-func (k EventKind) String() string {
-	switch k {
-	case EvTacticChosen:
-		return "tactic-chosen"
-	case EvScanStarted:
-		return "scan-started"
-	case EvScanComplete:
-		return "scan-complete"
-	case EvScanAbandoned:
-		return "scan-abandoned"
-	case EvStrategySwitch:
-		return "strategy-switch"
-	case EvRaceStarted:
-		return "race-started"
-	case EvRaceResolved:
-		return "race-resolved"
-	case EvBorrowOverflow:
-		return "borrow-overflow"
-	case EvEmptyRange:
-		return "empty-range"
-	case EvFilterInstalled:
-		return "filter-installed"
-	case EvFinalStage:
-		return "final-stage"
-	case EvQueryCancelled:
-		return "query-cancelled"
-	case EvJoinOrderChosen:
-		return "join-order-chosen"
-	case EvJoinStageStarted:
-		return "join-stage-started"
-	case EvJoinReoptimized:
-		return "join-reoptimized"
-	case EvParallelWidthChosen:
-		return "parallel-width-chosen"
-	case EvJoinSortAvoided:
-		return "join-sort-avoided"
-	default:
-		return "?"
-	}
+var eventKindNames = [...]string{
+	EvTacticChosen:        "tactic-chosen",
+	EvScanStarted:         "scan-started",
+	EvScanComplete:        "scan-complete",
+	EvScanAbandoned:       "scan-abandoned",
+	EvStrategySwitch:      "strategy-switch",
+	EvRaceStarted:         "race-started",
+	EvRaceResolved:        "race-resolved",
+	EvBorrowOverflow:      "borrow-overflow",
+	EvEmptyRange:          "empty-range",
+	EvFilterInstalled:     "filter-installed",
+	EvFinalStage:          "final-stage",
+	EvQueryCancelled:      "query-cancelled",
+	EvJoinOrderChosen:     "join-order-chosen",
+	EvJoinStageStarted:    "join-stage-started",
+	EvJoinReoptimized:     "join-reoptimized",
+	EvParallelWidthChosen: "parallel-width-chosen",
+	EvJoinSortAvoided:     "join-sort-avoided",
 }
 
-// TraceEvent is one competition decision; RetrievalStats.Trace renders
-// them as human-readable lines (String).
+func (k EventKind) String() string {
+	if int(k) < len(eventKindNames) {
+		return eventKindNames[k]
+	}
+	return "?"
+}
+
+// TraceEvent is one competition decision as a sink receives it. It is
+// built only for a sink: a retrieval nobody traces formats nothing.
 type TraceEvent struct {
 	// QueryID identifies the retrieval the event belongs to (unique per
 	// process), so a shared sink can partition interleaved streams.
@@ -174,35 +161,68 @@ func (e TraceEvent) String() string {
 	return b.String()
 }
 
-// TraceSink receives every event of every retrieval as it is emitted.
-// RunExec may be called from many goroutines at once, so a sink must be
-// safe for concurrent Event calls; events of one retrieval arrive in
-// Seq order, but events of different retrievals interleave. The sink
-// must not block: it runs inside the retrieval's step loop.
+// TraceSink receives every event of every retrieval it is attached to,
+// as it is emitted: per optimizer through Config.Trace, per query
+// through ExecCtx.WithTrace. RunExec may be called from many goroutines
+// at once, so a sink must be safe for concurrent Event calls; events of
+// one retrieval arrive in Seq order, but events of different retrievals
+// interleave. The sink must not block: it runs inside the retrieval's
+// step loop.
 type TraceSink interface {
 	Event(TraceEvent)
 }
 
-// tracer stamps and fans out one retrieval's events: into the
-// retrieval's own stats (Events), the cumulative metrics registry, and the user's sink. It is confined to the
-// retrieval's goroutine; only the metrics and sink are shared.
-type tracer struct {
-	st      *RetrievalStats
-	sink    TraceSink
-	extra   TraceSink // optional per-query sink carried by the ExecCtx
-	metrics *Metrics
+// TraceLog is the collecting TraceSink: it keeps every event it is
+// sent, in arrival order, until Take hands them over. Safe for
+// concurrent use; partition by QueryID when retrievals interleave.
+type TraceLog struct {
+	mu     sync.Mutex
+	events []TraceEvent
 }
 
+// Event appends ev to the log.
+func (l *TraceLog) Event(ev TraceEvent) {
+	l.mu.Lock()
+	l.events = append(l.events, ev)
+	l.mu.Unlock()
+}
+
+// Take returns the events logged since the last Take and empties the
+// log.
+func (l *TraceLog) Take() []TraceEvent {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	evs := l.events
+	l.events = nil
+	return evs
+}
+
+// tracer is one retrieval's decision recorder: each decision site
+// counts itself through decide, records the facts the engine reads back
+// in st, and builds its TraceEvent only when decide reports a sink to
+// hand it to. A join's table accesses record through a copy of the
+// join's tracer, so their facts and events are the join's. Confined to
+// the retrieval's goroutine; only the metrics and sinks are shared.
+type tracer struct {
+	st      *RetrievalStats
+	metrics *Metrics
+	sink    TraceSink // Config.Trace
+	extra   TraceSink // the ExecCtx's per-query sink
+}
+
+// decide counts one decision of kind, traced or not, and reports
+// whether a sink reads its event.
+func (t *tracer) decide(kind EventKind) bool {
+	t.metrics.decisions[kind].Add(1)
+	return t.sink != nil || t.extra != nil
+}
+
+// emit stamps ev with the retrieval's QueryID and next Seq and hands it
+// to the sinks. Call it only when decide says a sink reads it.
 func (t *tracer) emit(ev TraceEvent) {
-	if t == nil || t.st == nil {
-		return
-	}
 	ev.QueryID = t.st.QueryID
-	ev.Seq = len(t.st.Events)
-	t.st.Events = append(t.st.Events, ev)
-	if t.metrics != nil {
-		t.metrics.onEvent(ev)
-	}
+	ev.Seq = t.st.events
+	t.st.events++
 	if t.sink != nil {
 		t.sink.Event(ev)
 	}

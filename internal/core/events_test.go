@@ -11,50 +11,42 @@ import (
 	"rdbdyn/internal/storage"
 )
 
-// hasEvent reports whether the stats' event stream carries an event of
-// the given kind; with index != "", the event must also mention that
-// index.
-func hasEvent(st RetrievalStats, kind EventKind, index string) bool {
-	return firstEvent(st, kind, index) != nil
+// tracedCtx returns a free execution context whose retrievals hand
+// every event to the returned TraceLog.
+func tracedCtx() (*ExecCtx, *TraceLog) {
+	log := &TraceLog{}
+	return (*ExecCtx)(nil).WithTrace(log), log
 }
 
-func firstEvent(st RetrievalStats, kind EventKind, index string) *TraceEvent {
-	for i, ev := range st.Events {
-		if ev.Kind != kind {
-			continue
-		}
-		if index == "" {
-			return &st.Events[i]
-		}
-		for _, ix := range ev.Indexes {
-			if ix == index {
-				return &st.Events[i]
-			}
+// hasEvent reports whether the event stream carries an event of the
+// given kind; with index != "", the event must also mention that index.
+func hasEvent(evs []TraceEvent, kind EventKind, index string) bool {
+	return firstEvent(evs, kind, index) != nil
+}
+
+func firstEvent(evs []TraceEvent, kind EventKind, index string) *TraceEvent {
+	for i, ev := range evs {
+		if ev.Kind == kind && (index == "" || slices.Contains(ev.Indexes, index)) {
+			return &evs[i]
 		}
 	}
 	return nil
 }
 
 // checkStream asserts the structural invariants of one retrieval's
-// event stream: consecutive Seq from 0, a consistent QueryID matching
-// the stats, and one rendered Trace line per event.
-func checkStream(t *testing.T, st RetrievalStats) {
+// event stream: consecutive Seq from 0 and the stats' QueryID on every
+// event.
+func checkStream(t *testing.T, st RetrievalStats, evs []TraceEvent) {
 	t.Helper()
-	if len(st.Events) != len(st.Trace()) {
-		t.Fatalf("events (%d) and trace (%d) out of sync", len(st.Events), len(st.Trace()))
-	}
-	if st.QueryID == 0 && len(st.Events) > 0 {
+	if st.QueryID == 0 && len(evs) > 0 {
 		t.Fatalf("retrieval with events but no QueryID")
 	}
-	for i, ev := range st.Events {
+	for i, ev := range evs {
 		if ev.Seq != i {
 			t.Fatalf("event %d has Seq %d", i, ev.Seq)
 		}
 		if ev.QueryID != st.QueryID {
 			t.Fatalf("event %d has QueryID %d, stats say %d", i, ev.QueryID, st.QueryID)
-		}
-		if st.Trace()[i] != ev.String() {
-			t.Fatalf("trace line %d is not the event rendering:\n%q\nvs\n%q", i, st.Trace()[i], ev.String())
 		}
 	}
 }
@@ -108,14 +100,15 @@ func TestEventStreamPerTactic(t *testing.T) {
 			q := tc.q
 			q.Table = f.tab
 			o := NewOptimizer(DefaultConfig())
-			rows := o.RunExec(nil, &q)
+			ec, log := tracedCtx()
+			rows := o.RunExec(ec, &q)
 			got := drain(t, rows)
 			sameMultiset(t, got, f.naive(t, &q), tc.name)
-			st := rows.Stats()
-			checkStream(t, st)
-			chosen := firstEvent(st, EvTacticChosen, "")
+			st, evs := rows.Stats(), log.Take()
+			checkStream(t, st, evs)
+			chosen := firstEvent(evs, EvTacticChosen, "")
 			if chosen == nil {
-				t.Fatalf("no tactic-chosen event; trace: %v", st.Trace())
+				t.Fatalf("no tactic-chosen event; trace: %v", evs)
 			}
 			if chosen.Tactic != tc.tactic || chosen.Scan != tc.scan || !slices.Equal(chosen.Indexes, tc.indexes) || chosen.Detail != tc.detail {
 				t.Fatalf("tactic-chosen = %q %q %q %q, want %q %q %q %q", chosen.Tactic, chosen.Scan, chosen.Indexes, chosen.Detail,
@@ -142,14 +135,15 @@ func TestEventStreamTscanRecommendation(t *testing.T) {
 		Goal:        GoalTotalTime,
 	}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.RunExec(nil, q)
+	ec, log := tracedCtx()
+	rows := o.RunExec(ec, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "tscan-recommend")
-	st := rows.Stats()
-	checkStream(t, st)
-	sw := firstEvent(st, EvStrategySwitch, "")
+	st, evs := rows.Stats(), log.Take()
+	checkStream(t, st, evs)
+	sw := firstEvent(evs, EvStrategySwitch, "")
 	if sw == nil {
-		t.Fatalf("expected a strategy-switch event; trace: %v", st.Trace())
+		t.Fatalf("expected a strategy-switch event; trace: %v", evs)
 	}
 	if sw.Scan != "Tscan" {
 		t.Fatalf("strategy-switch targets %q, want Tscan", sw.Scan)
@@ -172,18 +166,19 @@ func TestEventStreamEmptyRange(t *testing.T) {
 		),
 	}
 	o := NewOptimizer(DefaultConfig())
-	rows := o.RunExec(nil, q)
+	ec, log := tracedCtx()
+	rows := o.RunExec(ec, q)
 	got := drain(t, rows)
 	if len(got) != 0 {
 		t.Fatalf("contradictory range delivered %d rows", len(got))
 	}
-	st := rows.Stats()
-	checkStream(t, st)
+	st, evs := rows.Stats(), log.Take()
+	checkStream(t, st, evs)
 	if st.Tactic != "empty-range" {
-		t.Fatalf("tactic = %s; trace: %v", st.Tactic, st.Trace())
+		t.Fatalf("tactic = %s; trace: %v", st.Tactic, evs)
 	}
-	if !hasEvent(st, EvEmptyRange, "") {
-		t.Fatalf("expected an empty-range event; trace: %v", st.Trace())
+	if !hasEvent(evs, EvEmptyRange, "") {
+		t.Fatalf("expected an empty-range event; trace: %v", evs)
 	}
 	if c := st.IO.IOCost(); c != 0 {
 		t.Fatalf("empty range cost %d I/O, want 0", c)
@@ -214,19 +209,20 @@ func TestOrderedEmptyRangeShortcut(t *testing.T) {
 			OrderDesc: desc,
 		}
 		o := NewOptimizer(DefaultConfig())
-		rows := o.RunExec(nil, q)
+		ec, log := tracedCtx()
+		rows := o.RunExec(ec, q)
 		got := drain(t, rows)
 		if len(got) != 0 {
 			t.Fatalf("ordered contradictory range delivered %d rows", len(got))
 		}
-		st := rows.Stats()
-		checkStream(t, st)
-		ev := firstEvent(st, EvEmptyRange, "")
+		st, evs := rows.Stats(), log.Take()
+		checkStream(t, st, evs)
+		ev := firstEvent(evs, EvEmptyRange, "")
 		if st.Tactic != "empty-range" || ev == nil || !strings.Contains(ev.Detail, "contradictory sargable range") {
-			t.Fatalf("want Classify's empty-range shortcut; tactic %s, trace: %v", st.Tactic, st.Trace())
+			t.Fatalf("want Classify's empty-range shortcut; tactic %s, trace: %v", st.Tactic, evs)
 		}
 		if c := st.IO.IOCost(); c != 0 {
-			t.Fatalf("ordered empty range attributed %d I/O, want 0 (tactic %s, trace: %v)", c, st.Tactic, st.Trace())
+			t.Fatalf("ordered empty range attributed %d I/O, want 0 (tactic %s, trace: %v)", c, st.Tactic, evs)
 		}
 	}
 }
@@ -353,27 +349,14 @@ func TestBorrowFetcherCapNormalization(t *testing.T) {
 	}
 }
 
-// collectSink gathers every event from every retrieval; safe for
-// concurrent use as TraceSink requires.
-type collectSink struct {
-	mu     sync.Mutex
-	events []TraceEvent
-}
-
-func (s *collectSink) Event(ev TraceEvent) {
-	s.mu.Lock()
-	s.events = append(s.events, ev)
-	s.mu.Unlock()
-}
-
 // TestConcurrentQueriesDoNotInterleaveStreams runs two goroutines
-// querying one optimizer through a shared sink and asserts each
+// querying one optimizer through a shared TraceLog and asserts each
 // query's stream stays internally ordered: partitioned by QueryID,
 // every stream is Seq 0..n-1 with no foreign events inside.
 func TestConcurrentQueriesDoNotInterleaveStreams(t *testing.T) {
 	f := newFixture(t, 8000, "AGE", "CITY")
 	age, city := f.col(t, "AGE"), f.col(t, "CITY")
-	sink := &collectSink{}
+	sink := &TraceLog{}
 	cfg := DefaultConfig()
 	cfg.Trace = sink
 	o := NewOptimizer(cfg)
@@ -420,11 +403,9 @@ func TestConcurrentQueriesDoNotInterleaveStreams(t *testing.T) {
 	}
 
 	streams := map[uint64][]TraceEvent{}
-	sink.mu.Lock()
-	for _, ev := range sink.events {
+	for _, ev := range sink.Take() {
 		streams[ev.QueryID] = append(streams[ev.QueryID], ev)
 	}
-	sink.mu.Unlock()
 	if len(streams) != 2*perWorker {
 		t.Fatalf("saw %d query streams, want %d", len(streams), 2*perWorker)
 	}

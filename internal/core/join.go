@@ -57,8 +57,10 @@ func (o *Optimizer) runJoin(ec *ExecCtx, jq *JoinQuery, fixed *JoinPlan) (Rows, 
 	}
 	for i, tab := range jq.Tables {
 		if jr.infos[i].empty {
-			jr.trc.emit(TraceEvent{Kind: EvEmptyRange, Tactic: "join", Scan: tab.Name,
-				Detail: "local restriction empty, end of data at once"})
+			if jr.trc.decide(EvEmptyRange) {
+				jr.trc.emit(TraceEvent{Kind: EvEmptyRange, Tactic: "join", Scan: tab.Name,
+					Detail: "local restriction empty, end of data at once"})
+			}
 			return &emptyRows{stats: jr.st}, nil
 		}
 	}
@@ -99,7 +101,7 @@ type joinRun struct {
 	loc   []int   // flat position -> position in a pipeline row; -1 while its table is unbound
 	rowLn int     // pipeline row length so far
 	st    RetrievalStats
-	trc   *tracer
+	trc   tracer
 
 	plan    []JoinStagePlan // as planned; re-optimization revises the unexecuted tail
 	dynamic bool
@@ -159,14 +161,12 @@ func (jr *joinRun) begin(plan *JoinPlan, dynamic bool) {
 	jq := jr.jq
 	jr.plan, jr.dynamic, jr.ordered = slices.Clone(plan.Stages), dynamic, plan.Ordered
 	jr.direct = jq.Residual == nil && (len(jq.OrderBy) == 0 || jr.ordered)
-	jr.trc.emit(TraceEvent{
-		Kind: EvJoinOrderChosen, Tactic: "join",
-		Indexes:     stageTableNames(jq, jr.plan),
-		EstimatedIO: plan.EstIO,
-		Detail:      plan.Describe(jq),
-	})
-	if jr.ordered {
-		jr.st.SortAvoided = true
+	if jr.trc.decide(EvJoinOrderChosen) {
+		jr.trc.emit(TraceEvent{Kind: EvJoinOrderChosen, Tactic: "join", Indexes: stageTableNames(jq, jr.plan),
+			EstimatedIO: plan.EstIO, Detail: plan.Describe(jq)})
+	}
+	jr.st.SortAvoided = jr.ordered
+	if jr.ordered && jr.trc.decide(EvJoinSortAvoided) {
 		jr.trc.emit(TraceEvent{Kind: EvJoinSortAvoided, Tactic: "join",
 			Detail: "plan order satisfies ORDER BY and every stage keeps it: no materialized sort"})
 	}
@@ -205,7 +205,7 @@ func (jr *joinRun) streams(si int) bool {
 func (jr *joinRun) access(t int, index string, streams, ordered bool) (Rows, error) {
 	jq := jr.jq
 	q := &Query{Table: jq.Tables[t], Restriction: jq.Local[t], Binds: jq.Binds, Projection: jr.keep[t],
-		Goal: GoalTotalTime, join: &joinAccess{res: &jr.infos[t].res, trc: jr.trc}}
+		Goal: GoalTotalTime, join: &joinAccess{res: &jr.infos[t].res, trc: &jr.trc}}
 	if streams {
 		q.Goal, q.Control = jq.Goal, jq.Control
 		if jq.Limit > 0 && q.Control == ControlNone {
@@ -250,12 +250,10 @@ func (jr *joinRun) start() error {
 				}
 				rest := jr.o.planJoinRest(jq, jr.infos, jr.jts, chosen, upRows)
 				if !sameStages(jr.plan[si:], rest) {
-					jr.trc.emit(TraceEvent{
-						Kind: EvJoinReoptimized, Tactic: "join",
-						Indexes:     stageTableNames(jq, rest),
-						EstimatedIO: est, ActualIO: upRows,
-						Detail: fmt.Sprintf("intermediate %d rows vs %.0f estimated: replanned remaining stages", len(rows), est),
-					})
+					if jr.trc.decide(EvJoinReoptimized) {
+						jr.trc.emit(TraceEvent{Kind: EvJoinReoptimized, Tactic: "join", Indexes: stageTableNames(jq, rest), EstimatedIO: est, ActualIO: upRows,
+							Detail: fmt.Sprintf("intermediate %d rows vs %.0f estimated: replanned remaining stages", len(rows), est)})
+					}
 					jr.plan, reopt = append(jr.plan[:si:si], rest...), true
 				}
 			}
@@ -415,9 +413,10 @@ func (jr *joinRun) fail(err error) error {
 	jr.err = err
 	jr.finish()
 	if IsCancellation(err) {
-		if !slices.ContainsFunc(jr.st.Events, func(ev TraceEvent) bool { return ev.Kind == EvQueryCancelled }) {
+		if !jr.st.cancelled && jr.trc.decide(EvQueryCancelled) {
 			jr.trc.emit(TraceEvent{Kind: EvQueryCancelled, Tactic: "join", ActualIO: float64(jr.st.IO.IOCost()), Detail: err.Error()})
 		}
+		jr.st.cancelled = true
 		if jr.ec.markCancelRecorded() {
 			jr.o.metrics.recordCancellation(err)
 		}
@@ -595,14 +594,15 @@ func (s *joinStage) emit(outer, inner expr.Row) {
 // open binds the stage's table and prepares its operator.
 func (s *joinStage) open() (err error) {
 	jr, t := s.jr, s.sg.Table
-	tab, detail := jr.jq.Tables[t], "driver scan"
-	if s.up != nil {
-		detail = fmt.Sprintf("%.0f outer rows", s.upRows)
+	tab := jr.jq.Tables[t]
+	if jr.trc.decide(EvJoinStageStarted) {
+		detail := "driver scan"
+		if s.up != nil {
+			detail = fmt.Sprintf("%.0f outer rows", s.upRows)
+		}
+		jr.trc.emit(TraceEvent{Kind: EvJoinStageStarted, Tactic: "join", Scan: s.sg.Operator,
+			Indexes: []string{tab.Name, s.sg.Index}, EstimatedIO: s.sg.EstRows, Detail: detail})
 	}
-	jr.trc.emit(TraceEvent{
-		Kind: EvJoinStageStarted, Tactic: "join", Scan: s.sg.Operator,
-		Indexes: []string{tab.Name, s.sg.Index}, EstimatedIO: s.sg.EstRows, Detail: detail,
-	})
 	for _, c := range jr.keep[t] { // the table's carried columns join the pipeline row
 		jr.loc[jr.offs[t]+c] = jr.rowLn
 		jr.rowLn++
@@ -700,12 +700,11 @@ func (s *joinStage) round() error {
 	if s.ix != nil && jr.dynamic && s.probed >= joinReoptCheckEvery {
 		left := s.upRows - float64(s.probed)
 		if s.m.cost()/float64(s.probed)*left > JoinReoptFactor*jr.jts[s.sg.Table].Pages {
-			jr.trc.emit(TraceEvent{
-				Kind: EvJoinReoptimized, Tactic: "join", Scan: s.sg.Operator,
-				Indexes:  []string{jr.jq.Tables[s.sg.Table].Name, s.sg.Index},
-				ActualIO: s.m.cost(),
-				Detail:   fmt.Sprintf("probe cost projects past %.0fx a one-scan alternative: hj takes the remaining rows", JoinReoptFactor),
-			})
+			if jr.trc.decide(EvJoinReoptimized) {
+				jr.trc.emit(TraceEvent{Kind: EvJoinReoptimized, Tactic: "join", Scan: s.sg.Operator,
+					Indexes: []string{jr.jq.Tables[s.sg.Table].Name, s.sg.Index}, ActualIO: s.m.cost(),
+					Detail: fmt.Sprintf("probe cost projects past %.0fx a one-scan alternative: hj takes the remaining rows", JoinReoptFactor)})
+			}
 			s.sg.Operator, s.sg.Index, s.ix, s.filter = JoinOpHJ, "", nil, nil
 			s.reopt, s.upRows = true, left
 			s.shape()

@@ -459,19 +459,20 @@ func TestJoinReoptimizedBeatsStatic(t *testing.T) {
 	// estimates, re-optimization on.
 	fDyn := newJoinFixture(t, 1000, 4000, 50, frames, false)
 	oDyn := poisoned(fDyn.cust)
-	dynRows, stD := drainJoin(t, oDyn.RunJoin(nil, fDyn.starQuery(seg0(), nil), nil))
+	ec, log := tracedCtx()
+	dynRows, stD := drainJoin(t, oDyn.RunJoin(ec, fDyn.starQuery(seg0(), nil), nil))
 
 	assertSameRows(t, "static vs dynamic", dynRows, staticRows)
 
-	reopts := 0
-	for _, ev := range stD.Events {
+	reopts, evs := 0, log.Take()
+	for _, ev := range evs {
 		if ev.Kind == EvJoinReoptimized {
 			reopts++
 		}
 	}
 	if reopts != 1 || !strings.Contains(stD.Strategy, "ORD:"+JoinOpHJ) {
 		t.Fatalf("dynamic run emitted %s %d times and ran %s, want once into an hj orders stage; events: %v",
-			EvJoinReoptimized, reopts, stD.Strategy, stD.Trace())
+			EvJoinReoptimized, reopts, stD.Strategy, evs)
 	}
 	ioS, ioD := stS.IO.IOCost(), stD.IO.IOCost()
 	if ioD >= ioS {
@@ -757,7 +758,7 @@ func TestJoinProbeWidthInvariant(t *testing.T) {
 		{"sequential", Config{}},
 		{"adaptive-4", Config{Parallelism: 4, AdaptiveParallelism: true}},
 	}
-	same := func(t *testing.T, rows [2][]expr.Row, sts [2]RetrievalStats, sameIO bool) {
+	same := func(t *testing.T, rows [2][]expr.Row, sts [2]RetrievalStats, evs [2][]TraceEvent, sameIO bool) {
 		t.Helper()
 		got, want := rows[1], rows[0]
 		if len(got) != len(want) || len(want) == 0 {
@@ -776,7 +777,7 @@ func TestJoinProbeWidthInvariant(t *testing.T) {
 			}
 		}
 		for i, c := range configs {
-			onlyMorselWidths(t, c.name, sts[i])
+			onlyMorselWidths(t, c.name, evs[i])
 		}
 	}
 	for _, op := range []string{JoinOpINL, JoinOpRIDX} {
@@ -786,6 +787,7 @@ func TestJoinProbeWidthInvariant(t *testing.T) {
 			f := newJoinFixture(t, 100, 600, 20, 0, true)
 			var rows [2][]expr.Row
 			var sts [2]RetrievalStats
+			var evs [2][]TraceEvent
 			for i, c := range configs {
 				f.pool.EvictAll()
 				jq := f.custOrdQuery(nil)
@@ -794,9 +796,11 @@ func TestJoinProbeWidthInvariant(t *testing.T) {
 					{Table: 0, Operator: "tscan", EstRows: float64(f.nCust)},
 					{Table: 1, Operator: op, Index: "ORD_CUST_IX", EstRows: 1},
 				}}
-				rows[i], sts[i] = drainJoin(t, NewOptimizer(c.cfg).RunJoin(nil, jq, plan))
+				ec, log := tracedCtx()
+				rows[i], sts[i] = drainJoin(t, NewOptimizer(c.cfg).RunJoin(ec, jq, plan))
+				evs[i] = log.Take()
 			}
-			same(t, rows, sts, true)
+			same(t, rows, sts, evs, true)
 		})
 
 		t.Run(op+"/fallback", func(t *testing.T) {
@@ -805,21 +809,23 @@ func TestJoinProbeWidthInvariant(t *testing.T) {
 			f := newJoinFixture(t, 1000, 4000, 50, 32, false)
 			var rows [2][]expr.Row
 			var sts [2]RetrievalStats
+			var evs [2][]TraceEvent
 			for i, c := range configs {
 				f.pool.EvictAll()
 				jq := f.custOrdQuery(nil)
 				jq.Local[1] = expr.NewCmp(expr.GE, expr.Col(3, "QTY"), expr.Lit(expr.Int(2)))
-				rows[i], sts[i] = drainJoin(t, runJoinOn(NewOptimizer(c.cfg), nil, jq, &JoinPlan{Stages: []JoinStagePlan{
+				ec, log := tracedCtx()
+				rows[i], sts[i] = drainJoin(t, runJoinOn(NewOptimizer(c.cfg), ec, jq, &JoinPlan{Stages: []JoinStagePlan{
 					{Table: 0, Operator: "tscan", EstRows: float64(f.nCust)},
 					{Table: 1, Operator: op, Index: "ORD_CUST_IX"},
 				}}))
 				last := sts[i].JoinStages[len(sts[i].JoinStages)-1]
-				if last.Operator != JoinOpHJ || !last.Reoptimized || !hasEvent(sts[i], EvJoinReoptimized, "") {
+				if evs[i] = log.Take(); last.Operator != JoinOpHJ || !last.Reoptimized || !hasEvent(evs[i], EvJoinReoptimized, "") {
 					t.Fatalf("%s: %s probe did not fall back to hj mid-stage: %s; trace: %v",
-						c.name, op, fmt.Sprint(last), sts[i].Trace())
+						c.name, op, fmt.Sprint(last), evs[i])
 				}
 			}
-			same(t, rows, sts, false)
+			same(t, rows, sts, evs, false)
 		})
 	}
 }
@@ -945,7 +951,8 @@ func TestSortAvoidedOrderEquivalence(t *testing.T) {
 			}
 			want := oracleJoin(t, jq, tabs)
 			sortRows(want, jq.OrderBy, desc)
-			got, st := drainJoin(t, NewOptimizer(Config{}).RunJoin(nil, jq, nil))
+			ec, log := tracedCtx()
+			got, st := drainJoin(t, NewOptimizer(Config{}).RunJoin(ec, jq, nil))
 			if !st.SortAvoided {
 				t.Fatalf("run sorted anyway: %s", st.Strategy)
 			}
@@ -958,13 +965,7 @@ func TestSortAvoidedOrderEquivalence(t *testing.T) {
 					t.Fatalf("row %d: sort key %v, want %v", i, got[i][0], want[i][0])
 				}
 			}
-			var avoided bool
-			for _, ev := range st.Events {
-				if ev.Kind == EvJoinSortAvoided {
-					avoided = true
-				}
-			}
-			if !avoided {
+			if !hasEvent(log.Take(), EvJoinSortAvoided, "") {
 				t.Fatalf("run did not emit %s", EvJoinSortAvoided)
 			}
 		})
@@ -991,13 +992,15 @@ func TestSortNotAvoidedStillOrdered(t *testing.T) {
 }
 
 // TestCapturePlanRejectsHashJoinStage: a hash join's stats never
-// freeze, even when the table access whose tactic-chosen event they
-// carry ran a replayable tactic — the join tactic has no frozen form.
+// freeze, even when the table access whose facts they carry ran a
+// replayable arrangement (a clean one-index Jscan) — the join tactic
+// has no frozen form.
 func TestCapturePlanRejectsHashJoinStage(t *testing.T) {
 	st := &RetrievalStats{
-		Tactic:     "join",
-		Events:     []TraceEvent{{Kind: EvTacticChosen, Tactic: "tscan", Scan: "Tscan"}},
-		JoinStages: []JoinStageStats{{Table: "CUST", Operator: "tscan"}, {Table: "ORD", Operator: JoinOpHJ}},
+		Tactic:       "join",
+		WinningOrder: []string{"CUST_ID_IX"},
+		scansStarted: 1,
+		JoinStages:   []JoinStageStats{{Table: "CUST", Operator: "tscan"}, {Table: "ORD", Operator: JoinOpHJ}},
 	}
 	if plan, ok := CapturePlan(st); ok {
 		t.Fatalf("CapturePlan froze an hj retrieval as %s", plan)

@@ -200,17 +200,13 @@ func (j *jscan) step() (bool, error) {
 func (j *jscan) finish() {
 	j.done = true
 	j.closeBorrow()
-	if j.complete == nil {
-		j.recommendTscan = true
-		j.trc.emit(TraceEvent{
-			Kind: EvScanComplete, Scan: j.name(), ActualIO: j.cost(),
-			Detail: "no complete RID list, recommending Tscan",
-		})
-	} else {
-		j.trc.emit(TraceEvent{
-			Kind: EvScanComplete, Scan: j.name(), Indexes: j.completeNames, ActualIO: j.cost(),
-			Detail: fmt.Sprintf("final RID list %d rids", j.complete.Len()),
-		})
+	j.recommendTscan = j.complete == nil
+	if j.trc.decide(EvScanComplete) {
+		ev := TraceEvent{Kind: EvScanComplete, Scan: j.name(), ActualIO: j.cost(), Detail: "no complete RID list, recommending Tscan"}
+		if !j.recommendTscan {
+			ev.Indexes, ev.Detail = j.completeNames, fmt.Sprintf("final RID list %d rids", j.complete.Len())
+		}
+		j.trc.emit(ev)
 	}
 	if j.onDone != nil {
 		j.onDone(j.completeNames)
@@ -239,11 +235,10 @@ func (j *jscan) startNextScan() (bool, error) {
 		// the direct-competition limit is skipped outright.
 		scanEst := j.model.LeafPages(e.RIDs, e.Index.Tree.AvgLeafEntries()) + float64(e.Index.Tree.Height())
 		if !j.cfg.DisableCompetition && scanEst >= j.cfg.Criterion.ScanCostFrac*j.currentGuaranteedBest() {
-			j.trc.emit(TraceEvent{
-				Kind: EvScanAbandoned, Scan: j.name(), Indexes: []string{e.Index.Name},
-				EstimatedIO: scanEst, ActualIO: j.cost(),
-				Detail: fmt.Sprintf("skipped before scan (scan est %.0f vs best %.0f)", scanEst, j.currentGuaranteedBest()),
-			})
+			if j.trc.decide(EvScanAbandoned) {
+				j.trc.emit(TraceEvent{Kind: EvScanAbandoned, Scan: j.name(), Indexes: []string{e.Index.Name}, EstimatedIO: scanEst, ActualIO: j.cost(),
+					Detail: fmt.Sprintf("skipped before scan (scan est %.0f vs best %.0f)", scanEst, j.currentGuaranteedBest())})
+			}
 			j.idx++
 			continue
 		}
@@ -283,12 +278,12 @@ func (j *jscan) openSequential(e estimate.IndexEstimate) error {
 	}
 	j.scan = leg
 	j.list = rid.NewContainerTracked(j.q.Table.Pool(), j.cfg.RID, j.tr)
-	j.trc.emit(TraceEvent{
-		Kind: EvScanStarted, Scan: j.name(), Indexes: []string{e.Index.Name},
-		EstimatedIO: j.model.LeafPages(e.RIDs, e.Index.Tree.AvgLeafEntries()) + float64(e.Index.Tree.Height()),
-		ActualIO:    j.cost(),
-		Detail:      fmt.Sprintf("est %.0f rids", e.RIDs),
-	})
+	j.trc.st.scansStarted++
+	if j.trc.decide(EvScanStarted) {
+		j.trc.emit(TraceEvent{Kind: EvScanStarted, Scan: j.name(), Indexes: []string{e.Index.Name},
+			EstimatedIO: j.model.LeafPages(e.RIDs, e.Index.Tree.AvgLeafEntries()) + float64(e.Index.Tree.Height()),
+			ActualIO:    j.cost(), Detail: fmt.Sprintf("est %.0f rids", e.RIDs)})
+	}
 	return nil
 }
 
@@ -369,11 +364,10 @@ func (j *jscan) stepSequential() error {
 	}
 	scanCost := float64(j.total() - sq.cost0)
 	if projFinal, abandon := abandonProjected(&j.cfg, j.model, j.list.Len(), sq.seen, sq.rangeEst, scanCost, j.currentGuaranteedBest()); abandon {
-		j.trc.emit(TraceEvent{
-			Kind: EvScanAbandoned, Scan: j.name(), Indexes: []string{sq.ix.Name},
-			EstimatedIO: projFinal, ActualIO: j.cost(),
-			Detail: fmt.Sprintf("proj final %.0f, scan cost %.0f, best %.0f", projFinal, scanCost, j.currentGuaranteedBest()),
-		})
+		if j.trc.decide(EvScanAbandoned) {
+			j.trc.emit(TraceEvent{Kind: EvScanAbandoned, Scan: j.name(), Indexes: []string{sq.ix.Name}, EstimatedIO: projFinal, ActualIO: j.cost(),
+				Detail: fmt.Sprintf("proj final %.0f, scan cost %.0f, best %.0f", projFinal, scanCost, j.currentGuaranteedBest())})
+		}
 		return j.abandonCurrent()
 	}
 	return nil
@@ -388,6 +382,14 @@ func (j *jscan) completeScan() error {
 			j.borrowComplete = true
 			j.closeBorrow()
 		}
+		if j.trc.decide(EvScanComplete) {
+			detail := fmt.Sprintf("%d rids, final cost %.0f", n, newFinal)
+			if newFinal >= j.guaranteedBest {
+				detail = fmt.Sprintf("complete but useless (%d rids, final %.0f >= best %.0f)", n, newFinal, j.guaranteedBest)
+			}
+			j.trc.emit(TraceEvent{Kind: EvScanComplete, Scan: j.name(), Indexes: []string{j.scan.ix.Name},
+				EstimatedIO: newFinal, ActualIO: j.cost(), Detail: detail})
+		}
 		if newFinal < j.guaranteedBest {
 			if j.complete != nil {
 				j.complete.Discard()
@@ -396,17 +398,7 @@ func (j *jscan) completeScan() error {
 			j.completeNames = append(j.completeNames, j.scan.ix.Name)
 			j.filter = nil
 			j.guaranteedBest = newFinal
-			j.trc.emit(TraceEvent{
-				Kind: EvScanComplete, Scan: j.name(), Indexes: []string{j.scan.ix.Name},
-				EstimatedIO: newFinal, ActualIO: j.cost(),
-				Detail: fmt.Sprintf("%d rids, final cost %.0f", n, newFinal),
-			})
 		} else {
-			j.trc.emit(TraceEvent{
-				Kind: EvScanComplete, Scan: j.name(), Indexes: []string{j.scan.ix.Name},
-				EstimatedIO: newFinal, ActualIO: j.cost(),
-				Detail: fmt.Sprintf("complete but useless (%d rids, final %.0f >= best %.0f)", n, newFinal, j.guaranteedBest),
-			})
 			j.list.Discard()
 		}
 	}
@@ -446,10 +438,11 @@ func (j *jscan) startRace(a, b estimate.IndexEstimate) error {
 	j.race = &raceState{a: legA, b: legB}
 	// Racing steals the borrow stream's stability; close it.
 	j.closeBorrow()
-	j.trc.emit(TraceEvent{
-		Kind: EvRaceStarted, Scan: j.name(), Indexes: []string{a.Index.Name, b.Index.Name},
-		Detail: fmt.Sprintf("est %.0f vs %.0f rids", a.RIDs, b.RIDs),
-	})
+	j.trc.st.raced = true
+	if j.trc.decide(EvRaceStarted) {
+		j.trc.emit(TraceEvent{Kind: EvRaceStarted, Scan: j.name(), Indexes: []string{a.Index.Name, b.Index.Name},
+			Detail: fmt.Sprintf("est %.0f vs %.0f rids", a.RIDs, b.RIDs)})
+	}
 	return nil
 }
 
@@ -489,11 +482,10 @@ func (j *jscan) stepRace() error {
 		if projFinal, abandon := abandonProjected(&j.cfg, j.model, len(leg.rids), leg.seen, leg.rangeEst, float64(j.total()-leg.cost0)/2, j.currentGuaranteedBest()); abandon {
 			leg.dead = true
 			leg.cur.Close()
-			j.trc.emit(TraceEvent{
-				Kind: EvScanAbandoned, Scan: j.name(), Indexes: []string{leg.ix.Name},
-				EstimatedIO: projFinal, ActualIO: j.cost(),
-				Detail: fmt.Sprintf("race leg abandoned (proj final %.0f)", projFinal),
-			})
+			if j.trc.decide(EvScanAbandoned) {
+				j.trc.emit(TraceEvent{Kind: EvScanAbandoned, Scan: j.name(), Indexes: []string{leg.ix.Name}, EstimatedIO: projFinal, ActualIO: j.cost(),
+					Detail: fmt.Sprintf("race leg abandoned (proj final %.0f)", projFinal)})
+			}
 		}
 	}
 	var win *raceLeg
@@ -535,10 +527,10 @@ func (j *jscan) resolveRace(win *raceLeg) error {
 		}
 	case a.dead && b.dead:
 		j.race = nil
-		j.trc.emit(TraceEvent{
-			Kind: EvRaceResolved, Scan: j.name(), Indexes: []string{a.ix.Name, b.ix.Name},
-			ActualIO: j.cost(), Detail: "both race legs abandoned",
-		})
+		if j.trc.decide(EvRaceResolved) {
+			j.trc.emit(TraceEvent{Kind: EvRaceResolved, Scan: j.name(), Indexes: []string{a.ix.Name, b.ix.Name},
+				ActualIO: j.cost(), Detail: "both race legs abandoned"})
+		}
 		return j.nextScan()
 	case full(a) || full(b):
 		// The race must not continue beyond the memory buffer
@@ -556,11 +548,10 @@ func (j *jscan) resolveRace(win *raceLeg) error {
 		}
 		drop.cur.Close()
 		j.race = nil
-		j.trc.emit(TraceEvent{
-			Kind: EvRaceResolved, Scan: j.name(), Indexes: []string{keep.ix.Name, drop.ix.Name},
-			ActualIO: j.cost(),
-			Detail:   fmt.Sprintf("race hit memory budget, continuing %s, dropping %s", keep.ix.Name, drop.ix.Name),
-		})
+		if j.trc.decide(EvRaceResolved) {
+			j.trc.emit(TraceEvent{Kind: EvRaceResolved, Scan: j.name(), Indexes: []string{keep.ix.Name, drop.ix.Name}, ActualIO: j.cost(),
+				Detail: fmt.Sprintf("race hit memory budget, continuing %s, dropping %s", keep.ix.Name, drop.ix.Name)})
+		}
 		return j.continueLoser(keep)
 	}
 	return nil
@@ -571,11 +562,10 @@ func (j *jscan) adoptRaceWinner(w *raceLeg) error {
 	n := len(w.rids)
 	newFinal := j.model.JscanFinalCost(float64(n))
 	if w.dead || newFinal >= j.guaranteedBest {
-		j.trc.emit(TraceEvent{
-			Kind: EvRaceResolved, Scan: j.name(), Indexes: []string{w.ix.Name},
-			EstimatedIO: newFinal, ActualIO: j.cost(),
-			Detail: fmt.Sprintf("race winner %s useless (%d rids)", w.ix.Name, n),
-		})
+		if j.trc.decide(EvRaceResolved) {
+			j.trc.emit(TraceEvent{Kind: EvRaceResolved, Scan: j.name(), Indexes: []string{w.ix.Name}, EstimatedIO: newFinal, ActualIO: j.cost(),
+				Detail: fmt.Sprintf("race winner %s useless (%d rids)", w.ix.Name, n)})
+		}
 		return nil
 	}
 	c := rid.NewContainerTracked(j.q.Table.Pool(), j.cfg.RID, j.tr)
@@ -592,11 +582,10 @@ func (j *jscan) adoptRaceWinner(w *raceLeg) error {
 	j.completeNames = append(j.completeNames, w.ix.Name)
 	j.filter = nil
 	j.guaranteedBest = newFinal
-	j.trc.emit(TraceEvent{
-		Kind: EvRaceResolved, Scan: j.name(), Indexes: []string{w.ix.Name},
-		EstimatedIO: newFinal, ActualIO: j.cost(),
-		Detail: fmt.Sprintf("race winner %s, %d rids, final cost %.0f", w.ix.Name, n, newFinal),
-	})
+	if j.trc.decide(EvRaceResolved) {
+		j.trc.emit(TraceEvent{Kind: EvRaceResolved, Scan: j.name(), Indexes: []string{w.ix.Name}, EstimatedIO: newFinal, ActualIO: j.cost(),
+			Detail: fmt.Sprintf("race winner %s, %d rids, final cost %.0f", w.ix.Name, n, newFinal)})
+	}
 	return nil
 }
 
@@ -619,9 +608,10 @@ func (j *jscan) continueLoser(l *raceLeg) error {
 		}
 		rest = rest[n:]
 	}
-	j.trc.emit(TraceEvent{
-		Kind: EvScanStarted, Scan: j.name(), Indexes: []string{l.ix.Name}, ActualIO: j.cost(),
-		Detail: fmt.Sprintf("continuing %s with %d prefiltered rids", l.ix.Name, j.list.Len()),
-	})
+	j.trc.st.scansStarted++
+	if j.trc.decide(EvScanStarted) {
+		j.trc.emit(TraceEvent{Kind: EvScanStarted, Scan: j.name(), Indexes: []string{l.ix.Name}, ActualIO: j.cost(),
+			Detail: fmt.Sprintf("continuing %s with %d prefiltered rids", l.ix.Name, j.list.Len())})
+	}
 	return nil
 }

@@ -25,18 +25,17 @@ var estErrLabels = [estErrBuckets]string{
 const estErrZeroLabel = "0-I/O"
 
 // Metrics is a cumulative telemetry registry over every retrieval an
-// optimizer runs: per-tactic win counts, competition-decision counters,
-// and a histogram of how far the start-retrieval I/O projection missed
+// optimizer runs: per-tactic win counts, competition-decision counters
+// (each bumped where its decision is taken, traced or not), and a
+// histogram of how far the start-retrieval I/O projection missed
 // the final attributed I/O. All counters are atomics, so concurrent
 // Stmt.QueryContext traffic records without locks and Snapshot can be
 // read at any time.
 type Metrics struct {
-	queries          atomic.Int64
-	emptyRanges      atomic.Int64
-	scanAbandonments atomic.Int64
-	strategySwitches atomic.Int64
-	racesResolved    atomic.Int64
-	borrowOverflows  atomic.Int64
+	queries atomic.Int64
+	// decisions counts every decision by its kind, bumped where it is
+	// taken (tracer.decide).
+	decisions        [len(eventKindNames)]atomic.Int64
 	cancelled        atomic.Int64
 	deadlineExceeded atomic.Int64
 	budgetExceeded   atomic.Int64
@@ -45,11 +44,8 @@ type Metrics struct {
 	estErrZero       atomic.Int64
 
 	// Multi-table retrieval counters.
-	joinQueries      atomic.Int64
-	joinOrders       atomic.Int64
-	joinReopts       atomic.Int64
-	joinOpWins       [joinOpCount]atomic.Int64
-	joinSortsAvoided atomic.Int64
+	joinQueries atomic.Int64
+	joinOpWins  [joinOpCount]atomic.Int64
 
 	// Adaptive-parallelism counters (only moved under
 	// Config.AdaptiveParallelism).
@@ -76,32 +72,13 @@ func parWidthBucket(w int) int {
 	return b
 }
 
-// onEvent folds one emitted event into the decision counters.
-func (m *Metrics) onEvent(ev TraceEvent) {
-	switch ev.Kind {
-	case EvEmptyRange:
-		m.emptyRanges.Add(1)
-	case EvScanAbandoned:
-		m.scanAbandonments.Add(1)
-	case EvStrategySwitch:
-		m.strategySwitches.Add(1)
-	case EvRaceResolved:
-		m.racesResolved.Add(1)
-	case EvBorrowOverflow:
-		m.borrowOverflows.Add(1)
-	case EvJoinOrderChosen:
-		m.joinOrders.Add(1)
-	case EvJoinReoptimized:
-		m.joinReopts.Add(1)
-	case EvJoinSortAvoided:
-		m.joinSortsAvoided.Add(1)
-	case EvParallelWidthChosen:
-		m.parWidths[parWidthBucket(ev.Width)].Add(1)
-		if ev.Width <= 1 {
-			// The policy was allowed to fan out (the event only fires
-			// with a ceiling >= 2) and chose sequential anyway.
-			m.parSeqDowngrade.Add(1)
-		}
+// recordWidth counts one adaptive width decision. The policy decides
+// only under a ceiling of 2 or more, so width 1 is a downgrade to
+// sequential.
+func (m *Metrics) recordWidth(w int) {
+	m.parWidths[parWidthBucket(w)].Add(1)
+	if w <= 1 {
+		m.parSeqDowngrade.Add(1)
 	}
 }
 
@@ -154,13 +131,7 @@ func (m *Metrics) recordRetrieval(t tacticKind, st *RetrievalStats, estErr bool)
 	if !estErr {
 		return
 	}
-	predicted := float64(st.EstimateIO)
-	for _, ev := range st.Events {
-		if ev.Kind == EvTacticChosen {
-			predicted += ev.EstimatedIO
-			break
-		}
-	}
+	predicted := float64(st.EstimateIO) + st.planEstIO
 	actual := float64(st.IO.IOCost())
 	switch {
 	case predicted <= 0 && actual <= 0:
@@ -229,11 +200,11 @@ type MetricsSnapshot struct {
 func (m *Metrics) Snapshot() MetricsSnapshot {
 	s := MetricsSnapshot{
 		Queries:          m.queries.Load(),
-		EmptyRanges:      m.emptyRanges.Load(),
-		ScanAbandonments: m.scanAbandonments.Load(),
-		StrategySwitches: m.strategySwitches.Load(),
-		RacesResolved:    m.racesResolved.Load(),
-		BorrowOverflows:  m.borrowOverflows.Load(),
+		EmptyRanges:      m.decisions[EvEmptyRange].Load(),
+		ScanAbandonments: m.decisions[EvScanAbandoned].Load(),
+		StrategySwitches: m.decisions[EvStrategySwitch].Load(),
+		RacesResolved:    m.decisions[EvRaceResolved].Load(),
+		BorrowOverflows:  m.decisions[EvBorrowOverflow].Load(),
 		TacticWins:       map[string]int64{},
 		EstimateErrorLog: map[string]int64{},
 
@@ -242,9 +213,9 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		QueriesBudgetExceeded:   m.budgetExceeded.Load(),
 	}
 	s.JoinQueries = m.joinQueries.Load()
-	s.JoinOrdersChosen = m.joinOrders.Load()
-	s.JoinReoptimizations = m.joinReopts.Load()
-	s.JoinSortsAvoided = m.joinSortsAvoided.Load()
+	s.JoinOrdersChosen = m.decisions[EvJoinOrderChosen].Load()
+	s.JoinReoptimizations = m.decisions[EvJoinReoptimized].Load()
+	s.JoinSortsAvoided = m.decisions[EvJoinSortAvoided].Load()
 	for k := range m.joinOpWins {
 		if n := m.joinOpWins[k].Load(); n > 0 {
 			if s.JoinOperatorWins == nil {

@@ -9,10 +9,7 @@ import (
 // statsWith fabricates a RetrievalStats with the given projected and
 // actual I/O.
 func statsWith(predicted float64, actual int64) *RetrievalStats {
-	return &RetrievalStats{
-		Events: []TraceEvent{{Kind: EvTacticChosen, EstimatedIO: predicted}},
-		IO:     storage.IOStats{Reads: actual},
-	}
+	return &RetrievalStats{planEstIO: predicted, IO: storage.IOStats{Reads: actual}}
 }
 
 // Regression: retrievals with zero projected or actual I/O used to be
@@ -63,55 +60,43 @@ func TestReplaySkipsEstimateErrorHistogram(t *testing.T) {
 	}
 }
 
+// TestCapturePlanRules drives CapturePlan from the decision facts a
+// retrieval records, one rule per case.
 func TestCapturePlanRules(t *testing.T) {
-	base := func(tactic, scan string, indexes []string) *RetrievalStats {
-		return &RetrievalStats{
-			Tactic: tactic,
-			Events: []TraceEvent{{Kind: EvTacticChosen, Tactic: tactic, Scan: scan, Indexes: indexes}},
-		}
-	}
 	// tscan is always replayable.
-	if p, ok := CapturePlan(base("tscan", "Tscan", nil)); !ok || p.Tactic != "tscan" {
+	if p, ok := CapturePlan(&RetrievalStats{Tactic: "tscan"}); !ok || p.Tactic != "tscan" {
 		t.Fatalf("tscan capture = %v, %v", p, ok)
 	}
 	// sscan captures its single index.
-	if p, ok := CapturePlan(base("sscan", "Sscan(AGE_IX)", []string{"AGE_IX"})); !ok || len(p.Indexes) != 1 || p.Indexes[0] != "AGE_IX" {
+	if p, ok := CapturePlan(&RetrievalStats{Tactic: "sscan", planIndex: "AGE_IX"}); !ok || len(p.Indexes) != 1 || p.Indexes[0] != "AGE_IX" {
 		t.Fatalf("sscan capture = %v, %v", p, ok)
 	}
-	// A strategy switch poisons capture...
-	st := base("background-only", "Jscan", []string{"AGE_IX"})
-	st.FinalListLen = -1
-	st.Events = append(st.Events, TraceEvent{Kind: EvStrategySwitch})
-	if _, ok := CapturePlan(st); ok {
+	// A strategy switch poisons capture: fast-first's switch to Tscan
+	// for the remainder...
+	if _, ok := CapturePlan(&RetrievalStats{Tactic: "fast-first", FinalListLen: -1, switchedTo: "Tscan"}); ok {
 		t.Fatal("strategy-switched run captured")
 	}
 	// ...except the skip-everything-recommend-Tscan switch, which cost
 	// zero scan I/O and replays exactly as a sequential scan.
-	st = base("background-only", "Jscan", []string{"AGE_IX"})
-	st.FinalListLen = -1
-	st.Events = append(st.Events,
-		TraceEvent{Kind: EvScanAbandoned, Scan: "Jscan", Indexes: []string{"AGE_IX"}},
-		TraceEvent{Kind: EvStrategySwitch, Scan: "Tscan"},
-	)
+	st := &RetrievalStats{Tactic: "background-only", FinalListLen: -1, switchedTo: "Tscan"}
 	if p, ok := CapturePlan(st); !ok || p.Tactic != "tscan" || len(p.Indexes) != 0 {
 		t.Fatalf("switch-to-tscan capture = %v, %v", p, ok)
 	}
 	// But not when a scan had already started before the switch.
-	st.Events = append(st.Events, TraceEvent{Kind: EvScanStarted, Scan: "Jscan", Indexes: []string{"AGE_IX"}})
+	st.scansStarted = 1
 	if _, ok := CapturePlan(st); ok {
 		t.Fatal("mid-scan switch captured")
 	}
-	// Clean background-only: every started scan adopted, in order.
-	st = base("background-only", "Jscan", []string{"CITY_IX", "AGE_IX"})
-	st.WinningOrder = []string{"CITY_IX"}
-	st.FinalListLen = 10
-	st.Estimates = []EstimateSummary{{Index: "CITY_IX", RIDs: 12}, {Index: "AGE_IX", RIDs: 9000}}
-	st.Events = append(st.Events,
-		TraceEvent{Kind: EvScanStarted, Scan: "Jscan", Indexes: []string{"CITY_IX"}},
-		TraceEvent{Kind: EvScanComplete, Scan: "Jscan", Indexes: []string{"CITY_IX"}},
-		// AGE_IX skipped before scanning: harmless for replay.
-		TraceEvent{Kind: EvScanAbandoned, Scan: "Jscan", Indexes: []string{"AGE_IX"}},
-	)
+	// Clean background-only: every started scan adopted, in order; the
+	// plan seeds the replay with the adopted index's estimate. (AGE_IX,
+	// skipped before scanning, is harmless for replay.)
+	st = &RetrievalStats{
+		Tactic:       "background-only",
+		WinningOrder: []string{"CITY_IX"},
+		FinalListLen: 10,
+		Estimates:    []EstimateSummary{{Index: "CITY_IX", RIDs: 12}, {Index: "AGE_IX", RIDs: 9000}},
+		scansStarted: 1,
+	}
 	p, ok := CapturePlan(st)
 	if !ok || p.Tactic != "background-only" || len(p.Indexes) != 1 || p.Indexes[0] != "CITY_IX" {
 		t.Fatalf("background-only capture = %v, %v", p, ok)
@@ -119,20 +104,30 @@ func TestCapturePlanRules(t *testing.T) {
 	if len(p.RIDs) != 1 || p.RIDs[0] != 12 {
 		t.Fatalf("captured RIDs = %v", p.RIDs)
 	}
+	// A race or a buffer overflow blocks capture of the same run.
+	for _, mark := range []func(*RetrievalStats){
+		func(st *RetrievalStats) { st.raced = true },
+		func(st *RetrievalStats) { st.overflowed = true },
+	} {
+		marked := *st
+		mark(&marked)
+		if _, ok := CapturePlan(&marked); ok {
+			t.Fatalf("run with a race or overflow captured: %+v", marked)
+		}
+	}
 	// A started-but-unadopted scan (mid-flight abandonment) blocks
 	// capture: its I/O would not be reproduced.
-	st.Events = append(st.Events, TraceEvent{Kind: EvScanStarted, Scan: "Jscan", Indexes: []string{"AGE_IX"}})
+	st.scansStarted = 2
 	if _, ok := CapturePlan(st); ok {
 		t.Fatal("mid-abandoned run captured")
 	}
 	// index-only has no frozen form.
-	if _, ok := CapturePlan(base("index-only", "Sscan(AGE_IX)", []string{"AGE_IX"})); ok {
+	if _, ok := CapturePlan(&RetrievalStats{Tactic: "index-only", planIndex: "AGE_IX"}); ok {
 		t.Fatal("index-only captured")
 	}
-	// Union-scan plans are not replayable as Jscan.
-	st = base("background-only", "Uscan", []string{"A", "B"})
-	st.WinningOrder = []string{"A"}
-	if _, ok := CapturePlan(st); ok {
+	// Union-scan plans are not replayable as Jscan: a Uscan adopts legs
+	// but opens no Jscan scan.
+	if _, ok := CapturePlan(&RetrievalStats{Tactic: "background-only", WinningOrder: []string{"A"}}); ok {
 		t.Fatal("uscan plan captured")
 	}
 }

@@ -72,7 +72,7 @@ func (f *morselFixture) run(t *testing.T, shape string, r *retrieval) (m *morsel
 		return m, func(n int) int64 { return int64(m.cuts[min(n, m.n)]) }
 	}
 	if r.fin == nil || r.fin.par == nil {
-		t.Fatalf("no streamed final stage; trace: %v", r.Stats().Trace())
+		t.Fatalf("no streamed final stage; strategy %s", r.Stats().Strategy)
 	}
 	m = r.fin.par
 	return m, func(n int) int64 {
@@ -258,15 +258,16 @@ func TestMorselUnwinding(t *testing.T) {
 		t.Run(sh.name, func(t *testing.T) {
 			sorts := sh.name == "sort-over-tscan"
 			// The shape streams: its clean run says so.
-			clean := sh.run(NewOptimizer(cfg), nil)
+			ec, log := tracedCtx()
+			clean := sh.run(NewOptimizer(cfg), ec)
 			if _, err := drainToErr(clean); err != nil {
 				t.Fatal(err)
 			}
 			clean.Close()
-			if st := clean.Stats(); !slices.ContainsFunc(st.Events, func(ev TraceEvent) bool {
+			if evs := log.Take(); !slices.ContainsFunc(evs, func(ev TraceEvent) bool {
 				return ev.Kind == EvScanComplete && strings.Contains(ev.Detail, "streamed: 2 workers")
 			}) {
-				t.Fatalf("no streamed scan in the clean run; trace: %v", st.Trace())
+				t.Fatalf("no streamed scan in the clean run; trace: %v", evs)
 			}
 			for _, uc := range cases {
 				t.Run(uc.name, func(t *testing.T) {
@@ -313,8 +314,8 @@ func TestMorselUnwinding(t *testing.T) {
 					waitGoroutines(t, baseline)
 					st := rows.Stats()
 					if spent := ec.IOSpent(); st.IO.IOCost()+st.EstimateIO != spent && !(sorts && err != nil) {
-						t.Fatalf("attributed %d + estimate %d, the query's workers charged %d; trace: %v",
-							st.IO.IOCost(), st.EstimateIO, spent, st.Trace())
+						t.Fatalf("attributed %d + estimate %d, the query's workers charged %d; strategy %s",
+							st.IO.IOCost(), st.EstimateIO, spent, st.Strategy)
 					}
 					snap := o.Metrics().Snapshot()
 					cancelled := snap.QueriesCancelled + snap.QueriesDeadlineExceeded + snap.QueriesBudgetExceeded

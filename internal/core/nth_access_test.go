@@ -147,8 +147,8 @@ func TestNthAccessCancellationSweep(t *testing.T) {
 				for n := 1; n <= 150 || (sh.join && clean == 0); n++ {
 					baseline := runtime.NumGoroutine()
 					o := NewOptimizer(cfg)
-					ctx := newNthCancelCtx(n)
-					ec := NewExecCtx(ctx, 0)
+					ctx, log := newNthCancelCtx(n), &TraceLog{}
+					ec := NewExecCtx(ctx, 0).WithTrace(log)
 					rows := sh.run(o, ec)
 					_, ok, err := rows.Next()
 					if ok && width >= 2 && !sh.join {
@@ -167,15 +167,16 @@ func TestNthAccessCancellationSweep(t *testing.T) {
 					if cerr := rows.Close(); cerr != nil {
 						t.Fatalf("n=%d: Close: %v", n, cerr)
 					}
+					evs := log.Take()
 					if err != nil && !errors.Is(err, context.Canceled) {
 						t.Fatalf("n=%d: err = %v, want nil or context.Canceled", n, err)
 					}
 					if p := f.pool.PinnedPages() + jf.pool.PinnedPages(); p != 0 {
-						t.Fatalf("n=%d: %d buffer-pool pins leaked; trace: %v", n, p, st.Trace())
+						t.Fatalf("n=%d: %d buffer-pool pins leaked; trace: %v", n, p, evs)
 					}
 					waitGoroutines(t, baseline)
 					if spent := ec.IOSpent(); st.IO.IOCost()+st.EstimateIO != spent {
-						t.Fatalf("n=%d: attributed %d + estimate %d, charged %d; trace: %v", n, st.IO.IOCost(), st.EstimateIO, spent, st.Trace())
+						t.Fatalf("n=%d: attributed %d + estimate %d, charged %d; trace: %v", n, st.IO.IOCost(), st.EstimateIO, spent, evs)
 					}
 					snap := o.Metrics().Snapshot()
 					want := int64(0)
@@ -198,17 +199,17 @@ func TestNthAccessCancellationSweep(t *testing.T) {
 							t.Fatalf("n=%d: err=%v, queries=%d join_queries=%d (want %d) tactic_wins=%v",
 								n, err, snap.Queries, snap.JoinQueries, started, snap.TacticWins)
 						}
-						if err == nil && width >= 2 && !accessStreamed(st) {
-							t.Fatalf("no table access of the join streamed at width %d; trace: %v", width, st.Trace())
+						if err == nil && width >= 2 && !accessStreamed(evs) {
+							t.Fatalf("no table access of the join streamed at width %d; trace: %v", width, evs)
 						}
 					}
 					if streams := sh.name == "tscan" || sh.name == "final-fetch"; streams && err == nil && width >= 2 &&
-						!slices.ContainsFunc(st.Events, func(ev TraceEvent) bool { return strings.Contains(ev.Detail, "streamed: 2 workers") }) {
-						t.Fatalf("n=%d: the scan did not stream at width %d; trace: %v", n, width, st.Trace())
+						!slices.ContainsFunc(evs, func(ev TraceEvent) bool { return strings.Contains(ev.Detail, "streamed: 2 workers") }) {
+						t.Fatalf("n=%d: the scan did not stream at width %d; trace: %v", n, width, evs)
 					}
-					for _, ev := range st.Events {
+					for _, ev := range evs {
 						if ev.Kind == EvStrategySwitch || strings.Contains(ev.Detail, "recommending Tscan") {
-							t.Fatalf("n=%d: decision taken on a failed access: %s; trace: %v", n, ev.String(), st.Trace())
+							t.Fatalf("n=%d: decision taken on a failed access: %s; trace: %v", n, ev.String(), evs)
 						}
 					}
 				}
@@ -222,8 +223,8 @@ func TestNthAccessCancellationSweep(t *testing.T) {
 
 // accessStreamed reports whether a table access of the run — a join's
 // driver, hj side or nl inner — streamed its Tscan or Fin over morsels.
-func accessStreamed(st RetrievalStats) bool {
-	return slices.ContainsFunc(st.Events, func(ev TraceEvent) bool {
+func accessStreamed(evs []TraceEvent) bool {
+	return slices.ContainsFunc(evs, func(ev TraceEvent) bool {
 		return ev.Kind == EvScanComplete && strings.Contains(ev.Detail, "streamed:")
 	})
 }
@@ -243,7 +244,8 @@ func TestJoinClosedAfterKRows(t *testing.T) {
 			o := NewOptimizer(Config{Parallelism: width})
 			jq := jf.custOrdQuery(expr.NewCmp(expr.LT, expr.Col(0, "ID"), expr.Lit(expr.Int(30))))
 			jq.Limit = limit
-			rows := o.RunJoin(NewExecCtx(context.Background(), 1<<40), jq, nil)
+			log := &TraceLog{}
+			rows := o.RunJoin(NewExecCtx(context.Background(), 1<<40).WithTrace(log), jq, nil)
 			for i := 0; i < k; i++ {
 				if _, ok, err := rows.Next(); err != nil || ok != (i < limit) {
 					t.Fatalf("w%d k=%d: row %d: ok=%v err=%v", width, k, i, ok, err)
@@ -264,8 +266,8 @@ func TestJoinClosedAfterKRows(t *testing.T) {
 			if st.RowsDelivered != min(k, limit) {
 				t.Fatalf("w%d k=%d: RowsDelivered = %d", width, k, st.RowsDelivered)
 			}
-			if k > 0 && width >= 2 && !accessStreamed(st) {
-				t.Fatalf("w%d k=%d: no table access of the join streamed; trace: %v", width, k, st.Trace())
+			if evs := log.Take(); k > 0 && width >= 2 && !accessStreamed(evs) {
+				t.Fatalf("w%d k=%d: no table access of the join streamed; trace: %v", width, k, evs)
 			}
 		}
 	}

@@ -93,13 +93,14 @@ func (q *Query) Validate() error {
 	return nil
 }
 
-// tracer builds the event fan-out for one retrieval's stats; a join's
-// table access (ja non-nil) emits as the join, through its tracer.
-func (o *Optimizer) tracer(ec *ExecCtx, st *RetrievalStats, ja *joinAccess) *tracer {
+// tracer builds the decision recorder of one retrieval's stats; a
+// join's table access (ja non-nil) records as the join, through a copy
+// of its tracer.
+func (o *Optimizer) tracer(ec *ExecCtx, st *RetrievalStats, ja *joinAccess) tracer {
 	if ja != nil {
-		return ja.trc
+		return *ja.trc
 	}
-	return &tracer{st: st, sink: o.cfg.Trace, extra: ec.traceSink(), metrics: o.metrics}
+	return tracer{st: st, metrics: o.metrics, sink: o.cfg.Trace, extra: ec.traceSink()}
 }
 
 // newRetrieval assembles the retrieval shell a tactic is arranged in.
@@ -113,8 +114,11 @@ func (o *Optimizer) newRetrieval(ec *ExecCtx, q *Query, cfg Config, st Retrieval
 // all retrieval stages and delivers "end of data" at once.
 func (o *Optimizer) emptyRange(ec *ExecCtx, q *Query, st RetrievalStats, detail string) Rows {
 	st.Tactic = "empty-range"
-	o.tracer(ec, &st, q.join).emit(TraceEvent{Kind: EvEmptyRange, Detail: detail})
-	return &emptyRows{stats: st}
+	e := &emptyRows{stats: st}
+	if trc := o.tracer(ec, &e.stats, q.join); trc.decide(EvEmptyRange) {
+		trc.emit(TraceEvent{Kind: EvEmptyRange, Detail: detail})
+	}
+	return e
 }
 
 func (o *Optimizer) run(ec *ExecCtx, q *Query) (Rows, error) {
@@ -191,9 +195,8 @@ func (o *Optimizer) run(ec *ExecCtx, q *Query) (Rows, error) {
 		a, est := arrangement{tactic: tacticBackgroundOnly, ests: res.Estimates}, bgPlanEst(model, res.Estimates[0])
 		if goal == GoalFastFirst {
 			a.tactic = tacticFastFirst
-			return r, o.arrange(r, a, est, "fast-first, foreground borrows from "+res.Estimates[0].Index.Name)
 		}
-		return r, o.arrange(r, a, est, fmt.Sprintf("background-only over %d indexes", len(res.Estimates)))
+		return r, o.arrange(r, a, est)
 	}
 	// No conjunct-level index use. A top-level OR whose disjuncts are all
 	// index-coverable can still be resolved by a union scan, under the
@@ -203,7 +206,7 @@ func (o *Optimizer) run(ec *ExecCtx, q *Query) (Rows, error) {
 	legs := unionLegs(q, ptr)
 	r.st.EstimateIO += ptr.IOCost()
 	if legs == nil {
-		return r, o.arrange(r, arrangement{tactic: tacticTscan}, model.TscanCost(), "no useful index")
+		return r, o.arrange(r, arrangement{tactic: tacticTscan}, model.TscanCost())
 	}
 	var totalEst float64
 	for _, l := range legs {
@@ -212,9 +215,8 @@ func (o *Optimizer) run(ec *ExecCtx, q *Query) (Rows, error) {
 	a, est := arrangement{tactic: tacticBackgroundOnly, legs: legs}, model.JscanFinalCost(totalEst)
 	if goal == GoalFastFirst {
 		a.tactic = tacticFastFirst
-		return r, o.arrange(r, a, est, fmt.Sprintf("fast-first over a %d-leg union", len(legs)))
 	}
-	return r, o.arrange(r, a, est, fmt.Sprintf("background-only union over %d disjunct legs", len(legs)))
+	return r, o.arrange(r, a, est)
 }
 
 // arrangement is a tactic as the scans that run it — what start-retrieval
@@ -231,11 +233,11 @@ type arrangement struct {
 }
 
 // arrange turns a into r's foreground and background under r.cfg and
-// emits the retrieval's tactic-chosen event, whose Scan and Indexes it
-// derives from a — the one place any arrangement, dynamic or pinned,
-// becomes scans. The foreground is built first: its seek may spend I/O,
-// while Jscan and Uscan construction spends none.
-func (o *Optimizer) arrange(r *retrieval, a arrangement, estIO float64, detail string) error {
+// records the choice: its facts, and for a sink the tactic-chosen event
+// — the one place any arrangement, dynamic or pinned, becomes scans. The
+// foreground is built first: its seek may spend I/O, while Jscan and
+// Uscan construction spends none.
+func (o *Optimizer) arrange(r *retrieval, a arrangement, estIO float64) error {
 	ec, q, cfg := r.ec, r.q, r.cfg
 	var borrow *ridQueue
 	switch a.tactic {
@@ -266,36 +268,79 @@ func (o *Optimizer) arrange(r *retrieval, a arrangement, estIO float64, detail s
 		r.fg = newBorrowFetcher(ec, q, r.k, borrow, r.out, cfg.FgBufferCap)
 	}
 	r.tactic = a.tactic
-
-	ev := TraceEvent{Kind: EvTacticChosen, Tactic: a.tactic.String(), EstimatedIO: estIO, Detail: detail}
-	if n := len(a.ests) + len(a.legs); a.ix != nil {
-		ev.Indexes = append(make([]string, 0, 1+n), a.ix.Name)
-	} else if n > 0 {
-		ev.Indexes = make([]string, 0, n)
-	}
 	switch {
 	case a.legs != nil:
-		r.bg = newUscan(ec, q, cfg, r.model, a.legs, borrow, r.trc)
-		for _, l := range a.legs {
-			ev.Indexes = append(ev.Indexes, l.Index.Name)
-		}
+		r.bg = newUscan(ec, q, cfg, r.model, a.legs, borrow, &r.trc)
 	case len(a.ests) > 0:
-		j := newJscan(ec, q, cfg, r.model, a.ests, borrow, r.trc)
+		j := newJscan(ec, q, cfg, r.model, a.ests, borrow, &r.trc)
 		j.onDone = o.observer(q)
 		r.bg = j
-		for _, e := range a.ests {
-			ev.Indexes = append(ev.Indexes, e.Index.Name)
-		}
 	}
-	// The scan that answers for the tactic: the foreground's own index
-	// scan, else the background the foreground borrows from or waits on.
-	if ev.Scan = "Tscan"; a.ix != nil {
+	r.trc.st.planEstIO = estIO
+	if a.ix != nil {
+		r.trc.st.planIndex = a.ix.Name
+	}
+	if r.trc.decide(EvTacticChosen) {
+		r.trc.emit(r.chosenEvent(a, estIO))
+	}
+	return nil
+}
+
+// chosenEvent is the tactic-chosen event of a as arranged in r. Its Scan
+// is the scan that answers for the tactic: the foreground's own index
+// scan, else the background the foreground borrows from or waits on.
+func (r *retrieval) chosenEvent(a arrangement, estIO float64) TraceEvent {
+	ev := TraceEvent{Kind: EvTacticChosen, Tactic: a.tactic.String(), Scan: "Tscan", EstimatedIO: estIO, Detail: a.detail(r.q, r.pinned)}
+	if a.ix != nil {
 		ev.Scan = r.fg.name()
+		ev.Indexes = append(ev.Indexes, a.ix.Name)
 	} else if r.bg != nil {
 		ev.Scan = r.bg.name()
 	}
-	r.trc.emit(ev)
-	return nil
+	for _, l := range a.legs {
+		ev.Indexes = append(ev.Indexes, l.Index.Name)
+	}
+	for _, e := range a.ests {
+		ev.Indexes = append(ev.Indexes, e.Index.Name)
+	}
+	return ev
+}
+
+// detail says why a was chosen, for its tactic-chosen event. A pinned
+// replay says only that; a dynamic sscan came from an order-needed index
+// when q requests an order (planOrdered), else it is the lone
+// self-sufficient one.
+func (a arrangement) detail(q *Query, pinned bool) string {
+	if pinned {
+		if a.tactic == tacticFastFirst {
+			return "pinned plan replay, foreground borrows from " + a.ests[0].Index.Name
+		}
+		return "pinned plan replay"
+	}
+	switch a.tactic {
+	case tacticTscan:
+		return "no useful index"
+	case tacticSscan:
+		if len(q.OrderBy) > 0 {
+			return "self-sufficient order-needed index"
+		}
+		return "lone self-sufficient index"
+	case tacticFscan:
+		return "ordered plain Fscan"
+	case tacticSorted:
+		return fmt.Sprintf("Fscan(%s) + filter Jscan(%d indexes)", a.ix.Name, len(a.ests))
+	case tacticIndexOnly:
+		return fmt.Sprintf("Sscan(%s) races Jscan over %d indexes", a.ix.Name, len(a.ests))
+	case tacticFastFirst:
+		if a.legs != nil {
+			return fmt.Sprintf("fast-first over a %d-leg union", len(a.legs))
+		}
+		return "fast-first, foreground borrows from " + a.ests[0].Index.Name
+	}
+	if a.legs != nil {
+		return fmt.Sprintf("background-only union over %d disjunct legs", len(a.legs))
+	}
+	return fmt.Sprintf("background-only over %d indexes", len(a.ests))
 }
 
 // runSorted wraps a total-time dynamic retrieval in a SORT (the paper's
@@ -428,10 +473,10 @@ func (o *Optimizer) planWithSelfSufficient(ec *ExecCtx, q *Query, res estimate.R
 	r.fgEstTotal = cost
 	if len(res.Estimates) == 0 {
 		a.tactic = tacticSscan
-		return o.arrange(r, a, cost, "lone self-sufficient index")
+		return o.arrange(r, a, cost)
 	}
 	a.tactic, a.ests = tacticIndexOnly, res.Estimates
-	return o.arrange(r, a, cost, fmt.Sprintf("Sscan(%s) races Jscan over %d indexes", a.ix.Name, len(res.Estimates)))
+	return o.arrange(r, a, cost)
 }
 
 // bgPlanEst is the optimistic projected I/O of a background plan: scan
@@ -481,7 +526,7 @@ func (o *Optimizer) planOrdered(ec *ExecCtx, q *Query, cl Classification, res es
 		if ix.Covers(q.neededColumns()) {
 			a := arrangement{tactic: tacticSscan, ix: ix, desc: q.OrderDesc}
 			a.lo, a.hi, _, _ = ix.RestrictionBounds(q.Restriction, q.Binds)
-			return r, o.arrange(r, a, 0, "self-sufficient order-needed index")
+			return r, o.arrange(r, a, 0)
 		}
 	}
 	ordIx := cl.OrderNeeded[0]
@@ -506,9 +551,8 @@ func (o *Optimizer) planOrdered(ec *ExecCtx, q *Query, cl Classification, res es
 			a.ests = append(a.ests, e)
 		}
 	}
-	if len(a.ests) == 0 {
-		return r, o.arrange(r, a, fscanEst, "ordered plain Fscan")
+	if len(a.ests) > 0 {
+		a.tactic = tacticSorted
 	}
-	a.tactic = tacticSorted
-	return r, o.arrange(r, a, fscanEst, fmt.Sprintf("Fscan(%s) + filter Jscan(%d indexes)", ordIx.Name, len(a.ests)))
+	return r, o.arrange(r, a, fscanEst)
 }

@@ -57,23 +57,21 @@ func tscanWidth(cfg Config, trc *tracer, q *Query, estIO float64) int {
 
 // decideWidth resolves a scan's worker width. Without adaptive mode it
 // is exactly the static knob (effectiveWorkers); with it, the policy
-// picks a width from the scan's appraised I/O and the ceiling, and
-// emits one EvParallelWidthChosen per decision so EXPLAIN
-// ANALYZE shows the width and why. The event fires only when the
-// ceiling allows fan-out (>= 2): a width-1 budget has no decision to
-// record.
+// picks a width from the scan's appraised I/O and the ceiling, counts
+// the decision in the width metrics, and hands a sink one
+// EvParallelWidthChosen so EXPLAIN ANALYZE shows the width and why. The
+// decision is taken only when the ceiling allows fan-out (>= 2): a
+// width-1 budget has no decision to record.
 func decideWidth(cfg Config, trc *tracer, scan string, estIO float64) int {
 	max := cfg.effectiveWorkers()
 	if !cfg.AdaptiveParallelism || max < 2 {
 		return max
 	}
 	w := planParallelWidth(estIO, max)
-	trc.emit(TraceEvent{
-		Kind:        EvParallelWidthChosen,
-		Scan:        scan,
-		Width:       w,
-		EstimatedIO: estIO,
-		Detail:      fmt.Sprintf("ceiling %d, startup %.1f/worker", max, parallelStartupCost),
-	})
+	trc.metrics.recordWidth(w)
+	if trc.decide(EvParallelWidthChosen) {
+		trc.emit(TraceEvent{Kind: EvParallelWidthChosen, Scan: scan, Width: w, EstimatedIO: estIO,
+			Detail: fmt.Sprintf("ceiling %d, startup %.1f/worker", max, parallelStartupCost)})
+	}
 	return w
 }

@@ -153,13 +153,14 @@ func TestAdaptiveDowngradesSmallScan(t *testing.T) {
 	cfg.Parallelism = 8
 	cfg.AdaptiveParallelism = true
 	o := NewOptimizer(cfg)
-	rows := o.RunExec(nil, q)
+	ec, log := tracedCtx()
+	rows := o.RunExec(ec, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "downgraded tscan")
-	st := rows.Stats()
-	ev := firstEvent(st, EvParallelWidthChosen, "")
+	evs := log.Take()
+	ev := firstEvent(evs, EvParallelWidthChosen, "")
 	if ev == nil {
-		t.Fatalf("no width decision in trace: %v", st.Trace())
+		t.Fatalf("no width decision in trace: %v", evs)
 	}
 	if ev.Width != 1 {
 		t.Fatalf("width = %d, want 1 (startup dominates)", ev.Width)
@@ -198,13 +199,15 @@ func TestAdaptivePinnedTscanWidth(t *testing.T) {
 	f.pool.EvictAll()
 	dyn, dynSt := run(o.RunExec(nil, q))
 	f.pool.EvictAll()
-	pin, pinSt := run(o.RunPlan(nil, q, &Plan{Tactic: "tscan"}))
-	ev := firstEvent(pinSt, EvParallelWidthChosen, "")
+	ec, log := tracedCtx()
+	pin, pinSt := run(o.RunPlan(ec, q, &Plan{Tactic: "tscan"}))
+	evs := log.Take()
+	ev := firstEvent(evs, EvParallelWidthChosen, "")
 	if ev == nil || ev.Scan != "Tscan" || ev.Width != 1 {
-		t.Fatalf("pinned Tscan's width decision = %v, want width 1; trace: %v", ev, pinSt.Trace())
+		t.Fatalf("pinned Tscan's width decision = %v, want width 1; trace: %v", ev, evs)
 	}
-	if strings.Contains(fmt.Sprint(pinSt.Trace()), "streamed") {
-		t.Fatalf("pinned Tscan of a %d-page table fanned out: %v", f.tab.Pages(), pinSt.Trace())
+	if strings.Contains(fmt.Sprint(evs), "streamed") {
+		t.Fatalf("pinned Tscan of a %d-page table fanned out: %v", f.tab.Pages(), evs)
 	}
 	sameMultiset(t, pin, dyn, "pinned tscan")
 	if pinSt.IO != dynSt.IO {

@@ -56,7 +56,8 @@ func runEquiv(t *testing.T, f *fixture, sh equivShape, parallelism int, adaptive
 	cfg.RaceFactor = sh.raceFactor
 	o := NewOptimizer(cfg)
 	f.pool.EvictAll()
-	rows := o.RunExec(nil, sh.q)
+	ec, log := tracedCtx()
+	rows := o.RunExec(ec, sh.q)
 	got := drain(t, rows)
 	if n := f.pool.PinnedPages(); n != 0 {
 		t.Fatalf("parallelism=%d leaked %d pins", parallelism, n)
@@ -64,17 +65,17 @@ func runEquiv(t *testing.T, f *fixture, sh equivShape, parallelism int, adaptive
 	if len(got) == 0 {
 		t.Fatalf("degenerate fixture: %s query delivered no rows", sh.name)
 	}
-	st := rows.Stats()
-	if sh.raceFactor != 0 && !hasEvent(st, EvRaceResolved, "") {
-		t.Fatalf("%s: no race resolved; trace: %v", sh.name, st.Trace())
+	st, evs := rows.Stats(), log.Take()
+	if sh.raceFactor != 0 && !hasEvent(evs, EvRaceResolved, "") {
+		t.Fatalf("%s: no race resolved; trace: %v", sh.name, evs)
 	}
-	onlyMorselWidths(t, "runEquiv", st)
+	onlyMorselWidths(t, "runEquiv", evs)
 	keys := make([]string, len(got))
 	for i, r := range got {
 		keys[i] = rowKey(r)
 	}
 	widths := 0
-	for _, ev := range st.Events {
+	for _, ev := range evs {
 		if ev.Kind == EvParallelWidthChosen {
 			widths++
 		}
@@ -94,9 +95,9 @@ func runEquiv(t *testing.T, f *fixture, sh equivShape, parallelism int, adaptive
 
 // onlyMorselWidths fails t if a width decision names a scan other than
 // the two that partition, Tscan and Fin.
-func onlyMorselWidths(t *testing.T, label string, st RetrievalStats) {
+func onlyMorselWidths(t *testing.T, label string, evs []TraceEvent) {
 	t.Helper()
-	for _, ev := range st.Events {
+	for _, ev := range evs {
 		if ev.Kind == EvParallelWidthChosen && ev.Scan != "Tscan" && ev.Scan != "Fin" {
 			t.Fatalf("%s: a width decided for %s; only Tscan and Fin partition: %s", label, ev.Scan, ev.String())
 		}
@@ -223,12 +224,12 @@ func TestParallelRaceAuditWinnerAdoption(t *testing.T) {
 
 	baseline := runtime.NumGoroutine()
 	o := NewOptimizer(cfg)
-	rows := o.RunExec(nil, q)
+	ec, log := tracedCtx()
+	rows := o.RunExec(ec, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "race at width 2")
-	st := rows.Stats()
-	if !hasEvent(st, EvRaceStarted, "") {
-		t.Fatalf("no race started; trace: %v", st.Trace())
+	if evs := log.Take(); !hasEvent(evs, EvRaceStarted, "") {
+		t.Fatalf("no race started; trace: %v", evs)
 	}
 	if n := f.pool.PinnedPages(); n != 0 {
 		t.Fatalf("%d pins leaked after race at width 2", n)
@@ -250,13 +251,13 @@ func TestParallelRaceAuditCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	baseline := runtime.NumGoroutine()
-	ec := NewExecCtx(ctx, 0).WithTrace(&eventTrigger{kind: EvRaceStarted, fire: cancel})
+	trig := &eventTrigger{kind: EvRaceStarted, fire: cancel}
 	o := NewOptimizer(cfg)
-	rows := o.RunExec(ec, q)
+	rows := o.RunExec(NewExecCtx(ctx, 0).WithTrace(trig), q)
 	if _, err := drainToErr(rows); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	checkCancelled(t, f, rows, o, false, false)
+	checkCancelled(t, f, rows, o, trig.Take(), false, false)
 	waitGoroutines(t, baseline)
 }
 
@@ -309,14 +310,15 @@ func TestParallelCancellationSweep(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
 			baseline := runtime.NumGoroutine()
-			ec := NewExecCtx(ctx, 0).WithTrace(&eventTrigger{kind: tc.at, fire: cancel})
+			trig := &eventTrigger{kind: tc.at, fire: cancel}
+			ec := NewExecCtx(ctx, 0).WithTrace(trig)
 			o := NewOptimizer(cfg)
 			f.pool.EvictAll()
 			rows := o.RunExec(ec, q)
 			if _, err := drainToErr(rows); !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
-			checkCancelled(t, f, rows, o, false, false)
+			checkCancelled(t, f, rows, o, trig.Take(), false, false)
 			waitGoroutines(t, baseline)
 			attributed(t, ec, rows)
 		})
@@ -326,7 +328,8 @@ func TestParallelCancellationSweep(t *testing.T) {
 			cfg.Parallelism = workers
 			cfg.DisableCompetition = true
 			baseline := runtime.NumGoroutine()
-			ec := NewExecCtx(context.Background(), budget)
+			log := &TraceLog{}
+			ec := NewExecCtx(context.Background(), budget).WithTrace(log)
 			o := NewOptimizer(cfg)
 			f.pool.EvictAll()
 			rows := o.RunExec(ec, q)
@@ -339,7 +342,7 @@ func TestParallelCancellationSweep(t *testing.T) {
 			if spent := ec.IOSpent(); spent < budget || spent >= budget+workers {
 				t.Fatalf("spent %d simulated I/Os, want within [%d, %d)", spent, budget, budget+workers)
 			}
-			checkCancelled(t, f, rows, o, false, true)
+			checkCancelled(t, f, rows, o, log.Take(), false, true)
 			waitGoroutines(t, baseline)
 			attributed(t, ec, rows)
 		})
@@ -353,17 +356,18 @@ func TestParallelCancellationSweep(t *testing.T) {
 			baseline := runtime.NumGoroutine()
 			// Sleeping past the deadline inside the trace sink guarantees
 			// the expiry lands mid-retrieval without timing flakiness.
-			ec := NewExecCtx(ctx, 0).WithTrace(&eventTrigger{
+			trig := &eventTrigger{
 				kind: tc.at,
 				fire: func() { time.Sleep(60 * time.Millisecond) },
-			})
+			}
+			ec := NewExecCtx(ctx, 0).WithTrace(trig)
 			o := NewOptimizer(cfg)
 			f.pool.EvictAll()
 			rows := o.RunExec(ec, q)
 			if _, err := drainToErr(rows); !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 			}
-			checkCancelled(t, f, rows, o, true, false)
+			checkCancelled(t, f, rows, o, trig.Take(), true, false)
 			waitGoroutines(t, baseline)
 			attributed(t, ec, rows)
 		})

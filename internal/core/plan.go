@@ -50,63 +50,32 @@ func (p *Plan) String() string {
 // the competition intervened mid-flight (strategy switch, race, borrow
 // overflow, mid-scan abandonment, a completed-but-useless list), the
 // arrangement is not replayable deterministically, or the tactic has
-// no frozen form — a join's among them. The test is structural: a capturable run's replay
-// performs exactly the original's productive work — scans that were
-// merely *skipped* before starting cost nothing and do not block
-// capture.
+// no frozen form — a join's among them. The test reads the decision
+// facts the retrieval recorded: a capturable run's replay performs
+// exactly the original's productive work — scans that were merely
+// *skipped* before starting cost nothing and do not block capture.
 func CapturePlan(st *RetrievalStats) (*Plan, bool) {
-	var chosen *TraceEvent
-	var started []string
-	var switches []*TraceEvent
-	for i := range st.Events {
-		ev := &st.Events[i]
-		switch ev.Kind {
-		case EvTacticChosen:
-			if chosen == nil {
-				chosen = ev
-			}
-		case EvScanStarted:
-			// Per-index background scan openings (Jscan emits one per
-			// index it actually reads; skips never start).
-			if ev.Scan == "Jscan" && len(ev.Indexes) == 1 {
-				started = append(started, ev.Indexes[0])
-			}
-		case EvStrategySwitch:
-			switches = append(switches, ev)
-		case EvBorrowOverflow, EvRaceStarted, EvRaceResolved:
-			return nil, false
-		}
-	}
-	if chosen == nil {
+	if st.raced || st.overflowed {
 		return nil, false
 	}
-	if len(switches) > 0 {
+	if st.switchedTo != "" {
 		// One exactly-replayable switch exists: a background-only Jscan
 		// that skipped every index up front (zero scan I/O, no RID list
 		// materialized) and recommended Tscan before anything ran. The
 		// whole retrieval was one sequential scan; freeze it as tscan.
-		if st.Tactic == "background-only" && len(switches) == 1 &&
-			switches[0].Scan == "Tscan" && len(started) == 0 &&
+		if st.Tactic == "background-only" && st.switchedTo == "Tscan" && st.scansStarted == 0 &&
 			len(st.WinningOrder) == 0 && st.FinalListLen < 0 {
 			return &Plan{Tactic: "tscan"}, true
 		}
 		return nil, false
 	}
-	// Every background scan that opened must be in the adopted order,
-	// in the same positions: a started-but-unadopted scan (mid-flight
-	// abandonment or a complete-but-useless list) burned I/O the replay
-	// would not reproduce.
-	jscanClean := func() bool {
-		if len(st.WinningOrder) != len(started) {
-			return false
-		}
-		for i, n := range started {
-			if st.WinningOrder[i] != n {
-				return false
-			}
-		}
-		return len(started) > 0
-	}
+	// Every Jscan scan that opened must have been adopted, and the
+	// adopted order is then the started one: only a race (ruled out
+	// above) adopts a scan out of its opening order. A
+	// started-but-unadopted scan (mid-flight abandonment or a
+	// complete-but-useless list) burned I/O the replay would not
+	// reproduce. A Uscan opens no Jscan scan, so it never qualifies.
+	jscanClean := st.scansStarted > 0 && st.scansStarted == len(st.WinningOrder)
 	ridsFor := func(names []string) []float64 {
 		out := make([]float64, len(names))
 		for i, n := range names {
@@ -119,40 +88,38 @@ func CapturePlan(st *RetrievalStats) (*Plan, bool) {
 		}
 		return out
 	}
+	order := func(names ...string) *Plan {
+		names = append(names, st.WinningOrder...)
+		return &Plan{Tactic: st.Tactic, Indexes: names, RIDs: ridsFor(names)}
+	}
 	switch st.Tactic {
 	case "tscan":
-		if chosen.Scan != "Tscan" {
-			return nil, false
-		}
 		return &Plan{Tactic: "tscan"}, true
 	case "sscan", "fscan":
-		if len(chosen.Indexes) == 0 || len(started) > 0 {
+		if st.planIndex == "" || st.scansStarted > 0 {
 			return nil, false
 		}
-		ix := chosen.Indexes[:1]
+		ix := []string{st.planIndex}
 		return &Plan{Tactic: st.Tactic, Indexes: ix, RIDs: ridsFor(ix)}, true
 	case "background-only":
-		if chosen.Scan != "Jscan" || !jscanClean() {
+		if !jscanClean {
 			return nil, false
 		}
-		order := append([]string(nil), st.WinningOrder...)
-		return &Plan{Tactic: st.Tactic, Indexes: order, RIDs: ridsFor(order)}, true
+		return order(), true
 	case "fast-first":
 		// Only the single-source borrow arrangement replays exactly: a
 		// multi-index run's later scans overlap the foreground drain.
-		if chosen.Scan != "Jscan" || !jscanClean() || len(st.WinningOrder) != 1 {
+		if !jscanClean || len(st.WinningOrder) != 1 {
 			return nil, false
 		}
-		order := append([]string(nil), st.WinningOrder...)
-		return &Plan{Tactic: st.Tactic, Indexes: order, RIDs: ridsFor(order)}, true
+		return order(), true
 	case "sorted":
-		// chosen.Indexes = [order-delivering index, filter candidates...];
-		// the replay pairs the Fscan with the adopted filter order.
-		if len(chosen.Indexes) < 2 || !jscanClean() {
+		// The replay pairs the order-delivering Fscan with the adopted
+		// filter order.
+		if st.planIndex == "" || !jscanClean {
 			return nil, false
 		}
-		order := append([]string{chosen.Indexes[0]}, st.WinningOrder...)
-		return &Plan{Tactic: st.Tactic, Indexes: order, RIDs: ridsFor(order)}, true
+		return order(st.planIndex), true
 	default:
 		// index-only (always race-resolved), sort(...), empty-range,
 		// join, error: no frozen form.
@@ -283,15 +250,12 @@ func (o *Optimizer) pinned(ec *ExecCtx, q *Query, a arrangement, cl Classificati
 	if r.model = tableCostModel(q); len(a.ests) > 0 {
 		r.model = o.costModel(q, cl)
 	}
-	estIO, detail := 0.0, "pinned plan replay"
+	var estIO float64
 	switch a.tactic {
 	case tacticTscan:
 		estIO = r.model.TscanCost()
-	case tacticFastFirst:
-		detail += ", foreground borrows from " + a.ests[0].Index.Name
-		fallthrough
-	case tacticBackgroundOnly:
+	case tacticFastFirst, tacticBackgroundOnly:
 		estIO = bgPlanEst(r.model, a.ests[0])
 	}
-	return r, o.arrange(r, a, estIO, detail)
+	return r, o.arrange(r, a, estIO)
 }

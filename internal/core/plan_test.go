@@ -121,28 +121,33 @@ func TestRunPlan(t *testing.T) {
 				mutate(&q)
 				return &q
 			}
-			cold := func(rows Rows) ([]expr.Row, RetrievalStats) {
+			// cold drains the retrieval run starts, traced, off a pool the
+			// caller evicted.
+			cold := func(run func(ec *ExecCtx) Rows) ([]expr.Row, RetrievalStats, []TraceEvent) {
 				t.Helper()
+				ec, log := tracedCtx()
+				rows := run(ec)
 				got := drain(t, rows)
 				if n := f.pool.PinnedPages(); n != 0 {
 					t.Fatalf("%d pages left pinned", n)
 				}
-				return got, rows.Stats()
+				return got, rows.Stats(), log.Take()
 			}
 			// Capture from the second dynamic run: the first one samples
 			// the cluster ratio, whose unattributed reads warm the pool.
 			var dynRows []expr.Row
 			var dynSt RetrievalStats
+			var dynEvs []TraceEvent
 			for i := 0; i < 2; i++ {
 				f.pool.EvictAll()
-				dynRows, dynSt = cold(o.RunExec(nil, mk(func(*Query) {})))
+				dynRows, dynSt, dynEvs = cold(func(ec *ExecCtx) Rows { return o.RunExec(ec, mk(func(*Query) {})) })
 			}
 			if dynSt.Tactic != sh.tactic {
 				t.Fatalf("dynamic tactic = %s, shape expects %s", dynSt.Tactic, sh.tactic)
 			}
 			captured, ok := CapturePlan(&dynSt)
 			if !ok {
-				t.Fatalf("clean %s run not capturable; trace: %v", sh.tactic, dynSt.Trace())
+				t.Fatalf("clean %s run not capturable; trace: %v", sh.tactic, dynEvs)
 			}
 			built := &Plan{Tactic: sh.tactic, Indexes: sh.plan}
 			if captured.String() != built.String() {
@@ -152,9 +157,9 @@ func TestRunPlan(t *testing.T) {
 			for _, v := range variations {
 				q := mk(v.mutate)
 				f.pool.EvictAll()
-				gotC, stC := cold(o.RunPlan(nil, q, captured))
+				gotC, stC, evsC := cold(func(ec *ExecCtx) Rows { return o.RunPlan(ec, q, captured) })
 				f.pool.EvictAll()
-				gotB, stB := cold(o.RunPlan(nil, q, built))
+				gotB, stB, _ := cold(func(ec *ExecCtx) Rows { return o.RunPlan(ec, q, built) })
 				label := sh.tactic + "/" + v.name
 
 				// The two routes to a plan are one plan.
@@ -173,7 +178,7 @@ func TestRunPlan(t *testing.T) {
 
 				// And the plan answers the query.
 				if v.name == "empty range" {
-					if len(gotC) != 0 || stC.IO.IOCost() != 0 || stC.Tactic != "empty-range" || !hasEvent(stC, EvEmptyRange, "") {
+					if len(gotC) != 0 || stC.IO.IOCost() != 0 || stC.Tactic != "empty-range" || !hasEvent(evsC, EvEmptyRange, "") {
 						t.Fatalf("%s: %d rows, %d I/O, tactic %s", label, len(gotC), stC.IO.IOCost(), stC.Tactic)
 					}
 					continue
@@ -232,8 +237,8 @@ func TestRunPlan(t *testing.T) {
 				if !sorts && stC.Tactic != sh.tactic {
 					t.Fatalf("%s: tactic %s", label, stC.Tactic)
 				}
-				if chosen := firstEvent(stC, EvTacticChosen, ""); chosen == nil || chosen.Tactic != sh.tactic {
-					t.Fatalf("%s: no tactic-chosen event for %s; trace: %v", label, sh.tactic, stC.Trace())
+				if chosen := firstEvent(evsC, EvTacticChosen, ""); chosen == nil || chosen.Tactic != sh.tactic {
+					t.Fatalf("%s: no tactic-chosen event for %s; trace: %v", label, sh.tactic, evsC)
 				}
 
 				// The capture contract: the replay does exactly the
@@ -253,7 +258,7 @@ func TestRunPlan(t *testing.T) {
 						}
 					}
 					// The replay names the same arrangement as the run.
-					rc, dc := firstEvent(stC, EvTacticChosen, ""), firstEvent(dynSt, EvTacticChosen, "")
+					rc, dc := firstEvent(evsC, EvTacticChosen, ""), firstEvent(dynEvs, EvTacticChosen, "")
 					if rc.Scan != dc.Scan || !slices.Equal(rc.Indexes, dc.Indexes) {
 						t.Fatalf("%s: replay chose %s %v, dynamic run %s %v", label, rc.Scan, rc.Indexes, dc.Scan, dc.Indexes)
 					}

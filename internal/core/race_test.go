@@ -18,7 +18,7 @@ func TestBgKillHalfDeadRace(t *testing.T) {
 	ec := NewExecCtx(context.Background(), 0)
 	cfg := DefaultConfig()
 	model := estimate.CostModel{TablePages: f.tab.Pages(), TableRows: f.tab.Cardinality()}
-	j := newJscan(ec, q, cfg, model, nil, nil, &tracer{st: &RetrievalStats{}})
+	j := newJscan(ec, q, cfg, model, nil, nil, &tracer{st: &RetrievalStats{}, metrics: &Metrics{}})
 
 	var legs []raceLeg
 	for _, ix := range f.tab.Indexes {
@@ -63,7 +63,7 @@ func TestBgKillBothLegsDead(t *testing.T) {
 	q := &Query{Table: f.tab, Goal: GoalTotalTime}
 	ec := NewExecCtx(context.Background(), 0)
 	model := estimate.CostModel{TablePages: f.tab.Pages(), TableRows: f.tab.Cardinality()}
-	j := newJscan(ec, q, DefaultConfig(), model, nil, nil, &tracer{st: &RetrievalStats{}})
+	j := newJscan(ec, q, DefaultConfig(), model, nil, nil, &tracer{st: &RetrievalStats{}, metrics: &Metrics{}})
 
 	a, err := j.openLeg(estimate.IndexEstimate{Index: f.tab.Indexes[0], RIDs: 500})
 	if err != nil {

@@ -88,10 +88,10 @@ type retrieval struct {
 	// errors from the buffer pool; Next additionally checks it between
 	// rounds so a cancelled query stops even while popping queued rows.
 	ec *ExecCtx
-	// trc stamps and fans out this retrieval's trace events; o is the
-	// optimizer whose metrics count it and which learns its
-	// estimated-vs-actual cardinality on completion (Config.Feedback).
-	trc *tracer
+	// trc records this retrieval's decisions; o is the optimizer whose
+	// metrics count it and which learns its estimated-vs-actual
+	// cardinality on completion (Config.Feedback).
+	trc tracer
 	o   *Optimizer
 	// pinned marks a pinned-plan replay (RunPlan): it wins its tactic's
 	// metric but feeds neither the estimate-error histogram nor the
@@ -139,41 +139,33 @@ func (r *retrieval) release() {
 }
 
 // fail latches err as the retrieval's terminal error and unwinds: for an
-// execution-context cancellation it emits the scan-abandoned events for
-// still-live stages plus one query-cancelled event and records the
-// cancellation metric (once per ExecCtx); for any error it releases all
-// held resources and finalizes the stats. Returns err for convenience.
+// execution-context cancellation it abandons the still-live stages,
+// marks the stats cancelled (with their scan-abandoned events and one
+// query-cancelled event for a sink) and records the cancellation metric
+// (once per ExecCtx); for any error it releases all held resources and
+// finalizes the stats. Returns err for convenience.
 func (r *retrieval) fail(err error) error {
 	if r.err == nil {
 		r.err = err
 	}
 	if IsCancellation(err) {
 		if r.fg != nil && !r.fgDone && !r.fgTerminated {
-			r.trc.emit(TraceEvent{
-				Kind: EvScanAbandoned, Tactic: r.tactic.String(), Scan: r.fg.name(),
-				ActualIO: r.fg.cost(), Detail: "unwound by execution context",
-			})
+			r.abandoned(r.fg, nil, "unwound by execution context")
 		}
 		if r.bg != nil && !r.bgDone {
-			r.trc.emit(TraceEvent{
-				Kind: EvScanAbandoned, Tactic: r.tactic.String(), Scan: r.bg.name(),
-				Indexes: r.bg.bgNames(), ActualIO: r.bg.cost(), Detail: "unwound by execution context",
-			})
+			r.abandoned(r.bg, r.bg.bgNames(), "unwound by execution context")
 		}
 		if r.fin != nil && !r.finDone {
-			r.trc.emit(TraceEvent{
-				Kind: EvScanAbandoned, Tactic: r.tactic.String(), Scan: r.fin.name(),
-				ActualIO: r.fin.cost(), Detail: "unwound by execution context",
-			})
+			r.abandoned(r.fin, nil, "unwound by execution context")
 		}
-		var io float64
-		for _, s := range r.steppers() {
-			io += s.cost()
+		r.trc.st.cancelled = true
+		if r.trc.decide(EvQueryCancelled) {
+			var io float64
+			for _, s := range r.steppers() {
+				io += s.cost()
+			}
+			r.trc.emit(TraceEvent{Kind: EvQueryCancelled, Tactic: r.tactic.String(), ActualIO: io, Detail: err.Error()})
 		}
-		r.trc.emit(TraceEvent{
-			Kind: EvQueryCancelled, Tactic: r.tactic.String(), ActualIO: io,
-			Detail: err.Error(),
-		})
 		if r.ec.markCancelRecorded() {
 			r.o.metrics.recordCancellation(err)
 		}
@@ -182,6 +174,34 @@ func (r *retrieval) fail(err error) error {
 	r.release()
 	r.finalizeStats()
 	return err
+}
+
+// abandoned records the tactic abandoning stage s, over indexes.
+func (r *retrieval) abandoned(s stepper, indexes []string, detail string) {
+	if r.trc.decide(EvScanAbandoned) {
+		r.trc.emit(TraceEvent{Kind: EvScanAbandoned, Tactic: r.tactic.String(), Scan: s.name(), Indexes: indexes, ActualIO: s.cost(), Detail: detail})
+	}
+}
+
+// switchToTscan is the strategy switch of Section 6: the background
+// proved sequential retrieval optimal, and a Tscan takes the
+// foreground's place; exclude, when set, filters out what the foreground
+// already delivered.
+func (r *retrieval) switchToTscan(exclude []storage.RID, detail string) {
+	r.trc.st.switchedTo = "Tscan"
+	if r.trc.decide(EvStrategySwitch) {
+		ev := TraceEvent{Kind: EvStrategySwitch, Tactic: r.tactic.String(), Scan: "Tscan",
+			EstimatedIO: r.model.TscanCost(), ActualIO: r.bg.cost(), Detail: detail}
+		if r.tactic == tacticBackgroundOnly {
+			ev.Indexes = r.bg.bgNames()
+		}
+		r.trc.emit(ev)
+	}
+	ts := r.sequentialScan()
+	if len(exclude) > 0 {
+		ts.exclude = rid.FromRIDs(exclude)
+	}
+	r.replaceFg(ts)
 }
 
 // replaceFg swaps the foreground stepper, retiring the old one.
@@ -198,7 +218,7 @@ func (r *retrieval) replaceFg(s stepper) {
 // or a mid-flight switch to sequential retrieval — at the width the
 // policy picks for the table's scan cost.
 func (r *retrieval) sequentialScan() *tscan {
-	return newTscan(r.ec, r.q, r.k, r.out, tscanWidth(r.cfg, r.trc, r.q, r.model.TscanCost()))
+	return newTscan(r.ec, r.q, r.k, r.out, tscanWidth(r.cfg, &r.trc, r.q, r.model.TscanCost()))
 }
 
 func (r *retrieval) Stats() RetrievalStats {
@@ -266,11 +286,9 @@ func (r *retrieval) advance() (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		if r.finDone = done; done && r.fin.par != nil {
-			r.trc.emit(TraceEvent{
-				Kind: EvScanComplete, Tactic: r.tactic.String(), Scan: r.fin.name(),
-				ActualIO: r.fin.cost(), Detail: "final stage complete" + r.fin.par.String(),
-			})
+		if r.finDone = done; done && r.fin.par != nil && r.trc.decide(EvScanComplete) {
+			r.trc.emit(TraceEvent{Kind: EvScanComplete, Tactic: r.tactic.String(), Scan: r.fin.name(),
+				ActualIO: r.fin.cost(), Detail: "final stage complete" + r.fin.par.String()})
 		}
 		return done, nil
 	}
@@ -314,14 +332,13 @@ func (r *retrieval) advance() (bool, error) {
 
 // onFgDone handles foreground completion.
 func (r *retrieval) onFgDone() error {
-	detail := "foreground complete"
-	if ts, ok := r.fg.(*tscan); ok && ts.par != nil {
-		detail += ts.par.String()
+	if r.trc.decide(EvScanComplete) {
+		detail := "foreground complete"
+		if ts, ok := r.fg.(*tscan); ok && ts.par != nil {
+			detail += ts.par.String()
+		}
+		r.trc.emit(TraceEvent{Kind: EvScanComplete, Tactic: r.tactic.String(), Scan: r.fg.name(), ActualIO: r.fg.cost(), Detail: detail})
 	}
-	r.trc.emit(TraceEvent{
-		Kind: EvScanComplete, Tactic: r.tactic.String(), Scan: r.fg.name(),
-		ActualIO: r.fg.cost(), Detail: detail,
-	})
 	switch r.tactic {
 	case tacticFastFirst:
 		// The borrow stream ended. If the background's first scan
@@ -329,13 +346,13 @@ func (r *retrieval) onFgDone() error {
 		// every candidate RID and the retrieval is complete; kill the
 		// background. Otherwise the background must finish the job.
 		if r.bg != nil && !r.bgDone && r.bg.borrowStreamComplete() {
-			r.stopBackground("foreground delivered everything")
+			r.stopBackground("stopping background: foreground delivered everything")
 		}
 	case tacticSorted, tacticIndexOnly:
 		// Quick foreground completion eliminates the background
 		// overhead entirely.
 		if r.bg != nil && !r.bgDone {
-			r.stopBackground("foreground finished first")
+			r.stopBackground("stopping background: foreground finished first")
 		}
 	}
 	return nil
@@ -352,14 +369,7 @@ func (r *retrieval) onBgDone() error {
 	switch r.tactic {
 	case tacticBackgroundOnly:
 		if r.bg.bgRecommendTscan() {
-			// Strategy switch: Jscan proved sequential retrieval
-			// optimal.
-			r.trc.emit(TraceEvent{
-				Kind: EvStrategySwitch, Tactic: r.tactic.String(), Scan: "Tscan",
-				Indexes: r.bg.bgNames(), EstimatedIO: r.model.TscanCost(), ActualIO: r.bg.cost(),
-				Detail: "background recommends Tscan, switching",
-			})
-			r.replaceFg(r.sequentialScan())
+			r.switchToTscan(nil, "background recommends Tscan, switching")
 			return nil
 		}
 		return r.enterFinal(nil)
@@ -375,10 +385,10 @@ func (r *retrieval) onBgDone() error {
 			f := c.Filter()
 			if fs, ok := r.fg.(*fscan); ok && !r.fgDone {
 				fs.filter = f.MayContain
-				r.trc.emit(TraceEvent{
-					Kind: EvFilterInstalled, Tactic: r.tactic.String(), Scan: r.fg.name(),
-					Indexes: r.bg.bgNames(), Detail: fmt.Sprintf("Jscan filter (%d rids) installed", c.Len()),
-				})
+				if r.trc.decide(EvFilterInstalled) {
+					r.trc.emit(TraceEvent{Kind: EvFilterInstalled, Tactic: r.tactic.String(), Scan: r.fg.name(),
+						Indexes: r.bg.bgNames(), Detail: fmt.Sprintf("Jscan filter (%d rids) installed", c.Len())})
+				}
 			}
 		}
 		return nil
@@ -395,16 +405,7 @@ func (r *retrieval) onBgDone() error {
 func (r *retrieval) bgResolveFastFirst() error {
 	delivered := r.fgDeliveredRIDs()
 	if r.bg.bgRecommendTscan() {
-		r.trc.emit(TraceEvent{
-			Kind: EvStrategySwitch, Tactic: r.tactic.String(), Scan: "Tscan",
-			EstimatedIO: r.model.TscanCost(), ActualIO: r.bg.cost(),
-			Detail: "background recommends Tscan for the remainder",
-		})
-		ts := r.sequentialScan()
-		if len(delivered) > 0 {
-			ts.exclude = rid.FromRIDs(delivered)
-		}
-		r.replaceFg(ts)
+		r.switchToTscan(delivered, "background recommends Tscan for the remainder")
 		return nil
 	}
 	return r.enterFinal(delivered)
@@ -418,36 +419,29 @@ func (r *retrieval) bgResolveIndexOnly() error {
 		return nil
 	}
 	if r.bg.bgRecommendTscan() || r.bg.bgComplete() == nil {
-		r.trc.emit(TraceEvent{
-			Kind: EvRaceResolved, Tactic: r.tactic.String(), Scan: r.fg.name(),
-			Detail: "background produced nothing, Sscan continues",
-		})
+		if r.trc.decide(EvRaceResolved) {
+			r.trc.emit(TraceEvent{Kind: EvRaceResolved, Tactic: r.tactic.String(), Scan: r.fg.name(),
+				Detail: "background produced nothing, Sscan continues"})
+		}
 		return nil
 	}
 	finCost := r.model.JscanFinalCost(float64(r.bg.bgComplete().Len()))
-	remaining := r.fgEstTotal - r.fg.cost()
-	if remaining < 0 {
-		remaining = 0
+	remaining := max(r.fgEstTotal-r.fg.cost(), 0)
+	if r.trc.decide(EvRaceResolved) {
+		ev := TraceEvent{Kind: EvRaceResolved, Tactic: r.tactic.String(), Scan: r.fg.name(), EstimatedIO: finCost, ActualIO: r.fg.cost(),
+			Detail: fmt.Sprintf("Sscan remainder (%.0f) beats final stage (%.0f); Sscan continues", remaining, finCost)}
+		if finCost < remaining {
+			ev.Scan, ev.Indexes = "Fin", r.bg.bgNames()
+			ev.Detail = fmt.Sprintf("final stage (%.0f) beats remaining Sscan (%.0f)", finCost, remaining)
+		}
+		r.trc.emit(ev)
 	}
-	if finCost < remaining {
-		r.trc.emit(TraceEvent{
-			Kind: EvRaceResolved, Tactic: r.tactic.String(), Scan: "Fin", Indexes: r.bg.bgNames(),
-			EstimatedIO: finCost, ActualIO: r.fg.cost(),
-			Detail: fmt.Sprintf("final stage (%.0f) beats remaining Sscan (%.0f)", finCost, remaining),
-		})
-		r.trc.emit(TraceEvent{
-			Kind: EvScanAbandoned, Tactic: r.tactic.String(), Scan: r.fg.name(),
-			ActualIO: r.fg.cost(), Detail: "abandoning Sscan in favor of the sure final stage",
-		})
-		r.fgTerminated = true
-		return r.enterFinal(r.fgDeliveredRIDs())
+	if finCost >= remaining {
+		return nil
 	}
-	r.trc.emit(TraceEvent{
-		Kind: EvRaceResolved, Tactic: r.tactic.String(), Scan: r.fg.name(),
-		EstimatedIO: finCost, ActualIO: r.fg.cost(),
-		Detail: fmt.Sprintf("Sscan remainder (%.0f) beats final stage (%.0f); Sscan continues", remaining, finCost),
-	})
-	return nil
+	r.abandoned(r.fg, nil, "abandoning Sscan in favor of the sure final stage")
+	r.fgTerminated = true
+	return r.enterFinal(r.fgDeliveredRIDs())
 }
 
 // control applies per-round competition rules that are not triggered by
@@ -462,11 +456,11 @@ func (r *retrieval) control() error {
 		if bf.overflow && !r.fgTerminated {
 			// Section 7: upon buffer overflow the foreground run is
 			// terminated and the buffer passes to the final stage.
-			r.trc.emit(TraceEvent{
-				Kind: EvBorrowOverflow, Tactic: r.tactic.String(), Scan: bf.name(),
-				ActualIO: bf.cost(),
-				Detail:   fmt.Sprintf("foreground buffer overflow (%d delivered), switching to background tactic", len(bf.delivered)),
-			})
+			r.trc.st.overflowed = true
+			if r.trc.decide(EvBorrowOverflow) {
+				r.trc.emit(TraceEvent{Kind: EvBorrowOverflow, Tactic: r.tactic.String(), Scan: bf.name(), ActualIO: bf.cost(),
+					Detail: fmt.Sprintf("foreground buffer overflow (%d delivered), switching to background tactic", len(bf.delivered))})
+			}
 			r.fgTerminated = true
 			r.fgDone = true
 			if r.bg != nil {
@@ -485,12 +479,12 @@ func (r *retrieval) control() error {
 		// and Sscan continues (the safer strategy).
 		if ss, ok := r.fg.(*sscan); ok && r.bg != nil && !r.bgDone &&
 			r.cfg.FgBufferCap > 0 && len(ss.delivered) >= r.cfg.FgBufferCap {
-			r.trc.emit(TraceEvent{
-				Kind: EvBorrowOverflow, Tactic: r.tactic.String(), Scan: r.fg.name(),
-				ActualIO: r.fg.cost(),
-				Detail:   fmt.Sprintf("delivered-RID buffer overflow (%d rids); Sscan is safer", len(ss.delivered)),
-			})
-			r.stopBackground("foreground buffer overflow; Sscan is safer")
+			r.trc.st.overflowed = true
+			if r.trc.decide(EvBorrowOverflow) {
+				r.trc.emit(TraceEvent{Kind: EvBorrowOverflow, Tactic: r.tactic.String(), Scan: r.fg.name(), ActualIO: r.fg.cost(),
+					Detail: fmt.Sprintf("delivered-RID buffer overflow (%d rids); Sscan is safer", len(ss.delivered))})
+			}
+			r.stopBackground("stopping background: foreground buffer overflow; Sscan is safer")
 		}
 	}
 	return nil
@@ -505,22 +499,20 @@ func (r *retrieval) enterFinal(delivered []storage.RID) error {
 	if r.q.Limit == 0 {
 		// Only the uncapped final stage partitions; its appraised cost
 		// is the fetch of the completed RID list.
-		fin.workers = decideWidth(r.cfg, r.trc, "Fin", r.model.JscanFinalCost(float64(r.bg.bgComplete().Len())))
+		fin.workers = decideWidth(r.cfg, &r.trc, "Fin", r.model.JscanFinalCost(float64(r.bg.bgComplete().Len())))
 	}
 	r.fin = fin
-	r.trc.emit(TraceEvent{
-		Kind: EvFinalStage, Tactic: r.tactic.String(), Scan: "Fin", Indexes: r.bg.bgNames(),
-		Detail: fmt.Sprintf("final stage over %d rids (excluding %d delivered)", len(fin.c.rids), len(delivered)),
-	})
+	if r.trc.decide(EvFinalStage) {
+		r.trc.emit(TraceEvent{Kind: EvFinalStage, Tactic: r.tactic.String(), Scan: "Fin", Indexes: r.bg.bgNames(),
+			Detail: fmt.Sprintf("final stage over %d rids (excluding %d delivered)", len(fin.c.rids), len(delivered))})
+	}
 	return nil
 }
 
-// stopBackground abandons the background process.
+// stopBackground abandons the background process; why is the
+// scan-abandoned event's detail.
 func (r *retrieval) stopBackground(why string) {
-	r.trc.emit(TraceEvent{
-		Kind: EvScanAbandoned, Tactic: r.tactic.String(), Scan: r.bg.name(),
-		Indexes: r.bg.bgNames(), ActualIO: r.bg.cost(), Detail: "stopping background: " + why,
-	})
+	r.abandoned(r.bg, r.bg.bgNames(), why)
 	r.bg.bgKill()
 	r.bgDone = true
 	r.bgStopped = true

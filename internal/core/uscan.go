@@ -210,10 +210,10 @@ func (u *uscan) step() (bool, error) {
 		}
 		u.cur = cur
 		u.names = append(u.names, leg.Index.Name)
-		u.trc.emit(TraceEvent{
-			Kind: EvScanStarted, Scan: u.name(), Indexes: []string{leg.Index.Name}, ActualIO: u.cost(),
-			Detail: fmt.Sprintf("leg %d/%d, est %.0f rids", u.idx+1, len(u.legs), leg.Est),
-		})
+		if u.trc.decide(EvScanStarted) {
+			u.trc.emit(TraceEvent{Kind: EvScanStarted, Scan: u.name(), Indexes: []string{leg.Index.Name}, ActualIO: u.cost(),
+				Detail: fmt.Sprintf("leg %d/%d, est %.0f rids", u.idx+1, len(u.legs), leg.Est)})
+		}
 	}
 	if u.sc == nil {
 		u.sc = newAcceptScratch(firstBatch)
@@ -236,11 +236,10 @@ func (u *uscan) step() (bool, error) {
 	// a union mid-flight).
 	scanCost := float64(u.total())
 	if projFinal, abandon := abandonProjected(&u.cfg, u.model, u.list.Len(), u.seen, u.totalEst, scanCost, u.model.TscanCost()); abandon {
-		u.trc.emit(TraceEvent{
-			Kind: EvScanAbandoned, Scan: u.name(), Indexes: u.names,
-			EstimatedIO: projFinal, ActualIO: u.cost(),
-			Detail: fmt.Sprintf("union abandoned (proj final %.0f, scan cost %.0f, Tscan %.0f)", projFinal, scanCost, u.model.TscanCost()),
-		})
+		if u.trc.decide(EvScanAbandoned) {
+			u.trc.emit(TraceEvent{Kind: EvScanAbandoned, Scan: u.name(), Indexes: u.names, EstimatedIO: projFinal, ActualIO: u.cost(),
+				Detail: fmt.Sprintf("union abandoned (proj final %.0f, scan cost %.0f, Tscan %.0f)", projFinal, scanCost, u.model.TscanCost())})
+		}
 		u.abandon()
 	}
 	return u.done, nil
@@ -285,10 +284,10 @@ func (u *uscan) scanLeg() (n int, done bool, _ error) {
 func (u *uscan) finish() {
 	u.done = true
 	u.closeBorrow()
-	u.trc.emit(TraceEvent{
-		Kind: EvScanComplete, Scan: u.name(), Indexes: u.names, ActualIO: u.cost(),
-		Detail: fmt.Sprintf("union complete, %d rids", u.list.Len()),
-	})
+	if u.trc.decide(EvScanComplete) {
+		u.trc.emit(TraceEvent{Kind: EvScanComplete, Scan: u.name(), Indexes: u.names, ActualIO: u.cost(),
+			Detail: fmt.Sprintf("union complete, %d rids", u.list.Len())})
+	}
 }
 
 func (u *uscan) abandon() {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestUnionScanCorrectness(t *testing.T) {
 	sameMultiset(t, got, f.naive(t, q), "union scan")
 	st := rows.Stats()
 	if !strings.Contains(st.Strategy, "Uscan") {
-		t.Fatalf("expected a union scan, got %q (trace %v)", st.Strategy, st.Trace())
+		t.Fatalf("expected a union scan, got %q", st.Strategy)
 	}
 }
 
@@ -120,22 +121,17 @@ func TestUnionScanAbandonsToTscanWhenWide(t *testing.T) {
 	o := NewOptimizer(DefaultConfig())
 	f.pool.EvictAll()
 	f.pool.ResetStats()
-	rows := o.RunExec(nil, q)
+	ec, log := tracedCtx()
+	rows := o.RunExec(ec, q)
 	got := drain(t, rows)
 	sameMultiset(t, got, f.naive(t, q), "wide union")
 	cost := f.pool.Stats().IOCost()
 	if cost > 3*int64(f.tab.Pages()) {
 		t.Fatalf("abandoned union should cost ~Tscan: %d vs %d", cost, f.tab.Pages())
 	}
-	st := rows.Stats()
-	found := false
-	for _, ev := range st.Events {
-		if ev.Kind == EvScanAbandoned && ev.Scan == "Uscan" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("expected union abandonment in trace: %v", st.Trace())
+	evs := log.Take()
+	if !slices.ContainsFunc(evs, func(ev TraceEvent) bool { return ev.Kind == EvScanAbandoned && ev.Scan == "Uscan" }) {
+		t.Fatalf("expected union abandonment in trace: %v", evs)
 	}
 }
 

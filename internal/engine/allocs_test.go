@@ -159,3 +159,70 @@ func TestAllocsIntersection(t *testing.T) {
 		t.Logf("%v allocations, %d rows", n, stats.RowsDelivered)
 	}
 }
+
+// pointDB is newDB with an index on ID too, so a point query on ID is a
+// background-only Jscan+Fin.
+func pointDB(t *testing.T, opts Options) *DB {
+	t.Helper()
+	db := Open(opts)
+	if _, err := db.CreateTable("FAMILIES",
+		catalog.Column{Name: "ID", Type: expr.TypeInt},
+		catalog.Column{Name: "AGE", Type: expr.TypeInt},
+		catalog.Column{Name: "CITY", Type: expr.TypeString},
+	); err != nil {
+		t.Fatal(err)
+	}
+	for _, ix := range [][2]string{{"ID_IX", "ID"}, {"AGE_IX", "AGE"}} {
+		if _, err := db.CreateIndex("FAMILIES", ix[0], ix[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(8))
+	for i := 0; i < 5000; i++ {
+		if err := db.Insert("FAMILIES", i, int(rng.Int63n(100)), fmt.Sprintf("city-%d", rng.Intn(4))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// pointQuery runs the prepared point query once per call for
+// AllocsPerRun and checks its plan.
+func pointQuery(t *testing.T, db *DB) func() {
+	stmt, err := db.PrepareContext(context.Background(), "SELECT * FROM FAMILIES WHERE ID = :id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	binds := Binds{"id": 4242}
+	return func() {
+		res, err := stmt.QueryContext(context.Background(), binds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := res.All()
+		if err != nil || len(rows) != 1 || res.Stats().Strategy != "Jscan[ID_IX]+Fin" {
+			t.Fatalf("%d rows by %s, %v", len(rows), res.Stats().Strategy, err)
+		}
+	}
+}
+
+// TestAllocsUntracedQuery: a decision nobody traces costs nothing. A
+// prepared point query — a background-only Jscan over ID_IX, then Fin —
+// on a DB with no sink builds no TraceEvent, formats no detail and keeps
+// no log: 59 allocations a run, where building and keeping every
+// decision's event whether or not anyone read it cost 74. The same query
+// on a DB with a TraceLog attached still hands the log its events.
+func TestAllocsUntracedQuery(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	if n := testing.AllocsPerRun(20, pointQuery(t, pointDB(t, Options{}))); n > 59 {
+		t.Errorf("untraced point query: %v allocations, want at most 59", n)
+	}
+	log := &core.TraceLog{}
+	pointQuery(t, pointDB(t, Options{Optimizer: core.Config{Trace: log}}))()
+	evs := log.Take()
+	if len(evs) == 0 || evs[0].Kind != core.EvTacticChosen || evs[len(evs)-1].Kind != core.EvFinalStage {
+		t.Fatalf("traced point query handed its log %v", evs)
+	}
+}

@@ -52,8 +52,8 @@ func TestOrderByDescIndexIsCheapForTopK(t *testing.T) {
 	}
 	tab, _ := db.Catalog().Table("FAMILIES")
 	if c := db.Pool().Stats().IOCost(); c > int64(tab.Pages())/4 {
-		t.Fatalf("top-k DESC through the index cost %d I/Os (pages %d): %q / %v",
-			c, tab.Pages(), res.Stats().Strategy, res.Stats().Trace())
+		t.Fatalf("top-k DESC through the index cost %d I/Os (pages %d): %q",
+			c, tab.Pages(), res.Stats().Strategy)
 	}
 }
 

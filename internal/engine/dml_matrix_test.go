@@ -6,7 +6,6 @@ import (
 	"errors"
 	"maps"
 	"strings"
-	"sync"
 	"testing"
 
 	"rdbdyn/internal/catalog"
@@ -14,27 +13,6 @@ import (
 	"rdbdyn/internal/expr"
 	"rdbdyn/internal/sql"
 )
-
-// eventLog is a TraceSink that keeps what it is sent.
-type eventLog struct {
-	mu     sync.Mutex
-	events []core.TraceEvent
-}
-
-func (l *eventLog) Event(ev core.TraceEvent) {
-	l.mu.Lock()
-	l.events = append(l.events, ev)
-	l.mu.Unlock()
-}
-
-// take returns and forgets the events logged so far.
-func (l *eventLog) take() []core.TraceEvent {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := l.events
-	l.events = nil
-	return out
-}
 
 // matrixRow is the oracle's copy of one row of M.
 type matrixRow struct{ id, grp, val int64 }
@@ -96,7 +74,7 @@ func TestDMLMatrix(t *testing.T) {
 	} {
 		for _, verb := range []string{"DELETE", "UPDATE", "UPDATE-GROW"} {
 			t.Run(verb+"/"+c.name, func(t *testing.T) {
-				log := &eventLog{}
+				log := &core.TraceLog{}
 				db, rows := matrixDB(t, 3000, log)
 				stmt, set, where := "DELETE FROM M", "", ""
 				switch verb {
@@ -117,7 +95,7 @@ func TestDMLMatrix(t *testing.T) {
 						want++
 					}
 				}
-				log.take()
+				log.Take()
 				queries := db.Metrics().Queries
 				n, err := db.Exec(stmt+where, c.binds)
 				if err != nil || n != want {
@@ -127,7 +105,7 @@ func TestDMLMatrix(t *testing.T) {
 					t.Fatalf("the victim retrieval counted as %d queries in DB.Metrics, want 1", got)
 				}
 				var scan string
-				events := log.take()
+				events := log.Take()
 				for _, ev := range events {
 					if ev.Kind == core.EvTacticChosen {
 						scan = ev.Scan

@@ -328,14 +328,15 @@ func (s *Stmt) queryJoin(ctx context.Context, bb expr.Bindings) (*Result, error)
 
 // explainJoin describes the dynamic join run as (aspect, detail) rows:
 // the chosen order and operators, per-stage estimated-vs-actual
-// cardinality under ANALYZE, the competition events, and the static
+// cardinality and the competition events under ANALYZE, and the static
 // optimizer's frozen join plan for contrast.
 func (s *Stmt) explainJoin(ec *core.ExecCtx, jq *core.JoinQuery, analyze bool) (*Result, error) {
 	var st core.RetrievalStats
 	var delivered int64
+	log := &core.TraceLog{}
 	if analyze {
 		var err error
-		if delivered, st, err = finishExplained(s.db.opt.RunJoin(ec, jq, nil), true); err != nil {
+		if delivered, st, err = finishExplained(s.db.opt.RunJoin(ec.WithTrace(log), jq, nil), true); err != nil {
 			return nil, err
 		}
 	} else {
@@ -370,7 +371,7 @@ func (s *Stmt) explainJoin(ec *core.ExecCtx, jq *core.JoinQuery, analyze bool) (
 			}
 			out = append(out, [2]string{fmt.Sprintf("stage %d:%s", i, sg.Table), detail})
 		}
-		for _, ev := range st.Events {
+		for _, ev := range log.Take() {
 			out = append(out, [2]string{"event:" + ev.Kind.String(), ev.String()})
 		}
 	}
@@ -418,14 +419,16 @@ func explainResult(out [][2]string, st *core.RetrievalStats) *Result {
 }
 
 // explain plans the retrieval with the current bindings and reports the
-// decision as (aspect, detail) rows — the typed competition events plus
-// the static optimizer's frozen choice for contrast. Plain EXPLAIN
-// closes the retrieval without executing the productive stages; EXPLAIN
+// decision as (aspect, detail) rows — the typed competition events, as a
+// TraceLog attached to this statement's ExecCtx received them, plus the
+// static optimizer's frozen choice for contrast. Plain EXPLAIN closes
+// the retrieval without executing the productive stages; EXPLAIN
 // ANALYZE drains it to completion first, so the rows also show what
 // actually happened (winning strategy, rows delivered, attributed I/O)
 // and the event stream covers the whole competition.
 func (s *Stmt) explain(ec *core.ExecCtx, q *core.Query, analyze bool) (*Result, error) {
-	delivered, st, err := finishExplained(s.db.opt.RunExec(ec, q), analyze)
+	log := &core.TraceLog{}
+	delivered, st, err := finishExplained(s.db.opt.RunExec(ec.WithTrace(log), q), analyze)
 	if err != nil {
 		return nil, err
 	}
@@ -441,7 +444,7 @@ func (s *Stmt) explain(ec *core.ExecCtx, q *core.Query, analyze bool) (*Result, 
 		)
 	}
 	out = append(out, [2]string{"estimation I/O", fmt.Sprintf("%d", st.EstimateIO)})
-	for _, ev := range st.Events {
+	for _, ev := range log.Take() {
 		out = append(out, [2]string{"event:" + ev.Kind.String(), ev.String()})
 	}
 	var staticPlan string

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"rdbdyn/internal/catalog"
+	"rdbdyn/internal/core"
 	"rdbdyn/internal/expr"
 )
 
@@ -93,7 +94,7 @@ func TestHostVariableReoptimizedPerRun(t *testing.T) {
 	}
 	// The two runs should have chosen different effective strategies.
 	if s1, s2 := res.Stats().Strategy, res2.Stats().Strategy; s1 == s2 {
-		t.Logf("strategies: %q vs %q (traces %v / %v)", s1, s2, res.Stats().Trace(), res2.Stats().Trace())
+		t.Logf("strategies: %q vs %q", s1, s2)
 		t.Fatal("expected different strategies for different bindings")
 	}
 }
@@ -243,15 +244,26 @@ func TestPrepareErrors(t *testing.T) {
 
 func TestStatsExposeTacticAndTrace(t *testing.T) {
 	db := newDB(t, 5000)
-	res, err := db.QueryContext(context.Background(), "SELECT * FROM FAMILIES WHERE AGE = 97", nil)
+	stmt, err := db.PrepareContext(context.Background(), "SELECT * FROM FAMILIES WHERE AGE = 97")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := res.All(); err != nil {
+	log := &core.TraceLog{}
+	rows := db.Optimizer().RunExec((*core.ExecCtx)(nil).WithTrace(log), stmt.CoreQuery())
+	for {
+		_, ok, err := rows.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+	}
+	if err := rows.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st := res.Stats()
-	if st.Tactic == "" || len(st.Trace()) == 0 {
-		t.Fatalf("stats incomplete: %+v", st)
+	st, events := rows.Stats(), log.Take()
+	if st.Tactic == "" || len(events) == 0 || events[0].QueryID != st.QueryID {
+		t.Fatalf("stats incomplete: %+v, trace %v", st, events)
 	}
 }

@@ -263,7 +263,7 @@ func TestUnionThroughSQL(t *testing.T) {
 		seen[key] = true
 	}
 	if !strings.Contains(res.Stats().Strategy, "Uscan") {
-		t.Fatalf("expected Uscan, got %q (trace %v)", res.Stats().Strategy, res.Stats().Trace())
+		t.Fatalf("expected Uscan, got %q", res.Stats().Strategy)
 	}
 }
 

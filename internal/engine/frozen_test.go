@@ -224,37 +224,13 @@ func recoverMetrics(db *DB) error {
 	return nil
 }
 
-// eventSink collects every event the DB-wide trace sink receives.
-type eventSink struct {
-	mu     sync.Mutex
-	events []core.TraceEvent
-}
-
-func (s *eventSink) Event(ev core.TraceEvent) {
-	s.mu.Lock()
-	s.events = append(s.events, ev)
-	s.mu.Unlock()
-}
-
-func (s *eventSink) forQuery(id uint64) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, ev := range s.events {
-		if ev.QueryID == id {
-			n++
-		}
-	}
-	return n
-}
-
 // Regression: FrozenStmt used to execute on a private default-configured
 // runner outside the DB's optimizer, so a frozen query was invisible to
 // DB.Metrics (no query counted, no cancellation recorded) and to the
 // DB-wide trace sink. It now replays through the DB's optimizer like
 // the plan cache does.
 func TestFrozenStmtRunsOnTheDBOptimizer(t *testing.T) {
-	sink := &eventSink{}
+	sink := &core.TraceLog{}
 	db := frozenFixture(t, 2000, Options{Optimizer: core.Config{Trace: sink}})
 	stmt, err := db.PrepareContext(context.Background(), "SELECT * FROM F WHERE AGE >= :a")
 	if err != nil {
@@ -282,11 +258,17 @@ func TestFrozenStmtRunsOnTheDBOptimizer(t *testing.T) {
 	if got := after.TacticWins[tactic] - before.TacticWins[tactic]; got != 1 {
 		t.Fatalf("frozen %s query moved its tactic win count by %d, want 1", tactic, got)
 	}
-	if len(st.Events) == 0 {
-		t.Fatal("frozen query recorded no events")
+	n := 0
+	for _, ev := range sink.Take() {
+		if ev.QueryID == st.QueryID {
+			if ev.Seq != n {
+				t.Fatalf("DB-wide trace sink saw event Seq %d of the frozen query as its %dth", ev.Seq, n)
+			}
+			n++
+		}
 	}
-	if got := sink.forQuery(st.QueryID); got != len(st.Events) {
-		t.Fatalf("DB-wide trace sink saw %d of the frozen query's %d events", got, len(st.Events))
+	if n == 0 {
+		t.Fatal("DB-wide trace sink saw none of the frozen query's events")
 	}
 
 	// A frozen query unwound by its budget is a recorded cancellation.

@@ -498,7 +498,7 @@ func TestJoinPinnedIO(t *testing.T) {
 		strategy string
 		io       int64
 		rows     int
-		reopts   int
+		reopts   int64
 	}{
 		{"accurate/static", true, false, true, nil, "ITEM:tscan -> ORD:hj -> CUST:hj", 215, 2293, 0},
 		{"accurate/dynamic", true, false, false, nil, "ITEM:tscan -> ORD:hj -> CUST:hj", 215, 2293, 0},
@@ -537,7 +537,8 @@ func TestJoinPinnedIO(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		rows, n, reopts := opt.RunJoin(nil, jq, plan), 0, 0
+		reopts := -opt.Metrics().Snapshot().JoinReoptimizations
+		rows, n := opt.RunJoin(nil, jq, plan), 0
 		for {
 			_, ok, err := rows.Next()
 			if err != nil {
@@ -552,11 +553,7 @@ func TestJoinPinnedIO(t *testing.T) {
 			t.Fatal(err)
 		}
 		st := rows.Stats()
-		for _, ev := range st.Events {
-			if ev.Kind == core.EvJoinReoptimized {
-				reopts++
-			}
-		}
+		reopts += opt.Metrics().Snapshot().JoinReoptimizations
 		io[leg.name] = st.IO.IOCost()
 		if st.Strategy != leg.strategy || io[leg.name] != leg.io || n != leg.rows || reopts != leg.reopts {
 			t.Errorf("%s: %s, %d I/O, %d rows, %d re-optimizations; want %s, %d, %d, %d",

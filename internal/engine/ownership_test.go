@@ -547,7 +547,8 @@ func TestUnreadParallelResultReleases(t *testing.T) {
 // must be visible in the metrics and the typed event stream, and no
 // pin or goroutine may survive Close.
 func TestQueryContextCancelMidStream(t *testing.T) {
-	db := newDBOpts(t, 20000, Options{})
+	log := &core.TraceLog{}
+	db := newDBOpts(t, 20000, Options{Optimizer: core.Config{Trace: log}})
 	baseline := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -563,15 +564,11 @@ func TestQueryContextCancelMidStream(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("Next err = %v, want context.Canceled", err)
 	}
-	st := res.Stats()
-	found := false
-	for _, ev := range st.Events {
-		if ev.Kind == core.EvQueryCancelled {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no query-cancelled event; trace: %v", st.Trace())
+	st, events := res.Stats(), log.Take()
+	if !slices.ContainsFunc(events, func(ev core.TraceEvent) bool {
+		return ev.Kind == core.EvQueryCancelled && ev.QueryID == st.QueryID
+	}) {
+		t.Fatalf("no query-cancelled event; trace: %v", events)
 	}
 	if err := res.Close(); err != nil {
 		t.Fatal(err)
