@@ -123,6 +123,7 @@ type retrieval struct {
 	closed     bool
 	released   bool
 	statsFinal bool
+	atEnd      bool // reached its own end of data: no LIMIT, Close or error stopped it
 	err        error
 }
 
@@ -266,7 +267,7 @@ func (r *retrieval) Next() (expr.Row, bool, error) {
 			return nil, false, r.fail(err)
 		}
 		if done && r.out.empty() {
-			r.closed = true
+			r.closed, r.atEnd = true, true
 			r.release()
 			r.finalizeStats()
 			return nil, false, nil
@@ -570,11 +571,13 @@ func (r *retrieval) finalizeStats() {
 	}
 	r.st.IO = io
 	r.st.Strategy = strings.Join(parts, "+")
-	// A cancelled retrieval is not a tactic win, and its truncated I/O
-	// would pollute the estimate-error histogram; it is counted by the
-	// cancellation counters instead. Nor is a join's table access.
-	if !(r.err != nil && IsCancellation(r.err)) && r.q.join == nil {
-		r.o.metrics.recordRetrieval(r.tactic, &r.st, !r.pinned)
+	// Metrics count only what ran: a tactic wins once its retrieval
+	// delivered a row or reached its end, and the estimate-error
+	// histogram, comparing the whole plan's projection with the whole
+	// run's I/O, samples only a retrieval that reached its end. A
+	// cancellation and a join's table access are counted elsewhere.
+	if (r.atEnd || r.st.RowsDelivered > 0) && !(r.err != nil && IsCancellation(r.err)) && r.q.join == nil {
+		r.o.metrics.recordRetrieval(r.tactic, &r.st, r.atEnd && !r.pinned)
 	}
 	if r.cfg.Feedback && r.err == nil && !r.pinned {
 		r.observeFeedback()

@@ -307,7 +307,11 @@ func TestDMLFailsAsSelectDoes(t *testing.T) {
 func TestUpdateRejectsUnsupportedSetValue(t *testing.T) {
 	db, _ := matrixDB(t, 10, nil)
 	stmt := &sql.UpdateStmt{Table: "M", Sets: []sql.SetClause{{Col: "VAL", Value: sql.ColNode{Name: "ID"}}}}
-	if n, err := db.execUpdate(stmt, nil); n != 0 || err == nil || !strings.Contains(err.Error(), "unsupported SET value") {
+	s, err := db.compile(stmt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.execUpdate(stmt, nil); n != 0 || err == nil || !strings.Contains(err.Error(), "unsupported SET value") {
 		t.Fatalf("SET VAL = ID: %d rows, %v", n, err)
 	}
 	if got := countRows(t, db, "SELECT COUNT(*) FROM M WHERE VAL >= 0"); got != 10 {

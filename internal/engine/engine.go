@@ -72,13 +72,24 @@ type DB struct {
 	cat   *catalog.Catalog
 	opt   *core.Optimizer
 	plans *planCache // nil unless Options.PlanCache.Enable
+
+	// stmts memoizes compiled statements by their exact source text, for
+	// PrepareContext and Exec (see stmt).
+	stmtsMu sync.Mutex
+	stmts   map[string]*Stmt
 }
+
+// stmtMemoCap bounds the statement memo. A full memo resets wholesale:
+// a workload cycles a small vocabulary of texts (each benchmark
+// workload issues six or seven), so the reset only guards against
+// texts that splice their values in, and costs those a recompile.
+const stmtMemoCap = 256
 
 // Open creates an empty database.
 func Open(opts Options) *DB {
 	disk := storage.NewDisk(opts.PageSize)
 	pool := storage.NewBufferPool(disk, opts.PoolFrames)
-	db := &DB{disk: disk, pool: pool, cat: catalog.New(pool)}
+	db := &DB{disk: disk, pool: pool, cat: catalog.New(pool), stmts: map[string]*Stmt{}}
 	if opts.EnableFeedback {
 		opts.Optimizer.Feedback = true
 	}
@@ -87,7 +98,7 @@ func Open(opts Options) *DB {
 	// keeps the paper defaults for every other.
 	db.opt = core.NewOptimizer(opts.Optimizer)
 	if opts.PlanCache.Enable {
-		db.plans = newPlanCache(opts.PlanCache)
+		db.plans = newPlanCache()
 	}
 	return db
 }
@@ -212,31 +223,109 @@ func toValue(v any) (expr.Value, error) {
 	}
 }
 
-// Stmt is a prepared statement executed with dynamic optimization: each
-// QueryContext call re-plans with the run's bindings — unless the plan
-// cache has promoted this statement's shape, in which case the frozen
-// plan is replayed without re-running the competition.
+// Stmt is a compiled statement. A query is executed with dynamic
+// optimization: each QueryContext call re-plans with the run's bindings
+// — unless the plan cache has promoted this statement's shape, in which
+// case the frozen plan is replayed without re-running the competition.
+// A Stmt never changes after its compile, so one serves every caller of
+// its text.
 type Stmt struct {
 	db       *DB
-	compiled *sql.Compiled
-	shape    string // plan-cache key; "" when the cache is off
+	compiled *sql.Compiled // nil for DML
+	shape    string        // plan-cache key; "" when the cache is off
+
+	// A DML statement (for Exec): the parsed statement, its table, the
+	// compiled WHERE of an UPDATE or DELETE (nil = every row), and
+	// UPDATE's SET column positions.
+	dml     sql.Statement
+	tab     *catalog.Table
+	where   expr.Expr
+	setCols []int
 }
 
-// PrepareContext parses and compiles a statement, honoring ctx: an
-// already-cancelled or expired context fails before any parse or
-// compile work.
+// PrepareContext compiles a query, honoring ctx: an already-cancelled or
+// expired context fails before any work, whether or not the text was
+// compiled before. A text is parsed and compiled once per DB; later
+// calls with the same text return the same Stmt.
 func (db *DB) PrepareContext(ctx context.Context, src string) (*Stmt, error) {
-	stmt, err := sql.ParseContext(ctx, src)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	s, err := db.stmt(src)
 	if err != nil {
 		return nil, err
 	}
-	c, err := sql.CompileContext(ctx, db.cat, stmt)
+	if s.compiled == nil {
+		return nil, fmt.Errorf("engine: PrepareContext expects a query; use Exec for INSERT, UPDATE, or DELETE")
+	}
+	return s, nil
+}
+
+// stmt returns src's compiled statement from the memo, compiling and
+// memoizing it on a miss. Only a successful compile is kept: a text
+// naming a table that does not exist yet compiles afresh next time.
+// A kept statement cannot go stale: it holds only a table pointer and
+// column positions, no table is ever dropped or altered, and the
+// optimizer reads the table's indexes live on every execution.
+func (db *DB) stmt(src string) (*Stmt, error) {
+	db.stmtsMu.Lock()
+	s := db.stmts[src]
+	db.stmtsMu.Unlock()
+	if s != nil {
+		return s, nil
+	}
+	parsed, err := sql.ParseStatement(src)
 	if err != nil {
 		return nil, err
 	}
-	s := &Stmt{db: db, compiled: c}
-	if db.plans != nil {
-		s.shape = c.ShapeKey()
+	if s, err = db.compile(parsed); err != nil {
+		return nil, err
+	}
+	db.stmtsMu.Lock()
+	if len(db.stmts) >= stmtMemoCap {
+		clear(db.stmts)
+	}
+	db.stmts[src] = s
+	db.stmtsMu.Unlock()
+	return s, nil
+}
+
+// compile resolves a parsed statement against the catalog.
+func (db *DB) compile(parsed sql.Statement) (*Stmt, error) {
+	s := &Stmt{db: db}
+	var table string
+	var where sql.Node
+	var err error
+	switch t := parsed.(type) {
+	case *sql.SelectStmt:
+		if s.compiled, err = sql.Compile(db.cat, t); err != nil {
+			return nil, err
+		}
+		if db.plans != nil {
+			s.shape = s.compiled.ShapeKey()
+		}
+		return s, nil
+	case *sql.InsertStmt:
+		table = t.Table
+	case *sql.DeleteStmt:
+		table, where = t.Table, t.Where
+	case *sql.UpdateStmt:
+		table, where = t.Table, t.Where
+	}
+	s.dml = parsed
+	if s.tab, err = db.cat.Table(table); err != nil {
+		return nil, err
+	}
+	if up, ok := parsed.(*sql.UpdateStmt); ok {
+		s.setCols = make([]int, len(up.Sets))
+		for i, sc := range up.Sets {
+			if s.setCols[i], err = s.tab.ColumnIndex(sc.Col); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if s.where, err = sql.CompileExpr(db.cat, table, where); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -557,7 +646,7 @@ func (f *FrozenStmt) QueryContext(ctx context.Context, binds Binds) (*Result, er
 }
 
 // QueryContext is PrepareContext + Stmt.QueryContext in one call,
-// honoring ctx throughout parse, compile, and execution.
+// honoring ctx throughout compile and execution.
 func (db *DB) QueryContext(ctx context.Context, src string, binds Binds) (*Result, error) {
 	stmt, err := db.PrepareContext(ctx, src)
 	if err != nil {
@@ -744,45 +833,44 @@ func (r *Result) All() ([]expr.Row, error) {
 func (b Binds) Bindings() (expr.Bindings, error) { return b.toBindings() }
 
 // Exec runs a DML statement (INSERT INTO ... VALUES, UPDATE, DELETE
-// FROM ...) and returns the number of rows affected. UPDATE and DELETE
+// FROM ...) and returns the number of rows affected. Like
+// PrepareContext, it compiles a text once per DB. UPDATE and DELETE
 // find their victims with a RID-delivering dynamic retrieval of the
 // restriction (victims), collected completely before the first row
 // changes, and maintain every index.
 func (db *DB) Exec(src string, binds Binds) (int, error) {
-	stmt, err := sql.ParseStatement(src)
+	s, err := db.stmt(src)
 	if err != nil {
 		return 0, err
+	}
+	if s.dml == nil {
+		return 0, fmt.Errorf("engine: Exec expects INSERT, UPDATE, or DELETE; use Query for SELECT")
 	}
 	bb, err := binds.toBindings()
 	if err != nil {
 		return 0, err
 	}
-	switch t := stmt.(type) {
+	switch t := s.dml.(type) {
 	case *sql.InsertStmt:
-		return db.execInsert(t, bb)
-	case *sql.DeleteStmt:
-		return db.execDelete(t, bb)
+		return s.execInsert(t, bb)
 	case *sql.UpdateStmt:
-		return db.execUpdate(t, bb)
-	default:
-		return 0, fmt.Errorf("engine: Exec expects INSERT, UPDATE, or DELETE; use Query for SELECT")
+		return s.execUpdate(t, bb)
+	default: // *sql.DeleteStmt
+		return s.mutate(bb, func(expr.Row) expr.Row { return nil })
 	}
 }
 
-func (db *DB) execInsert(stmt *sql.InsertStmt, bb expr.Bindings) (int, error) {
-	tab, err := db.cat.Table(stmt.Table)
-	if err != nil {
-		return 0, err
-	}
+func (s *Stmt) execInsert(stmt *sql.InsertStmt, bb expr.Bindings) (int, error) {
 	inserted := 0
 	for _, nodes := range stmt.Rows {
 		row := make(expr.Row, len(nodes))
 		for i, nd := range nodes {
+			var err error
 			if row[i], err = dmlValue(nd, bb, "VALUES entry"); err != nil {
 				return inserted, err
 			}
 		}
-		if _, err := tab.Insert(row); err != nil {
+		if _, err := s.tab.Insert(row); err != nil {
 			return inserted, err
 		}
 		inserted++
@@ -790,23 +878,12 @@ func (db *DB) execInsert(stmt *sql.InsertStmt, bb expr.Bindings) (int, error) {
 	return inserted, nil
 }
 
-func (db *DB) execDelete(stmt *sql.DeleteStmt, bb expr.Bindings) (int, error) {
-	tab, err := db.cat.Table(stmt.Table)
-	if err != nil {
-		return 0, err
-	}
-	return db.mutate(tab, stmt.Where, bb, func(expr.Row) expr.Row { return nil })
-}
-
 // mutate runs the two phases of an UPDATE or DELETE (catalog.Table.Mutate)
-// on tab's rows that pass where: the dynamic optimizer collects the
-// victims, then change is applied to each — nil deletes the row.
-func (db *DB) mutate(tab *catalog.Table, where sql.Node, bb expr.Bindings, change func(expr.Row) expr.Row) (int, error) {
-	restriction, err := sql.CompileExpr(db.cat, tab.Name, where)
-	if err != nil {
-		return 0, err
-	}
-	return tab.Mutate(func() ([]storage.RID, error) { return db.victims(tab, restriction, bb) }, change)
+// on the rows of the statement's table that pass its WHERE: the dynamic
+// optimizer collects the victims, then change is applied to each — nil
+// deletes the row.
+func (s *Stmt) mutate(bb expr.Bindings, change func(expr.Row) expr.Row) (int, error) {
+	return s.tab.Mutate(func() ([]storage.RID, error) { return s.db.victims(s.tab, s.where, bb) }, change)
 }
 
 // victims collects the RIDs of tab's rows that pass restriction: the
@@ -901,24 +978,17 @@ func (r *Result) aggregate() (expr.Value, error) {
 	}
 }
 
-func (db *DB) execUpdate(stmt *sql.UpdateStmt, bb expr.Bindings) (int, error) {
-	tab, err := db.cat.Table(stmt.Table)
-	if err != nil {
-		return 0, err
-	}
-	cols := make([]int, len(stmt.Sets))
+func (s *Stmt) execUpdate(stmt *sql.UpdateStmt, bb expr.Bindings) (int, error) {
 	vals := make(expr.Row, len(stmt.Sets))
 	for i, sc := range stmt.Sets {
-		if cols[i], err = tab.ColumnIndex(sc.Col); err != nil {
-			return 0, err
-		}
+		var err error
 		if vals[i], err = dmlValue(sc.Value, bb, "SET value"); err != nil {
 			return 0, err
 		}
 	}
-	return db.mutate(tab, stmt.Where, bb, func(row expr.Row) expr.Row {
+	return s.mutate(bb, func(row expr.Row) expr.Row {
 		row = row.Clone()
-		for i, c := range cols {
+		for i, c := range s.setCols {
 			row[c] = vals[i]
 		}
 		return row

@@ -173,7 +173,7 @@ func TestFreezeRaceWithConcurrentInserts(t *testing.T) {
 func TestPlanCacheConcurrentQueries(t *testing.T) {
 	db := frozenFixture(t, 2000, Options{
 		EnableFeedback: true,
-		PlanCache:      PlanCacheConfig{Enable: true, PromoteAfter: 2},
+		PlanCache:      PlanCacheConfig{Enable: true},
 	})
 	if _, err := db.QueryContext(context.Background(), "SELECT COUNT(*) FROM F", nil); err != nil {
 		t.Fatal(err)

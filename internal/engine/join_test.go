@@ -235,7 +235,7 @@ func TestEngineJoinExplainHonorsContext(t *testing.T) {
 // rejection must be counted, and single-table promotion must keep
 // working alongside.
 func TestEngineJoinNeverFrozen(t *testing.T) {
-	db := newJoinDB(t, 100, 400, Options{PlanCache: PlanCacheConfig{Enable: true, PromoteAfter: 2}})
+	db := newJoinDB(t, 100, 400, Options{PlanCache: PlanCacheConfig{Enable: true}})
 	stmt, err := db.PrepareContext(context.Background(), "SELECT * FROM CUST JOIN ORD ON CUST.ID = ORD.CUST WHERE SEG = 0")
 	if err != nil {
 		t.Fatal(err)

@@ -19,29 +19,18 @@ import (
 type PlanCacheConfig struct {
 	// Enable turns the cache on.
 	Enable bool
-	// PromoteAfter is how many consecutive dynamic runs must choose the
-	// identical plan before the shape is frozen (default 3).
-	PromoteAfter int
-	// DriftFactor demotes a frozen plan when a replay's attributed I/O
-	// exceeds DriftFactor × the I/O of the dynamic run that promoted it
-	// (default 2).
-	DriftFactor float64
-	// MaxEntries bounds the number of tracked shapes (default 256).
-	MaxEntries int
 }
 
-func (c PlanCacheConfig) withDefaults() PlanCacheConfig {
-	if c.PromoteAfter <= 0 {
-		c.PromoteAfter = 3
-	}
-	if c.DriftFactor <= 1 {
-		c.DriftFactor = 2
-	}
-	if c.MaxEntries <= 0 {
-		c.MaxEntries = 256
-	}
-	return c
-}
+const (
+	// promoteAfter is how many consecutive dynamic runs must choose the
+	// identical plan before the shape is frozen.
+	promoteAfter = 3
+	// driftFactor demotes a frozen plan when a replay's attributed I/O
+	// exceeds driftFactor × the I/O of the dynamic run that promoted it.
+	driftFactor = 2
+	// maxShapes bounds the number of tracked shapes.
+	maxShapes = 256
+)
 
 // cacheEntry tracks one statement shape. plan is nil until the shape
 // earns promotion.
@@ -59,8 +48,6 @@ type cacheEntry struct {
 // planCache is the shape-keyed frozen-plan cache. All methods are safe
 // for concurrent use.
 type planCache struct {
-	cfg PlanCacheConfig
-
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
 
@@ -71,8 +58,8 @@ type planCache struct {
 	invalidations int64
 }
 
-func newPlanCache(cfg PlanCacheConfig) *planCache {
-	return &planCache{cfg: cfg.withDefaults(), entries: map[string]*cacheEntry{}}
+func newPlanCache() *planCache {
+	return &planCache{entries: map[string]*cacheEntry{}}
 }
 
 // lookup returns the frozen plan for key, or nil on miss. A hit is
@@ -121,7 +108,7 @@ func (c *planCache) observeDynamic(key string, tab *catalog.Table, st *core.Retr
 		return
 	}
 	if e == nil {
-		if len(c.entries) >= c.cfg.MaxEntries {
+		if len(c.entries) >= maxShapes {
 			c.evictLocked()
 		}
 		e = &cacheEntry{key: key}
@@ -132,7 +119,7 @@ func (c *planCache) observeDynamic(key string, tab *catalog.Table, st *core.Retr
 	} else {
 		e.streak, e.lastFP = 1, fp
 	}
-	if e.plan == nil && e.streak >= c.cfg.PromoteAfter {
+	if e.plan == nil && e.streak >= promoteAfter {
 		e.plan = plan
 		e.baselineIO = st.IO.IOCost()
 		e.stamp = catalog.StampOf(tab)
@@ -141,7 +128,7 @@ func (c *planCache) observeDynamic(key string, tab *catalog.Table, st *core.Retr
 }
 
 // observeFrozen checks one completed replay for drift. A replay whose
-// attributed I/O exceeds DriftFactor × the promotion baseline (floored
+// attributed I/O exceeds driftFactor × the promotion baseline (floored
 // at 4 I/Os so tiny plans aren't demoted by one pool miss), or that
 // failed outright, demotes the entry: the shape re-enters dynamic
 // competition and must re-earn its freeze.
@@ -156,7 +143,7 @@ func (c *planCache) observeFrozen(key string, st *core.RetrievalStats, err error
 	if base < 4 {
 		base = 4
 	}
-	if err != nil || float64(st.IO.IOCost()) > c.cfg.DriftFactor*float64(base) {
+	if err != nil || float64(st.IO.IOCost()) > driftFactor*float64(base) {
 		e.plan, e.streak, e.lastFP = nil, 0, ""
 		c.demotions++
 	}

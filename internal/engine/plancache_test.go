@@ -114,7 +114,7 @@ func runShape(t testing.TB, db *DB, sh cacheShape) ([]expr.Row, core.RetrievalSt
 func TestPlanCacheEquivalence(t *testing.T) {
 	shapes := cacheShapes()
 	cold := buildCacheDB(t, Options{})
-	warm := buildCacheDB(t, Options{PlanCache: PlanCacheConfig{Enable: true, PromoteAfter: 2}})
+	warm := buildCacheDB(t, Options{PlanCache: PlanCacheConfig{Enable: true}})
 	const rounds = 5
 	for round := 1; round <= rounds; round++ {
 		for _, sh := range shapes {
@@ -188,7 +188,7 @@ func TestPlanCacheEquivalence(t *testing.T) {
 }
 
 // TestPlanCacheWarmReplayIO pins what a frozen replay saves, in pages.
-// Each shape runs PromoteAfter times dynamically, then as often frozen,
+// Each shape runs promoteAfter times dynamically, then as often frozen,
 // on 1024 frames and every time from an evicted pool, so both sides read
 // the same data pages and differ by what only dynamic optimization
 // pays: the estimation descents (Stats().EstimateIO; their pages are
@@ -196,8 +196,7 @@ func TestPlanCacheEquivalence(t *testing.T) {
 // cluster-ratio sample. Totals are the pool's counters, not the query
 // tracker's, so pages read outside the tracked retrieval count too.
 func TestPlanCacheWarmReplayIO(t *testing.T) {
-	const promoteAfter = 3
-	db := buildCacheDB(t, Options{PoolFrames: 1024, PlanCache: PlanCacheConfig{Enable: true, PromoteAfter: promoteAfter}})
+	db := buildCacheDB(t, Options{PoolFrames: 1024, PlanCache: PlanCacheConfig{Enable: true}})
 	shapes := cacheShapes()
 	var coldSetup int64
 	for _, sh := range shapes {
@@ -243,9 +242,9 @@ func indexByte(s string, b byte) int {
 func TestPlanCacheDriftDemotion(t *testing.T) {
 	// Bounded pool: fetches miss, so drift is visible in real reads (on
 	// an unbounded pool everything is a free hit and nothing can drift).
-	db := buildCacheDB(t, Options{PoolFrames: 64, PlanCache: PlanCacheConfig{Enable: true, PromoteAfter: 2}})
+	db := buildCacheDB(t, Options{PoolFrames: 64, PlanCache: PlanCacheConfig{Enable: true}})
 	narrow := cacheShape{name: "narrow", src: "SELECT * FROM FAMILIES WHERE AGE >= :lo", binds: Binds{"lo": 9990}}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < promoteAfter; i++ {
 		runShape(t, db, narrow)
 	}
 	snap := db.PlanCacheSnapshot()
@@ -286,10 +285,10 @@ func TestPlanCacheDriftDemotion(t *testing.T) {
 // dynamic execution with correct results instead of replaying a plan
 // against a ghost index.
 func TestPlanCacheDropIndexInvalidation(t *testing.T) {
-	db := buildCacheDB(t, Options{PlanCache: PlanCacheConfig{Enable: true, PromoteAfter: 2}})
+	db := buildCacheDB(t, Options{PlanCache: PlanCacheConfig{Enable: true}})
 	sh := cacheShape{name: "narrow", src: "SELECT * FROM FAMILIES WHERE AGE >= :lo", binds: Binds{"lo": 9990}}
 	var want int
-	for i := 0; i < 3; i++ {
+	for i := 0; i < promoteAfter; i++ {
 		rows, _ := runShape(t, db, sh)
 		want = len(rows)
 	}
@@ -320,7 +319,7 @@ func TestPlanCacheDropIndexInvalidation(t *testing.T) {
 // next lookup must invalidate instead of replaying against statistics
 // that no longer describe the table.
 func TestPlanCacheStatsDriftInvalidation(t *testing.T) {
-	db := Open(Options{PlanCache: PlanCacheConfig{Enable: true, PromoteAfter: 2}, Optimizer: core.Config{RaceFactor: -1}})
+	db := Open(Options{PlanCache: PlanCacheConfig{Enable: true}, Optimizer: core.Config{RaceFactor: -1}})
 	if _, err := db.CreateTable("T",
 		catalog.Column{Name: "ID", Type: expr.TypeInt},
 		catalog.Column{Name: "V", Type: expr.TypeInt},
@@ -336,7 +335,7 @@ func TestPlanCacheStatsDriftInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh := cacheShape{name: "v", src: "SELECT * FROM T WHERE V >= :lo", binds: Binds{"lo": 9}}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < promoteAfter; i++ {
 		runShape(t, db, sh)
 	}
 	if snap := db.PlanCacheSnapshot(); snap.Frozen != 1 {

@@ -214,7 +214,12 @@ func TestTraceGolden(t *testing.T) {
 // TestMetricsSnapshotPinned runs the mix on a fresh DB with no trace
 // sink and compares the whole metrics snapshot to literal figures: every
 // counter is bumped at its own decision site, traced or not, and none
-// may drift.
+// may drift. Two statements record less than they once did, because
+// metrics count only what ran: the closing plain "EXPLAIN SELECT * FROM
+// FAMILIES WHERE AGE >= 9990" runs nothing (background-only 9 -> 8, and
+// its >=8x estimate-error sample goes), and "SELECT * FROM T WHERE A <
+// 300 LIMIT 5" stops at its limit, so it still wins fast-first but its
+// >=8x sample goes (>=8x 2 -> 0).
 func TestMetricsSnapshotPinned(t *testing.T) {
 	db := traceMixDB(t, nil)
 	runTraceMix(t, db, nil)
@@ -226,9 +231,9 @@ func TestMetricsSnapshotPinned(t *testing.T) {
 		StrategySwitches: 5,
 		RacesResolved:    6,
 		BorrowOverflows:  1,
-		TacticWins: map[string]int64{"background-only": 9, "fast-first": 4, "fscan": 1, "index-only": 2,
+		TacticWins: map[string]int64{"background-only": 8, "fast-first": 4, "fscan": 1, "index-only": 2,
 			"sorted": 1, "sscan": 1, "tscan": 1},
-		EstimateErrorLog:      map[string]int64{"2x": 5, "4x": 1, "<=1/8x": 2, ">=8x": 2, "~1x": 8},
+		EstimateErrorLog:      map[string]int64{"2x": 5, "4x": 1, "<=1/8x": 2, "~1x": 8},
 		QueriesBudgetExceeded: 2,
 		JoinQueries:           5,
 		JoinOrdersChosen:      5,

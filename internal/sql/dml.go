@@ -1,8 +1,8 @@
 package sql
 
-// DML statements: INSERT INTO t VALUES (...), (...) and
-// DELETE FROM t [WHERE ...]. Both are parsed by ParseStatement; SELECT
-// statements continue to go through Parse/Compile.
+// DML statements: INSERT INTO t VALUES (...), (...),
+// UPDATE t SET ... [WHERE ...] and DELETE FROM t [WHERE ...].
+// ParseStatement parses them and SELECT from one token pass.
 
 // Statement is any parsed statement.
 type Statement interface{ stmt() }
@@ -40,7 +40,8 @@ type SetClause struct {
 }
 
 // ParseStatement parses any supported statement: SELECT (with the
-// EXISTS/EXPLAIN forms), INSERT, or DELETE.
+// EXISTS/EXPLAIN forms), INSERT, UPDATE, or DELETE. The text is lexed
+// once, whichever form it turns out to be.
 func ParseStatement(src string) (Statement, error) {
 	toks, err := lex(src)
 	if err != nil {
@@ -55,7 +56,11 @@ func ParseStatement(src string) (Statement, error) {
 	case t.kind == tokKeyword && t.text == "UPDATE":
 		return p.parseUpdate()
 	default:
-		return Parse(src)
+		stmt, err := p.parseQuery()
+		if err != nil {
+			return nil, err
+		}
+		return stmt, nil
 	}
 }
 

@@ -1,14 +1,15 @@
 package sql
 
 import (
+	"reflect"
 	"testing"
 	"unicode/utf8"
 )
 
 // FuzzParse drives the SQL parser with arbitrary input. The parser
 // must never panic: any input either parses to a statement or returns
-// an error. Statements that do parse are rendered and re-parsed where
-// possible via ParseStatement to cross-check the DML path too.
+// an error. ParseStatement, which also parses DML, must give every
+// query Parse accepts exactly the statement Parse gives.
 func FuzzParse(f *testing.F) {
 	seeds := []string{
 		"SELECT * FROM FAMILIES",
@@ -42,12 +43,17 @@ func FuzzParse(f *testing.F) {
 		}
 		// Neither entry point may panic; errors are the contract for
 		// garbage input.
-		if _, err := Parse(src); err == nil {
+		sel, err := Parse(src)
+		if err == nil {
 			// A parsed SELECT must tokenize cleanly a second time.
 			if _, err2 := Parse(src); err2 != nil {
 				t.Fatalf("Parse accepted then rejected the same input %q: %v", src, err2)
 			}
 		}
-		_, _ = ParseStatement(src)
+		// ParseStatement parses a query exactly as Parse does.
+		stmt, err2 := ParseStatement(src)
+		if err == nil && (err2 != nil || !reflect.DeepEqual(stmt, Statement(sel))) {
+			t.Fatalf("ParseStatement(%q) = %#v, %v; Parse gave %#v", src, stmt, err2, sel)
+		}
 	})
 }

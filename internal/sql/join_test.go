@@ -307,44 +307,3 @@ func keyOfCat(t *testing.T, cat *catalog.Catalog, src string) string {
 	}
 	return c.ShapeKey()
 }
-
-// TestShapeKeyMemoized checks the text-keyed memo returns the same key
-// for a re-parsed statement and never caches through string literals.
-func TestShapeKeyMemoized(t *testing.T) {
-	cat := joinCatalog(t)
-	src := "SELECT * FROM CUST WHERE SEG = :S ORDER BY ID"
-	k1 := keyOfCat(t, cat, src)
-	k2 := keyOfCat(t, cat, "SELECT *  FROM CUST WHERE SEG = :S ORDER BY ID")
-	if k1 != k2 {
-		t.Fatalf("memoized keys differ: %q vs %q", k1, k2)
-	}
-	// Statements with string literals bypass the memo: whitespace
-	// inside quotes is significant.
-	a := keyOfCat(t, cat, "SELECT * FROM CUST WHERE NAME = 'a  b'")
-	b := keyOfCat(t, cat, "SELECT * FROM CUST WHERE NAME = 'a b'")
-	if a == b {
-		t.Fatalf("distinct literals share a shape key: %q", a)
-	}
-}
-
-func BenchmarkShapeKeyMemo(b *testing.B) {
-	cat := joinCatalog(b)
-	stmt, err := Parse("SELECT CUST.NAME, ORD.QTY FROM CUST JOIN ORD ON CUST.ID = ORD.CUST WHERE SEG = :S AND QTY >= :Q ORDER BY ORD.QTY LIMIT TO 10 ROWS")
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := Compile(cat, stmt)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("memoized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.ShapeKey()
-		}
-	})
-	b.Run("render", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			c.renderShapeKey()
-		}
-	})
-}

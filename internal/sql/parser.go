@@ -42,9 +42,6 @@ type SelectStmt struct {
 	Limit     int // 0 = none
 	// Optimize is the user's OPTIMIZE FOR request.
 	Optimize OptimizeGoal
-	// Src is the raw statement text as handed to Parse ("" for
-	// hand-constructed statements); ShapeKey memoizes through it.
-	Src string
 }
 
 // Aggregate is a single-column aggregate function in the select list.
@@ -98,17 +95,22 @@ func (AndNode) node()   {}
 func (OrNode) node()    {}
 func (NotNode) node()   {}
 
-// Parse parses one statement: SELECT ..., EXISTS(SELECT ...), either
+// Parse parses one query: SELECT ..., EXISTS(SELECT ...), either
 // optionally prefixed by EXPLAIN or EXPLAIN ANALYZE.
 func Parse(src string) (*SelectStmt, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	return (&parser{toks: toks}).parseQuery()
+}
+
+// parseQuery parses the whole token stream as one query.
+func (p *parser) parseQuery() (*SelectStmt, error) {
 	explain := p.acceptKeyword("EXPLAIN")
 	analyze := explain && p.acceptKeyword("ANALYZE")
 	var stmt *SelectStmt
+	var err error
 	if p.acceptKeyword("EXISTS") {
 		if p.peek().kind != tokLParen {
 			return nil, errf(p.peek().pos, "expected ( after EXISTS")
@@ -134,7 +136,6 @@ func Parse(src string) (*SelectStmt, error) {
 	}
 	stmt.Explain = explain
 	stmt.Analyze = analyze
-	stmt.Src = src
 	if p.peek().kind != tokEOF {
 		return nil, errf(p.peek().pos, "unexpected %s after statement", p.peek())
 	}

@@ -4,21 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
-
-// shapeCache memoizes ShapeKey per whitespace-normalized statement
-// text: rendering the key walks the whole WHERE tree and sorts
-// commutative operands, which repeated identical statements (the plan
-// cache's bread and butter) would otherwise pay on every execution.
-// Bounded by wholesale eviction — the workloads that benefit cycle a
-// small statement vocabulary, so a full reset is a non-event.
-var shapeCache = struct {
-	sync.Mutex
-	m map[string]string
-}{m: map[string]string{}}
-
-const shapeCacheCap = 4096
 
 // ShapeKey renders the compiled statement's plan-relevant shape as a
 // canonical string. Two statements with the same key ask the optimizer
@@ -33,43 +19,9 @@ const shapeCacheCap = 4096
 // sorted by their rendered form — so `A AND B` and `B AND A` share an
 // entry. It does not attempt deeper equivalences (De Morgan, range
 // merging): a miss there costs one extra cache entry, never a wrong
-// plan.
+// plan. It renders on every call; the engine calls it once per
+// compiled statement.
 func (c *Compiled) ShapeKey() string {
-	norm := shapeCacheKey(c.Stmt.Src)
-	if norm != "" {
-		shapeCache.Lock()
-		k, ok := shapeCache.m[norm]
-		shapeCache.Unlock()
-		if ok {
-			return k
-		}
-	}
-	key := c.renderShapeKey()
-	if norm != "" {
-		shapeCache.Lock()
-		if len(shapeCache.m) >= shapeCacheCap {
-			shapeCache.m = make(map[string]string, shapeCacheCap)
-		}
-		shapeCache.m[norm] = key
-		shapeCache.Unlock()
-	}
-	return key
-}
-
-// shapeCacheKey normalizes statement text for memoization: runs of
-// whitespace collapse to one space, so formatting differences share an
-// entry. Statements containing quotes are not memoized ("" return) —
-// whitespace inside a string literal is significant, and collapsing it
-// could alias two distinct statements.
-func shapeCacheKey(src string) string {
-	if src == "" || strings.ContainsAny(src, `'"`) {
-		return ""
-	}
-	return strings.Join(strings.Fields(src), " ")
-}
-
-// renderShapeKey does the actual canonical rendering.
-func (c *Compiled) renderShapeKey() string {
 	st := c.Stmt
 	var b strings.Builder
 	if len(st.Tables) > 1 || len(st.Aliases) > 0 {
