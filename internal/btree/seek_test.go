@@ -174,7 +174,7 @@ func seekMatchesWalk(t *testing.T, seed int64) {
 					if err1 != nil || err2 != nil {
 						t.Fatal(err1, err2)
 					}
-					rid.ApplyFilter(filter, dst2[:n2], keep)
+					filter.FilterBatch(dst2[:n2], keep)
 					var want []storage.RID
 					for i, r := range dst2[:n2] {
 						if keep[i] {

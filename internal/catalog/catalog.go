@@ -58,9 +58,6 @@ func New(pool *storage.BufferPool) *Catalog {
 	return &Catalog{pool: pool, tables: make(map[string]*Table)}
 }
 
-// Pool returns the buffer pool the catalog's objects live on.
-func (c *Catalog) Pool() *storage.BufferPool { return c.pool }
-
 // CreateTable registers a new table with the given columns.
 func (c *Catalog) CreateTable(name string, cols []Column) (*Table, error) {
 	c.mu.Lock()
@@ -97,17 +94,6 @@ func (c *Catalog) Table(name string) (*Table, error) {
 		return nil, fmt.Errorf("%w: %s", ErrNoSuchTable, name)
 	}
 	return t, nil
-}
-
-// Tables returns all table names.
-func (c *Catalog) Tables() []string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]string, 0, len(c.tables))
-	for n := range c.tables {
-		out = append(out, n)
-	}
-	return out
 }
 
 // Table is a named relation: a heap file plus its indexes.
@@ -253,24 +239,10 @@ func (t *Table) FetchTracked(rid storage.RID, tr *storage.Tracker) (expr.Row, er
 	return expr.DecodeRow(rec)
 }
 
-// Update replaces the row at rid, maintaining every index whose key
-// changes. The new row must satisfy the table's types. A row that no
-// longer fits its page moves to a new RID (relocate), so rid does not
+// update replaces the row at rid, under the write lock, maintaining
+// every index whose key changes; newRow has passed checkRow. A row that
+// no longer fits its page moves to a new RID (relocate), so rid does not
 // name it afterwards.
-func (t *Table) Update(rid storage.RID, newRow expr.Row) error {
-	if err := t.checkRow(newRow); err != nil {
-		return err
-	}
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	oldRow, err := t.Fetch(rid)
-	if err != nil {
-		return err
-	}
-	return t.update(rid, oldRow, newRow)
-}
-
-// update is Update on a checked row, under the write lock.
 func (t *Table) update(rid storage.RID, oldRow, newRow expr.Row) error {
 	p, err := t.pool.GetDirty(rid.Page)
 	if err != nil {
@@ -323,18 +295,8 @@ func (t *Table) relocate(rid storage.RID, oldRow, newRow expr.Row, rec []byte) e
 	return nil
 }
 
-// Delete removes the row at rid from the heap and all indexes.
-func (t *Table) Delete(rid storage.RID) error {
-	t.wmu.Lock()
-	defer t.wmu.Unlock()
-	row, err := t.Fetch(rid)
-	if err != nil {
-		return err
-	}
-	return t.delete(rid, row)
-}
-
-// delete is Delete of the fetched row, under the write lock.
+// delete removes the fetched row at rid from the heap and all indexes,
+// under the write lock.
 func (t *Table) delete(rid storage.RID, row expr.Row) error {
 	for _, ix := range t.Indexes {
 		if _, err := ix.Tree.Delete(ix.KeyFor(row), rid); err != nil {

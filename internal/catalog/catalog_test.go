@@ -141,6 +141,14 @@ func TestCreateIndexBackfills(t *testing.T) {
 	}
 }
 
+// mutateOne sets the row at rid to row through Table.Mutate, the one
+// write path of UPDATE and DELETE; a nil row deletes it.
+func mutateOne(tb *Table, rid storage.RID, row expr.Row) error {
+	_, err := tb.Mutate(func() ([]storage.RID, error) { return []storage.RID{rid}, nil },
+		func(expr.Row) expr.Row { return row })
+	return err
+}
+
 func TestDeleteMaintainsIndexes(t *testing.T) {
 	_, tb := familiesTable(t)
 	ix, _ := tb.CreateIndex("AGE_IX", "AGE")
@@ -153,7 +161,7 @@ func TestDeleteMaintainsIndexes(t *testing.T) {
 		rids = append(rids, rid)
 	}
 	for i := 0; i < 100; i += 2 {
-		if err := tb.Delete(rids[i]); err != nil {
+		if err := mutateOne(tb, rids[i], nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -249,7 +257,7 @@ func TestTableUpdateMaintainsIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Update(rid, expr.Row{expr.Int(1), expr.Int(77), expr.Str("y"), expr.Float(2)}); err != nil {
+	if err := mutateOne(tb, rid, expr.Row{expr.Int(1), expr.Int(77), expr.Str("y"), expr.Float(2)}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := tb.Fetch(rid)
@@ -270,12 +278,12 @@ func TestTableUpdateMaintainsIndexes(t *testing.T) {
 		t.Fatalf("index entries = %d", ix.Tree.Len())
 	}
 	// Updates are type-checked.
-	if err := tb.Update(rid, expr.Row{expr.Int(1), expr.Str("no"), expr.Str("y"), expr.Float(2)}); err == nil {
+	if err := mutateOne(tb, rid, expr.Row{expr.Int(1), expr.Str("no"), expr.Str("y"), expr.Float(2)}); err == nil {
 		t.Fatal("type mismatch accepted")
 	}
 	// Updating a missing RID fails.
 	bad := storage.RID{Page: rid.Page, Slot: rid.Slot + 99}
-	if err := tb.Update(bad, got); err == nil {
+	if err := mutateOne(tb, bad, got); err == nil {
 		t.Fatal("phantom update accepted")
 	}
 }
@@ -322,10 +330,10 @@ func TestEpochCounters(t *testing.T) {
 	if tb.StatsEpoch() != 1 {
 		t.Fatalf("stats epoch after insert = %d", tb.StatsEpoch())
 	}
-	if err := tb.Update(rid, expr.Row{expr.Int(1), expr.Int(31), expr.Str("x"), expr.Float(1)}); err != nil {
+	if err := mutateOne(tb, rid, expr.Row{expr.Int(1), expr.Int(31), expr.Str("x"), expr.Float(1)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := tb.Delete(rid); err != nil {
+	if err := mutateOne(tb, rid, nil); err != nil {
 		t.Fatal(err)
 	}
 	if tb.StatsEpoch() != 3 {
@@ -364,12 +372,9 @@ func TestEpochCounters(t *testing.T) {
 }
 
 func TestCatalogAccessors(t *testing.T) {
-	c, tb := familiesTable(t)
-	if c.Pool() == nil || tb.Pool() == nil {
-		t.Fatal("pool accessors nil")
-	}
-	if got := c.Tables(); len(got) != 1 || got[0] != "FAMILIES" {
-		t.Fatalf("Tables = %v", got)
+	_, tb := familiesTable(t)
+	if tb.Pool() == nil {
+		t.Fatal("pool accessor nil")
 	}
 	if tb.Pages() != tb.Heap.NumPages() {
 		t.Fatal("Pages mismatch")

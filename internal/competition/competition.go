@@ -36,14 +36,6 @@ type CostDist struct {
 	Scale float64
 }
 
-// NewCostDist wraps a shape with a scale.
-func NewCostDist(d *dist.Dist, scale float64) (CostDist, error) {
-	if d == nil || scale <= 0 {
-		return CostDist{}, fmt.Errorf("competition: invalid cost distribution")
-	}
-	return CostDist{D: d, Scale: scale}, nil
-}
-
 // Mean returns the expected cost.
 func (c CostDist) Mean() float64 { return c.D.Mean() * c.Scale }
 

@@ -38,10 +38,7 @@ func TestLShapedValidation(t *testing.T) {
 
 func TestCostDistBasics(t *testing.T) {
 	d := dist.Uniform(256)
-	c, err := NewCostDist(d, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := CostDist{D: d, Scale: 100}
 	if math.Abs(c.Mean()-50) > 1 {
 		t.Fatalf("mean = %v", c.Mean())
 	}
@@ -51,12 +48,6 @@ func TestCostDistBasics(t *testing.T) {
 	// PartialMean over everything equals the mean.
 	if math.Abs(c.PartialMean(100)-c.Mean()) > 1e-6 {
 		t.Fatalf("PartialMean(max) = %v, mean %v", c.PartialMean(100), c.Mean())
-	}
-	if _, err := NewCostDist(nil, 10); err == nil {
-		t.Fatal("nil dist accepted")
-	}
-	if _, err := NewCostDist(d, 0); err == nil {
-		t.Fatal("zero scale accepted")
 	}
 }
 
@@ -96,8 +87,8 @@ func TestOptimalSwitchNoWorseThanFixed(t *testing.T) {
 
 func TestProportionalCostDegenerateCases(t *testing.T) {
 	// Against a point-cost competitor, min(C1/a, C2/(1-a)) is exact.
-	p1, _ := NewCostDist(dist.Point(512, 0.5), 100) // C1 = 50 always
-	p2, _ := NewCostDist(dist.Point(512, 0.5), 400) // C2 = 200 always
+	p1 := CostDist{D: dist.Point(512, 0.5), Scale: 100} // C1 = 50 always
+	p2 := CostDist{D: dist.Point(512, 0.5), Scale: 400} // C2 = 200 always
 	got, err := ProportionalCost(p1, p2, 0.5)
 	if err != nil {
 		t.Fatal(err)
@@ -153,8 +144,8 @@ func TestOptimalAlphaWithinRange(t *testing.T) {
 }
 
 func TestTraditionalCostPicksMinimum(t *testing.T) {
-	p1, _ := NewCostDist(dist.Point(64, 0.5), 100)
-	p2, _ := NewCostDist(dist.Point(64, 0.5), 60)
+	p1 := CostDist{D: dist.Point(64, 0.5), Scale: 100}
+	p2 := CostDist{D: dist.Point(64, 0.5), Scale: 60}
 	if got := TraditionalCost(p1, p2); math.Abs(got-30) > 1 {
 		t.Fatalf("traditional = %v, want ~30", got)
 	}

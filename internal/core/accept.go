@@ -79,7 +79,7 @@ func pull(src entryCursor, budget int, ix *catalog.Index, local *rowKernel, out 
 // one bulk probe; dst may be rids[:0], which filters in place.
 func keepMembers(filter rid.Filter, rids []storage.RID, keep []bool, dst []storage.RID) []storage.RID {
 	keep = keep[:len(rids)]
-	rid.ApplyFilter(filter, rids, keep)
+	filter.FilterBatch(rids, keep)
 	for i, r := range rids {
 		if keep[i] {
 			dst = append(dst, r)
@@ -101,7 +101,7 @@ func acceptEntries(entries []btree.Entry, ix *catalog.Index, local *rowKernel, o
 	for i, e := range entries {
 		rids[i] = e.RID
 	}
-	rid.ApplyFilter(filter, rids, keep)
+	filter.FilterBatch(rids, keep)
 	kept := sc.obuf[:0]
 	for i, e := range entries {
 		if !keep[i] {

@@ -88,14 +88,6 @@ func (e *ExecCtx) WithTrace(sink TraceSink) *ExecCtx {
 	return e
 }
 
-// Context returns the caller's context (context.Background for nil).
-func (e *ExecCtx) Context() context.Context {
-	if e == nil || e.ctx == nil {
-		return context.Background()
-	}
-	return e.ctx
-}
-
 // Governor returns the storage-layer governor scans hand to their
 // trackers (nil for a free execution context).
 func (e *ExecCtx) Governor() *storage.Governor {
@@ -119,9 +111,6 @@ func (e *ExecCtx) Err() error {
 
 // IOSpent returns the simulated I/Os charged against the budget so far.
 func (e *ExecCtx) IOSpent() int64 { return e.Governor().Spent() }
-
-// IOBudget returns the configured budget (0 = unlimited).
-func (e *ExecCtx) IOBudget() int64 { return e.Governor().Budget() }
 
 func (e *ExecCtx) traceSink() TraceSink {
 	if e == nil {

@@ -351,16 +351,16 @@ func (o *Optimizer) runSorted(ec *ExecCtx, q *Query) (Rows, error) {
 
 // sortNode is the SORT node over a single-table retrieval: q, stripped
 // of its order and limit and delivering its projection plus the ORDER BY
-// columns that projection lacks, runs through run — the row kernel
-// materializes nothing else; the result is sorted, cut back to q's
-// projection, and delivered under q's limit.
+// columns that projection lacks, starts through run — the row kernel
+// materializes nothing else. The first Next drains it; the result is
+// sorted, cut back to q's projection, and delivered under q's limit.
 func sortNode(q *Query, run func(inner *Query) (Rows, error)) (Rows, error) {
-	inner, by := *q, q.OrderBy
+	inner, by, width := *q, q.OrderBy, 0
 	if q.Projection != nil {
 		by = make([]int, len(q.OrderBy))
 		for i, c := range q.OrderBy {
 			if by[i] = slices.Index(inner.Projection, c); by[i] < 0 {
-				by[i] = len(inner.Projection)
+				by[i], width = len(inner.Projection), len(q.Projection)
 				inner.Projection = append(slices.Clip(inner.Projection), c)
 			}
 		}
@@ -372,48 +372,67 @@ func sortNode(q *Query, run func(inner *Query) (Rows, error)) (Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	all, err := drainRows(src)
-	if err != nil {
-		src.Close()
-		return nil, err
-	}
-	if err := src.Close(); err != nil {
-		return nil, err
-	}
-	sortRows(all, by, q.OrderDesc)
-	if w := len(q.Projection); w < len(inner.Projection) {
-		for i, row := range all {
-			all[i] = row[:w:w] // drop the carried sort columns
-		}
-	}
-	st := src.Stats()
-	st.Tactic = "sort(" + st.Tactic + ")"
-	return &materializedRows{rows: all, limit: q.Limit, st: st}, nil
+	return &sortedRows{src: src, by: by, desc: q.OrderDesc, width: width, limit: q.Limit}, nil
 }
 
-// materializedRows delivers pre-materialized rows — a sorted
-// single-table result — under a limit. RowsDelivered counts what the
-// caller was handed, whatever the stats of the retrieval that produced
-// the rows said.
-type materializedRows struct {
-	rows  []expr.Row
-	limit int // 0 = all rows
-	i     int // rows handed out
-	st    RetrievalStats
+// sortedRows is a SORT node's result. Its first Next drains and closes
+// the inner retrieval and sorts what it delivered; a Close before that
+// closes the inner retrieval unread, so a plain EXPLAIN runs nothing.
+// RowsDelivered counts what the caller was handed, whatever the stats
+// of the retrieval that produced the rows said.
+type sortedRows struct {
+	src    Rows // the inner retrieval
+	closed bool // src is closed: drained, or abandoned unread
+	by     []int
+	desc   bool
+	width  int // q's projection width when sort columns were carried, else 0
+	rows   []expr.Row
+	limit  int // 0 = all rows
+	i      int // rows handed out
+	err    error
 }
 
-func (s *materializedRows) Next() (expr.Row, bool, error) {
-	if s.i >= len(s.rows) || (s.limit > 0 && s.i >= s.limit) {
-		return nil, false, nil
+func (s *sortedRows) Next() (expr.Row, bool, error) {
+	if !s.closed {
+		s.err = s.sort()
+	}
+	if s.err != nil || s.i >= len(s.rows) || (s.limit > 0 && s.i >= s.limit) {
+		return nil, false, s.err
 	}
 	s.i++
 	return s.rows[s.i-1], true, nil
 }
 
-func (s *materializedRows) Close() error { return nil }
+// sort drains and closes the inner retrieval and sorts its rows.
+func (s *sortedRows) sort() error {
+	all, err := drainRows(s.src)
+	if cerr := s.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	sortRows(all, s.by, s.desc)
+	if s.width > 0 {
+		for i, row := range all {
+			all[i] = row[:s.width:s.width] // drop the carried sort columns
+		}
+	}
+	s.rows = all
+	return nil
+}
 
-func (s *materializedRows) Stats() RetrievalStats {
-	st := s.st
+func (s *sortedRows) Close() error {
+	if s.closed {
+		return nil
+	}
+	s.closed = true
+	return s.src.Close()
+}
+
+func (s *sortedRows) Stats() RetrievalStats {
+	st := s.src.Stats()
+	st.Tactic = "sort(" + st.Tactic + ")"
 	st.RowsDelivered = s.i
 	return st
 }

@@ -11,23 +11,28 @@ import (
 // estimate-error histogram a sample only when it reached its end, so a
 // statement that ran nothing, or was cut short, cannot skew either. Each
 // case runs one statement on a fresh point-query table and checks how
-// far it moved the snapshot.
+// far it moved the snapshot. CITY has no index, so ORDER BY CITY is a
+// SORT node over a Tscan: a plain EXPLAIN of it starts the Tscan and
+// closes it unread, touching no page.
 func TestMetricsCountOnlyWhatRan(t *testing.T) {
-	const src = "SELECT * FROM FAMILIES WHERE AGE >= 90"
+	const src, sorted = "SELECT * FROM FAMILIES WHERE AGE >= 90", "SELECT * FROM FAMILIES ORDER BY CITY"
 	for _, tc := range []struct {
 		name, src string
-		read      int // rows read before Close; -1 reads to the end
-		win       bool
+		read      int    // rows read before Close; -1 reads to the end
+		win       string // the tactic that wins; "" = none
 		samples   int64
+		idle      bool // the statement reads and hits no page
 	}{
-		{"plain EXPLAIN", "EXPLAIN " + src, -1, false, 0},
-		{"LIMIT", src + " LIMIT 1", -1, true, 0},
-		{"Close after the first row", src, 1, true, 0},
-		{"drained", src, -1, true, 1},
+		{"plain EXPLAIN", "EXPLAIN " + src, -1, "", 0, false},
+		{"LIMIT", src + " LIMIT 1", -1, "fast-first", 0, false},
+		{"Close after the first row", src, 1, "background-only", 0, false},
+		{"drained", src, -1, "background-only", 1, false},
+		{"plain EXPLAIN under a SORT", "EXPLAIN " + sorted, -1, "", 0, true},
+		{"drained under a SORT", sorted, -1, "tscan", 1, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			db := pointDB(t, Options{})
-			before := db.Metrics()
+			before, pool := db.Metrics(), db.Pool().Stats()
 			res, err := db.QueryContext(context.Background(), tc.src, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -42,10 +47,13 @@ func TestMetricsCountOnlyWhatRan(t *testing.T) {
 			if err := res.Close(); err != nil {
 				t.Fatal(err)
 			}
+			if io := db.Pool().Stats().Sub(pool); tc.idle && io.Reads+io.Hits != 0 {
+				t.Errorf("the pool moved by %+v, want nothing", io)
+			}
 			after := db.Metrics()
 			wantWins := map[string]int64{}
-			if tc.win {
-				wantWins[res.Stats().Tactic] = 1
+			if tc.win != "" {
+				wantWins[tc.win] = 1
 			}
 			if got := mapDelta(before.TacticWins, after.TacticWins); !reflect.DeepEqual(got, wantWins) {
 				t.Errorf("tactic wins moved by %v, want %v", got, wantWins)

@@ -18,7 +18,6 @@ package estimate
 
 import (
 	"math"
-	"math/rand"
 
 	"rdbdyn/internal/catalog"
 	"rdbdyn/internal/expr"
@@ -46,19 +45,6 @@ type IndexEstimate struct {
 	Empty bool
 	// EstimateCost is the I/O charged while producing this estimate.
 	EstimateCost int64
-}
-
-// Selectivity returns the estimated fraction of table rows matched.
-func (e IndexEstimate) Selectivity() float64 {
-	c := e.Index.Table.Cardinality()
-	if c == 0 {
-		return 0
-	}
-	s := e.RIDs / float64(c)
-	if s > 1 {
-		s = 1
-	}
-	return s
 }
 
 // Options tunes the initial stage.
@@ -195,48 +181,6 @@ func sortByRIDs(es []IndexEstimate) {
 			es[j], es[j-1] = es[j-1], es[j]
 		}
 	}
-}
-
-// SampleSelectivity estimates the selectivity of an arbitrary
-// restriction over the key columns of an index by ranked random
-// sampling within the index's range — the role of the [Ant92] sampler:
-// "Random sampling can estimate RIDs with any restrictions, including
-// pattern matching, complex arithmetic, comparing attributes of the
-// same index."
-//
-// It draws up to samples entries from rng within rg, decodes them, and
-// evaluates restriction on the key columns. The returned estimate is
-// rangeCount * matchFraction.
-func SampleSelectivity(ix *catalog.Index, rg expr.Range, restriction expr.Expr, binds expr.Bindings, rng *rand.Rand, samples int) (rids float64, err error) {
-	lo, hi := rg.EncodedBounds()
-	keys, _, count, err := ix.Tree.SampleRange(rng, lo, hi, samples)
-	if err != nil {
-		return 0, err
-	}
-	if count == 0 {
-		return 0, nil
-	}
-	if len(keys) == 0 {
-		return float64(count), nil
-	}
-	match := 0
-	filter := expr.NewFilter(restriction, binds)
-	var row expr.Row
-	for _, k := range keys {
-		if row, err = ix.DecodeEntry(k, row); err != nil {
-			return 0, err
-		}
-		ok, err := filter.Eval(row)
-		if err != nil {
-			// Restriction touches non-key columns: sampling cannot
-			// refine; report the raw range count.
-			return float64(count), nil
-		}
-		if ok {
-			match++
-		}
-	}
-	return float64(count) * float64(match) / float64(len(keys)), nil
 }
 
 // CostModel converts cardinalities into I/O cost estimates. All costs

@@ -150,24 +150,6 @@ func stageOut(tables []JoinTable, edges []JoinEdge, inSet func(int) bool, t int,
 	return out, true
 }
 
-// GreedyJoinOrder picks a full join order: the table with the smallest
-// filtered cardinality drives, then GreedyJoinRest adds the rest. Ties
-// break toward the lower table index, so the order is deterministic.
-func GreedyJoinOrder(tables []JoinTable, edges []JoinEdge) []JoinStageEst {
-	if len(tables) == 0 {
-		return nil
-	}
-	driver := 0
-	for i := 1; i < len(tables); i++ {
-		if tables[i].Card < tables[driver].Card {
-			driver = i
-		}
-	}
-	first := JoinStageEst{Table: driver, OutRows: tables[driver].Card}
-	return append([]JoinStageEst{first},
-		GreedyJoinRest(tables, edges, []int{driver}, first.OutRows)...)
-}
-
 // GreedyJoinRest orders the tables not yet joined (chosen lists those
 // already in the intermediate, whose current cardinality is curRows):
 // at each step it adds the table minimizing the estimated stage output,

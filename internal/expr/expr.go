@@ -353,36 +353,3 @@ func collectColumns(e Expr, set map[int]bool) {
 		collectColumns(t.Kid, set)
 	}
 }
-
-// Params returns the sorted set of parameter names referenced by e.
-func Params(e Expr) []string {
-	set := map[string]bool{}
-	collectParams(e, set)
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func collectParams(e Expr, set map[string]bool) {
-	switch t := e.(type) {
-	case nil:
-	case *Param:
-		set[t.Name] = true
-	case *Cmp:
-		collectParams(t.L, set)
-		collectParams(t.R, set)
-	case *And:
-		for _, k := range t.Kids {
-			collectParams(k, set)
-		}
-	case *Or:
-		for _, k := range t.Kids {
-			collectParams(k, set)
-		}
-	case *Not:
-		collectParams(t.Kid, set)
-	}
-}

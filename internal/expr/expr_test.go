@@ -164,7 +164,7 @@ func TestConjunctsFlattensNestedAnds(t *testing.T) {
 	}
 }
 
-func TestColumnsAndParams(t *testing.T) {
+func TestColumns(t *testing.T) {
 	e := NewAnd(
 		NewCmp(GT, age(), Var("A1")),
 		NewOr(
@@ -174,9 +174,6 @@ func TestColumnsAndParams(t *testing.T) {
 	)
 	if got := Columns(e); len(got) != 3 || got[0] != 0 || got[1] != 1 || got[2] != 2 {
 		t.Fatalf("Columns = %v", got)
-	}
-	if got := Params(e); len(got) != 2 || got[0] != "A1" || got[1] != "S" {
-		t.Fatalf("Params = %v", got)
 	}
 }
 

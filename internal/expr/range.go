@@ -33,9 +33,6 @@ func PointRange(v Value) Range {
 	return Range{Lo: b, Hi: b}
 }
 
-// IsFull reports whether the range is unbounded on both sides.
-func (r Range) IsFull() bool { return !r.Lo.Present && !r.Hi.Present }
-
 // IsPoint reports whether the range contains at most one value.
 func (r Range) IsPoint() bool {
 	return r.Lo.Present && r.Hi.Present && r.Lo.Inclusive && r.Hi.Inclusive &&

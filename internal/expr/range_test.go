@@ -8,7 +8,7 @@ import (
 
 func TestRangeBasics(t *testing.T) {
 	full := FullRange()
-	if !full.IsFull() || full.Empty() || full.IsPoint() {
+	if full.Lo.Present || full.Hi.Present || full.Empty() || full.IsPoint() {
 		t.Fatal("full range misclassified")
 	}
 	p := PointRange(Int(5))
@@ -152,7 +152,7 @@ func TestExtractRangeIntersectsConjuncts(t *testing.T) {
 	}
 	// Column 2 gets the full range.
 	r2, n2 := ExtractRange(e, 2, nil)
-	if n2 != 0 || !r2.IsFull() {
+	if n2 != 0 || r2 != FullRange() {
 		t.Fatalf("col 2: n=%d range=%v", n2, r2)
 	}
 }

@@ -46,7 +46,7 @@ func BenchmarkContainerAppendLarge(b *testing.B) {
 }
 
 func BenchmarkBitmapAddAndProbe(b *testing.B) {
-	bm := NewCompressedBitmap()
+	bm := &CompressedBitmap{}
 	for i := 0; i < 1<<16; i++ {
 		bm.Add(ridN(i))
 	}
@@ -57,7 +57,7 @@ func BenchmarkBitmapAddAndProbe(b *testing.B) {
 }
 
 func BenchmarkBitmapFilterBatch(b *testing.B) {
-	bm := NewCompressedBitmap()
+	bm := &CompressedBitmap{}
 	for i := 0; i < 1<<16; i += 2 {
 		bm.Add(ridN(i))
 	}
@@ -129,7 +129,7 @@ func BenchmarkFilterBatchIndexOrder(b *testing.B) {
 		b.Run(f.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				ApplyFilter(f.f, probes, keep)
+				f.f.FilterBatch(probes, keep)
 			}
 		})
 	}

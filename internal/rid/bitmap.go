@@ -1,7 +1,6 @@
 package rid
 
 import (
-	"math/bits"
 	"slices"
 
 	"rdbdyn/internal/storage"
@@ -14,7 +13,9 @@ import (
 // chunks) or a packed 8 KiB bitset (dense chunks). Unlike the hashed
 // bitmap it replaces, membership answers are exact, so downstream
 // consumers (loser refilter, borrow stream, final stage) never fetch a
-// record that cannot match.
+// record that cannot match. It answers membership only: it is built
+// (FromRIDs, Add) and probed (MayContain, FilterBatch), never combined
+// with another set.
 //
 // The zero value is an empty set. Methods are not safe for concurrent
 // mutation; concurrent MayContain/FilterBatch probes are safe once
@@ -45,9 +46,6 @@ type chunk struct {
 	bits []uint64 // bitsetWords words; nil while sparse
 	card int      // set bits when dense (arr carries its own length)
 }
-
-// NewCompressedBitmap returns an empty set.
-func NewCompressedBitmap() *CompressedBitmap { return &CompressedBitmap{} }
 
 // FromRIDs builds a compressed bitmap over rids, in any order
 // (duplicates collapse). The keys are sorted once; each page's run of
@@ -126,10 +124,7 @@ func (b *CompressedBitmap) MayContain(r storage.RID) bool {
 	return ok && b.chunks[i].contains(uint16(k))
 }
 
-// Exact implements Filter.
-func (b *CompressedBitmap) Exact() bool { return true }
-
-// FilterBatch implements BatchFilter: keep[i] reports membership of
+// FilterBatch implements Filter: keep[i] reports membership of
 // rids[i]. Consecutive probes of the same (file, page) — the common case
 // for index-scan batches and sorted final-stage lists — resolve the
 // chunk once, and ascending slot probes within a sparse chunk advance a
@@ -174,96 +169,7 @@ func (b *CompressedBitmap) FilterBatch(rids []storage.RID, keep []bool) {
 // Len returns the number of distinct RIDs in the set.
 func (b *CompressedBitmap) Len() int { return b.n }
 
-// SizeBytes returns the approximate memory footprint of the payload.
-func (b *CompressedBitmap) SizeBytes() int {
-	sz := len(b.keys) * 8
-	for i := range b.chunks {
-		c := &b.chunks[i]
-		if c.bits != nil {
-			sz += bitsetWords * 8
-		} else {
-			sz += len(c.arr) * 2
-		}
-	}
-	return sz
-}
-
-// And returns the intersection of b and o as a new set.
-func (b *CompressedBitmap) And(o *CompressedBitmap) *CompressedBitmap {
-	out := NewCompressedBitmap()
-	i, j := 0, 0
-	for i < len(b.keys) && j < len(o.keys) {
-		switch {
-		case b.keys[i] < o.keys[j]:
-			i++
-		case b.keys[i] > o.keys[j]:
-			j++
-		default:
-			out.push(b.keys[i], chunkAnd(&b.chunks[i], &o.chunks[j]))
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// Or returns the union of b and o as a new set.
-func (b *CompressedBitmap) Or(o *CompressedBitmap) *CompressedBitmap {
-	out := NewCompressedBitmap()
-	i, j := 0, 0
-	for i < len(b.keys) || j < len(o.keys) {
-		switch {
-		case j >= len(o.keys) || (i < len(b.keys) && b.keys[i] < o.keys[j]):
-			out.push(b.keys[i], b.chunks[i].clone())
-			i++
-		case i >= len(b.keys) || o.keys[j] < b.keys[i]:
-			out.push(o.keys[j], o.chunks[j].clone())
-			j++
-		default:
-			out.push(b.keys[i], chunkOr(&b.chunks[i], &o.chunks[j]))
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// AndNot returns the difference b minus o as a new set.
-func (b *CompressedBitmap) AndNot(o *CompressedBitmap) *CompressedBitmap {
-	out := NewCompressedBitmap()
-	j := 0
-	for i := range b.keys {
-		for j < len(o.keys) && o.keys[j] < b.keys[i] {
-			j++
-		}
-		if j < len(o.keys) && o.keys[j] == b.keys[i] {
-			out.push(b.keys[i], chunkAndNot(&b.chunks[i], &o.chunks[j]))
-		} else {
-			out.push(b.keys[i], b.chunks[i].clone())
-		}
-	}
-	return out
-}
-
-// push appends a chunk produced in key order, dropping empty results.
-func (b *CompressedBitmap) push(key uint64, c chunk) {
-	n := c.len()
-	if n == 0 {
-		return
-	}
-	b.keys = append(b.keys, key)
-	b.chunks = append(b.chunks, c)
-	b.n += n
-}
-
 // chunk operations
-
-func (c *chunk) len() int {
-	if c.bits != nil {
-		return c.card
-	}
-	return len(c.arr)
-}
 
 // add inserts slot, reporting whether it was new.
 func (c *chunk) add(s uint16) bool {
@@ -318,157 +224,6 @@ func (c *chunk) toBits() {
 		w[s>>6] |= 1 << (s & 63)
 	}
 	c.bits, c.card, c.arr = w, len(c.arr), nil
-}
-
-// toArr converts a dense chunk back to the sparse form. Caller
-// guarantees card <= arrayMax.
-func (c *chunk) toArr() {
-	arr := make([]uint16, 0, c.card)
-	for w, word := range c.bits {
-		for word != 0 {
-			arr = append(arr, uint16(w<<6+bits.TrailingZeros64(word)))
-			word &= word - 1
-		}
-	}
-	c.arr, c.bits, c.card = arr, nil, 0
-}
-
-// clone deep-copies the chunk so set-operation results never alias
-// their operands.
-func (c *chunk) clone() chunk {
-	out := chunk{card: c.card}
-	if c.bits != nil {
-		out.bits = append([]uint64(nil), c.bits...)
-	} else {
-		out.arr = append([]uint16(nil), c.arr...)
-	}
-	return out
-}
-
-// normalize converts a dense result back to sparse when it shrank below
-// the threshold, keeping probe cost and footprint proportional to
-// cardinality.
-func (c *chunk) normalize() chunk {
-	if c.bits != nil && c.card <= arrayMax {
-		c.toArr()
-	}
-	return *c
-}
-
-func chunkAnd(a, b *chunk) chunk {
-	switch {
-	case a.bits != nil && b.bits != nil:
-		out := chunk{bits: make([]uint64, bitsetWords)}
-		for i := range out.bits {
-			w := a.bits[i] & b.bits[i]
-			out.bits[i] = w
-			out.card += bits.OnesCount64(w)
-		}
-		return out.normalize()
-	case a.bits != nil: // b sparse
-		return chunkAnd(b, a)
-	case b.bits != nil: // a sparse, b dense: keep a's slots present in b
-		out := chunk{arr: make([]uint16, 0, len(a.arr))}
-		for _, s := range a.arr {
-			if b.contains(s) {
-				out.arr = append(out.arr, s)
-			}
-		}
-		return out
-	default: // both sparse: merge-intersect
-		out := chunk{}
-		i, j := 0, 0
-		for i < len(a.arr) && j < len(b.arr) {
-			switch {
-			case a.arr[i] < b.arr[j]:
-				i++
-			case a.arr[i] > b.arr[j]:
-				j++
-			default:
-				out.arr = append(out.arr, a.arr[i])
-				i++
-				j++
-			}
-		}
-		return out
-	}
-}
-
-func chunkOr(a, b *chunk) chunk {
-	switch {
-	case a.bits != nil && b.bits != nil:
-		out := chunk{bits: make([]uint64, bitsetWords)}
-		for i := range out.bits {
-			w := a.bits[i] | b.bits[i]
-			out.bits[i] = w
-			out.card += bits.OnesCount64(w)
-		}
-		return out
-	case a.bits == nil && b.bits != nil:
-		return chunkOr(b, a)
-	case a.bits != nil: // a dense, b sparse: copy a, set b's slots
-		out := a.clone()
-		for _, s := range b.arr {
-			w, m := int(s>>6), uint64(1)<<(s&63)
-			if out.bits[w]&m == 0 {
-				out.bits[w] |= m
-				out.card++
-			}
-		}
-		return out
-	default: // both sparse: merge-union
-		out := chunk{arr: make([]uint16, 0, len(a.arr)+len(b.arr))}
-		i, j := 0, 0
-		for i < len(a.arr) || j < len(b.arr) {
-			switch {
-			case j >= len(b.arr) || (i < len(a.arr) && a.arr[i] < b.arr[j]):
-				out.arr = append(out.arr, a.arr[i])
-				i++
-			case i >= len(a.arr) || b.arr[j] < a.arr[i]:
-				out.arr = append(out.arr, b.arr[j])
-				j++
-			default:
-				out.arr = append(out.arr, a.arr[i])
-				i++
-				j++
-			}
-		}
-		if len(out.arr) > arrayMax {
-			out.toBits()
-		}
-		return out
-	}
-}
-
-func chunkAndNot(a, b *chunk) chunk {
-	switch {
-	case a.bits == nil: // sparse minus anything: filter
-		out := chunk{arr: make([]uint16, 0, len(a.arr))}
-		for _, s := range a.arr {
-			if !b.contains(s) {
-				out.arr = append(out.arr, s)
-			}
-		}
-		return out
-	case b.bits != nil: // dense minus dense
-		out := chunk{bits: make([]uint64, bitsetWords)}
-		for i := range out.bits {
-			w := a.bits[i] &^ b.bits[i]
-			out.bits[i] = w
-			out.card += bits.OnesCount64(w)
-		}
-		return out.normalize()
-	default: // dense minus sparse: copy a, clear b's slots
-		out := a.clone()
-		for _, s := range b.arr {
-			w, m := int(s>>6), uint64(1)<<(s&63)
-			if out.bits[w]&m != 0 {
-				out.bits[w] &^= m
-				out.card--
-			}
-		}
-		return out.normalize()
-	}
 }
 
 // searchFrom returns the first index i >= from with arr[i] >= s,

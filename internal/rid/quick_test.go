@@ -37,21 +37,13 @@ func ridMix(words []uint32) []storage.RID {
 	return rids
 }
 
-func fromOracle(o map[storage.RID]bool) *CompressedBitmap {
-	b := NewCompressedBitmap()
-	for r := range o {
-		b.Add(r)
-	}
-	return b
-}
-
 // Property: Add/MayContain/Len agree with a map-of-RIDs oracle, and
 // FilterBatch matches per-RID probes, across sparse/dense slot mixes.
 func TestQuickBitmapVsOracle(t *testing.T) {
 	f := func(words []uint32, probeWords []uint32) bool {
 		rids := ridMix(words)
 		oracle := map[storage.RID]bool{}
-		b := NewCompressedBitmap()
+		b := &CompressedBitmap{}
 		for _, r := range rids {
 			b.Add(r)
 			oracle[r] = true
@@ -70,66 +62,6 @@ func TestQuickBitmapVsOracle(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: And/Or/AndNot match set intersection/union/difference of
-// the oracles, and the results stay internally consistent (Len agrees
-// with membership).
-func TestQuickBitmapSetOps(t *testing.T) {
-	f := func(aw, bw []uint32) bool {
-		ra, rb := ridMix(aw), ridMix(bw)
-		oa, ob := map[storage.RID]bool{}, map[storage.RID]bool{}
-		for _, r := range ra {
-			oa[r] = true
-		}
-		for _, r := range rb {
-			ob[r] = true
-		}
-		ba, bb := fromOracle(oa), fromOracle(ob)
-
-		universe := map[storage.RID]bool{}
-		for r := range oa {
-			universe[r] = true
-		}
-		for r := range ob {
-			universe[r] = true
-		}
-
-		and, or, not := ba.And(bb), ba.Or(bb), ba.AndNot(bb)
-		nAnd, nOr, nNot := 0, 0, 0
-		for r := range universe {
-			inA, inB := oa[r], ob[r]
-			if and.MayContain(r) != (inA && inB) {
-				return false
-			}
-			if or.MayContain(r) != (inA || inB) {
-				return false
-			}
-			if not.MayContain(r) != (inA && !inB) {
-				return false
-			}
-			if inA && inB {
-				nAnd++
-			}
-			if inA || inB {
-				nOr++
-			}
-			if inA && !inB {
-				nNot++
-			}
-		}
-		if and.Len() != nAnd || or.Len() != nOr || not.Len() != nNot {
-			return false
-		}
-		// Inputs must be untouched (ops return new sets).
-		if ba.Len() != len(oa) || bb.Len() != len(ob) {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -155,7 +87,7 @@ func probeOrders(probes []storage.RID, seed int64) [][]storage.RID {
 func agrees(f Filter, oracle map[storage.RID]bool, orders [][]storage.RID) bool {
 	for _, probes := range orders {
 		keep := make([]bool, len(probes))
-		ApplyFilter(f, probes, keep)
+		f.FilterBatch(probes, keep)
 		for i, r := range probes {
 			if f.MayContain(r) != oracle[r] || keep[i] != oracle[r] {
 				return false
@@ -175,7 +107,7 @@ func TestQuickFiltersVsOracle(t *testing.T) {
 			rids = append(rids, rids[i])
 		}
 		oracle := map[storage.RID]bool{}
-		inc := NewCompressedBitmap()
+		inc := &CompressedBitmap{}
 		for _, r := range rids {
 			oracle[r] = true
 			inc.Add(r)
@@ -400,9 +332,6 @@ func TestQuickContainerAppendBatch(t *testing.T) {
 			}
 		}
 		f1, f2 := one.Filter(), batch.Filter()
-		if !f1.Exact() || !f2.Exact() {
-			return false
-		}
 		for _, r := range rids {
 			if !f1.MayContain(r) || !f2.MayContain(r) {
 				return false

@@ -12,6 +12,11 @@
 //
 // The paper: "Despite its simplicity, this 'hybrid' scan arrangement is
 // quite advantageous due to the underlying L-shaped distribution."
+//
+// A completed list or bitmap is only ever probed for membership — as
+// the filter of the next index scan or of the final fetch, or as the
+// set of rows a scan must skip — so a filter answers membership and
+// nothing else: there is no set algebra over lists.
 package rid
 
 import (
@@ -28,38 +33,18 @@ var ErrDiscarded = errors.New("rid: container discarded")
 // overflowed its memory budget: only the bitmap remains.
 var ErrFilterOnly = errors.New("rid: container is filter-only")
 
-// Filter answers membership questions during RID-list intersection.
-// Every concrete filter here is exact (sorted keys and compressed
-// bitmaps have no false positives); the interface still allows
-// approximate implementations, which the final restriction re-evaluation
-// would absorb.
-type Filter interface {
-	// MayContain reports whether r may be in the underlying set.
-	MayContain(r storage.RID) bool
-	// Exact reports whether MayContain is free of false positives.
-	Exact() bool
-}
-
-// BatchFilter is a Filter with a bulk probe. Batched scans prefer it:
-// one call amortizes the per-probe dispatch and lets the filter exploit
+// Filter answers membership questions during RID-list intersection:
+// a completed list filters the next index scan and the final fetch
+// (Section 6). Every filter here is exact — sorted keys and compressed
+// bitmaps have no false positives — and probes in bulk: one call
+// amortizes the per-probe dispatch and lets the filter exploit
 // page-clustered probe order.
-type BatchFilter interface {
-	Filter
+type Filter interface {
+	// MayContain reports whether r is in the underlying set.
+	MayContain(r storage.RID) bool
 	// FilterBatch sets keep[i] to MayContain(rids[i]). len(keep) must
 	// be >= len(rids).
 	FilterBatch(rids []storage.RID, keep []bool)
-}
-
-// ApplyFilter bulk-evaluates f over rids into keep, using the filter's
-// batch path when it has one.
-func ApplyFilter(f Filter, rids []storage.RID, keep []bool) {
-	if bf, ok := f.(BatchFilter); ok {
-		bf.FilterBatch(rids, keep)
-		return
-	}
-	for i, r := range rids {
-		keep[i] = f.MayContain(r)
-	}
 }
 
 // TrueFilter passes everything; it stands for "no previous filter" in
@@ -69,10 +54,7 @@ type TrueFilter struct{}
 // MayContain implements Filter.
 func (TrueFilter) MayContain(storage.RID) bool { return true }
 
-// Exact implements Filter.
-func (TrueFilter) Exact() bool { return false }
-
-// FilterBatch implements BatchFilter.
+// FilterBatch implements Filter.
 func (TrueFilter) FilterBatch(rids []storage.RID, keep []bool) {
 	for i := range rids {
 		keep[i] = true

@@ -64,8 +64,8 @@ func TestSortedKeysMembership(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := c.Filter()
-	if _, ok := f.(*sortedKeys); !ok || !f.Exact() {
-		t.Fatalf("in-memory filter is %T, want exact *sortedKeys", f)
+	if _, ok := f.(*sortedKeys); !ok {
+		t.Fatalf("in-memory filter is %T, want *sortedKeys", f)
 	}
 	for i := 0; i < 100; i++ {
 		want := i%2 == 0
@@ -76,10 +76,7 @@ func TestSortedKeysMembership(t *testing.T) {
 }
 
 func TestCompressedBitmapExactMembership(t *testing.T) {
-	b := NewCompressedBitmap()
-	if !b.Exact() {
-		t.Fatal("compressed bitmap must be exact")
-	}
+	b := &CompressedBitmap{}
 	for i := 0; i < 1000; i++ {
 		b.Add(ridN(i * 3))
 	}
@@ -101,7 +98,7 @@ func TestCompressedBitmapExactMembership(t *testing.T) {
 }
 
 func TestCompressedBitmapFilterBatch(t *testing.T) {
-	b := NewCompressedBitmap()
+	b := &CompressedBitmap{}
 	for i := 0; i < 500; i++ {
 		b.Add(ridN(i * 2))
 	}
@@ -121,7 +118,7 @@ func TestCompressedBitmapFilterBatch(t *testing.T) {
 func TestCompressedBitmapDenseChunk(t *testing.T) {
 	// Fill one page's chunk past the array threshold so it converts to
 	// a packed bitset, then delete nothing and probe everything.
-	b := NewCompressedBitmap()
+	b := &CompressedBitmap{}
 	pg := storage.PageID{File: 2, No: 7}
 	for s := 0; s < 5000; s++ {
 		b.Add(storage.RID{Page: pg, Slot: uint16(s)})
@@ -144,7 +141,9 @@ func TestCompressedBitmapDenseChunk(t *testing.T) {
 
 func TestTrueFilter(t *testing.T) {
 	var f Filter = TrueFilter{}
-	if !f.MayContain(ridN(5)) || f.Exact() {
+	keep := make([]bool, 2)
+	f.FilterBatch([]storage.RID{ridN(5), ridN(9)}, keep)
+	if !f.MayContain(ridN(5)) || !keep[0] || !keep[1] {
 		t.Fatal("TrueFilter misbehaves")
 	}
 }
@@ -181,8 +180,8 @@ func TestContainerGraduatesToAllocated(t *testing.T) {
 		t.Fatalf("50 RIDs: allocated=%v spilled=%v", c.Allocated(), c.Spilled())
 	}
 	f := c.Filter()
-	if !f.Exact() {
-		t.Fatal("in-memory filter must be exact")
+	if _, ok := f.(*sortedKeys); !ok {
+		t.Fatalf("in-memory filter is %T, want *sortedKeys", f)
 	}
 	if !f.MayContain(ridN(7)) || f.MayContain(ridN(99)) {
 		t.Fatal("filter membership wrong")
@@ -205,8 +204,8 @@ func TestContainerSpillsAndReadsBack(t *testing.T) {
 		t.Fatalf("in-memory RIDs = %d, want 100", c.MemRIDs())
 	}
 	f := c.Filter()
-	if !f.Exact() {
-		t.Fatal("spilled filter must stay exact (compressed bitmap)")
+	if _, ok := f.(*CompressedBitmap); !ok {
+		t.Fatalf("spilled filter is %T, want *CompressedBitmap", f)
 	}
 	for i := 0; i < total; i++ {
 		if !f.MayContain(ridN(i)) {

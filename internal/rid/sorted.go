@@ -101,10 +101,7 @@ func (s *sortedKeys) MayContain(r storage.RID) bool {
 	return ok
 }
 
-// Exact implements Filter.
-func (s *sortedKeys) Exact() bool { return true }
-
-// FilterBatch implements BatchFilter as a galloping merge: ascending
+// FilterBatch implements Filter as a galloping merge: ascending
 // probes — the RIDs of one index key, which a leaf holds in RID order —
 // advance one merge position through the keys, and a probe below its
 // predecessor restarts the merge.

@@ -101,21 +101,6 @@ func (p Pad) Next(*rand.Rand, expr.Row) expr.Value {
 // Type implements Generator.
 func (p Pad) Type() expr.Type { return expr.TypeString }
 
-// StringPool yields strings drawn uniformly from a pool of N distinct
-// values ("name-0007").
-type StringPool struct {
-	Prefix string
-	N      int
-}
-
-// Next implements Generator.
-func (s StringPool) Next(rng *rand.Rand, _ expr.Row) expr.Value {
-	return expr.Str(fmt.Sprintf("%s%04d", s.Prefix, rng.Intn(s.N)))
-}
-
-// Type implements Generator.
-func (s StringPool) Type() expr.Type { return expr.TypeString }
-
 // Correlated yields Source-column value plus uniform noise in
 // [-Noise, +Noise] — a knob for the between-column correlation that
 // defeats independence assumptions (Section 2).
@@ -193,22 +178,4 @@ func Build(cat *catalog.Catalog, spec TableSpec) (*catalog.Table, error) {
 		}
 	}
 	return tab, nil
-}
-
-// ParamStream draws host-variable values for repeated executions of a
-// prepared query: each call returns the next binding set.
-type ParamStream struct {
-	rng  *rand.Rand
-	name string
-	gen  Generator
-}
-
-// NewParamStream creates a stream binding the named parameter from gen.
-func NewParamStream(seed int64, name string, gen Generator) *ParamStream {
-	return &ParamStream{rng: rand.New(rand.NewSource(seed)), name: name, gen: gen}
-}
-
-// Next returns the next binding set.
-func (p *ParamStream) Next() expr.Bindings {
-	return expr.Bindings{p.name: p.gen.Next(p.rng, nil)}
 }

@@ -22,7 +22,6 @@ func TestBuildCreatesTableAndIndexes(t *testing.T) {
 			{Name: "A", Gen: Uniform{Lo: 0, Hi: 50}},
 			{Name: "Z", Gen: &Zipf{S: 1.5, V: 1, N: 100}},
 			{Name: "F", Gen: UniformFloat{Lo: 0, Hi: 1}},
-			{Name: "S", Gen: StringPool{Prefix: "v", N: 10}},
 			{Name: "P", Gen: Pad{Len: 30}},
 		},
 		Indexes: [][]string{{"ID"}, {"A"}, {"Z", "A"}},
@@ -48,7 +47,7 @@ func TestBuildCreatesTableAndIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if row[0].T != expr.TypeInt || row[3].T != expr.TypeFloat || row[5].T != expr.TypeString {
+	if row[0].T != expr.TypeInt || row[3].T != expr.TypeFloat || row[4].T != expr.TypeString {
 		t.Fatalf("types wrong: %v", row)
 	}
 }
@@ -137,25 +136,6 @@ func TestCorrelatedColumns(t *testing.T) {
 		if row[2].I != row[0].I {
 			t.Fatal("exact correlation broken")
 		}
-	}
-}
-
-func TestParamStream(t *testing.T) {
-	ps := NewParamStream(3, "A1", Uniform{Lo: 0, Hi: 10})
-	seen := map[int64]bool{}
-	for i := 0; i < 100; i++ {
-		b := ps.Next()
-		v, ok := b["A1"]
-		if !ok || v.T != expr.TypeInt {
-			t.Fatalf("binding wrong: %v", b)
-		}
-		if v.I < 0 || v.I >= 10 {
-			t.Fatalf("value out of range: %d", v.I)
-		}
-		seen[v.I] = true
-	}
-	if len(seen) < 5 {
-		t.Fatalf("stream not varied: %v", seen)
 	}
 }
 
