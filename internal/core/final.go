@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"slices"
 	"sync/atomic"
 
 	"rdbdyn/internal/expr"
@@ -142,40 +141,4 @@ func (f *finalStage) fetch(c *fetchCursor, tr *storage.Tracker, budget int, stop
 		fetches += len(run)
 	}
 	return false, nil
-}
-
-// sortRows orders rows by the given column positions (the SORT node the
-// paper's goal-inference rules refer to; used when an order is requested
-// but no order-needed index carries the retrieval). Each row's leading
-// sort key is extracted once, beside its arrival sequence: the sequence
-// breaks ties, so an unstable O(n log n) sort yields the stable order.
-func sortRows(rows []expr.Row, by []int, desc bool) {
-	type keyed struct {
-		key expr.Value
-		row expr.Row
-		seq int
-	}
-	ks := make([]keyed, len(rows))
-	for i, r := range rows {
-		ks[i] = keyed{key: r[by[0]], row: r, seq: i}
-	}
-	slices.SortFunc(ks, func(a, b keyed) int {
-		d := expr.Compare(a.key, b.key)
-		for _, c := range by[1:] {
-			if d != 0 {
-				break
-			}
-			d = expr.Compare(a.row[c], b.row[c])
-		}
-		if desc {
-			d = -d
-		}
-		if d == 0 {
-			d = a.seq - b.seq
-		}
-		return d
-	})
-	for i := range ks {
-		rows[i] = ks[i].row
-	}
 }

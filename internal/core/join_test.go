@@ -859,7 +859,7 @@ func TestHashJoinDynamicPick(t *testing.T) {
 }
 
 // isSortedBy reports whether rows are ordered by the given projected
-// column (NULLs first, mirroring sortRows).
+// column (NULLs first, as expr.Compare ranks them).
 func isSortedBy(rows []expr.Row, col int, desc bool) bool {
 	for i := 1; i < len(rows); i++ {
 		a, b := rows[i-1][col], rows[i][col]
@@ -950,7 +950,7 @@ func TestSortAvoidedOrderEquivalence(t *testing.T) {
 				OrderBy: []int{0}, OrderDesc: desc, // CUST.ID, delivered by CUST_ID_IX
 			}
 			want := oracleJoin(t, jq, tabs)
-			sortRows(want, jq.OrderBy, desc)
+			refSortRows(want, jq.OrderBy, desc)
 			ec, log := tracedCtx()
 			got, st := drainJoin(t, NewOptimizer(Config{}).RunJoin(ec, jq, nil))
 			if !st.SortAvoided {
@@ -1113,7 +1113,7 @@ func TestJoinPipelineEquivalence(t *testing.T) {
 		ojq.Projection = nil
 		want := oracleJoin(t, ojq, tc.tabs)
 		if len(ojq.OrderBy) > 0 {
-			sortRows(want, ojq.OrderBy, ojq.OrderDesc)
+			refSortRows(want, ojq.OrderBy, ojq.OrderDesc)
 		}
 		if ojq.Limit > 0 && len(want) > ojq.Limit {
 			want = want[:ojq.Limit]
@@ -1301,5 +1301,27 @@ func BenchmarkHashProbe(b *testing.B) {
 			b.Fatalf("%d joined rows, want %d", len(s.out.rows), nProbe)
 		}
 		s.out.rows = s.out.rows[:0]
+	}
+}
+
+// BenchmarkSortRows times the SORT node's in-memory sort on the e2e
+// `sorted` class's shape: 20 000 six-column FAMILIES-like rows ordered
+// by AGE, which takes 10 000 distinct values, twice each, in random
+// arrival order. One op restores the arrival order and sorts.
+func BenchmarkSortRows(b *testing.B) {
+	const n, ages = 20000, 10000
+	rng := rand.New(rand.NewSource(1))
+	pad := strings.Repeat("x", 40)
+	arrival := make([]expr.Row, n)
+	for i, p := range rng.Perm(n) {
+		arrival[i] = expr.Row{expr.Int(int64(i)), expr.Int(int64(p % ages)), expr.Int(rng.Int63n(100)),
+			expr.Int(rng.Int63n(1e6)), expr.Str(fmt.Sprintf("note-%d", i)), expr.Str(pad)}
+	}
+	rows := make([]expr.Row, n)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(rows, arrival)
+		sortRows(rows, []int{1}, false)
 	}
 }
